@@ -6,12 +6,23 @@ GA-seeded SQP dispatch optimizer with an optional demand-response shift.
 """
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # MGOPT_THREADS caps the numeric backends' thread pools; it must land in the
-# environment before numpy first loads.
+# environment before numpy first loads, because the pools are sized then.
 _threads = _os.environ.get("MGOPT_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    if "numpy" in _sys.modules and any(_os.environ.get(_var) != _threads for _var in _pools):
+        _warnings.warn(
+            f"MGOPT_THREADS={_threads} has no effect: numpy was imported before mgopt, "
+            f"so its thread pools are already sized; import mgopt first or set "
+            f"{', '.join(_pools)} before starting Python",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    for _var in _pools:
         _os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"

@@ -1,22 +1,35 @@
-"""Radial power flow by the backward-forward sweep method.
+"""Radial power flow by the backward-forward sweep, in path-matrix form.
 
 The network is a tree rooted at the slack bus.  Each iteration draws
 constant-power load currents from the present voltage guess, accumulates
-branch currents from the leaves toward the root (backward sweep), then
-re-derives voltages from the root outward across branch impedances (forward
-sweep).  Loads are constant power at their power factor, generators are
-negative constant-power loads at unity power factor, the battery is a signed
-constant-power injection, and the slack bus absorbs whatever residual the
-balance needs.
+them into branch currents from the leaves toward the root (backward sweep),
+then drops voltages from the root outward across branch impedances (forward
+sweep).  Both sweeps are fixed linear maps of the topology: ``BIBC`` (branch
+by bus, 1 where the bus lies in the branch's subtree) takes bus currents to
+branch currents, and ``DLF = BIBC^T diag(z) BIBC`` takes them to voltage
+drops, so one iteration is ``V = 1 - DLF conj(S / V)`` (J.-H. Teng, "A
+direct approach for distribution system load flow solutions", IEEE Trans.
+Power Delivery 18(3), 2003).
 
-The sweep is vectorised over an arbitrary number of injection columns, so a
-whole horizon (or a whole GA population by stacking hours) solves in one call.
+Buses with no injection in any column of a batch draw no current, so they
+leave the iteration; their voltages are recovered from the last iteration's
+currents afterwards.  Convergence is still judged over every bus: a column
+converges when its largest voltage change at any bus is below the
+tolerance.
+
+Loads are constant power at their power factor, generators are negative
+constant-power loads at unity power factor, the battery is a signed
+constant-power injection, and the slack bus absorbs whatever residual the
+balance needs.  The sweep is vectorised over an arbitrary number of
+injection columns, so a whole horizon (or a whole GA population by stacking
+hours) solves in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -65,6 +78,30 @@ class CompiledNetwork:
     @property
     def n_branch(self) -> int:
         return len(self.branch_ids)
+
+    @cached_property
+    def bibc(self) -> np.ndarray:
+        """Branch-by-bus path matrix: 1 where the bus lies in the branch's subtree.
+
+        Row ``b`` lists the buses whose current branch ``b`` carries; column
+        ``j`` lists the branches between the slack and bus ``j``.
+        """
+        paths = np.zeros((self.n_branch, self.n_bus))
+        # Branches are in sweep order, children before parents, so walking
+        # them backwards completes each parent's path before its children's.
+        for b in range(self.n_branch - 1, -1, -1):
+            paths[:, self.child[b]] = paths[:, self.parent[b]]
+            paths[b, self.child[b]] = 1.0
+        return paths
+
+    @cached_property
+    def dlf(self) -> np.ndarray:
+        """Bus-current-to-voltage-drop matrix ``BIBC^T diag(z) BIBC``.
+
+        Entry ``(i, j)`` is the impedance of the path that buses ``i`` and
+        ``j`` share from the slack.
+        """
+        return self.bibc.T @ (self.z_pu[:, np.newaxis] * self.bibc)
 
 
 def compile_network(case: MicrogridCase) -> CompiledNetwork:
@@ -161,63 +198,100 @@ def sweep(
 
     consumption_pu has shape (n_bus, m); positive real part consumes.
     Voltages start flat at 1.0 pu.  A column converges when its largest
-    voltage change drops below ``tolerance``; columns whose magnitude dips
-    under 0.5 pu are reported collapsed rather than merely unconverged.
+    voltage change over all buses drops below ``tolerance``; columns whose
+    magnitude dips under 0.5 pu at any bus are reported collapsed rather
+    than merely unconverged.
 
-    The returned currents are recomputed from the final voltages, so each
-    bus absorbs exactly its specified power and the slack picks up losses;
-    the loss identity then closes to roundoff.
+    The iteration runs over the buses with an injection in some column; the
+    other buses draw no current and their voltages follow from the last
+    iteration's currents.  The returned currents are recomputed from the
+    final voltages, so each bus absorbs exactly its specified power and the
+    slack picks up losses; the loss identity then closes to roundoff.
     """
     s = np.asarray(consumption_pu, dtype=complex)
-    squeeze = s.ndim == 1
-    if squeeze:
+    if s.ndim == 1:
         s = s[:, np.newaxis]
-    n, m = s.shape
-    v = np.ones((n, m), dtype=complex)
-    i_branch = np.zeros((net.n_branch, m), dtype=complex)
+    if s.shape[1] == 1:
+        # Numpy hands a one-row product to gemv, which rounds differently
+        # from gemm; solving a copy alongside keeps a lone column bitwise
+        # equal to the same column inside a batch.
+        pair = sweep(net, np.repeat(s, 2, axis=1), tolerance, max_iterations)
+        return SweepResult(*(field[..., :1] for field in pair))
+
+    m = s.shape[1]
+    has_injection = s.any(axis=1)
+    inj = np.flatnonzero(has_injection)
+    s_inj = s[inj]
+    drop = net.dlf[:, inj]
+    drop_inj, drop_rest = drop[inj], drop[~has_injection]
+    # |V_j| >= 1 - sum_k |DLF[j, k]| |I_k| at every bus j, so a column whose
+    # bound clears the floor cannot have dipped; the margin covers rounding.
+    reach = np.abs(drop).max(axis=0, initial=0.0)
+    # The loop reuses these buffers: at GA batch sizes, fresh arrays cost
+    # more in page faults than the arithmetic does.
+    shape = (len(inj), m)
+    acc, prev = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
+    v, v_new = np.ones(shape, dtype=complex), np.empty(shape, dtype=complex)
+    size = np.empty(shape)
+    by_row = np.empty(shape[::-1], dtype=complex)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     dipped = np.zeros(m, dtype=bool)
-    parent, child = net.parent, net.child
-
-    for k in range(1, max_iterations + 1):
-        with np.errstate(all="ignore"):
-            acc = np.conj(s / v)
-        for b in range(net.n_branch):
-            i_branch[b] = acc[child[b]]
-            acc[parent[b]] += i_branch[b]
-        v_new = v.copy()
-        v_new[net.slack] = 1.0
-        for b in range(net.n_branch - 1, -1, -1):
-            v_new[child[b]] = v_new[parent[b]] - net.z_pu[b] * i_branch[b]
-        with np.errstate(invalid="ignore"):
-            dv = np.abs(v_new - v)
-            magnitude = np.abs(v_new)
-        dv = np.where(np.isfinite(dv), dv, np.inf).max(axis=0) if n else np.zeros(m)
-        dipped |= ~np.isfinite(magnitude).all(axis=0)
-        dipped |= np.where(np.isfinite(magnitude), magnitude, np.inf).min(axis=0) < COLLAPSE_FLOOR_PU
-        v = v_new
-        newly = ~converged & (dv < tolerance)
-        iterations[newly] = k
-        converged |= newly
-        if converged.all():
-            break
-
-    with np.errstate(invalid="ignore"):
-        magnitude = np.abs(v)
-    finite = np.isfinite(magnitude).all(axis=0)
-    final_low = np.where(np.isfinite(magnitude), magnitude, np.inf).min(axis=0) < COLLAPSE_FLOOR_PU
-    collapsed = ~finite | final_low | (dipped & ~converged)
-    converged &= ~collapsed
-    iterations[~converged] = max_iterations
 
     with np.errstate(all="ignore"):
-        acc = np.conj(s / v)
-        acc[~np.isfinite(acc)] = 0.0
-    for b in range(net.n_branch):
-        i_branch[b] = acc[child[b]]
-        acc[parent[b]] += i_branch[b]
-    return SweepResult(v, i_branch, acc[net.slack].copy(), iterations, converged, collapsed)
+        for k in range(1, max_iterations + 1):
+            acc, prev = prev, acc
+            np.conjugate(np.divide(s_inj, v, out=acc), out=acc)
+            np.subtract(1.0, _by_row(drop_inj, acc, out=by_row), out=v_new)
+            # A non-finite change propagates through the maximum and fails
+            # the tolerance test, like an infinite one.
+            dv = np.abs(np.subtract(v_new, v, out=v), out=size).max(axis=0, initial=0.0)
+            risky = np.flatnonzero(~(1.0 - reach @ np.abs(acc, out=size) > COLLAPSE_FLOOR_PU + 1e-9))
+            if risky.size:
+                dipped[risky] |= _below_floor(1.0 - drop @ acc[:, risky])
+            # A column that passes on the injection buses is confirmed on the
+            # rest, since a bus without load can move the most.
+            screened = np.flatnonzero(~converged & (dv < tolerance))
+            if screened.size:
+                step = drop_rest @ (acc[:, screened] - prev[:, screened])
+                newly = screened[np.abs(step).max(axis=0, initial=0.0) < tolerance]
+                iterations[newly] = k
+                converged[newly] = True
+            v, v_new = v_new, v
+            if converged.all():
+                break
+
+        v = np.subtract(1.0, _by_row(drop, acc), order="C")
+        v[net.slack] = 1.0
+        collapsed = _below_floor(v) | (dipped & ~converged)
+        converged &= ~collapsed
+        iterations[~converged] = max_iterations
+        acc = np.conj(s_inj / v[inj])
+    acc[~np.isfinite(acc)] = 0.0
+    # BIBC is 0/1, so its product is plain sums and rounds the same for any
+    # batch in either orientation.
+    return SweepResult(v, net.bibc[:, inj] @ acc, acc.sum(axis=0), iterations, converged, collapsed)
+
+
+def _by_row(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a @ b`` for a column batch ``b``, returned as a transposed view.
+
+    The product runs as ``b.T @ a.T`` into row-major storage: gemm rounds
+    each row of its result the same wherever the row sits in the batch (it
+    does not for columns), so a column's result does not depend on what it
+    is batched with.
+    """
+    return np.matmul(b.T, a.T, out=out).T
+
+
+def _below_floor(v: np.ndarray) -> np.ndarray:
+    """Columns with a non-finite voltage or a magnitude under the collapse floor.
+
+    NaN propagates through both reductions and fails both comparisons.
+    """
+    magnitude = np.abs(v)
+    low = ~(magnitude.min(axis=0, initial=np.inf) >= COLLAPSE_FLOOR_PU)
+    return low | ~np.isfinite(magnitude.max(axis=0, initial=0.0))
 
 
 @dataclass

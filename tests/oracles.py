@@ -1,9 +1,11 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is deliberately written in the most literal way possible:
-admittance-matrix fixed-point iteration for power flow, exhaustive
-active-set enumeration for QPs, plain python loops for battery and outage
-arithmetic.  None of it shares code with the package.
+admittance-matrix fixed-point iteration and a per-branch loop sweep for
+power flow, exhaustive active-set enumeration for QPs, plain python loops
+for battery and outage arithmetic.  None of it shares code with the
+package; the loop sweep borrows only the package's result type and
+thresholds, since matching them is what it checks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from mgopt.powerflow import (
+    COLLAPSE_FLOOR_PU,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE,
+    CompiledNetwork,
+    SweepResult,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +114,75 @@ def injection_balance_pu(
     return float(s_slack.real - sum(load[i].real for i in range(len(voltage)) if i != slack))
 
 
+def loop_sweep(
+    net: CompiledNetwork,
+    consumption_pu: np.ndarray,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> SweepResult:
+    """The backward-forward sweep as literal per-branch loops.
+
+    consumption_pu has shape (n_bus, m); positive real part consumes.
+    Voltages start flat at 1.0 pu.  A column converges when its largest
+    voltage change drops below ``tolerance``; columns whose magnitude dips
+    under 0.5 pu are reported collapsed rather than merely unconverged.
+
+    The returned currents are recomputed from the final voltages, so each
+    bus absorbs exactly its specified power and the slack picks up losses;
+    the loss identity then closes to roundoff.
+    """
+    s = np.asarray(consumption_pu, dtype=complex)
+    squeeze = s.ndim == 1
+    if squeeze:
+        s = s[:, np.newaxis]
+    n, m = s.shape
+    v = np.ones((n, m), dtype=complex)
+    i_branch = np.zeros((net.n_branch, m), dtype=complex)
+    iterations = np.zeros(m, dtype=int)
+    converged = np.zeros(m, dtype=bool)
+    dipped = np.zeros(m, dtype=bool)
+    parent, child = net.parent, net.child
+
+    for k in range(1, max_iterations + 1):
+        with np.errstate(all="ignore"):
+            acc = np.conj(s / v)
+        for b in range(net.n_branch):
+            i_branch[b] = acc[child[b]]
+            acc[parent[b]] += i_branch[b]
+        v_new = v.copy()
+        v_new[net.slack] = 1.0
+        for b in range(net.n_branch - 1, -1, -1):
+            v_new[child[b]] = v_new[parent[b]] - net.z_pu[b] * i_branch[b]
+        with np.errstate(invalid="ignore"):
+            dv = np.abs(v_new - v)
+            magnitude = np.abs(v_new)
+        dv = np.where(np.isfinite(dv), dv, np.inf).max(axis=0) if n else np.zeros(m)
+        dipped |= ~np.isfinite(magnitude).all(axis=0)
+        dipped |= np.where(np.isfinite(magnitude), magnitude, np.inf).min(axis=0) < COLLAPSE_FLOOR_PU
+        v = v_new
+        newly = ~converged & (dv < tolerance)
+        iterations[newly] = k
+        converged |= newly
+        if converged.all():
+            break
+
+    with np.errstate(invalid="ignore"):
+        magnitude = np.abs(v)
+    finite = np.isfinite(magnitude).all(axis=0)
+    final_low = np.where(np.isfinite(magnitude), magnitude, np.inf).min(axis=0) < COLLAPSE_FLOOR_PU
+    collapsed = ~finite | final_low | (dipped & ~converged)
+    converged &= ~collapsed
+    iterations[~converged] = max_iterations
+
+    with np.errstate(all="ignore"):
+        acc = np.conj(s / v)
+        acc[~np.isfinite(acc)] = 0.0
+    for b in range(net.n_branch):
+        i_branch[b] = acc[child[b]]
+        acc[parent[b]] += i_branch[b]
+    return SweepResult(v, i_branch, acc[net.slack].copy(), iterations, converged, collapsed)
+
+
 def random_radial_network(
     rng: np.random.Generator, max_buses: int = 5
 ) -> Tuple[int, List[Tuple[int, int, complex]], np.ndarray]:
@@ -118,6 +197,36 @@ def random_radial_network(
     q = p * rng.uniform(0.2, 0.6, n)
     p[0] = q[0] = 0.0
     return n, branches, p + 1j * q
+
+
+def random_feeder_with_empty_buses(
+    rng: np.random.Generator, max_buses: int = 15, columns: int = 6
+) -> Tuple[int, List[Tuple[int, int, complex]], np.ndarray]:
+    """A random tree in which some buses carry no injection at all.
+
+    Inner buses left empty become junctions (several children) or series
+    sections (one child); empty dead-end leaves are added on top.  Loaded
+    buses draw or inject a different power in each of ``columns`` columns,
+    and some columns are all zero.  Parents are numbered below children.
+    """
+    n_loaded = int(rng.integers(2, max(3, max_buses - 3)))
+    branches = []
+    for child in range(1, n_loaded):
+        parent = int(rng.integers(0, child))
+        branches.append((parent, child, complex(rng.uniform(0.005, 0.05), rng.uniform(0.002, 0.03))))
+    n = n_loaded + int(rng.integers(1, max_buses - n_loaded + 1))
+    for leaf in range(n_loaded, n):
+        branches.append((int(rng.integers(0, n_loaded)), leaf, complex(rng.uniform(0.005, 0.05), rng.uniform(0.002, 0.03))))
+    has_child = np.zeros(n, dtype=bool)
+    has_child[[parent for parent, _, _ in branches]] = True
+    loaded = np.zeros(n, dtype=bool)
+    loaded[1:n_loaded] = ~has_child[1:n_loaded] | (rng.random(n_loaded - 1) < 0.5)
+    loaded[n_loaded - 1] = True
+    p = rng.uniform(-0.15, 0.4, (n, columns)) * loaded[:, np.newaxis]
+    q = np.maximum(p, 0.0) * rng.uniform(0.2, 0.6, (n, 1))
+    s = p + 1j * q
+    s[:, rng.random(columns) < 0.2] = 0.0
+    return n, branches, s
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mgopt.devices import DispatchSchedule, zero_schedule
+from mgopt.netmodel import Branch, Bus, validate_case
 from mgopt.powerflow import (
     CompiledNetwork,
     ConvergenceError,
@@ -22,6 +24,8 @@ from oracles import (
     branch_loss_pu,
     gauss_seidel_voltages,
     injection_balance_pu,
+    loop_sweep,
+    random_feeder_with_empty_buses,
     random_radial_network,
     two_bus_voltage,
 )
@@ -210,3 +214,126 @@ def test_package_solution_loss_is_real_nonnegative(benchmark_case):
     assert solution.loss_kw.min() >= 0.0
     assert solution.voltage.shape == (24, net.n_bus)
     assert solution.min_voltage() > 0.95
+
+
+# ---------------------------------------------------------------------------
+# path-matrix sweep against the per-branch loop sweep
+
+
+def _assert_matches_loop_sweep(net, s, rtol=0.0, **kwargs):
+    got = sweep(net, s, **kwargs)
+    want = loop_sweep(net, s, **kwargs)
+    for field in ("voltage", "branch_current", "slack_current"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=rtol, atol=1e-12, err_msg=field)
+    for field in ("iterations", "converged", "collapsed"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    return got
+
+
+def _sectioned(case, sections):
+    """The case with every branch cut into equal series sections through empty buses."""
+    buses, branches = list(case.buses), []
+    for br in case.branches:
+        chain = [br.from_bus] + [f"{br.id}.{k}" for k in range(1, sections)] + [br.to_bus]
+        buses.extend(Bus(bus_id) for bus_id in chain[1:-1])
+        for k in range(sections):
+            branches.append(Branch(
+                id=br.id if k == 0 else f"{br.id}.{k}",
+                from_bus=chain[k],
+                to_bus=chain[k + 1],
+                resistance_ohm=br.resistance_ohm / sections,
+                reactance_ohm=br.reactance_ohm / sections,
+            ))
+    return validate_case(replace(case, buses=tuple(buses), branches=tuple(branches)))
+
+
+def test_path_matrices_follow_the_tree():
+    # 0 - 1 - 2 and 1 - 3: branch l1 carries buses 1, 2 and 3.
+    z = [0.01 + 0.02j, 0.03 + 0.01j, 0.02 + 0.02j]
+    net = _compiled(4, [(0, 1, z[0]), (1, 2, z[1]), (1, 3, z[2])])
+    rows = {branch: net.bibc[i] for i, branch in enumerate(net.branch_ids)}
+    np.testing.assert_array_equal(rows["l1"], [0, 1, 1, 1])
+    np.testing.assert_array_equal(rows["l2"], [0, 0, 1, 0])
+    np.testing.assert_array_equal(rows["l3"], [0, 0, 0, 1])
+    assert net.dlf[2, 3] == z[0]
+    assert net.dlf[2, 2] == z[0] + z[1]
+    assert not net.dlf[0].any() and not net.dlf[:, 0].any()
+
+
+def test_sweep_matches_loop_sweep_on_feeders_with_empty_buses():
+    rng = np.random.default_rng(303)
+    for _ in range(50):
+        n, branches, s = random_feeder_with_empty_buses(rng)
+        net = _compiled(n, branches)
+        result = _assert_matches_loop_sweep(net, s)
+        assert result.converged.all()
+    # With no injection anywhere, no bus is left in the iteration.
+    _assert_matches_loop_sweep(net, np.zeros_like(s))
+
+
+def test_sweep_matches_loop_sweep_on_benchmark_day(benchmark_case):
+    net = compile_network(benchmark_case)
+    s = load_consumption_pu(benchmark_case, net)
+    _assert_matches_loop_sweep(net, s)
+    unconverged = _assert_matches_loop_sweep(net, s, max_iterations=1)
+    assert not unconverged.converged.any()
+
+
+def test_sweep_matches_loop_sweep_on_sectioned_benchmark(benchmark_case):
+    case = _sectioned(benchmark_case, 4)
+    net = compile_network(case)
+    assert net.n_bus == len(benchmark_case.buses) + 3 * len(benchmark_case.branches)
+    s = load_consumption_pu(case, net)
+    result = _assert_matches_loop_sweep(net, s)
+    # The sections change no physics: the original buses see the same voltages.
+    base = compile_network(benchmark_case)
+    plain = sweep(base, load_consumption_pu(benchmark_case, base))
+    same = [net.bus_index[b] for b in base.bus_ids]
+    np.testing.assert_allclose(result.voltage[same], plain.voltage, rtol=0, atol=1e-12)
+
+
+def test_sweep_matches_loop_sweep_near_collapse():
+    # Heavy loads cut off after a few iterations: many columns dip under the
+    # floor on the way and end unconverged, which marks them collapsed.
+    # Their currents run to hundreds of pu, hence the relative tolerance.
+    rng = np.random.default_rng(404)
+    dipped = 0
+    for _ in range(20):
+        n, branches, s = random_feeder_with_empty_buses(rng)
+        result = _assert_matches_loop_sweep(_compiled(n, branches), 12.0 * s, rtol=1e-12, max_iterations=3)
+        with np.errstate(invalid="ignore"):
+            low = np.abs(result.voltage).min(axis=0) < 0.5
+        dipped += (result.collapsed & ~low).sum()
+    assert dipped > 0
+
+
+def test_empty_bus_with_the_largest_change_holds_convergence_back():
+    # A series capacitor after an empty bus: the empty bus swings more than
+    # the load behind it, so the load's change alone would stop too early.
+    z1, z2 = 0.02 + 0.05j, 0.01 - 0.05j
+    assert abs(z1) > abs(z1 + z2)
+    net = _compiled(3, [(0, 1, z1), (1, 2, z2)])
+    s = np.zeros((3, 60), dtype=complex)
+    s[2] = np.linspace(0.2, 4.0, 60) * (1.0 + 0.3j)
+    result = _assert_matches_loop_sweep(net, s)
+    assert result.converged.all()
+
+
+def test_lone_column_matches_its_batch_bitwise(benchmark_case):
+    # Capped below the fewest iterations any hour needs, no column converges,
+    # so every column runs the same iterations whatever it is batched with.
+    net = compile_network(benchmark_case)
+    s = 4.0 * load_consumption_pu(benchmark_case, net)
+    batch = sweep(net, s, max_iterations=7)
+    assert not batch.converged.any() and not batch.collapsed.any()
+    for cols in ([0], [9], [23], [1, 2], [2, 3, 4], [0, 4, 5, 6, 1], list(range(5, 18))):
+        part = sweep(net, s[:, cols], max_iterations=7)
+        for field in ("voltage", "branch_current", "slack_current"):
+            np.testing.assert_array_equal(getattr(part, field), getattr(batch, field)[..., cols], err_msg=field)
+
+
+def test_sweep_matches_loop_sweep_on_collapse():
+    net = _compiled(2, [(0, 1, 0.05 + 0.02j)])
+    result = _assert_matches_loop_sweep(net, np.array([[0.0, 0.0], [30.0, 0.1]], dtype=complex))
+    np.testing.assert_array_equal(result.collapsed, [True, False])
+    np.testing.assert_array_equal(result.converged, [False, True])
