@@ -7,10 +7,11 @@ exchange, and compares the objective bundles.  Expect load to leave the
 evening price peak and reappear in the cheap early hours.
 """
 
-import numpy as np
-
+# mgopt before numpy: importing it applies MGOPT_THREADS to the BLAS pools.
 from mgopt import GaConfig, OptimizerConfig, load_benchmark_case, run_suite, solve_horizon
 from mgopt.dr import participating_demand_kw
+
+import numpy as np
 
 BUDGET = OptimizerConfig(
     ga=GaConfig(population=16, generations=12),

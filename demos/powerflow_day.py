@@ -6,9 +6,10 @@ lifts the feeder tails and trims both import and losses.  No optimiser
 involved; this is the initial state the scenarios start from.
 """
 
-import numpy as np
-
+# mgopt before numpy: importing it applies MGOPT_THREADS to the BLAS pools.
 from mgopt import load_benchmark_case, solve_horizon, zero_schedule
+
+import numpy as np
 
 
 def print_day(title, solution):

@@ -28,8 +28,8 @@ if _threads:
 __version__ = "0.1.0"
 
 from .ahp import DEFAULT_JUDGMENTS, consistency_ratio, derive_weights, principal_eigen
-from .devices import DispatchSchedule, dg_cost, soc_trajectory, threshold_commitment, zero_schedule
-from .dr import apply_shift, optimize_with_dr, shift_bounds_kw
+from .devices import DispatchSchedule, dg_cost, soc_trajectory, zero_schedule
+from .dr import apply_shift, shift_bounds_kw
 from .netmodel import (
     Battery,
     Branch,
@@ -77,7 +77,7 @@ from .powerflow import (
     solve_hour,
     sweep,
 )
-from .reliability import ContingencyEvaluator, restoration, unsupplied_energy_cost
+from .reliability import ContingencyEvaluator, unsupplied_energy_cost
 
 __all__ = [
     "Battery",
@@ -117,9 +117,7 @@ __all__ = [
     "load_case",
     "network_loss_energy",
     "operation_cost",
-    "optimize_with_dr",
     "principal_eigen",
-    "restoration",
     "run_scenario",
     "run_suite",
     "save_case",
@@ -129,7 +127,6 @@ __all__ = [
     "solve_hour",
     "sqp_solve",
     "sweep",
-    "threshold_commitment",
     "unsupplied_energy_cost",
     "validate_case",
     "voltage_deviation",

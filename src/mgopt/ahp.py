@@ -10,8 +10,9 @@ judgments.
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,14 +75,7 @@ def principal_eigen(
 
 def consistency_ratio(matrix: Sequence[Sequence[float]]) -> float:
     """Saaty consistency ratio; 0 for a perfectly consistent matrix."""
-    arr = np.asarray(matrix, dtype=float)
-    _validate_matrix(arr)
-    lam, _ = principal_eigen(arr)
-    n = arr.shape[0]
-    ri = RANDOM_INDEX[n]
-    if ri == 0.0:
-        return 0.0
-    return float((lam - n) / (n - 1) / ri)
+    return derive_weights(matrix, limit=math.inf)[1]
 
 
 def derive_weights(
@@ -106,21 +100,3 @@ def derive_weights(
             stacklevel=2,
         )
     return vector, ratio
-
-
-def ahp_weights(
-    matrix: Optional[Sequence[Sequence[float]]] = None,
-    limit: float = CONSISTENCY_LIMIT,
-) -> np.ndarray:
-    """Weight vector alone, for callers that don't track consistency."""
-    return derive_weights(matrix, limit)[0]
-
-
-def objective_weights(matrix: Optional[Sequence[Sequence[float]]] = None) -> Dict[str, float]:
-    """AHP weights keyed by objective, for the 4-criteria dispatch problem."""
-    from .objectives import OBJECTIVE_KEYS, weights_from_sequence
-
-    vector = ahp_weights(matrix)
-    if vector.size != len(OBJECTIVE_KEYS):
-        raise ValueError(f"expected {len(OBJECTIVE_KEYS)} criteria, got {vector.size}")
-    return weights_from_sequence(vector)

@@ -1,27 +1,21 @@
-"""Device-level models: generator costs, battery dynamics, feasibility checks.
+"""Device-level models: the dispatch schedule, generator costs, battery SOC.
 
 Sign convention for battery power is charge-positive: P_B > 0 stores energy,
-P_B < 0 feeds the network.  All device checks return violation records rather
-than raising, so the optimizer can weigh them; schedule validation is the
-caller's concern.
+P_B < 0 feeds the network.  Nothing here checks device limits: the
+optimizer's repair operators keep setpoints, commitment and the SOC window
+feasible exactly, in batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .netmodel import Battery, DgUnit
 
 COMMIT_EPS = 1e-9
-
-
-class Violation(NamedTuple):
-    hour: int
-    kind: str
-    amount: float
 
 
 @dataclass
@@ -85,20 +79,6 @@ def dg_cost(unit: DgUnit, p_kw: float, committed: Optional[bool] = None) -> floa
     return unit.cost_slope_ct_per_kwh * p_kw + unit.cost_fixed_ct_per_h
 
 
-def threshold_commitment(unit: DgUnit, p_kw: float) -> float:
-    """Map a relaxed setpoint onto the unit's committable range.
-
-    Output below half the minimum decommits the unit; between half and the
-    minimum it is pulled up to p_min; otherwise clipped to [p_min, p_max].
-    """
-    p = min(max(p_kw, 0.0), unit.p_max_kw)
-    if not unit.committable:
-        return p
-    if p < 0.5 * unit.p_min_kw:
-        return 0.0
-    return min(max(p, unit.p_min_kw), unit.p_max_kw)
-
-
 def soc_trajectory(
     battery: Battery,
     powers_kw: Sequence[float],
@@ -122,103 +102,3 @@ def soc_trajectory(
         state = state * keep + gain * np.maximum(p[:, t], 0.0) + drain * np.minimum(p[:, t], 0.0)
         soc[:, t] = state
     return soc[0] if soc.shape[0] == 1 else soc
-
-
-def battery_feasibility(
-    battery: Battery,
-    powers_kw: Sequence[float],
-    period_hours: float = 1.0,
-    tol: float = 1e-9,
-) -> List[Violation]:
-    """Power-limit and SOC-window violations of a battery plan."""
-    p = np.asarray(powers_kw, dtype=float)
-    violations: List[Violation] = []
-    for t, value in enumerate(p):
-        excess = abs(value) - battery.p_max_kw
-        if excess > tol:
-            violations.append(Violation(t, "battery_power", excess))
-    soc = soc_trajectory(battery, p, period_hours)
-    for t, value in enumerate(soc):
-        if value < battery.soc_min_kwh - tol:
-            violations.append(Violation(t, "soc_min", battery.soc_min_kwh - value))
-        elif value > battery.soc_max_kwh + tol:
-            violations.append(Violation(t, "soc_max", value - battery.soc_max_kwh))
-    return violations
-
-
-def repair_battery_powers(
-    battery: Battery,
-    powers_kw: Sequence[float],
-    period_hours: float = 1.0,
-    soc_initial_kwh: Optional[float] = None,
-) -> np.ndarray:
-    """Smallest-change sequential clip keeping SOC inside its window.
-
-    Clips each hour's power to the device limit, then to whatever keeps the
-    running SOC within [soc_min, soc_max].  Self-discharge at the lower bound
-    can force a trickle charge.
-    """
-    p = np.clip(np.asarray(powers_kw, dtype=float), -battery.p_max_kw, battery.p_max_kw)
-    keep = 1.0 - battery.self_discharge_per_h * period_hours
-    state = battery.soc_initial_kwh if soc_initial_kwh is None else soc_initial_kwh
-    out = np.empty_like(p)
-    for t in range(p.size):
-        e_min = battery.soc_min_kwh - state * keep
-        e_max = battery.soc_max_kwh - state * keep
-        e = battery.eta_charge * period_hours * max(p[t], 0.0) + period_hours * min(p[t], 0.0) / battery.eta_discharge
-        e = min(max(e, e_min), e_max)
-        if e >= 0:
-            out[t] = e / (battery.eta_charge * period_hours)
-        else:
-            out[t] = e * battery.eta_discharge / period_hours
-        out[t] = min(max(out[t], -battery.p_max_kw), battery.p_max_kw)
-        e = battery.eta_charge * period_hours * max(out[t], 0.0) + period_hours * min(out[t], 0.0) / battery.eta_discharge
-        state = state * keep + e
-    return out
-
-
-def grid_feasibility(
-    grid_limit_kw: float,
-    slack_kw: Sequence[float],
-    export_limit_kw: Optional[float] = None,
-    tol: float = 1e-9,
-) -> List[Violation]:
-    """Grid-tie violations of an hourly exchange series.
-
-    Import is bounded by grid_limit_kw; export by export_limit_kw, which
-    defaults to the same magnitude (symmetric tie).
-    """
-    limit_out = grid_limit_kw if export_limit_kw is None else export_limit_kw
-    violations: List[Violation] = []
-    for t, value in enumerate(np.asarray(slack_kw, dtype=float)):
-        if value > grid_limit_kw + tol:
-            violations.append(Violation(t, "grid_import", value - grid_limit_kw))
-        elif -value > limit_out + tol:
-            violations.append(Violation(t, "grid_export", -value - limit_out))
-    return violations
-
-
-def unit_feasibility(
-    units: Sequence[DgUnit],
-    setpoints: np.ndarray,
-    caps: np.ndarray,
-    tol: float = 1e-6,
-) -> List[Violation]:
-    """Dispatch-window violations per unit-hour.
-
-    caps holds the hour-dependent upper bound (availability for renewables,
-    p_max otherwise).  Committable units may sit at zero; anything strictly
-    between zero and p_min violates the commitment window.
-    """
-    violations: List[Violation] = []
-    for i, unit in enumerate(units):
-        scale = max(1.0, unit.p_max_kw)
-        for t in range(setpoints.shape[1]):
-            p = setpoints[i, t]
-            if p < -tol * scale:
-                violations.append(Violation(t, f"{unit.name}_min", -p))
-            elif p > caps[i, t] + tol * scale:
-                violations.append(Violation(t, f"{unit.name}_max", p - caps[i, t]))
-            elif unit.committable and COMMIT_EPS < p < unit.p_min_kw - tol * scale:
-                violations.append(Violation(t, f"{unit.name}_commit", unit.p_min_kw - p))
-    return violations

@@ -11,14 +11,11 @@ point keeps its power factor and its share of the feeder.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .devices import DispatchSchedule
 from .netmodel import MicrogridCase
-from .objectives import ObjectiveValues
-from .optimizer.scenarios import OptimizerConfig, run_suite
 
 NEUTRALITY_TOL = 1e-9
 
@@ -86,22 +83,3 @@ def apply_shift(case: MicrogridCase, shift: Sequence[float]) -> MicrogridCase:
         shifted = np.maximum(profile + share * arr, 0.0)
         points.append(replace(lp, profile_kw=tuple(float(v) for v in shifted)))
     return replace(case, load_points=tuple(points))
-
-
-def optimize_with_dr(
-    case: MicrogridCase,
-    weights: Optional[Sequence[float]] = None,
-    config: Optional[OptimizerConfig] = None,
-) -> Tuple[DispatchSchedule, ObjectiveValues]:
-    """Weighted-objective dispatch with the shift vector co-optimised.
-
-    Runs the whole scenario suite because the weighted objective is
-    normalised against the single-objective optima; the returned schedule
-    carries the shift series.  A zero shiftable fraction degenerates to the
-    plain weighted run with a zero shift attached.
-    """
-    if case.dr is None:
-        raise ValueError("case has no demand response program")
-    suite = run_suite(case, config=config, weights=weights, include_dr=True)
-    result = suite.results["dr"]
-    return result.schedule, result.objectives

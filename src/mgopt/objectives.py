@@ -2,16 +2,18 @@
 
 Four scalars summarise a schedule over the horizon: operation cost in cents,
 network loss energy in kWh, expected outage cost in cents and cumulative
-voltage deviation in per unit.  Each has a direct evaluator here; the
-weighted scalarisation normalises all four onto [0, 1] against bounds taken
-from the single-objective optima before applying importance weights.
+voltage deviation in per unit.  Each has a direct evaluator here, one
+schedule at a time; the published objective table comes from these.  The
+weighted scalarisation, which normalises all four onto [0, 1] against
+bounds taken from the single-objective optima before applying importance
+weights, is ``optimizer.ObjectiveSpec``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,15 +116,6 @@ def evaluate_objectives(
 ObjectiveBounds = Dict[str, Tuple[float, float]]
 
 
-def bounds_from_values(values: Mapping[str, Sequence[float]]) -> ObjectiveBounds:
-    """Per-objective (min, max) over a collection of evaluated points."""
-    out: ObjectiveBounds = {}
-    for key in OBJECTIVE_KEYS:
-        arr = np.asarray(values[key], dtype=float)
-        out[key] = (float(arr.min()), float(arr.max()))
-    return out
-
-
 def normalize_objective(value: float, bounds: Tuple[float, float], key: str = "") -> float:
     """Map value onto [0, 1] within bounds, clamping overshoot on both sides.
 
@@ -139,18 +132,6 @@ def normalize_objective(value: float, bounds: Tuple[float, float], key: str = ""
         )
         return 0.0
     return float(np.clip((value - low) / span, 0.0, 1.0))
-
-
-def weighted_total(
-    values: ObjectiveValues,
-    weights: Mapping[str, float],
-    bounds: ObjectiveBounds,
-) -> float:
-    """Scalarised objective: importance-weighted sum of normalised values."""
-    total = 0.0
-    for key in OBJECTIVE_KEYS:
-        total += weights[key] * normalize_objective(values[key], bounds[key], key)
-    return float(total)
 
 
 def weights_from_sequence(weights: Sequence[float]) -> Dict[str, float]:

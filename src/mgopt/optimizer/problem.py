@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..devices import COMMIT_EPS, DispatchSchedule
+from ..dr import shift_bounds_kw
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds
 from ..powerflow import (
@@ -165,14 +166,7 @@ class DispatchProblem:
         self.slopes = np.array([u.cost_slope_ct_per_kwh for u in units])
         self.fixed = np.array([u.cost_fixed_ct_per_h for u in units])
 
-        if dr:
-            base = np.zeros(T)
-            for lp in case.load_points:
-                if lp.category in case.dr.participating:
-                    base += np.asarray(lp.profile_kw, dtype=float)
-            self.shift_bound = case.dr.shiftable_fraction * base
-        else:
-            self.shift_bound = np.zeros(T)
+        self.shift_bound = shift_bounds_kw(case) if dr else np.zeros(T)
 
         lower = np.zeros(self.n)
         upper = np.zeros(self.n)
@@ -239,12 +233,6 @@ class DispatchProblem:
     # ------------------------------------------------------------------
     # evaluation
 
-    def soc_signed(self, p_batt: np.ndarray) -> np.ndarray:
-        """End-of-period SOC for signed battery rows, kWh."""
-        if self.case.battery is None:
-            return np.zeros_like(p_batt)
-        return self.soc_split(np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0))
-
     def soc_split(self, chg: np.ndarray, dis: np.ndarray) -> np.ndarray:
         if self.case.battery is None:
             return np.zeros_like(chg)
@@ -304,12 +292,21 @@ class DispatchProblem:
             g_out = 0.0
         return v_low + v_high + g_in + g_out
 
-    def metrics(self, X: np.ndarray) -> BatchMetrics:
-        """Objectives and network violation for a population of plans."""
-        p_units, p_batt, shift = self.unpack(X)
-        vmag, slack_kw, loss_kw, ok = self._network_eval(p_units, p_batt, shift)
-        soc = self.soc_signed(p_batt)
-        hourly_cost = self._hourly_cost(p_units, slack_kw, np.abs(p_batt), shift)
+    def _evaluate(
+        self,
+        p_units: np.ndarray,
+        chg: np.ndarray,
+        dis: np.ndarray,
+        shift: Optional[np.ndarray],
+    ) -> BatchMetrics:
+        """Objectives, network violation and hourly series for split parts.
+
+        Plans whose sweep failed score LARGE_OBJECTIVE on every network
+        objective and on the violation.
+        """
+        vmag, slack_kw, loss_kw, ok = self._network_eval(p_units, chg - dis, shift)
+        soc = self.soc_split(chg, dis)
+        hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)
         hourly_vdev = np.abs(1.0 - vmag[self.load_idx]).sum(axis=0)
         ens = self.evaluator.cost_batch(soc)
         with np.errstate(invalid="ignore"):
@@ -331,6 +328,11 @@ class DispatchProblem:
             hourly_loss_kw=loss_kw,
             hourly_vdev=hourly_vdev,
         )
+
+    def metrics(self, X: np.ndarray) -> BatchMetrics:
+        """Objectives and network violation for a population of plans."""
+        p_units, p_batt, shift = self.unpack(X)
+        return self._evaluate(p_units, np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), shift)
 
     # ------------------------------------------------------------------
     # repair
@@ -502,34 +504,23 @@ class DispatchProblem:
         shift = Xs[:, self.u_len + 2 * T :] if self.dr else None
         return p_units, chg, dis, shift
 
-    def split_eval(self, Xs: np.ndarray) -> Dict[str, np.ndarray]:
-        """Hourly metrics for split-battery rows.
+    def split_eval(self, Xs: np.ndarray) -> BatchMetrics:
+        """Metrics for split-battery rows.
 
         Simultaneous charge and discharge is allowed by the relaxation; it
         pays throughput cost on both and loses the round-trip deficit from
         the SOC, so the optimum keeps them complementary.
         """
-        p_units, chg, dis, shift = self.split_parts(Xs)
-        p_net = chg - dis
-        vmag, slack_kw, loss_kw, ok = self._network_eval(p_units, p_net, shift)
-        soc = self.soc_split(chg, dis)
-        hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)
-        hourly_vdev = np.abs(1.0 - vmag[self.load_idx]).sum(axis=0)
-        return {
-            "vmag": vmag,
-            "slack_kw": slack_kw,
-            "hourly_loss_kw": loss_kw,
-            "hourly_cost": hourly_cost,
-            "hourly_vdev": hourly_vdev,
-            "soc": soc,
-            "ok": ok,
-            "values": {
-                "cost": hourly_cost.sum(axis=1),
-                "loss": loss_kw.sum(axis=1) * self.dt,
-                "ens": self.evaluator.cost_batch(soc),
-                "vdev": hourly_vdev.sum(axis=1),
-            },
-        }
+        return self._evaluate(*self.split_parts(Xs))
+
+    def _voltage_rows(self, low: np.ndarray, high: np.ndarray) -> List[Tuple]:
+        """Lower- then upper-voltage rows where the (bus, hour) masks hold."""
+        rows: List[Tuple] = []
+        for kind, mask in (("v_lo", low), ("v_hi", high)):
+            for b, t in zip(*np.nonzero(mask)):
+                if b != self.net.slack:
+                    rows.append((kind, int(b), int(t)))
+        return rows
 
     def screen_rows(self, vmag: np.ndarray, voltage_margin: float = 0.02) -> List[Tuple]:
         """Constraint rows worth carrying in the smooth subproblem.
@@ -547,23 +538,12 @@ class DispatchProblem:
             rows.extend(("exp", t) for t in range(self.T))
         near_lo = vmag < self.vmin + voltage_margin
         near_hi = vmag > self.vmax - voltage_margin
-        for b, t in zip(*np.nonzero(near_lo)):
-            if b != self.net.slack:
-                rows.append(("v_lo", int(b), int(t)))
-        for b, t in zip(*np.nonzero(near_hi)):
-            if b != self.net.slack:
-                rows.append(("v_hi", int(b), int(t)))
+        rows.extend(self._voltage_rows(near_lo, near_hi))
         return rows
 
     def violated_rows(self, vmag: np.ndarray, slack_kw: np.ndarray, tol: float = 1e-9) -> List[Tuple]:
         """All network rows a single plan violates beyond tol."""
-        rows: List[Tuple] = []
-        for b, t in zip(*np.nonzero(vmag < self.vmin - tol)):
-            if b != self.net.slack:
-                rows.append(("v_lo", int(b), int(t)))
-        for b, t in zip(*np.nonzero(vmag > self.vmax + tol)):
-            if b != self.net.slack:
-                rows.append(("v_hi", int(b), int(t)))
+        rows = self._voltage_rows(vmag < self.vmin - tol, vmag > self.vmax + tol)
         for t in np.nonzero(slack_kw > self.import_limit + tol * self.s_base)[0]:
             rows.append(("imp", int(t)))
         if np.isfinite(self.export_limit):
@@ -675,11 +655,11 @@ class _SplitDispatchNlp(NlpProblem):
         if hit is None:
             data = self.problem.split_eval(xs[np.newaxis, :])
             hit = {
-                "vmag": data["vmag"][:, 0, :],
-                "slack_kw": data["slack_kw"][0],
-                "soc": data["soc"][0],
-                "values": {k: float(v[0]) for k, v in data["values"].items()},
-                "ok": bool(data["ok"][0]),
+                "vmag": data.vmag[:, 0, :],
+                "slack_kw": data.slack_kw[0],
+                "soc": data.soc_kwh[0],
+                "values": {k: float(v[0]) for k, v in data.values.items()},
+                "ok": bool(data.ok[0]),
             }
             if len(self._cache) >= 8:
                 self._cache.pop(next(iter(self._cache)))
@@ -737,20 +717,14 @@ class _SplitDispatchNlp(NlpProblem):
         free = (self.upper - self.lower) > 1e-14 * np.maximum(1.0, np.abs(self.lower))
         h = p.fd_rel_step * np.maximum(1.0, np.abs(xs))
 
-        blocks: List[Tuple[int, np.ndarray]] = []
-        for u in range(p.n_units):
-            start = u * T
-            mask = np.zeros(ns, dtype=bool)
-            mask[start : start + T] = free[start : start + T]
-            if mask.any():
-                blocks.append((start, mask))
-        for start in (p.u_len, p.u_len + T) if p.case.battery is not None else ():
-            mask = np.zeros(ns, dtype=bool)
-            mask[start : start + T] = free[start : start + T]
-            if mask.any():
-                blocks.append((start, mask))
+        # One block per unit, then charge and discharge, then the shift.
+        starts = [u * T for u in range(p.n_units)]
+        if p.case.battery is not None:
+            starts += [p.u_len, p.u_len + T]
         if p.dr:
-            start = p.u_len + 2 * T
+            starts.append(p.u_len + 2 * T)
+        blocks: List[Tuple[int, np.ndarray]] = []
+        for start in starts:
             mask = np.zeros(ns, dtype=bool)
             mask[start : start + T] = free[start : start + T]
             if mask.any():
@@ -771,12 +745,12 @@ class _SplitDispatchNlp(NlpProblem):
             cols = start + hours
             denom = 2.0 * h[cols]
             hi, lo_ = 2 * bi, 2 * bi + 1
-            grads["cost"][cols] = (data["hourly_cost"][hi, hours] - data["hourly_cost"][lo_, hours]) / denom
-            grads["loss"][cols] = (data["hourly_loss_kw"][hi, hours] - data["hourly_loss_kw"][lo_, hours]) * p.dt / denom
-            grads["vdev"][cols] = (data["hourly_vdev"][hi, hours] - data["hourly_vdev"][lo_, hours]) / denom
-            d_slack[hours, cols] = (data["slack_kw"][hi, hours] - data["slack_kw"][lo_, hours]) / denom
+            grads["cost"][cols] = (data.hourly_cost[hi, hours] - data.hourly_cost[lo_, hours]) / denom
+            grads["loss"][cols] = (data.hourly_loss_kw[hi, hours] - data.hourly_loss_kw[lo_, hours]) * p.dt / denom
+            grads["vdev"][cols] = (data.hourly_vdev[hi, hours] - data.hourly_vdev[lo_, hours]) / denom
+            d_slack[hours, cols] = (data.slack_kw[hi, hours] - data.slack_kw[lo_, hours]) / denom
             if d_vmag is not None:
-                d_vmag[:, hours, cols] = (data["vmag"][:, hi, hours] - data["vmag"][:, lo_, hours]) / denom
+                d_vmag[:, hours, cols] = (data.vmag[:, hi, hours] - data.vmag[:, lo_, hours]) / denom
 
         if p.case.battery is not None:
             soc = self._eval(xs)["soc"]

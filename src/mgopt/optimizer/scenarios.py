@@ -9,15 +9,16 @@ series in the decision vector.
 Each optimisation is a GA seed followed by SQP refinement.  After the
 individual runs the suite cross-polishes deterministically: whenever some
 scenario's solution scores better on objective k than scenario k's own
-solution, scenario k is re-refined from that point, so the final table has
-every single-objective run dominating its own metric and the weighted run
-dominating the weighted total.
+solution, scenario k is re-refined from that point.  The sweeps are capped;
+a scenario still beaten after them takes the plan that wins its column.  So
+the final table has every single-objective run dominating its own metric and
+the weighted run dominating the weighted total.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,8 +35,8 @@ from ..objectives import (
 )
 from ..powerflow import compile_network
 from ..reliability import ContingencyEvaluator
-from .ga import GaConfig, GaResult, ga_seed
-from .problem import DispatchProblem, ObjectiveSpec, RefineResult
+from .ga import GaConfig, ga_seed
+from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec, RefineResult
 from .sqp import SqpConfig
 
 SCENARIO_KEYS: Tuple[str, ...] = ("baseline",) + OBJECTIVE_KEYS + ("weighted",)
@@ -135,49 +136,116 @@ def _optimize(
     config: OptimizerConfig,
     scenario_id: int,
     extra_seeds: Optional[np.ndarray] = None,
-) -> Tuple[RefineResult, GaResult]:
+) -> RefineResult:
     rng = _rng_for(config.seed, scenario_id, problem.dr)
     evaluate, repair = problem.ga_functions(spec)
     seeds = problem.seed_points()
     if extra_seeds is not None and len(extra_seeds):
         seeds = np.vstack([np.atleast_2d(extra_seeds), seeds])
     ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, config.ga, seeds)
-    refined = problem.refine(
+    return problem.refine(
         ga.x,
         spec,
         config.sqp,
         voltage_margin=config.voltage_margin,
         max_rounds=config.refine_rounds,
     )
-    return refined, ga
+
+
+@dataclass
+class _Row:
+    """One scenario's plan while the suite runs, evaluated once per plan."""
+
+    x: np.ndarray
+    metrics: BatchMetrics
+    value: Optional[float] = None
+    ga_value: Optional[float] = None
+    trace: List[Dict] = field(default_factory=list)
+    elapsed_s: float = 0.0
+
+    def score(self, report: ObjectiveSpec) -> float:
+        return float(report.scalar_array(self.metrics.values)[0])
+
+
+def _refined_row(problem: DispatchProblem, refined: RefineResult, elapsed_s: float) -> _Row:
+    return _Row(
+        x=refined.x,
+        metrics=problem.metrics(refined.x),
+        value=refined.value,
+        ga_value=refined.seed_value,
+        trace=refined.sqp.trace if refined.sqp else [],
+        elapsed_s=elapsed_s,
+    )
+
+
+def _beats(rival: float, own: float) -> bool:
+    return rival < own * (1.0 - 1e-12) - 1e-12
+
+
+def _cross_polish(
+    problem: DispatchProblem,
+    rows: Dict[str, _Row],
+    targets: Sequence[Tuple[str, ObjectiveSpec]],
+    rivals: Sequence[str],
+    config: OptimizerConfig,
+) -> None:
+    """Make each target row score lowest on its own spec among the rivals.
+
+    A target beaten by a rival is re-refined from the rival's plan and takes
+    the result when it scores better.  A re-refine can hand another target a
+    new rival, so the sweeps are capped; a target still beaten after them
+    takes a copy of the plan that wins its column.  A copy adds no plan that
+    was not already a rival, so it cannot beat any other target, and every
+    target wins its column on return.
+    """
+    reports = {key: replace(spec, clamp_upper=True) for key, spec in targets}
+    for _ in range(config.polish_sweeps):
+        changed = False
+        for key, spec in targets:
+            own = rows[key].score(reports[key])
+            for other in rivals:
+                if other == key or not _beats(rows[other].score(reports[key]), own):
+                    continue
+                refined = problem.refine(
+                    rows[other].x, spec, config.sqp,
+                    voltage_margin=config.voltage_margin, max_rounds=config.refine_rounds,
+                )
+                if refined.value < own:
+                    rows[key].x = refined.x
+                    rows[key].metrics = problem.metrics(refined.x)
+                    rows[key].value = own = refined.value
+                    changed = True
+        if not changed:
+            break
+    for key, _ in targets:
+        best = min((other for other in rivals if other != key), key=lambda o: rows[o].score(reports[key]))
+        if _beats(rows[best].score(reports[key]), rows[key].score(reports[key])):
+            rows[key].x = rows[best].x.copy()
+            rows[key].metrics = rows[best].metrics
+            rows[key].value = rows[best].score(reports[key])
 
 
 def _finish_result(
     case: MicrogridCase,
     problem: DispatchProblem,
     key: str,
-    x: np.ndarray,
-    value: Optional[float],
+    row: _Row,
     evaluator: ContingencyEvaluator,
-    ga_value: Optional[float] = None,
-    trace: Optional[List[Dict]] = None,
-    elapsed_s: float = 0.0,
 ) -> ScenarioResult:
-    schedule = problem.schedule(x)
-    m = problem.metrics(x)
-    objectives = evaluate_objectives(case, schedule, evaluator=evaluator)
+    m = row.metrics
+    schedule = problem.schedule(row.x)
     return ScenarioResult(
         key=key,
         label=SCENARIO_LABELS.get(key, key),
         schedule=schedule,
-        objectives=objectives,
-        value=value,
+        objectives=evaluate_objectives(case, schedule, evaluator=evaluator),
+        value=row.value,
         feasible=bool(m.ok[0]) and float(m.violation[0]) <= 1e-6,
         violation=float(m.violation[0]),
-        ga_value=ga_value,
-        improved=ga_value is not None and value is not None and value < ga_value,
-        trace=list(trace or []),
-        elapsed_s=elapsed_s,
+        ga_value=row.ga_value,
+        improved=row.ga_value is not None and row.value is not None and row.value < row.ga_value,
+        trace=list(row.trace),
+        elapsed_s=row.elapsed_s,
     )
 
 
@@ -192,149 +260,64 @@ def run_suite(
     config = config or OptimizerConfig()
     if include_dr is None:
         include_dr = case.dr is not None
+    if include_dr and case.dr is None:
+        raise ValueError("case defines no demand response program")
 
     net = compile_network(case)
     evaluator = ContingencyEvaluator(case)
     problem = DispatchProblem(case, net=net, evaluator=evaluator)
     weight_map, ratio = resolve_weights(case, weights)
 
-    xs: Dict[str, np.ndarray] = {}
-    info: Dict[str, Dict] = {}
-
-    xs["baseline"] = problem.pack(grid_only_schedule(case))
-    info["baseline"] = {"value": None, "ga": None, "trace": [], "elapsed": 0.0}
-
+    baseline = problem.pack(grid_only_schedule(case))
+    rows: Dict[str, _Row] = {"baseline": _Row(baseline, problem.metrics(baseline))}
     for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
         t0 = time.perf_counter()
-        refined, ga = _optimize(problem, ObjectiveSpec(key), config, idx)
-        xs[key] = refined.x
-        info[key] = {
-            "value": refined.value,
-            "ga": refined.seed_value,
-            "trace": refined.sqp.trace if refined.sqp else [],
-            "elapsed": time.perf_counter() - t0,
-        }
+        refined = _optimize(problem, ObjectiveSpec(key), config, idx)
+        rows[key] = _refined_row(problem, refined, time.perf_counter() - t0)
 
-    def metric(key: str, x: np.ndarray) -> float:
-        return float(problem.metrics(x).values[key][0])
-
-    # Cross-polish: scenario k must dominate its own metric over every other
-    # solution found so far; re-refine from any point that beats it.
-    for _ in range(config.polish_sweeps):
-        changed = False
-        for key in OBJECTIVE_KEYS:
-            own = metric(key, xs[key])
-            for other in ("baseline",) + OBJECTIVE_KEYS:
-                if other == key:
-                    continue
-                rival = metric(key, xs[other])
-                if rival < own * (1.0 - 1e-12) - 1e-12:
-                    refined = problem.refine(
-                        xs[other].copy(), ObjectiveSpec(key), config.sqp,
-                        voltage_margin=config.voltage_margin, max_rounds=config.refine_rounds,
-                    )
-                    if refined.value < own:
-                        xs[key] = refined.x
-                        info[key]["value"] = refined.value
-                        own = refined.value
-                        changed = True
-        if not changed:
-            break
+    singles = [(key, ObjectiveSpec(key)) for key in OBJECTIVE_KEYS]
+    _cross_polish(problem, rows, singles, ("baseline",) + OBJECTIVE_KEYS, config)
 
     # Normalisation brackets: scenario-k optimum to initial-state value.
     bounds: ObjectiveBounds = {}
     for key in OBJECTIVE_KEYS:
-        low = metric(key, xs[key])
-        high = metric(key, xs["baseline"])
+        low = float(rows[key].metrics.values[key][0])
+        high = float(rows["baseline"].metrics.values[key][0])
         bounds[key] = (min(low, high), high)
 
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds, clamp_upper=False)
-    report5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds, clamp_upper=True)
+    report5 = replace(spec5, clamp_upper=True)
     t0 = time.perf_counter()
-    prior = np.vstack([xs[k] for k in ("baseline",) + OBJECTIVE_KEYS])
-    refined5, _ = _optimize(problem, spec5, config, 5, extra_seeds=prior)
-    xs["weighted"] = refined5.x
-    info["weighted"] = {
-        "value": refined5.value,
-        "ga": refined5.seed_value,
-        "trace": refined5.sqp.trace if refined5.sqp else [],
-        "elapsed": time.perf_counter() - t0,
-    }
+    prior = np.vstack([rows[k].x for k in ("baseline",) + OBJECTIVE_KEYS])
+    refined5 = _optimize(problem, spec5, config, 5, extra_seeds=prior)
+    rows["weighted"] = _refined_row(problem, refined5, time.perf_counter() - t0)
 
-    def total(x: np.ndarray) -> float:
-        return float(report5.scalar_array(problem.metrics(x).values)[0])
-
-    # Second polish: the weighted run must dominate the weighted total, and
-    # scenarios 1-4 must still dominate their metric against the weighted
-    # solution.  Both refinements only ever lower the stored values.
-    for _ in range(config.polish_sweeps):
-        changed = False
-        for key in OBJECTIVE_KEYS:
-            own = metric(key, xs[key])
-            rival = metric(key, xs["weighted"])
-            if rival < own * (1.0 - 1e-12) - 1e-12:
-                refined = problem.refine(
-                    xs["weighted"].copy(), ObjectiveSpec(key), config.sqp,
-                    voltage_margin=config.voltage_margin, max_rounds=config.refine_rounds,
-                )
-                if refined.value < own:
-                    xs[key] = refined.x
-                    info[key]["value"] = refined.value
-                    changed = True
-        own_total = total(xs["weighted"])
-        for other in ("baseline",) + OBJECTIVE_KEYS:
-            rival_total = total(xs[other])
-            if rival_total < own_total * (1.0 - 1e-12) - 1e-12:
-                refined = problem.refine(
-                    xs[other].copy(), spec5, config.sqp,
-                    voltage_margin=config.voltage_margin, max_rounds=config.refine_rounds,
-                )
-                if refined.value < own_total:
-                    xs["weighted"] = refined.x
-                    info["weighted"]["value"] = refined.value
-                    own_total = refined.value
-                    changed = True
-        if not changed:
-            break
+    # The weighted run must win the weighted total, and the single-objective
+    # runs must still win their own metric now that it is a rival.
+    _cross_polish(problem, rows, singles + [("weighted", spec5)], SCENARIO_KEYS, config)
 
     results = {
-        key: _finish_result(
-            case, problem, key, xs[key], info[key]["value"], evaluator,
-            ga_value=info[key]["ga"], trace=info[key]["trace"], elapsed_s=info[key]["elapsed"],
-        )
-        for key in SCENARIO_KEYS
+        key: _finish_result(case, problem, key, rows[key], evaluator) for key in SCENARIO_KEYS
     }
-    totals = {key: total(xs[key]) for key in SCENARIO_KEYS}
+    totals = {key: rows[key].score(report5) for key in SCENARIO_KEYS}
 
     if include_dr:
-        if case.dr is None:
-            raise ValueError("case defines no demand response program")
         t0 = time.perf_counter()
         problem_dr = DispatchProblem(case, dr=True, net=net, evaluator=evaluator)
-        spec5_dr = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds, clamp_upper=False)
         if float(problem_dr.shift_bound.max(initial=0.0)) <= 0.0:
             # Degenerate program: nothing may move, so the answer is the
             # weighted run with a zero shift appended.
-            x_dr = np.concatenate([xs["weighted"], np.zeros(case.horizon)])
-            value_dr = totals["weighted"]
-            info_dr = {"ga": None, "trace": []}
+            x_dr = np.concatenate([rows["weighted"].x, np.zeros(case.horizon)])
+            row_dr = _Row(x_dr, problem_dr.metrics(x_dr), value=totals["weighted"])
         else:
             prior_dr = np.vstack(
-                [np.concatenate([xs[k], np.zeros(case.horizon)]) for k in SCENARIO_KEYS]
+                [np.concatenate([rows[k].x, np.zeros(case.horizon)]) for k in SCENARIO_KEYS]
             )
-            refined_dr, _ = _optimize(problem_dr, spec5_dr, config, 5, extra_seeds=prior_dr)
-            x_dr = refined_dr.x
-            value_dr = refined_dr.value
-            info_dr = {
-                "ga": refined_dr.seed_value,
-                "trace": refined_dr.sqp.trace if refined_dr.sqp else [],
-            }
-        results["dr"] = _finish_result(
-            case, problem_dr, "dr", x_dr, value_dr, evaluator,
-            ga_value=info_dr["ga"], trace=info_dr["trace"],
-            elapsed_s=time.perf_counter() - t0,
-        )
-        totals["dr"] = value_dr
+            refined_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
+            row_dr = _refined_row(problem_dr, refined_dr, 0.0)
+        row_dr.elapsed_s = time.perf_counter() - t0
+        results["dr"] = _finish_result(case, problem_dr, "dr", row_dr, evaluator)
+        totals["dr"] = row_dr.value
 
     return SuiteResult(
         case=case,

@@ -35,6 +35,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .devices import DispatchSchedule
+from .dr import participating_demand_kw
 from .netmodel import MicrogridCase, validate_radial
 
 DEFAULT_TOLERANCE = 1e-10
@@ -141,14 +142,9 @@ def shift_distribution_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = 
     no participating demand get a zero column; apply_shift refuses shifts
     there.
     """
-    if case.dr is None:
-        raise ValueError("case has no demand response program")
+    base = participating_demand_kw(case)
     net = net or compile_network(case)
     factors = np.zeros((net.n_bus, case.horizon), dtype=complex)
-    base = np.zeros(case.horizon)
-    for lp in case.load_points:
-        if lp.category in case.dr.participating:
-            base += np.asarray(lp.profile_kw, dtype=float)
     safe = np.where(base > 0, base, 1.0)
     for lp in case.load_points:
         if lp.category not in case.dr.participating:

@@ -16,8 +16,7 @@ moment of failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,10 +27,8 @@ __all__ = [
     "Contingency",
     "OutageCostTable",
     "island_partition",
-    "restoration",
     "unsupplied_energy_cost",
     "ContingencyEvaluator",
-    "contingency_rows",
 ]
 
 
@@ -70,34 +67,6 @@ def _island_headroom_kw(case: MicrogridCase, islanded: frozenset, hour: int) -> 
         if unit.bus in islanded:
             total += case.availability_kw[unit.name][hour] if unit.renewable else unit.p_max_kw
     return total
-
-
-def restoration(
-    case: MicrogridCase,
-    schedule: Optional[DispatchSchedule],
-    hour: int,
-    islanded: frozenset,
-    repair_hours: float,
-    soc_kwh: Optional[float] = None,
-) -> Tuple[float, float, float]:
-    """Restoration cascade for one islanding event at one hour.
-
-    Returns (S_out, S_rdg, S_rst): islanded demand, the part in-island DG
-    headroom can pick up, and the part the battery can sustain for the repair
-    duration.  ``soc_kwh`` overrides the schedule-derived end-of-period SOC.
-    """
-    s_out = sum(lp.profile_kw[hour] for lp in case.load_points if lp.bus in islanded)
-    s_rdg = min(s_out, _island_headroom_kw(case, islanded, hour))
-    s_rst = 0.0
-    battery = case.battery
-    if battery is not None and battery.bus in islanded:
-        if soc_kwh is None:
-            powers = schedule.battery_power if schedule is not None else np.zeros(case.horizon)
-            soc_kwh = float(soc_trajectory(battery, powers, case.period_hours)[hour])
-        energy_limited = max(0.0, soc_kwh - battery.soc_min_kwh) / repair_hours
-        s_rst = min(s_out - s_rdg, battery.p_max_kw, energy_limited)
-        s_rst = max(0.0, s_rst)
-    return s_out, s_rdg, s_rst
 
 
 class ContingencyEvaluator:
@@ -151,11 +120,9 @@ class ContingencyEvaluator:
         for term in self.terms:
             cont: Contingency = term["contingency"]
             remainder = term["remainder"][np.newaxis, :]
-            if term["battery_in"] and battery is not None and soc_kwh is not None:
-                sustain = np.maximum(0.0, soc_kwh - battery.soc_min_kwh) / cont.repair_hours
-                s_rst = np.minimum(np.minimum(remainder, battery.p_max_kw), sustain)
-            elif term["battery_in"] and battery is not None:
-                sustain = max(0.0, battery.soc_initial_kwh - battery.soc_min_kwh) / cont.repair_hours
+            if term["battery_in"] and battery is not None:
+                level = battery.soc_initial_kwh if soc_kwh is None else soc_kwh
+                sustain = np.maximum(0.0, level - battery.soc_min_kwh) / cont.repair_hours
                 s_rst = np.minimum(np.minimum(remainder, battery.p_max_kw), sustain)
             else:
                 s_rst = np.zeros_like(remainder)
@@ -177,38 +144,3 @@ def unsupplied_energy_cost(
         soc_kwh = soc_trajectory(case.battery, powers, case.period_hours)
     evaluator = evaluator or ContingencyEvaluator(case)
     return evaluator.cost(None if case.battery is None else soc_kwh)
-
-
-def contingency_rows(case: MicrogridCase, schedule: Optional[DispatchSchedule] = None) -> List[Dict]:
-    """Per-contingency, per-hour restoration breakdown for reporting."""
-    soc = None
-    if case.battery is not None:
-        powers = schedule.battery_power if schedule is not None else np.zeros(case.horizon)
-        soc = soc_trajectory(case.battery, powers, case.period_hours)
-    rows: List[Dict] = []
-    for cont in case.contingencies:
-        islanded = island_partition(case, cont.element)
-        for t in range(case.horizon):
-            s_out, s_rdg, s_rst = restoration(
-                case, schedule, t, islanded, cont.repair_hours,
-                soc_kwh=None if soc is None else float(soc[t]),
-            )
-            shortfall = max(0.0, s_out - s_rdg - s_rst)
-            mix = 0.0
-            if s_out > 0:
-                for lp in case.load_points:
-                    if lp.bus in islanded:
-                        price = case.outage_costs.cost(lp.category, cont.repair_hours)
-                        mix += price * lp.profile_kw[t] / s_out
-            rows.append(
-                {
-                    "contingency": cont.id,
-                    "hour": t,
-                    "islanded_kw": s_out,
-                    "dg_restored_kw": s_rdg,
-                    "battery_restored_kw": s_rst,
-                    "shortfall_kw": shortfall,
-                    "expected_cost_ct": cont.rate_per_hour * case.period_hours * cont.repair_hours * mix * shortfall,
-                }
-            )
-    return rows

@@ -6,16 +6,23 @@ power flow, exhaustive active-set enumeration for QPs, plain python loops
 for battery and outage arithmetic.  None of it shares code with the
 package; the loop sweep borrows only the package's result type and
 thresholds, since matching them is what it checks.
+
+The scalar device checks and the per-contingency restoration breakdown at
+the end were the package's own single-schedule versions of what the
+optimizer now does in batch.  They stay here as references and borrow the
+package's SOC recursion, island partition and headroom screen.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
+from mgopt.netmodel import Battery, DgUnit, MicrogridCase
 from mgopt.powerflow import (
     COLLAPSE_FLOOR_PU,
     DEFAULT_MAX_ITERATIONS,
@@ -23,6 +30,7 @@ from mgopt.powerflow import (
     CompiledNetwork,
     SweepResult,
 )
+from mgopt.reliability import _island_headroom_kw, island_partition
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +443,190 @@ def consistent_matrix(weights: Sequence[float]) -> np.ndarray:
     """The perfectly consistent judgment matrix M[i, j] = w_i / w_j."""
     w = np.asarray(weights, dtype=float)
     return w[:, np.newaxis] / w[np.newaxis, :]
+
+
+# ---------------------------------------------------------------------------
+# scalar device checks and restoration breakdown
+
+
+class Violation(NamedTuple):
+    hour: int
+    kind: str
+    amount: float
+
+
+def threshold_commitment(unit: DgUnit, p_kw: float) -> float:
+    """Map a relaxed setpoint onto the unit's committable range.
+
+    Output below half the minimum decommits the unit; between half and the
+    minimum it is pulled up to p_min; otherwise clipped to [p_min, p_max].
+    """
+    p = min(max(p_kw, 0.0), unit.p_max_kw)
+    if not unit.committable:
+        return p
+    if p < 0.5 * unit.p_min_kw:
+        return 0.0
+    return min(max(p, unit.p_min_kw), unit.p_max_kw)
+
+
+def battery_feasibility(
+    battery: Battery,
+    powers_kw: Sequence[float],
+    period_hours: float = 1.0,
+    tol: float = 1e-9,
+) -> List[Violation]:
+    """Power-limit and SOC-window violations of a battery plan."""
+    p = np.asarray(powers_kw, dtype=float)
+    violations: List[Violation] = []
+    for t, value in enumerate(p):
+        excess = abs(value) - battery.p_max_kw
+        if excess > tol:
+            violations.append(Violation(t, "battery_power", excess))
+    soc = soc_trajectory(battery, p, period_hours)
+    for t, value in enumerate(soc):
+        if value < battery.soc_min_kwh - tol:
+            violations.append(Violation(t, "soc_min", battery.soc_min_kwh - value))
+        elif value > battery.soc_max_kwh + tol:
+            violations.append(Violation(t, "soc_max", value - battery.soc_max_kwh))
+    return violations
+
+
+def repair_battery_powers(
+    battery: Battery,
+    powers_kw: Sequence[float],
+    period_hours: float = 1.0,
+    soc_initial_kwh: Optional[float] = None,
+) -> np.ndarray:
+    """Smallest-change sequential clip keeping SOC inside its window.
+
+    Clips each hour's power to the device limit, then to whatever keeps the
+    running SOC within [soc_min, soc_max].  Self-discharge at the lower bound
+    can force a trickle charge.
+    """
+    p = np.clip(np.asarray(powers_kw, dtype=float), -battery.p_max_kw, battery.p_max_kw)
+    keep = 1.0 - battery.self_discharge_per_h * period_hours
+    state = battery.soc_initial_kwh if soc_initial_kwh is None else soc_initial_kwh
+    out = np.empty_like(p)
+    for t in range(p.size):
+        e_min = battery.soc_min_kwh - state * keep
+        e_max = battery.soc_max_kwh - state * keep
+        e = battery.eta_charge * period_hours * max(p[t], 0.0) + period_hours * min(p[t], 0.0) / battery.eta_discharge
+        e = min(max(e, e_min), e_max)
+        if e >= 0:
+            out[t] = e / (battery.eta_charge * period_hours)
+        else:
+            out[t] = e * battery.eta_discharge / period_hours
+        out[t] = min(max(out[t], -battery.p_max_kw), battery.p_max_kw)
+        e = battery.eta_charge * period_hours * max(out[t], 0.0) + period_hours * min(out[t], 0.0) / battery.eta_discharge
+        state = state * keep + e
+    return out
+
+
+def grid_feasibility(
+    grid_limit_kw: float,
+    slack_kw: Sequence[float],
+    export_limit_kw: Optional[float] = None,
+    tol: float = 1e-9,
+) -> List[Violation]:
+    """Grid-tie violations of an hourly exchange series.
+
+    Import is bounded by grid_limit_kw; export by export_limit_kw, which
+    defaults to the same magnitude (symmetric tie).
+    """
+    limit_out = grid_limit_kw if export_limit_kw is None else export_limit_kw
+    violations: List[Violation] = []
+    for t, value in enumerate(np.asarray(slack_kw, dtype=float)):
+        if value > grid_limit_kw + tol:
+            violations.append(Violation(t, "grid_import", value - grid_limit_kw))
+        elif -value > limit_out + tol:
+            violations.append(Violation(t, "grid_export", -value - limit_out))
+    return violations
+
+
+def unit_feasibility(
+    units: Sequence[DgUnit],
+    setpoints: np.ndarray,
+    caps: np.ndarray,
+    tol: float = 1e-6,
+) -> List[Violation]:
+    """Dispatch-window violations per unit-hour.
+
+    caps holds the hour-dependent upper bound (availability for renewables,
+    p_max otherwise).  Committable units may sit at zero; anything strictly
+    between zero and p_min violates the commitment window.
+    """
+    violations: List[Violation] = []
+    for i, unit in enumerate(units):
+        scale = max(1.0, unit.p_max_kw)
+        for t in range(setpoints.shape[1]):
+            p = setpoints[i, t]
+            if p < -tol * scale:
+                violations.append(Violation(t, f"{unit.name}_min", -p))
+            elif p > caps[i, t] + tol * scale:
+                violations.append(Violation(t, f"{unit.name}_max", p - caps[i, t]))
+            elif unit.committable and COMMIT_EPS < p < unit.p_min_kw - tol * scale:
+                violations.append(Violation(t, f"{unit.name}_commit", unit.p_min_kw - p))
+    return violations
+
+
+def restoration(
+    case: MicrogridCase,
+    schedule: Optional[DispatchSchedule],
+    hour: int,
+    islanded: frozenset,
+    repair_hours: float,
+    soc_kwh: Optional[float] = None,
+) -> Tuple[float, float, float]:
+    """Restoration cascade for one islanding event at one hour.
+
+    Returns (S_out, S_rdg, S_rst): islanded demand, the part in-island DG
+    headroom can pick up, and the part the battery can sustain for the repair
+    duration.  ``soc_kwh`` overrides the schedule-derived end-of-period SOC.
+    """
+    s_out = sum(lp.profile_kw[hour] for lp in case.load_points if lp.bus in islanded)
+    s_rdg = min(s_out, _island_headroom_kw(case, islanded, hour))
+    s_rst = 0.0
+    battery = case.battery
+    if battery is not None and battery.bus in islanded:
+        if soc_kwh is None:
+            powers = schedule.battery_power if schedule is not None else np.zeros(case.horizon)
+            soc_kwh = float(soc_trajectory(battery, powers, case.period_hours)[hour])
+        energy_limited = max(0.0, soc_kwh - battery.soc_min_kwh) / repair_hours
+        s_rst = min(s_out - s_rdg, battery.p_max_kw, energy_limited)
+        s_rst = max(0.0, s_rst)
+    return s_out, s_rdg, s_rst
+
+
+def contingency_rows(case: MicrogridCase, schedule: Optional[DispatchSchedule] = None) -> List[Dict]:
+    """Per-contingency, per-hour restoration breakdown for reporting."""
+    soc = None
+    if case.battery is not None:
+        powers = schedule.battery_power if schedule is not None else np.zeros(case.horizon)
+        soc = soc_trajectory(case.battery, powers, case.period_hours)
+    rows: List[Dict] = []
+    for cont in case.contingencies:
+        islanded = island_partition(case, cont.element)
+        for t in range(case.horizon):
+            s_out, s_rdg, s_rst = restoration(
+                case, schedule, t, islanded, cont.repair_hours,
+                soc_kwh=None if soc is None else float(soc[t]),
+            )
+            shortfall = max(0.0, s_out - s_rdg - s_rst)
+            mix = 0.0
+            if s_out > 0:
+                for lp in case.load_points:
+                    if lp.bus in islanded:
+                        price = case.outage_costs.cost(lp.category, cont.repair_hours)
+                        mix += price * lp.profile_kw[t] / s_out
+            rows.append(
+                {
+                    "contingency": cont.id,
+                    "hour": t,
+                    "islanded_kw": s_out,
+                    "dg_restored_kw": s_rdg,
+                    "battery_restored_kw": s_rst,
+                    "shortfall_kw": shortfall,
+                    "expected_cost_ct": cont.rate_per_hour * case.period_hours * cont.repair_hours * mix * shortfall,
+                }
+            )
+    return rows

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from mgopt.ahp import (
-    DEFAULT_JUDGMENTS,
-    ahp_weights,
-    consistency_ratio,
-    derive_weights,
-    objective_weights,
-    principal_eigen,
-)
+from mgopt.ahp import DEFAULT_JUDGMENTS, consistency_ratio, derive_weights, principal_eigen
+from mgopt.objectives import weights_from_sequence
 
 from oracles import consistent_matrix
 
@@ -70,7 +64,7 @@ def test_inconsistent_matrix_warns():
     )
     assert consistency_ratio(matrix) > 0.1
     with pytest.warns(UserWarning, match="consistency ratio"):
-        weights = ahp_weights(matrix)
+        weights, _ = derive_weights(matrix)
     assert weights == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-9)
 
 
@@ -86,8 +80,8 @@ def test_matrix_validation():
 
 
 def test_objective_weights_keys():
-    mapping = objective_weights()
+    mapping = weights_from_sequence(derive_weights()[0])
     assert list(mapping) == ["cost", "loss", "ens", "vdev"]
     assert sum(mapping.values()) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="criteria"):
-        objective_weights([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="4 weights"):
+        weights_from_sequence(derive_weights([[1.0, 1.0], [1.0, 1.0]])[0])

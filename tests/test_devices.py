@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from mgopt.devices import (
-    DispatchSchedule,
-    battery_feasibility,
-    dg_cost,
-    grid_feasibility,
-    repair_battery_powers,
-    soc_trajectory,
-    threshold_commitment,
-    unit_feasibility,
-    zero_schedule,
-)
+from mgopt.devices import DispatchSchedule, dg_cost, soc_trajectory, zero_schedule
 from mgopt.netmodel import Battery, DgUnit
 
-from oracles import soc_loop
+from oracles import (
+    battery_feasibility,
+    grid_feasibility,
+    repair_battery_powers,
+    soc_loop,
+    threshold_commitment,
+    unit_feasibility,
+)
 
 
 def _battery(eta_c=0.9, eta_d=0.9, delta=0.002, soc0=20.0, p_max=15.0):

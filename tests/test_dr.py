@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgopt.dr import apply_shift, optimize_with_dr, participating_demand_kw, shift_bounds_kw
+from mgopt.dr import apply_shift, participating_demand_kw, shift_bounds_kw
 from mgopt.netmodel import DrProgram
+from mgopt.optimizer import run_scenario
 from mgopt.powerflow import solve_horizon
 
 
@@ -96,7 +97,7 @@ def test_case_without_program_rejected(benchmark_case):
     with pytest.raises(ValueError, match="no demand response"):
         participating_demand_kw(bare)
     with pytest.raises(ValueError, match="no demand response"):
-        optimize_with_dr(bare)
+        run_scenario(bare, 5, dr=True)
 
 
 def test_adding_load_without_recipients_rejected(benchmark_case):
@@ -141,7 +142,8 @@ def test_zero_fraction_degenerates_to_weighted(benchmark_case, fast_config):
         benchmark_case,
         dr=replace(benchmark_case.dr, shiftable_fraction=0.0),
     )
-    schedule, objectives = optimize_with_dr(frozen, config=fast_config)
+    result = run_scenario(frozen, 5, config=fast_config, dr=True)
+    schedule, objectives = result.schedule, result.objectives
     assert schedule.dr_shift is not None
     assert not schedule.dr_shift.any()
     plain = run_suite(benchmark_case, config=fast_config).results["weighted"]

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from mgopt.devices import (
-    battery_feasibility,
-    grid_feasibility,
-    soc_trajectory,
-    unit_feasibility,
-)
+from mgopt.devices import soc_trajectory
 from mgopt.objectives import evaluate_objectives
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
 from mgopt.optimizer.problem import _SplitDispatchNlp
+
+from oracles import (
+    battery_feasibility,
+    grid_feasibility,
+    repair_battery_powers,
+    threshold_commitment,
+    unit_feasibility,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,23 @@ def test_repair_yields_device_feasible_plans(problem, benchmark_case):
         assert not battery_feasibility(benchmark_case.battery, schedule.battery_power)
 
 
+def test_repair_matches_sequential_references(problem, benchmark_case):
+    # Plans drawn past the box so every clip and the SOC window engage.
+    rng = np.random.default_rng(12)
+    plans = _random_plans(problem, rng, 8) * 1.5 - 0.25 * (problem.upper - problem.lower)
+    repaired = problem.repair(plans)
+    T = problem.T
+    for raw, row in zip(plans, repaired):
+        battery = slice(problem.b_off, problem.b_off + T)
+        expected = repair_battery_powers(benchmark_case.battery, raw[battery])
+        assert np.abs(row[battery] - expected).max() < 1e-9
+        for i, unit in enumerate(benchmark_case.units):
+            if unit.committable:
+                block = slice(i * T, (i + 1) * T)
+                expected = [threshold_commitment(unit, p) for p in raw[block]]
+                assert np.abs(row[block] - expected).max() < 1e-12, unit.name
+
+
 def test_repair_is_idempotent(problem):
     rng = np.random.default_rng(3)
     once = problem.repair(_random_plans(problem, rng, 8))
@@ -92,7 +112,7 @@ def test_repair_projects_shift_to_zero_sum(dr_problem):
 def test_soc_signed_matches_sequential(problem, benchmark_case):
     rng = np.random.default_rng(5)
     p = problem.repair(_random_plans(problem, rng, 6))[:, problem.b_off : problem.b_off + problem.T]
-    soc = problem.soc_signed(p)
+    soc = problem.soc_split(np.maximum(p, 0.0), np.maximum(-p, 0.0))
     for row, expected in zip(p, soc):
         loop = soc_trajectory(benchmark_case.battery, row)
         assert np.abs(expected - loop).max() < 1e-9
@@ -108,8 +128,24 @@ def test_split_merge_round_trip(problem, dr_problem):
         chg = xs[prob.u_len : prob.u_len + prob.T]
         dis = xs[prob.u_len + prob.T : prob.u_len + 2 * prob.T]
         assert (np.minimum(chg, dis) == 0.0).all()
+        p = (chg - dis)[np.newaxis]
         assert np.abs(prob.soc_split(chg[np.newaxis], dis[np.newaxis])[0]
-                      - prob.soc_signed((chg - dis)[np.newaxis])[0]).max() < 1e-12
+                      - prob.soc_split(np.maximum(p, 0.0), np.maximum(-p, 0.0))[0]).max() < 1e-12
+
+
+def test_metrics_equal_split_eval_on_split_rows(problem, dr_problem):
+    # Both front ends share one kernel, so a signed plan and its split form
+    # must evaluate to the same bits.
+    rng = np.random.default_rng(11)
+    for prob in (problem, dr_problem):
+        plans = prob.repair(_random_plans(prob, rng, 6))
+        signed = prob.metrics(plans)
+        split = prob.split_eval(np.vstack([prob.split_from_signed(x) for x in plans]))
+        for key in ("cost", "loss", "ens", "vdev"):
+            assert np.array_equal(signed.values[key], split.values[key]), key
+        for field in ("violation", "ok", "slack_kw", "soc_kwh", "vmag",
+                      "hourly_cost", "hourly_loss_kw", "hourly_vdev"):
+            assert np.array_equal(getattr(signed, field), getattr(split, field)), field
 
 
 def test_metrics_agree_with_direct_objectives(problem, benchmark_case):

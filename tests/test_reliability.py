@@ -12,15 +12,9 @@ from mgopt.netmodel import (
     OutageCostTable,
     validate_case,
 )
-from mgopt.reliability import (
-    ContingencyEvaluator,
-    contingency_rows,
-    island_partition,
-    restoration,
-    unsupplied_energy_cost,
-)
+from mgopt.reliability import ContingencyEvaluator, island_partition, unsupplied_energy_cost
 
-from oracles import island_of, outage_cost_loop
+from oracles import contingency_rows, island_of, outage_cost_loop, restoration
 
 
 def _mini_case(soc_initial=8.0, p_max=5.0, rate=0.01, repair=4.0):

@@ -133,3 +133,26 @@ def test_suite_without_dr_program():
     assert "dr" not in suite.results
     with pytest.raises(ValueError, match="demand response"):
         run_suite(case, config=config, include_dr=True)
+
+
+def test_cross_polish_holds_on_a_starved_budget(benchmark_case):
+    # With this budget the capped polish sweeps end with loss and vdev still
+    # trading the lowest loss; the closing adoption must settle it.
+    from mgopt.optimizer import GaConfig, SqpConfig
+
+    config = OptimizerConfig(
+        ga=GaConfig(population=4, generations=1),
+        sqp=SqpConfig(max_iterations=2),
+        refine_rounds=1,
+        seed=0,
+    )
+    suite = run_suite(benchmark_case, config=config)
+    for key in OBJECTIVE_KEYS:
+        own = suite.results[key].objectives[key]
+        for other in SCENARIO_KEYS:
+            assert own <= suite.results[other].objectives[key] + 1e-9 * max(1.0, abs(own)), (key, other)
+    for key in SCENARIO_KEYS:
+        assert suite.totals["weighted"] <= suite.totals[key] + 1e-9, key
+    for key, result in suite.results.items():
+        assert result.feasible, key
+    assert suite.totals["dr"] <= suite.totals["weighted"]
