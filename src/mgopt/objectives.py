@@ -116,15 +116,23 @@ def evaluate_objectives(
 ObjectiveBounds = Dict[str, Tuple[float, float]]
 
 
+def degenerate_bracket(low: float, high: float) -> bool:
+    """Whether [low, high] is too narrow to normalise against.
+
+    Such an interval cannot rank schedules, so every normalisation onto
+    [0, 1] gives its objective a contribution of 0 and a slope of 0.
+    """
+    return high - low <= 1e-12 * max(1.0, abs(low), abs(high))
+
+
 def normalize_objective(value: float, bounds: Tuple[float, float], key: str = "") -> float:
     """Map value onto [0, 1] within bounds, clamping overshoot on both sides.
 
-    A degenerate interval cannot rank schedules, so it maps everything to 0
-    and warns once per call site.
+    A degenerate interval maps everything to 0 and warns once per call site.
     """
     low, high = bounds
     span = high - low
-    if span <= 1e-12 * max(1.0, abs(low), abs(high)):
+    if degenerate_bracket(low, high):
         warnings.warn(
             f"objective {key or 'value'!r} has a degenerate normalisation interval "
             f"[{low}, {high}]; treating it as already optimal",

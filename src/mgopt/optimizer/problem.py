@@ -23,7 +23,7 @@ import numpy as np
 from ..devices import COMMIT_EPS, DispatchSchedule
 from ..dr import shift_bounds_kw
 from ..netmodel import MicrogridCase
-from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds
+from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket
 from ..powerflow import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -35,6 +35,7 @@ from ..powerflow import (
 )
 from ..reliability import ContingencyEvaluator
 from .derivatives import DEFAULT_REL_STEP
+from .qp import pinned_mask
 from .sqp import NlpProblem, SqpConfig, SqpResult, sqp_solve
 
 # Objective stand-in for plans whose power flow failed; large enough to lose
@@ -50,7 +51,9 @@ class ObjectiveSpec:
     form normalises each objective against ``bounds``; ``clamp_upper``
     selects the reporting convention (hard [0, 1] clamp) while the default
     keeps slope above the upper bound so the optimiser still feels values
-    beyond it.
+    beyond it.  A key whose bounds form a degenerate bracket
+    (``objectives.degenerate_bracket``) contributes nothing, silently; the
+    CLI's normalised table warns about it.
     """
 
     key: str
@@ -71,9 +74,9 @@ class ObjectiveSpec:
         total: np.ndarray = np.zeros_like(np.asarray(values["cost"], dtype=float))
         for key in OBJECTIVE_KEYS:
             low, high = self.bounds[key]
-            span = high - low
-            if span <= 1e-12 * max(1.0, abs(low), abs(high)):
+            if degenerate_bracket(low, high):
                 continue
+            span = high - low
             z = (np.asarray(values[key], dtype=float) - low) / span
             z = np.maximum(z, 0.0)
             if self.clamp_upper:
@@ -91,9 +94,9 @@ class ObjectiveSpec:
         coeffs: Dict[str, float] = {}
         for key in OBJECTIVE_KEYS:
             low, high = self.bounds[key]
-            span = high - low
-            if span <= 1e-12 * max(1.0, abs(low), abs(high)):
+            if degenerate_bracket(low, high):
                 continue
+            span = high - low
             z = (values[key] - low) / span
             if z <= 0.0 or (self.clamp_upper and z >= 1.0):
                 continue
@@ -714,7 +717,7 @@ class _SplitDispatchNlp(NlpProblem):
         """
         p = self.problem
         T, ns = p.T, xs.size
-        free = (self.upper - self.lower) > 1e-14 * np.maximum(1.0, np.abs(self.lower))
+        free = ~pinned_mask(self.lower, self.upper)
         h = p.fd_rel_step * np.maximum(1.0, np.abs(xs))
 
         # One block per unit, then charge and discharge, then the shift.

@@ -1,20 +1,28 @@
-"""Dense convex quadratic programming by a primal active-set method.
+"""Convex quadratic programming by a primal active-set method in reduced space.
 
 Solves  min 0.5 d'Hd + g'd  subject to  A d = b,  G d <= h,  lo <= d <= hi
-with H symmetric positive definite.  Bounds become unit inequality rows and
-pinned variables (lo == hi) become equality rows, so one working-set loop
-covers everything; each pivot re-solves the dense KKT system of the equality-
-constrained subproblem, which is plenty at the problem sizes this package
-meets.
+with H symmetric positive definite.  The working set holds general rows and
+variable bounds.  Pinned variables (lo == hi) and variables whose bound is in
+the working set are held fixed at that bound, so each pivot solves the KKT
+system of the equality rows and the working general rows over the free
+variables only; the bound multipliers follow from the stationarity residual
+at the fixed variables.  See Nocedal & Wright, *Numerical Optimization*,
+2nd ed., §16.5, and Gill, Murray & Wright, *Practical Optimization*, §5.5.
+
+Constraints are tagged ``("in", i)`` for general row i and ``("hi", j)`` /
+``("lo", j)`` for the bounds of variable j.  Tag order (general rows, then
+per variable ``hi`` before ``lo``) breaks every tie in the ratio test and the
+drop rule, which keeps the iteration deterministic.
 
 When no feasible starting point is apparent the solver retries in elastic
-mode: violated rows get a non-negative slack with a steep linear price, which
-restores feasibility of the start and flags the relaxation to the caller.
+mode: each violated general row gets a slack variable with lower bound 0 and
+a steep linear price, which restores feasibility of the start and flags the
+relaxation to the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +49,35 @@ class QpResult:
     max_slack: float = 0.0
 
 
+def pinned_mask(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Variables whose bounds coincide up to rounding; solvers fix them at ``lower``."""
+    return np.isfinite(lower) & np.isfinite(upper) & (upper - lower <= 1e-14 * np.maximum(1.0, np.abs(lower)))
+
+
+class _Qp:
+    """One problem in the solver's internal form.
+
+    The finite bounds of the variables that are not pinned are listed in tag
+    order as (variable, sign, value): sign +1 for ``hi`` (d_j <= value) and -1
+    for ``lo`` (-d_j <= -value).  Working-set entry k < m is general row k;
+    k >= m is bound entry k - m.
+    """
+
+    def __init__(self, H, g, A, b, G, h, lo, hi):
+        n = g.size
+        self.H, self.g, self.A, self.b, self.G, self.h, self.lo = H, g, A, b, G, h, lo
+        self.pinned = pinned_mask(lo, hi)
+        has = np.column_stack((np.isfinite(hi), np.isfinite(lo))) & ~self.pinned[:, np.newaxis]
+        self.bvar = np.repeat(np.arange(n), 2).reshape(n, 2)[has]
+        self.bsign = np.tile([1.0, -1.0], (n, 1))[has]
+        self.bval = np.column_stack((hi, lo))[has]
+
+    def residuals(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row value minus right-hand side of every inequality, with those right-hand sides."""
+        rhs = np.concatenate([self.h, self.bsign * self.bval])
+        return np.concatenate([self.G @ x, self.bsign * x[self.bvar]]) - rhs, rhs
+
+
 def _kkt_solve(H: np.ndarray, rows: np.ndarray, rhs_top: np.ndarray, rhs_bottom: np.ndarray):
     """Solve the equality-constrained KKT system; None when singular."""
     n, k = H.shape[0], rows.shape[0]
@@ -59,72 +96,91 @@ def _kkt_solve(H: np.ndarray, rows: np.ndarray, rhs_top: np.ndarray, rhs_bottom:
     return sol[:n], sol[n:]
 
 
+def _equality_step(qp: _Qp, x: np.ndarray, working: np.ndarray):
+    """Step to the minimiser over the working set, with its multipliers.
+
+    Returns (p, eq multipliers, working-set multipliers) or None when the
+    working set is degenerate.
+    """
+    m = qp.G.shape[0]
+    rows_in = working[working < m]
+    bound = working[working >= m] - m
+    fixed_vars = qp.bvar[bound]
+    fixed = qp.pinned.copy()
+    fixed[fixed_vars] = True
+    if np.count_nonzero(fixed) < np.count_nonzero(qp.pinned) + bound.size:
+        return None  # one variable held at two bounds
+    p = np.zeros_like(x)
+    p[qp.pinned] = qp.lo[qp.pinned] - x[qp.pinned]
+    p[fixed_vars] = qp.bval[bound] - x[fixed_vars]
+    C = np.vstack([qp.A, qp.G[rows_in]])
+    y = x + p
+    free = np.flatnonzero(~fixed)
+    sol = _kkt_solve(
+        qp.H[np.ix_(free, free)],
+        C[:, free],
+        -(qp.H @ y + qp.g)[free],
+        np.concatenate([qp.b, qp.h[rows_in]]) - C @ y,
+    )
+    if sol is None:
+        return None
+    p[free], lam = sol
+    resid = -(qp.H @ (x + p) + qp.g) - C.T @ lam
+    n_eq = qp.A.shape[0]
+    mu = np.empty(working.size)
+    mu[working < m] = lam[n_eq:]
+    mu[working >= m] = qp.bsign[bound] * resid[fixed_vars]
+    return p, lam[:n_eq], mu
+
+
+def _worst(working: List[int], mu: np.ndarray, tol: float) -> Optional[int]:
+    """Position in ``working`` of the most negative multiplier below -tol, if any."""
+    neg = np.flatnonzero(mu < -tol)
+    if not neg.size:
+        return None
+    return int(neg[np.lexsort((np.asarray(working)[neg], mu[neg]))[0]])
+
+
 def _active_set_loop(
-    H: np.ndarray,
-    g: np.ndarray,
-    eq_rows: np.ndarray,
-    eq_rhs: np.ndarray,
-    in_rows: np.ndarray,
-    in_rhs: np.ndarray,
-    x: np.ndarray,
-    working: List[int],
-    max_pivots: int,
-    tol: float,
+    qp: _Qp, x: np.ndarray, working: List[int], max_pivots: int, tol: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], int]:
     """Classic primal active-set iteration from a feasible point.
 
-    Returns (x, eq multipliers, inequality multipliers, working set, pivots).
-    Ties in the ratio test and the drop rule break toward the smallest row
-    index, which keeps the loop deterministic and cycle-free in practice.
+    Returns (x, eq multipliers, working-set multipliers, working set, pivots).
+    Ties in the ratio test and the drop rule break toward the earliest tag,
+    which keeps the loop deterministic and cycle-free in practice.
     """
-    n = x.size
-    m = in_rows.shape[0]
     pivots = 0
-    mu = np.zeros(m)
-    lam = np.zeros(eq_rows.shape[0])
     while True:
         if pivots > max_pivots:
             raise QpError("active-set iteration limit exceeded")
-        act = in_rows[working] if working else np.zeros((0, n))
-        rows = np.vstack([eq_rows, act]) if eq_rows.size or len(working) else np.zeros((0, n))
-        sol = _kkt_solve(
-            H,
-            rows,
-            -(H @ x + g),
-            np.concatenate([eq_rhs - eq_rows @ x, (in_rhs[working] - in_rows[working] @ x) if working else np.zeros(0)]),
-        )
-        if sol is None:
+        w = np.asarray(working, dtype=np.intp)
+        step = _equality_step(qp, x, w)
+        if step is None:
             # Degenerate working set: drop its most recent member and retry.
             if not working:
                 raise QpError("singular KKT system with empty working set")
             working.pop()
             pivots += 1
             continue
-        p, mults = sol
-        n_eq = eq_rows.shape[0]
-        lam = mults[:n_eq]
-        mu = np.zeros(m)
-        for j, idx in enumerate(working):
-            mu[idx] = mults[n_eq + j]
+        p, lam, mu = step
         if np.abs(p).max(initial=0.0) <= tol * (1.0 + np.abs(x).max(initial=0.0)):
-            worst = min(
-                (idx for idx in working if mu[idx] < -tol),
-                key=lambda idx: (mu[idx], idx),
-                default=None,
-            )
+            worst = _worst(working, mu, tol)
             if worst is None:
                 return x, lam, mu, working, pivots
-            working.remove(worst)
+            del working[worst]
             pivots += 1
             continue
+        resid, _ = qp.residuals(x)
+        direction = np.concatenate([qp.G @ p, qp.bsign * p[qp.bvar]])
+        direction[w] = 0.0
+        blockers = np.flatnonzero(direction > tol)
+        ratios = -resid[blockers] / direction[blockers]
+        near = ratios < 1.0 - 1e-14
         alpha = 1.0
         blocking = None
-        slack = in_rhs - in_rows @ x
-        direction = in_rows @ p
-        for i in range(m):
-            if i in working or direction[i] <= tol:
-                continue
-            ratio = slack[i] / direction[i]
+        # Sequential scan in tag order over the rows that can block at all.
+        for i, ratio in zip(blockers[near].tolist(), ratios[near].tolist()):
             if ratio < alpha - 1e-14:
                 alpha = max(ratio, 0.0)
                 blocking = i
@@ -137,14 +193,10 @@ def _active_set_loop(
         # the multipliers just solved belong to that point, so testing them
         # here avoids re-solving a system whose residual noise can exceed the
         # stationarity threshold.
-        worst = min(
-            (idx for idx in working if mu[idx] < -tol),
-            key=lambda idx: (mu[idx], idx),
-            default=None,
-        )
+        worst = _worst(working, mu, tol)
         if worst is None:
             return x, lam, mu, working, pivots
-        working.remove(worst)
+        del working[worst]
 
 
 def qp_subproblem(
@@ -178,81 +230,39 @@ def qp_subproblem(
     hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     if (lo > hi + 1e-12).any():
         raise QpInfeasibleError("crossed bounds")
-    m_general = G.shape[0]
 
-    # Uniform internal form: pinned variables join the equality block, finite
-    # bounds join the inequality block behind the general rows.
-    pinned = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-14 * np.maximum(1.0, np.abs(lo)))
-    eq_rows = [A]
-    eq_rhs = [b]
-    tags: List[Tuple[str, int]] = [("in", i) for i in range(m_general)]
-    in_rows = [G]
-    in_rhs = [h]
-    for i in range(n):
-        if pinned[i]:
-            row = np.zeros(n)
-            row[i] = 1.0
-            eq_rows.append(row[np.newaxis, :])
-            eq_rhs.append(np.array([lo[i]]))
-            continue
-        if np.isfinite(hi[i]):
-            row = np.zeros(n)
-            row[i] = 1.0
-            in_rows.append(row[np.newaxis, :])
-            in_rhs.append(np.array([hi[i]]))
-            tags.append(("hi", i))
-        if np.isfinite(lo[i]):
-            row = np.zeros(n)
-            row[i] = -1.0
-            in_rows.append(row[np.newaxis, :])
-            in_rhs.append(np.array([-lo[i]]))
-            tags.append(("lo", i))
-    eq_rows_arr = np.vstack(eq_rows)
-    eq_rhs_arr = np.concatenate(eq_rhs)
-    in_rows_arr = np.vstack(in_rows) if in_rows else np.zeros((0, n))
-    in_rhs_arr = np.concatenate(in_rhs) if in_rhs else np.zeros(0)
+    qp = _Qp(H, g, A, b, G, h, lo, hi)
+    x0 = _feasible_start(
+        np.vstack([A, np.eye(n)[qp.pinned]]), np.concatenate([b, lo[qp.pinned]]), lo, hi
+    )
+    resid, rhs = qp.residuals(x0)
+    feas_tol = 1e-9 * (1.0 + np.abs(rhs).max(initial=0.0))
+    # The clipped start satisfies every bound, so only general rows can fail.
+    bad = np.flatnonzero(resid[: G.shape[0]] > feas_tol)
+    if not bad.size:
+        return _run(qp, x0, n, warm_start, tol, False)
 
-    x0 = _feasible_start(eq_rows_arr, eq_rhs_arr, lo, hi)
-    feas_tol = 1e-9 * (1.0 + np.abs(in_rhs_arr).max(initial=0.0))
-    violated = in_rows_arr @ x0 - in_rhs_arr > feas_tol
-
-    if not violated.any():
-        x, lam, mu, working, pivots = _run(
-            H, g, eq_rows_arr, eq_rhs_arr, in_rows_arr, in_rhs_arr, x0, tags, warm_start, tol
-        )
-        return _package(n, m_general, A.shape[0], x, lam, mu, tags, working, pivots, False, 0.0)
-
-    # Elastic retry: one slack per violated general row restores a feasible
-    # start; bound rows cannot be violated by the clipped start.
-    bad = [k for k in np.flatnonzero(violated) if tags[k][0] == "in"]
-    if len(bad) != int(violated.sum()):
-        raise QpInfeasibleError("equality rows conflict with the variable bounds")
+    # Elastic retry: one slack variable per violated general row, bounded
+    # below by 0 and priced at rho, restores a feasible start.
     scale = max(1.0, float(np.abs(g).max(initial=0.0)), float(np.abs(H).max(initial=0.0)))
     rho = elastic_penalty if elastic_penalty is not None else 1e6 * scale
-    ns = len(bad)
+    ns = bad.size
     He = np.zeros((n + ns, n + ns))
     He[:n, :n] = H
     He[n:, n:] = np.eye(ns) * 1e-8 * scale
-    ge = np.concatenate([g, np.full(ns, rho)])
-    eq_e = np.hstack([eq_rows_arr, np.zeros((eq_rows_arr.shape[0], ns))])
-    in_e = np.hstack([in_rows_arr, np.zeros((in_rows_arr.shape[0], ns))])
-    tags_e = list(tags)
-    for j, k in enumerate(bad):
-        in_e[k, n + j] = -1.0
-        row = np.zeros(n + ns)
-        row[n + j] = -1.0
-        in_e = np.vstack([in_e, row])
-        tags_e.append(("slack", j))
-    in_rhs_e = np.concatenate([in_rhs_arr, np.zeros(ns)])
-    s0 = np.zeros(ns)
-    resid = in_rows_arr @ x0 - in_rhs_arr
-    for j, k in enumerate(bad):
-        s0[j] = resid[k] + 1.0
-    x, lam, mu, working, pivots = _run(
-        He, ge, eq_e, eq_rhs_arr, in_e, in_rhs_e, np.concatenate([x0, s0]), tags_e, warm_start, tol
+    Ge = np.hstack([G, np.zeros((G.shape[0], ns))])
+    Ge[bad, n + np.arange(ns)] = -1.0
+    elastic = _Qp(
+        He,
+        np.concatenate([g, np.full(ns, rho)]),
+        np.hstack([A, np.zeros((A.shape[0], ns))]),
+        b,
+        Ge,
+        h,
+        np.concatenate([lo, np.zeros(ns)]),
+        np.concatenate([hi, np.full(ns, np.inf)]),
     )
-    max_slack = float(np.abs(x[n:]).max(initial=0.0))
-    return _package(n, m_general, A.shape[0], x[:n], lam, mu, tags, working, pivots, True, max_slack)
+    return _run(elastic, np.concatenate([x0, resid[bad] + 1.0]), n, warm_start, tol, True)
 
 
 def _feasible_start(eq_rows: np.ndarray, eq_rhs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -308,41 +318,43 @@ def _pinned_resolve(
     return candidate
 
 
-def _run(H, g, eq_rows, eq_rhs, in_rows, in_rhs, x0, tags, warm_start, tol):
+def _run(qp: _Qp, x0: np.ndarray, n: int, warm_start, tol: float, elastic: bool) -> QpResult:
+    """Solve from the feasible point x0 and report on the first n variables.
+
+    Variables n and beyond are elastic slacks; their bounds take no part in
+    warm starts or in the reported active set.
+    """
+    m = qp.G.shape[0]
+    tags = [("in", i) for i in range(m)]
+    tags += [("hi" if s > 0 else "lo", j) for s, j in zip(qp.bsign.tolist(), qp.bvar.tolist())]
     working: List[int] = []
     if warm_start:
-        wanted = set(warm_start)
-        slack = in_rows @ x0 - in_rhs
-        for i, tag in enumerate(tags):
-            if tag in wanted and abs(slack[i]) <= 1e-9 * (1.0 + abs(in_rhs[i])):
-                working.append(i)
-    max_pivots = 50 * (x0.size + in_rows.shape[0] + 10)
-    return _active_set_loop(H, g, eq_rows, eq_rhs, in_rows, in_rhs, x0, working, max_pivots, tol)
+        wanted = {tag for tag in warm_start if tag[0] == "in" or tag[1] < n}
+        resid, rhs = qp.residuals(x0)
+        near = np.abs(resid) <= 1e-9 * (1.0 + np.abs(rhs))
+        working = [k for k, tag in enumerate(tags) if tag in wanted and near[k]]
+    max_pivots = 50 * (x0.size + len(tags) + 10)
+    x, lam, mu, working, pivots = _active_set_loop(qp, x0, working, max_pivots, tol)
 
-
-def _package(n, m_general, n_eq, d, lam, mu, tags, working, pivots, elastic, max_slack) -> QpResult:
-    ineq_mult = np.zeros(m_general)
-    lower_mult = np.zeros(n)
+    w = np.asarray(working, dtype=np.intp)
+    general = w < m
+    ineq_mult = np.zeros(m)
+    ineq_mult[w[general]] = mu[general]
+    bound = w[~general] - m
+    var, up = qp.bvar[bound], qp.bsign[bound] > 0
+    real = var < n
     upper_mult = np.zeros(n)
-    for k, tag in enumerate(tags):
-        kind, idx = tag
-        if k >= mu.size:
-            continue
-        if kind == "in":
-            ineq_mult[idx] = mu[k]
-        elif kind == "lo":
-            lower_mult[idx] = mu[k]
-        elif kind == "hi":
-            upper_mult[idx] = mu[k]
-    active = tuple(tags[i] for i in working if i < len(tags) and tags[i][0] != "slack")
+    lower_mult = np.zeros(n)
+    upper_mult[var[real & up]] = mu[~general][real & up]
+    lower_mult[var[real & ~up]] = mu[~general][real & ~up]
     return QpResult(
-        d=np.asarray(d, dtype=float),
-        eq_multipliers=lam[:n_eq].copy(),
+        d=x[:n].copy(),
+        eq_multipliers=lam.copy(),
         ineq_multipliers=ineq_mult,
         lower_multipliers=lower_mult,
         upper_multipliers=upper_mult,
-        active_set=active,
+        active_set=tuple(tags[k] for k in working if tags[k][0] == "in" or tags[k][1] < n),
         pivots=pivots,
         elastic=elastic,
-        max_slack=max_slack,
+        max_slack=float(np.abs(x[n:]).max(initial=0.0)),
     )

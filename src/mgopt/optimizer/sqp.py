@@ -14,13 +14,13 @@ override ``derivatives``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .derivatives import DEFAULT_REL_STEP, gradient, jacobian
-from .qp import QpError, QpInfeasibleError, QpResult, qp_subproblem
+from .qp import QpError, QpInfeasibleError, QpResult, pinned_mask, qp_subproblem
 
 
 @dataclass
@@ -139,7 +139,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
     lo, hi = problem.lower, problem.upper
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     n = x.size
-    free = ~(np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-14 * np.maximum(1.0, np.abs(lo))))
+    free = ~pinned_mask(lo, hi)
 
     evals = 0
 

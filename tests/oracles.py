@@ -5,7 +5,8 @@ admittance-matrix fixed-point iteration and a per-branch loop sweep for
 power flow, exhaustive active-set enumeration for QPs, plain python loops
 for battery and outage arithmetic.  None of it shares code with the
 package; the loop sweep borrows only the package's result type and
-thresholds, since matching them is what it checks.
+thresholds, and the dense QP solver only its result and error types, since
+matching them is what they check.
 
 The scalar device checks and the per-contingency restoration breakdown at
 the end were the package's own single-schedule versions of what the
@@ -23,6 +24,7 @@ import numpy as np
 
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, DgUnit, MicrogridCase
+from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult
 from mgopt.powerflow import (
     COLLAPSE_FLOOR_PU,
     DEFAULT_MAX_ITERATIONS,
@@ -350,6 +352,363 @@ def bounds_as_rows(
             rows.append(row[np.newaxis, :])
             rhs.append(np.array([-lower[i]]))
     return np.vstack(rows), np.concatenate(rhs)
+
+
+def random_dispatch_qp(
+    rng: np.random.Generator, contradictory: bool = False, on_bound: float = 0.25
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A random strictly convex QP shaped like one SQP step on a dispatch day.
+
+    About 170 variables, 100 sparse general rows and up to 24 sparse
+    equality rows, 20-60 pinned variables, and bounds that pass through or
+    near the starting point, as at an iterate sitting on many of its
+    bounds, so that many bounds and some general rows are active at the
+    optimum.  The starting point is the least-squares solution of the
+    equality rows and the pinned values, where the solvers start; a share
+    ``on_bound`` of the bounds pass through it and a fifth of the general
+    rows come within 1e-3 of it.  No general row is exactly tight there:
+    the slack of such a row is rounding noise, and on a degenerate vertex
+    the ratio test then picks its blocking row by the sign of that noise.
+    ``contradictory`` adds a pair of rows no point satisfies, which forces
+    the elastic retry.  Returns (H, g, A, b, G, h, lower, upper).
+    """
+    n = int(rng.integers(160, 181))
+    m = int(rng.integers(90, 111))
+    n_eq = int(rng.integers(0, 25))
+    M = rng.normal(size=(n, n)) / np.sqrt(n)
+    H = M @ M.T + np.diag(rng.uniform(0.2, 2.0, n))
+    g = rng.normal(size=n)
+    pinned = np.zeros(n, dtype=bool)
+    pinned[rng.choice(n, size=int(rng.integers(20, 61)), replace=False)] = True
+    value = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n) * 0.05)
+    A = rng.normal(size=(n_eq, n)) * (rng.random((n_eq, n)) < 0.1)
+    b = rng.normal(size=n_eq) * 0.05
+    eq_rows = np.vstack([A, np.eye(n)[pinned]])
+    x0, *_ = np.linalg.lstsq(eq_rows, np.concatenate([b, value[pinned]]), rcond=None)
+    lower = x0 - np.where(rng.random(n) < on_bound, 0.0, rng.uniform(0.0, 1.0, n))
+    upper = x0 + np.where(rng.random(n) < on_bound, 0.0, rng.uniform(0.0, 1.0, n))
+    lower[rng.random(n) < 0.1] = -np.inf
+    upper[rng.random(n) < 0.1] = np.inf
+    lower[pinned] = upper[pinned] = value[pinned]
+    G = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.1)
+    h = G @ x0 + np.where(rng.random(m) < 0.2, rng.uniform(1e-6, 1e-3, m), rng.uniform(0.0, 0.5, m))
+    if contradictory:
+        row = rng.normal(size=n)
+        G = np.vstack([G, row, -row])
+        h = np.concatenate([h, [-1.0, -1.0]])
+    return H, g, A, b, G, h, lower, upper
+
+
+def _dense_kkt_solve(H: np.ndarray, rows: np.ndarray, rhs_top: np.ndarray, rhs_bottom: np.ndarray):
+    """Solve the equality-constrained KKT system; None when singular."""
+    n, k = H.shape[0], rows.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = H
+    if k:
+        kkt[n:, :n] = rows
+        kkt[:n, n:] = rows.T
+    rhs = np.concatenate([rhs_top, rhs_bottom])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(sol).all():
+        return None
+    return sol[:n], sol[n:]
+
+
+def _dense_active_set_loop(
+    H: np.ndarray,
+    g: np.ndarray,
+    eq_rows: np.ndarray,
+    eq_rhs: np.ndarray,
+    in_rows: np.ndarray,
+    in_rhs: np.ndarray,
+    x: np.ndarray,
+    working: List[int],
+    max_pivots: int,
+    tol: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], int]:
+    """Classic primal active-set iteration from a feasible point.
+
+    Returns (x, eq multipliers, inequality multipliers, working set, pivots).
+    Ties in the ratio test and the drop rule break toward the smallest row
+    index, which keeps the loop deterministic and cycle-free in practice.
+    """
+    n = x.size
+    m = in_rows.shape[0]
+    pivots = 0
+    mu = np.zeros(m)
+    lam = np.zeros(eq_rows.shape[0])
+    while True:
+        if pivots > max_pivots:
+            raise QpError("active-set iteration limit exceeded")
+        act = in_rows[working] if working else np.zeros((0, n))
+        rows = np.vstack([eq_rows, act]) if eq_rows.size or len(working) else np.zeros((0, n))
+        sol = _dense_kkt_solve(
+            H,
+            rows,
+            -(H @ x + g),
+            np.concatenate([eq_rhs - eq_rows @ x, (in_rhs[working] - in_rows[working] @ x) if working else np.zeros(0)]),
+        )
+        if sol is None:
+            # Degenerate working set: drop its most recent member and retry.
+            if not working:
+                raise QpError("singular KKT system with empty working set")
+            working.pop()
+            pivots += 1
+            continue
+        p, mults = sol
+        n_eq = eq_rows.shape[0]
+        lam = mults[:n_eq]
+        mu = np.zeros(m)
+        for j, idx in enumerate(working):
+            mu[idx] = mults[n_eq + j]
+        if np.abs(p).max(initial=0.0) <= tol * (1.0 + np.abs(x).max(initial=0.0)):
+            worst = min(
+                (idx for idx in working if mu[idx] < -tol),
+                key=lambda idx: (mu[idx], idx),
+                default=None,
+            )
+            if worst is None:
+                return x, lam, mu, working, pivots
+            working.remove(worst)
+            pivots += 1
+            continue
+        alpha = 1.0
+        blocking = None
+        slack = in_rhs - in_rows @ x
+        direction = in_rows @ p
+        for i in range(m):
+            if i in working or direction[i] <= tol:
+                continue
+            ratio = slack[i] / direction[i]
+            if ratio < alpha - 1e-14:
+                alpha = max(ratio, 0.0)
+                blocking = i
+        x = x + alpha * p
+        pivots += 1
+        if blocking is not None:
+            working.append(blocking)
+            continue
+        # An unblocked full step lands exactly on the subproblem optimum and
+        # the multipliers just solved belong to that point, so testing them
+        # here avoids re-solving a system whose residual noise can exceed the
+        # stationarity threshold.
+        worst = min(
+            (idx for idx in working if mu[idx] < -tol),
+            key=lambda idx: (mu[idx], idx),
+            default=None,
+        )
+        if worst is None:
+            return x, lam, mu, working, pivots
+        working.remove(worst)
+
+
+def dense_qp(
+    H: np.ndarray,
+    g: np.ndarray,
+    A: Optional[np.ndarray] = None,
+    b: Optional[np.ndarray] = None,
+    G: Optional[np.ndarray] = None,
+    h: Optional[np.ndarray] = None,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
+    warm_start: Optional[Sequence[Tuple[str, int]]] = None,
+    tol: float = 1e-10,
+    elastic_penalty: Optional[float] = None,
+) -> QpResult:
+    """The package's former dense active-set QP solver, kept as a reference.
+
+    Bounds become unit inequality rows and pinned variables (lo == hi)
+    equality rows, so one working-set loop covers everything and each pivot
+    re-solves the dense KKT system of the whole working set.  Same signature,
+    result type, tie-breaks and pivot count as ``qp_subproblem``.
+
+    ``warm_start`` takes a previous result's active set.  Infeasible starts
+    trigger elastic relaxation automatically; the result carries the flag and
+    the largest residual slack.  Raises QpInfeasibleError when the equality
+    rows and bounds admit no point at all, and QpError on breakdown.
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    H = np.asarray(H, dtype=float).reshape(n, n)
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+    b = np.zeros(0) if b is None else np.asarray(b, dtype=float).reshape(-1)
+    G = np.zeros((0, n)) if G is None else np.asarray(G, dtype=float).reshape(-1, n)
+    h = np.zeros(0) if h is None else np.asarray(h, dtype=float).reshape(-1)
+    lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    if (lo > hi + 1e-12).any():
+        raise QpInfeasibleError("crossed bounds")
+    m_general = G.shape[0]
+
+    # Uniform internal form: pinned variables join the equality block, finite
+    # bounds join the inequality block behind the general rows.
+    pinned = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-14 * np.maximum(1.0, np.abs(lo)))
+    eq_rows = [A]
+    eq_rhs = [b]
+    tags: List[Tuple[str, int]] = [("in", i) for i in range(m_general)]
+    in_rows = [G]
+    in_rhs = [h]
+    for i in range(n):
+        if pinned[i]:
+            row = np.zeros(n)
+            row[i] = 1.0
+            eq_rows.append(row[np.newaxis, :])
+            eq_rhs.append(np.array([lo[i]]))
+            continue
+        if np.isfinite(hi[i]):
+            row = np.zeros(n)
+            row[i] = 1.0
+            in_rows.append(row[np.newaxis, :])
+            in_rhs.append(np.array([hi[i]]))
+            tags.append(("hi", i))
+        if np.isfinite(lo[i]):
+            row = np.zeros(n)
+            row[i] = -1.0
+            in_rows.append(row[np.newaxis, :])
+            in_rhs.append(np.array([-lo[i]]))
+            tags.append(("lo", i))
+    eq_rows_arr = np.vstack(eq_rows)
+    eq_rhs_arr = np.concatenate(eq_rhs)
+    in_rows_arr = np.vstack(in_rows) if in_rows else np.zeros((0, n))
+    in_rhs_arr = np.concatenate(in_rhs) if in_rhs else np.zeros(0)
+
+    x0 = _dense_feasible_start(eq_rows_arr, eq_rhs_arr, lo, hi)
+    feas_tol = 1e-9 * (1.0 + np.abs(in_rhs_arr).max(initial=0.0))
+    violated = in_rows_arr @ x0 - in_rhs_arr > feas_tol
+
+    if not violated.any():
+        x, lam, mu, working, pivots = _dense_run(
+            H, g, eq_rows_arr, eq_rhs_arr, in_rows_arr, in_rhs_arr, x0, tags, warm_start, tol
+        )
+        return _dense_package(n, m_general, A.shape[0], x, lam, mu, tags, working, pivots, False, 0.0)
+
+    # Elastic retry: one slack per violated general row restores a feasible
+    # start; bound rows cannot be violated by the clipped start.
+    bad = [k for k in np.flatnonzero(violated) if tags[k][0] == "in"]
+    if len(bad) != int(violated.sum()):
+        raise QpInfeasibleError("equality rows conflict with the variable bounds")
+    scale = max(1.0, float(np.abs(g).max(initial=0.0)), float(np.abs(H).max(initial=0.0)))
+    rho = elastic_penalty if elastic_penalty is not None else 1e6 * scale
+    ns = len(bad)
+    He = np.zeros((n + ns, n + ns))
+    He[:n, :n] = H
+    He[n:, n:] = np.eye(ns) * 1e-8 * scale
+    ge = np.concatenate([g, np.full(ns, rho)])
+    eq_e = np.hstack([eq_rows_arr, np.zeros((eq_rows_arr.shape[0], ns))])
+    in_e = np.hstack([in_rows_arr, np.zeros((in_rows_arr.shape[0], ns))])
+    tags_e = list(tags)
+    for j, k in enumerate(bad):
+        in_e[k, n + j] = -1.0
+        row = np.zeros(n + ns)
+        row[n + j] = -1.0
+        in_e = np.vstack([in_e, row])
+        tags_e.append(("slack", j))
+    in_rhs_e = np.concatenate([in_rhs_arr, np.zeros(ns)])
+    s0 = np.zeros(ns)
+    resid = in_rows_arr @ x0 - in_rhs_arr
+    for j, k in enumerate(bad):
+        s0[j] = resid[k] + 1.0
+    x, lam, mu, working, pivots = _dense_run(
+        He, ge, eq_e, eq_rhs_arr, in_e, in_rhs_e, np.concatenate([x0, s0]), tags_e, warm_start, tol
+    )
+    max_slack = float(np.abs(x[n:]).max(initial=0.0))
+    return _dense_package(n, m_general, A.shape[0], x[:n], lam, mu, tags, working, pivots, True, max_slack)
+
+
+def _dense_feasible_start(eq_rows: np.ndarray, eq_rhs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    n = lo.size
+    x0 = np.clip(np.zeros(n), lo, hi)
+    if not eq_rows.shape[0]:
+        return x0
+    tol = 1e-8 * (1.0 + np.abs(eq_rhs).max(initial=0.0))
+    sol, *_ = np.linalg.lstsq(eq_rows, eq_rhs, rcond=None)
+    x0 = np.clip(sol, lo, hi)
+    if np.abs(eq_rows @ x0 - eq_rhs).max(initial=0.0) <= tol:
+        return x0
+    # Clipping broke the equalities.  Alternate projections between the
+    # affine set and the box converge whenever the intersection is nonempty,
+    # but the tail can be slow, so periodically pin the variables sitting on
+    # a bound and re-solve the equalities over the free ones exactly.
+    pinv = np.linalg.pinv(eq_rows)
+    for k in range(1000):
+        x0 = np.clip(x0 - pinv @ (eq_rows @ x0 - eq_rhs), lo, hi)
+        if np.abs(eq_rows @ x0 - eq_rhs).max(initial=0.0) <= tol:
+            return x0
+        if k % 20 == 19:
+            polished = _dense_pinned_resolve(eq_rows, eq_rhs, lo, hi, x0, tol)
+            if polished is not None:
+                return polished
+    raise QpInfeasibleError("equality rows conflict with the variable bounds")
+
+
+def _dense_pinned_resolve(
+    eq_rows: np.ndarray,
+    eq_rhs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    x: np.ndarray,
+    tol: float,
+) -> Optional[np.ndarray]:
+    """Fix bound-active variables and solve the equalities over the rest."""
+    span = np.where(np.isfinite(hi - lo), hi - lo, 1.0)
+    edge = 1e-9 * np.maximum(1.0, np.abs(span))
+    free = (x > lo + edge) & (x < hi - edge)
+    if not free.any():
+        return None
+    candidate = x.copy()
+    rhs = eq_rhs - eq_rows[:, ~free] @ x[~free]
+    sol, *_ = np.linalg.lstsq(eq_rows[:, free], rhs, rcond=None)
+    candidate[free] = sol
+    inside = (candidate >= lo - edge) & (candidate <= hi + edge)
+    if not inside.all():
+        return None
+    candidate = np.clip(candidate, lo, hi)
+    if np.abs(eq_rows @ candidate - eq_rhs).max(initial=0.0) > tol:
+        return None
+    return candidate
+
+
+def _dense_run(H, g, eq_rows, eq_rhs, in_rows, in_rhs, x0, tags, warm_start, tol):
+    working: List[int] = []
+    if warm_start:
+        wanted = set(warm_start)
+        slack = in_rows @ x0 - in_rhs
+        for i, tag in enumerate(tags):
+            if tag in wanted and abs(slack[i]) <= 1e-9 * (1.0 + abs(in_rhs[i])):
+                working.append(i)
+    max_pivots = 50 * (x0.size + in_rows.shape[0] + 10)
+    return _dense_active_set_loop(H, g, eq_rows, eq_rhs, in_rows, in_rhs, x0, working, max_pivots, tol)
+
+
+def _dense_package(n, m_general, n_eq, d, lam, mu, tags, working, pivots, elastic, max_slack) -> QpResult:
+    ineq_mult = np.zeros(m_general)
+    lower_mult = np.zeros(n)
+    upper_mult = np.zeros(n)
+    for k, tag in enumerate(tags):
+        kind, idx = tag
+        if k >= mu.size:
+            continue
+        if kind == "in":
+            ineq_mult[idx] = mu[k]
+        elif kind == "lo":
+            lower_mult[idx] = mu[k]
+        elif kind == "hi":
+            upper_mult[idx] = mu[k]
+    active = tuple(tags[i] for i in working if i < len(tags) and tags[i][0] != "slack")
+    return QpResult(
+        d=np.asarray(d, dtype=float),
+        eq_multipliers=lam[:n_eq].copy(),
+        ineq_multipliers=ineq_mult,
+        lower_multipliers=lower_mult,
+        upper_multipliers=upper_mult,
+        active_set=active,
+        pivots=pivots,
+        elastic=elastic,
+        max_slack=max_slack,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from mgopt.devices import zero_schedule
 from mgopt.objectives import (
     OBJECTIVE_KEYS,
     ObjectiveValues,
+    degenerate_bracket,
     evaluate_objectives,
     expected_outage_cost,
     network_loss_energy,
@@ -146,6 +147,28 @@ def test_normalize_and_bounds():
     assert normalize_objective(42.0, (0.0, 10.0)) == 1.0
     with pytest.warns(UserWarning, match="degenerate"):
         assert normalize_objective(5.0, (7.0, 7.0), "loss") == 0.0
+
+
+def test_degenerate_bracket_contributes_nothing_everywhere():
+    """The CLI table and both optimiser paths drop a degenerate key alike."""
+    weights = weights_from_sequence([0.25, 0.25, 0.25, 0.25])
+    for low in (7.0, 0.0, -3e5, 1e9):
+        high = low + 1e-13 * max(1.0, abs(low))
+        assert degenerate_bracket(low, high)
+        assert not degenerate_bracket(low, low + 1e-9 * max(1.0, abs(low)))
+        bounds = {key: (0.0, 10.0) for key in OBJECTIVE_KEYS}
+        bounds["loss"] = (low, high)
+        for clamp in (False, True):
+            spec = ObjectiveSpec("weighted", weights=weights, bounds=bounds, clamp_upper=clamp)
+            for loss in (low - 1.0, low, high, low + 5.0):
+                values = {"cost": 5.0, "loss": loss, "ens": 2.0, "vdev": 1.0}
+                with pytest.warns(UserWarning, match="degenerate"):
+                    assert normalize_objective(loss, bounds["loss"], "loss") == 0.0
+                assert spec.scalar(values) == pytest.approx(0.25 * 0.5 + 0.25 * 0.2 + 0.25 * 0.1, abs=1e-15)
+                array = spec.scalar_array({k: np.array([v, v + 1.0]) for k, v in values.items()})
+                assert array[1] - array[0] == pytest.approx(0.25 * (0.1 + 0.1 + 0.1), abs=1e-15)
+                assert "loss" not in spec.chain(values)
+                assert set(spec.chain(values)) == {"cost", "ens", "vdev"}
 
 
 def test_weighted_total_hand_value():

@@ -5,7 +5,7 @@ import pytest
 
 from mgopt.optimizer import QpError, QpInfeasibleError, qp_subproblem
 
-from oracles import bounds_as_rows, qp_enumerate, random_qp
+from oracles import bounds_as_rows, dense_qp, qp_enumerate, random_dispatch_qp, random_qp
 
 
 def test_unconstrained_matches_linear_solve():
@@ -133,3 +133,103 @@ def test_equalities_against_bounds_raise():
 
 def test_error_hierarchy():
     assert issubclass(QpInfeasibleError, QpError)
+
+
+def _assert_close(reduced, dense, rtol):
+    for name in ("d", "eq_multipliers", "ineq_multipliers", "lower_multipliers", "upper_multipliers"):
+        got, want = getattr(reduced, name), getattr(dense, name)
+        assert got.shape == want.shape
+        scale = 1.0 + np.abs(want).max(initial=0.0)
+        assert np.abs(got - want).max(initial=0.0) <= rtol * scale, name
+
+
+def _assert_same_solve(reduced, dense, rtol=1e-9):
+    """Same pivots and active set; vectors within rtol of their scale."""
+    assert reduced.pivots == dense.pivots
+    assert reduced.active_set == dense.active_set
+    assert reduced.elastic == dense.elastic
+    _assert_close(reduced, dense, rtol)
+
+
+def _both(*args, **kwargs):
+    return qp_subproblem(*args, **kwargs), dense_qp(*args, **kwargs)
+
+
+def test_reduced_matches_dense_on_small_random_qps():
+    """Pivot for pivot on the small cases, cold and warm-started.
+
+    About a third of these start infeasible and run elastic.  There the
+    dense solver's KKT system mixes unit bound rows with slack prices of 1e6
+    and slack curvature of 1e-8, and its slacks stop a few 1e-10 off their
+    bound, which moves d by up to about 1e-9 and can cost an extra pivot;
+    the reduced solver holds a slack on its bound exactly.  Elastic solves
+    are therefore checked against the enumerated optimum at 1e-12, and
+    against the dense solver at 1e-8.
+    """
+    rng = np.random.default_rng(2024)
+    elastic = 0
+    for _ in range(200):
+        H, g, A, b, G, h, lower, upper = random_qp(rng)
+        kwargs = dict(A=A, b=b, G=G if G.size else None, h=h if h.size else None,
+                      lower=lower, upper=upper)
+        g_next = g + rng.normal(size=g.size) * 0.1
+        cold = _both(H, g, **kwargs)
+        warm = _both(H, g_next, warm_start=cold[1].active_set, **kwargs)
+        for grad, (reduced, dense) in ((g, cold), (g_next, warm)):
+            if not dense.elastic:
+                _assert_same_solve(reduced, dense)
+                continue
+            elastic += 1
+            assert reduced.elastic and reduced.active_set == dense.active_set
+            expected = qp_enumerate(H, grad, A, b, *bounds_as_rows(G, h, lower, upper))
+            assert np.abs(reduced.d - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+            _assert_close(reduced, dense, 1e-8)
+    assert 50 < elastic < 350
+
+
+def test_reduced_matches_dense_at_dispatch_size():
+    """Cold and warm-started solves of SQP-sized steps, pivot for pivot."""
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        H, g, A, b, G, h, lower, upper = random_dispatch_qp(rng)
+        kwargs = dict(A=A, b=b, G=G, h=h, lower=lower, upper=upper)
+        reduced, dense = _both(H, g, **kwargs)
+        assert not dense.elastic
+        assert sum(tag[0] != "in" for tag in dense.active_set) >= 20
+        _assert_same_solve(reduced, dense)
+        g_next = g + rng.normal(size=g.size) * 0.05
+        warm = _both(H, g_next, warm_start=dense.active_set, **kwargs)
+        assert warm[1].pivots < dense.pivots
+        _assert_same_solve(*warm)
+
+
+def test_reduced_matches_dense_in_elastic_mode():
+    """A contradictory pair at dispatch size: the slacks stay positive.
+
+    Their rows' multipliers then sit at the slack price, 1e6 times the
+    problem scale, and either solver meets the equality rows only to about
+    5e-9, so the two agree to 1e-7 of each vector's scale rather than 1e-9.
+    No bound passes through the start here: the first elastic step is about
+    1e-14 long (slack price over slack curvature is 1e14), which leaves
+    every degenerate ratio on the ratio test's 1e-14 tie margin, where
+    rounding alone picks the blocking row.
+    """
+    rng = np.random.default_rng(11)
+    H, g, A, b, G, h, lower, upper = random_dispatch_qp(rng, contradictory=True, on_bound=0.0)
+    reduced, dense = _both(H, g, A=A, b=b, G=G, h=h, lower=lower, upper=upper)
+    assert dense.elastic and dense.max_slack > 0.5
+    _assert_same_solve(reduced, dense, rtol=1e-7)
+    assert reduced.max_slack == pytest.approx(dense.max_slack, rel=1e-7)
+
+
+def test_warm_bound_within_tolerance_is_met_exactly():
+    # The start sits 5e-10 above the bound, within the warm-start tolerance,
+    # so the bound joins the working set and the step must close the gap.
+    H, g = np.eye(2), np.array([1.0, 0.0])
+    kwargs = dict(A=np.array([[1.0, 1.0]]), b=np.array([1e-9]),
+                  lower=np.array([0.0, -np.inf]), warm_start=[("lo", 0)])
+    reduced, dense = _both(H, g, **kwargs)
+    assert reduced.active_set == (("lo", 0),)
+    assert abs(reduced.d[0]) <= 1e-18
+    assert reduced.d[1] == pytest.approx(1e-9, rel=1e-12)
+    _assert_same_solve(reduced, dense)
