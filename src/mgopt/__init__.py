@@ -28,7 +28,7 @@ if _threads:
 __version__ = "0.1.0"
 
 from .ahp import DEFAULT_JUDGMENTS, consistency_ratio, derive_weights, principal_eigen
-from .devices import DispatchSchedule, dg_cost, soc_trajectory, zero_schedule
+from .devices import DispatchSchedule, soc_trajectory, zero_schedule
 from .dr import apply_shift, shift_bounds_kw
 from .netmodel import (
     Battery,
@@ -47,15 +47,7 @@ from .netmodel import (
     save_case,
     validate_case,
 )
-from .objectives import (
-    OBJECTIVE_KEYS,
-    ObjectiveValues,
-    evaluate_objectives,
-    expected_outage_cost,
-    network_loss_energy,
-    operation_cost,
-    voltage_deviation,
-)
+from .objectives import OBJECTIVE_KEYS, ObjectiveValues
 from .optimizer import (
     DispatchProblem,
     GaConfig,
@@ -64,6 +56,7 @@ from .optimizer import (
     ScenarioResult,
     SqpConfig,
     SuiteResult,
+    evaluate_objectives,
     ga_seed,
     run_scenario,
     run_suite,
@@ -74,10 +67,9 @@ from .powerflow import (
     PowerFlowSolution,
     compile_network,
     solve_horizon,
-    solve_hour,
     sweep,
 )
-from .reliability import ContingencyEvaluator, unsupplied_energy_cost
+from .reliability import ContingencyEvaluator
 
 __all__ = [
     "Battery",
@@ -109,14 +101,10 @@ __all__ = [
     "compile_network",
     "consistency_ratio",
     "derive_weights",
-    "dg_cost",
     "evaluate_objectives",
-    "expected_outage_cost",
     "ga_seed",
     "load_benchmark_case",
     "load_case",
-    "network_loss_energy",
-    "operation_cost",
     "principal_eigen",
     "run_scenario",
     "run_suite",
@@ -124,11 +112,8 @@ __all__ = [
     "shift_bounds_kw",
     "soc_trajectory",
     "solve_horizon",
-    "solve_hour",
     "sqp_solve",
     "sweep",
-    "unsupplied_energy_cost",
     "validate_case",
-    "voltage_deviation",
     "zero_schedule",
 ]

@@ -1,4 +1,4 @@
-"""Device-level models: the dispatch schedule, generator costs, battery SOC.
+"""Device-level models: the dispatch schedule and the battery SOC recursion.
 
 Sign convention for battery power is charge-positive: P_B > 0 stores energy,
 P_B < 0 feeds the network.  Nothing here checks device limits: the
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .netmodel import Battery, DgUnit
+from .netmodel import Battery
 
 COMMIT_EPS = 1e-9
 
@@ -63,20 +63,6 @@ def zero_schedule(n_units: int, horizon: int, dr: bool = False) -> DispatchSched
         np.zeros(horizon),
         np.zeros(horizon) if dr else None,
     )
-
-
-def dg_cost(unit: DgUnit, p_kw: float, committed: Optional[bool] = None) -> float:
-    """Hourly running cost of one unit, ct/h.
-
-    A decommitted unit costs nothing; commitment defaults to p > 0.
-    """
-    if p_kw < -COMMIT_EPS or p_kw > unit.p_max_kw + max(1e-9, 1e-9 * unit.p_max_kw):
-        raise ValueError(f"setpoint {p_kw} outside [0, {unit.p_max_kw}] for unit {unit.name}")
-    if committed is None:
-        committed = p_kw > COMMIT_EPS
-    if not committed:
-        return 0.0
-    return unit.cost_slope_ct_per_kwh * p_kw + unit.cost_fixed_ct_per_h
 
 
 def soc_trajectory(

@@ -10,6 +10,7 @@ from .scenarios import (
     OptimizerConfig,
     ScenarioResult,
     SuiteResult,
+    evaluate_objectives,
     grid_only_schedule,
     resolve_weights,
     run_scenario,
@@ -36,6 +37,7 @@ __all__ = [
     "SqpConfig",
     "SqpResult",
     "SuiteResult",
+    "evaluate_objectives",
     "ga_seed",
     "gradient",
     "grid_only_schedule",

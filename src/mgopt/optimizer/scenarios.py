@@ -12,7 +12,8 @@ scenario's solution scores better on objective k than scenario k's own
 solution, scenario k is re-refined from that point.  The sweeps are capped;
 a scenario still beaten after them takes the plan that wins its column.  So
 the final table has every single-objective run dominating its own metric and
-the weighted run dominating the weighted total.
+the weighted run dominating the weighted total.  The table reads each plan's
+cached kernel metrics, the same numbers those comparisons use.
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ahp import derive_weights
-from ..devices import DispatchSchedule, zero_schedule
+from ..devices import COMMIT_EPS, DispatchSchedule, zero_schedule
 from ..netmodel import MicrogridCase
-from ..objectives import (
-    OBJECTIVE_KEYS,
-    ObjectiveBounds,
-    ObjectiveValues,
-    evaluate_objectives,
-    weights_from_sequence,
-)
-from ..powerflow import compile_network
+from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weights_from_sequence
+from ..powerflow import PowerFlowError, compile_network, solve_horizon
 from ..reliability import ContingencyEvaluator
 from .ga import GaConfig, ga_seed
 from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec, RefineResult
@@ -225,22 +220,56 @@ def _cross_polish(
             rows[key].value = rows[best].score(reports[key])
 
 
-def _finish_result(
+def _require_power_flow(problem: DispatchProblem, x: np.ndarray, m: BatchMetrics) -> None:
+    """Raise the typed PowerFlowError for a plan whose sweep failed.
+
+    The kernel only flags such a plan; re-solving it on its own names the
+    failure and the first hour it hits.
+    """
+    if m.ok[0]:
+        return
+    solve_horizon(
+        problem.case, problem.schedule(x), net=problem.net,
+        tolerance=problem.tolerance, max_iterations=problem.max_iterations,
+    )
+    raise PowerFlowError("power flow failed for the plan")
+
+
+def _objective_values(m: BatchMetrics) -> ObjectiveValues:
+    return ObjectiveValues(**{key: float(m.values[key][0]) for key in OBJECTIVE_KEYS})
+
+
+def evaluate_objectives(
     case: MicrogridCase,
-    problem: DispatchProblem,
-    key: str,
-    row: _Row,
-    evaluator: ContingencyEvaluator,
-) -> ScenarioResult:
+    schedule: DispatchSchedule,
+    evaluator: Optional[ContingencyEvaluator] = None,
+) -> ObjectiveValues:
+    """All four objectives for one schedule, from the batched kernel.
+
+    Raises ValueError for a unit setpoint outside [0, p_max] and
+    PowerFlowError when the schedule's power flow fails.
+    """
+    for unit, p in zip(case.units, schedule.dg_setpoints):
+        bad = (p < -COMMIT_EPS) | (p > unit.p_max_kw + max(1e-9, 1e-9 * unit.p_max_kw))
+        if bad.any():
+            raise ValueError(f"setpoint {p[bad][0]} outside [0, {unit.p_max_kw}] for unit {unit.name}")
+    problem = DispatchProblem(case, dr=schedule.dr_shift is not None, evaluator=evaluator)
+    x = problem.pack(schedule)
+    m = problem.metrics(x)
+    _require_power_flow(problem, x, m)
+    return _objective_values(m)
+
+
+def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioResult:
     m = row.metrics
-    schedule = problem.schedule(row.x)
+    _require_power_flow(problem, row.x, m)
     return ScenarioResult(
         key=key,
         label=SCENARIO_LABELS.get(key, key),
-        schedule=schedule,
-        objectives=evaluate_objectives(case, schedule, evaluator=evaluator),
+        schedule=problem.schedule(row.x),
+        objectives=_objective_values(m),
         value=row.value,
-        feasible=bool(m.ok[0]) and float(m.violation[0]) <= 1e-6,
+        feasible=float(m.violation[0]) <= 1e-6,
         violation=float(m.violation[0]),
         ga_value=row.ga_value,
         improved=row.ga_value is not None and row.value is not None and row.value < row.ga_value,
@@ -270,6 +299,7 @@ def run_suite(
 
     baseline = problem.pack(grid_only_schedule(case))
     rows: Dict[str, _Row] = {"baseline": _Row(baseline, problem.metrics(baseline))}
+    _require_power_flow(problem, baseline, rows["baseline"].metrics)
     for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
         t0 = time.perf_counter()
         refined = _optimize(problem, ObjectiveSpec(key), config, idx)
@@ -296,9 +326,7 @@ def run_suite(
     # runs must still win their own metric now that it is a rival.
     _cross_polish(problem, rows, singles + [("weighted", spec5)], SCENARIO_KEYS, config)
 
-    results = {
-        key: _finish_result(case, problem, key, rows[key], evaluator) for key in SCENARIO_KEYS
-    }
+    results = {key: _finish_result(problem, key, rows[key]) for key in SCENARIO_KEYS}
     totals = {key: rows[key].score(report5) for key in SCENARIO_KEYS}
 
     if include_dr:
@@ -316,7 +344,7 @@ def run_suite(
             refined_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
             row_dr = _refined_row(problem_dr, refined_dr, 0.0)
         row_dr.elapsed_s = time.perf_counter() - t0
-        results["dr"] = _finish_result(case, problem_dr, "dr", row_dr, evaluator)
+        results["dr"] = _finish_result(problem_dr, "dr", row_dr)
         totals["dr"] = row_dr.value
 
     return SuiteResult(

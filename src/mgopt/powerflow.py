@@ -338,12 +338,11 @@ def package_solution(net: CompiledNetwork, result: SweepResult) -> PowerFlowSolu
     )
 
 
-def _raise_if_failed(result: SweepResult, max_iterations: int, hour_of: Optional[np.ndarray] = None) -> None:
+def _raise_if_failed(result: SweepResult, max_iterations: int) -> None:
     if result.converged.all():
         return
-    column = int(np.flatnonzero(~result.converged)[0])
-    hour = int(hour_of[column]) if hour_of is not None else column
-    if result.collapsed[column]:
+    hour = int(np.flatnonzero(~result.converged)[0])
+    if result.collapsed[hour]:
         raise VoltageCollapseError(f"voltage collapse below {COLLAPSE_FLOOR_PU} pu at hour {hour}", hour)
     raise ConvergenceError(f"no convergence within {max_iterations} iterations at hour {hour}", hour)
 
@@ -362,22 +361,4 @@ def solve_horizon(
     result = sweep(net, s, tolerance, max_iterations)
     if raise_on_failure:
         _raise_if_failed(result, max_iterations)
-    return package_solution(net, result)
-
-
-def solve_hour(
-    case: MicrogridCase,
-    schedule: Optional[DispatchSchedule] = None,
-    hour: int = 0,
-    net: Optional[CompiledNetwork] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    raise_on_failure: bool = True,
-) -> PowerFlowSolution:
-    """Solve a single hour; the result has horizon 1."""
-    net = net or compile_network(case)
-    s = consumption_from_schedule(case, schedule, net)[:, hour : hour + 1]
-    result = sweep(net, s, tolerance, max_iterations)
-    if raise_on_failure:
-        _raise_if_failed(result, max_iterations, hour_of=np.array([hour]))
     return package_solution(net, result)

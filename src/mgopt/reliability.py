@@ -11,7 +11,9 @@ cost table and weighted by the failure rate.
 Each horizon step contributes one period of exposure: the expected cost adds
 rate * period * shortfall * repair_duration * outage_cost per contingency and
 hour, with the end-of-period SOC standing in for the battery state at the
-moment of failure.
+moment of failure.  Everything but the battery term is fixed by the case, so
+``ContingencyEvaluator`` precomputes it once and prices a whole block of SOC
+trajectories per call; the optimizer's evaluation kernel is its only caller.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .devices import DispatchSchedule, soc_trajectory
 from .netmodel import Contingency, MicrogridCase, OutageCostTable, TRANSFORMER_ELEMENT
 
 __all__ = [
     "Contingency",
     "OutageCostTable",
     "island_partition",
-    "unsupplied_energy_cost",
     "ContingencyEvaluator",
 ]
 
@@ -107,10 +107,6 @@ class ContingencyEvaluator:
                 }
             )
 
-    def cost(self, soc_kwh: Optional[np.ndarray]) -> float:
-        """Expected unsupplied-energy cost over the horizon, ct."""
-        return float(self.cost_batch(None if soc_kwh is None else np.atleast_2d(soc_kwh))[0])
-
     def cost_batch(self, soc_kwh: Optional[np.ndarray]) -> np.ndarray:
         """Vectorised cost for a (batch, horizon) block of SOC trajectories."""
         case = self.case
@@ -130,17 +126,3 @@ class ContingencyEvaluator:
             hourly = term["mix"][np.newaxis, :] * shortfall
             total += cont.rate_per_hour * case.period_hours * cont.repair_hours * hourly.sum(axis=1)
         return total
-
-
-def unsupplied_energy_cost(
-    case: MicrogridCase,
-    schedule: Optional[DispatchSchedule] = None,
-    soc_kwh: Optional[np.ndarray] = None,
-    evaluator: Optional[ContingencyEvaluator] = None,
-) -> float:
-    """Expected outage cost of a schedule over the horizon, ct."""
-    if soc_kwh is None and case.battery is not None:
-        powers = schedule.battery_power if schedule is not None else np.zeros(case.horizon)
-        soc_kwh = soc_trajectory(case.battery, powers, case.period_hours)
-    evaluator = evaluator or ContingencyEvaluator(case)
-    return evaluator.cost(None if case.battery is None else soc_kwh)

@@ -8,10 +8,12 @@ package; the loop sweep borrows only the package's result type and
 thresholds, and the dense QP solver only its result and error types, since
 matching them is what they check.
 
-The scalar device checks and the per-contingency restoration breakdown at
-the end were the package's own single-schedule versions of what the
-optimizer now does in batch.  They stay here as references and borrow the
-package's SOC recursion, island partition and headroom screen.
+The scalar device checks, the per-contingency restoration breakdown, the
+scalar objective evaluators and the single-hour power flow at the end were
+the package's own single-schedule versions of what the optimizer now does in
+batch.  They stay here as references and borrow the package's SOC
+recursion, island partition, headroom screen, contingency precomputation
+and horizon power flow.
 """
 
 from __future__ import annotations
@@ -24,15 +26,22 @@ import numpy as np
 
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, DgUnit, MicrogridCase
+from mgopt.objectives import ObjectiveValues
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult
 from mgopt.powerflow import (
     COLLAPSE_FLOOR_PU,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     CompiledNetwork,
+    PowerFlowSolution,
     SweepResult,
+    compile_network,
+    consumption_from_schedule,
+    package_solution,
+    solve_horizon,
+    sweep,
 )
-from mgopt.reliability import _island_headroom_kw, island_partition
+from mgopt.reliability import ContingencyEvaluator, _island_headroom_kw, island_partition
 
 
 # ---------------------------------------------------------------------------
@@ -989,3 +998,119 @@ def contingency_rows(case: MicrogridCase, schedule: Optional[DispatchSchedule] =
                 }
             )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# scalar objectives and single-hour power flow
+
+
+def solve_hour(
+    case: MicrogridCase,
+    schedule: Optional[DispatchSchedule] = None,
+    hour: int = 0,
+    net: Optional[CompiledNetwork] = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> PowerFlowSolution:
+    """Solve a single hour; the result has horizon 1 and carries the
+    sweep's convergence flags rather than raising."""
+    net = net or compile_network(case)
+    s = consumption_from_schedule(case, schedule, net)[:, hour : hour + 1]
+    return package_solution(net, sweep(net, s, tolerance, max_iterations))
+
+
+def dg_cost(unit: DgUnit, p_kw: float, committed: Optional[bool] = None) -> float:
+    """Hourly running cost of one unit, ct/h.
+
+    A decommitted unit costs nothing; commitment defaults to p > 0.
+    """
+    if p_kw < -COMMIT_EPS or p_kw > unit.p_max_kw + max(1e-9, 1e-9 * unit.p_max_kw):
+        raise ValueError(f"setpoint {p_kw} outside [0, {unit.p_max_kw}] for unit {unit.name}")
+    if committed is None:
+        committed = p_kw > COMMIT_EPS
+    if not committed:
+        return 0.0
+    return unit.cost_slope_ct_per_kwh * p_kw + unit.cost_fixed_ct_per_h
+
+
+def contingency_cost(evaluator: ContingencyEvaluator, soc_kwh: Optional[np.ndarray]) -> float:
+    """Expected unsupplied-energy cost of one SOC trajectory over the horizon, ct."""
+    return float(evaluator.cost_batch(None if soc_kwh is None else np.atleast_2d(soc_kwh))[0])
+
+
+def unsupplied_energy_cost(
+    case: MicrogridCase,
+    schedule: Optional[DispatchSchedule] = None,
+    soc_kwh: Optional[np.ndarray] = None,
+    evaluator: Optional[ContingencyEvaluator] = None,
+) -> float:
+    """Expected outage cost of a schedule over the horizon, ct."""
+    if soc_kwh is None and case.battery is not None:
+        powers = schedule.battery_power if schedule is not None else np.zeros(case.horizon)
+        soc_kwh = soc_trajectory(case.battery, powers, case.period_hours)
+    evaluator = evaluator or ContingencyEvaluator(case)
+    return contingency_cost(evaluator, None if case.battery is None else soc_kwh)
+
+
+def operation_cost(
+    case: MicrogridCase,
+    schedule: DispatchSchedule,
+    solution: PowerFlowSolution,
+) -> float:
+    """Fuel and purchase cost of the schedule in cents.
+
+    Includes unit running cost, energy traded with the upstream grid at the
+    hourly price (exports earn the same price), battery throughput cost and
+    any demand-response incentive on load moved into an hour.
+    """
+    dt = case.period_hours
+    prices = np.asarray(case.prices_ct_per_kwh, dtype=float)
+    total = 0.0
+    for u, unit in enumerate(case.units):
+        for t in range(case.horizon):
+            total += dg_cost(unit, schedule.dg_setpoints[u, t]) * dt
+    total += float(prices @ solution.slack_kw) * dt
+    if case.battery is not None:
+        total += case.battery.usage_cost_ct_per_kwh * float(np.abs(schedule.battery_power).sum()) * dt
+    if schedule.dr_shift is not None and case.dr is not None:
+        moved_in = np.maximum(schedule.dr_shift, 0.0)
+        total += case.dr.incentive_ct_per_kwh * float(moved_in.sum()) * dt
+    return total
+
+
+def network_loss_energy(case: MicrogridCase, solution: PowerFlowSolution) -> float:
+    """Total branch loss over the horizon in kWh."""
+    return float(solution.loss_kw.sum()) * case.period_hours
+
+
+def expected_outage_cost(
+    case: MicrogridCase,
+    schedule: DispatchSchedule,
+    evaluator: Optional[ContingencyEvaluator] = None,
+) -> float:
+    """Expected cost of energy not supplied under the listed contingencies."""
+    return unsupplied_energy_cost(case, schedule, evaluator=evaluator)
+
+
+def voltage_deviation(case: MicrogridCase, solution: PowerFlowSolution) -> float:
+    """Sum of |1 - V| over all load buses and hours, in per unit."""
+    load_buses = sorted({lp.bus for lp in case.load_points})
+    idx = [solution.bus_ids.index(b) for b in load_buses]
+    return float(np.abs(1.0 - np.abs(solution.voltage[:, idx])).sum())
+
+
+def evaluate_objectives(
+    case: MicrogridCase,
+    schedule: DispatchSchedule,
+    solution: Optional[PowerFlowSolution] = None,
+    evaluator: Optional[ContingencyEvaluator] = None,
+) -> ObjectiveValues:
+    """All four objectives for one schedule, solving the power flow if needed."""
+    if solution is None:
+        solution = solve_horizon(case, schedule)
+    return ObjectiveValues(
+        cost=operation_cost(case, schedule, solution),
+        loss=network_loss_energy(case, solution),
+        ens=expected_outage_cost(case, schedule, evaluator=evaluator),
+        vdev=voltage_deviation(case, solution),
+    )

@@ -84,6 +84,25 @@ def test_powerflow_diverging_case_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: convergence:")
 
 
+def test_optimize_collapsing_case_exits_3(tmp_path, capsys):
+    # The grid-only baseline already collapses, so the suite stops before
+    # any optimisation and no run directory is written.
+    case = load_benchmark_case()
+    heavy = replace(
+        case,
+        load_points=tuple(
+            replace(lp, profile_kw=tuple(v * 1000.0 for v in lp.profile_kw))
+            for lp in case.load_points
+        ),
+    )
+    path = tmp_path / "heavy.yaml"
+    save_case(heavy, path)
+    out = tmp_path / "run"
+    assert main(["optimize", str(path), "--scenario", "5", "--out", str(out)]) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith("error: convergence:")
+    assert not out.exists()
+
+
 def test_optimize_writes_replayable_run_dir(run_dir):
     for name in RUN_FILES:
         assert (run_dir / name).exists(), name

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mgopt.devices import DispatchSchedule, dg_cost, soc_trajectory, zero_schedule
+from mgopt.devices import DispatchSchedule, soc_trajectory, zero_schedule
 from mgopt.netmodel import Battery, DgUnit
 
 from oracles import (
     battery_feasibility,
+    dg_cost,
     grid_feasibility,
     repair_battery_powers,
     soc_loop,

@@ -6,18 +6,19 @@ from mgopt.objectives import (
     OBJECTIVE_KEYS,
     ObjectiveValues,
     degenerate_bracket,
-    evaluate_objectives,
-    expected_outage_cost,
-    network_loss_energy,
     normalize_objective,
-    operation_cost,
-    voltage_deviation,
     weights_from_sequence,
 )
-from mgopt.optimizer import ObjectiveSpec
+from mgopt.optimizer import ObjectiveSpec, evaluate_objectives
 from mgopt.powerflow import PowerFlowSolution, solve_horizon
 
-from oracles import outage_cost_loop
+from oracles import (
+    expected_outage_cost,
+    network_loss_energy,
+    operation_cost,
+    outage_cost_loop,
+    voltage_deviation,
+)
 
 
 def _flat_solution(bus_ids, horizon=24, slack_kw=100.0, voltage=1.0):
@@ -139,6 +140,35 @@ def test_evaluate_objectives_bundle(benchmark_case):
         "vdev": values.vdev,
     }
     assert np.array_equal(values.as_array(), [values.cost, values.loss, values.ens, values.vdev])
+
+
+def test_evaluate_objectives_matches_oracle_and_checks_setpoints(benchmark_case):
+    from mgopt.optimizer import DispatchProblem
+
+    import oracles
+
+    problem = DispatchProblem(benchmark_case, dr=True)
+    rng = np.random.default_rng(5)
+    plan = problem.repair(problem.lower + rng.random(problem.n) * (problem.upper - problem.lower))
+    schedule = problem.schedule(plan)
+    assert schedule.dr_shift is not None and np.abs(schedule.dr_shift).max() > 0
+    kernel = evaluate_objectives(benchmark_case, schedule)
+    oracle = oracles.evaluate_objectives(benchmark_case, schedule)
+    for key in OBJECTIVE_KEYS:
+        assert kernel[key] == pytest.approx(oracle[key], rel=1e-9, abs=0.0), key
+
+    fc = [u.name for u in benchmark_case.units].index("FC")
+    p_max = benchmark_case.units[fc].p_max_kw
+    within = schedule.copy()
+    within.dg_setpoints[fc, 0] = p_max * (1.0 + 1e-10)
+    evaluate_objectives(benchmark_case, within)
+    for bad in (p_max * (1.0 + 1e-6), -1e-6):
+        outside = schedule.copy()
+        outside.dg_setpoints[fc, 3] = bad
+        with pytest.raises(ValueError, match="outside"):
+            evaluate_objectives(benchmark_case, outside)
+        with pytest.raises(ValueError, match="outside"):
+            oracles.evaluate_objectives(benchmark_case, outside)
 
 
 def test_normalize_and_bounds():

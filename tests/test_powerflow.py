@@ -16,7 +16,6 @@ from mgopt.powerflow import (
     package_solution,
     shift_distribution_pu,
     solve_horizon,
-    solve_hour,
     sweep,
 )
 
@@ -27,6 +26,7 @@ from oracles import (
     loop_sweep,
     random_feeder_with_empty_buses,
     random_radial_network,
+    solve_hour,
     two_bus_voltage,
 )
 

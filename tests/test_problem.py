@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from mgopt.devices import soc_trajectory
-from mgopt.objectives import evaluate_objectives
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
 from mgopt.optimizer.problem import _SplitDispatchNlp
 
 from oracles import (
     battery_feasibility,
+    evaluate_objectives,
     grid_feasibility,
     repair_battery_powers,
     threshold_commitment,

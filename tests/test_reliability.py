@@ -12,9 +12,16 @@ from mgopt.netmodel import (
     OutageCostTable,
     validate_case,
 )
-from mgopt.reliability import ContingencyEvaluator, island_partition, unsupplied_energy_cost
+from mgopt.reliability import ContingencyEvaluator, island_partition
 
-from oracles import contingency_rows, island_of, outage_cost_loop, restoration
+from oracles import (
+    contingency_cost,
+    contingency_rows,
+    island_of,
+    outage_cost_loop,
+    restoration,
+    unsupplied_energy_cost,
+)
 
 
 def _mini_case(soc_initial=8.0, p_max=5.0, rate=0.01, repair=4.0):
@@ -91,8 +98,8 @@ def test_evaluator_matches_literal_loop(benchmark_case):
     for _ in range(10):
         soc = rng.uniform(battery.soc_min_kwh, battery.soc_max_kwh, benchmark_case.horizon)
         expected = outage_cost_loop(benchmark_case, soc)
-        assert evaluator.cost(soc) == pytest.approx(expected, abs=1e-9)
-    assert evaluator.cost(None) == pytest.approx(outage_cost_loop(benchmark_case, None), abs=1e-9)
+        assert contingency_cost(evaluator, soc) == pytest.approx(expected, abs=1e-9)
+    assert contingency_cost(evaluator, None) == pytest.approx(outage_cost_loop(benchmark_case, None), abs=1e-9)
 
 
 def test_cost_batch_matches_rows(benchmark_case):
@@ -102,14 +109,14 @@ def test_cost_batch_matches_rows(benchmark_case):
     block = rng.uniform(battery.soc_min_kwh, battery.soc_max_kwh, (6, benchmark_case.horizon))
     batch = evaluator.cost_batch(block)
     for i in range(6):
-        assert batch[i] == pytest.approx(evaluator.cost(block[i]), abs=1e-12)
+        assert batch[i] == pytest.approx(contingency_cost(evaluator, block[i]), abs=1e-12)
 
 
 def test_cost_monotone_in_soc(benchmark_case):
     evaluator = ContingencyEvaluator(benchmark_case)
     battery = benchmark_case.battery
     levels = np.linspace(battery.soc_min_kwh, battery.soc_max_kwh, 8)
-    costs = [evaluator.cost(np.full(benchmark_case.horizon, level)) for level in levels]
+    costs = [contingency_cost(evaluator, np.full(benchmark_case.horizon, level)) for level in levels]
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
     assert costs[0] > costs[-1]
 

@@ -94,6 +94,23 @@ def test_weighted_totals_ordering(fast_suite):
     assert fast_suite.totals["dr"] <= weighted + 1e-9
 
 
+def test_table_is_the_kernel_evaluation(benchmark_case, fast_suite):
+    # The table, the totals and the dominance checks read the same numbers,
+    # so the guarantees hold with no tolerance.
+    from mgopt.optimizer import DispatchProblem
+
+    problems = {False: DispatchProblem(benchmark_case), True: DispatchProblem(benchmark_case, dr=True)}
+    for key, result in fast_suite.results.items():
+        problem = problems[key == "dr"]
+        values = problem.metrics(problem.pack(result.schedule)).values
+        assert result.objectives.as_dict() == {k: float(values[k][0]) for k in OBJECTIVE_KEYS}, key
+    for key in OBJECTIVE_KEYS:
+        for other in SCENARIO_KEYS:
+            assert fast_suite.results[key].objectives[key] <= fast_suite.results[other].objectives[key], (key, other)
+    for key in SCENARIO_KEYS:
+        assert fast_suite.totals["weighted"] <= fast_suite.totals[key], key
+
+
 def test_refinement_not_worse_than_ga(fast_suite):
     for key, result in fast_suite.results.items():
         if result.ga_value is None:
