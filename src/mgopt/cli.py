@@ -153,15 +153,10 @@ def write_run_dir(
             "case": {"name": case.name, "file": case_path.name, "sha256": _sha256(case_path)},
             "scenario": scenario_id,
             "dr": dr,
-            "seed": config.seed,
             "weights": suite.weights,
             "consistency_ratio": suite.consistency_ratio,
             "bounds": {k: list(v) for k, v in suite.bounds.items()},
-            "ga": asdict(config.ga),
-            "sqp": asdict(config.sqp),
-            "polish_sweeps": config.polish_sweeps,
-            "refine_rounds": config.refine_rounds,
-            "voltage_margin": config.voltage_margin,
+            **asdict(config),
         },
     )
     write_schedule_csv(out / "schedule.csv", case, result.schedule)

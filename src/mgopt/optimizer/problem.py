@@ -11,12 +11,18 @@ Evaluation is vectorised end to end: a population of plans becomes one
 column batch for the network sweep (population times hours columns), the
 state of charge is an affine map of the charge and discharge series, and
 the expected outage cost reuses the per-contingency precomputation.
+
+The split-battery problem's network rows (``c(x) <= 0``) sit at fixed
+positions in one layout, ``[soc_lo (T) | soc_hi (T) | imp (T) | exp (T) |
+v_lo (n_bus*T) | v_hi (n_bus*T)]``, the voltage blocks bus-major (row
+``4T + b*T + t`` is v_lo at bus b, hour t).  A subproblem carries its rows
+as layout indices and gathers their values and Jacobian rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +31,6 @@ from ..dr import shift_bounds_kw
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket
 from ..powerflow import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
     CompiledNetwork,
     compile_network,
     load_consumption_pu,
@@ -41,6 +45,10 @@ from .sqp import NlpProblem, SqpConfig, SqpResult, sqp_solve
 # Objective stand-in for plans whose power flow failed; large enough to lose
 # every tournament without overflowing arithmetic downstream.
 LARGE_OBJECTIVE = 1e9
+
+# A seed's bus voltage within this many pu of a limit puts that row into the
+# screened subproblem.
+SCREEN_MARGIN = 0.02
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,6 @@ class DispatchProblem:
         dr: bool = False,
         net: Optional[CompiledNetwork] = None,
         evaluator: Optional[ContingencyEvaluator] = None,
-        tolerance: float = DEFAULT_TOLERANCE,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        fd_rel_step: float = DEFAULT_REL_STEP,
     ):
         if dr and case.dr is None:
             raise ValueError("case defines no demand response program")
@@ -138,9 +143,6 @@ class DispatchProblem:
         self.dr = dr
         self.net = net or compile_network(case)
         self.evaluator = evaluator or ContingencyEvaluator(case)
-        self.tolerance = tolerance
-        self.max_iterations = max_iterations
-        self.fd_rel_step = fd_rel_step
 
         T = case.horizon
         units = case.units
@@ -254,7 +256,7 @@ class DispatchProblem:
             cons[self.batt_bus] += p_net / self.s_base
         if shift is not None:
             cons += self.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
-        res = sweep(self.net, cons.reshape(n_bus, B * T), self.tolerance, self.max_iterations)
+        res = sweep(self.net, cons.reshape(n_bus, B * T))
         with np.errstate(invalid="ignore"):
             vmag = np.abs(res.voltage).reshape(n_bus, B, T)
         slack_s = res.voltage[self.net.slack] * np.conj(res.slack_current)
@@ -516,50 +518,39 @@ class DispatchProblem:
         """
         return self._evaluate(*self.split_parts(Xs))
 
-    def _voltage_rows(self, low: np.ndarray, high: np.ndarray) -> List[Tuple]:
-        """Lower- then upper-voltage rows where the (bus, hour) masks hold."""
-        rows: List[Tuple] = []
-        for kind, mask in (("v_lo", low), ("v_hi", high)):
-            for b, t in zip(*np.nonzero(mask)):
-                if b != self.net.slack:
-                    rows.append((kind, int(b), int(t)))
-        return rows
+    def _row_mask(self, soc, imp, exp, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
+        """Mask over the row layout from a mask or flag per kind; the slack
+        bus holds its voltage and has no voltage rows."""
+        T = self.T
+        volt = np.stack([v_lo, v_hi])
+        volt[:, self.net.slack] = False
+        kinds = [np.broadcast_to(soc, 2 * T), np.broadcast_to(imp, T), np.broadcast_to(exp, T)]
+        return np.concatenate(kinds + [volt.reshape(-1)])
 
-    def screen_rows(self, vmag: np.ndarray, voltage_margin: float = 0.02) -> List[Tuple]:
-        """Constraint rows worth carrying in the smooth subproblem.
+    def screen_rows(self, vmag: np.ndarray) -> np.ndarray:
+        """Layout indices of the rows worth carrying in the smooth subproblem.
 
         SOC bounds and grid limits are always in; voltage rows only where the
-        seed comes within ``voltage_margin`` of a limit.  The refine loop adds
+        seed comes within SCREEN_MARGIN of a limit.  The refine loop adds
         any row found violated afterwards, so screening costs only reruns.
         """
-        rows: List[Tuple] = []
-        if self.case.battery is not None:
-            rows.extend(("soc_lo", t) for t in range(self.T))
-            rows.extend(("soc_hi", t) for t in range(self.T))
-        rows.extend(("imp", t) for t in range(self.T))
-        if np.isfinite(self.export_limit):
-            rows.extend(("exp", t) for t in range(self.T))
-        near_lo = vmag < self.vmin + voltage_margin
-        near_hi = vmag > self.vmax - voltage_margin
-        rows.extend(self._voltage_rows(near_lo, near_hi))
-        return rows
+        near_lo, near_hi = vmag < self.vmin + SCREEN_MARGIN, vmag > self.vmax - SCREEN_MARGIN
+        battery, export = self.case.battery is not None, np.isfinite(self.export_limit)
+        return np.flatnonzero(self._row_mask(battery, True, export, near_lo, near_hi))
 
-    def violated_rows(self, vmag: np.ndarray, slack_kw: np.ndarray, tol: float = 1e-9) -> List[Tuple]:
-        """All network rows a single plan violates beyond tol."""
-        rows = self._voltage_rows(vmag < self.vmin - tol, vmag > self.vmax + tol)
-        for t in np.nonzero(slack_kw > self.import_limit + tol * self.s_base)[0]:
-            rows.append(("imp", int(t)))
-        if np.isfinite(self.export_limit):
-            for t in np.nonzero(-slack_kw > self.export_limit + tol * self.s_base)[0]:
-                rows.append(("exp", int(t)))
-        return rows
+    def violated_rows(self, vmag: np.ndarray, slack_kw: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Layout indices of the network rows a single plan violates beyond
+        tol: the voltage rows first, then import, then export."""
+        imp = slack_kw > self.import_limit + tol * self.s_base
+        exp = -slack_kw > self.export_limit + tol * self.s_base
+        rows = np.flatnonzero(self._row_mask(False, imp, exp, vmag < self.vmin - tol, vmag > self.vmax + tol))
+        return rows[np.argsort(rows < 4 * self.T, kind="stable")]
 
     def refine(
         self,
         x: np.ndarray,
         spec: ObjectiveSpec,
         config: Optional[SqpConfig] = None,
-        voltage_margin: float = 0.02,
         max_rounds: int = 3,
     ) -> "RefineResult":
         """SQP-polish a repaired plan; never returns a worse reported value.
@@ -568,20 +559,20 @@ class DispatchProblem:
         the split battery merges back to a signed series and the plan is
         re-repaired (merging can only raise the SOC); any network row the
         polished plan violates joins the subproblem and the solve repeats.
+        The seed and the polished plans pass one feasibility test.
         """
         report = replace(spec, clamp_upper=True) if spec.key == "weighted" else spec
         x = self.repair(x)[0]
         seed_m = self.metrics(x)
         seed_value = float(report.scalar_array(seed_m.values)[0])
-        seed_feasible = bool(seed_m.ok[0]) and float(seed_m.violation[0]) <= 1e-7
 
-        commit = self.commitment_mask(x)
-        lower, upper = self.split_bounds(commit)
+        lower, upper = self.split_bounds(self.commitment_mask(x))
         xs = np.clip(self.split_from_signed(x), lower, upper)
-        rows = self.screen_rows(seed_m.vmag[:, 0, :], voltage_margin)
+        rows = self.screen_rows(seed_m.vmag[:, 0, :])
 
-        best_x = x
-        best_value = seed_value if seed_feasible else np.inf
+        best_x, best_m = x, seed_m
+        best_value = seed_value if _feasible(seed_m) else np.inf
+        candidate, cand_m = x, seed_m
         sqp_result: Optional[SqpResult] = None
         rounds = 0
         for _ in range(max_rounds):
@@ -591,28 +582,24 @@ class DispatchProblem:
             xs = sqp_result.x
             candidate = self.repair(self.signed_from_split(xs))[0]
             cand_m = self.metrics(candidate)
-            new_rows = [
-                r
-                for r in self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=1e-7)
-                if r not in rows
-            ]
-            feasible = bool(cand_m.ok[0]) and not new_rows
+            violated = self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=1e-7)
+            # Not np.isin: in numpy 2.4 its first call imports numpy.ma (+1.1 MB RSS).
+            new_rows = violated[(violated[:, np.newaxis] != rows).all(axis=1)]
             value = float(report.scalar_array(cand_m.values)[0])
-            if feasible and value < best_value:
-                best_value = value
-                best_x = candidate
-            if not new_rows:
+            if _feasible(cand_m) and value < best_value:
+                best_x, best_m, best_value = candidate, cand_m, value
+            if not new_rows.size:
                 break
-            rows = rows + new_rows
+            rows = np.concatenate([rows, new_rows])
         if not np.isfinite(best_value):
             # Neither the seed nor any polish round was feasible; fall back
-            # to the least-violating of the two.
-            candidate = self.repair(self.signed_from_split(xs))[0]
-            cand_m = self.metrics(candidate)
-            best_x = candidate if float(cand_m.violation[0]) < float(seed_m.violation[0]) else x
-            best_value = float(report.scalar_array(self.metrics(best_x).values)[0])
+            # to the least-violating of the seed and the last round's plan.
+            if float(cand_m.violation[0]) < float(seed_m.violation[0]):
+                best_x, best_m = candidate, cand_m
+            best_value = float(report.scalar_array(best_m.values)[0])
         return RefineResult(
             x=best_x,
+            metrics=best_m,
             value=best_value,
             seed_value=seed_value,
             improved=best_value < seed_value - 1e-12 * max(1.0, abs(seed_value)),
@@ -621,9 +608,14 @@ class DispatchProblem:
         )
 
 
+def _feasible(m: BatchMetrics) -> bool:
+    return bool(m.ok[0]) and float(m.violation[0]) <= 1e-7
+
+
 @dataclass
 class RefineResult:
     x: np.ndarray
+    metrics: BatchMetrics
     value: float
     seed_value: float
     improved: bool
@@ -632,7 +624,8 @@ class RefineResult:
 
 
 class _SplitDispatchNlp(NlpProblem):
-    """Smooth dispatch subproblem over the split-battery vector."""
+    """Smooth dispatch subproblem over the split-battery vector; ``rows``
+    index the enforced network rows in the problem's row layout."""
 
     def __init__(
         self,
@@ -640,34 +633,36 @@ class _SplitDispatchNlp(NlpProblem):
         spec: ObjectiveSpec,
         lower: np.ndarray,
         upper: np.ndarray,
-        rows: List[Tuple],
+        rows: Sequence[int],
     ):
-        super().__init__(lambda z: 0.0, lower, upper, fd_rel_step=problem.fd_rel_step)
+        super().__init__(lambda z: 0.0, lower, upper)
         self.problem = problem
         self.spec = spec
-        self.rows = rows
-        self._cache: Dict[bytes, Dict] = {}
-        battery = problem.case.battery
-        self._soc_scale = (
-            battery.soc_max_kwh - battery.soc_min_kwh if battery is not None else 1.0
-        )
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self._volt = self.rows >= 4 * problem.T
+        self._key: Optional[bytes] = None
+        b = problem.case.battery
+        self._soc_min, self._soc_max = (b.soc_min_kwh, b.soc_max_kwh) if b is not None else (0.0, 1.0)
+        self._soc_scale = self._soc_max - self._soc_min
+        # The affine SOC rows, soc_lo then soc_hi, over the charge and discharge blocks.
+        T, c = problem.T, problem.u_len
+        self._J_soc = np.zeros((2 * T, lower.size))
+        self._J_soc[:, c : c + T] = np.vstack([-problem.M_c, problem.M_c]) / self._soc_scale
+        self._J_soc[:, c + T : c + 2 * T] = np.vstack([problem.M_d, -problem.M_d]) / self._soc_scale
 
     def _eval(self, xs: np.ndarray) -> Dict:
+        """Evaluation at xs, remembered for the most recent point only."""
         key = xs.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
+        if key != self._key:
             data = self.problem.split_eval(xs[np.newaxis, :])
-            hit = {
+            self._key, self._data = key, {
                 "vmag": data.vmag[:, 0, :],
                 "slack_kw": data.slack_kw[0],
                 "soc": data.soc_kwh[0],
                 "values": {k: float(v[0]) for k, v in data.values.items()},
                 "ok": bool(data.ok[0]),
             }
-            if len(self._cache) >= 8:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = hit
-        return hit
+        return self._data
 
     def objective(self, xs: np.ndarray) -> float:
         data = self._eval(xs)
@@ -682,33 +677,24 @@ class _SplitDispatchNlp(NlpProblem):
         return np.array([shift.sum() / self.problem.s_base])
 
     def ineq_constraints(self, xs: np.ndarray) -> np.ndarray:
-        data = self._eval(xs)
-        p = self.problem
-        out = np.empty(len(self.rows))
-        for i, row in enumerate(self.rows):
-            kind = row[0]
-            if kind == "soc_lo":
-                out[i] = (p.case.battery.soc_min_kwh - data["soc"][row[1]]) / self._soc_scale
-            elif kind == "soc_hi":
-                out[i] = (data["soc"][row[1]] - p.case.battery.soc_max_kwh) / self._soc_scale
-            elif kind == "imp":
-                out[i] = (data["slack_kw"][row[1]] - p.import_limit) / p.s_base
-            elif kind == "exp":
-                out[i] = (-data["slack_kw"][row[1]] - p.export_limit) / p.s_base
-            elif kind == "v_lo":
-                out[i] = p.vmin - data["vmag"][row[1], row[2]]
-            else:
-                out[i] = data["vmag"][row[1], row[2]] - p.vmax
-        return out
+        data, p = self._eval(xs), self.problem
+        soc, slack_kw, vmag = data["soc"], data["slack_kw"], data["vmag"]
+        layout = [
+            (self._soc_min - soc) / self._soc_scale, (soc - self._soc_max) / self._soc_scale,
+            (slack_kw - p.import_limit) / p.s_base, (-slack_kw - p.export_limit) / p.s_base,
+            (p.vmin - vmag).reshape(-1), (vmag - p.vmax).reshape(-1),
+        ]
+        return np.concatenate(layout)[self.rows]
 
     def nonlinear_eq(self, n_eq: int) -> np.ndarray:
         return np.zeros(n_eq, dtype=bool)
 
     def nonlinear_ineq(self, n_in: int) -> np.ndarray:
-        return np.array([row[0] not in ("soc_lo", "soc_hi") for row in self.rows])
+        return self.rows >= 2 * self.problem.T
 
-    def derivatives(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched central differences exploiting hour separability.
+    def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]:
+        """Objective gradients, d(slack_kw) (T, ns) and, with voltage rows,
+        d(vmag) (n_bus, T, ns) by batched central differences.
 
         Perturbing every free hour of one block at once still isolates each
         partial, because hour t of any network quantity depends only on hour
@@ -718,7 +704,7 @@ class _SplitDispatchNlp(NlpProblem):
         p = self.problem
         T, ns = p.T, xs.size
         free = ~pinned_mask(self.lower, self.upper)
-        h = p.fd_rel_step * np.maximum(1.0, np.abs(xs))
+        h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
 
         # One block per unit, then charge and discharge, then the shift.
         starts = [u * T for u in range(p.n_units)]
@@ -741,7 +727,7 @@ class _SplitDispatchNlp(NlpProblem):
         data = p.split_eval(X) if nb else None
 
         grads = {key: np.zeros(ns) for key in OBJECTIVE_KEYS}
-        d_vmag = np.zeros((p.net.n_bus, T, ns)) if self.rows else None
+        d_vmag = np.zeros((p.net.n_bus, T, ns)) if self._volt.any() else None
         d_slack = np.zeros((T, ns))
         for bi, (start, mask) in enumerate(blocks):
             hours = np.nonzero(mask[start : start + T])[0]
@@ -757,7 +743,7 @@ class _SplitDispatchNlp(NlpProblem):
 
         if p.case.battery is not None:
             soc = self._eval(xs)["soc"]
-            hs = p.fd_rel_step * np.maximum(1.0, np.abs(soc))
+            hs = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(soc))
             probe = np.repeat(soc[np.newaxis, :], 2 * T, axis=0)
             probe[2 * np.arange(T), np.arange(T)] += hs
             probe[2 * np.arange(T) + 1, np.arange(T)] -= hs
@@ -765,33 +751,26 @@ class _SplitDispatchNlp(NlpProblem):
             g_soc = (costs[0::2] - costs[1::2]) / (2.0 * hs)
             grads["ens"][p.u_len : p.u_len + T] = g_soc @ p.M_c
             grads["ens"][p.u_len + T : p.u_len + 2 * T] = -(g_soc @ p.M_d)
+        return grads, d_slack, d_vmag
 
+    def derivatives(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p = self.problem
+        T, ns = p.T, xs.size
+        grads, d_slack, d_vmag = self._differences(xs)
         chain = self.spec.chain(self._eval(xs)["values"])
         grad = np.zeros(ns)
         for key, coeff in chain.items():
             grad += coeff * grads[key]
 
-        if p.dr:
-            J_eq = np.zeros((1, ns))
-            J_eq[0, p.u_len + 2 * T :] = 1.0 / p.s_base
-        else:
-            J_eq = np.zeros((0, ns))
+        J_eq = np.zeros((int(p.dr), ns))
+        J_eq[:, p.u_len + 2 * T :] = 1.0 / p.s_base
 
-        J_in = np.zeros((len(self.rows), ns))
-        for i, row in enumerate(self.rows):
-            kind = row[0]
-            if kind == "soc_lo":
-                J_in[i, p.u_len : p.u_len + T] = -p.M_c[row[1]] / self._soc_scale
-                J_in[i, p.u_len + T : p.u_len + 2 * T] = p.M_d[row[1]] / self._soc_scale
-            elif kind == "soc_hi":
-                J_in[i, p.u_len : p.u_len + T] = p.M_c[row[1]] / self._soc_scale
-                J_in[i, p.u_len + T : p.u_len + 2 * T] = -p.M_d[row[1]] / self._soc_scale
-            elif kind == "imp":
-                J_in[i] = d_slack[row[1]] / p.s_base
-            elif kind == "exp":
-                J_in[i] = -d_slack[row[1]] / p.s_base
-            elif kind == "v_lo":
-                J_in[i] = -d_vmag[row[1], row[2]]
-            else:
-                J_in[i] = d_vmag[row[1], row[2]]
+        # The rows gathered from the layout's blocks; voltage cells are bus-major.
+        volt, cells = self._volt, p.net.n_bus * T
+        J_in = np.empty((self.rows.size, ns))
+        J_in[~volt] = np.concatenate([self._J_soc, d_slack / p.s_base, -d_slack / p.s_base])[self.rows[~volt]]
+        if d_vmag is not None:
+            k = self.rows[volt] - 4 * T
+            d_cells = d_vmag.reshape(cells, ns)[k % cells]
+            J_in[volt] = np.where((k < cells)[:, np.newaxis], -d_cells, d_cells)
         return grad, J_eq, J_in

@@ -59,7 +59,6 @@ class OptimizerConfig:
     sqp: SqpConfig = field(default_factory=SqpConfig)
     seed: int = 0
     polish_sweeps: int = 3
-    voltage_margin: float = 0.02
     refine_rounds: int = 3
 
 
@@ -138,13 +137,7 @@ def _optimize(
     if extra_seeds is not None and len(extra_seeds):
         seeds = np.vstack([np.atleast_2d(extra_seeds), seeds])
     ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, config.ga, seeds)
-    return problem.refine(
-        ga.x,
-        spec,
-        config.sqp,
-        voltage_margin=config.voltage_margin,
-        max_rounds=config.refine_rounds,
-    )
+    return problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
 
 
 @dataclass
@@ -162,10 +155,10 @@ class _Row:
         return float(report.scalar_array(self.metrics.values)[0])
 
 
-def _refined_row(problem: DispatchProblem, refined: RefineResult, elapsed_s: float) -> _Row:
+def _refined_row(refined: RefineResult, elapsed_s: float) -> _Row:
     return _Row(
         x=refined.x,
-        metrics=problem.metrics(refined.x),
+        metrics=refined.metrics,
         value=refined.value,
         ga_value=refined.seed_value,
         trace=refined.sqp.trace if refined.sqp else [],
@@ -201,13 +194,10 @@ def _cross_polish(
             for other in rivals:
                 if other == key or not _beats(rows[other].score(reports[key]), own):
                     continue
-                refined = problem.refine(
-                    rows[other].x, spec, config.sqp,
-                    voltage_margin=config.voltage_margin, max_rounds=config.refine_rounds,
-                )
+                refined = problem.refine(rows[other].x, spec, config.sqp, max_rounds=config.refine_rounds)
                 if refined.value < own:
                     rows[key].x = refined.x
-                    rows[key].metrics = problem.metrics(refined.x)
+                    rows[key].metrics = refined.metrics
                     rows[key].value = own = refined.value
                     changed = True
         if not changed:
@@ -228,10 +218,7 @@ def _require_power_flow(problem: DispatchProblem, x: np.ndarray, m: BatchMetrics
     """
     if m.ok[0]:
         return
-    solve_horizon(
-        problem.case, problem.schedule(x), net=problem.net,
-        tolerance=problem.tolerance, max_iterations=problem.max_iterations,
-    )
+    solve_horizon(problem.case, problem.schedule(x), net=problem.net)
     raise PowerFlowError("power flow failed for the plan")
 
 
@@ -303,7 +290,7 @@ def run_suite(
     for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
         t0 = time.perf_counter()
         refined = _optimize(problem, ObjectiveSpec(key), config, idx)
-        rows[key] = _refined_row(problem, refined, time.perf_counter() - t0)
+        rows[key] = _refined_row(refined, time.perf_counter() - t0)
 
     singles = [(key, ObjectiveSpec(key)) for key in OBJECTIVE_KEYS]
     _cross_polish(problem, rows, singles, ("baseline",) + OBJECTIVE_KEYS, config)
@@ -320,7 +307,7 @@ def run_suite(
     t0 = time.perf_counter()
     prior = np.vstack([rows[k].x for k in ("baseline",) + OBJECTIVE_KEYS])
     refined5 = _optimize(problem, spec5, config, 5, extra_seeds=prior)
-    rows["weighted"] = _refined_row(problem, refined5, time.perf_counter() - t0)
+    rows["weighted"] = _refined_row(refined5, time.perf_counter() - t0)
 
     # The weighted run must win the weighted total, and the single-objective
     # runs must still win their own metric now that it is a rival.
@@ -342,7 +329,7 @@ def run_suite(
                 [np.concatenate([rows[k].x, np.zeros(case.horizon)]) for k in SCENARIO_KEYS]
             )
             refined_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
-            row_dr = _refined_row(problem_dr, refined_dr, 0.0)
+            row_dr = _refined_row(refined_dr, 0.0)
         row_dr.elapsed_s = time.perf_counter() - t0
         results["dr"] = _finish_result(problem_dr, "dr", row_dr)
         totals["dr"] = row_dr.value

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .derivatives import DEFAULT_REL_STEP, gradient, jacobian
+from .derivatives import gradient, jacobian
 from .qp import QpError, QpInfeasibleError, QpResult, pinned_mask, qp_subproblem
 
 
@@ -30,7 +30,6 @@ class SqpConfig:
     max_iterations: int = 200
     alpha_min: float = 2.0 ** -20
     armijo: float = 1e-4
-    fd_rel_step: float = DEFAULT_REL_STEP
     penalty_init: float = 1.0
     penalty_margin: float = 2.0
     damping: float = 0.2
@@ -52,14 +51,12 @@ class NlpProblem:
         upper: Sequence[float],
         eq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         ineq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        fd_rel_step: float = DEFAULT_REL_STEP,
     ):
         self._objective = objective
         self._eq = eq
         self._ineq = ineq
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        self.fd_rel_step = fd_rel_step
 
     @property
     def n(self) -> int:
@@ -80,11 +77,11 @@ class NlpProblem:
 
     def derivatives(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradient, eq Jacobian, ineq Jacobian) at x."""
-        grad = gradient(self.objective, x, self.fd_rel_step)
+        grad = gradient(self.objective, x)
         n_eq = self.eq_constraints(x).size
         n_in = self.ineq_constraints(x).size
-        J_eq = jacobian(self.eq_constraints, x, self.fd_rel_step, n_eq) if n_eq else np.zeros((0, x.size))
-        J_in = jacobian(self.ineq_constraints, x, self.fd_rel_step, n_in) if n_in else np.zeros((0, x.size))
+        J_eq = jacobian(self.eq_constraints, x, m=n_eq) if n_eq else np.zeros((0, x.size))
+        J_in = jacobian(self.ineq_constraints, x, m=n_in) if n_in else np.zeros((0, x.size))
         return grad, J_eq, J_in
 
     def nonlinear_eq(self, n_eq: int) -> np.ndarray:

@@ -13,7 +13,8 @@ scalar objective evaluators and the single-hour power flow at the end were
 the package's own single-schedule versions of what the optimizer now does in
 batch.  They stay here as references and borrow the package's SOC
 recursion, island partition, headroom screen, contingency precomputation
-and horizon power flow.
+and horizon power flow.  So are the tuple-tagged network rows of the SQP
+subproblem, the interpreter the row layout replaced.
 """
 
 from __future__ import annotations
@@ -1114,3 +1115,111 @@ def evaluate_objectives(
         ens=expected_outage_cost(case, schedule, evaluator=evaluator),
         vdev=voltage_deviation(case, solution),
     )
+
+
+# ---------------------------------------------------------------------------
+# Tuple-tagged network rows of the split-battery subproblem: ("soc_lo", t),
+# ("soc_hi", t), ("imp", t), ("exp", t), ("v_lo", b, t) and ("v_hi", b, t),
+# built and read back one row at a time.
+
+
+def tuple_voltage_rows(problem, low: np.ndarray, high: np.ndarray) -> List[Tuple]:
+    """Lower- then upper-voltage rows where the (bus, hour) masks hold."""
+    rows: List[Tuple] = []
+    for kind, mask in (("v_lo", low), ("v_hi", high)):
+        for b, t in zip(*np.nonzero(mask)):
+            if b != problem.net.slack:
+                rows.append((kind, int(b), int(t)))
+    return rows
+
+
+def tuple_screen_rows(problem, vmag: np.ndarray, voltage_margin: float = 0.02) -> List[Tuple]:
+    """Constraint rows worth carrying in the smooth subproblem."""
+    rows: List[Tuple] = []
+    if problem.case.battery is not None:
+        rows.extend(("soc_lo", t) for t in range(problem.T))
+        rows.extend(("soc_hi", t) for t in range(problem.T))
+    rows.extend(("imp", t) for t in range(problem.T))
+    if np.isfinite(problem.export_limit):
+        rows.extend(("exp", t) for t in range(problem.T))
+    near_lo = vmag < problem.vmin + voltage_margin
+    near_hi = vmag > problem.vmax - voltage_margin
+    rows.extend(tuple_voltage_rows(problem, near_lo, near_hi))
+    return rows
+
+
+def tuple_violated_rows(problem, vmag: np.ndarray, slack_kw: np.ndarray, tol: float = 1e-9) -> List[Tuple]:
+    """All network rows a single plan violates beyond tol."""
+    rows = tuple_voltage_rows(problem, vmag < problem.vmin - tol, vmag > problem.vmax + tol)
+    for t in np.nonzero(slack_kw > problem.import_limit + tol * problem.s_base)[0]:
+        rows.append(("imp", int(t)))
+    if np.isfinite(problem.export_limit):
+        for t in np.nonzero(-slack_kw > problem.export_limit + tol * problem.s_base)[0]:
+            rows.append(("exp", int(t)))
+    return rows
+
+
+def tuple_row_index(problem, row: Tuple) -> int:
+    """Position of a tuple row in the package's row layout."""
+    T, cells = problem.T, problem.net.n_bus * problem.T
+    kind = row[0]
+    if kind in ("soc_lo", "soc_hi", "imp", "exp"):
+        return ("soc_lo", "soc_hi", "imp", "exp").index(kind) * T + row[1]
+    return 4 * T + (cells if kind == "v_hi" else 0) + row[1] * T + row[2]
+
+
+def _soc_scale(problem) -> float:
+    battery = problem.case.battery
+    return battery.soc_max_kwh - battery.soc_min_kwh if battery is not None else 1.0
+
+
+def tuple_row_values(problem, rows: Sequence[Tuple], soc: np.ndarray, slack_kw: np.ndarray, vmag: np.ndarray) -> np.ndarray:
+    """Constraint values c <= 0 of the rows at one evaluated point."""
+    p = problem
+    scale = _soc_scale(p)
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        kind = row[0]
+        if kind == "soc_lo":
+            out[i] = (p.case.battery.soc_min_kwh - soc[row[1]]) / scale
+        elif kind == "soc_hi":
+            out[i] = (soc[row[1]] - p.case.battery.soc_max_kwh) / scale
+        elif kind == "imp":
+            out[i] = (slack_kw[row[1]] - p.import_limit) / p.s_base
+        elif kind == "exp":
+            out[i] = (-slack_kw[row[1]] - p.export_limit) / p.s_base
+        elif kind == "v_lo":
+            out[i] = p.vmin - vmag[row[1], row[2]]
+        else:
+            out[i] = vmag[row[1], row[2]] - p.vmax
+    return out
+
+
+def tuple_row_jacobian(problem, rows: Sequence[Tuple], d_slack: np.ndarray, d_vmag: Optional[np.ndarray], ns: int) -> np.ndarray:
+    """Jacobian of the rows from d(slack_kw)/dx (T, ns) and d(vmag)/dx (n_bus, T, ns)."""
+    p = problem
+    T = p.T
+    scale = _soc_scale(p)
+    J_in = np.zeros((len(rows), ns))
+    for i, row in enumerate(rows):
+        kind = row[0]
+        if kind == "soc_lo":
+            J_in[i, p.u_len : p.u_len + T] = -p.M_c[row[1]] / scale
+            J_in[i, p.u_len + T : p.u_len + 2 * T] = p.M_d[row[1]] / scale
+        elif kind == "soc_hi":
+            J_in[i, p.u_len : p.u_len + T] = p.M_c[row[1]] / scale
+            J_in[i, p.u_len + T : p.u_len + 2 * T] = -p.M_d[row[1]] / scale
+        elif kind == "imp":
+            J_in[i] = d_slack[row[1]] / p.s_base
+        elif kind == "exp":
+            J_in[i] = -d_slack[row[1]] / p.s_base
+        elif kind == "v_lo":
+            J_in[i] = -d_vmag[row[1], row[2]]
+        else:
+            J_in[i] = d_vmag[row[1], row[2]]
+    return J_in
+
+
+def tuple_nonlinear_rows(rows: Sequence[Tuple]) -> np.ndarray:
+    """Rows whose curvature enters the Lagrangian: all but the affine SOC rows."""
+    return np.array([row[0] not in ("soc_lo", "soc_hi") for row in rows], dtype=bool)

@@ -127,6 +127,20 @@ def test_optimize_writes_replayable_run_dir(run_dir):
     assert trace[0] == "iteration,merit,kkt,step,alpha,penalty,elastic"
 
 
+def test_config_json_records_every_optimizer_option(run_dir):
+    from dataclasses import fields
+
+    from mgopt.optimizer import GaConfig, OptimizerConfig, SqpConfig
+
+    config = json.loads((run_dir / "config.json").read_text())
+    run_keys = {"version", "case", "scenario", "dr", "weights", "consistency_ratio", "bounds"}
+    assert set(config) - run_keys == {f.name for f in fields(OptimizerConfig)}
+    assert set(config["ga"]) == {f.name for f in fields(GaConfig)}
+    assert set(config["sqp"]) == {f.name for f in fields(SqpConfig)}
+    assert config["refine_rounds"] == 2
+    assert config["polish_sweeps"] == 1
+
+
 def test_optimize_same_seed_is_byte_identical(run_dir, tmp_path):
     out = tmp_path / "replay"
     code = main(["optimize", benchmark_case_path(), "--scenario", "1",

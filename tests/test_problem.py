@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mgopt.devices import soc_trajectory
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
+from mgopt.optimizer.derivatives import DEFAULT_REL_STEP
 from mgopt.optimizer.problem import _SplitDispatchNlp
 
 from oracles import (
@@ -11,6 +15,12 @@ from oracles import (
     grid_feasibility,
     repair_battery_powers,
     threshold_commitment,
+    tuple_nonlinear_rows,
+    tuple_row_index,
+    tuple_row_jacobian,
+    tuple_row_values,
+    tuple_screen_rows,
+    tuple_violated_rows,
     unit_feasibility,
 )
 
@@ -225,7 +235,7 @@ def test_split_nlp_gradient_matches_naive_fd(problem):
 
         from mgopt.optimizer.derivatives import gradient
 
-        naive = gradient(nlp.objective, xs, nlp.fd_rel_step)
+        naive = gradient(nlp.objective, xs, DEFAULT_REL_STEP)
         free = (upper - lower) > 1e-12
         scale = max(1.0, np.abs(naive[free]).max())
         assert np.abs((grad - naive)[free]).max() < 1e-4 * scale, key
@@ -244,7 +254,7 @@ def test_split_nlp_constraint_rows_match_fd(problem):
 
     from mgopt.optimizer.derivatives import jacobian
 
-    naive = jacobian(nlp.ineq_constraints, xs, nlp.fd_rel_step, len(rows))
+    naive = jacobian(nlp.ineq_constraints, xs, DEFAULT_REL_STEP, len(rows))
     free = (upper - lower) > 1e-12
     assert np.abs((J_in - naive)[:, free]).max() < 1e-4 * max(1.0, np.abs(naive).max())
 
@@ -285,6 +295,62 @@ def test_refine_never_returns_worse_value(problem):
         assert m.ok[0]
         assert float(m.violation[0]) <= 1e-7
         assert np.abs(problem.repair(result.x) - result.x).max() < 1e-9
+        assert result.metrics.violation.tobytes() == m.violation.tobytes()
+        assert all(result.metrics.values[k].tobytes() == m.values[k].tobytes() for k in m.values)
+
+
+def test_refine_holds_the_seed_to_the_same_feasibility_test(benchmark_case):
+    # Under tight voltage limits three SQP iterations end on a plan that
+    # still breaks a screened voltage row by about 3e-7 pu.  It must not
+    # replace the feasible seed, whose violation is 0.
+    case = replace(benchmark_case, voltage_limits=(0.97, 1.03))
+    problem = DispatchProblem(case)
+    seed = problem.seed_points()[1]
+    assert float(problem.metrics(seed).violation[0]) == 0.0
+    result = problem.refine(seed, ObjectiveSpec("cost"), SqpConfig(max_iterations=3))
+    m = problem.metrics(result.x)
+    assert m.ok[0]
+    assert float(m.violation[0]) <= 1e-7
+    assert result.metrics.violation.tobytes() == m.violation.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "dr", "no-battery", "no-export-limit"])
+def test_row_layout_matches_tuple_rows(benchmark_case, variant):
+    case = {
+        "no-battery": replace(benchmark_case, battery=None),
+        "no-export-limit": replace(benchmark_case, export_limit_kw=math.inf),
+    }.get(variant, benchmark_case)
+    problem = DispatchProblem(case, dr=variant == "dr")
+    x = problem.seed_points()[2]
+    vmag = problem.metrics(x).vmag[:, 0, :]
+    screened = tuple_screen_rows(problem, vmag)
+    rows = problem.screen_rows(vmag)
+    assert rows.tolist() == [tuple_row_index(problem, r) for r in screened]
+
+    # A probe that breaks voltage, import and (when finite) export rows.
+    rng = np.random.default_rng(3)
+    v_probe = rng.uniform(problem.vmin - 0.02, problem.vmax + 0.02, vmag.shape)
+    s_probe = rng.uniform(-1.5, 1.5, problem.T) * problem.import_limit
+    violated = tuple_violated_rows(problem, v_probe, s_probe)
+    assert {r[0] for r in violated} >= {"v_lo", "v_hi", "imp"}
+    index_violated = problem.violated_rows(v_probe, s_probe)
+    assert index_violated.tolist() == [tuple_row_index(problem, r) for r in violated]
+
+    # The rows a refine round carries next: screened plus new violated ones.
+    tuple_rows = screened + [r for r in violated if r not in screened]
+    rows = np.concatenate([rows, index_violated[(index_violated[:, np.newaxis] != rows).all(axis=1)]])
+    assert rows.tolist() == [tuple_row_index(problem, r) for r in tuple_rows]
+
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    xs = np.clip(problem.split_from_signed(x), lower, upper)
+    nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, rows)
+    data = nlp._eval(xs)
+    reference = tuple_row_values(problem, tuple_rows, data["soc"], data["slack_kw"], data["vmag"])
+    assert nlp.ineq_constraints(xs).tobytes() == reference.tobytes()
+    _, d_slack, d_vmag = nlp._differences(xs)
+    J_in = nlp.derivatives(xs)[2]
+    assert J_in.tobytes() == tuple_row_jacobian(problem, tuple_rows, d_slack, d_vmag, xs.size).tobytes()
+    assert np.array_equal(nlp.nonlinear_ineq(len(tuple_rows)), tuple_nonlinear_rows(tuple_rows))
 
 
 def test_violated_rows_flags_breaches(problem):
@@ -292,12 +358,13 @@ def test_violated_rows_flags_breaches(problem):
     n_bus = problem.net.n_bus
     vmag = np.ones((n_bus, T))
     slack = np.zeros(T)
-    assert problem.violated_rows(vmag, slack) == []
+    assert problem.violated_rows(vmag, slack).size == 0
     vmag[3, 7] = problem.vmin - 0.01
     slack[2] = problem.import_limit + 5.0
     rows = problem.violated_rows(vmag, slack)
-    assert ("v_lo", 3, 7) in rows
-    assert ("imp", 2) in rows
+    # Layout positions of v_lo at bus 3, hour 7 and of imp at hour 2.
+    assert 4 * T + 3 * T + 7 in rows
+    assert 2 * T + 2 in rows
 
 
 def test_dr_requires_program(benchmark_case):
