@@ -244,18 +244,30 @@ class DispatchProblem:
         soc0 = self.case.battery.soc_initial_kwh
         return soc0 * self.soc_decay[np.newaxis, :] + chg @ self.M_c.T - dis @ self.M_d.T
 
+    def _consumption(
+        self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Net bus consumption (n_bus, B, T) in pu for one population.
+
+        Units subtract one at a time in their order, so units sharing a bus
+        accumulate exactly as ``np.subtract.at`` would, without its cost.
+        """
+        cons = np.repeat(self.base_load[:, np.newaxis, :], p_net.shape[0], axis=1)
+        for i, bus in enumerate(self.unit_bus):
+            cons[bus] -= p_units[:, i] / self.s_base
+        if self.batt_bus is not None:
+            cons[self.batt_bus] += p_net / self.s_base
+        if shift is not None:
+            cons += self.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
+        return cons
+
     def _network_eval(
         self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Sweep one population: (vmag [n_bus,B,T], slack_kw, loss_kw, ok)."""
         B = p_net.shape[0]
         n_bus, T = self.net.n_bus, self.T
-        cons = np.repeat(self.base_load[:, np.newaxis, :], B, axis=1)
-        np.subtract.at(cons, self.unit_bus, p_units.transpose(1, 0, 2) / self.s_base)
-        if self.batt_bus is not None:
-            cons[self.batt_bus] += p_net / self.s_base
-        if shift is not None:
-            cons += self.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
+        cons = self._consumption(p_units, p_net, shift)
         res = sweep(self.net, cons.reshape(n_bus, B * T))
         with np.errstate(invalid="ignore"):
             vmag = np.abs(res.voltage).reshape(n_bus, B, T)
@@ -691,6 +703,14 @@ class _SplitDispatchNlp(NlpProblem):
 
     def nonlinear_ineq(self, n_in: int) -> np.ndarray:
         return self.rows >= 2 * self.problem.T
+
+    def hessian_blocks(self) -> np.ndarray:
+        """One block per hour: row t holds hour t's unit, charge, discharge
+        and shift variables.  Hour t of every network quantity depends only
+        on hour t of the plan, the SOC and shift-balance rows are affine and
+        the outage cost is piecewise linear in the SOC, so the Lagrangian's
+        curvature is block diagonal by hour."""
+        return np.arange(self.n).reshape(-1, self.problem.T).T
 
     def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]:
         """Objective gradients, d(slack_kw) (T, ns) and, with voltage rows,

@@ -185,8 +185,12 @@ def _cross_polish(
     takes a copy of the plan that wins its column.  A copy adds no plan that
     was not already a rival, so it cannot beat any other target, and every
     target wins its column on return.
+
+    Refining is deterministic, so a target is never re-refined twice from
+    one plan.
     """
     reports = {key: replace(spec, clamp_upper=True) for key, spec in targets}
+    tried = set()
     for _ in range(config.polish_sweeps):
         changed = False
         for key, spec in targets:
@@ -194,6 +198,10 @@ def _cross_polish(
             for other in rivals:
                 if other == key or not _beats(rows[other].score(reports[key]), own):
                     continue
+                start = rows[other].x.tobytes()
+                if (key, start) in tried:
+                    continue
+                tried.add((key, start))
                 refined = problem.refine(rows[other].x, spec, config.sqp, max_rounds=config.refine_rounds)
                 if refined.value < own:
                     rows[key].x = refined.x

@@ -1,10 +1,21 @@
-"""Sequential quadratic programming with a damped BFGS Hessian.
+"""Sequential quadratic programming with a partitioned damped BFGS Hessian.
 
 Each iteration linearises the constraints, builds a convex QP from the
 current Hessian model and solves it with the active-set solver; a
 backtracking line search on the l1 exact-penalty merit function accepts the
-step.  The Hessian model starts from the identity and is kept positive
-definite by Powell's damping rule, so every QP subproblem is well posed.
+step.
+
+The Hessian model is block diagonal over a partition of the variables that
+the problem declares (``NlpProblem.hessian_blocks``): one small quasi-Newton
+model per block, each updated from its own part of every step's ``(s, y)``
+pair (partitioned updates, Griewank & Toint 1982; Nocedal & Wright §7.4).
+A problem whose Lagrangian curvature is block diagonal, such as the
+dispatch problem's hours, learns every block from every step instead of one
+direction of one dense model.  The default partition is one block holding
+every variable, the plain dense model.  Each block starts from the identity
+and is kept positive definite by Powell's damping rule, and an update that
+would leave a block's smallest eigenvalue below COND_FLOOR times its largest
+is skipped, so every QP subproblem is well posed and well conditioned.
 
 Problems are posed as  min f(x)  s.t.  c_eq(x) = 0, c_in(x) <= 0,
 lo <= x <= hi.  Derivatives default to central finite differences; callers
@@ -21,6 +32,10 @@ import numpy as np
 
 from .derivatives import gradient, jacobian
 from .qp import QpError, QpInfeasibleError, QpResult, pinned_mask, qp_subproblem
+
+# Smallest eigenvalue ratio (smallest over largest) a Hessian block may reach
+# through an update; an update that would go below it is skipped.
+COND_FLOOR = 1e-10
 
 
 @dataclass
@@ -41,7 +56,8 @@ class NlpProblem:
 
     Subclasses may override ``derivatives`` to supply exact or batched rows;
     ``nonlinear_ineq`` / ``nonlinear_eq`` mark the rows whose curvature should
-    enter the Lagrangian the BFGS model tracks (affine rows contribute none).
+    enter the Lagrangian the BFGS model tracks (affine rows contribute none);
+    ``hessian_blocks`` declares the partition the model is kept in.
     """
 
     def __init__(
@@ -90,6 +106,15 @@ class NlpProblem:
     def nonlinear_ineq(self, n_in: int) -> np.ndarray:
         return np.ones(n_in, dtype=bool)
 
+    def hessian_blocks(self) -> np.ndarray:
+        """Variable indices per Hessian block, shape (n_blocks, k).
+
+        The blocks must cover every variable exactly once, and the
+        Lagrangian's curvature should vanish between blocks.  The default is
+        one block holding every variable.
+        """
+        return np.arange(self.n)[np.newaxis, :]
+
 
 @dataclass
 class SqpResult:
@@ -125,6 +150,38 @@ def _violation_inf(ceq: np.ndarray, cin: np.ndarray) -> float:
     return v
 
 
+def _update_blocks(
+    B: np.ndarray, s: np.ndarray, y: np.ndarray, damping: float, tiny: float
+) -> np.ndarray:
+    """Powell-damped BFGS update of every block at once.
+
+    ``B`` is (n_blocks, k, k); ``s`` and ``y`` are the blocks' step and
+    gradient-change parts, (n_blocks, k).  A block whose step is below
+    ``tiny``, whose damped curvature is not positive, or whose update would
+    push its eigenvalue ratio below COND_FLOOR keeps its model.
+    """
+    Bs = np.einsum("bij,bj->bi", B, s)
+    sBs = np.einsum("bi,bi->b", s, Bs)
+    sy = np.einsum("bi,bi->b", s, y)
+    damp = sy < damping * sBs
+    theta = np.where(damp, (1.0 - damping) * sBs / np.where(damp, sBs - sy, 1.0), 1.0)[:, np.newaxis]
+    y = theta * y + (1.0 - theta) * Bs
+    sy = np.einsum("bi,bi->b", s, y)
+    take = np.flatnonzero((np.abs(s).max(axis=1) > tiny) & (sBs > 0) & (sy > 1e-12 * sBs))
+    Bs, y = Bs[take], y[take]
+    trial = (
+        B[take]
+        - np.einsum("bi,bj->bij", Bs, Bs) / sBs[take, np.newaxis, np.newaxis]
+        + np.einsum("bi,bj->bij", y, y) / sy[take, np.newaxis, np.newaxis]
+    )
+    trial = 0.5 * (trial + trial.transpose(0, 2, 1))
+    eig = np.linalg.eigvalsh(trial)
+    keep = eig[:, 0] >= COND_FLOOR * eig[:, -1]
+    B = B.copy()
+    B[take[keep]] = trial[keep]
+    return B
+
+
 def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConfig] = None) -> SqpResult:
     """Minimise a smooth constrained problem from x0.
 
@@ -152,7 +209,12 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
     nl_eq = problem.nonlinear_eq(ceq.size)
     nl_in = problem.nonlinear_ineq(cin.size)
 
-    B = np.eye(n)
+    blocks = np.asarray(problem.hessian_blocks(), dtype=np.intp)
+    if blocks.ndim != 2 or not np.array_equal(np.sort(blocks, axis=None), np.arange(n)):
+        raise ValueError("hessian_blocks must cover every variable exactly once")
+    B_blocks = np.tile(np.eye(blocks.shape[1]), (blocks.shape[0], 1, 1))
+    rows_ix, cols_ix = blocks[:, :, np.newaxis], blocks[:, np.newaxis, :]
+    B = np.zeros((n, n))
     penalty = cfg.penalty_init
     warm: Optional[Tuple] = None
     trace: List[Dict] = []
@@ -166,6 +228,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
 
     for k in range(1, cfg.max_iterations + 1):
         iterations = k
+        B[rows_ix, cols_ix] = B_blocks
         try:
             qp = qp_subproblem(
                 B, grad,
@@ -238,7 +301,8 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
 
         grad_try, J_eq_try, J_in_try = problem.derivatives(x_try)
 
-        # Powell-damped BFGS on the Lagrangian; affine rows carry no curvature.
+        # Powell-damped BFGS on the Lagrangian, block by block; affine rows
+        # carry no curvature.
         s = x_try - x
         dL_old = grad.copy()
         dL_new = grad_try.copy()
@@ -249,19 +313,8 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
             dL_old += J_in[nl_in].T @ mu[nl_in]
             dL_new += J_in_try[nl_in].T @ mu[nl_in]
         y = dL_new - dL_old
-        s_norm = float(np.abs(s).max(initial=0.0))
-        if s_norm > 1e-14 * (1.0 + float(np.abs(x).max(initial=0.0))):
-            Bs = B @ s
-            sBs = float(s @ Bs)
-            sy = float(s @ y)
-            if sBs > 0:
-                if sy < cfg.damping * sBs:
-                    theta = (1.0 - cfg.damping) * sBs / (sBs - sy)
-                    y = theta * y + (1.0 - theta) * Bs
-                    sy = float(s @ y)
-                if sy > 1e-12 * sBs:
-                    B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-                    B = 0.5 * (B + B.T)
+        tiny = 1e-14 * (1.0 + float(np.abs(x).max(initial=0.0)))
+        B_blocks = _update_blocks(B_blocks, s[blocks], y[blocks], cfg.damping, tiny)
 
         x, f, ceq, cin = x_try, f_try, ceq_try, cin_try
         grad, J_eq, J_in = grad_try, J_eq_try, J_in_try

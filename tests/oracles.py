@@ -14,7 +14,8 @@ the package's own single-schedule versions of what the optimizer now does in
 batch.  They stay here as references and borrow the package's SOC
 recursion, island partition, headroom screen, contingency precomputation
 and horizon power flow.  So are the tuple-tagged network rows of the SQP
-subproblem, the interpreter the row layout replaced.
+subproblem, the interpreter the row layout replaced, and the scattered
+``np.subtract.at`` form of the dispatch problem's bus injections.
 """
 
 from __future__ import annotations
@@ -1115,6 +1116,22 @@ def evaluate_objectives(
         ens=expected_outage_cost(case, schedule, evaluator=evaluator),
         vdev=voltage_deviation(case, solution),
     )
+
+
+# ---------------------------------------------------------------------------
+# Dispatch problem
+
+
+def subtract_at_consumption(problem, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]) -> np.ndarray:
+    """Net bus consumption (n_bus, B, T) in pu, the unit injections scattered
+    with ``np.subtract.at`` as the package once did."""
+    cons = np.repeat(problem.base_load[:, np.newaxis, :], p_net.shape[0], axis=1)
+    np.subtract.at(cons, problem.unit_bus, p_units.transpose(1, 0, 2) / problem.s_base)
+    if problem.batt_bus is not None:
+        cons[problem.batt_bus] += p_net / problem.s_base
+    if shift is not None:
+        cons += problem.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
+    return cons
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ from mgopt.devices import soc_trajectory
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
 from mgopt.optimizer.derivatives import DEFAULT_REL_STEP
 from mgopt.optimizer.problem import _SplitDispatchNlp
+from mgopt.optimizer.qp import pinned_mask
 
 from oracles import (
     battery_feasibility,
     evaluate_objectives,
     grid_feasibility,
     repair_battery_powers,
+    subtract_at_consumption,
     threshold_commitment,
     tuple_nonlinear_rows,
     tuple_row_index,
@@ -156,6 +158,21 @@ def test_metrics_equal_split_eval_on_split_rows(problem, dr_problem):
         for field in ("violation", "ok", "slack_kw", "soc_kwh", "vmag",
                       "hourly_cost", "hourly_loss_kw", "hourly_vdev"):
             assert np.array_equal(getattr(signed, field), getattr(split, field)), field
+
+
+def test_consumption_matches_subtract_at(benchmark_case):
+    # Units subtract one at a time, which is what np.subtract.at does with
+    # a repeated bus; the shared-bus case puts PV1, WT and MT on one bus.
+    shared = {"PV1", "WT", "MT"}
+    stacked = replace(benchmark_case, units=tuple(
+        replace(u, bus="f1-3") if u.name in shared else u for u in benchmark_case.units))
+    rng = np.random.default_rng(12)
+    for case, dr in ((benchmark_case, False), (stacked, False), (stacked, True)):
+        prob = DispatchProblem(case, dr=dr)
+        p_units, p_batt, shift = prob.unpack(prob.repair(_random_plans(prob, rng, 58)))
+        got = prob._consumption(p_units, p_batt, shift)
+        assert got.tobytes() == subtract_at_consumption(prob, p_units, p_batt, shift).tobytes()
+    assert len(set(DispatchProblem(stacked).unit_bus.tolist())) == len(stacked.units) - 2
 
 
 def test_metrics_agree_with_direct_objectives(problem, benchmark_case):
@@ -351,6 +368,64 @@ def test_row_layout_matches_tuple_rows(benchmark_case, variant):
     J_in = nlp.derivatives(xs)[2]
     assert J_in.tobytes() == tuple_row_jacobian(problem, tuple_rows, d_slack, d_vmag, xs.size).tobytes()
     assert np.array_equal(nlp.nonlinear_ineq(len(tuple_rows)), tuple_nonlinear_rows(tuple_rows))
+
+
+def _first_hours(case, hours):
+    return replace(
+        case,
+        horizon=hours,
+        prices_ct_per_kwh=case.prices_ct_per_kwh[:hours],
+        load_points=tuple(replace(lp, profile_kw=lp.profile_kw[:hours]) for lp in case.load_points),
+        availability_kw={name: profile[:hours] for name, profile in case.availability_kw.items()},
+    )
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "dr", "no-battery", "horizon-12"])
+def test_hessian_blocks_partition_by_hour(benchmark_case, variant):
+    case = {
+        "no-battery": replace(benchmark_case, battery=None),
+        "horizon-12": _first_hours(benchmark_case, 12),
+    }.get(variant, benchmark_case)
+    problem = DispatchProblem(case, dr=variant == "dr")
+    x = problem.seed_points()[2]
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    blocks = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, []).hessian_blocks()
+    T = case.horizon
+    assert blocks.shape == (T, problem.n_units + 2 + int(problem.dr))
+    assert np.array_equal(np.sort(blocks, axis=None), np.arange(lower.size))
+    assert (blocks % T == np.arange(T)[:, np.newaxis]).all()
+
+
+def test_lagrangian_curvature_is_block_diagonal_by_hour(problem):
+    # Differentiate the cost, loss and vdev gradients and the grid and
+    # voltage rows' Jacobians once more, one free variable at a time, on the
+    # benchmark's price-driven seed.  Entries that pair different hours must
+    # sit at difference-noise level against those within one hour.
+    T = problem.T
+    x = problem.seed_points()[2]
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    xs = np.clip(problem.split_from_signed(x), lower, upper)
+    rows = 4 * T + np.arange(problem.net.n_bus * T)
+    nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, rows)
+
+    def first_derivatives(z):
+        grads, d_slack, d_vmag = nlp._differences(z)
+        return np.vstack([grads["cost"], grads["loss"], grads["vdev"], d_slack, d_vmag.reshape(-1, z.size)])
+
+    hour = np.arange(xs.size) % T
+    kinds = np.repeat(np.arange(5), [1, 1, 1, T, problem.net.n_bus * T])
+    cross = np.zeros(5)
+    within = np.zeros(5)
+    for j in np.flatnonzero(~pinned_mask(lower, upper)):
+        step = np.zeros(xs.size)
+        step[j] = 1e-3 * max(1.0, abs(xs[j]))
+        column = (first_derivatives(xs + step) - first_derivatives(xs - step)) / (2.0 * step[j])
+        other = hour != hour[j]
+        for kind in range(5):
+            cross[kind] = max(cross[kind], np.abs(column[kinds == kind][:, other]).max())
+            within[kind] = max(within[kind], np.abs(column[kinds == kind][:, ~other]).max())
+    assert (within > 0).all()
+    assert (cross <= 1e-6 * within).all(), (cross, within)
 
 
 def test_violated_rows_flags_breaches(problem):

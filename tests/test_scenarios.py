@@ -152,18 +152,21 @@ def test_suite_without_dr_program():
         run_suite(case, config=config, include_dr=True)
 
 
-def test_cross_polish_holds_on_a_starved_budget(benchmark_case):
-    # With this budget the capped polish sweeps end with loss and vdev still
-    # trading the lowest loss; the closing adoption must settle it.
+def _starved_config():
     from mgopt.optimizer import GaConfig, SqpConfig
 
-    config = OptimizerConfig(
+    return OptimizerConfig(
         ga=GaConfig(population=4, generations=1),
         sqp=SqpConfig(max_iterations=2),
         refine_rounds=1,
         seed=0,
     )
-    suite = run_suite(benchmark_case, config=config)
+
+
+def test_cross_polish_holds_on_a_starved_budget(benchmark_case):
+    # With this budget loss and vdev keep trading the lowest loss; the
+    # closing adoption must settle it.
+    suite = run_suite(benchmark_case, config=_starved_config())
     for key in OBJECTIVE_KEYS:
         own = suite.results[key].objectives[key]
         for other in SCENARIO_KEYS:
@@ -173,3 +176,64 @@ def test_cross_polish_holds_on_a_starved_budget(benchmark_case):
     for key, result in suite.results.items():
         assert result.feasible, key
     assert suite.totals["dr"] <= suite.totals["weighted"]
+
+
+def test_cross_polish_spends_no_refine_in_vain(benchmark_case, monkeypatch):
+    # On this budget loss and vdev re-refine from each other's plans until the
+    # sweeps run out.  Each call records (target, DR, start plan, value).  No
+    # target is refined twice from one plan, and every polish re-refine lowers
+    # its target's value: refine is never worse than its seed, so a re-refine
+    # from a plan that beats the target always pays, and skipping one would
+    # leave the target with that plan's value at the closing adoption instead.
+    from mgopt.optimizer import DispatchProblem
+
+    calls = []
+    refine = DispatchProblem.refine
+
+    def recording(self, x, spec, *args, **kwargs):
+        result = refine(self, x, spec, *args, **kwargs)
+        calls.append((spec.key, self.dr, x.tobytes(), result.value))
+        return result
+
+    monkeypatch.setattr(DispatchProblem, "refine", recording)
+    suite = run_suite(benchmark_case, config=_starved_config())
+    starts = [(key, dr, start) for key, dr, start, _ in calls]
+    assert len(set(starts)) == len(starts)
+    keys = [key for key, *_ in calls]
+    assert keys[:4] == list(OBJECTIVE_KEYS) and keys[-2:] == ["weighted", "weighted"]
+    assert len(keys) == 11 and set(keys[4:-2]) == {"loss", "vdev"}
+    for key in ("loss", "vdev"):
+        values = [value for k, dr, _, value in calls if k == key and not dr]
+        assert all(b < a for a, b in zip(values, values[1:])), (key, values)
+        assert suite.results[key].objectives[key] <= values[-1]
+
+
+def test_cross_polish_never_repeats_a_refine():
+    # A stub problem whose refine looks its answer up by (target, start plan).
+    # The cost row's re-refine from the baseline never helps; the loss row's
+    # does, which forces a second sweep.  Refining is deterministic, so the
+    # second sweep must not run either re-refine again.
+    from types import SimpleNamespace
+
+    from mgopt.optimizer import ObjectiveSpec
+    from mgopt.optimizer.scenarios import _cross_polish, _Row
+
+    def plan(name, cost, loss):
+        values = {"cost": np.array([cost]), "loss": np.array([loss])}
+        return _Row(np.array([float(name)]), SimpleNamespace(values=values))
+
+    baseline, cost_row, loss_row, refined_loss = plan(0, 5.0, 5.0), plan(1, 10.0, 30.0), plan(2, 30.0, 10.0), plan(3, 30.0, 6.0)
+    answers = {("cost", 0.0): plan(4, 11.0, 30.0), ("loss", 0.0): refined_loss}
+    calls = []
+
+    class Stub:
+        def refine(self, x, spec, config=None, max_rounds=3):
+            calls.append((spec.key, float(x[0])))
+            row = answers[spec.key, float(x[0])]
+            return SimpleNamespace(x=row.x, metrics=row.metrics, value=row.score(spec))
+
+    rows = {"baseline": baseline, "cost": cost_row, "loss": loss_row}
+    targets = [(key, ObjectiveSpec(key)) for key in ("cost", "loss")]
+    _cross_polish(Stub(), rows, targets, ("baseline", "cost", "loss"), OptimizerConfig())
+    assert calls == [("cost", 0.0), ("loss", 0.0)]
+    assert rows["cost"].x[0] == 0.0 and rows["loss"].x[0] == 0.0

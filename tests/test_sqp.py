@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mgopt.optimizer.sqp as sqp
 from mgopt.optimizer import NlpProblem, SqpConfig, sqp_solve
 
 
@@ -134,3 +135,100 @@ def test_exact_derivative_override_matches_fd():
     exact = sqp_solve(Exact(objective, lo, hi), np.zeros(2))
     assert np.abs(fd.x - exact.x).max() < 1e-6
     assert exact.x == pytest.approx([0.5, -1.5], abs=1e-8)
+
+
+def _separable_problem(partitioned):
+    """24 blocks of 4 variables, hour-fast like the dispatch vector, each a
+    quadratic with eigenvalues 1e-2 .. 1e2 plus a quartic term."""
+    T, k = 24, 4
+    rng = np.random.default_rng(0)
+    A = np.empty((T, k, k))
+    for t in range(T):
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        A[t] = Q @ np.diag(np.logspace(-2, 2, k)) @ Q.T
+    b = rng.normal(size=(T, k))
+    blocks = np.arange(T * k).reshape(k, T).T
+
+    def objective(x):
+        z = x[blocks]
+        return float(0.5 * np.einsum("ti,tij,tj->", z, A, z) - (b * z).sum() + 0.05 * (x ** 4).sum())
+
+    class Separable(NlpProblem):
+        def derivatives(self, x):
+            grad = np.empty_like(x)
+            grad[blocks] = np.einsum("tij,tj->ti", A, x[blocks]) - b
+            return grad + 0.2 * x ** 3, np.zeros((0, x.size)), np.zeros((0, x.size))
+
+        def hessian_blocks(self):
+            return blocks if partitioned else super().hessian_blocks()
+
+    return Separable(objective, *_box(T * k)), blocks
+
+
+def test_partitioned_model_learns_separable_blocks_faster(monkeypatch):
+    models = []
+    update = sqp._update_blocks
+
+    def recording(*args):
+        models.append(update(*args))
+        return models[-1]
+
+    monkeypatch.setattr(sqp, "_update_blocks", recording)
+    dense_problem, _ = _separable_problem(partitioned=False)
+    dense = sqp_solve(dense_problem, np.zeros(dense_problem.n))
+    models.clear()
+    part_problem, blocks = _separable_problem(partitioned=True)
+    part = sqp_solve(part_problem, np.zeros(part_problem.n))
+
+    assert dense.converged and part.converged
+    assert part.iterations < dense.iterations
+    assert np.abs(part.x - dense.x).max() < 1e-3
+    assert models and all(B.shape == (24, 4, 4) for B in models)
+    for B in models:
+        assert np.array_equal(B, B.transpose(0, 2, 1))
+        eig = np.linalg.eigvalsh(B)
+        assert (eig[:, 0] > 0).all()
+        assert (eig[:, 0] >= sqp.COND_FLOOR * eig[:, -1]).all()
+
+
+def test_block_update_skips_an_update_past_the_conditioning_floor():
+    # BFGS from the identity with s = e1 puts y1 on the first eigenvalue:
+    # 1e9 keeps the ratio above 1e-10, 1e11 would not.
+    B = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    s = np.array([[1.0, 0.0], [1.0, 0.0]])
+    y = np.array([[1e9, 0.0], [1e11, 0.0]])
+    out = sqp._update_blocks(B, s, y, damping=0.2, tiny=1e-14)
+    assert np.array_equal(out[0], np.diag([1e9, 1.0]))
+    assert np.array_equal(out[1], np.eye(2))
+
+
+def test_conditioning_floor_keeps_a_vdev_solve_off_qp_failure(benchmark_case, monkeypatch):
+    # Scenario 4's GA seed at suite seed 3 on the benchmark day.  Without
+    # the floor the Hessian model's condition number reaches about 1e18, it
+    # goes indefinite in rounding, and the QP fails after 110 iterations;
+    # with it the condition number stays below 1e10.
+    import mgopt.optimizer.problem as problem_module
+    from mgopt.optimizer import DispatchProblem, ObjectiveSpec, OptimizerConfig
+    from mgopt.optimizer.scenarios import _optimize
+
+    statuses = []
+    solve = problem_module.sqp_solve
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(problem_module, "sqp_solve", recording)
+    _optimize(DispatchProblem(benchmark_case), ObjectiveSpec("vdev"), OptimizerConfig(seed=3), 4)
+    assert statuses and "qp-failure" not in statuses
+
+
+def test_hessian_blocks_must_cover_every_variable_once():
+    class Overlapping(NlpProblem):
+        def hessian_blocks(self):
+            return np.array([[0, 1], [1, 2]])
+
+    problem = Overlapping(lambda x: float(x @ x), *_box(3))
+    with pytest.raises(ValueError, match="exactly once"):
+        sqp_solve(problem, np.ones(3))
