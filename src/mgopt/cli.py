@@ -22,7 +22,7 @@ import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -58,22 +58,29 @@ def _error_line(code: int, message: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schedule CSV round trip
+# CSV output and the schedule CSV round trip
+
+def _write_csv(target: Union[str, Path, TextIO], header: List[str], rows: Iterable[Sequence]) -> None:
+    """A header and rows, to a file path or an open stream.  Float cells are
+    written as ``repr``, which reads back to the same float."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+
 
 def write_schedule_csv(path: Path, case: MicrogridCase, schedule: DispatchSchedule) -> None:
     """Decision variables only, one row per hour; enough for exact replay."""
     header = ["hour"] + [u.name for u in case.units] + ["battery_kw"]
+    columns = [*schedule.dg_setpoints, schedule.battery_power]
     if schedule.dr_shift is not None:
         header.append("shift_kw")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t in range(schedule.horizon):
-            row = [t] + [repr(float(v)) for v in schedule.dg_setpoints[:, t]]
-            row.append(repr(float(schedule.battery_power[t])))
-            if schedule.dr_shift is not None:
-                row.append(repr(float(schedule.dr_shift[t])))
-            writer.writerow(row)
+        columns.append(schedule.dr_shift)
+    _write_csv(path, header, ([t] + [column[t] for column in columns] for t in range(schedule.horizon)))
 
 
 def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
@@ -97,10 +104,17 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
     dg = np.zeros((n, case.horizon))
     battery = np.zeros(case.horizon)
     shift = np.zeros(case.horizon) if has_shift else None
+    seen = set()
     for row in rows:
+        if len(row) != len(header):
+            raise _fail(EXIT_VALIDATION, f"{path} row {row} has {len(row)} cells, expected {len(header)}")
         t = int(row[0])
         if not 0 <= t < case.horizon:
             raise _fail(EXIT_VALIDATION, f"{path} hour {t} outside 0..{case.horizon - 1}")
+        # With one row per hour, a repeated hour is also a missing one.
+        if t in seen:
+            raise _fail(EXIT_VALIDATION, f"{path} repeats hour {t}; each hour 0..{case.horizon - 1} must appear once")
+        seen.add(t)
         dg[:, t] = [float(v) for v in row[1 : 1 + n]]
         battery[t] = float(row[1 + n])
         if has_shift:
@@ -125,11 +139,7 @@ def _write_json(path: Path, payload: Dict) -> None:
 
 def _write_trace_csv(path: Path, trace: List[Dict]) -> None:
     columns = ["iteration", "merit", "kkt", "step", "alpha", "penalty", "elastic"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for entry in trace:
-            writer.writerow([repr(entry[c]) if isinstance(entry[c], float) else entry[c] for c in columns])
+    _write_csv(path, columns, ([entry[c] for c in columns] for entry in trace))
 
 
 def write_run_dir(
@@ -208,20 +218,15 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
         schedule = zero_schedule(len(case.units), case.horizon)
     solution = solve_horizon(case, schedule)
     vmag = np.abs(solution.voltage)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["hour", "grid_kw", "grid_kvar", "loss_kw", "v_min_pu", "v_max_pu", "iterations"])
-    for t in range(case.horizon):
-        writer.writerow(
-            [
-                t,
-                repr(float(solution.slack_kw[t])),
-                repr(float(solution.slack_kvar[t])),
-                repr(float(solution.loss_kw[t])),
-                repr(float(vmag[t].min())),
-                repr(float(vmag[t].max())),
-                int(solution.iterations[t]),
-            ]
-        )
+    _write_csv(
+        sys.stdout,
+        ["hour", "grid_kw", "grid_kvar", "loss_kw", "v_min_pu", "v_max_pu", "iterations"],
+        (
+            [t, solution.slack_kw[t], solution.slack_kvar[t], solution.loss_kw[t],
+             vmag[t].min(), vmag[t].max(), int(solution.iterations[t])]
+            for t in range(case.horizon)
+        ),
+    )
     return EXIT_OK
 
 
@@ -337,58 +342,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
     schedule = read_schedule_csv(schedule_file, case)
     solution = solve_horizon(case, schedule)
 
-    def table(name: str, header: List[str], rows: List[List]) -> None:
-        with open(run / name, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+    def table(name: str, header: List[str], columns: Sequence[Sequence[float]]) -> None:
+        _write_csv(run / name, header, ([t] + [column[t] for column in columns] for t in range(case.horizon)))
 
-    hours = range(case.horizon)
-    table(
-        "dispatch.csv",
-        ["hour"] + [u.name for u in case.units] + ["battery_kw"],
-        [
-            [t] + [repr(float(v)) for v in schedule.dg_setpoints[:, t]] + [repr(float(schedule.battery_power[t]))]
-            for t in hours
-        ],
-    )
+    table("dispatch.csv", ["hour"] + [u.name for u in case.units] + ["battery_kw"],
+          [*schedule.dg_setpoints, schedule.battery_power])
     if case.battery is not None:
         soc = soc_trajectory(case.battery, schedule.battery_power, case.period_hours)
     else:
         soc = np.zeros(case.horizon)
-    table("soc.csv", ["hour", "soc_kwh"], [[t, repr(float(soc[t]))] for t in hours])
-    table(
-        "grid.csv",
-        ["hour", "import_kw", "export_kw", "price_ct_per_kwh"],
-        [
-            [
-                t,
-                repr(float(max(solution.slack_kw[t], 0.0))),
-                repr(float(max(-solution.slack_kw[t], 0.0))),
-                repr(float(case.prices_ct_per_kwh[t])),
-            ]
-            for t in hours
-        ],
-    )
-    table("losses.csv", ["hour", "loss_kw"], [[t, repr(float(solution.loss_kw[t]))] for t in hours])
+    table("soc.csv", ["hour", "soc_kwh"], [soc])
+    table("grid.csv", ["hour", "import_kw", "export_kw", "price_ct_per_kwh"],
+          [[max(v, 0.0) for v in solution.slack_kw], [max(-v, 0.0) for v in solution.slack_kw],
+           np.asarray(case.prices_ct_per_kwh, dtype=float)])
+    table("losses.csv", ["hour", "loss_kw"], [solution.loss_kw])
     written = ["dispatch.csv", "soc.csv", "grid.csv", "losses.csv"]
     if schedule.dr_shift is not None:
         base = np.zeros(case.horizon)
         for lp in case.load_points:
             base += np.asarray(lp.profile_kw, dtype=float)
-        table(
-            "load.csv",
-            ["hour", "base_kw", "shift_kw", "shifted_kw"],
-            [
-                [
-                    t,
-                    repr(float(base[t])),
-                    repr(float(schedule.dr_shift[t])),
-                    repr(float(base[t] + schedule.dr_shift[t])),
-                ]
-                for t in hours
-            ],
-        )
+        table("load.csv", ["hour", "base_kw", "shift_kw", "shifted_kw"],
+              [base, schedule.dr_shift, base + schedule.dr_shift])
         written.append("load.csv")
     print(f"wrote {', '.join(written)} to {run}")
     return EXIT_OK

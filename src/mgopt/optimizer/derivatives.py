@@ -6,36 +6,23 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# Coordinate i steps by DEFAULT_REL_STEP * max(1, |x_i|).
 DEFAULT_REL_STEP = 1e-5
 
 
-def fd_steps(x: np.ndarray, rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
-    """Per-coordinate step h_i = rel_step * max(1, |x_i|)."""
-    return rel_step * np.maximum(1.0, np.abs(x))
-
-
-def gradient(objective: Callable[[np.ndarray], float], x: Sequence[float], rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
+def gradient(objective: Callable[[np.ndarray], float], x: Sequence[float]) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    h = fd_steps(x, rel_step)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        g[i] = (objective(xp) - objective(xm)) / (2.0 * h[i])
-    return g
+    return jacobian(lambda z: [objective(z)], x, m=1)[0]
 
 
 def jacobian(
     function: Callable[[np.ndarray], np.ndarray],
     x: Sequence[float],
-    rel_step: float = DEFAULT_REL_STEP,
     m: Optional[int] = None,
 ) -> np.ndarray:
     """Central-difference Jacobian of a vector function."""
     x = np.asarray(x, dtype=float)
-    h = fd_steps(x, rel_step)
+    h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(x))
     if m is None:
         m = np.asarray(function(x), dtype=float).size
     J = np.empty((m, x.size))

@@ -7,6 +7,9 @@ passes through the problem's repair, so the population stays inside device
 windows throughout; the penalty therefore only prices network-level
 violations (voltage, grid limit), and it doubles whenever the best feasible
 point stalls while violations persist.
+
+``GaConfig`` holds the budget, population and generations; the operators'
+settings and the penalty schedule are the module constants below.
 """
 
 from __future__ import annotations
@@ -16,20 +19,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+TOURNAMENT = 3  # contestants per selection
+CROSSOVER_RATE = 0.9  # share of children made by crossover; the rest copy a parent
+BLEND_ALPHA = 0.5  # blend crossover's widening of the parents' interval, each side
+MUTATION_SCALE = 0.1  # mutation noise, as a share of each gene's span
+ELITES = 2  # best individuals carried over unchanged
+PENALTY_INIT = 1e4  # exterior-penalty weight on the violation at the start
+PENALTY_GROWTH = 2.0  # factor applied to the weight on a stall
+STALL_GENERATIONS = 10  # generations without progress that count as a stall
+PENALTY_CAP = 1e12  # the weight grows no further once it reaches this
+
 
 @dataclass
 class GaConfig:
     population: int = 60
     generations: int = 150
-    tournament: int = 3
-    crossover_rate: float = 0.9
-    blend_alpha: float = 0.5
-    mutation_scale: float = 0.1
-    elites: int = 2
-    penalty_init: float = 1e4
-    penalty_growth: float = 2.0
-    stall_generations: int = 10
-    penalty_cap: float = 1e12
 
 
 @dataclass
@@ -74,7 +78,7 @@ def ga_seed(
 
     obj, vio = evaluate(pop)
     evaluations = pop_size
-    penalty = cfg.penalty_init
+    penalty = PENALTY_INIT
     history: List[Dict] = []
 
     def fitness() -> np.ndarray:
@@ -93,12 +97,12 @@ def ga_seed(
         fit = fitness()
 
         order = np.lexsort((vio, fit))
-        elite = pop[order[: cfg.elites]].copy()
-        elite_obj = obj[order[: cfg.elites]].copy()
-        elite_vio = vio[order[: cfg.elites]].copy()
+        elite = pop[order[: ELITES]].copy()
+        elite_obj = obj[order[: ELITES]].copy()
+        elite_vio = vio[order[: ELITES]].copy()
 
-        n_children = pop_size - cfg.elites
-        picks = rng.integers(0, pop_size, size=(2 * n_children, cfg.tournament))
+        n_children = pop_size - ELITES
+        picks = rng.integers(0, pop_size, size=(2 * n_children, TOURNAMENT))
         winners = picks[np.arange(2 * n_children), np.argmin(fit[picks], axis=1)]
         parents_a = pop[winners[:n_children]]
         parents_b = pop[winners[n_children:]]
@@ -108,12 +112,12 @@ def ga_seed(
         low = np.minimum(parents_a, parents_b)
         high = np.maximum(parents_a, parents_b)
         width = high - low
-        children = low - cfg.blend_alpha * width + rng.random((n_children, n)) * (1 + 2 * cfg.blend_alpha) * width
-        skip = rng.random(n_children) >= cfg.crossover_rate
+        children = low - BLEND_ALPHA * width + rng.random((n_children, n)) * (1 + 2 * BLEND_ALPHA) * width
+        skip = rng.random(n_children) >= CROSSOVER_RATE
         children[skip] = parents_a[skip]
 
         mutate = rng.random((n_children, n)) < (1.0 / n)
-        noise = rng.normal(0.0, cfg.mutation_scale, size=(n_children, n)) * span
+        noise = rng.normal(0.0, MUTATION_SCALE, size=(n_children, n)) * span
         children = np.where(mutate, children + noise, children)
 
         children = repair(np.clip(children, lo, hi))
@@ -134,8 +138,8 @@ def ga_seed(
             stall = 0
         else:
             stall += 1
-        if stall >= cfg.stall_generations and vio[i] > 0 and penalty < cfg.penalty_cap:
-            penalty *= cfg.penalty_growth
+        if stall >= STALL_GENERATIONS and vio[i] > 0 and penalty < PENALTY_CAP:
+            penalty *= PENALTY_GROWTH
             best_key = np.inf
             stall = 0
 

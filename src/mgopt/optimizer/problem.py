@@ -651,13 +651,19 @@ class _SplitDispatchNlp(NlpProblem):
         self.problem = problem
         self.spec = spec
         self.rows = np.asarray(rows, dtype=np.intp)
-        self._volt = self.rows >= 4 * problem.T
+        T, cells = problem.T, problem.net.n_bus * problem.T
+        self._volt = self.rows >= 4 * T
+        # The carried voltage rows' bus-major (bus, hour) cells, and which
+        # of them are lower bounds.
+        k = self.rows[self._volt] - 4 * T
+        self._volt_bus, self._volt_hour = np.divmod(k % cells, T)
+        self._volt_low = k < cells
         self._key: Optional[bytes] = None
         b = problem.case.battery
         self._soc_min, self._soc_max = (b.soc_min_kwh, b.soc_max_kwh) if b is not None else (0.0, 1.0)
         self._soc_scale = self._soc_max - self._soc_min
         # The affine SOC rows, soc_lo then soc_hi, over the charge and discharge blocks.
-        T, c = problem.T, problem.u_len
+        c = problem.u_len
         self._J_soc = np.zeros((2 * T, lower.size))
         self._J_soc[:, c : c + T] = np.vstack([-problem.M_c, problem.M_c]) / self._soc_scale
         self._J_soc[:, c + T : c + 2 * T] = np.vstack([problem.M_d, -problem.M_d]) / self._soc_scale
@@ -712,14 +718,15 @@ class _SplitDispatchNlp(NlpProblem):
         curvature is block diagonal by hour."""
         return np.arange(self.n).reshape(-1, self.problem.T).T
 
-    def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, Optional[np.ndarray]]:
-        """Objective gradients, d(slack_kw) (T, ns) and, with voltage rows,
-        d(vmag) (n_bus, T, ns) by batched central differences.
+    def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
+        """Objective gradients, d(slack_kw) (T, ns) and d(vmag) at the
+        carried voltage rows' cells (rows, ns) by batched central differences.
 
         Perturbing every free hour of one block at once still isolates each
         partial, because hour t of any network quantity depends only on hour
-        t of the plan.  The outage cost is the exception; it chains through
-        the affine SOC map instead.
+        t of the plan; so a voltage cell at hour t has one nonzero column per
+        block.  The outage cost is the exception; it chains through the
+        affine SOC map instead.
         """
         p = self.problem
         T, ns = p.T, xs.size
@@ -747,7 +754,8 @@ class _SplitDispatchNlp(NlpProblem):
         data = p.split_eval(X) if nb else None
 
         grads = {key: np.zeros(ns) for key in OBJECTIVE_KEYS}
-        d_vmag = np.zeros((p.net.n_bus, T, ns)) if self._volt.any() else None
+        v_bus, v_hour = self._volt_bus, self._volt_hour
+        d_volt = np.zeros((v_bus.size, ns))
         d_slack = np.zeros((T, ns))
         for bi, (start, mask) in enumerate(blocks):
             hours = np.nonzero(mask[start : start + T])[0]
@@ -758,8 +766,9 @@ class _SplitDispatchNlp(NlpProblem):
             grads["loss"][cols] = (data.hourly_loss_kw[hi, hours] - data.hourly_loss_kw[lo_, hours]) * p.dt / denom
             grads["vdev"][cols] = (data.hourly_vdev[hi, hours] - data.hourly_vdev[lo_, hours]) / denom
             d_slack[hours, cols] = (data.slack_kw[hi, hours] - data.slack_kw[lo_, hours]) / denom
-            if d_vmag is not None:
-                d_vmag[:, hours, cols] = (data.vmag[:, hi, hours] - data.vmag[:, lo_, hours]) / denom
+            r = np.flatnonzero(mask[start + v_hour])
+            c = start + v_hour[r]
+            d_volt[r, c] = (data.vmag[v_bus[r], hi, v_hour[r]] - data.vmag[v_bus[r], lo_, v_hour[r]]) / (2.0 * h[c])
 
         if p.case.battery is not None:
             soc = self._eval(xs)["soc"]
@@ -771,12 +780,12 @@ class _SplitDispatchNlp(NlpProblem):
             g_soc = (costs[0::2] - costs[1::2]) / (2.0 * hs)
             grads["ens"][p.u_len : p.u_len + T] = g_soc @ p.M_c
             grads["ens"][p.u_len + T : p.u_len + 2 * T] = -(g_soc @ p.M_d)
-        return grads, d_slack, d_vmag
+        return grads, d_slack, d_volt
 
     def derivatives(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.problem
         T, ns = p.T, xs.size
-        grads, d_slack, d_vmag = self._differences(xs)
+        grads, d_slack, d_volt = self._differences(xs)
         chain = self.spec.chain(self._eval(xs)["values"])
         grad = np.zeros(ns)
         for key, coeff in chain.items():
@@ -785,12 +794,9 @@ class _SplitDispatchNlp(NlpProblem):
         J_eq = np.zeros((int(p.dr), ns))
         J_eq[:, p.u_len + 2 * T :] = 1.0 / p.s_base
 
-        # The rows gathered from the layout's blocks; voltage cells are bus-major.
-        volt, cells = self._volt, p.net.n_bus * T
+        # The rows gathered from the layout's blocks.
+        volt = self._volt
         J_in = np.empty((self.rows.size, ns))
         J_in[~volt] = np.concatenate([self._J_soc, d_slack / p.s_base, -d_slack / p.s_base])[self.rows[~volt]]
-        if d_vmag is not None:
-            k = self.rows[volt] - 4 * T
-            d_cells = d_vmag.reshape(cells, ns)[k % cells]
-            J_in[volt] = np.where((k < cells)[:, np.newaxis], -d_cells, d_cells)
+        J_in[volt] = np.where(self._volt_low[:, np.newaxis], -d_volt, d_volt)
         return grad, J_eq, J_in

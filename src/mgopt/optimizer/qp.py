@@ -27,6 +27,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# Step and multiplier threshold of the active-set loop: a step below it
+# (relative to |x|) counts as zero, a multiplier above -TOL as nonnegative.
+TOL = 1e-10
+# Price of an elastic slack, per unit of the problem's largest entry in g or H.
+ELASTIC_PRICE = 1e6
+
 
 class QpError(RuntimeError):
     pass
@@ -133,16 +139,16 @@ def _equality_step(qp: _Qp, x: np.ndarray, working: np.ndarray):
     return p, lam[:n_eq], mu
 
 
-def _worst(working: List[int], mu: np.ndarray, tol: float) -> Optional[int]:
-    """Position in ``working`` of the most negative multiplier below -tol, if any."""
-    neg = np.flatnonzero(mu < -tol)
+def _worst(working: List[int], mu: np.ndarray) -> Optional[int]:
+    """Position in ``working`` of the most negative multiplier below -TOL, if any."""
+    neg = np.flatnonzero(mu < -TOL)
     if not neg.size:
         return None
     return int(neg[np.lexsort((np.asarray(working)[neg], mu[neg]))[0]])
 
 
 def _active_set_loop(
-    qp: _Qp, x: np.ndarray, working: List[int], max_pivots: int, tol: float
+    qp: _Qp, x: np.ndarray, working: List[int], max_pivots: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], int]:
     """Classic primal active-set iteration from a feasible point.
 
@@ -164,8 +170,8 @@ def _active_set_loop(
             pivots += 1
             continue
         p, lam, mu = step
-        if np.abs(p).max(initial=0.0) <= tol * (1.0 + np.abs(x).max(initial=0.0)):
-            worst = _worst(working, mu, tol)
+        if np.abs(p).max(initial=0.0) <= TOL * (1.0 + np.abs(x).max(initial=0.0)):
+            worst = _worst(working, mu)
             if worst is None:
                 return x, lam, mu, working, pivots
             del working[worst]
@@ -174,7 +180,7 @@ def _active_set_loop(
         resid, _ = qp.residuals(x)
         direction = np.concatenate([qp.G @ p, qp.bsign * p[qp.bvar]])
         direction[w] = 0.0
-        blockers = np.flatnonzero(direction > tol)
+        blockers = np.flatnonzero(direction > TOL)
         ratios = -resid[blockers] / direction[blockers]
         near = ratios < 1.0 - 1e-14
         alpha = 1.0
@@ -193,7 +199,7 @@ def _active_set_loop(
         # the multipliers just solved belong to that point, so testing them
         # here avoids re-solving a system whose residual noise can exceed the
         # stationarity threshold.
-        worst = _worst(working, mu, tol)
+        worst = _worst(working, mu)
         if worst is None:
             return x, lam, mu, working, pivots
         del working[worst]
@@ -209,8 +215,6 @@ def qp_subproblem(
     lower: Optional[np.ndarray] = None,
     upper: Optional[np.ndarray] = None,
     warm_start: Optional[Sequence[Tuple[str, int]]] = None,
-    tol: float = 1e-10,
-    elastic_penalty: Optional[float] = None,
 ) -> QpResult:
     """Solve one convex QP; see the module docstring for the problem form.
 
@@ -240,12 +244,12 @@ def qp_subproblem(
     # The clipped start satisfies every bound, so only general rows can fail.
     bad = np.flatnonzero(resid[: G.shape[0]] > feas_tol)
     if not bad.size:
-        return _run(qp, x0, n, warm_start, tol, False)
+        return _run(qp, x0, n, warm_start, False)
 
     # Elastic retry: one slack variable per violated general row, bounded
     # below by 0 and priced at rho, restores a feasible start.
     scale = max(1.0, float(np.abs(g).max(initial=0.0)), float(np.abs(H).max(initial=0.0)))
-    rho = elastic_penalty if elastic_penalty is not None else 1e6 * scale
+    rho = ELASTIC_PRICE * scale
     ns = bad.size
     He = np.zeros((n + ns, n + ns))
     He[:n, :n] = H
@@ -262,7 +266,7 @@ def qp_subproblem(
         np.concatenate([lo, np.zeros(ns)]),
         np.concatenate([hi, np.full(ns, np.inf)]),
     )
-    return _run(elastic, np.concatenate([x0, resid[bad] + 1.0]), n, warm_start, tol, True)
+    return _run(elastic, np.concatenate([x0, resid[bad] + 1.0]), n, warm_start, True)
 
 
 def _feasible_start(eq_rows: np.ndarray, eq_rhs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -318,7 +322,7 @@ def _pinned_resolve(
     return candidate
 
 
-def _run(qp: _Qp, x0: np.ndarray, n: int, warm_start, tol: float, elastic: bool) -> QpResult:
+def _run(qp: _Qp, x0: np.ndarray, n: int, warm_start, elastic: bool) -> QpResult:
     """Solve from the feasible point x0 and report on the first n variables.
 
     Variables n and beyond are elastic slacks; their bounds take no part in
@@ -334,7 +338,7 @@ def _run(qp: _Qp, x0: np.ndarray, n: int, warm_start, tol: float, elastic: bool)
         near = np.abs(resid) <= 1e-9 * (1.0 + np.abs(rhs))
         working = [k for k, tag in enumerate(tags) if tag in wanted and near[k]]
     max_pivots = 50 * (x0.size + len(tags) + 10)
-    x, lam, mu, working, pivots = _active_set_loop(qp, x0, working, max_pivots, tol)
+    x, lam, mu, working, pivots = _active_set_loop(qp, x0, working, max_pivots)
 
     w = np.asarray(working, dtype=np.intp)
     general = w < m

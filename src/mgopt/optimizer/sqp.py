@@ -21,6 +21,10 @@ Problems are posed as  min f(x)  s.t.  c_eq(x) = 0, c_in(x) <= 0,
 lo <= x <= hi.  Derivatives default to central finite differences; callers
 with structure (exact rows for affine constraints, batched evaluations)
 override ``derivatives``.
+
+``SqpConfig`` holds the KKT tolerance and the iteration cap; the feasibility
+and step tolerances, the line search, the merit penalty and the damping
+threshold are the module constants below.
 """
 
 from __future__ import annotations
@@ -36,19 +40,19 @@ from .qp import QpError, QpInfeasibleError, QpResult, pinned_mask, qp_subproblem
 # Smallest eigenvalue ratio (smallest over largest) a Hessian block may reach
 # through an update; an update that would go below it is skipped.
 COND_FLOOR = 1e-10
+TOL_FEAS = 1e-6  # largest constraint violation a converged point may keep
+STEP_TOL = 1e-10  # a step below this, relative to |x|, ends the solve as "small-step"
+ALPHA_MIN = 2.0 ** -20  # the line search gives up below this step length
+ARMIJO = 1e-4  # sufficient-decrease share of the predicted merit descent
+PENALTY_INIT = 1.0  # l1 merit penalty at the start
+PENALTY_MARGIN = 2.0  # the penalty is raised to this multiple of the largest multiplier, plus one
+DAMPING = 0.2  # Powell's damping threshold on s'y against s'Bs
 
 
 @dataclass
 class SqpConfig:
     tol_kkt: float = 1e-4
-    tol_feas: float = 1e-6
     max_iterations: int = 200
-    alpha_min: float = 2.0 ** -20
-    armijo: float = 1e-4
-    penalty_init: float = 1.0
-    penalty_margin: float = 2.0
-    damping: float = 0.2
-    step_tol: float = 1e-10
 
 
 class NlpProblem:
@@ -150,9 +154,7 @@ def _violation_inf(ceq: np.ndarray, cin: np.ndarray) -> float:
     return v
 
 
-def _update_blocks(
-    B: np.ndarray, s: np.ndarray, y: np.ndarray, damping: float, tiny: float
-) -> np.ndarray:
+def _update_blocks(B: np.ndarray, s: np.ndarray, y: np.ndarray, tiny: float) -> np.ndarray:
     """Powell-damped BFGS update of every block at once.
 
     ``B`` is (n_blocks, k, k); ``s`` and ``y`` are the blocks' step and
@@ -163,8 +165,8 @@ def _update_blocks(
     Bs = np.einsum("bij,bj->bi", B, s)
     sBs = np.einsum("bi,bi->b", s, Bs)
     sy = np.einsum("bi,bi->b", s, y)
-    damp = sy < damping * sBs
-    theta = np.where(damp, (1.0 - damping) * sBs / np.where(damp, sBs - sy, 1.0), 1.0)[:, np.newaxis]
+    damp = sy < DAMPING * sBs
+    theta = np.where(damp, (1.0 - DAMPING) * sBs / np.where(damp, sBs - sy, 1.0), 1.0)[:, np.newaxis]
     y = theta * y + (1.0 - theta) * Bs
     sy = np.einsum("bi,bi->b", s, y)
     take = np.flatnonzero((np.abs(s).max(axis=1) > tiny) & (sBs > 0) & (sy > 1e-12 * sBs))
@@ -215,7 +217,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
     B_blocks = np.tile(np.eye(blocks.shape[1]), (blocks.shape[0], 1, 1))
     rows_ix, cols_ix = blocks[:, :, np.newaxis], blocks[:, np.newaxis, :]
     B = np.zeros((n, n))
-    penalty = cfg.penalty_init
+    penalty = PENALTY_INIT
     warm: Optional[Tuple] = None
     trace: List[Dict] = []
     status = "max-iterations"
@@ -225,6 +227,10 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
     lam = np.zeros(ceq.size)
     mu = np.zeros(cin.size)
     iterations = 0
+
+    def record(merit: float, step: float, alpha: float) -> None:
+        trace.append({"iteration": k, "merit": merit, "kkt": kkt, "step": step, "alpha": alpha,
+                      "penalty": penalty, "elastic": qp.elastic})
 
     for k in range(1, cfg.max_iterations + 1):
         iterations = k
@@ -259,15 +265,13 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
         kkt = float(np.abs(stat[free]).max(initial=0.0)) / scale
         step_size = float(np.abs(d).max(initial=0.0))
 
-        if kkt <= cfg.tol_kkt and viol <= cfg.tol_feas and not qp.elastic:
+        if kkt <= cfg.tol_kkt and viol <= TOL_FEAS and not qp.elastic:
             status, converged = "kkt", True
-            trace.append({"iteration": k, "merit": f + penalty * _violation(ceq, cin), "kkt": kkt,
-                          "step": 0.0, "alpha": 0.0, "penalty": penalty, "elastic": qp.elastic})
+            record(f + penalty * _violation(ceq, cin), 0.0, 0.0)
             break
-        if step_size <= cfg.step_tol * (1.0 + float(np.abs(x).max(initial=0.0))) and viol <= cfg.tol_feas:
+        if step_size <= STEP_TOL * (1.0 + float(np.abs(x).max(initial=0.0))) and viol <= TOL_FEAS:
             status, converged = "small-step", True
-            trace.append({"iteration": k, "merit": f + penalty * _violation(ceq, cin), "kkt": kkt,
-                          "step": step_size, "alpha": 0.0, "penalty": penalty, "elastic": qp.elastic})
+            record(f + penalty * _violation(ceq, cin), step_size, 0.0)
             break
 
         needed = max(
@@ -276,27 +280,26 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
             float(qp.lower_multipliers.max(initial=0.0)),
             float(qp.upper_multipliers.max(initial=0.0)),
         )
-        penalty = max(penalty, cfg.penalty_margin * needed + 1.0)
+        penalty = max(penalty, PENALTY_MARGIN * needed + 1.0)
 
         merit0 = f + penalty * _violation(ceq, cin)
         descent = float(grad @ d) - penalty * _violation(ceq, cin)
 
         alpha = 1.0
         accepted = False
-        while alpha >= cfg.alpha_min:
+        while alpha >= ALPHA_MIN:
             x_try = np.clip(x + alpha * d, lo, hi)
             f_try = f_of(x_try)
             ceq_try = problem.eq_constraints(x_try)
             cin_try = problem.ineq_constraints(x_try)
             merit_try = f_try + penalty * _violation(ceq_try, cin_try)
-            if merit_try <= merit0 + cfg.armijo * alpha * min(descent, 0.0) and np.isfinite(merit_try):
+            if merit_try <= merit0 + ARMIJO * alpha * min(descent, 0.0) and np.isfinite(merit_try):
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             status = "line-search"
-            trace.append({"iteration": k, "merit": merit0, "kkt": kkt, "step": step_size,
-                          "alpha": 0.0, "penalty": penalty, "elastic": qp.elastic})
+            record(merit0, step_size, 0.0)
             break
 
         grad_try, J_eq_try, J_in_try = problem.derivatives(x_try)
@@ -314,13 +317,11 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
             dL_new += J_in_try[nl_in].T @ mu[nl_in]
         y = dL_new - dL_old
         tiny = 1e-14 * (1.0 + float(np.abs(x).max(initial=0.0)))
-        B_blocks = _update_blocks(B_blocks, s[blocks], y[blocks], cfg.damping, tiny)
+        B_blocks = _update_blocks(B_blocks, s[blocks], y[blocks], tiny)
 
         x, f, ceq, cin = x_try, f_try, ceq_try, cin_try
         grad, J_eq, J_in = grad_try, J_eq_try, J_in_try
-        trace.append({"iteration": k, "merit": f + penalty * _violation(ceq, cin), "kkt": kkt,
-                      "step": float(np.abs(alpha * d).max(initial=0.0)), "alpha": alpha,
-                      "penalty": penalty, "elastic": qp.elastic})
+        record(f + penalty * _violation(ceq, cin), float(np.abs(alpha * d).max(initial=0.0)), alpha)
 
     return SqpResult(
         x=x,

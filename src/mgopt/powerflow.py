@@ -156,14 +156,11 @@ def shift_distribution_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = 
 
 
 def consumption_from_schedule(
-    case: MicrogridCase,
-    schedule: Optional[DispatchSchedule],
-    net: Optional[CompiledNetwork] = None,
-    base_load: Optional[np.ndarray] = None,
+    case: MicrogridCase, schedule: Optional[DispatchSchedule], net: Optional[CompiledNetwork] = None
 ) -> np.ndarray:
     """Net complex consumption per bus and hour under a schedule, per-unit."""
     net = net or compile_network(case)
-    s = (load_consumption_pu(case, net) if base_load is None else base_load).copy()
+    s = load_consumption_pu(case, net)
     if schedule is None:
         return s
     for i, unit in enumerate(case.units):
@@ -185,16 +182,13 @@ class SweepResult(NamedTuple):
 
 
 def sweep(
-    net: CompiledNetwork,
-    consumption_pu: np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    net: CompiledNetwork, consumption_pu: np.ndarray, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> SweepResult:
     """Run the backward-forward sweep on a column batch of injections.
 
     consumption_pu has shape (n_bus, m); positive real part consumes.
     Voltages start flat at 1.0 pu.  A column converges when its largest
-    voltage change over all buses drops below ``tolerance``; columns whose
+    voltage change over all buses drops below DEFAULT_TOLERANCE; columns whose
     magnitude dips under 0.5 pu at any bus are reported collapsed rather
     than merely unconverged.
 
@@ -211,7 +205,7 @@ def sweep(
         # Numpy hands a one-row product to gemv, which rounds differently
         # from gemm; solving a copy alongside keeps a lone column bitwise
         # equal to the same column inside a batch.
-        pair = sweep(net, np.repeat(s, 2, axis=1), tolerance, max_iterations)
+        pair = sweep(net, np.repeat(s, 2, axis=1), max_iterations)
         return SweepResult(*(field[..., :1] for field in pair))
 
     m = s.shape[1]
@@ -247,10 +241,10 @@ def sweep(
                 dipped[risky] |= _below_floor(1.0 - drop @ acc[:, risky])
             # A column that passes on the injection buses is confirmed on the
             # rest, since a bus without load can move the most.
-            screened = np.flatnonzero(~converged & (dv < tolerance))
+            screened = np.flatnonzero(~converged & (dv < DEFAULT_TOLERANCE))
             if screened.size:
                 step = drop_rest @ (acc[:, screened] - prev[:, screened])
-                newly = screened[np.abs(step).max(axis=0, initial=0.0) < tolerance]
+                newly = screened[np.abs(step).max(axis=0, initial=0.0) < DEFAULT_TOLERANCE]
                 iterations[newly] = k
                 converged[newly] = True
             v, v_new = v_new, v
@@ -351,14 +345,13 @@ def solve_horizon(
     case: MicrogridCase,
     schedule: Optional[DispatchSchedule] = None,
     net: Optional[CompiledNetwork] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     raise_on_failure: bool = True,
 ) -> PowerFlowSolution:
     """Solve every hour of the horizon for a schedule (grid-only if None)."""
     net = net or compile_network(case)
     s = consumption_from_schedule(case, schedule, net)
-    result = sweep(net, s, tolerance, max_iterations)
+    result = sweep(net, s, max_iterations)
     if raise_on_failure:
         _raise_if_failed(result, max_iterations)
     return package_solution(net, result)

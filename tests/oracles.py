@@ -14,22 +14,27 @@ the package's own single-schedule versions of what the optimizer now does in
 batch.  They stay here as references and borrow the package's SOC
 recursion, island partition, headroom screen, contingency precomputation
 and horizon power flow.  So are the tuple-tagged network rows of the SQP
-subproblem, the interpreter the row layout replaced, and the scattered
-``np.subtract.at`` form of the dispatch problem's bus injections.
+subproblem, the interpreter the row layout replaced, the scattered
+``np.subtract.at`` form of the dispatch problem's bus injections, and the
+dense voltage derivatives of the subproblem, which the package now takes at
+the carried voltage rows only.  ``sectioned_case`` is a case builder, not a
+reference: it deepens a feeder without changing its physics.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
-from mgopt.netmodel import Battery, DgUnit, MicrogridCase
+from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
 from mgopt.objectives import ObjectiveValues
-from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult
+from mgopt.optimizer.derivatives import DEFAULT_REL_STEP
+from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
 from mgopt.powerflow import (
     COLLAPSE_FLOOR_PU,
     DEFAULT_MAX_ITERATIONS,
@@ -248,6 +253,23 @@ def random_feeder_with_empty_buses(
     s = p + 1j * q
     s[:, rng.random(columns) < 0.2] = 0.0
     return n, branches, s
+
+
+def sectioned_case(case: MicrogridCase, sections: int) -> MicrogridCase:
+    """The case with every branch cut into equal series sections through empty buses."""
+    buses, branches = list(case.buses), []
+    for br in case.branches:
+        chain = [br.from_bus] + [f"{br.id}.{k}" for k in range(1, sections)] + [br.to_bus]
+        buses.extend(Bus(bus_id) for bus_id in chain[1:-1])
+        for k in range(sections):
+            branches.append(Branch(
+                id=br.id if k == 0 else f"{br.id}.{k}",
+                from_bus=chain[k],
+                to_bus=chain[k + 1],
+                resistance_ohm=br.resistance_ohm / sections,
+                reactance_ohm=br.reactance_ohm / sections,
+            ))
+    return validate_case(replace(case, buses=tuple(buses), branches=tuple(branches)))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,14 +1033,13 @@ def solve_hour(
     schedule: Optional[DispatchSchedule] = None,
     hour: int = 0,
     net: Optional[CompiledNetwork] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> PowerFlowSolution:
     """Solve a single hour; the result has horizon 1 and carries the
     sweep's convergence flags rather than raising."""
     net = net or compile_network(case)
     s = consumption_from_schedule(case, schedule, net)[:, hour : hour + 1]
-    return package_solution(net, sweep(net, s, tolerance, max_iterations))
+    return package_solution(net, sweep(net, s, max_iterations))
 
 
 def dg_cost(unit: DgUnit, p_kw: float, committed: Optional[bool] = None) -> float:
@@ -1132,6 +1153,37 @@ def subtract_at_consumption(problem, p_units: np.ndarray, p_net: np.ndarray, shi
     if shift is not None:
         cons += problem.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
     return cons
+
+
+def dense_vmag_differences(nlp, xs: np.ndarray) -> np.ndarray:
+    """d(vmag)/dx (n_bus, T, ns) of a split subproblem at every bus and hour,
+    by the package's batched central differences, as the package once built
+    it before it kept only the carried voltage rows."""
+    p = nlp.problem
+    T, ns = p.T, xs.size
+    free = ~pinned_mask(nlp.lower, nlp.upper)
+    h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
+    starts = [u * T for u in range(p.n_units)]
+    if p.case.battery is not None:
+        starts += [p.u_len, p.u_len + T]
+    if p.dr:
+        starts.append(p.u_len + 2 * T)
+    masks = []
+    for start in starts:
+        mask = np.zeros(ns, dtype=bool)
+        mask[start : start + T] = free[start : start + T]
+        if mask.any():
+            masks.append((start, mask))
+    # One batch, as in the package: a sweep column's rounding depends on
+    # how long its batch iterates.
+    X = np.vstack([z for _, mask in masks for z in (xs + np.where(mask, h, 0.0), xs - np.where(mask, h, 0.0))])
+    vmag = p.split_eval(X).vmag
+    d_vmag = np.zeros((p.net.n_bus, T, ns))
+    for bi, (start, mask) in enumerate(masks):
+        hours = np.nonzero(mask[start : start + T])[0]
+        cols = start + hours
+        d_vmag[:, hours, cols] = (vmag[:, 2 * bi, hours] - vmag[:, 2 * bi + 1, hours]) / (2.0 * h[cols])
+    return d_vmag
 
 
 # ---------------------------------------------------------------------------

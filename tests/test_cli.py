@@ -269,6 +269,34 @@ def test_schedule_csv_rejects_wrong_row_count(tmp_path):
     assert info.value.code == EXIT_VALIDATION
 
 
+def _broken_schedule(tmp_path, edit):
+    """The grid-only schedule CSV of the benchmark case with ``edit`` applied to its data lines."""
+    case = load_benchmark_case()
+    path = tmp_path / "schedule.csv"
+    write_schedule_csv(path, case, DispatchSchedule(np.zeros((len(case.units), 24)), np.zeros(24), None))
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(lines)) + "\n", encoding="utf-8")
+    return path
+
+
+def test_powerflow_rejects_repeated_hour(tmp_path, capsys):
+    # Hour 0 written twice and hour 5 missing: the row count still matches.
+    path = _broken_schedule(tmp_path, lambda lines: [lines[0] if t == 5 else line for t, line in enumerate(lines)])
+    assert main(["powerflow", benchmark_case_path(), "--schedule", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation:") and "repeats hour 0" in captured.err
+
+
+def test_powerflow_rejects_short_rows(tmp_path, capsys):
+    # Every row lacks its battery_kw cell.
+    path = _broken_schedule(tmp_path, lambda lines: [line.rsplit(",", 1)[0] for line in lines])
+    assert main(["powerflow", benchmark_case_path(), "--schedule", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation:") and "cells" in captured.err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

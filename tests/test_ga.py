@@ -1,5 +1,6 @@
 import numpy as np
 
+import mgopt.optimizer.ga as ga
 from mgopt.optimizer import GaConfig, ga_seed
 
 
@@ -89,14 +90,14 @@ def test_penalty_grows_when_best_is_infeasible():
         pop = np.atleast_2d(pop)
         return (pop ** 2).sum(axis=1), np.ones(pop.shape[0])
 
-    cfg = GaConfig(population=10, generations=60, penalty_init=1.0,
-                   penalty_growth=2.0, stall_generations=5)
     result = ga_seed(never_feasible, _identity_repair, lo, hi,
-                     np.random.default_rng(6), cfg)
+                     np.random.default_rng(6), GaConfig(population=10, generations=60))
     assert result.violation == 1.0
-    penalties = {row["penalty"] for row in result.history}
-    assert len(penalties) > 1
-    assert max(penalties) > cfg.penalty_init
+    penalties = [row["penalty"] for row in result.history]
+    assert penalties[0] == ga.PENALTY_INIT
+    assert max(penalties) > ga.PENALTY_INIT
+    # Every escalation multiplies the weight by the growth factor.
+    assert {b / a for a, b in zip(penalties, penalties[1:]) if b != a} == {ga.PENALTY_GROWTH}
 
 
 def test_feasible_preferred_over_cheaper_infeasible():
@@ -111,6 +112,6 @@ def test_feasible_preferred_over_cheaper_infeasible():
         return obj, vio
 
     result = ga_seed(split, _identity_repair, lo, hi, np.random.default_rng(7),
-                     GaConfig(population=30, generations=40, penalty_init=1e4))
+                     GaConfig(population=30, generations=40))
     assert result.violation == 0.0
     assert result.x[0] >= 0.0

@@ -1,11 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mgopt.devices import DispatchSchedule, zero_schedule
-from mgopt.netmodel import Branch, Bus, validate_case
 from mgopt.powerflow import (
     CompiledNetwork,
     ConvergenceError,
@@ -26,6 +24,7 @@ from oracles import (
     loop_sweep,
     random_feeder_with_empty_buses,
     random_radial_network,
+    sectioned_case,
     solve_hour,
     two_bus_voltage,
 )
@@ -230,23 +229,6 @@ def _assert_matches_loop_sweep(net, s, rtol=0.0, **kwargs):
     return got
 
 
-def _sectioned(case, sections):
-    """The case with every branch cut into equal series sections through empty buses."""
-    buses, branches = list(case.buses), []
-    for br in case.branches:
-        chain = [br.from_bus] + [f"{br.id}.{k}" for k in range(1, sections)] + [br.to_bus]
-        buses.extend(Bus(bus_id) for bus_id in chain[1:-1])
-        for k in range(sections):
-            branches.append(Branch(
-                id=br.id if k == 0 else f"{br.id}.{k}",
-                from_bus=chain[k],
-                to_bus=chain[k + 1],
-                resistance_ohm=br.resistance_ohm / sections,
-                reactance_ohm=br.reactance_ohm / sections,
-            ))
-    return validate_case(replace(case, buses=tuple(buses), branches=tuple(branches)))
-
-
 def test_path_matrices_follow_the_tree():
     # 0 - 1 - 2 and 1 - 3: branch l1 carries buses 1, 2 and 3.
     z = [0.01 + 0.02j, 0.03 + 0.01j, 0.02 + 0.02j]
@@ -280,7 +262,7 @@ def test_sweep_matches_loop_sweep_on_benchmark_day(benchmark_case):
 
 
 def test_sweep_matches_loop_sweep_on_sectioned_benchmark(benchmark_case):
-    case = _sectioned(benchmark_case, 4)
+    case = sectioned_case(benchmark_case, 4)
     net = compile_network(case)
     assert net.n_bus == len(benchmark_case.buses) + 3 * len(benchmark_case.branches)
     s = load_consumption_pu(case, net)

@@ -6,15 +6,16 @@ import pytest
 
 from mgopt.devices import soc_trajectory
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
-from mgopt.optimizer.derivatives import DEFAULT_REL_STEP
 from mgopt.optimizer.problem import _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
 
 from oracles import (
     battery_feasibility,
+    dense_vmag_differences,
     evaluate_objectives,
     grid_feasibility,
     repair_battery_powers,
+    sectioned_case,
     subtract_at_consumption,
     threshold_commitment,
     tuple_nonlinear_rows,
@@ -252,7 +253,7 @@ def test_split_nlp_gradient_matches_naive_fd(problem):
 
         from mgopt.optimizer.derivatives import gradient
 
-        naive = gradient(nlp.objective, xs, DEFAULT_REL_STEP)
+        naive = gradient(nlp.objective, xs)
         free = (upper - lower) > 1e-12
         scale = max(1.0, np.abs(naive[free]).max())
         assert np.abs((grad - naive)[free]).max() < 1e-4 * scale, key
@@ -271,7 +272,7 @@ def test_split_nlp_constraint_rows_match_fd(problem):
 
     from mgopt.optimizer.derivatives import jacobian
 
-    naive = jacobian(nlp.ineq_constraints, xs, DEFAULT_REL_STEP, len(rows))
+    naive = jacobian(nlp.ineq_constraints, xs, m=len(rows))
     free = (upper - lower) > 1e-12
     assert np.abs((J_in - naive)[:, free]).max() < 1e-4 * max(1.0, np.abs(naive).max())
 
@@ -364,10 +365,35 @@ def test_row_layout_matches_tuple_rows(benchmark_case, variant):
     data = nlp._eval(xs)
     reference = tuple_row_values(problem, tuple_rows, data["soc"], data["slack_kw"], data["vmag"])
     assert nlp.ineq_constraints(xs).tobytes() == reference.tobytes()
-    _, d_slack, d_vmag = nlp._differences(xs)
+    d_slack = nlp._differences(xs)[1]
     J_in = nlp.derivatives(xs)[2]
+    d_vmag = dense_vmag_differences(nlp, xs)
     assert J_in.tobytes() == tuple_row_jacobian(problem, tuple_rows, d_slack, d_vmag, xs.size).tobytes()
     assert np.array_equal(nlp.nonlinear_ineq(len(tuple_rows)), tuple_nonlinear_rows(tuple_rows))
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned"])
+def test_voltage_row_derivatives_match_dense_differences(benchmark_case, variant):
+    # Voltage derivatives at the carried rows only must equal, bit for bit,
+    # the same rows gathered from the dense (n_bus, T, ns) differences.
+    case = sectioned_case(benchmark_case, 4) if variant == "sectioned" else benchmark_case
+    problem = DispatchProblem(case, dr=variant == "dr")
+    x = problem.seed_points()[2]
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    xs = np.clip(problem.split_from_signed(x), lower, upper)
+    T, cells = problem.T, problem.net.n_bus * problem.T
+    screened = problem.screen_rows(problem.metrics(x).vmag[:, 0, :])
+    drawn = 4 * T + np.random.default_rng(11).choice(2 * cells, size=60, replace=False)
+    rows = np.concatenate([screened, drawn[~np.isin(drawn, screened)]])
+    volt = rows >= 4 * T
+    assert volt.sum() >= 60 and (rows[volt] - 4 * T < cells).any() and (rows[volt] - 4 * T >= cells).any()
+
+    nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, rows)
+    J_in = nlp.derivatives(xs)[2]
+    k = rows[volt] - 4 * T
+    d_cells = dense_vmag_differences(nlp, xs).reshape(cells, xs.size)[k % cells]
+    dense = np.where((k < cells)[:, np.newaxis], -d_cells, d_cells)
+    assert J_in[volt].tobytes() == dense.tobytes()
 
 
 def _first_hours(case, hours):
@@ -409,8 +435,9 @@ def test_lagrangian_curvature_is_block_diagonal_by_hour(problem):
     nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, rows)
 
     def first_derivatives(z):
-        grads, d_slack, d_vmag = nlp._differences(z)
-        return np.vstack([grads["cost"], grads["loss"], grads["vdev"], d_slack, d_vmag.reshape(-1, z.size)])
+        # The rows are every bus-major voltage cell, so d_volt is all of d(vmag).
+        grads, d_slack, d_volt = nlp._differences(z)
+        return np.vstack([grads["cost"], grads["loss"], grads["vdev"], d_slack, d_volt])
 
     hour = np.arange(xs.size) % T
     kinds = np.repeat(np.arange(5), [1, 1, 1, T, problem.net.n_bus * T])

@@ -197,7 +197,7 @@ def test_block_update_skips_an_update_past_the_conditioning_floor():
     B = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
     s = np.array([[1.0, 0.0], [1.0, 0.0]])
     y = np.array([[1e9, 0.0], [1e11, 0.0]])
-    out = sqp._update_blocks(B, s, y, damping=0.2, tiny=1e-14)
+    out = sqp._update_blocks(B, s, y, tiny=1e-14)
     assert np.array_equal(out[0], np.diag([1e9, 1.0]))
     assert np.array_equal(out[1], np.eye(2))
 
