@@ -12,9 +12,10 @@ voltages per-unit unless a field name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -40,8 +41,8 @@ class Bus:
 @dataclass(frozen=True)
 class Branch:
     id: str
-    from_bus: str
-    to_bus: str
+    from_bus: str = field(metadata={"key": "from"})
+    to_bus: str = field(metadata={"key": "to"})
     resistance_ohm: float
     reactance_ohm: float
 
@@ -212,9 +213,10 @@ class MicrogridCase:
         return max(self.total_load_kw(t) for t in range(self.horizon))
 
     def unit_cap_kw(self, unit: DgUnit, hour: int) -> float:
-        """Upper dispatch bound for a unit at one hour."""
+        """Upper dispatch bound for a unit at one hour: a renewable's
+        availability within its nameplate, a dispatchable's nameplate."""
         if unit.renewable:
-            return self.availability_kw[unit.name][hour]
+            return min(self.availability_kw[unit.name][hour], unit.p_max_kw)
         return unit.p_max_kw
 
 
@@ -254,23 +256,28 @@ def validate_radial(buses: Sequence[Bus], branches: Sequence[Branch]) -> List[Br
         adjacency[br.from_bus].append(br)
         adjacency[br.to_bus].append(br)
 
-    root = slacks[0]
-    visited = {root}
+    # Depth-first with an explicit stack, so a deep feeder cannot hit the
+    # recursion limit.  A frame is (bus, branch it was reached by, that branch
+    # oriented parent-to-child, the rest of the bus's branches); the oriented
+    # branch is emitted once its frame is done.
+    visited = {slacks[0]}
     ordered: List[Branch] = []
-
-    def descend(bus: str, via: Optional[Branch]) -> None:
-        for br in adjacency[bus]:
-            if br is via:
-                continue
-            child = br.to_bus if br.from_bus == bus else br.from_bus
-            if child in visited:
-                raise CaseError(f"network has a cycle through branch {br.id!r}")
-            visited.add(child)
-            oriented = br if br.from_bus == bus else replace(br, from_bus=bus, to_bus=child)
-            descend(child, br)
-            ordered.append(oriented)
-
-    descend(root, None)
+    stack = [(slacks[0], None, None, iter(adjacency[slacks[0]]))]
+    while stack:
+        bus, via, oriented, pending = stack[-1]
+        for br in pending:
+            if br is not via:
+                child = br.to_bus if br.from_bus == bus else br.from_bus
+                if child in visited:
+                    raise CaseError(f"network has a cycle through branch {br.id!r}")
+                visited.add(child)
+                down = br if br.from_bus == bus else replace(br, from_bus=bus, to_bus=child)
+                stack.append((child, br, down, iter(adjacency[child])))
+                break
+        else:
+            stack.pop()
+            if oriented is not None:
+                ordered.append(oriented)
     if len(visited) != len(ids):
         missing = sorted(set(ids) - visited)
         raise CaseError(f"buses not connected to the slack: {missing}")
@@ -364,6 +371,53 @@ def validate_case(case: MicrogridCase) -> MicrogridCase:
     return case
 
 
+@lru_cache(maxsize=None)
+def _hints(cls: type) -> Dict[str, object]:
+    return get_type_hints(cls)
+
+
+def _coerce(kind, value):
+    """Convert a parsed YAML value to an annotated type: a record or scalar
+    type, ``Optional[X]``, ``Tuple[X, ...]`` or ``Dict[K, V]``."""
+    if isinstance(kind, type):
+        return _record(kind, value) if is_dataclass(kind) else kind(value)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        return None if value is None else _coerce(args[0], value)
+    if origin is tuple:
+        return tuple(_coerce(args[0], v) for v in value)
+    return {args[0](k): _coerce(args[1], v) for k, v in value.items()}
+
+
+def _record(cls, raw, **defaults):
+    """Build a record from its YAML mapping: the key is the field name (or
+    its ``key`` metadata), the type is the field annotation, and a missing
+    key takes the reader's ``defaults``, then the field default."""
+    if not isinstance(raw, dict):
+        raise CaseError(f"{cls.__name__} record must be a mapping, got {raw!r}")
+    raw, values = {**defaults, **raw}, {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key in raw:
+            values[f.name] = _coerce(_hints(cls)[f.name], raw[key])
+        elif f.default is MISSING:
+            raise CaseError(f"{cls.__name__} record lacks required key {key!r}")
+    return cls(**values)
+
+
+def _plain(value):
+    """YAML form of a value: a record becomes a mapping of its fields under
+    their keys, a mapping drops its ``None`` entries (unset optionals), and a
+    tuple becomes a list."""
+    if is_dataclass(value):
+        value = {f.metadata.get("key", f.name): getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items() if v is not None}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def case_from_dict(doc: Dict) -> MicrogridCase:
     """Build and validate a case from a parsed YAML document."""
     if not isinstance(doc, dict):
@@ -377,180 +431,70 @@ def case_from_dict(doc: Dict) -> MicrogridCase:
             raise CaseError(f"missing required field {key!r}")
         return doc[key]
 
+    def typed(name: str, value: object) -> object:
+        return _coerce(_hints(MicrogridCase)[name], value)
+
     try:
-        base = doc.get("base", {})
         grid = need("grid")
-        buses = tuple(Bus(str(b["id"]), str(b.get("kind", "load")), b.get("base_voltage_kv")) for b in need("buses"))  # type: ignore[union-attr]
-        branches = tuple(
-            Branch(str(b["id"]), str(b["from"]), str(b["to"]), float(b["resistance_ohm"]), float(b["reactance_ohm"]))
-            for b in need("branches")  # type: ignore[union-attr]
-        )
-        loads = tuple(
-            LoadPoint(
-                str(l["bus"]),
-                str(l["category"]),
-                tuple(float(p) for p in l["profile_kw"]),
-                float(l.get("power_factor", 0.9)),
-            )
-            for l in need("loads")  # type: ignore[union-attr]
-        )
-        units = tuple(
-            DgUnit(
-                str(u["name"]),
-                str(u["bus"]),
-                float(u.get("p_min_kw", 0.0)),
-                float(u["p_max_kw"]),
-                float(u["cost_slope_ct_per_kwh"]),
-                float(u.get("cost_fixed_ct_per_h", 0.0)),
-                bool(u.get("renewable", False)),
-            )
-            for u in doc.get("units", [])
-        )
-        availability = {
-            str(name): tuple(float(p) for p in profile)
-            for name, profile in doc.get("availability", {}).items()
-        }
-        battery = None
-        if doc.get("battery") is not None:
-            b = doc["battery"]
-            battery = Battery(
-                bus=str(b["bus"]),
-                soc_min_kwh=float(b["soc_min_kwh"]),
-                soc_max_kwh=float(b["soc_max_kwh"]),
-                soc_initial_kwh=float(b["soc_initial_kwh"]),
-                p_max_kw=float(b["p_max_kw"]),
-                eta_charge=float(b.get("eta_charge", 0.9)),
-                eta_discharge=float(b.get("eta_discharge", 0.9)),
-                self_discharge_per_h=float(b.get("self_discharge_per_h", 0.002)),
-                usage_cost_ct_per_kwh=float(b.get("usage_cost_ct_per_kwh", 0.38)),
-            )
-        contingencies = tuple(
-            Contingency(str(c["id"]), str(c["element"]), float(c["rate_per_hour"]), float(c["repair_hours"]))
-            for c in doc.get("contingencies", [])
-        )
+        base = doc.get("base", {})
         limits = doc.get("voltage_limits", {"min": 0.95, "max": 1.05})
-        dr = None
-        if doc.get("demand_response") is not None:
-            d = doc["demand_response"]
-            dr = DrProgram(
-                shiftable_fraction=float(d.get("shiftable_fraction", 0.15)),
-                participating=tuple(d.get("participating", LOAD_CATEGORIES)),
-                incentive_ct_per_kwh=float(d.get("incentive_ct_per_kwh", 0.0)),
-            )
-        weights = doc.get("weights")
-        judgment = doc.get("judgment_matrix")
         case = MicrogridCase(
             name=str(doc.get("name", "unnamed")),
-            buses=buses,
-            branches=branches,
-            load_points=loads,
-            units=units,
-            battery=battery,
-            grid_limit_kw=float(grid["import_limit_kw"]),  # type: ignore[index]
-            export_limit_kw=(None if grid.get("export_limit_kw") is None else float(grid["export_limit_kw"])),  # type: ignore[union-attr]
-            prices_ct_per_kwh=tuple(float(p) for p in grid["price_ct_per_kwh"]),  # type: ignore[index]
-            availability_kw=availability,
-            contingencies=contingencies,
+            buses=typed("buses", need("buses")),
+            branches=typed("branches", need("branches")),
+            load_points=typed("load_points", need("loads")),
+            units=tuple(_record(DgUnit, u, p_min_kw=0.0) for u in doc.get("units", [])),
+            battery=typed("battery", doc.get("battery")),
+            grid_limit_kw=typed("grid_limit_kw", grid["import_limit_kw"]),  # type: ignore[index]
+            export_limit_kw=typed("export_limit_kw", grid.get("export_limit_kw")),  # type: ignore[union-attr]
+            prices_ct_per_kwh=typed("prices_ct_per_kwh", grid["price_ct_per_kwh"]),  # type: ignore[index]
+            availability_kw=typed("availability_kw", doc.get("availability", {})),
+            contingencies=typed("contingencies", doc.get("contingencies", [])),
             outage_costs=OutageCostTable.from_mapping(doc.get("outage_costs", {})),
             voltage_limits=(float(limits["min"]), float(limits["max"])),
             horizon=int(doc.get("horizon", 24)),
             period_hours=float(doc.get("period_hours", 1.0)),
             base_voltage_kv=float(base.get("voltage_kv", 0.4)),
             base_power_kva=float(base.get("power_kva", 100.0)),
-            weights=(None if weights is None else tuple(float(w) for w in weights)),  # type: ignore[arg-type]
-            judgment_matrix=(
-                None if judgment is None else tuple(tuple(float(v) for v in row) for row in judgment)
-            ),
-            dr=dr,
+            weights=typed("weights", doc.get("weights")),
+            judgment_matrix=typed("judgment_matrix", doc.get("judgment_matrix")),
+            dr=typed("dr", doc.get("demand_response")),
         )
     except CaseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CaseError(f"malformed case document: {exc}") from exc
     return validate_case(case)
 
 
 def case_to_dict(case: MicrogridCase) -> Dict:
     """Inverse of case_from_dict; round-trips through YAML without loss."""
-    doc: Dict = {
-        "format_version": CASE_FORMAT_VERSION,
-        "name": case.name,
-        "base": {"voltage_kv": case.base_voltage_kv, "power_kva": case.base_power_kva},
-        "horizon": case.horizon,
-        "period_hours": case.period_hours,
-        "voltage_limits": {"min": case.voltage_limits[0], "max": case.voltage_limits[1]},
-        "grid": {
-            "import_limit_kw": case.grid_limit_kw,
-            "price_ct_per_kwh": list(case.prices_ct_per_kwh),
-        },
-        "buses": [
-            {"id": b.id, "kind": b.kind, **({"base_voltage_kv": b.base_voltage_kv} if b.base_voltage_kv is not None else {})}
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "id": b.id,
-                "from": b.from_bus,
-                "to": b.to_bus,
-                "resistance_ohm": b.resistance_ohm,
-                "reactance_ohm": b.reactance_ohm,
-            }
-            for b in case.branches
-        ],
-        "loads": [
-            {
-                "bus": lp.bus,
-                "category": lp.category,
-                "power_factor": lp.power_factor,
-                "profile_kw": list(lp.profile_kw),
-            }
-            for lp in case.load_points
-        ],
-        "units": [
-            {
-                "name": u.name,
-                "bus": u.bus,
-                "p_min_kw": u.p_min_kw,
-                "p_max_kw": u.p_max_kw,
-                "cost_slope_ct_per_kwh": u.cost_slope_ct_per_kwh,
-                "cost_fixed_ct_per_h": u.cost_fixed_ct_per_h,
-                "renewable": u.renewable,
-            }
-            for u in case.units
-        ],
-        "availability": {name: list(profile) for name, profile in case.availability_kw.items()},
-        "contingencies": [
-            {"id": c.id, "element": c.element, "rate_per_hour": c.rate_per_hour, "repair_hours": c.repair_hours}
-            for c in case.contingencies
-        ],
-        "outage_costs": case.outage_costs.to_mapping(),
-    }
-    if case.export_limit_kw is not None:
-        doc["grid"]["export_limit_kw"] = case.export_limit_kw
-    if case.battery is not None:
-        b = case.battery
-        doc["battery"] = {
-            "bus": b.bus,
-            "soc_min_kwh": b.soc_min_kwh,
-            "soc_max_kwh": b.soc_max_kwh,
-            "soc_initial_kwh": b.soc_initial_kwh,
-            "p_max_kw": b.p_max_kw,
-            "eta_charge": b.eta_charge,
-            "eta_discharge": b.eta_discharge,
-            "self_discharge_per_h": b.self_discharge_per_h,
-            "usage_cost_ct_per_kwh": b.usage_cost_ct_per_kwh,
+    return _plain(
+        {
+            "format_version": CASE_FORMAT_VERSION,
+            "name": case.name,
+            "base": {"voltage_kv": case.base_voltage_kv, "power_kva": case.base_power_kva},
+            "horizon": case.horizon,
+            "period_hours": case.period_hours,
+            "voltage_limits": {"min": case.voltage_limits[0], "max": case.voltage_limits[1]},
+            "grid": {
+                "import_limit_kw": case.grid_limit_kw,
+                "price_ct_per_kwh": case.prices_ct_per_kwh,
+                "export_limit_kw": case.export_limit_kw,
+            },
+            "buses": case.buses,
+            "branches": case.branches,
+            "loads": case.load_points,
+            "units": case.units,
+            "availability": case.availability_kw,
+            "contingencies": case.contingencies,
+            "outage_costs": case.outage_costs.to_mapping(),
+            "battery": case.battery,
+            "weights": case.weights,
+            "judgment_matrix": case.judgment_matrix,
+            "demand_response": case.dr,
         }
-    if case.weights is not None:
-        doc["weights"] = list(case.weights)
-    if case.judgment_matrix is not None:
-        doc["judgment_matrix"] = [list(row) for row in case.judgment_matrix]
-    if case.dr is not None:
-        doc["demand_response"] = {
-            "shiftable_fraction": case.dr.shiftable_fraction,
-            "participating": list(case.dr.participating),
-            "incentive_ct_per_kwh": case.dr.incentive_ct_per_kwh,
-        }
-    return doc
+    )
 
 
 def load_case(path) -> MicrogridCase:

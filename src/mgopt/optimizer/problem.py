@@ -163,11 +163,7 @@ class DispatchProblem:
 
         self.caps = np.empty((self.n_units, T))
         for i, u in enumerate(units):
-            if u.renewable:
-                avail = np.asarray(case.availability_kw[u.name], dtype=float)
-                self.caps[i] = np.minimum(avail, u.p_max_kw)
-            else:
-                self.caps[i] = u.p_max_kw
+            self.caps[i] = [case.unit_cap_kw(u, t) for t in range(T)]
         self.slopes = np.array([u.cost_slope_ct_per_kwh for u in units])
         self.fixed = np.array([u.cost_fixed_ct_per_h for u in units])
 

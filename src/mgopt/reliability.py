@@ -18,11 +18,12 @@ trajectories per call; the optimizer's evaluation kernel is its only caller.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from .netmodel import Contingency, MicrogridCase, OutageCostTable, TRANSFORMER_ELEMENT
+from .powerflow import CompiledNetwork, compile_network
 
 __all__ = [
     "Contingency",
@@ -38,34 +39,26 @@ def island_partition(case: MicrogridCase, element: str) -> frozenset:
     ``element`` is a branch id or "transformer"; the transformer outage
     islands every bus.  The slack itself is never part of the island.
     """
-    slack = case.slack_bus
+    return _island(compile_network(case), element)
+
+
+def _island(net: CompiledNetwork, element: str) -> frozenset:
+    """The island read from the compiled tree: row b of the path matrix
+    holds exactly the buses downstream of branch b."""
     if element == TRANSFORMER_ELEMENT:
-        return frozenset(b.id for b in case.buses if b.id != slack)
-    if element not in {b.id for b in case.branches}:
+        return frozenset(net.bus_ids) - {net.bus_ids[net.slack]}
+    if element not in net.branch_ids:
         raise KeyError(f"unknown network element {element!r}")
-    adjacency: Dict[str, List[str]] = {b.id: [] for b in case.buses}
-    for br in case.branches:
-        if br.id == element:
-            continue
-        adjacency[br.from_bus].append(br.to_bus)
-        adjacency[br.to_bus].append(br.from_bus)
-    reached = {slack}
-    stack = [slack]
-    while stack:
-        for neighbour in adjacency[stack.pop()]:
-            if neighbour not in reached:
-                reached.add(neighbour)
-                stack.append(neighbour)
-    return frozenset(b.id for b in case.buses if b.id not in reached)
+    row = net.bibc[net.branch_ids.index(element)]
+    return frozenset(net.bus_ids[j] for j in np.flatnonzero(row))
 
 
 def _island_headroom_kw(case: MicrogridCase, islanded: frozenset, hour: int) -> float:
-    """Capacity screening of in-island generation: availability for
-    renewables, nameplate maximum for dispatchables."""
+    """Capacity screening of in-island generation at each unit's dispatch cap."""
     total = 0.0
     for unit in case.units:
         if unit.bus in islanded:
-            total += case.availability_kw[unit.name][hour] if unit.renewable else unit.p_max_kw
+            total += case.unit_cap_kw(unit, hour)
     return total
 
 
@@ -80,9 +73,10 @@ class ContingencyEvaluator:
     def __init__(self, case: MicrogridCase):
         self.case = case
         T = case.horizon
+        net = compile_network(case)
         self.terms = []
         for cont in case.contingencies:
-            islanded = island_partition(case, cont.element)
+            islanded = _island(net, cont.element)
             s_out = np.zeros(T)
             by_category: Dict[str, np.ndarray] = {}
             for lp in case.load_points:

@@ -18,7 +18,9 @@ subproblem, the interpreter the row layout replaced, the scattered
 ``np.subtract.at`` form of the dispatch problem's bus injections, and the
 dense voltage derivatives of the subproblem, which the package now takes at
 the carried voltage rows only.  ``sectioned_case`` is a case builder, not a
-reference: it deepens a feeder without changing its physics.
+reference: it deepens a feeder without changing its physics.  The
+recursive tree walk is the form ``validate_radial`` had before it took an
+explicit stack, kept as the reference for its branch order.
 """
 
 from __future__ import annotations
@@ -767,6 +769,32 @@ def soc_loop(
             state += p * dt / eta_d
         out.append(state)
     return out
+
+
+def recursive_radial_order(buses: Sequence[Bus], branches: Sequence[Branch]) -> List[Branch]:
+    """Branches of a valid tree, oriented parent-to-child, in the recursive
+    depth-first post-order from the slack: each branch after its subtree.
+
+    This is the recursion ``validate_radial`` replaced with an explicit
+    stack; it needs one interpreter frame per tree level.
+    """
+    adjacency: Dict[str, List[Branch]] = {b.id: [] for b in buses}
+    for br in branches:
+        adjacency[br.from_bus].append(br)
+        adjacency[br.to_bus].append(br)
+    ordered: List[Branch] = []
+
+    def descend(bus: str, via: Optional[Branch]) -> None:
+        for br in adjacency[bus]:
+            if br is via:
+                continue
+            child = br.to_bus if br.from_bus == bus else br.from_bus
+            oriented = br if br.from_bus == bus else replace(br, from_bus=bus, to_bus=child)
+            descend(child, br)
+            ordered.append(oriented)
+
+    descend(next(b.id for b in buses if b.kind == "slack"), None)
+    return ordered
 
 
 def island_of(case, element: str) -> frozenset:

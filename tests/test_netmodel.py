@@ -1,13 +1,17 @@
+import copy
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mgopt.netmodel import (
+    Battery,
     Branch,
     Bus,
     CaseError,
     Contingency,
+    DgUnit,
     DrProgram,
     LoadPoint,
     OutageCostTable,
@@ -19,6 +23,8 @@ from mgopt.netmodel import (
     validate_case,
     validate_radial,
 )
+
+from oracles import random_feeder_with_empty_buses, random_radial_network, recursive_radial_order, sectioned_case
 
 
 def test_benchmark_case_shape(benchmark_case):
@@ -153,3 +159,164 @@ def test_unit_cap_uses_availability(benchmark_case):
 def test_benchmark_path_loads():
     case = load_benchmark_case()
     assert case.name == "lv-benchmark"
+
+
+def _minimal_doc(n_buses=2):
+    """A chain feeder document that sets every required key and no optional one."""
+    return {
+        "format_version": 1,
+        "grid": {"import_limit_kw": 50.0, "price_ct_per_kwh": [5.0] * 24},
+        "buses": [{"id": "b0", "kind": "slack"}] + [{"id": f"b{i}"} for i in range(1, n_buses)],
+        "branches": [
+            {"id": f"l{i}", "from": f"b{i-1}", "to": f"b{i}", "resistance_ohm": 0.01, "reactance_ohm": 0.01}
+            for i in range(1, n_buses)
+        ],
+        "loads": [{"bus": "b1", "category": "domestic", "profile_kw": [1.0] * 24}],
+        "units": [{"name": "MT", "bus": "b1", "p_max_kw": 10.0, "cost_slope_ct_per_kwh": 4.0}],
+        "battery": {"bus": "b1", "soc_min_kwh": 1.0, "soc_max_kwh": 10.0, "soc_initial_kwh": 5.0, "p_max_kw": 3.0},
+        "contingencies": [{"id": "c1", "element": "l1", "rate_per_hour": 0.01, "repair_hours": 2.0}],
+        "demand_response": {},
+        "outage_costs": {"domestic": 50.0},
+    }
+
+
+def test_omitted_record_keys_take_the_dataclass_defaults():
+    case = case_from_dict(_minimal_doc())
+    assert case.buses == (Bus("b0", "slack"), Bus("b1"))
+    assert case.buses[1].kind == "load" and case.buses[1].base_voltage_kv is None
+    assert case.branches == (Branch("l1", "b0", "b1", 0.01, 0.01),)
+    assert case.load_points == (LoadPoint("b1", "domestic", (1.0,) * 24),)
+    assert case.load_points[0].power_factor == 0.9
+    assert case.units == (DgUnit("MT", "b1", 0.0, 10.0, 4.0),)
+    assert case.units[0].p_min_kw == 0.0 and not case.units[0].committable
+    assert case.battery == Battery("b1", 1.0, 10.0, 5.0, 3.0)
+    assert case.contingencies == (Contingency("c1", "l1", 0.01, 2.0),)
+    assert case.dr == DrProgram()
+
+
+def test_record_values_take_their_annotated_types():
+    doc = _minimal_doc()
+    doc["buses"][0]["base_voltage_kv"] = 20
+    doc["units"][0].update(p_max_kw=10, renewable=0)
+    doc["demand_response"] = {"participating": ["domestic"], "incentive_ct_per_kwh": 2}
+    case = case_from_dict(doc)
+    assert type(case.buses[0].base_voltage_kv) is float
+    assert type(case.units[0].p_max_kw) is float and case.units[0].renewable is False
+    assert case.dr.participating == ("domestic",) and type(case.dr.incentive_ct_per_kwh) is float
+
+
+@pytest.mark.parametrize(
+    "kind, section, index, key",
+    [
+        ("Bus", "buses", 1, "id"),
+        ("Branch", "branches", 0, "from"),
+        ("Branch", "branches", 0, "reactance_ohm"),
+        ("LoadPoint", "loads", 0, "profile_kw"),
+        ("DgUnit", "units", 0, "p_max_kw"),
+        ("Battery", "battery", None, "soc_initial_kwh"),
+        ("Contingency", "contingencies", 0, "repair_hours"),
+    ],
+)
+def test_missing_record_key_is_named(kind, section, index, key):
+    doc = _minimal_doc()
+    record = doc[section] if index is None else doc[section][index]
+    del record[key]
+    with pytest.raises(CaseError, match=f"{kind} record lacks required key '{key}'"):
+        case_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, section, index",
+    [
+        ("Bus", "buses", 1),
+        ("Branch", "branches", 0),
+        ("LoadPoint", "loads", 0),
+        ("DgUnit", "units", 0),
+        ("Battery", "battery", None),
+        ("Contingency", "contingencies", 0),
+        ("DrProgram", "demand_response", None),
+    ],
+)
+def test_record_that_is_not_a_mapping_is_named(kind, section, index):
+    doc = _minimal_doc()
+    if index is None:
+        doc[section] = "oops"
+    else:
+        doc[section][index] = "oops"
+    with pytest.raises(CaseError, match=f"{kind} record must be a mapping"):
+        case_from_dict(doc)
+
+
+def _every_option_set(case):
+    slack = replace(case.buses[0], base_voltage_kv=20.0)
+    return validate_case(
+        replace(
+            case,
+            buses=(slack,) + case.buses[1:],
+            export_limit_kw=80.0,
+            weights=(0.4, 0.3, 0.2, 0.1),
+            dr=DrProgram(0.1, ("domestic", "commercial"), 1.5),
+            outage_costs=OutageCostTable.from_mapping(
+                {"domestic": [[1.0, 40.0], [4.0, 60.0]], "industrial": 120.0, "commercial": [[2.0, 80.0], [8.0, 95.0]]}
+            ),
+        )
+    )
+
+
+def _bare(case):
+    return validate_case(
+        replace(case, battery=None, dr=None, units=(), availability_kw={}, export_limit_kw=None, judgment_matrix=None)
+    )
+
+
+@pytest.mark.parametrize("variant", [_every_option_set, _bare])
+def test_round_trips_keep_every_value(tmp_path, benchmark_case, variant):
+    case = variant(benchmark_case)
+    doc = case_to_dict(case)
+    assert case_from_dict(copy.deepcopy(doc)) == case
+    path = tmp_path / "copy.case"
+    save_case(case, path)
+    assert load_case(path) == case
+    optional = {"battery", "weights", "judgment_matrix", "demand_response"}
+    if variant is _bare:
+        assert not optional & doc.keys() and "export_limit_kw" not in doc["grid"] and doc["units"] == []
+    else:
+        assert optional <= doc.keys() and doc["grid"]["export_limit_kw"] == 80.0
+        assert doc["buses"][0]["base_voltage_kv"] == 20.0 and "base_voltage_kv" not in doc["buses"][1]
+
+
+def test_deep_chain_walks_without_recursion():
+    # 2,000 tree levels: one interpreter frame per level would pass the
+    # default recursion limit of 1,000.
+    case = case_from_dict(_minimal_doc(n_buses=2000))
+    ordered = validate_radial(case.buses, case.branches)
+    assert ordered == list(reversed(case.branches))
+
+
+def _tree_case(rng, make_tree):
+    """A random tree with branches listed in random order, some reversed."""
+    n, edges, _ = make_tree(rng, 12)
+    buses = [Bus("b0", "slack")] + [Bus(f"b{i}") for i in range(1, n)]
+    branches = []
+    for j, (parent, child, _) in enumerate(edges):
+        ends = (f"b{parent}", f"b{child}") if rng.random() < 0.7 else (f"b{child}", f"b{parent}")
+        branches.append(Branch(f"l{j}", *ends, 0.01, 0.01))
+    return buses, [branches[k] for k in rng.permutation(len(branches))]
+
+
+def test_radial_order_matches_the_recursive_walk(benchmark_case):
+    trees = [(benchmark_case.buses, benchmark_case.branches)]
+    sectioned = sectioned_case(benchmark_case, 4)
+    trees.append((sectioned.buses, sectioned.branches))
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        trees.append(_tree_case(rng, random_radial_network if k % 2 else random_feeder_with_empty_buses))
+    for buses, branches in trees:
+        assert validate_radial(buses, branches) == recursive_radial_order(buses, branches)
+
+
+def test_section_of_the_wrong_shape_is_a_case_error():
+    doc = _minimal_doc()
+    doc["availability"] = None
+    with pytest.raises(CaseError, match="malformed case document"):
+        case_from_dict(doc)

@@ -53,6 +53,17 @@ def _caps(case):
     return np.array(rows)
 
 
+def test_caps_follow_the_case_unit_cap(benchmark_case):
+    pv = benchmark_case.unit("PV2")
+    profile = list(benchmark_case.availability_kw["PV2"])
+    profile[11] = pv.p_max_kw + 5e-10
+    case = replace(benchmark_case, availability_kw={**benchmark_case.availability_kw, "PV2": tuple(profile)})
+    caps = DispatchProblem(case).caps
+    for i, unit in enumerate(case.units):
+        assert caps[i].tolist() == [case.unit_cap_kw(unit, t) for t in range(case.horizon)]
+    assert caps[[u.name for u in case.units].index("PV2"), 11] == pv.p_max_kw
+
+
 def test_vector_length(problem, dr_problem, benchmark_case):
     T = benchmark_case.horizon
     n_units = len(benchmark_case.units)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,13 @@ from mgopt.netmodel import (
     OutageCostTable,
     validate_case,
 )
-from mgopt.reliability import ContingencyEvaluator, island_partition
+from mgopt.reliability import ContingencyEvaluator, _island_headroom_kw, island_partition
 
 from oracles import (
     contingency_cost,
     contingency_rows,
     island_of,
+    sectioned_case,
     outage_cost_loop,
     restoration,
     unsupplied_energy_cost,
@@ -49,10 +52,23 @@ def test_island_partition_benchmark(benchmark_case):
     assert island_partition(benchmark_case, "l-f3-4") == frozenset({"f3-4", "f3-5"})
     with pytest.raises(KeyError):
         island_partition(benchmark_case, "no-such-line")
-    for cont in benchmark_case.contingencies:
-        assert island_partition(benchmark_case, cont.element) == island_of(
-            benchmark_case, cont.element
-        )
+    for case in (benchmark_case, sectioned_case(benchmark_case, 4)):
+        for element in ["transformer"] + [br.id for br in case.branches]:
+            assert island_partition(case, element) == island_of(case, element)
+        for term in ContingencyEvaluator(case).terms:
+            assert term["islanded"] == island_of(case, term["contingency"].element)
+
+
+def test_headroom_uses_the_unit_dispatch_cap(benchmark_case):
+    # Validation lets availability exceed the nameplate by 1e-9; the cap
+    # clips it, so the island headroom and the dispatch bound agree.
+    pv = benchmark_case.unit("PV1")
+    profile = list(benchmark_case.availability_kw["PV1"])
+    profile[12] = pv.p_max_kw + 5e-10
+    case = validate_case(replace(benchmark_case, availability_kw={**benchmark_case.availability_kw, "PV1": tuple(profile)}))
+    assert case.unit_cap_kw(pv, 12) == pv.p_max_kw
+    islanded = island_partition(case, "transformer")
+    assert _island_headroom_kw(case, islanded, 12) == _island_headroom_kw(benchmark_case, islanded, 12)
 
 
 def test_restoration_battery_energy_limited():
