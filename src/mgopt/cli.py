@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import shutil
 import sys
 from dataclasses import asdict
@@ -47,10 +48,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _fail(code: int, message: str) -> CliError:
-    return CliError(code, message)
 
 
 def _error_line(code: int, message: str) -> str:
@@ -89,17 +86,17 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
         try:
             header = next(reader)
         except StopIteration:
-            raise _fail(EXIT_VALIDATION, f"{path} is empty") from None
+            raise CliError(EXIT_VALIDATION, f"{path} is empty") from None
         rows = [r for r in reader if r]
     expected = ["hour"] + [u.name for u in case.units] + ["battery_kw"]
     has_shift = header == expected + ["shift_kw"]
     if not has_shift and header != expected:
-        raise _fail(
+        raise CliError(
             EXIT_VALIDATION,
             f"{path} columns {header} do not match case units {expected}",
         )
     if len(rows) != case.horizon:
-        raise _fail(EXIT_VALIDATION, f"{path} has {len(rows)} rows, case horizon is {case.horizon}")
+        raise CliError(EXIT_VALIDATION, f"{path} has {len(rows)} rows, case horizon is {case.horizon}")
     n = len(case.units)
     dg = np.zeros((n, case.horizon))
     battery = np.zeros(case.horizon)
@@ -107,18 +104,22 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
     seen = set()
     for row in rows:
         if len(row) != len(header):
-            raise _fail(EXIT_VALIDATION, f"{path} row {row} has {len(row)} cells, expected {len(header)}")
+            raise CliError(EXIT_VALIDATION, f"{path} row {row} has {len(row)} cells, expected {len(header)}")
         t = int(row[0])
         if not 0 <= t < case.horizon:
-            raise _fail(EXIT_VALIDATION, f"{path} hour {t} outside 0..{case.horizon - 1}")
+            raise CliError(EXIT_VALIDATION, f"{path} hour {t} outside 0..{case.horizon - 1}")
         # With one row per hour, a repeated hour is also a missing one.
         if t in seen:
-            raise _fail(EXIT_VALIDATION, f"{path} repeats hour {t}; each hour 0..{case.horizon - 1} must appear once")
+            raise CliError(EXIT_VALIDATION, f"{path} repeats hour {t}; each hour 0..{case.horizon - 1} must appear once")
         seen.add(t)
-        dg[:, t] = [float(v) for v in row[1 : 1 + n]]
-        battery[t] = float(row[1 + n])
+        values = [float(v) for v in row[1:]]
+        for column, value in zip(header[1:], values):
+            if not math.isfinite(value):
+                raise CliError(EXIT_VALIDATION, f"{path} hour {t} column {column}: {value} is not a finite number")
+        dg[:, t] = values[:n]
+        battery[t] = values[n]
         if has_shift:
-            shift[t] = float(row[2 + n])
+            shift[t] = values[n + 1]
     return DispatchSchedule(dg, battery, shift)
 
 
@@ -234,22 +235,22 @@ def _parse_weights(args: argparse.Namespace) -> Optional[List[float]]:
     if args.weights:
         parts = args.weights.split(",")
         if len(parts) != 4:
-            raise _fail(EXIT_VALIDATION, f"--weights needs 4 comma-separated values, got {len(parts)}")
+            raise CliError(EXIT_VALIDATION, f"--weights needs 4 comma-separated values, got {len(parts)}")
         try:
             vector = [float(p) for p in parts]
         except ValueError as exc:
-            raise _fail(EXIT_VALIDATION, f"--weights: {exc}") from exc
+            raise CliError(EXIT_VALIDATION, f"--weights: {exc}") from exc
         if any(w < 0 for w in vector) or sum(vector) <= 0:
-            raise _fail(EXIT_VALIDATION, "--weights must be nonnegative and sum to a positive value")
+            raise CliError(EXIT_VALIDATION, "--weights must be nonnegative and sum to a positive value")
         total = sum(vector)
         return [w / total for w in vector]
     if args.ahp:
         try:
             matrix = np.loadtxt(args.ahp)
         except OSError as exc:
-            raise _fail(EXIT_VALIDATION, f"cannot read --ahp file: {exc}") from exc
+            raise CliError(EXIT_VALIDATION, f"cannot read --ahp file: {exc}") from exc
         if matrix.shape != (4, 4):
-            raise _fail(EXIT_VALIDATION, f"--ahp matrix must be 4x4, got {matrix.shape}")
+            raise CliError(EXIT_VALIDATION, f"--ahp matrix must be 4x4, got {matrix.shape}")
         vector, _ = derive_weights(matrix)
         return [float(w) for w in vector]
     return None
@@ -275,9 +276,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     case = _load(case_path)
     scenario_id = args.scenario
     if args.dr and scenario_id != 5:
-        raise _fail(EXIT_VALIDATION, "--dr applies to scenario 5 only")
+        raise CliError(EXIT_VALIDATION, "--dr applies to scenario 5 only")
     if args.dr and case.dr is None:
-        raise _fail(EXIT_VALIDATION, "case defines no demand response program")
+        raise CliError(EXIT_VALIDATION, "case defines no demand response program")
     weights = _parse_weights(args)
     config = _optimizer_config(args)
 
@@ -290,12 +291,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         write_run_dir(out, case_path, case, suite, result, scenario_id, args.dr, config)
     except (PowerFlowError, QpError) as exc:
         _mark_failed(out, EXIT_CONVERGENCE, str(exc))
-        raise _fail(EXIT_CONVERGENCE, str(exc)) from exc
+        raise CliError(EXIT_CONVERGENCE, str(exc)) from exc
 
     if not result.feasible:
         message = f"result violates constraints by {result.violation:.3e}"
         _mark_failed(out, EXIT_INFEASIBLE, message)
-        raise _fail(EXIT_INFEASIBLE, message)
+        raise CliError(EXIT_INFEASIBLE, message)
     marker = out / "FAILED"
     if marker.exists():
         marker.unlink()
@@ -313,7 +314,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for run in args.runs:
         path = Path(run) / "objectives.json"
         if not path.exists():
-            raise _fail(EXIT_VALIDATION, f"{run} has no objectives.json")
+            raise CliError(EXIT_VALIDATION, f"{run} has no objectives.json")
         with open(path, "r", encoding="utf-8") as fh:
             rows.append(json.load(fh))
     headers = ["Scenario"] + [OBJECTIVE_LABELS[k] for k in OBJECTIVE_KEYS] + ["Weighted total"]
@@ -337,7 +338,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     case_file = run / "case.yaml"
     schedule_file = run / "schedule.csv"
     if not case_file.exists() or not schedule_file.exists():
-        raise _fail(EXIT_VALIDATION, f"{run} is not a run directory (case.yaml/schedule.csv missing)")
+        raise CliError(EXIT_VALIDATION, f"{run} is not a run directory (case.yaml/schedule.csv missing)")
     case = _load(case_file)
     schedule = read_schedule_csv(schedule_file, case)
     solution = solve_horizon(case, schedule)
@@ -375,9 +376,9 @@ def _load(path) -> MicrogridCase:
     try:
         return load_case(path)
     except FileNotFoundError as exc:
-        raise _fail(EXIT_VALIDATION, f"case file not found: {path}") from exc
+        raise CliError(EXIT_VALIDATION, f"case file not found: {path}") from exc
     except CaseError as exc:
-        raise _fail(EXIT_VALIDATION, str(exc)) from exc
+        raise CliError(EXIT_VALIDATION, str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

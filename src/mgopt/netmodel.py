@@ -392,16 +392,22 @@ def _coerce(kind, value):
 def _record(cls, raw, **defaults):
     """Build a record from its YAML mapping: the key is the field name (or
     its ``key`` metadata), the type is the field annotation, and a missing
-    key takes the reader's ``defaults``, then the field default."""
+    key takes the reader's ``defaults``, then the field default.  A key that
+    names no field is rejected, so a misspelt optional cannot pass as its
+    default."""
     if not isinstance(raw, dict):
         raise CaseError(f"{cls.__name__} record must be a mapping, got {raw!r}")
-    raw, values = {**defaults, **raw}, {}
+    raw, values, keys = {**defaults, **raw}, {}, set()
     for f in fields(cls):
         key = f.metadata.get("key", f.name)
+        keys.add(key)
         if key in raw:
             values[f.name] = _coerce(_hints(cls)[f.name], raw[key])
         elif f.default is MISSING:
             raise CaseError(f"{cls.__name__} record lacks required key {key!r}")
+    for key in raw:
+        if key not in keys:
+            raise CaseError(f"{cls.__name__} record has unknown key {key!r}")
     return cls(**values)
 
 

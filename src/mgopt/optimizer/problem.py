@@ -1,16 +1,21 @@
 """Dispatch problem encoding shared by the GA seeder and the SQP refiner.
 
-A candidate plan is a flat vector: unit setpoints hour-major per unit, then
-the signed battery power, then the optional load-shift series.  This module
-owns the mapping between vectors and schedules, batched evaluation of the
-four objectives over whole populations, the repair operators that keep
-device constraints satisfied exactly, and the smooth split-battery problem
-the SQP refiner works on.
+This module owns the mapping between plan vectors and schedules, batched
+evaluation of the four objectives over whole populations, the repair
+operators that keep device constraints satisfied exactly, and the smooth
+split-battery problem the SQP refiner works on.
 
 Evaluation is vectorised end to end: a population of plans becomes one
 column batch for the network sweep (population times hours columns), the
 state of charge is an affine map of the charge and discharge series, and
 the expected outage cost reuses the per-contingency precomputation.
+
+A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
+``[unit 0 | ... | unit n_units-1 | battery | shift]`` and its split-battery
+relaxation ``[unit 0 | ... | unit n_units-1 | charge | discharge | shift]``,
+the shift block present only under demand response.  ``blocks`` views
+either as a (plan, block, hour) array, and every read or write of a plan
+goes through that view.
 
 The split-battery problem's network rows (``c(x) <= 0``) sit at fixed
 positions in one layout, ``[soc_lo (T) | soc_hi (T) | imp (T) | exp (T) |
@@ -22,7 +27,7 @@ as layout indices and gathers their values and Jacobian rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,10 +153,7 @@ class DispatchProblem:
         units = case.units
         self.T = T
         self.n_units = len(units)
-        self.u_len = self.n_units * T
-        self.n = self.u_len + T + (T if dr else 0)
-        self.b_off = self.u_len
-        self.s_off = self.u_len + T
+        self.n = (self.n_units + 1 + int(dr)) * T
 
         self.unit_bus = np.array([self.net.bus_index[u.bus] for u in units], dtype=int)
         self.batt_bus = None if case.battery is None else self.net.bus_index[case.battery.bus]
@@ -169,17 +171,16 @@ class DispatchProblem:
 
         self.shift_bound = shift_bounds_kw(case) if dr else np.zeros(T)
 
-        lower = np.zeros(self.n)
-        upper = np.zeros(self.n)
-        upper[: self.u_len] = self.caps.reshape(-1)
+        self.lower = np.zeros(self.n)
+        self.upper = np.zeros(self.n)
+        lower, upper = self.blocks(self.lower)[0], self.blocks(self.upper)[0]
+        upper[: self.n_units] = self.caps
         p_batt = 0.0 if case.battery is None else case.battery.p_max_kw
-        lower[self.b_off : self.b_off + T] = -p_batt
-        upper[self.b_off : self.b_off + T] = p_batt
+        lower[self.n_units] = -p_batt
+        upper[self.n_units] = p_batt
         if dr:
-            lower[self.s_off :] = -self.shift_bound
-            upper[self.s_off :] = self.shift_bound
-        self.lower = lower
-        self.upper = upper
+            lower[-1] = -self.shift_bound
+            upper[-1] = self.shift_bound
 
         self.prices = np.asarray(case.prices_ct_per_kwh, dtype=float)
         self.dt = case.period_hours
@@ -209,19 +210,25 @@ class DispatchProblem:
     # ------------------------------------------------------------------
     # vector <-> schedule
 
+    def blocks(self, X: np.ndarray) -> np.ndarray:
+        """(plan, block, hour) view of a signed or split plan vector, or of
+        one per row, in the block order the module docstring gives; writes
+        through it reach a contiguous ``X``."""
+        return X.reshape(-1, X.shape[-1] // self.T, self.T)
+
     def unpack(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        p_units = X[:, : self.u_len].reshape(X.shape[0], self.n_units, self.T)
-        p_batt = X[:, self.b_off : self.b_off + self.T]
-        shift = X[:, self.s_off :] if self.dr else None
-        return p_units, p_batt, shift
+        B = self.blocks(np.atleast_2d(np.asarray(X, dtype=float)))
+        shift = B[:, -1] if self.dr else None
+        return B[:, : self.n_units], B[:, self.n_units], shift
 
     def pack(self, schedule: DispatchSchedule) -> np.ndarray:
-        parts = [schedule.dg_setpoints.reshape(-1), schedule.battery_power]
-        if self.dr:
-            shift = schedule.dr_shift if schedule.dr_shift is not None else np.zeros(self.T)
-            parts.append(shift)
-        return np.concatenate(parts)
+        x = np.zeros(self.n)
+        B = self.blocks(x)[0]
+        B[: self.n_units] = schedule.dg_setpoints
+        B[self.n_units] = schedule.battery_power
+        if self.dr and schedule.dr_shift is not None:
+            B[-1] = schedule.dr_shift
+        return x
 
     def schedule(self, x: np.ndarray) -> DispatchSchedule:
         p_units, p_batt, shift = self.unpack(x)
@@ -354,20 +361,18 @@ class DispatchProblem:
         """Project plans onto device-feasible points (box, commitment, SOC,
         shift balance).  Network constraints stay with the penalty."""
         X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), self.lower, self.upper)
+        B = self.blocks(X)
         for i, unit in enumerate(self.case.units):
             if not unit.committable:
                 continue
-            block = slice(i * self.T, (i + 1) * self.T)
-            p = X[:, block]
-            X[:, block] = np.where(
+            p = B[:, i]
+            B[:, i] = np.where(
                 p < 0.5 * unit.p_min_kw, 0.0, np.clip(p, unit.p_min_kw, unit.p_max_kw)
             )
         if self.case.battery is not None:
-            X[:, self.b_off : self.b_off + self.T] = self._repair_battery(
-                X[:, self.b_off : self.b_off + self.T]
-            )
+            B[:, self.n_units] = self._repair_battery(B[:, self.n_units])
         if self.dr:
-            X[:, self.s_off :] = self._project_shift(X[:, self.s_off :])
+            B[:, -1] = self._project_shift(B[:, -1])
         return X
 
     def _repair_battery(self, p: np.ndarray) -> np.ndarray:
@@ -418,36 +423,37 @@ class DispatchProblem:
         charge-early battery cycle.  All repaired."""
         T = self.T
         seeds = np.zeros((4, self.n))
-        seeds[1, : self.u_len] = self.caps.reshape(-1)
+        S = self.blocks(seeds)
+        S[1, : self.n_units] = self.caps
 
-        greedy = seeds[2]
+        greedy = S[2]
         for i, unit in enumerate(self.case.units):
             if unit.committable:
                 breakeven = unit.cost_slope_ct_per_kwh + unit.cost_fixed_ct_per_h / unit.p_max_kw
                 on = self.prices >= breakeven
-                greedy[i * T : (i + 1) * T] = np.where(on, unit.p_max_kw, 0.0)
+                greedy[i] = np.where(on, unit.p_max_kw, 0.0)
             else:
                 on = self.prices >= unit.cost_slope_ct_per_kwh
-                greedy[i * T : (i + 1) * T] = np.where(on, self.caps[i], 0.0)
+                greedy[i] = np.where(on, self.caps[i], 0.0)
         if self.case.battery is not None:
             order = np.argsort(self.prices, kind="stable")
             window = max(1, T // 6)
             plan = np.zeros(T)
             plan[order[:window]] = self.case.battery.p_max_kw
             plan[order[-window:]] = -self.case.battery.p_max_kw
-            greedy[self.b_off : self.b_off + T] = plan
+            greedy[self.n_units] = plan
             quarter = max(1, T // 4)
             charge_up = np.zeros(T)
             charge_up[:quarter] = self.case.battery.p_max_kw
             charge_up[-quarter:] = -self.case.battery.p_max_kw
-            seeds[3, self.b_off : self.b_off + T] = charge_up
+            S[3, self.n_units] = charge_up
         if self.dr:
             thirds = np.argsort(self.prices, kind="stable")
             cut = T // 3
             shift = np.zeros(T)
             shift[thirds[:cut]] = self.shift_bound[thirds[:cut]]
             shift[thirds[-cut:]] = -self.shift_bound[thirds[-cut:]]
-            greedy[self.s_off :] = shift
+            greedy[-1] = shift
         return self.repair(seeds)
 
     def ga_functions(self, spec: ObjectiveSpec):
@@ -474,48 +480,41 @@ class DispatchProblem:
         return mask
 
     def split_bounds(self, commit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        T = self.T
-        ns = self.u_len + 2 * T + (T if self.dr else 0)
-        lower = np.zeros(ns)
-        upper = np.zeros(ns)
+        # The charge and discharge blocks take the signed battery block's place.
+        lower = np.zeros(self.n + self.T)
+        upper = np.zeros(self.n + self.T)
+        lo, up = self.blocks(lower)[0], self.blocks(upper)[0]
         for i, unit in enumerate(self.case.units):
-            block = slice(i * T, (i + 1) * T)
             if unit.committable:
-                lower[block] = np.where(commit[i], unit.p_min_kw, 0.0)
-                upper[block] = np.where(commit[i], unit.p_max_kw, 0.0)
+                lo[i] = np.where(commit[i], unit.p_min_kw, 0.0)
+                up[i] = np.where(commit[i], unit.p_max_kw, 0.0)
             else:
-                upper[block] = self.caps[i]
+                up[i] = self.caps[i]
         p_batt = 0.0 if self.case.battery is None else self.case.battery.p_max_kw
-        upper[self.u_len : self.u_len + 2 * T] = p_batt
+        up[self.n_units : self.n_units + 2] = p_batt
         if self.dr:
-            lower[self.u_len + 2 * T :] = -self.shift_bound
-            upper[self.u_len + 2 * T :] = self.shift_bound
+            lo[-1] = -self.shift_bound
+            up[-1] = self.shift_bound
         return lower, upper
 
     def split_from_signed(self, x: np.ndarray) -> np.ndarray:
         p_units, p_batt, shift = self.unpack(x)
-        parts = [p_units[0].reshape(-1), np.maximum(p_batt[0], 0.0), np.maximum(-p_batt[0], 0.0)]
+        parts = [p_units[0], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0)]
         if self.dr:
-            parts.append(shift[0])
-        return np.concatenate(parts)
+            parts.append(shift)
+        return np.concatenate(parts).reshape(-1)
 
     def signed_from_split(self, xs: np.ndarray) -> np.ndarray:
-        T = self.T
-        chg = xs[self.u_len : self.u_len + T]
-        dis = xs[self.u_len + T : self.u_len + 2 * T]
-        parts = [xs[: self.u_len], chg - dis]
+        p_units, chg, dis, shift = self.split_parts(xs)
+        parts = [p_units[0], chg - dis]
         if self.dr:
-            parts.append(xs[self.u_len + 2 * T :])
-        return np.concatenate(parts)
+            parts.append(shift)
+        return np.concatenate(parts).reshape(-1)
 
     def split_parts(self, Xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        Xs = np.atleast_2d(Xs)
-        T = self.T
-        p_units = Xs[:, : self.u_len].reshape(Xs.shape[0], self.n_units, T)
-        chg = Xs[:, self.u_len : self.u_len + T]
-        dis = Xs[:, self.u_len + T : self.u_len + 2 * T]
-        shift = Xs[:, self.u_len + 2 * T :] if self.dr else None
-        return p_units, chg, dis, shift
+        B = self.blocks(np.atleast_2d(Xs))
+        shift = B[:, -1] if self.dr else None
+        return B[:, : self.n_units], B[:, self.n_units], B[:, self.n_units + 1], shift
 
     def split_eval(self, Xs: np.ndarray) -> BatchMetrics:
         """Metrics for split-battery rows.
@@ -659,10 +658,10 @@ class _SplitDispatchNlp(NlpProblem):
         self._soc_min, self._soc_max = (b.soc_min_kwh, b.soc_max_kwh) if b is not None else (0.0, 1.0)
         self._soc_scale = self._soc_max - self._soc_min
         # The affine SOC rows, soc_lo then soc_hi, over the charge and discharge blocks.
-        c = problem.u_len
         self._J_soc = np.zeros((2 * T, lower.size))
-        self._J_soc[:, c : c + T] = np.vstack([-problem.M_c, problem.M_c]) / self._soc_scale
-        self._J_soc[:, c + T : c + 2 * T] = np.vstack([problem.M_d, -problem.M_d]) / self._soc_scale
+        J = problem.blocks(self._J_soc)
+        J[:, problem.n_units] = np.vstack([-problem.M_c, problem.M_c]) / self._soc_scale
+        J[:, problem.n_units + 1] = np.vstack([problem.M_d, -problem.M_d]) / self._soc_scale
 
     def _eval(self, xs: np.ndarray) -> Dict:
         """Evaluation at xs, remembered for the most recent point only."""
@@ -687,7 +686,7 @@ class _SplitDispatchNlp(NlpProblem):
     def eq_constraints(self, xs: np.ndarray) -> np.ndarray:
         if not self.problem.dr:
             return np.zeros(0)
-        shift = xs[self.problem.u_len + 2 * self.problem.T :]
+        shift = self.problem.blocks(xs)[0, -1]
         return np.array([shift.sum() / self.problem.s_base])
 
     def ineq_constraints(self, xs: np.ndarray) -> np.ndarray:
@@ -712,7 +711,7 @@ class _SplitDispatchNlp(NlpProblem):
         on hour t of the plan, the SOC and shift-balance rows are affine and
         the outage cost is piecewise linear in the SOC, so the Lagrangian's
         curvature is block diagonal by hour."""
-        return np.arange(self.n).reshape(-1, self.problem.T).T
+        return self.problem.blocks(np.arange(self.n))[0].T
 
     def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
         """Objective gradients, d(slack_kw) (T, ns) and d(vmag) at the
@@ -726,44 +725,37 @@ class _SplitDispatchNlp(NlpProblem):
         """
         p = self.problem
         T, ns = p.T, xs.size
-        free = ~pinned_mask(self.lower, self.upper)
+        free = p.blocks(~pinned_mask(self.lower, self.upper))[0]
+        column = p.blocks(np.arange(ns))[0]
         h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
 
-        # One block per unit, then charge and discharge, then the shift.
-        starts = [u * T for u in range(p.n_units)]
-        if p.case.battery is not None:
-            starts += [p.u_len, p.u_len + T]
-        if p.dr:
-            starts.append(p.u_len + 2 * T)
-        blocks: List[Tuple[int, np.ndarray]] = []
-        for start in starts:
-            mask = np.zeros(ns, dtype=bool)
-            mask[start : start + T] = free[start : start + T]
-            if mask.any():
-                blocks.append((start, mask))
-
-        nb = len(blocks)
-        X = np.empty((2 * nb, ns))
-        for bi, (_, mask) in enumerate(blocks):
-            X[2 * bi] = xs + np.where(mask, h, 0.0)
-            X[2 * bi + 1] = xs - np.where(mask, h, 0.0)
-        data = p.split_eval(X) if nb else None
+        # One perturbation pair per block with a free hour; a case without a
+        # battery pins its charge and discharge blocks, so they have none.
+        moved = [b for b in range(len(free)) if free[b].any()]
+        X = np.empty((2 * len(moved), ns))
+        for k, b in enumerate(moved):
+            mask = np.zeros_like(free)
+            mask[b] = free[b]
+            step = np.where(mask.reshape(-1), h, 0.0)
+            X[2 * k] = xs + step
+            X[2 * k + 1] = xs - step
+        data = p.split_eval(X) if moved else None
 
         grads = {key: np.zeros(ns) for key in OBJECTIVE_KEYS}
         v_bus, v_hour = self._volt_bus, self._volt_hour
         d_volt = np.zeros((v_bus.size, ns))
         d_slack = np.zeros((T, ns))
-        for bi, (start, mask) in enumerate(blocks):
-            hours = np.nonzero(mask[start : start + T])[0]
-            cols = start + hours
+        for k, b in enumerate(moved):
+            hours = np.nonzero(free[b])[0]
+            cols = column[b, hours]
             denom = 2.0 * h[cols]
-            hi, lo_ = 2 * bi, 2 * bi + 1
+            hi, lo_ = 2 * k, 2 * k + 1
             grads["cost"][cols] = (data.hourly_cost[hi, hours] - data.hourly_cost[lo_, hours]) / denom
             grads["loss"][cols] = (data.hourly_loss_kw[hi, hours] - data.hourly_loss_kw[lo_, hours]) * p.dt / denom
             grads["vdev"][cols] = (data.hourly_vdev[hi, hours] - data.hourly_vdev[lo_, hours]) / denom
             d_slack[hours, cols] = (data.slack_kw[hi, hours] - data.slack_kw[lo_, hours]) / denom
-            r = np.flatnonzero(mask[start + v_hour])
-            c = start + v_hour[r]
+            r = np.flatnonzero(free[b, v_hour])
+            c = column[b, v_hour[r]]
             d_volt[r, c] = (data.vmag[v_bus[r], hi, v_hour[r]] - data.vmag[v_bus[r], lo_, v_hour[r]]) / (2.0 * h[c])
 
         if p.case.battery is not None:
@@ -774,13 +766,14 @@ class _SplitDispatchNlp(NlpProblem):
             probe[2 * np.arange(T) + 1, np.arange(T)] -= hs
             costs = p.evaluator.cost_batch(probe)
             g_soc = (costs[0::2] - costs[1::2]) / (2.0 * hs)
-            grads["ens"][p.u_len : p.u_len + T] = g_soc @ p.M_c
-            grads["ens"][p.u_len + T : p.u_len + 2 * T] = -(g_soc @ p.M_d)
+            ens = p.blocks(grads["ens"])[0]
+            ens[p.n_units] = g_soc @ p.M_c
+            ens[p.n_units + 1] = -(g_soc @ p.M_d)
         return grads, d_slack, d_volt
 
     def derivatives(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.problem
-        T, ns = p.T, xs.size
+        ns = xs.size
         grads, d_slack, d_volt = self._differences(xs)
         chain = self.spec.chain(self._eval(xs)["values"])
         grad = np.zeros(ns)
@@ -788,7 +781,7 @@ class _SplitDispatchNlp(NlpProblem):
             grad += coeff * grads[key]
 
         J_eq = np.zeros((int(p.dr), ns))
-        J_eq[:, p.u_len + 2 * T :] = 1.0 / p.s_base
+        p.blocks(J_eq)[:, -1] = 1.0 / p.s_base
 
         # The rows gathered from the layout's blocks.
         volt = self._volt

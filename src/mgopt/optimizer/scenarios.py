@@ -329,13 +329,11 @@ def run_suite(
         problem_dr = DispatchProblem(case, dr=True, net=net, evaluator=evaluator)
         if float(problem_dr.shift_bound.max(initial=0.0)) <= 0.0:
             # Degenerate program: nothing may move, so the answer is the
-            # weighted run with a zero shift appended.
-            x_dr = np.concatenate([rows["weighted"].x, np.zeros(case.horizon)])
+            # weighted run with a zero shift.
+            x_dr = problem_dr.pack(problem.schedule(rows["weighted"].x))
             row_dr = _Row(x_dr, problem_dr.metrics(x_dr), value=totals["weighted"])
         else:
-            prior_dr = np.vstack(
-                [np.concatenate([rows[k].x, np.zeros(case.horizon)]) for k in SCENARIO_KEYS]
-            )
+            prior_dr = np.vstack([problem_dr.pack(problem.schedule(rows[k].x)) for k in SCENARIO_KEYS])
             refined_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
             row_dr = _refined_row(refined_dr, 0.0)
         row_dr.elapsed_s = time.perf_counter() - t0

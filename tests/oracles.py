@@ -17,8 +17,11 @@ and horizon power flow.  So are the tuple-tagged network rows of the SQP
 subproblem, the interpreter the row layout replaced, the scattered
 ``np.subtract.at`` form of the dispatch problem's bus injections, and the
 dense voltage derivatives of the subproblem, which the package now takes at
-the carried voltage rows only.  ``sectioned_case`` is a case builder, not a
-reference: it deepens a feeder without changing its physics.  The
+the carried voltage rows only.  The ``offset_*`` plan-vector forms index the
+signed and split vectors by block offsets, as the package did before it read
+plans through ``DispatchProblem.blocks``.  ``sectioned_case`` and
+``truncated_case`` are case builders, not references: the first deepens a
+feeder without changing its physics, the second cuts the day short.  The
 recursive tree walk is the form ``validate_radial`` had before it took an
 explicit stack, kept as the reference for its branch order.
 """
@@ -1183,6 +1186,162 @@ def subtract_at_consumption(problem, p_units: np.ndarray, p_net: np.ndarray, shi
     return cons
 
 
+# ---------------------------------------------------------------------------
+# Plan-vector forms by block offsets: the unit blocks take the first
+# n_units * T entries, the signed battery block (or the charge and then the
+# discharge block of the split vector) follows, and the shift comes last.
+
+
+def _unit_len(problem) -> int:
+    return problem.n_units * problem.T
+
+
+def offset_unpack(problem, X: np.ndarray):
+    """(p_units, p_batt, shift) of signed plans."""
+    p, u_len = problem, _unit_len(problem)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    p_units = X[:, :u_len].reshape(X.shape[0], p.n_units, p.T)
+    p_batt = X[:, u_len : u_len + p.T]
+    shift = X[:, u_len + p.T :] if p.dr else None
+    return p_units, p_batt, shift
+
+
+def offset_pack(problem, schedule: DispatchSchedule) -> np.ndarray:
+    parts = [schedule.dg_setpoints.reshape(-1), schedule.battery_power]
+    if problem.dr:
+        parts.append(schedule.dr_shift if schedule.dr_shift is not None else np.zeros(problem.T))
+    return np.concatenate(parts)
+
+
+def offset_schedule(problem, x: np.ndarray) -> DispatchSchedule:
+    p_units, p_batt, shift = offset_unpack(problem, x)
+    return DispatchSchedule(p_units[0].copy(), p_batt[0].copy(), shift[0].copy() if shift is not None else None)
+
+
+def offset_signed_bounds(problem) -> Tuple[np.ndarray, np.ndarray]:
+    p, u_len = problem, _unit_len(problem)
+    lower, upper = np.zeros(p.n), np.zeros(p.n)
+    upper[:u_len] = p.caps.reshape(-1)
+    p_batt = 0.0 if p.case.battery is None else p.case.battery.p_max_kw
+    lower[u_len : u_len + p.T] = -p_batt
+    upper[u_len : u_len + p.T] = p_batt
+    if p.dr:
+        lower[u_len + p.T :] = -p.shift_bound
+        upper[u_len + p.T :] = p.shift_bound
+    return lower, upper
+
+
+def offset_repair(problem, X: np.ndarray) -> np.ndarray:
+    """The package's repair with its battery and shift projections borrowed."""
+    p, u_len, T = problem, _unit_len(problem), problem.T
+    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), *offset_signed_bounds(p))
+    for i, unit in enumerate(p.case.units):
+        if unit.committable:
+            block = X[:, i * T : (i + 1) * T]
+            X[:, i * T : (i + 1) * T] = np.where(block < 0.5 * unit.p_min_kw, 0.0, np.clip(block, unit.p_min_kw, unit.p_max_kw))
+    if p.case.battery is not None:
+        X[:, u_len : u_len + T] = p._repair_battery(X[:, u_len : u_len + T])
+    if p.dr:
+        X[:, u_len + T :] = p._project_shift(X[:, u_len + T :])
+    return X
+
+
+def offset_seed_points(problem) -> np.ndarray:
+    p, u_len, T = problem, _unit_len(problem), problem.T
+    seeds = np.zeros((4, p.n))
+    seeds[1, :u_len] = p.caps.reshape(-1)
+    greedy = seeds[2]
+    for i, unit in enumerate(p.case.units):
+        if unit.committable:
+            on = p.prices >= unit.cost_slope_ct_per_kwh + unit.cost_fixed_ct_per_h / unit.p_max_kw
+            greedy[i * T : (i + 1) * T] = np.where(on, unit.p_max_kw, 0.0)
+        else:
+            greedy[i * T : (i + 1) * T] = np.where(p.prices >= unit.cost_slope_ct_per_kwh, p.caps[i], 0.0)
+    if p.case.battery is not None:
+        p_max = p.case.battery.p_max_kw
+        order = np.argsort(p.prices, kind="stable")
+        window, quarter = max(1, T // 6), max(1, T // 4)
+        greedy[u_len + order[:window]] = p_max
+        greedy[u_len + order[-window:]] = -p_max
+        seeds[3, u_len : u_len + quarter] = p_max
+        seeds[3, u_len + T - quarter : u_len + T] = -p_max
+    if p.dr:
+        thirds = np.argsort(p.prices, kind="stable")
+        cut = T // 3
+        greedy[u_len + T + thirds[:cut]] = p.shift_bound[thirds[:cut]]
+        greedy[u_len + T + thirds[-cut:]] = -p.shift_bound[thirds[-cut:]]
+    return offset_repair(p, seeds)
+
+
+def offset_split_bounds(problem, commit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    p, u_len, T = problem, _unit_len(problem), problem.T
+    ns = u_len + 2 * T + (T if p.dr else 0)
+    lower, upper = np.zeros(ns), np.zeros(ns)
+    for i, unit in enumerate(p.case.units):
+        block = slice(i * T, (i + 1) * T)
+        if unit.committable:
+            lower[block] = np.where(commit[i], unit.p_min_kw, 0.0)
+            upper[block] = np.where(commit[i], unit.p_max_kw, 0.0)
+        else:
+            upper[block] = p.caps[i]
+    upper[u_len : u_len + 2 * T] = 0.0 if p.case.battery is None else p.case.battery.p_max_kw
+    if p.dr:
+        lower[u_len + 2 * T :] = -p.shift_bound
+        upper[u_len + 2 * T :] = p.shift_bound
+    return lower, upper
+
+
+def offset_split_from_signed(problem, x: np.ndarray) -> np.ndarray:
+    u_len, T = _unit_len(problem), problem.T
+    p_batt = x[u_len : u_len + T]
+    return np.concatenate([x[:u_len], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), x[u_len + T :]])
+
+
+def offset_signed_from_split(problem, xs: np.ndarray) -> np.ndarray:
+    u_len, T = _unit_len(problem), problem.T
+    chg, dis = xs[u_len : u_len + T], xs[u_len + T : u_len + 2 * T]
+    return np.concatenate([xs[:u_len], chg - dis, xs[u_len + 2 * T :]])
+
+
+def offset_split_parts(problem, Xs: np.ndarray):
+    """(p_units, chg, dis, shift) of split plans."""
+    p, u_len, T = problem, _unit_len(problem), problem.T
+    Xs = np.atleast_2d(Xs)
+    p_units = Xs[:, :u_len].reshape(Xs.shape[0], p.n_units, T)
+    shift = Xs[:, u_len + 2 * T :] if p.dr else None
+    return p_units, Xs[:, u_len : u_len + T], Xs[:, u_len + T : u_len + 2 * T], shift
+
+
+def offset_soc_jacobian(nlp) -> np.ndarray:
+    """The split subproblem's affine SOC rows, soc_lo then soc_hi."""
+    p, u_len, T = nlp.problem, _unit_len(nlp.problem), nlp.problem.T
+    J = np.zeros((2 * T, nlp.n))
+    J[:, u_len : u_len + T] = np.vstack([-p.M_c, p.M_c]) / nlp._soc_scale
+    J[:, u_len + T : u_len + 2 * T] = np.vstack([p.M_d, -p.M_d]) / nlp._soc_scale
+    return J
+
+
+def offset_eq_jacobian(nlp) -> np.ndarray:
+    """The shift-balance row under DR, none otherwise."""
+    p = nlp.problem
+    J_eq = np.zeros((int(p.dr), nlp.n))
+    J_eq[:, _unit_len(p) + 2 * p.T :] = 1.0 / p.s_base
+    return J_eq
+
+
+def truncated_case(case: MicrogridCase, horizon: int) -> MicrogridCase:
+    """The case over its first ``horizon`` hours."""
+    return validate_case(
+        replace(
+            case,
+            horizon=horizon,
+            prices_ct_per_kwh=case.prices_ct_per_kwh[:horizon],
+            availability_kw={name: series[:horizon] for name, series in case.availability_kw.items()},
+            load_points=tuple(replace(lp, profile_kw=lp.profile_kw[:horizon]) for lp in case.load_points),
+        )
+    )
+
+
 def dense_vmag_differences(nlp, xs: np.ndarray) -> np.ndarray:
     """d(vmag)/dx (n_bus, T, ns) of a split subproblem at every bus and hour,
     by the package's batched central differences, as the package once built
@@ -1191,11 +1350,12 @@ def dense_vmag_differences(nlp, xs: np.ndarray) -> np.ndarray:
     T, ns = p.T, xs.size
     free = ~pinned_mask(nlp.lower, nlp.upper)
     h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
+    u_len = p.n_units * T
     starts = [u * T for u in range(p.n_units)]
     if p.case.battery is not None:
-        starts += [p.u_len, p.u_len + T]
+        starts += [u_len, u_len + T]
     if p.dr:
-        starts.append(p.u_len + 2 * T)
+        starts.append(u_len + 2 * T)
     masks = []
     for start in starts:
         mask = np.zeros(ns, dtype=bool)
@@ -1296,16 +1456,17 @@ def tuple_row_jacobian(problem, rows: Sequence[Tuple], d_slack: np.ndarray, d_vm
     """Jacobian of the rows from d(slack_kw)/dx (T, ns) and d(vmag)/dx (n_bus, T, ns)."""
     p = problem
     T = p.T
+    u_len = p.n_units * T
     scale = _soc_scale(p)
     J_in = np.zeros((len(rows), ns))
     for i, row in enumerate(rows):
         kind = row[0]
         if kind == "soc_lo":
-            J_in[i, p.u_len : p.u_len + T] = -p.M_c[row[1]] / scale
-            J_in[i, p.u_len + T : p.u_len + 2 * T] = p.M_d[row[1]] / scale
+            J_in[i, u_len : u_len + T] = -p.M_c[row[1]] / scale
+            J_in[i, u_len + T : u_len + 2 * T] = p.M_d[row[1]] / scale
         elif kind == "soc_hi":
-            J_in[i, p.u_len : p.u_len + T] = p.M_c[row[1]] / scale
-            J_in[i, p.u_len + T : p.u_len + 2 * T] = -p.M_d[row[1]] / scale
+            J_in[i, u_len : u_len + T] = p.M_c[row[1]] / scale
+            J_in[i, u_len + T : u_len + 2 * T] = -p.M_d[row[1]] / scale
         elif kind == "imp":
             J_in[i] = d_slack[row[1]] / p.s_base
         elif kind == "exp":

@@ -297,6 +297,21 @@ def test_powerflow_rejects_short_rows(tmp_path, capsys):
     assert captured.err.startswith("error: validation:") and "cells" in captured.err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_powerflow_rejects_non_finite_cell(tmp_path, capsys, cell):
+    # The first unit's cell at hour 3; a nan there once reached the sweep and
+    # was reported as a voltage collapse with exit code 3.
+    def edit(lines):
+        hour, _, rest = lines[3].split(",", 2)
+        return lines[:3] + [f"{hour},{cell},{rest}"] + lines[4:]
+
+    path = _broken_schedule(tmp_path, edit)
+    assert main(["powerflow", benchmark_case_path(), "--schedule", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation:") and "hour 3 column PV1" in captured.err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

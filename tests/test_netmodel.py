@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
+from mgopt.cli import EXIT_VALIDATION, main
 from mgopt.netmodel import (
     Battery,
     Branch,
@@ -245,6 +247,30 @@ def test_record_that_is_not_a_mapping_is_named(kind, section, index):
         doc[section][index] = "oops"
     with pytest.raises(CaseError, match=f"{kind} record must be a mapping"):
         case_from_dict(doc)
+
+
+_MISSPELT_KEYS = [("LoadPoint", "loads", "power_factr", 0.5), ("DgUnit", "units", "renewabel", True)]
+
+
+@pytest.mark.parametrize("kind, section, key, value", _MISSPELT_KEYS)
+def test_unknown_record_key_is_rejected(kind, section, key, value):
+    # Before, a misspelt optional key was dropped and its field took the default.
+    doc = _minimal_doc()
+    doc[section][0][key] = value
+    with pytest.raises(CaseError, match=f"{kind} record has unknown key '{key}'"):
+        case_from_dict(doc)
+
+
+@pytest.mark.parametrize("kind, section, key, value", _MISSPELT_KEYS)
+def test_validate_rejects_unknown_record_key(kind, section, key, value, tmp_path, capsys):
+    doc = _minimal_doc()
+    doc[section][0][key] = value
+    path = tmp_path / "misspelt.case"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{kind} record has unknown key '{key}'" in captured.err
 
 
 def _every_option_set(case):

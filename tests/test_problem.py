@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgopt.devices import soc_trajectory
+from mgopt.devices import DispatchSchedule, soc_trajectory
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
 from mgopt.optimizer.problem import _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
@@ -14,6 +14,18 @@ from oracles import (
     dense_vmag_differences,
     evaluate_objectives,
     grid_feasibility,
+    offset_eq_jacobian,
+    offset_pack,
+    offset_repair,
+    offset_schedule,
+    offset_seed_points,
+    offset_signed_bounds,
+    offset_signed_from_split,
+    offset_soc_jacobian,
+    offset_split_bounds,
+    offset_split_from_signed,
+    offset_split_parts,
+    offset_unpack,
     repair_battery_powers,
     sectioned_case,
     subtract_at_consumption,
@@ -24,6 +36,7 @@ from oracles import (
     tuple_row_values,
     tuple_screen_rows,
     tuple_violated_rows,
+    truncated_case,
     unit_feasibility,
 )
 
@@ -107,7 +120,7 @@ def test_repair_matches_sequential_references(problem, benchmark_case):
     repaired = problem.repair(plans)
     T = problem.T
     for raw, row in zip(plans, repaired):
-        battery = slice(problem.b_off, problem.b_off + T)
+        battery = slice(problem.n_units * T, (problem.n_units + 1) * T)
         expected = repair_battery_powers(benchmark_case.battery, raw[battery])
         assert np.abs(row[battery] - expected).max() < 1e-9
         for i, unit in enumerate(benchmark_case.units):
@@ -127,7 +140,7 @@ def test_repair_is_idempotent(problem):
 def test_repair_projects_shift_to_zero_sum(dr_problem):
     rng = np.random.default_rng(4)
     repaired = dr_problem.repair(_random_plans(dr_problem, rng, 10))
-    shift = repaired[:, dr_problem.s_off :]
+    shift = repaired[:, (dr_problem.n_units + 1) * dr_problem.T :]
     assert np.abs(shift.sum(axis=1)).max() < 1e-6
     assert (shift >= -dr_problem.shift_bound - 1e-9).all()
     assert (shift <= dr_problem.shift_bound + 1e-9).all()
@@ -135,7 +148,8 @@ def test_repair_projects_shift_to_zero_sum(dr_problem):
 
 def test_soc_signed_matches_sequential(problem, benchmark_case):
     rng = np.random.default_rng(5)
-    p = problem.repair(_random_plans(problem, rng, 6))[:, problem.b_off : problem.b_off + problem.T]
+    T = problem.T
+    p = problem.repair(_random_plans(problem, rng, 6))[:, problem.n_units * T : (problem.n_units + 1) * T]
     soc = problem.soc_split(np.maximum(p, 0.0), np.maximum(-p, 0.0))
     for row, expected in zip(p, soc):
         loop = soc_trajectory(benchmark_case.battery, row)
@@ -149,12 +163,75 @@ def test_split_merge_round_trip(problem, dr_problem):
         xs = prob.split_from_signed(x)
         assert np.array_equal(prob.signed_from_split(xs), x)
         # A signed series splits into complementary charge and discharge.
-        chg = xs[prob.u_len : prob.u_len + prob.T]
-        dis = xs[prob.u_len + prob.T : prob.u_len + 2 * prob.T]
+        u_len = prob.n_units * prob.T
+        chg = xs[u_len : u_len + prob.T]
+        dis = xs[u_len + prob.T : u_len + 2 * prob.T]
         assert (np.minimum(chg, dis) == 0.0).all()
         p = (chg - dis)[np.newaxis]
         assert np.abs(prob.soc_split(chg[np.newaxis], dis[np.newaxis])[0]
                       - prob.soc_split(np.maximum(p, 0.0), np.maximum(-p, 0.0))[0]).max() < 1e-12
+
+
+def _layout_problem(benchmark_case, name):
+    if name == "benchmark":
+        return DispatchProblem(benchmark_case)
+    if name == "no-battery":
+        return DispatchProblem(replace(benchmark_case, battery=None), dr=True)
+    if name == "horizon-12":
+        return DispatchProblem(truncated_case(benchmark_case, 12), dr=True)
+    return DispatchProblem(benchmark_case, dr=True)
+
+
+def _same_bits(a, b):
+    return (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("name", ["benchmark", "dr", "no-battery", "horizon-12"])
+def test_block_layout_matches_offsets(benchmark_case, name):
+    # Every plan read and write through the (plan, block, hour) view against
+    # the same form written with block offsets, bit for bit.
+    prob = _layout_problem(benchmark_case, name)
+    for got, want in zip((prob.lower, prob.upper), offset_signed_bounds(prob)):
+        assert _same_bits(got, want)
+    assert _same_bits(prob.seed_points(), offset_seed_points(prob))
+    rng = np.random.default_rng(21)
+    raw = _random_plans(prob, rng, 6) * 1.5 - 0.25 * (prob.upper - prob.lower)
+    plans = prob.repair(raw)
+    assert _same_bits(plans, offset_repair(prob, raw))
+    for got, want in zip(prob.unpack(plans), offset_unpack(prob, plans)):
+        assert _same_bits(got, want)
+    # The view itself: unit blocks, then the battery, then the shift.
+    p_units, p_batt, shift = offset_unpack(prob, plans)
+    B = prob.blocks(plans)
+    assert B.shape == (6, prob.n_units + 1 + int(prob.dr), prob.T)
+    assert _same_bits(B[:, : prob.n_units], p_units) and _same_bits(B[:, prob.n_units], p_batt)
+    assert not prob.dr or _same_bits(B[:, -1], shift)
+    spec = ObjectiveSpec("cost")
+    for x in plans:
+        schedule, expected = prob.schedule(x), offset_schedule(prob, x)
+        for field in ("dg_setpoints", "battery_power", "dr_shift"):
+            assert _same_bits(getattr(schedule, field), getattr(expected, field)), field
+        assert _same_bits(prob.pack(schedule), offset_pack(prob, schedule))
+        # A schedule without a shift, as the suite packs its non-DR optima for DR.
+        bare = DispatchSchedule(schedule.dg_setpoints, schedule.battery_power, None)
+        assert _same_bits(prob.pack(bare), offset_pack(prob, bare))
+        xs = prob.split_from_signed(x)
+        assert _same_bits(xs, offset_split_from_signed(prob, x))
+        assert _same_bits(prob.signed_from_split(xs), offset_signed_from_split(prob, xs))
+        commit = prob.commitment_mask(x)
+        for got, want in zip(prob.split_bounds(commit), offset_split_bounds(prob, commit)):
+            assert _same_bits(got, want)
+        lower, upper = prob.split_bounds(commit)
+        nlp = _SplitDispatchNlp(prob, spec, lower, upper, [])
+        assert _same_bits(nlp._J_soc, offset_soc_jacobian(nlp))
+    assert _same_bits(nlp.derivatives(xs)[1], offset_eq_jacobian(nlp))
+    split = np.vstack([prob.split_from_signed(x) for x in plans])
+    for got, want in zip(prob.split_parts(split), offset_split_parts(prob, split)):
+        assert _same_bits(got, want)
+    _, chg, dis, _ = offset_split_parts(prob, split)
+    S = prob.blocks(split)
+    assert S.shape == (6, prob.n_units + 2 + int(prob.dr), prob.T)
+    assert _same_bits(S[:, prob.n_units], chg) and _same_bits(S[:, prob.n_units + 1], dis)
 
 
 def test_metrics_equal_split_eval_on_split_rows(problem, dr_problem):
@@ -292,7 +369,8 @@ def test_ens_gradient_chain_along_directions(problem):
     # Keep the SOC strictly inside its window so the piecewise-linear
     # restoration cost is smooth around the probe point, and keep the probe
     # direction on strictly interior coordinates so nothing clips.
-    T, off = problem.T, problem.u_len
+    T = problem.T
+    off = problem.n_units * T
     lower, upper = problem.split_bounds(problem.commitment_mask(np.zeros(problem.n)))
     xs = np.zeros(off + 2 * T)
     xs[off : off + 6] = 3.0
