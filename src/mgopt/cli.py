@@ -105,17 +105,25 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
     for row in rows:
         if len(row) != len(header):
             raise CliError(EXIT_VALIDATION, f"{path} row {row} has {len(row)} cells, expected {len(header)}")
-        t = int(row[0])
+        try:
+            t = int(row[0])
+        except ValueError:
+            raise CliError(EXIT_VALIDATION, f"{path} hour {row[0]!r} column hour: not an integer") from None
         if not 0 <= t < case.horizon:
             raise CliError(EXIT_VALIDATION, f"{path} hour {t} outside 0..{case.horizon - 1}")
         # With one row per hour, a repeated hour is also a missing one.
         if t in seen:
             raise CliError(EXIT_VALIDATION, f"{path} repeats hour {t}; each hour 0..{case.horizon - 1} must appear once")
         seen.add(t)
-        values = [float(v) for v in row[1:]]
-        for column, value in zip(header[1:], values):
+        values = []
+        for column, cell in zip(header[1:], row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CliError(EXIT_VALIDATION, f"{path} hour {t} column {column}: {cell!r} is not a number") from None
             if not math.isfinite(value):
                 raise CliError(EXIT_VALIDATION, f"{path} hour {t} column {column}: {value} is not a finite number")
+            values.append(value)
         dg[:, t] = values[:n]
         battery[t] = values[n]
         if has_shift:

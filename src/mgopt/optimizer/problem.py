@@ -250,35 +250,44 @@ class DispatchProblem:
     def _consumption(
         self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Net bus consumption (n_bus, B, T) in pu for one population.
+        """Net bus consumption (n_bus, B, T) in pu for one population, in the
+        network workspace's "bus" slot.
 
         Units subtract one at a time in their order, so units sharing a bus
         accumulate exactly as ``np.subtract.at`` would, without its cost.
         """
-        cons = np.repeat(self.base_load[:, np.newaxis, :], p_net.shape[0], axis=1)
+        ws = self.net.workspace
+        cons = ws.take("bus", (self.net.n_bus, p_net.shape[0], self.T), complex)
+        cons[...] = self.base_load[:, np.newaxis, :]
         for i, bus in enumerate(self.unit_bus):
             cons[bus] -= p_units[:, i] / self.s_base
         if self.batt_bus is not None:
             cons[self.batt_bus] += p_net / self.s_base
         if shift is not None:
-            cons += self.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
+            spread = ws.take("wide", cons.shape, complex)
+            cons += np.multiply(self.shift_factors[:, np.newaxis, :], shift[np.newaxis, :, :], out=spread)
         return cons
 
     def _network_eval(
         self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sweep one population: (vmag [n_bus,B,T], slack_kw, loss_kw, ok)."""
+        """Sweep one population: (vmag [n_bus,B,T], slack_kw, loss_kw, ok).
+
+        The sweep and its by-products stay in the network workspace; every
+        returned array is fresh.
+        """
         B = p_net.shape[0]
         n_bus, T = self.net.n_bus, self.T
+        ws = self.net.workspace
         cons = self._consumption(p_units, p_net, shift)
-        res = sweep(self.net, cons.reshape(n_bus, B * T))
+        res = sweep(self.net, cons.reshape(n_bus, B * T), workspace=ws)
         with np.errstate(invalid="ignore"):
             vmag = np.abs(res.voltage).reshape(n_bus, B, T)
         slack_s = res.voltage[self.net.slack] * np.conj(res.slack_current)
         slack_kw = slack_s.real.reshape(B, T) * self.s_base
-        loss_kw = (
-            (np.abs(res.branch_current) ** 2 * self.net.z_pu.real[:, np.newaxis]).sum(axis=0)
-        ).reshape(B, T) * self.s_base
+        terms = np.abs(res.branch_current, out=ws.take("real", res.branch_current.shape))
+        np.multiply(np.square(terms, out=terms), self.net.z_pu.real[:, np.newaxis], out=terms)
+        loss_kw = terms.sum(axis=0).reshape(B, T) * self.s_base
         ok = res.converged.reshape(B, T).all(axis=1)
         return vmag, slack_kw, loss_kw, ok
 
@@ -303,8 +312,9 @@ class DispatchProblem:
 
     def _violation(self, vmag: np.ndarray, slack_kw: np.ndarray) -> np.ndarray:
         """Network violation per plan, per-unit so voltage and power compare."""
-        v_low = np.maximum(0.0, self.vmin - vmag).sum(axis=(0, 2))
-        v_high = np.maximum(0.0, vmag - self.vmax).sum(axis=(0, 2))
+        terms = self.net.workspace.take("real", vmag.shape)
+        v_low = np.maximum(0.0, np.subtract(self.vmin, vmag, out=terms), out=terms).sum(axis=(0, 2))
+        v_high = np.maximum(0.0, np.subtract(vmag, self.vmax, out=terms), out=terms).sum(axis=(0, 2))
         g_in = np.maximum(0.0, slack_kw - self.import_limit).sum(axis=1) / self.s_base
         if np.isfinite(self.export_limit):
             g_out = np.maximum(0.0, -slack_kw - self.export_limit).sum(axis=1) / self.s_base
@@ -327,7 +337,8 @@ class DispatchProblem:
         vmag, slack_kw, loss_kw, ok = self._network_eval(p_units, chg - dis, shift)
         soc = self.soc_split(chg, dis)
         hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)
-        hourly_vdev = np.abs(1.0 - vmag[self.load_idx]).sum(axis=0)
+        dev = self.net.workspace.gather("real", vmag, self.load_idx, 0)
+        hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0)
         ens = self.evaluator.cost_batch(soc)
         with np.errstate(invalid="ignore"):
             values = {

@@ -104,6 +104,11 @@ class CompiledNetwork:
         """
         return self.bibc.T @ (self.z_pu[:, np.newaxis] * self.bibc)
 
+    @cached_property
+    def workspace(self) -> "Workspace":
+        """Scratch memory shared by the batched evaluations on this network."""
+        return Workspace()
+
 
 def compile_network(case: MicrogridCase) -> CompiledNetwork:
     """Validate the topology and convert impedances to per-unit arrays."""
@@ -172,6 +177,42 @@ def consumption_from_schedule(
     return s
 
 
+class Workspace:
+    """Grow-only scratch memory for batched sweeps, reused from call to call.
+
+    Each named slot is one flat buffer that grows to the largest request
+    and never shrinks; a request gets a C-contiguous view of its prefix.  At
+    GA batch sizes fresh arrays cost more in page faults than the arithmetic
+    does, and whether the allocator maps them afresh or reuses freed heap
+    depends on its dynamic mmap threshold, so without reuse the wall time
+    would also depend on what the process happened to free earlier.
+
+    ``sweep`` may write any slot.  Between sweeps a caller may use any slot
+    too, knowing that the last sweep's voltages live in "bus" and its branch
+    currents in "wide".  A workspace is not for concurrent use.
+    """
+
+    def __init__(self) -> None:
+        self._slots: Dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
+        """A ``shape`` view of the slot's buffer; its contents are unspecified."""
+        size = math.prod(shape)
+        buffer = self._slots.get(slot)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._slots[slot] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+    def gather(self, slot: str, a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+        """``a`` indexed along ``axis``, written into the slot.
+
+        np.take's default mode="raise" gathers into a fresh array and copies
+        it over; the indices are in range, so "clip" gives the same values.
+        """
+        shape = a.shape[:axis] + (index.size,) + a.shape[axis + 1 :]
+        return np.take(a, index, axis=axis, out=self.take(slot, shape, a.dtype), mode="clip")
+
+
 class SweepResult(NamedTuple):
     voltage: np.ndarray
     branch_current: np.ndarray
@@ -182,7 +223,10 @@ class SweepResult(NamedTuple):
 
 
 def sweep(
-    net: CompiledNetwork, consumption_pu: np.ndarray, max_iterations: int = DEFAULT_MAX_ITERATIONS
+    net: CompiledNetwork,
+    consumption_pu: np.ndarray,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    workspace: Optional[Workspace] = None,
 ) -> SweepResult:
     """Run the backward-forward sweep on a column batch of injections.
 
@@ -197,6 +241,12 @@ def sweep(
     iteration's currents.  The returned currents are recomputed from the
     final voltages, so each bus absorbs exactly its specified power and the
     slack picks up losses; the loss identity then closes to roundoff.
+
+    The arrays that grow with the batch times the buses live in
+    ``workspace``.  With a shared one, the result's voltage and branch
+    current are views that stay valid until the next call that uses the same
+    workspace, and consumption passed in from one of its slots is
+    overwritten.  Without one, the result owns its arrays.
     """
     s = np.asarray(consumption_pu, dtype=complex)
     if s.ndim == 1:
@@ -205,25 +255,26 @@ def sweep(
         # Numpy hands a one-row product to gemv, which rounds differently
         # from gemm; solving a copy alongside keeps a lone column bitwise
         # equal to the same column inside a batch.
-        pair = sweep(net, np.repeat(s, 2, axis=1), max_iterations)
+        pair = sweep(net, np.repeat(s, 2, axis=1), max_iterations, workspace)
         return SweepResult(*(field[..., :1] for field in pair))
+    ws = Workspace() if workspace is None else workspace
 
     m = s.shape[1]
     has_injection = s.any(axis=1)
     inj = np.flatnonzero(has_injection)
-    s_inj = s[inj]
+    shape = (len(inj), m)
+    s_inj = ws.gather("s_inj", s, inj, 0)
     drop = net.dlf[:, inj]
     drop_inj, drop_rest = drop[inj], drop[~has_injection]
     # |V_j| >= 1 - sum_k |DLF[j, k]| |I_k| at every bus j, so a column whose
     # bound clears the floor cannot have dipped; the margin covers rounding.
     reach = np.abs(drop).max(axis=0, initial=0.0)
-    # The loop reuses these buffers: at GA batch sizes, fresh arrays cost
-    # more in page faults than the arithmetic does.
-    shape = (len(inj), m)
-    acc, prev = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
-    v, v_new = np.ones(shape, dtype=complex), np.empty(shape, dtype=complex)
-    size = np.empty(shape)
-    by_row = np.empty(shape[::-1], dtype=complex)
+    acc, prev = ws.take("acc", shape, complex), ws.take("prev", shape, complex)
+    v, v_new = ws.take("v", shape, complex), ws.take("v_new", shape, complex)
+    acc.fill(0.0)
+    v.fill(1.0)
+    size = ws.take("real", shape)
+    by_row = ws.take("wide", shape[::-1], complex)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     dipped = np.zeros(m, dtype=bool)
@@ -232,39 +283,48 @@ def sweep(
         for k in range(1, max_iterations + 1):
             acc, prev = prev, acc
             np.conjugate(np.divide(s_inj, v, out=acc), out=acc)
-            np.subtract(1.0, _by_row(drop_inj, acc, out=by_row), out=v_new)
+            np.subtract(1.0, _by_row(drop_inj, acc, by_row), out=v_new)
             # A non-finite change propagates through the maximum and fails
             # the tolerance test, like an infinite one.
             dv = np.abs(np.subtract(v_new, v, out=v), out=size).max(axis=0, initial=0.0)
             risky = np.flatnonzero(~(1.0 - reach @ np.abs(acc, out=size) > COLLAPSE_FLOOR_PU + 1e-9))
             if risky.size:
-                dipped[risky] |= _below_floor(1.0 - drop @ acc[:, risky])
+                # The "wide" and "bus" slots are free until the loop ends.
+                at_risk = ws.gather("wide", acc, risky, 1)
+                v_risky = np.matmul(drop, at_risk, out=ws.take("bus", (net.n_bus, risky.size), complex))
+                dipped[risky] |= _below_floor(np.subtract(1.0, v_risky, out=v_risky), ws)
             # A column that passes on the injection buses is confirmed on the
             # rest, since a bus without load can move the most.
             screened = np.flatnonzero(~converged & (dv < DEFAULT_TOLERANCE))
             if screened.size:
-                step = drop_rest @ (acc[:, screened] - prev[:, screened])
-                newly = screened[np.abs(step).max(axis=0, initial=0.0) < DEFAULT_TOLERANCE]
+                change = ws.gather("wide", acc, screened, 1)
+                np.subtract(change, ws.gather("bus", prev, screened, 1), out=change)
+                step = np.matmul(drop_rest, change, out=ws.take("bus", (len(drop_rest), screened.size), complex))
+                step_size = np.abs(step, out=ws.take("real", step.shape)).max(axis=0, initial=0.0)
+                newly = screened[step_size < DEFAULT_TOLERANCE]
                 iterations[newly] = k
                 converged[newly] = True
             v, v_new = v_new, v
             if converged.all():
                 break
 
-        v = np.subtract(1.0, _by_row(drop, acc), order="C")
+        product = _by_row(drop, acc, ws.take("wide", (m, net.n_bus), complex))
+        v = np.subtract(1.0, product, out=ws.take("bus", (net.n_bus, m), complex))
         v[net.slack] = 1.0
-        collapsed = _below_floor(v) | (dipped & ~converged)
+        collapsed = _below_floor(v, ws) | (dipped & ~converged)
         converged &= ~collapsed
         iterations[~converged] = max_iterations
-        acc = np.conj(s_inj / v[inj])
+        acc = ws.gather("acc", v, inj, 0)
+        np.conjugate(np.divide(s_inj, acc, out=acc), out=acc)
     acc[~np.isfinite(acc)] = 0.0
     # BIBC is 0/1, so its product is plain sums and rounds the same for any
     # batch in either orientation.
-    return SweepResult(v, net.bibc[:, inj] @ acc, acc.sum(axis=0), iterations, converged, collapsed)
+    current = np.matmul(net.bibc[:, inj], acc, out=ws.take("wide", (net.n_branch, m), complex))
+    return SweepResult(v, current, acc.sum(axis=0), iterations, converged, collapsed)
 
 
-def _by_row(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``a @ b`` for a column batch ``b``, returned as a transposed view.
+def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a column batch ``b``, returned as a transposed view of ``out``.
 
     The product runs as ``b.T @ a.T`` into row-major storage: gemm rounds
     each row of its result the same wherever the row sits in the batch (it
@@ -274,12 +334,13 @@ def _by_row(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> n
     return np.matmul(b.T, a.T, out=out).T
 
 
-def _below_floor(v: np.ndarray) -> np.ndarray:
+def _below_floor(v: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Columns with a non-finite voltage or a magnitude under the collapse floor.
 
-    NaN propagates through both reductions and fails both comparisons.
+    NaN propagates through both reductions and fails both comparisons.  The
+    magnitudes go to the workspace's "real" slot.
     """
-    magnitude = np.abs(v)
+    magnitude = np.abs(v, out=workspace.take("real", v.shape))
     low = ~(magnitude.min(axis=0, initial=np.inf) >= COLLAPSE_FLOOR_PU)
     return low | ~np.isfinite(magnitude.max(axis=0, initial=0.0))
 

@@ -312,6 +312,24 @@ def test_powerflow_rejects_non_finite_cell(tmp_path, capsys, cell):
     assert captured.err.startswith("error: validation:") and "hour 3 column PV1" in captured.err
 
 
+@pytest.mark.parametrize("column, cell, message", [
+    ("hour", "x", "hour 'x' column hour"),
+    ("PV1", "abc", "hour 3 column PV1: 'abc'"),
+])
+def test_powerflow_rejects_unparseable_cell(tmp_path, capsys, column, cell, message):
+    # Python's own messages named neither the file nor the hour nor the column.
+    def edit(lines):
+        hour, unit, rest = lines[3].split(",", 2)
+        fields = [cell, unit] if column == "hour" else [hour, cell]
+        return lines[:3] + [",".join(fields + [rest])] + lines[4:]
+
+    path = _broken_schedule(tmp_path, edit)
+    assert main(["powerflow", benchmark_case_path(), "--schedule", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation:") and str(path) in captured.err and message in captured.err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

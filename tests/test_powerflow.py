@@ -13,6 +13,8 @@ from mgopt.powerflow import (
     load_consumption_pu,
     package_solution,
     shift_distribution_pu,
+    SweepResult,
+    Workspace,
     solve_horizon,
     sweep,
 )
@@ -319,3 +321,38 @@ def test_sweep_matches_loop_sweep_on_collapse():
     result = _assert_matches_loop_sweep(net, np.array([[0.0, 0.0], [30.0, 0.1]], dtype=complex))
     np.testing.assert_array_equal(result.collapsed, [True, False])
     np.testing.assert_array_equal(result.converged, [False, True])
+
+
+# ---------------------------------------------------------------------------
+# the shared workspace
+
+
+def _assert_same_bits(got, want):
+    for field in SweepResult._fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_workspace_sweep_is_bitwise_equal_on_feeders_with_empty_buses():
+    # One workspace serves feeders of every size, converging and collapsing.
+    workspace = Workspace()
+    rng = np.random.default_rng(505)
+    for _ in range(20):
+        n, branches, s = random_feeder_with_empty_buses(rng)
+        net = _compiled(n, branches)
+        for scale, cap in ((1.0, 100), (12.0, 3)):
+            _assert_same_bits(sweep(net, scale * s, cap, workspace), sweep(net, scale * s, cap))
+
+
+def test_workspace_sweep_is_bitwise_equal_as_the_batch_grows_and_shrinks(benchmark_case):
+    case = sectioned_case(benchmark_case, 4)
+    net = compile_network(case)
+    base = load_consumption_pu(case, net)
+    rng = np.random.default_rng(606)
+    for width in (1440, 48, 1392):
+        s = base[:, rng.integers(0, case.horizon, width)] * rng.uniform(0.0, 2.0, width)
+        s[:, 1] = 12.0 * base[:, base.real.sum(axis=0).argmax()]
+        s[:, 2] = 0.0
+        shared = sweep(net, s.copy(), workspace=net.workspace)
+        assert shared.collapsed[1] and shared.converged[2]
+        _assert_same_bits(shared, sweep(net, s))

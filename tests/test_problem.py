@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mgopt.devices import DispatchSchedule, soc_trajectory
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
 from mgopt.optimizer.problem import _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
+from mgopt.powerflow import compile_network, sweep
 
 from oracles import (
     battery_feasibility,
@@ -564,3 +566,59 @@ def test_dr_requires_program(benchmark_case):
     bare = replace(benchmark_case, dr=None)
     with pytest.raises(ValueError, match="demand response"):
         DispatchProblem(bare, dr=True)
+
+
+# ---------------------------------------------------------------------------
+# the network workspace
+
+
+def _metrics_bytes(m):
+    arrays = [m.values[key] for key in sorted(m.values)]
+    arrays += [getattr(m, f.name) for f in fields(m) if f.name != "values"]
+    return [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def test_results_keep_their_bytes_through_later_calls(benchmark_case):
+    # Batch intermediates live in the network's workspace only while a call
+    # runs; what a call hands out owns its memory.
+    prob = DispatchProblem(benchmark_case)
+    rng = np.random.default_rng(31)
+    first = prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
+    kept = _metrics_bytes(first)
+    s = prob._consumption(*prob.unpack(prob.repair(_random_plans(prob, rng, 3)))).reshape(prob.net.n_bus, -1)
+    owned = sweep(prob.net, s)
+    owned_bytes = [a.tobytes() for a in owned]
+    prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
+    prob.split_eval(np.vstack([prob.split_from_signed(x) for x in prob.repair(_random_plans(prob, rng, 14))]))
+    sweep(prob.net, 2.0 * s)
+    sweep(prob.net, 3.0 * s, workspace=prob.net.workspace)
+    assert _metrics_bytes(first) == kept
+    assert [a.tobytes() for a in owned] == owned_bytes
+
+
+def test_problems_sharing_a_workspace_match_fresh_problems(benchmark_case):
+    net = compile_network(benchmark_case)
+    shared = (DispatchProblem(benchmark_case, net=net), DispatchProblem(benchmark_case, dr=True, net=net))
+    assert shared[0].net.workspace is shared[1].net.workspace
+    rng = np.random.default_rng(32)
+    calls = [(dr, shared[dr].repair(_random_plans(shared[dr], rng, count)))
+             for dr, count in ((0, 58), (1, 14), (0, 1), (1, 58), (0, 4), (1, 2))]
+    got = [_metrics_bytes(shared[dr].metrics(X)) for dr, X in calls]
+    want = [_metrics_bytes(DispatchProblem(benchmark_case, dr=bool(dr)).metrics(X)) for dr, X in calls]
+    assert got == want
+
+
+def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
+    # numpy reports its data buffers to tracemalloc.  Once the workspace has
+    # grown to a GA batch, the only batch-sized array a call allocates is the
+    # vmag it returns; any fresh (bus, column) temporary would double the peak.
+    prob = DispatchProblem(sectioned_case(benchmark_case, 4))
+    plans = prob.repair(_random_plans(prob, np.random.default_rng(33), 58))
+    prob.metrics(plans)
+    tracemalloc.start()
+    try:
+        m = prob.metrics(plans)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m.vmag.nbytes

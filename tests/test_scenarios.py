@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,6 +133,35 @@ def test_suite_is_deterministic(benchmark_case, fast_config):
         assert ra.objectives.as_dict() == rb.objectives.as_dict(), key
     assert a.totals == b.totals
     assert a.bounds == b.bounds
+
+
+# Two suites at a small budget in one process, one digest of each suite's outputs.
+_BACK_TO_BACK = """
+import hashlib
+from mgopt import GaConfig, OptimizerConfig, SqpConfig, load_benchmark_case, run_suite
+config = OptimizerConfig(ga=GaConfig(population=8, generations=3), sqp=SqpConfig(max_iterations=5),
+                         seed=3, refine_rounds=1)
+case = load_benchmark_case()
+for _ in range(2):
+    suite = run_suite(case, config)
+    digest = hashlib.sha256(repr((suite.totals, suite.bounds)).encode())
+    for key, r in suite.results.items():
+        digest.update(repr((key, r.objectives.as_dict(), r.value, r.trace)).encode())
+        for series in (r.schedule.dg_setpoints, r.schedule.battery_power, r.schedule.dr_shift):
+            digest.update(b"-" if series is None else series.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def test_back_to_back_suites_match_a_fresh_process():
+    # The first suite runs in a fresh process, the second after it, with the
+    # allocator and every lazily built array warm.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, MGOPT_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _BACK_TO_BACK], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    first, second = done.stdout.split()
+    assert first == second
 
 
 def test_run_scenario_extracts_from_suite(benchmark_case, fast_config):
