@@ -248,6 +248,8 @@ def _parse_weights(args: argparse.Namespace) -> Optional[List[float]]:
             vector = [float(p) for p in parts]
         except ValueError as exc:
             raise CliError(EXIT_VALIDATION, f"--weights: {exc}") from exc
+        if not all(math.isfinite(w) for w in vector):
+            raise CliError(EXIT_VALIDATION, f"--weights must be finite numbers, got {args.weights}")
         if any(w < 0 for w in vector) or sum(vector) <= 0:
             raise CliError(EXIT_VALIDATION, "--weights must be nonnegative and sum to a positive value")
         total = sum(vector)

@@ -118,10 +118,14 @@ class OutageCostTable:
     def from_mapping(cls, raw: Dict[str, object]) -> "OutageCostTable":
         steps: Dict[str, Tuple[Tuple[float, float], ...]] = {}
         for category, value in raw.items():
+            where = f"outage_costs.{category}"
             if isinstance(value, (int, float)):
-                steps[category] = ((math.inf, float(value)),)
+                steps[category] = ((math.inf, _number(float, value, where)),)
             else:
-                rows = tuple((float(d), float(c)) for d, c in value)  # type: ignore[union-attr]
+                rows = tuple(
+                    (_number(float, d, f"{where}[{i}][0]"), _number(float, c, f"{where}[{i}][1]"))
+                    for i, (d, c) in enumerate(value)  # type: ignore[arg-type]
+                )
                 if not rows or any(rows[i][0] >= rows[i + 1][0] for i in range(len(rows) - 1)):
                     raise CaseError(f"outage cost steps for {category!r} must increase in duration")
                 steps[category] = rows
@@ -376,20 +380,35 @@ def _hints(cls: type) -> Dict[str, object]:
     return get_type_hints(cls)
 
 
-def _coerce(kind, value):
-    """Convert a parsed YAML value to an annotated type: a record or scalar
-    type, ``Optional[X]``, ``Tuple[X, ...]`` or ``Dict[K, V]``."""
+def _number(kind, value, path: str):
+    """A number read from the case document at ``path``.
+
+    Every number in a case must be finite, with one exception:
+    ``grid.export_limit_kw`` may be ``.inf``, meaning no export limit.
+    """
+    number = float(value)
+    if not (math.isfinite(number) or (path == "grid.export_limit_kw" and number == math.inf)):
+        raise CaseError(f"{path} must be a finite number, got {value!r}")
+    return kind(value)
+
+
+def _coerce(kind, value, path: str):
+    """Convert the parsed YAML value at ``path`` to an annotated type: a
+    record or scalar type, ``Optional[X]``, ``Tuple[X, ...]`` or
+    ``Dict[K, V]``."""
     if isinstance(kind, type):
-        return _record(kind, value) if is_dataclass(kind) else kind(value)
+        if is_dataclass(kind):
+            return _record(kind, value, path)
+        return _number(kind, value, path) if kind in (int, float) else kind(value)
     origin, args = get_origin(kind), get_args(kind)
     if origin is Union:
-        return None if value is None else _coerce(args[0], value)
+        return None if value is None else _coerce(args[0], value, path)
     if origin is tuple:
-        return tuple(_coerce(args[0], v) for v in value)
-    return {args[0](k): _coerce(args[1], v) for k, v in value.items()}
+        return tuple(_coerce(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    return {args[0](k): _coerce(args[1], v, f"{path}.{k}") for k, v in value.items()}
 
 
-def _record(cls, raw, **defaults):
+def _record(cls, raw, path: str, **defaults):
     """Build a record from its YAML mapping: the key is the field name (or
     its ``key`` metadata), the type is the field annotation, and a missing
     key takes the reader's ``defaults``, then the field default.  A key that
@@ -402,7 +421,7 @@ def _record(cls, raw, **defaults):
         key = f.metadata.get("key", f.name)
         keys.add(key)
         if key in raw:
-            values[f.name] = _coerce(_hints(cls)[f.name], raw[key])
+            values[f.name] = _coerce(_hints(cls)[f.name], raw[key], f"{path}.{key}")
         elif f.default is MISSING:
             raise CaseError(f"{cls.__name__} record lacks required key {key!r}")
     for key in raw:
@@ -437,8 +456,8 @@ def case_from_dict(doc: Dict) -> MicrogridCase:
             raise CaseError(f"missing required field {key!r}")
         return doc[key]
 
-    def typed(name: str, value: object) -> object:
-        return _coerce(_hints(MicrogridCase)[name], value)
+    def typed(name: str, value: object, path: str) -> object:
+        return _coerce(_hints(MicrogridCase)[name], value, path)
 
     try:
         grid = need("grid")
@@ -446,29 +465,32 @@ def case_from_dict(doc: Dict) -> MicrogridCase:
         limits = doc.get("voltage_limits", {"min": 0.95, "max": 1.05})
         case = MicrogridCase(
             name=str(doc.get("name", "unnamed")),
-            buses=typed("buses", need("buses")),
-            branches=typed("branches", need("branches")),
-            load_points=typed("load_points", need("loads")),
-            units=tuple(_record(DgUnit, u, p_min_kw=0.0) for u in doc.get("units", [])),
-            battery=typed("battery", doc.get("battery")),
-            grid_limit_kw=typed("grid_limit_kw", grid["import_limit_kw"]),  # type: ignore[index]
-            export_limit_kw=typed("export_limit_kw", grid.get("export_limit_kw")),  # type: ignore[union-attr]
-            prices_ct_per_kwh=typed("prices_ct_per_kwh", grid["price_ct_per_kwh"]),  # type: ignore[index]
-            availability_kw=typed("availability_kw", doc.get("availability", {})),
-            contingencies=typed("contingencies", doc.get("contingencies", [])),
+            buses=typed("buses", need("buses"), "buses"),
+            branches=typed("branches", need("branches"), "branches"),
+            load_points=typed("load_points", need("loads"), "loads"),
+            units=tuple(_record(DgUnit, u, f"units[{i}]", p_min_kw=0.0) for i, u in enumerate(doc.get("units", []))),
+            battery=typed("battery", doc.get("battery"), "battery"),
+            grid_limit_kw=typed("grid_limit_kw", grid["import_limit_kw"], "grid.import_limit_kw"),  # type: ignore[index]
+            export_limit_kw=typed("export_limit_kw", grid.get("export_limit_kw"), "grid.export_limit_kw"),  # type: ignore[union-attr]
+            prices_ct_per_kwh=typed("prices_ct_per_kwh", grid["price_ct_per_kwh"], "grid.price_ct_per_kwh"),  # type: ignore[index]
+            availability_kw=typed("availability_kw", doc.get("availability", {}), "availability"),
+            contingencies=typed("contingencies", doc.get("contingencies", []), "contingencies"),
             outage_costs=OutageCostTable.from_mapping(doc.get("outage_costs", {})),
-            voltage_limits=(float(limits["min"]), float(limits["max"])),
-            horizon=int(doc.get("horizon", 24)),
-            period_hours=float(doc.get("period_hours", 1.0)),
-            base_voltage_kv=float(base.get("voltage_kv", 0.4)),
-            base_power_kva=float(base.get("power_kva", 100.0)),
-            weights=typed("weights", doc.get("weights")),
-            judgment_matrix=typed("judgment_matrix", doc.get("judgment_matrix")),
-            dr=typed("dr", doc.get("demand_response")),
+            voltage_limits=(
+                _number(float, limits["min"], "voltage_limits.min"),
+                _number(float, limits["max"], "voltage_limits.max"),
+            ),
+            horizon=_number(int, doc.get("horizon", 24), "horizon"),
+            period_hours=_number(float, doc.get("period_hours", 1.0), "period_hours"),
+            base_voltage_kv=_number(float, base.get("voltage_kv", 0.4), "base.voltage_kv"),
+            base_power_kva=_number(float, base.get("power_kva", 100.0), "base.power_kva"),
+            weights=typed("weights", doc.get("weights"), "weights"),
+            judgment_matrix=typed("judgment_matrix", doc.get("judgment_matrix"), "judgment_matrix"),
+            dr=typed("dr", doc.get("demand_response"), "demand_response"),
         )
     except CaseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CaseError(f"malformed case document: {exc}") from exc
     return validate_case(case)
 

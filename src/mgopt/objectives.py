@@ -5,10 +5,10 @@ network loss energy in kWh, expected outage cost in cents and cumulative
 voltage deviation in per unit.  They are computed in batch by the
 optimizer's evaluation kernel (``DispatchProblem.metrics``; one schedule at
 a time through ``optimizer.evaluate_objectives``), and the published
-objective table reads the same numbers.  The weighted scalarisation, which
-normalises all four onto [0, 1] against bounds taken from the
-single-objective optima before applying importance weights, is
-``optimizer.ObjectiveSpec``.
+objective table reads the same numbers.  ``normalize`` maps an objective
+onto [0, 1] against bounds taken from the single-objective optima; it is the
+one normalisation of the weighted scalarisation ``optimizer.ObjectiveSpec``,
+its gradient and the CLI's normalised table (``normalize_objective``).
 """
 
 from __future__ import annotations
@@ -58,21 +58,29 @@ def degenerate_bracket(low: float, high: float) -> bool:
     return high - low <= 1e-12 * max(1.0, abs(low), abs(high))
 
 
+def normalize(values, bounds: Tuple[float, float], clamp_upper: bool = True) -> np.ndarray:
+    """``(value - low) / (high - low)`` per value, floored at 0 and, with
+    ``clamp_upper``, capped at 1; 0 everywhere for a degenerate bracket."""
+    low, high = bounds
+    values = np.asarray(values, dtype=float)
+    if degenerate_bracket(low, high):
+        return np.zeros_like(values)
+    z = np.maximum((values - low) / (high - low), 0.0)
+    return np.minimum(z, 1.0) if clamp_upper else z
+
+
 def normalize_objective(value: float, bounds: Tuple[float, float], key: str = "") -> float:
     """Map value onto [0, 1] within bounds, clamping overshoot on both sides.
 
     A degenerate interval maps everything to 0 and warns once per call site.
     """
-    low, high = bounds
-    span = high - low
-    if degenerate_bracket(low, high):
+    if degenerate_bracket(*bounds):
         warnings.warn(
             f"objective {key or 'value'!r} has a degenerate normalisation interval "
-            f"[{low}, {high}]; treating it as already optimal",
+            f"[{bounds[0]}, {bounds[1]}]; treating it as already optimal",
             stacklevel=2,
         )
-        return 0.0
-    return float(np.clip((value - low) / span, 0.0, 1.0))
+    return float(normalize(value, bounds))
 
 
 def weights_from_sequence(weights: Sequence[float]) -> Dict[str, float]:

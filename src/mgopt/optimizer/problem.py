@@ -34,7 +34,7 @@ import numpy as np
 from ..devices import COMMIT_EPS, DispatchSchedule
 from ..dr import shift_bounds_kw
 from ..netmodel import MicrogridCase
-from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket
+from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket, normalize
 from ..powerflow import (
     CompiledNetwork,
     compile_network,
@@ -61,12 +61,14 @@ class ObjectiveSpec:
     """What a single optimisation run minimises.
 
     ``key`` is one of the four objective keys or "weighted".  The weighted
-    form normalises each objective against ``bounds``; ``clamp_upper``
-    selects the reporting convention (hard [0, 1] clamp) while the default
-    keeps slope above the upper bound so the optimiser still feels values
-    beyond it.  A key whose bounds form a degenerate bracket
-    (``objectives.degenerate_bracket``) contributes nothing, silently; the
-    CLI's normalised table warns about it.
+    form normalises each objective against ``bounds`` (``objectives.normalize``);
+    ``clamp_upper`` selects the reporting convention (hard [0, 1] clamp) while
+    the default keeps slope above the upper bound so the optimiser still feels
+    values beyond it.  A key whose bounds form a degenerate bracket
+    contributes nothing, silently; the CLI's normalised table warns about it.
+    ``reported`` is the spec runs are compared and reported on, the clamped
+    form of a weighted spec and the spec itself otherwise; ``score`` is the
+    scalar of the first plan of a ``BatchMetrics``.
     """
 
     key: str
@@ -80,25 +82,25 @@ class ObjectiveSpec:
         if self.key == "weighted" and (self.weights is None or self.bounds is None):
             raise ValueError("weighted objective needs weights and bounds")
 
+    @property
+    def reported(self) -> "ObjectiveSpec":
+        return replace(self, clamp_upper=True) if self.key == "weighted" else self
+
     def scalar_array(self, values: Dict[str, np.ndarray]) -> np.ndarray:
         """Scalarise per-plan objective values (arrays broadcast together)."""
         if self.key != "weighted":
             return np.asarray(values[self.key], dtype=float)
         total: np.ndarray = np.zeros_like(np.asarray(values["cost"], dtype=float))
         for key in OBJECTIVE_KEYS:
-            low, high = self.bounds[key]
-            if degenerate_bracket(low, high):
-                continue
-            span = high - low
-            z = (np.asarray(values[key], dtype=float) - low) / span
-            z = np.maximum(z, 0.0)
-            if self.clamp_upper:
-                z = np.minimum(z, 1.0)
-            total = total + self.weights[key] * z
+            if not degenerate_bracket(*self.bounds[key]):
+                total = total + self.weights[key] * normalize(values[key], self.bounds[key], self.clamp_upper)
         return total
 
     def scalar(self, values: Dict[str, float]) -> float:
         return float(self.scalar_array({k: np.asarray([v]) for k, v in values.items()})[0])
+
+    def score(self, m: "BatchMetrics") -> float:
+        return float(self.scalar_array(m.values)[0])
 
     def chain(self, values: Dict[str, float]) -> Dict[str, float]:
         """d(scalar)/d(objective value) at the given point, per key."""
@@ -106,14 +108,11 @@ class ObjectiveSpec:
             return {self.key: 1.0}
         coeffs: Dict[str, float] = {}
         for key in OBJECTIVE_KEYS:
-            low, high = self.bounds[key]
-            if degenerate_bracket(low, high):
-                continue
-            span = high - low
-            z = (values[key] - low) / span
+            z = normalize(values[key], self.bounds[key], self.clamp_upper)
             if z <= 0.0 or (self.clamp_upper and z >= 1.0):
                 continue
-            coeffs[key] = self.weights[key] / span
+            low, high = self.bounds[key]
+            coeffs[key] = self.weights[key] / (high - low)
         return coeffs
 
 
@@ -166,8 +165,13 @@ class DispatchProblem:
         self.caps = np.empty((self.n_units, T))
         for i, u in enumerate(units):
             self.caps[i] = [case.unit_cap_kw(u, t) for t in range(T)]
-        self.slopes = np.array([u.cost_slope_ct_per_kwh for u in units])
-        self.fixed = np.array([u.cost_fixed_ct_per_h for u in units])
+        # The unit limits and costs, each a (unit, 1) column that broadcasts
+        # against the (..., unit, hour) unit blocks of plans.
+        self.slopes = np.array([u.cost_slope_ct_per_kwh for u in units]).reshape(-1, 1)
+        self.fixed = np.array([u.cost_fixed_ct_per_h for u in units]).reshape(-1, 1)
+        self.p_min = np.array([u.p_min_kw for u in units]).reshape(-1, 1)
+        self.p_max = np.array([u.p_max_kw for u in units]).reshape(-1, 1)
+        self.committable = np.array([u.committable for u in units], dtype=bool).reshape(-1, 1)
 
         self.shift_bound = shift_bounds_kw(case) if dr else np.zeros(T)
 
@@ -299,10 +303,9 @@ class DispatchProblem:
         shift: Optional[np.ndarray],
     ) -> np.ndarray:
         """Operation cost per plan and hour, ct."""
-        rate = np.zeros_like(slack_kw)
-        for i in range(self.n_units):
-            p = p_units[:, i, :]
-            rate += np.where(p > COMMIT_EPS, self.slopes[i] * p + self.fixed[i], 0.0)
+        running = np.where(p_units > COMMIT_EPS, self.slopes * p_units + self.fixed, 0.0)
+        # Added in unit order; numpy's own sum pairs eight or more units on a one-hour horizon.
+        rate = sum(running.swapaxes(0, 1), np.zeros_like(slack_kw))
         rate += self.prices[np.newaxis, :] * slack_kw
         if self.case.battery is not None:
             rate += self.case.battery.usage_cost_ct_per_kwh * throughput_kw
@@ -368,18 +371,19 @@ class DispatchProblem:
     # ------------------------------------------------------------------
     # repair
 
+    def is_on(self, p_units: np.ndarray) -> np.ndarray:
+        """The one on/off test, per unit-hour of (..., n_units, T) setpoints:
+        a committable unit below half its minimum is off, every other
+        unit-hour is on."""
+        return ~self.committable | (p_units >= 0.5 * self.p_min)
+
     def repair(self, X: np.ndarray) -> np.ndarray:
         """Project plans onto device-feasible points (box, commitment, SOC,
         shift balance).  Network constraints stay with the penalty."""
         X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), self.lower, self.upper)
         B = self.blocks(X)
-        for i, unit in enumerate(self.case.units):
-            if not unit.committable:
-                continue
-            p = B[:, i]
-            B[:, i] = np.where(
-                p < 0.5 * unit.p_min_kw, 0.0, np.clip(p, unit.p_min_kw, unit.p_max_kw)
-            )
+        p = B[:, : self.n_units]
+        B[:, : self.n_units] = np.where(self.is_on(p), np.clip(p, self.p_min, self.p_max), 0.0)
         if self.case.battery is not None:
             B[:, self.n_units] = self._repair_battery(B[:, self.n_units])
         if self.dr:
@@ -437,15 +441,12 @@ class DispatchProblem:
         S = self.blocks(seeds)
         S[1, : self.n_units] = self.caps
 
+        # Flat out when the price covers the running cost, a committable unit's fixed cost included.
         greedy = S[2]
-        for i, unit in enumerate(self.case.units):
-            if unit.committable:
-                breakeven = unit.cost_slope_ct_per_kwh + unit.cost_fixed_ct_per_h / unit.p_max_kw
-                on = self.prices >= breakeven
-                greedy[i] = np.where(on, unit.p_max_kw, 0.0)
-            else:
-                on = self.prices >= unit.cost_slope_ct_per_kwh
-                greedy[i] = np.where(on, self.caps[i], 0.0)
+        breakeven = self.slopes.copy()
+        breakeven[self.committable] += self.fixed[self.committable] / self.p_max[self.committable]
+        flat_out = np.where(self.committable, self.p_max, self.caps)
+        greedy[: self.n_units] = np.where(self.prices >= breakeven, flat_out, 0.0)
         if self.case.battery is not None:
             order = np.argsort(self.prices, kind="stable")
             window = max(1, T // 6)
@@ -482,25 +483,16 @@ class DispatchProblem:
     # split-battery smooth problem for the SQP refiner
 
     def commitment_mask(self, x: np.ndarray) -> np.ndarray:
-        """Per unit-hour on/off decision implied by a repaired plan."""
-        p_units = self.unpack(x)[0][0]
-        mask = np.ones((self.n_units, self.T), dtype=bool)
-        for i, unit in enumerate(self.case.units):
-            if unit.committable:
-                mask[i] = p_units[i] > 0.5 * unit.p_min_kw
-        return mask
+        """Per unit-hour on/off decision (``is_on``) of a plan."""
+        return self.is_on(self.unpack(x)[0][0])
 
     def split_bounds(self, commit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # The charge and discharge blocks take the signed battery block's place.
         lower = np.zeros(self.n + self.T)
         upper = np.zeros(self.n + self.T)
         lo, up = self.blocks(lower)[0], self.blocks(upper)[0]
-        for i, unit in enumerate(self.case.units):
-            if unit.committable:
-                lo[i] = np.where(commit[i], unit.p_min_kw, 0.0)
-                up[i] = np.where(commit[i], unit.p_max_kw, 0.0)
-            else:
-                up[i] = self.caps[i]
+        lo[: self.n_units] = np.where(commit & self.committable, self.p_min, 0.0)
+        up[: self.n_units] = np.where(self.committable, np.where(commit, self.p_max, 0.0), self.caps)
         p_batt = 0.0 if self.case.battery is None else self.case.battery.p_max_kw
         up[self.n_units : self.n_units + 2] = p_batt
         if self.dr:
@@ -579,10 +571,10 @@ class DispatchProblem:
         polished plan violates joins the subproblem and the solve repeats.
         The seed and the polished plans pass one feasibility test.
         """
-        report = replace(spec, clamp_upper=True) if spec.key == "weighted" else spec
+        report = spec.reported
         x = self.repair(x)[0]
         seed_m = self.metrics(x)
-        seed_value = float(report.scalar_array(seed_m.values)[0])
+        seed_value = report.score(seed_m)
 
         lower, upper = self.split_bounds(self.commitment_mask(x))
         xs = np.clip(self.split_from_signed(x), lower, upper)
@@ -603,7 +595,7 @@ class DispatchProblem:
             violated = self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=1e-7)
             # Not np.isin: in numpy 2.4 its first call imports numpy.ma (+1.1 MB RSS).
             new_rows = violated[(violated[:, np.newaxis] != rows).all(axis=1)]
-            value = float(report.scalar_array(cand_m.values)[0])
+            value = report.score(cand_m)
             if _feasible(cand_m) and value < best_value:
                 best_x, best_m, best_value = candidate, cand_m, value
             if not new_rows.size:
@@ -614,13 +606,12 @@ class DispatchProblem:
             # to the least-violating of the seed and the last round's plan.
             if float(cand_m.violation[0]) < float(seed_m.violation[0]):
                 best_x, best_m = candidate, cand_m
-            best_value = float(report.scalar_array(best_m.values)[0])
+            best_value = report.score(best_m)
         return RefineResult(
             x=best_x,
             metrics=best_m,
             value=best_value,
             seed_value=seed_value,
-            improved=best_value < seed_value - 1e-12 * max(1.0, abs(seed_value)),
             rounds=rounds,
             sqp=sqp_result,
         )
@@ -636,7 +627,6 @@ class RefineResult:
     metrics: BatchMetrics
     value: float
     seed_value: float
-    improved: bool
     rounds: int
     sqp: Optional[SqpResult]
 

@@ -19,7 +19,7 @@ cached kernel metrics, the same numbers those comparisons use.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,9 +151,6 @@ class _Row:
     trace: List[Dict] = field(default_factory=list)
     elapsed_s: float = 0.0
 
-    def score(self, report: ObjectiveSpec) -> float:
-        return float(report.scalar_array(self.metrics.values)[0])
-
 
 def _refined_row(refined: RefineResult, elapsed_s: float) -> _Row:
     return _Row(
@@ -189,14 +186,14 @@ def _cross_polish(
     Refining is deterministic, so a target is never re-refined twice from
     one plan.
     """
-    reports = {key: replace(spec, clamp_upper=True) for key, spec in targets}
+    reports = {key: spec.reported for key, spec in targets}
     tried = set()
     for _ in range(config.polish_sweeps):
         changed = False
         for key, spec in targets:
-            own = rows[key].score(reports[key])
+            own = reports[key].score(rows[key].metrics)
             for other in rivals:
-                if other == key or not _beats(rows[other].score(reports[key]), own):
+                if other == key or not _beats(reports[key].score(rows[other].metrics), own):
                     continue
                 start = rows[other].x.tobytes()
                 if (key, start) in tried:
@@ -211,11 +208,11 @@ def _cross_polish(
         if not changed:
             break
     for key, _ in targets:
-        best = min((other for other in rivals if other != key), key=lambda o: rows[o].score(reports[key]))
-        if _beats(rows[best].score(reports[key]), rows[key].score(reports[key])):
+        best = min((other for other in rivals if other != key), key=lambda o: reports[key].score(rows[o].metrics))
+        if _beats(reports[key].score(rows[best].metrics), reports[key].score(rows[key].metrics)):
             rows[key].x = rows[best].x.copy()
             rows[key].metrics = rows[best].metrics
-            rows[key].value = rows[best].score(reports[key])
+            rows[key].value = reports[key].score(rows[best].metrics)
 
 
 def _require_power_flow(problem: DispatchProblem, x: np.ndarray, m: BatchMetrics) -> None:
@@ -310,8 +307,7 @@ def run_suite(
         high = float(rows["baseline"].metrics.values[key][0])
         bounds[key] = (min(low, high), high)
 
-    spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds, clamp_upper=False)
-    report5 = replace(spec5, clamp_upper=True)
+    spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
     t0 = time.perf_counter()
     prior = np.vstack([rows[k].x for k in ("baseline",) + OBJECTIVE_KEYS])
     refined5 = _optimize(problem, spec5, config, 5, extra_seeds=prior)
@@ -322,7 +318,7 @@ def run_suite(
     _cross_polish(problem, rows, singles + [("weighted", spec5)], SCENARIO_KEYS, config)
 
     results = {key: _finish_result(problem, key, rows[key]) for key in SCENARIO_KEYS}
-    totals = {key: rows[key].score(report5) for key in SCENARIO_KEYS}
+    totals = {key: spec5.reported.score(rows[key].metrics) for key in SCENARIO_KEYS}
 
     if include_dr:
         t0 = time.perf_counter()

@@ -19,7 +19,9 @@ subproblem, the interpreter the row layout replaced, the scattered
 dense voltage derivatives of the subproblem, which the package now takes at
 the carried voltage rows only.  The ``offset_*`` plan-vector forms index the
 signed and split vectors by block offsets, as the package did before it read
-plans through ``DispatchProblem.blocks``.  ``sectioned_case`` and
+plans through ``DispatchProblem.blocks``, and the ``unit_loop_*`` forms read
+each unit's limits from its record in a loop over the units, as the package
+did before it held them as arrays.  ``sectioned_case`` and
 ``truncated_case`` are case builders, not references: the first deepens a
 feeder without changing its physics, the second cuts the day short.  The
 recursive tree walk is the form ``validate_radial`` had before it took an
@@ -1327,6 +1329,112 @@ def offset_eq_jacobian(nlp) -> np.ndarray:
     J_eq = np.zeros((int(p.dr), nlp.n))
     J_eq[:, _unit_len(p) + 2 * p.T :] = 1.0 / p.s_base
     return J_eq
+
+
+# ---------------------------------------------------------------------------
+# Per-unit loop forms: each unit's limits and on/off rule read from its
+# record, one unit at a time, as the package did before it held the unit
+# limits as arrays.  The on/off test here is repair's strict "below half the
+# minimum is off" on one side and ``commitment_mask``'s "above half the
+# minimum is on" on the other, so the two differ at exactly half.
+
+
+def unit_loop_repair(problem, X: np.ndarray) -> np.ndarray:
+    """The package's repair with its battery and shift projections borrowed."""
+    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), problem.lower, problem.upper)
+    B = problem.blocks(X)
+    for i, unit in enumerate(problem.case.units):
+        if not unit.committable:
+            continue
+        p = B[:, i]
+        B[:, i] = np.where(
+            p < 0.5 * unit.p_min_kw, 0.0, np.clip(p, unit.p_min_kw, unit.p_max_kw)
+        )
+    if problem.case.battery is not None:
+        B[:, problem.n_units] = problem._repair_battery(B[:, problem.n_units])
+    if problem.dr:
+        B[:, -1] = problem._project_shift(B[:, -1])
+    return X
+
+
+def unit_loop_commitment_mask(problem, x: np.ndarray) -> np.ndarray:
+    p_units = problem.unpack(x)[0][0]
+    mask = np.ones((problem.n_units, problem.T), dtype=bool)
+    for i, unit in enumerate(problem.case.units):
+        if unit.committable:
+            mask[i] = p_units[i] > 0.5 * unit.p_min_kw
+    return mask
+
+
+def unit_loop_split_bounds(problem, commit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    lower = np.zeros(problem.n + problem.T)
+    upper = np.zeros(problem.n + problem.T)
+    lo, up = problem.blocks(lower)[0], problem.blocks(upper)[0]
+    for i, unit in enumerate(problem.case.units):
+        if unit.committable:
+            lo[i] = np.where(commit[i], unit.p_min_kw, 0.0)
+            up[i] = np.where(commit[i], unit.p_max_kw, 0.0)
+        else:
+            up[i] = problem.caps[i]
+    p_batt = 0.0 if problem.case.battery is None else problem.case.battery.p_max_kw
+    up[problem.n_units : problem.n_units + 2] = p_batt
+    if problem.dr:
+        lo[-1] = -problem.shift_bound
+        up[-1] = problem.shift_bound
+    return lower, upper
+
+
+def unit_loop_seed_points(problem) -> np.ndarray:
+    T = problem.T
+    seeds = np.zeros((4, problem.n))
+    S = problem.blocks(seeds)
+    S[1, : problem.n_units] = problem.caps
+
+    greedy = S[2]
+    for i, unit in enumerate(problem.case.units):
+        if unit.committable:
+            breakeven = unit.cost_slope_ct_per_kwh + unit.cost_fixed_ct_per_h / unit.p_max_kw
+            on = problem.prices >= breakeven
+            greedy[i] = np.where(on, unit.p_max_kw, 0.0)
+        else:
+            on = problem.prices >= unit.cost_slope_ct_per_kwh
+            greedy[i] = np.where(on, problem.caps[i], 0.0)
+    if problem.case.battery is not None:
+        order = np.argsort(problem.prices, kind="stable")
+        window = max(1, T // 6)
+        plan = np.zeros(T)
+        plan[order[:window]] = problem.case.battery.p_max_kw
+        plan[order[-window:]] = -problem.case.battery.p_max_kw
+        greedy[problem.n_units] = plan
+        quarter = max(1, T // 4)
+        charge_up = np.zeros(T)
+        charge_up[:quarter] = problem.case.battery.p_max_kw
+        charge_up[-quarter:] = -problem.case.battery.p_max_kw
+        S[3, problem.n_units] = charge_up
+    if problem.dr:
+        thirds = np.argsort(problem.prices, kind="stable")
+        cut = T // 3
+        shift = np.zeros(T)
+        shift[thirds[:cut]] = problem.shift_bound[thirds[:cut]]
+        shift[thirds[-cut:]] = -problem.shift_bound[thirds[-cut:]]
+        greedy[-1] = shift
+    return unit_loop_repair(problem, seeds)
+
+
+def unit_loop_hourly_cost(
+    problem, p_units: np.ndarray, slack_kw: np.ndarray, throughput_kw: np.ndarray, shift: Optional[np.ndarray]
+) -> np.ndarray:
+    """Operation cost per plan and hour, ct."""
+    rate = np.zeros_like(slack_kw)
+    for i in range(problem.n_units):
+        p = p_units[:, i, :]
+        rate += np.where(p > COMMIT_EPS, problem.slopes[i] * p + problem.fixed[i], 0.0)
+    rate += problem.prices[np.newaxis, :] * slack_kw
+    if problem.case.battery is not None:
+        rate += problem.case.battery.usage_cost_ct_per_kwh * throughput_kw
+    if shift is not None and problem.case.dr is not None:
+        rate += problem.case.dr.incentive_ct_per_kwh * np.maximum(shift, 0.0)
+    return rate * problem.dt
 
 
 def truncated_case(case: MicrogridCase, horizon: int) -> MicrogridCase:

@@ -167,6 +167,23 @@ def test_optimize_rejects_bad_weights(capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", ["nan,1,1,1", "inf,1,1,1", "1,1,-inf,1"])
+def test_optimize_rejects_non_finite_weights(weights, tmp_path, capsys):
+    # Before, nan and inf weights ran the suite and wrote a nan weighted total.
+    out = tmp_path / "run"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "5",
+                 f"--weights={weights}", "--out", str(out), *FAST])
+    assert code == EXIT_VALIDATION
+    assert "--weights must be finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_normalized_values_weigh_up_to_the_weighted_total(run_dir):
+    doc = json.loads((run_dir / "objectives.json").read_text())
+    total = sum(doc["weights"][k] * doc["normalized"][k] for k in ("cost", "loss", "ens", "vdev"))
+    assert total == doc["weighted_total"]
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_optimize_infeasible_case_exits_4(tmp_path, capsys):
     # Local sources cover a fraction of the peak, so a 10 kW import limit

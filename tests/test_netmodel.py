@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from mgopt.netmodel import (
     DrProgram,
     LoadPoint,
     OutageCostTable,
+    benchmark_case_path,
     case_from_dict,
     case_to_dict,
     load_benchmark_case,
@@ -309,6 +311,70 @@ def test_round_trips_keep_every_value(tmp_path, benchmark_case, variant):
     else:
         assert optional <= doc.keys() and doc["grid"]["export_limit_kw"] == 80.0
         assert doc["buses"][0]["base_voltage_kv"] == 20.0 and "base_voltage_kv" not in doc["buses"][1]
+
+
+_NON_FINITE_FIELDS = [
+    (("grid", "price_ct_per_kwh", 0), math.nan, "grid.price_ct_per_kwh[0]"),
+    (("grid", "price_ct_per_kwh", 7), math.inf, "grid.price_ct_per_kwh[7]"),
+    (("loads", 0, "profile_kw", 5), math.inf, "loads[0].profile_kw[5]"),
+    (("units", 3, "cost_slope_ct_per_kwh"), math.nan, "units[3].cost_slope_ct_per_kwh"),
+    (("units", 4, "p_max_kw"), math.inf, "units[4].p_max_kw"),
+    (("battery", "p_max_kw"), math.inf, "battery.p_max_kw"),
+    (("branches", 2, "resistance_ohm"), math.nan, "branches[2].resistance_ohm"),
+    (("branches", 2, "resistance_ohm"), math.inf, "branches[2].resistance_ohm"),
+    (("outage_costs", "domestic"), math.nan, "outage_costs.domestic"),
+    (("judgment_matrix", 1, 2), math.nan, "judgment_matrix[1][2]"),
+    (("contingencies", 0, "repair_hours"), math.inf, "contingencies[0].repair_hours"),
+    (("grid", "import_limit_kw"), math.inf, "grid.import_limit_kw"),
+    (("base", "power_kva"), math.inf, "base.power_kva"),
+    (("horizon",), math.inf, "horizon"),
+]
+
+
+def _packaged_doc():
+    with open(benchmark_case_path(), encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, field", _NON_FINITE_FIELDS, ids=[f"{f}={v}" for _, v, f in _NON_FINITE_FIELDS])
+def test_validate_rejects_non_finite_number(keys, value, field, tmp_path, capsys):
+    # Before, each of these loaded (and a nan price optimised to a cost of
+    # LARGE_OBJECTIVE); an infinite horizon ended in an OverflowError.
+    doc = _packaged_doc()
+    _set(doc, keys, value)
+    with pytest.raises(CaseError, match=re.escape(f"{field} must be a finite number")):
+        case_from_dict(copy.deepcopy(doc))
+    path = tmp_path / "non-finite.case"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+
+
+def test_infinite_export_limit_means_no_limit(tmp_path, benchmark_case):
+    doc = _packaged_doc()
+    doc["grid"]["export_limit_kw"] = math.inf
+    case = case_from_dict(doc)
+    assert case == replace(benchmark_case, export_limit_kw=math.inf)
+    assert case.effective_export_limit_kw == math.inf
+    path = tmp_path / "no-export-limit.case"
+    save_case(case, path)
+    assert load_case(path) == case
+    doc["grid"]["export_limit_kw"] = math.nan
+    with pytest.raises(CaseError, match="grid.export_limit_kw must be a finite number"):
+        case_from_dict(doc)
+
+
+def test_packaged_and_sectioned_cases_load_unchanged(benchmark_case):
+    assert case_from_dict(_packaged_doc()) == benchmark_case
+    sectioned = sectioned_case(benchmark_case, 4)
+    assert case_from_dict(case_to_dict(sectioned)) == sectioned
 
 
 def test_deep_chain_walks_without_recursion():

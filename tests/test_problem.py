@@ -40,6 +40,11 @@ from oracles import (
     tuple_violated_rows,
     truncated_case,
     unit_feasibility,
+    unit_loop_commitment_mask,
+    unit_loop_hourly_cost,
+    unit_loop_repair,
+    unit_loop_seed_points,
+    unit_loop_split_bounds,
 )
 
 
@@ -264,6 +269,67 @@ def test_consumption_matches_subtract_at(benchmark_case):
         got = prob._consumption(p_units, p_batt, shift)
         assert got.tobytes() == subtract_at_consumption(prob, p_units, p_batt, shift).tobytes()
     assert len(set(DispatchProblem(stacked).unit_bus.tolist())) == len(stacked.units) - 2
+
+
+def _unit_problem(benchmark_case, name):
+    units = benchmark_case.units
+    if name == "shared-bus":
+        units = tuple(replace(u, bus="f1-3") if u.name in {"PV1", "WT", "MT"} else u for u in units)
+    if name == "no-committable":
+        units = tuple(replace(u, p_min_kw=0.0) for u in units)
+    case = replace(benchmark_case, units=units, battery=None if name == "no-battery" else benchmark_case.battery)
+    if name == "one-hour-ten-units":
+        # numpy sums eight or more terms along a contiguous axis pairwise.
+        twins = tuple(replace(u, name=u.name + "-2") for u in units)
+        availability = {**case.availability_kw, **{n + "-2": a for n, a in case.availability_kw.items()}}
+        case = truncated_case(replace(case, units=units + twins, availability_kw=availability), 1)
+    return DispatchProblem(case, dr=name == "dr")
+
+
+@pytest.mark.parametrize(
+    "name", ["benchmark", "shared-bus", "no-battery", "dr", "no-committable", "one-hour-ten-units"]
+)
+def test_unit_arrays_match_unit_loops(benchmark_case, name):
+    # The unit limits and the on/off test read as arrays against the same
+    # forms read from each unit's record in a loop, bit for bit.
+    prob = _unit_problem(benchmark_case, name)
+    assert prob.committable.any() == (name != "no-committable")
+    assert _same_bits(prob.seed_points(), unit_loop_seed_points(prob))
+    rng = np.random.default_rng(23)
+    raw = _random_plans(prob, rng, 12) * 1.5 - 0.25 * (prob.upper - prob.lower)
+    units = prob.blocks(raw)[:, : prob.n_units]
+    units[:4] = prob.p_min * rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], units[:4].shape)
+    plans = prob.repair(raw)
+    assert _same_bits(plans, unit_loop_repair(prob, raw))
+    for x in plans:
+        commit = prob.commitment_mask(x)
+        assert _same_bits(commit, unit_loop_commitment_mask(prob, x))
+        for mask in (commit, rng.random(commit.shape) < 0.5):
+            for got, want in zip(prob.split_bounds(mask), unit_loop_split_bounds(prob, mask)):
+                assert _same_bits(got, want)
+    # The cost rate from setpoints on both sides of the running threshold.
+    p_units = rng.random((200, prob.n_units, prob.T)) * prob.p_max
+    p_units *= rng.choice([0.0, 1e-10, 1.0], p_units.shape, p=[0.1, 0.1, 0.8])
+    slack_kw = rng.normal(0.0, 50.0, (200, prob.T))
+    shift = rng.normal(0.0, 5.0, (200, prob.T)) if prob.dr else None
+    args = (p_units, slack_kw, np.abs(slack_kw), shift)
+    assert _same_bits(prob._hourly_cost(*args), unit_loop_hourly_cost(prob, *args))
+
+
+def test_commitment_mask_follows_repair(problem, dr_problem):
+    # One on/off rule: on unrepaired plans, including committable units at
+    # exactly half their minimum, the mask says on where repair keeps the unit
+    # running.
+    rng = np.random.default_rng(31)
+    for prob in (problem, dr_problem):
+        committable = [i for i, unit in enumerate(prob.case.units) if unit.committable]
+        plans = _random_plans(prob, rng, 8)
+        units = prob.blocks(plans)[:, : prob.n_units]
+        for i in committable:
+            units[:, i, ::3] = 0.5 * prob.case.units[i].p_min_kw
+        for x, fixed in zip(plans, prob.repair(plans)):
+            running = prob.blocks(fixed)[0, committable] > 0.0
+            assert np.array_equal(prob.commitment_mask(x)[committable], running)
 
 
 def test_metrics_agree_with_direct_objectives(problem, benchmark_case):

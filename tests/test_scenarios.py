@@ -264,7 +264,7 @@ def test_cross_polish_never_repeats_a_refine():
         def refine(self, x, spec, config=None, max_rounds=3):
             calls.append((spec.key, float(x[0])))
             row = answers[spec.key, float(x[0])]
-            return SimpleNamespace(x=row.x, metrics=row.metrics, value=row.score(spec))
+            return SimpleNamespace(x=row.x, metrics=row.metrics, value=spec.score(row.metrics))
 
     rows = {"baseline": baseline, "cost": cost_row, "loss": loss_row}
     targets = [(key, ObjectiveSpec(key)) for key in ("cost", "loss")]
