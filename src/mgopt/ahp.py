@@ -33,7 +33,10 @@ DEFAULT_JUDGMENTS = (
 )
 
 
-def _validate_matrix(matrix: np.ndarray) -> None:
+def validate_matrix(matrix: Sequence[Sequence[float]]) -> None:
+    """Raise ValueError unless ``matrix`` is a square, positive, finite,
+    reciprocal judgment matrix of a size with a random consistency index."""
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"judgment matrix must be square, got shape {matrix.shape}")
     n = matrix.shape[0]
@@ -88,7 +91,7 @@ def derive_weights(
     ``limit`` warns but still returns the eigenvector weights.
     """
     arr = np.asarray(DEFAULT_JUDGMENTS if matrix is None else matrix, dtype=float)
-    _validate_matrix(arr)
+    validate_matrix(arr)
     lam, vector = principal_eigen(arr)
     n = arr.shape[0]
     ri = RANDOM_INDEX[n]

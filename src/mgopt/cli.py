@@ -194,6 +194,7 @@ def write_run_dir(
             "weighted_total": suite.totals[key],
             "value": result.value,
             "ga_value": result.ga_value,
+            "ga_generations": result.ga_generations,
             "improved": result.improved,
             "feasible": result.feasible,
             "violation": result.violation,

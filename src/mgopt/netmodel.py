@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_o
 
 import yaml
 
+from .ahp import validate_matrix
+
 CASE_FORMAT_VERSION = 1
 
 BUS_KINDS = ("slack", "load", "generation")
@@ -366,6 +368,10 @@ def validate_case(case: MicrogridCase) -> MicrogridCase:
         n = len(case.judgment_matrix)
         _require(n == 4, "judgment matrix must be 4x4")
         _require(all(len(row) == n for row in case.judgment_matrix), "judgment matrix must be square")
+        try:
+            validate_matrix(case.judgment_matrix)
+        except ValueError as exc:
+            raise CaseError(f"judgment_matrix: {exc}") from None
     if case.dr is not None:
         _require(0 <= case.dr.shiftable_fraction < 1, "shiftable fraction must be in [0, 1)")
         _require(len(case.dr.participating) > 0, "DR program needs participating categories")

@@ -8,8 +8,14 @@ windows throughout; the penalty therefore only prices network-level
 violations (voltage, grid limit), and it doubles whenever the best feasible
 point stalls while violations persist.
 
-``GaConfig`` holds the budget, population and generations; the operators'
-settings and the penalty schedule are the module constants below.
+A run stops on evidence: once its best plan is feasible and its best
+penalised fitness has not improved by ``PROGRESS`` (relative) in
+``PATIENCE`` generations, further generations are not run.  A run whose
+best stays infeasible uses the whole budget.
+
+``GaConfig`` holds the budget, population and generations (a cap: see
+``GaResult.generations`` for the count run); the operators' settings, the
+penalty schedule and the stop rule are the module constants below.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ PENALTY_INIT = 1e4  # exterior-penalty weight on the violation at the start
 PENALTY_GROWTH = 2.0  # factor applied to the weight on a stall
 STALL_GENERATIONS = 10  # generations without progress that count as a stall
 PENALTY_CAP = 1e12  # the weight grows no further once it reaches this
+# Relative improvement of the best fitness, against |best|, that counts as
+# progress for the stop rule.  Not against max(1, |best|): weighted totals
+# are about 0.1.
+PROGRESS = 1e-3
+PATIENCE = 20  # generations without progress after which a feasible best stops the run
 
 
 @dataclass
@@ -90,6 +101,8 @@ def ga_seed(
 
     stall = 0
     best_key = np.inf
+    quiet = 0  # generations since the best fitness last made progress
+    progress_key = np.inf
     generations_run = 0
 
     for gen in range(1, cfg.generations + 1):
@@ -138,10 +151,17 @@ def ga_seed(
             stall = 0
         else:
             stall += 1
+        if progress_key == np.inf or key < progress_key - PROGRESS * abs(progress_key):
+            progress_key = key
+            quiet = 0
+        else:
+            quiet += 1
         if stall >= STALL_GENERATIONS and vio[i] > 0 and penalty < PENALTY_CAP:
             penalty *= PENALTY_GROWTH
-            best_key = np.inf
-            stall = 0
+            best_key = progress_key = np.inf
+            stall = quiet = 0
+        elif quiet >= PATIENCE and vio[i] == 0:
+            break
 
     i = best_index()
     return GaResult(

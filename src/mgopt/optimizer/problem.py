@@ -373,9 +373,9 @@ class DispatchProblem:
 
     def is_on(self, p_units: np.ndarray) -> np.ndarray:
         """The one on/off test, per unit-hour of (..., n_units, T) setpoints:
-        a committable unit below half its minimum is off, every other
-        unit-hour is on."""
-        return ~self.committable | (p_units >= 0.5 * self.p_min)
+        a committable unit below half its minimum, or with an hourly cap
+        below its minimum, is off; every other unit-hour is on."""
+        return ~self.committable | ((p_units >= 0.5 * self.p_min) & (self.caps >= self.p_min))
 
     def repair(self, X: np.ndarray) -> np.ndarray:
         """Project plans onto device-feasible points (box, commitment, SOC,
@@ -383,7 +383,7 @@ class DispatchProblem:
         X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), self.lower, self.upper)
         B = self.blocks(X)
         p = B[:, : self.n_units]
-        B[:, : self.n_units] = np.where(self.is_on(p), np.clip(p, self.p_min, self.p_max), 0.0)
+        B[:, : self.n_units] = np.where(self.is_on(p), np.clip(p, self.p_min, self.caps), 0.0)
         if self.case.battery is not None:
             B[:, self.n_units] = self._repair_battery(B[:, self.n_units])
         if self.dr:
@@ -445,8 +445,7 @@ class DispatchProblem:
         greedy = S[2]
         breakeven = self.slopes.copy()
         breakeven[self.committable] += self.fixed[self.committable] / self.p_max[self.committable]
-        flat_out = np.where(self.committable, self.p_max, self.caps)
-        greedy[: self.n_units] = np.where(self.prices >= breakeven, flat_out, 0.0)
+        greedy[: self.n_units] = np.where(self.prices >= breakeven, self.caps, 0.0)
         if self.case.battery is not None:
             order = np.argsort(self.prices, kind="stable")
             window = max(1, T // 6)
@@ -492,7 +491,7 @@ class DispatchProblem:
         upper = np.zeros(self.n + self.T)
         lo, up = self.blocks(lower)[0], self.blocks(upper)[0]
         lo[: self.n_units] = np.where(commit & self.committable, self.p_min, 0.0)
-        up[: self.n_units] = np.where(self.committable, np.where(commit, self.p_max, 0.0), self.caps)
+        up[: self.n_units] = np.where(self.committable & ~commit, 0.0, self.caps)
         p_batt = 0.0 if self.case.battery is None else self.case.battery.p_max_kw
         up[self.n_units : self.n_units + 2] = p_batt
         if self.dr:

@@ -31,7 +31,7 @@ from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weigh
 from ..powerflow import PowerFlowError, compile_network, solve_horizon
 from ..reliability import ContingencyEvaluator
 from .ga import GaConfig, ga_seed
-from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec, RefineResult
+from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec
 from .sqp import SqpConfig
 
 SCENARIO_KEYS: Tuple[str, ...] = ("baseline",) + OBJECTIVE_KEYS + ("weighted",)
@@ -73,6 +73,9 @@ class ScenarioResult:
     violation: float
     ga_value: Optional[float] = None
     improved: bool = False
+    # GA generations run for this scenario; below the configured budget when
+    # the search stopped early.  None where no GA ran.
+    ga_generations: Optional[int] = None
     trace: List[Dict] = field(default_factory=list)
     elapsed_s: float = 0.0
 
@@ -124,22 +127,6 @@ def _rng_for(seed: int, scenario_id: int, dr: bool) -> np.random.Generator:
     )
 
 
-def _optimize(
-    problem: DispatchProblem,
-    spec: ObjectiveSpec,
-    config: OptimizerConfig,
-    scenario_id: int,
-    extra_seeds: Optional[np.ndarray] = None,
-) -> RefineResult:
-    rng = _rng_for(config.seed, scenario_id, problem.dr)
-    evaluate, repair = problem.ga_functions(spec)
-    seeds = problem.seed_points()
-    if extra_seeds is not None and len(extra_seeds):
-        seeds = np.vstack([np.atleast_2d(extra_seeds), seeds])
-    ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, config.ga, seeds)
-    return problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
-
-
 @dataclass
 class _Row:
     """One scenario's plan while the suite runs, evaluated once per plan."""
@@ -148,18 +135,35 @@ class _Row:
     metrics: BatchMetrics
     value: Optional[float] = None
     ga_value: Optional[float] = None
+    ga_generations: Optional[int] = None
     trace: List[Dict] = field(default_factory=list)
     elapsed_s: float = 0.0
 
 
-def _refined_row(refined: RefineResult, elapsed_s: float) -> _Row:
+def _optimize(
+    problem: DispatchProblem,
+    spec: ObjectiveSpec,
+    config: OptimizerConfig,
+    scenario_id: int,
+    extra_seeds: Optional[np.ndarray] = None,
+) -> _Row:
+    """A GA seed refined by SQP, as the scenario's row."""
+    t0 = time.perf_counter()
+    rng = _rng_for(config.seed, scenario_id, problem.dr)
+    evaluate, repair = problem.ga_functions(spec)
+    seeds = problem.seed_points()
+    if extra_seeds is not None and len(extra_seeds):
+        seeds = np.vstack([np.atleast_2d(extra_seeds), seeds])
+    ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, config.ga, seeds)
+    refined = problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
     return _Row(
         x=refined.x,
         metrics=refined.metrics,
         value=refined.value,
         ga_value=refined.seed_value,
+        ga_generations=ga.generations,
         trace=refined.sqp.trace if refined.sqp else [],
-        elapsed_s=elapsed_s,
+        elapsed_s=time.perf_counter() - t0,
     )
 
 
@@ -265,6 +269,7 @@ def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioRes
         violation=float(m.violation[0]),
         ga_value=row.ga_value,
         improved=row.ga_value is not None and row.value is not None and row.value < row.ga_value,
+        ga_generations=row.ga_generations,
         trace=list(row.trace),
         elapsed_s=row.elapsed_s,
     )
@@ -293,9 +298,7 @@ def run_suite(
     rows: Dict[str, _Row] = {"baseline": _Row(baseline, problem.metrics(baseline))}
     _require_power_flow(problem, baseline, rows["baseline"].metrics)
     for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
-        t0 = time.perf_counter()
-        refined = _optimize(problem, ObjectiveSpec(key), config, idx)
-        rows[key] = _refined_row(refined, time.perf_counter() - t0)
+        rows[key] = _optimize(problem, ObjectiveSpec(key), config, idx)
 
     singles = [(key, ObjectiveSpec(key)) for key in OBJECTIVE_KEYS]
     _cross_polish(problem, rows, singles, ("baseline",) + OBJECTIVE_KEYS, config)
@@ -308,10 +311,8 @@ def run_suite(
         bounds[key] = (min(low, high), high)
 
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
-    t0 = time.perf_counter()
     prior = np.vstack([rows[k].x for k in ("baseline",) + OBJECTIVE_KEYS])
-    refined5 = _optimize(problem, spec5, config, 5, extra_seeds=prior)
-    rows["weighted"] = _refined_row(refined5, time.perf_counter() - t0)
+    rows["weighted"] = _optimize(problem, spec5, config, 5, extra_seeds=prior)
 
     # The weighted run must win the weighted total, and the single-objective
     # runs must still win their own metric now that it is a rival.
@@ -330,8 +331,7 @@ def run_suite(
             row_dr = _Row(x_dr, problem_dr.metrics(x_dr), value=totals["weighted"])
         else:
             prior_dr = np.vstack([problem_dr.pack(problem.schedule(rows[k].x)) for k in SCENARIO_KEYS])
-            refined_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
-            row_dr = _refined_row(refined_dr, 0.0)
+            row_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
         row_dr.elapsed_s = time.perf_counter() - t0
         results["dr"] = _finish_result(problem_dr, "dr", row_dr)
         totals["dr"] = row_dr.value

@@ -1339,6 +1339,11 @@ def offset_eq_jacobian(nlp) -> np.ndarray:
 # minimum is on" on the other, so the two differ at exactly half.
 
 
+def _unit_caps(problem, unit: DgUnit) -> np.ndarray:
+    """A unit's hourly upper bound, read from the case one hour at a time."""
+    return np.array([problem.case.unit_cap_kw(unit, t) for t in range(problem.T)])
+
+
 def unit_loop_repair(problem, X: np.ndarray) -> np.ndarray:
     """The package's repair with its battery and shift projections borrowed."""
     X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), problem.lower, problem.upper)
@@ -1347,8 +1352,9 @@ def unit_loop_repair(problem, X: np.ndarray) -> np.ndarray:
         if not unit.committable:
             continue
         p = B[:, i]
+        cap = _unit_caps(problem, unit)
         B[:, i] = np.where(
-            p < 0.5 * unit.p_min_kw, 0.0, np.clip(p, unit.p_min_kw, unit.p_max_kw)
+            (p < 0.5 * unit.p_min_kw) | (cap < unit.p_min_kw), 0.0, np.clip(p, unit.p_min_kw, cap)
         )
     if problem.case.battery is not None:
         B[:, problem.n_units] = problem._repair_battery(B[:, problem.n_units])
@@ -1362,7 +1368,7 @@ def unit_loop_commitment_mask(problem, x: np.ndarray) -> np.ndarray:
     mask = np.ones((problem.n_units, problem.T), dtype=bool)
     for i, unit in enumerate(problem.case.units):
         if unit.committable:
-            mask[i] = p_units[i] > 0.5 * unit.p_min_kw
+            mask[i] = (p_units[i] > 0.5 * unit.p_min_kw) & (_unit_caps(problem, unit) >= unit.p_min_kw)
     return mask
 
 
@@ -1373,7 +1379,7 @@ def unit_loop_split_bounds(problem, commit: np.ndarray) -> Tuple[np.ndarray, np.
     for i, unit in enumerate(problem.case.units):
         if unit.committable:
             lo[i] = np.where(commit[i], unit.p_min_kw, 0.0)
-            up[i] = np.where(commit[i], unit.p_max_kw, 0.0)
+            up[i] = np.where(commit[i], _unit_caps(problem, unit), 0.0)
         else:
             up[i] = problem.caps[i]
     p_batt = 0.0 if problem.case.battery is None else problem.case.battery.p_max_kw

@@ -122,9 +122,24 @@ def test_optimize_writes_replayable_run_dir(run_dir):
     assert set(doc["objectives"]) == {"cost", "loss", "ens", "vdev"}
     assert set(doc["weights"]) == {"cost", "loss", "ens", "vdev"}
     assert 0.0 <= doc["normalized"]["cost"] <= 1.0
+    assert 1 <= doc["ga_generations"] <= config["ga"]["generations"]
 
     trace = (run_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,merit,kkt,step,alpha,penalty,elastic"
+
+
+def test_objectives_json_shows_an_early_stop(tmp_path):
+    # The cost run's best is settled from its first generation, so with a
+    # budget above the stop rule's patience it ends early, and the count
+    # written is below the budget config.json records.
+    out = tmp_path / "stopped"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "1", "--out", str(out),
+                 "--ga-population", "12", "--ga-generations", "40", "--sqp-iterations", "10",
+                 "--polish-sweeps", "1", "--refine-rounds", "1"])
+    assert code == EXIT_OK
+    budget = json.loads((out / "config.json").read_text())["ga"]["generations"]
+    generations = json.loads((out / "objectives.json").read_text())["ga_generations"]
+    assert budget == 40 and generations < budget
 
 
 def test_config_json_records_every_optimizer_option(run_dir):

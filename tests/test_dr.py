@@ -146,6 +146,7 @@ def test_zero_fraction_degenerates_to_weighted(benchmark_case, fast_config):
     schedule, objectives = result.schedule, result.objectives
     assert schedule.dr_shift is not None
     assert not schedule.dr_shift.any()
+    assert result.ga_generations is None  # the shortcut runs no GA
     plain = run_suite(benchmark_case, config=fast_config).results["weighted"]
     assert np.array_equal(schedule.dg_setpoints, plain.schedule.dg_setpoints)
     assert np.array_equal(schedule.battery_power, plain.schedule.battery_power)

@@ -20,8 +20,13 @@ def test_sphere_improves_over_random():
     result = ga_seed(_sphere, _identity_repair, lo, hi, np.random.default_rng(1), cfg)
     assert result.objective < 0.5
     assert result.violation == 0.0
+    # The best keeps improving, so the stop rule never fires: every
+    # PATIENCE-generation window improved it by PROGRESS.
     assert result.generations == 60
     assert result.evaluations == 40 + 60 * (40 - 2)
+    best = [row["best_objective"] for row in result.history]
+    for start in range(len(best) - ga.PATIENCE):
+        assert best[start + ga.PATIENCE] < best[start] * (1.0 - ga.PROGRESS)
 
 
 def test_same_rng_seed_reproduces():
@@ -115,3 +120,53 @@ def test_feasible_preferred_over_cheaper_infeasible():
                      GaConfig(population=30, generations=40))
     assert result.violation == 0.0
     assert result.x[0] >= 0.0
+
+
+def test_seeded_optimum_stops_after_patience():
+    # The planted optimum is the best from generation 1 on, and nothing can
+    # improve on it, so the run ends PATIENCE generations later.
+    lo = np.full(3, -5.0)
+    hi = np.full(3, 5.0)
+    cfg = GaConfig(population=12, generations=100)
+    result = ga_seed(_sphere, _identity_repair, lo, hi, np.random.default_rng(4), cfg, seeds=np.zeros((1, 3)))
+    assert result.objective == 0.0
+    assert result.generations == ga.PATIENCE + 1
+    assert len(result.history) == result.generations
+    assert result.evaluations == cfg.population + result.generations * (cfg.population - ga.ELITES)
+
+
+def test_infeasible_best_never_stops_early():
+    # No plan is feasible and the objective alone cannot improve once the
+    # penalty stops growing at its cap, yet the run keeps its whole budget.
+    lo = np.full(2, -1.0)
+    hi = np.full(2, 1.0)
+
+    def flat_and_infeasible(pop):
+        pop = np.atleast_2d(pop)
+        return np.ones(pop.shape[0]), np.ones(pop.shape[0])
+
+    result = ga_seed(flat_and_infeasible, _identity_repair, lo, hi,
+                     np.random.default_rng(6), GaConfig(population=10, generations=400))
+    assert result.generations == 400
+    penalties = [row["penalty"] for row in result.history]
+    capped = penalties.index(max(penalties))
+    assert max(penalties) >= ga.PENALTY_CAP and len(penalties) - capped > ga.PATIENCE
+
+
+def test_progress_is_relative_to_the_best():
+    # A problem whose optimum is 1 stops before its budget; scaled by 1e-3
+    # it takes the same path and stops at the same generation.
+    lo = np.full(4, -2.0)
+    hi = np.full(4, 2.0)
+    cfg = GaConfig(population=20, generations=200)
+    runs = []
+    for scale in (1.0, 1e-3):
+        def offset_sphere(pop, scale=scale):
+            pop = np.atleast_2d(pop)
+            return scale * (1.0 + (pop ** 2).sum(axis=1)), np.zeros(pop.shape[0])
+
+        runs.append(ga_seed(offset_sphere, _identity_repair, lo, hi, np.random.default_rng(2), cfg))
+    full, scaled = runs
+    assert ga.PATIENCE + 1 < full.generations < cfg.generations
+    assert scaled.generations == full.generations
+    assert np.array_equal(scaled.x, full.x)

@@ -1,7 +1,9 @@
 """Layering: modules import only from their own tier or the tiers below.
 
-The tiers, lowest first: the case model; device, demand-response, AHP,
-power-flow and reliability models; the objectives; the optimizer; the CLI.
+The tiers, lowest first: the case model and the AHP weights (which import
+nothing from the package; the case model checks its judgment matrix with the
+AHP's rule); device, demand-response, power-flow and reliability models; the
+objectives; the optimizer; the CLI.
 The package ``__init__`` re-exports the public API and is exempt.
 """
 
@@ -16,7 +18,7 @@ TIERS = {
     "netmodel": 0,
     "devices": 1,
     "dr": 1,
-    "ahp": 1,
+    "ahp": 0,
     "powerflow": 1,
     "reliability": 1,
     "objectives": 2,

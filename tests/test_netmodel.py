@@ -357,6 +357,28 @@ def test_validate_rejects_non_finite_number(keys, value, field, tmp_path, capsys
     assert captured.out == "" and field in captured.err
 
 
+_BAD_JUDGMENTS = [
+    ((1, 0), -3.0, "positive and finite"),
+    ((1, 0), 0.0, "positive and finite"),
+    ((2, 3), 4.0, "reciprocal"),
+]
+
+
+@pytest.mark.parametrize("cell, value, rule", _BAD_JUDGMENTS, ids=[f"{c}={v}" for c, v, _ in _BAD_JUDGMENTS])
+def test_validate_rejects_bad_judgment_matrix(cell, value, rule, tmp_path, capsys):
+    # Before, only the matrix's shape was checked at load: the case passed
+    # validate, and optimize --scenario 5 failed later.
+    doc = _packaged_doc()
+    doc["judgment_matrix"][cell[0]][cell[1]] = value
+    with pytest.raises(CaseError, match=f"judgment_matrix: .*{rule}"):
+        case_from_dict(copy.deepcopy(doc))
+    path = tmp_path / "judgments.case"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "judgment_matrix" in captured.err
+
+
 def test_infinite_export_limit_means_no_limit(tmp_path, benchmark_case):
     doc = _packaged_doc()
     doc["grid"]["export_limit_kw"] = math.inf

@@ -277,6 +277,8 @@ def _unit_problem(benchmark_case, name):
         units = tuple(replace(u, bus="f1-3") if u.name in {"PV1", "WT", "MT"} else u for u in units)
     if name == "no-committable":
         units = tuple(replace(u, p_min_kw=0.0) for u in units)
+    if name == "committable-pv":
+        units = tuple(replace(u, p_min_kw=5.0) if u.name == "PV1" else u for u in units)
     case = replace(benchmark_case, units=units, battery=None if name == "no-battery" else benchmark_case.battery)
     if name == "one-hour-ten-units":
         # numpy sums eight or more terms along a contiguous axis pairwise.
@@ -287,7 +289,7 @@ def _unit_problem(benchmark_case, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["benchmark", "shared-bus", "no-battery", "dr", "no-committable", "one-hour-ten-units"]
+    "name", ["benchmark", "shared-bus", "no-battery", "dr", "no-committable", "one-hour-ten-units", "committable-pv"]
 )
 def test_unit_arrays_match_unit_loops(benchmark_case, name):
     # The unit limits and the on/off test read as arrays against the same
@@ -314,6 +316,29 @@ def test_unit_arrays_match_unit_loops(benchmark_case, name):
     shift = rng.normal(0.0, 5.0, (200, prob.T)) if prob.dr else None
     args = (p_units, slack_kw, np.abs(slack_kw), shift)
     assert _same_bits(prob._hourly_cost(*args), unit_loop_hourly_cost(prob, *args))
+
+
+def test_committable_renewable_stays_under_its_hourly_cap(benchmark_case):
+    # PV1 with a 5 kW minimum: at hour 7 only 3.75 kW is available, so the
+    # unit cannot run there.  Before, repair lifted it to 5 kW and the SQP
+    # bounds allowed it 25 kW (p_max) at that hour.
+    units = tuple(replace(u, p_min_kw=5.0) if u.name == "PV1" else u for u in benchmark_case.units)
+    case = replace(benchmark_case, units=units)
+    prob = DispatchProblem(case)
+    caps = _caps(case)
+    assert caps[0, 7] == 3.75
+    full = prob.blocks(np.zeros(prob.n))
+    full[0, : prob.n_units] = caps
+    x = prob.repair(full.reshape(-1))[0]
+    p_pv = prob.blocks(x)[0, 0]
+    assert p_pv[7] == 0.0 and p_pv[8] == caps[0, 8]
+    assert not prob.commitment_mask(x)[0, 7]
+    rng = np.random.default_rng(41)
+    for row in prob.repair(_random_plans(prob, rng, 12)):
+        assert not unit_feasibility(case.units, prob.schedule(row).dg_setpoints, caps)
+    lower, upper = (prob.blocks(v)[0, : prob.n_units] for v in prob.split_bounds(prob.commitment_mask(x)))
+    assert (upper <= caps).all() and (lower <= upper).all()
+    assert upper[0, 7] == 0.0 and lower[0, 8] == 5.0 and upper[0, 8] == caps[0, 8]
 
 
 def test_commitment_mask_follows_repair(problem, dr_problem):

@@ -74,6 +74,12 @@ def test_suite_covers_all_scenarios(fast_suite):
         assert result.violation <= 1e-6
 
 
+def test_each_optimised_scenario_reports_its_ga_generations(fast_suite):
+    assert fast_suite.results["baseline"].ga_generations is None
+    for key in OBJECTIVE_KEYS + ("weighted", "dr"):
+        assert 1 <= fast_suite.results[key].ga_generations <= 12, key
+
+
 def test_baseline_anchors_normalisation(fast_suite):
     # The initial state sits at the top of every normalisation bracket, so
     # its weighted total is the weight sum.
