@@ -34,6 +34,7 @@ from .netmodel import CaseError, MicrogridCase, load_case
 from .objectives import OBJECTIVE_KEYS, OBJECTIVE_LABELS, normalize_objective
 from .optimizer import OptimizerConfig, ScenarioResult, SuiteResult, run_suite, scenario_key
 from .optimizer.qp import QpError
+from .optimizer.sqp import CONVERGED
 from .powerflow import PowerFlowError, solve_horizon
 
 EXIT_OK = 0
@@ -195,6 +196,9 @@ def write_run_dir(
             "value": result.value,
             "ga_value": result.ga_value,
             "ga_generations": result.ga_generations,
+            "sqp_status": result.sqp_status,
+            "sqp_iterations": result.sqp_iterations,
+            "sqp_kkt": result.sqp_kkt,
             "improved": result.improved,
             "feasible": result.feasible,
             "violation": result.violation,
@@ -311,6 +315,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     marker = out / "FAILED"
     if marker.exists():
         marker.unlink()
+    if result.sqp_status is not None and result.sqp_status not in CONVERGED:
+        print(
+            f"warning: the SQP solve of this plan ended '{result.sqp_status}' after "
+            f"{result.sqp_iterations} iterations (KKT residual {result.sqp_kkt:.2e}), "
+            "not at a first-order point",
+            file=sys.stderr,
+        )
     print(f"{result.label}: wrote {out}")
     return EXIT_OK
 

@@ -146,7 +146,9 @@ def ga_seed(
         history.append({"generation": gen, "best_objective": float(obj[i]),
                         "best_violation": float(vio[i]), "penalty": penalty})
 
-        if key < best_key - 1e-9 * max(1.0, abs(best_key)):
+        # The first generation after a (re)start is progress by definition;
+        # inf - 1e-9 * inf is nan, and nothing compares below it.
+        if best_key == np.inf or key < best_key - 1e-9 * max(1.0, abs(best_key)):
             best_key = key
             stall = 0
         else:
@@ -157,7 +159,7 @@ def ga_seed(
         else:
             quiet += 1
         if stall >= STALL_GENERATIONS and vio[i] > 0 and penalty < PENALTY_CAP:
-            penalty *= PENALTY_GROWTH
+            penalty = min(penalty * PENALTY_GROWTH, PENALTY_CAP)
             best_key = progress_key = np.inf
             stall = quiet = 0
         elif quiet >= PATIENCE and vio[i] == 0:

@@ -21,7 +21,9 @@ The split-battery problem's network rows (``c(x) <= 0``) sit at fixed
 positions in one layout, ``[soc_lo (T) | soc_hi (T) | imp (T) | exp (T) |
 v_lo (n_bus*T) | v_hi (n_bus*T)]``, the voltage blocks bus-major (row
 ``4T + b*T + t`` is v_lo at bus b, hour t).  A subproblem carries its rows
-as layout indices and gathers their values and Jacobian rows.
+as layout indices and gathers their values and Jacobian rows; the vdev
+subproblem appends the epigraph rows of its kink cells after them
+(``_SplitDispatchNlp``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ LARGE_OBJECTIVE = 1e9
 # A seed's bus voltage within this many pu of a limit puts that row into the
 # screened subproblem.
 SCREEN_MARGIN = 0.02
+
+# A seed's load-bus voltage within this many pu of 1.0 carries its |1 - V|
+# term as an epigraph variable in the vdev subproblem.
+KINK_MARGIN = 0.004
 
 
 @dataclass(frozen=True)
@@ -555,6 +561,13 @@ class DispatchProblem:
         rows = np.flatnonzero(self._row_mask(False, imp, exp, vmag < self.vmin - tol, vmag > self.vmax + tol))
         return rows[np.argsort(rows < 4 * self.T, kind="stable")]
 
+    def load_cells(self, flags: np.ndarray) -> np.ndarray:
+        """Bus-major cell indices (``bus * T + hour``) of the load-bus-hours
+        set in an (n_bus, T) mask."""
+        mask = np.zeros_like(flags)
+        mask[self.load_idx] = flags[self.load_idx]
+        return np.flatnonzero(mask)
+
     def refine(
         self,
         x: np.ndarray,
@@ -568,7 +581,14 @@ class DispatchProblem:
         the split battery merges back to a signed series and the plan is
         re-repaired (merging can only raise the SOC); any network row the
         polished plan violates joins the subproblem and the solve repeats.
-        The seed and the polished plans pass one feasibility test.
+        The vdev spec, whose optimum puts many load-bus-hours at V = 1
+        where |1 - V| has its kink, carries those within KINK_MARGIN of
+        1.0 pu at the seed as epigraph cells (``_SplitDispatchNlp``), and
+        any other cell whose voltage crossed 1.0 during a solve joins them
+        the same way.  The weighted specs keep the smooth term: their
+        solves reach a first-order point without the epigraph, which would
+        only make each of their QPs larger.  The seed and the
+        polished plans pass one feasibility test.
         """
         report = spec.reported
         x = self.repair(x)[0]
@@ -578,6 +598,8 @@ class DispatchProblem:
         lower, upper = self.split_bounds(self.commitment_mask(x))
         xs = np.clip(self.split_from_signed(x), lower, upper)
         rows = self.screen_rows(seed_m.vmag[:, 0, :])
+        kinky = spec.key == "vdev"
+        kinks = self.load_cells(np.abs(1.0 - seed_m.vmag[:, 0, :]) < KINK_MARGIN) if kinky else np.zeros(0, np.intp)
 
         best_x, best_m = x, seed_m
         best_value = seed_value if _feasible(seed_m) else np.inf
@@ -586,20 +608,21 @@ class DispatchProblem:
         rounds = 0
         for _ in range(max_rounds):
             rounds += 1
-            nlp = _SplitDispatchNlp(self, spec, lower, upper, rows)
-            sqp_result = sqp_solve(nlp, xs, config)
-            xs = sqp_result.x
+            nlp = _SplitDispatchNlp(self, spec, lower, upper, rows, kinks)
+            sqp_result = sqp_solve(nlp, nlp.settle(xs), config)
+            xs = sqp_result.x[: lower.size]
             candidate = self.repair(self.signed_from_split(xs))[0]
             cand_m = self.metrics(candidate)
-            violated = self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=1e-7)
-            # Not np.isin: in numpy 2.4 its first call imports numpy.ma (+1.1 MB RSS).
-            new_rows = violated[(violated[:, np.newaxis] != rows).all(axis=1)]
+            new_rows = _missing(self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=1e-7), rows)
+            # A cell whose voltage crossed 1.0 met the kink of its smooth term.
+            new_kinks = _missing(self.load_cells(nlp.crossed), kinks) if kinky else kinks[:0]
             value = report.score(cand_m)
             if _feasible(cand_m) and value < best_value:
                 best_x, best_m, best_value = candidate, cand_m, value
-            if not new_rows.size:
+            if not new_rows.size and not new_kinks.size:
                 break
             rows = np.concatenate([rows, new_rows])
+            kinks = np.concatenate([kinks, new_kinks])
         if not np.isfinite(best_value):
             # Neither the seed nor any polish round was feasible; fall back
             # to the least-violating of the seed and the last round's plan.
@@ -620,6 +643,12 @@ def _feasible(m: BatchMetrics) -> bool:
     return bool(m.ok[0]) and float(m.violation[0]) <= 1e-7
 
 
+def _missing(found: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """The entries of ``found`` not in ``held``, in order."""
+    # Not np.isin: in numpy 2.4 its first call imports numpy.ma (+1.1 MB RSS).
+    return found[(found[:, np.newaxis] != held).all(axis=1)]
+
+
 @dataclass
 class RefineResult:
     x: np.ndarray
@@ -631,8 +660,29 @@ class RefineResult:
 
 
 class _SplitDispatchNlp(NlpProblem):
-    """Smooth dispatch subproblem over the split-battery vector; ``rows``
-    index the enforced network rows in the problem's row layout."""
+    """Smooth dispatch subproblem over the split-battery vector.
+
+    ``rows`` index the enforced network rows in the problem's row layout.
+    ``kinks`` are load-bus-hours (bus-major cells, ``bus * T + hour``) whose
+    |1 - V| term, not differentiable at V = 1, is carried exactly as an
+    epigraph (Nocedal & Wright §17.2).  Each gets a variable e and the rows
+    (1 - V) - e <= 0 and (V - 1) - e <= 0, and the objective scores vdev as
+    the smooth |1 - V| of the other load-bus-hours plus the sum of e.  The
+    rows hold e >= |1 - V| >= 0, so e carries no bound of its own: one
+    would make three constraints active in two directions wherever V = 1.
+    At e = |1 - V| the objective is the plan's own score, and a spec that
+    weighs vdev prices e, so a solution holds every e on that envelope.
+
+    The variables are ``[split plan | e]``, and the inequality rows are the
+    carried layout rows, then the (1 - V) - e rows, then the (V - 1) - e
+    rows.  The rows' Jacobians come from the voltage differences of the
+    carried cells, so the kinks add no sweep columns.  Each e enters the
+    Lagrangian linearly and has a Hessian block of its own, which the SQP
+    leaves at the identity; the QP solves each e out together with its
+    envelope row.  ``settle`` puts every e back on its envelope after each
+    trial step, so the envelope row is exactly active at every iterate and
+    ``active_guess`` can warm-start the first QP with it.
+    """
 
     def __init__(
         self,
@@ -641,11 +691,18 @@ class _SplitDispatchNlp(NlpProblem):
         lower: np.ndarray,
         upper: np.ndarray,
         rows: Sequence[int],
+        kinks: Sequence[int] = (),
     ):
-        super().__init__(lambda z: 0.0, lower, upper)
+        kinks = np.asarray(kinks, dtype=np.intp)
+        super().__init__(
+            lambda z: 0.0,
+            np.concatenate([lower, np.full(kinks.size, -np.inf)]),
+            np.concatenate([upper, np.full(kinks.size, np.inf)]),
+        )
         self.problem = problem
         self.spec = spec
         self.rows = np.asarray(rows, dtype=np.intp)
+        self.n_split = lower.size
         T, cells = problem.T, problem.net.n_bus * problem.T
         self._volt = self.rows >= 4 * T
         # The carried voltage rows' bus-major (bus, hour) cells, and which
@@ -653,6 +710,15 @@ class _SplitDispatchNlp(NlpProblem):
         k = self.rows[self._volt] - 4 * T
         self._volt_bus, self._volt_hour = np.divmod(k % cells, T)
         self._volt_low = k < cells
+        self._kink_bus, self._kink_hour = np.divmod(kinks, T)
+        # Load-bus cells, (n_load, 1, T), whose |1 - V| stays in the smooth term.
+        smooth = np.ones((problem.net.n_bus, T), dtype=bool)
+        smooth[self._kink_bus, self._kink_hour] = False
+        self._smooth = smooth[problem.load_idx][:, np.newaxis, :]
+        # Cells whose voltage has been on both sides of 1.0 at the points
+        # evaluated, against the first one.
+        self.crossed = np.zeros((problem.net.n_bus, T), dtype=bool)
+        self._below: Optional[np.ndarray] = None
         self._key: Optional[bytes] = None
         b = problem.case.battery
         self._soc_min, self._soc_max = (b.soc_min_kwh, b.soc_max_kwh) if b is not None else (0.0, 1.0)
@@ -663,59 +729,119 @@ class _SplitDispatchNlp(NlpProblem):
         J[:, problem.n_units] = np.vstack([-problem.M_c, problem.M_c]) / self._soc_scale
         J[:, problem.n_units + 1] = np.vstack([problem.M_d, -problem.M_d]) / self._soc_scale
 
-    def _eval(self, xs: np.ndarray) -> Dict:
-        """Evaluation at xs, remembered for the most recent point only."""
+    def _hourly_vdev(self, vmag: np.ndarray) -> np.ndarray:
+        """Smooth vdev per plan and hour from (n_bus, B, T) magnitudes."""
+        dev = np.abs(1.0 - vmag[self.problem.load_idx])
+        return np.where(self._smooth, dev, 0.0).sum(axis=0)
+
+    def _eval(self, z: np.ndarray) -> Dict:
+        """Evaluation of z's plan, remembered for the most recent plan only."""
+        xs = z[: self.n_split]
         key = xs.tobytes()
         if key != self._key:
             data = self.problem.split_eval(xs[np.newaxis, :])
+            below = data.vmag[:, 0, :] < 1.0
+            if self._below is None:
+                self._below = below
+            self.crossed |= below != self._below
             self._key, self._data = key, {
                 "vmag": data.vmag[:, 0, :],
                 "slack_kw": data.slack_kw[0],
                 "soc": data.soc_kwh[0],
                 "values": {k: float(v[0]) for k, v in data.values.items()},
+                "smooth_vdev": float(self._hourly_vdev(data.vmag).sum(axis=1)[0]),
                 "ok": bool(data.ok[0]),
             }
         return self._data
 
-    def objective(self, xs: np.ndarray) -> float:
-        data = self._eval(xs)
-        if not data["ok"]:
-            return LARGE_OBJECTIVE
-        return self.spec.scalar(data["values"])
+    def _kink_dev(self, z: np.ndarray) -> np.ndarray:
+        """1 - V at the kink cells."""
+        return 1.0 - self._eval(z)["vmag"][self._kink_bus, self._kink_hour]
 
-    def eq_constraints(self, xs: np.ndarray) -> np.ndarray:
+    def settle(self, z: np.ndarray) -> np.ndarray:
+        """The point ``[xs | e]`` for z's split plan xs (or xs itself), with
+        every e on its envelope |1 - V|.  Raising an e to it lowers the
+        violation as much as it raises vdev; lowering one lowers vdev alone."""
+        xs = z[: self.n_split]
+        return np.concatenate([xs, np.abs(self._kink_dev(xs))])
+
+    def active_guess(self, z: np.ndarray) -> Optional[Tuple[Tuple[str, int], ...]]:
+        """The epigraph row each settled e sits on and the bounds z sits on.
+
+        Without kinks the first QP starts cold, as it did before epigraph
+        variables existed, so the solves that do not weigh vdev keep their
+        path.  With them a cold start costs a pivot per e at least.
+        """
+        if not self._kink_bus.size:
+            return None
+        m, ne = self.rows.size, self._kink_bus.size
+        envelope = m + np.arange(ne) + np.where(self._kink_dev(z) >= 0.0, 0, ne)
+        return (
+            tuple(("in", int(i)) for i in envelope)
+            + tuple(("hi", int(j)) for j in np.flatnonzero(z >= self.upper))
+            + tuple(("lo", int(j)) for j in np.flatnonzero(z <= self.lower))
+        )
+
+    def stationarity_scale(self, grad: np.ndarray) -> float:
+        """The vdev objective is in pu and its plan derivatives are about
+        1e-3 pu per kW, so an absolute test would stop it short; it is
+        measured against its own plan gradient."""
+        if self.spec.key != "vdev":
+            return super().stationarity_scale(grad)
+        return max(float(np.abs(grad[: self.n_split]).max(initial=0.0)), 1e-6)
+
+    def _values(self, z: np.ndarray) -> Dict[str, float]:
+        """The objective values at z, with the kink cells' |1 - V| read as their e."""
+        data = self._eval(z)
+        if not (data["ok"] and self._kink_bus.size):
+            return data["values"]
+        return {**data["values"], "vdev": data["smooth_vdev"] + float(z[self.n_split :].sum())}
+
+    def objective(self, z: np.ndarray) -> float:
+        if not self._eval(z)["ok"]:
+            return LARGE_OBJECTIVE
+        return self.spec.scalar(self._values(z))
+
+    def eq_constraints(self, z: np.ndarray) -> np.ndarray:
         if not self.problem.dr:
             return np.zeros(0)
-        shift = self.problem.blocks(xs)[0, -1]
+        shift = self.problem.blocks(z[: self.n_split])[0, -1]
         return np.array([shift.sum() / self.problem.s_base])
 
-    def ineq_constraints(self, xs: np.ndarray) -> np.ndarray:
-        data, p = self._eval(xs), self.problem
+    def ineq_constraints(self, z: np.ndarray) -> np.ndarray:
+        data, p = self._eval(z), self.problem
         soc, slack_kw, vmag = data["soc"], data["slack_kw"], data["vmag"]
         layout = [
             (self._soc_min - soc) / self._soc_scale, (soc - self._soc_max) / self._soc_scale,
             (slack_kw - p.import_limit) / p.s_base, (-slack_kw - p.export_limit) / p.s_base,
             (p.vmin - vmag).reshape(-1), (vmag - p.vmax).reshape(-1),
         ]
-        return np.concatenate(layout)[self.rows]
+        dev, e = self._kink_dev(z), z[self.n_split :]
+        return np.concatenate([np.concatenate(layout)[self.rows], dev - e, -dev - e])
 
     def nonlinear_eq(self, n_eq: int) -> np.ndarray:
         return np.zeros(n_eq, dtype=bool)
 
     def nonlinear_ineq(self, n_in: int) -> np.ndarray:
-        return self.rows >= 2 * self.problem.T
+        return np.concatenate([self.rows >= 2 * self.problem.T, np.ones(2 * self._kink_bus.size, dtype=bool)])
 
-    def hessian_blocks(self) -> np.ndarray:
+    def hessian_blocks(self) -> Sequence[np.ndarray]:
         """One block per hour: row t holds hour t's unit, charge, discharge
         and shift variables.  Hour t of every network quantity depends only
         on hour t of the plan, the SOC and shift-balance rows are affine and
         the outage cost is piecewise linear in the SOC, so the Lagrangian's
-        curvature is block diagonal by hour."""
-        return self.problem.blocks(np.arange(self.n))[0].T
+        curvature is block diagonal by hour.  Each e, linear in the
+        Lagrangian, is a block of its own."""
+        hours = self.problem.blocks(np.arange(self.n_split))[0].T
+        if self.n == self.n_split:
+            return hours
+        return [*hours, *np.arange(self.n_split, self.n)[:, np.newaxis]]
 
     def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
-        """Objective gradients, d(slack_kw) (T, ns) and d(vmag) at the
-        carried voltage rows' cells (rows, ns) by batched central differences.
+        """Objective gradients (of vdev's smooth term), d(slack_kw) (T, ns)
+        and d(vmag) at the carried voltage rows' cells, then at the kink
+        cells (cells, ns), of the split plan ``xs`` by batched central
+        differences.
 
         Perturbing every free hour of one block at once still isolates each
         partial, because hour t of any network quantity depends only on hour
@@ -725,9 +851,11 @@ class _SplitDispatchNlp(NlpProblem):
         """
         p = self.problem
         T, ns = p.T, xs.size
-        free = p.blocks(~pinned_mask(self.lower, self.upper))[0]
+        free = p.blocks(~pinned_mask(self.lower[:ns], self.upper[:ns]))[0]
         column = p.blocks(np.arange(ns))[0]
         h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
+        bus = np.concatenate([self._volt_bus, self._kink_bus])
+        hour = np.concatenate([self._volt_hour, self._kink_hour])
 
         # One perturbation pair per block with a free hour; a case without a
         # battery pins its charge and discharge blocks, so they have none.
@@ -740,10 +868,10 @@ class _SplitDispatchNlp(NlpProblem):
             X[2 * k] = xs + step
             X[2 * k + 1] = xs - step
         data = p.split_eval(X) if moved else None
+        hourly_vdev = self._hourly_vdev(data.vmag) if moved else None
 
         grads = {key: np.zeros(ns) for key in OBJECTIVE_KEYS}
-        v_bus, v_hour = self._volt_bus, self._volt_hour
-        d_volt = np.zeros((v_bus.size, ns))
+        d_cells = np.zeros((bus.size, ns))
         d_slack = np.zeros((T, ns))
         for k, b in enumerate(moved):
             hours = np.nonzero(free[b])[0]
@@ -752,11 +880,11 @@ class _SplitDispatchNlp(NlpProblem):
             hi, lo_ = 2 * k, 2 * k + 1
             grads["cost"][cols] = (data.hourly_cost[hi, hours] - data.hourly_cost[lo_, hours]) / denom
             grads["loss"][cols] = (data.hourly_loss_kw[hi, hours] - data.hourly_loss_kw[lo_, hours]) * p.dt / denom
-            grads["vdev"][cols] = (data.hourly_vdev[hi, hours] - data.hourly_vdev[lo_, hours]) / denom
+            grads["vdev"][cols] = (hourly_vdev[hi, hours] - hourly_vdev[lo_, hours]) / denom
             d_slack[hours, cols] = (data.slack_kw[hi, hours] - data.slack_kw[lo_, hours]) / denom
-            r = np.flatnonzero(free[b, v_hour])
-            c = column[b, v_hour[r]]
-            d_volt[r, c] = (data.vmag[v_bus[r], hi, v_hour[r]] - data.vmag[v_bus[r], lo_, v_hour[r]]) / (2.0 * h[c])
+            r = np.flatnonzero(free[b, hour])
+            c = column[b, hour[r]]
+            d_cells[r, c] = (data.vmag[bus[r], hi, hour[r]] - data.vmag[bus[r], lo_, hour[r]]) / (2.0 * h[c])
 
         if p.case.battery is not None:
             soc = self._eval(xs)["soc"]
@@ -769,23 +897,30 @@ class _SplitDispatchNlp(NlpProblem):
             ens = p.blocks(grads["ens"])[0]
             ens[p.n_units] = g_soc @ p.M_c
             ens[p.n_units + 1] = -(g_soc @ p.M_d)
-        return grads, d_slack, d_volt
+        return grads, d_slack, d_cells
 
-    def derivatives(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def derivatives(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.problem
-        ns = xs.size
-        grads, d_slack, d_volt = self._differences(xs)
-        chain = self.spec.chain(self._eval(xs)["values"])
-        grad = np.zeros(ns)
+        ns, n = self.n_split, self.n
+        grads, d_slack, d_cells = self._differences(z[:ns])
+        d_volt, d_kink = np.split(d_cells, [self._volt_bus.size])
+        chain = self.spec.chain(self._values(z))
+        grad = np.zeros(n)
         for key, coeff in chain.items():
-            grad += coeff * grads[key]
+            grad[:ns] += coeff * grads[key]
+        grad[ns:] = chain.get("vdev", 0.0)
 
-        J_eq = np.zeros((int(p.dr), ns))
-        p.blocks(J_eq)[:, -1] = 1.0 / p.s_base
+        # The shift-balance row reads the shift block, last in the split plan.
+        J_eq = np.zeros((int(p.dr), n))
+        J_eq[:, ns - p.T : ns] = 1.0 / p.s_base
 
-        # The rows gathered from the layout's blocks.
-        volt = self._volt
-        J_in = np.empty((self.rows.size, ns))
-        J_in[~volt] = np.concatenate([self._J_soc, d_slack / p.s_base, -d_slack / p.s_base])[self.rows[~volt]]
-        J_in[volt] = np.where(self._volt_low[:, np.newaxis], -d_volt, d_volt)
+        # The rows gathered from the layout's blocks, then the epigraph rows.
+        volt, m, ne = self._volt, self.rows.size, d_kink.shape[0]
+        J_in = np.zeros((m + 2 * ne, n))
+        layout = J_in[:m, :ns]
+        layout[~volt] = np.concatenate([self._J_soc, d_slack / p.s_base, -d_slack / p.s_base])[self.rows[~volt]]
+        layout[volt] = np.where(self._volt_low[:, np.newaxis], -d_volt, d_volt)
+        J_in[m : m + ne, :ns] = -d_kink
+        J_in[m + ne :, :ns] = d_kink
+        J_in[m + np.arange(2 * ne), ns + np.tile(np.arange(ne), 2)] = -1.0
         return grad, J_eq, J_in

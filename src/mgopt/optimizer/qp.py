@@ -8,6 +8,10 @@ system of the equality rows and the working general rows over the free
 variables only; the bound multipliers follow from the stationarity residual
 at the fixed variables.  See Nocedal & Wright, *Numerical Optimization*,
 2nd ed., §16.5, and Gill, Murray & Wright, *Practical Optimization*, §5.5.
+A separable variable (no bounds, no equality row, no curvature shared with
+another variable: an epigraph variable) that sits in exactly one working
+row leaves that system together with the row, as a rank-one term on the
+variables the row also holds; epigraph rows then cost the solve no size.
 
 Constraints are tagged ``("in", i)`` for general row i and ``("hi", j)`` /
 ``("lo", j)`` for the bounds of variable j.  Tag order (general rows, then
@@ -77,6 +81,12 @@ class _Qp:
         self.bvar = np.repeat(np.arange(n), 2).reshape(n, 2)[has]
         self.bsign = np.tile([1.0, -1.0], (n, 1))[has]
         self.bval = np.column_stack((hi, lo))[has]
+        # Unbounded variables outside the equality rows whose curvature
+        # couples to no other variable (an epigraph variable's shape), and
+        # the general rows that hold each.
+        coupled = (H != 0.0) & ~np.eye(n, dtype=bool)
+        self.separable = np.flatnonzero(~np.isfinite(lo) & ~np.isfinite(hi) & ~coupled.any(axis=0) & ~A.any(axis=0))
+        self.held_row, self.held_var = np.nonzero(G[:, self.separable])
 
     def residuals(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Row value minus right-hand side of every inequality, with those right-hand sides."""
@@ -121,22 +131,53 @@ def _equality_step(qp: _Qp, x: np.ndarray, working: np.ndarray):
     p[fixed_vars] = qp.bval[bound] - x[fixed_vars]
     C = np.vstack([qp.A, qp.G[rows_in]])
     y = x + p
+    top = -(qp.H @ y + qp.g)
+    bottom = np.concatenate([qp.b, qp.h[rows_in]]) - C @ y
+    sep, sep_rows = _separable_pairs(qp, rows_in)
+    fixed[sep] = True
     free = np.flatnonzero(~fixed)
+    kept = np.ones(C.shape[0], dtype=bool)
+    kept[sep_rows] = False
+    kept = np.flatnonzero(kept)
+    # Each separable variable j leaves with the one working row r that holds
+    # it: the row gives p_j = (bottom_r - C_r p) / c, its stationarity
+    # gives lam_r = (top_j - H_jj p_j) / c, and substituting both leaves a
+    # rank-one term per pair on the rest of the system.
+    Cs, c, h = C[np.ix_(sep_rows, free)], C[sep_rows, sep], qp.H[sep, sep]
     sol = _kkt_solve(
-        qp.H[np.ix_(free, free)],
-        C[:, free],
-        -(qp.H @ y + qp.g)[free],
-        np.concatenate([qp.b, qp.h[rows_in]]) - C @ y,
+        qp.H[np.ix_(free, free)] + (Cs.T * (h / c**2)) @ Cs,
+        C[np.ix_(kept, free)],
+        top[free] - Cs.T @ (top[sep] / c - h * bottom[sep_rows] / c**2),
+        bottom[kept],
     )
     if sol is None:
         return None
-    p[free], lam = sol
+    lam = np.empty(C.shape[0])
+    p[free], lam[kept] = sol
+    p[sep] = (bottom[sep_rows] - Cs @ p[free]) / c
+    lam[sep_rows] = (top[sep] - h * p[sep]) / c
     resid = -(qp.H @ (x + p) + qp.g) - C.T @ lam
     n_eq = qp.A.shape[0]
     mu = np.empty(working.size)
     mu[working < m] = lam[n_eq:]
     mu[working >= m] = qp.bsign[bound] * resid[fixed_vars]
     return p, lam[:n_eq], mu
+
+
+def _separable_pairs(qp: _Qp, rows_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The separable variables that sit in exactly one working general row,
+    each with that row's position in the working system (equality rows
+    first), at most one variable per row."""
+    sep, m = qp.separable, qp.G.shape[0]
+    if not sep.size or not rows_in.size:
+        return sep[:0], sep[:0]
+    position = np.full(m, -1)
+    position[rows_in] = np.arange(rows_in.size)
+    working = position[qp.held_row] >= 0
+    count = np.bincount(qp.held_var[working], minlength=sep.size)
+    lone = working & (count[qp.held_var] == 1)
+    rows, first = np.unique(position[qp.held_row[lone]], return_index=True)
+    return sep[qp.held_var[lone][first]], rows + qp.A.shape[0]
 
 
 def _worst(working: List[int], mu: np.ndarray) -> Optional[int]:

@@ -32,7 +32,7 @@ from ..powerflow import PowerFlowError, compile_network, solve_horizon
 from ..reliability import ContingencyEvaluator
 from .ga import GaConfig, ga_seed
 from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec
-from .sqp import SqpConfig
+from .sqp import SqpConfig, SqpResult
 
 SCENARIO_KEYS: Tuple[str, ...] = ("baseline",) + OBJECTIVE_KEYS + ("weighted",)
 
@@ -76,6 +76,12 @@ class ScenarioResult:
     # GA generations run for this scenario; below the configured budget when
     # the search stopped early.  None where no GA ran.
     ga_generations: Optional[int] = None
+    # The last SQP solve of the refine that produced the plan (``trace`` is
+    # its iteration log): its status, iterations and KKT residual.  None
+    # where no solve ran.
+    sqp_status: Optional[str] = None
+    sqp_iterations: Optional[int] = None
+    sqp_kkt: Optional[float] = None
     trace: List[Dict] = field(default_factory=list)
     elapsed_s: float = 0.0
 
@@ -136,7 +142,7 @@ class _Row:
     value: Optional[float] = None
     ga_value: Optional[float] = None
     ga_generations: Optional[int] = None
-    trace: List[Dict] = field(default_factory=list)
+    sqp: Optional[SqpResult] = None
     elapsed_s: float = 0.0
 
 
@@ -162,7 +168,7 @@ def _optimize(
         value=refined.value,
         ga_value=refined.seed_value,
         ga_generations=ga.generations,
-        trace=refined.sqp.trace if refined.sqp else [],
+        sqp=refined.sqp,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -208,6 +214,7 @@ def _cross_polish(
                     rows[key].x = refined.x
                     rows[key].metrics = refined.metrics
                     rows[key].value = own = refined.value
+                    rows[key].sqp = refined.sqp
                     changed = True
         if not changed:
             break
@@ -217,6 +224,7 @@ def _cross_polish(
             rows[key].x = rows[best].x.copy()
             rows[key].metrics = rows[best].metrics
             rows[key].value = reports[key].score(rows[best].metrics)
+            rows[key].sqp = rows[best].sqp
 
 
 def _require_power_flow(problem: DispatchProblem, x: np.ndarray, m: BatchMetrics) -> None:
@@ -257,7 +265,7 @@ def evaluate_objectives(
 
 
 def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioResult:
-    m = row.metrics
+    m, sqp = row.metrics, row.sqp
     _require_power_flow(problem, row.x, m)
     return ScenarioResult(
         key=key,
@@ -270,7 +278,10 @@ def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioRes
         ga_value=row.ga_value,
         improved=row.ga_value is not None and row.value is not None and row.value < row.ga_value,
         ga_generations=row.ga_generations,
-        trace=list(row.trace),
+        sqp_status=sqp.status if sqp else None,
+        sqp_iterations=sqp.iterations if sqp else None,
+        sqp_kkt=float(sqp.kkt_residual) if sqp else None,
+        trace=list(sqp.trace) if sqp else [],
         elapsed_s=row.elapsed_s,
     )
 

@@ -11,11 +11,14 @@ model per block, each updated from its own part of every step's ``(s, y)``
 pair (partitioned updates, Griewank & Toint 1982; Nocedal & Wright §7.4).
 A problem whose Lagrangian curvature is block diagonal, such as the
 dispatch problem's hours, learns every block from every step instead of one
-direction of one dense model.  The default partition is one block holding
-every variable, the plain dense model.  Each block starts from the identity
-and is kept positive definite by Powell's damping rule, and an update that
-would leave a block's smallest eigenvalue below COND_FLOOR times its largest
-is skipped, so every QP subproblem is well posed and well conditioned.
+direction of one dense model.  Blocks may differ in size; blocks of one size
+are updated together.  The default partition is one block holding every
+variable, the plain dense model.  Each block starts from the identity and is
+kept positive definite by Powell's damping rule.  An update that would leave
+a block's smallest eigenvalue below COND_FLOOR times its largest is skipped,
+and so is the update of a block whose gradient change is exactly zero (the
+Lagrangian is linear along the step, as it is in an epigraph variable), so
+every QP subproblem is well posed and well conditioned.
 
 Problems are posed as  min f(x)  s.t.  c_eq(x) = 0, c_in(x) <= 0,
 lo <= x <= hi.  Derivatives default to central finite differences; callers
@@ -47,6 +50,7 @@ ARMIJO = 1e-4  # sufficient-decrease share of the predicted merit descent
 PENALTY_INIT = 1.0  # l1 merit penalty at the start
 PENALTY_MARGIN = 2.0  # the penalty is raised to this multiple of the largest multiplier, plus one
 DAMPING = 0.2  # Powell's damping threshold on s'y against s'Bs
+CONVERGED = ("kkt", "small-step")  # the statuses of a solve that reached a first-order point
 
 
 @dataclass
@@ -104,14 +108,33 @@ class NlpProblem:
         J_in = jacobian(self.ineq_constraints, x, m=n_in) if n_in else np.zeros((0, x.size))
         return grad, J_eq, J_in
 
+    def stationarity_scale(self, grad: np.ndarray) -> float:
+        """What the KKT residual is measured against: the larger of 1 and
+        the gradient's largest entry, which makes the test absolute for an
+        objective whose gradient is small."""
+        return max(1.0, float(np.abs(grad).max(initial=0.0)))
+
+    def settle(self, x: np.ndarray) -> np.ndarray:
+        """A point whose merit is no higher than x's, for every penalty at
+        least as large as the objective's slope in the moved variables; the
+        line search takes it in place of each trial point.  The default is x
+        itself."""
+        return x
+
+    def active_guess(self, x: np.ndarray) -> Optional[Tuple[Tuple[str, int], ...]]:
+        """Constraints expected active at the first QP's solution, as QP
+        tags (``qp_subproblem``'s ``warm_start``); None starts it cold."""
+        return None
+
     def nonlinear_eq(self, n_eq: int) -> np.ndarray:
         return np.ones(n_eq, dtype=bool)
 
     def nonlinear_ineq(self, n_in: int) -> np.ndarray:
         return np.ones(n_in, dtype=bool)
 
-    def hessian_blocks(self) -> np.ndarray:
-        """Variable indices per Hessian block, shape (n_blocks, k).
+    def hessian_blocks(self) -> Sequence[np.ndarray]:
+        """Variable indices per Hessian block: a sequence of index arrays,
+        a 2-D array (n_blocks, k) when every block has k variables.
 
         The blocks must cover every variable exactly once, and the
         Lagrangian's curvature should vanish between blocks.  The default is
@@ -159,9 +182,12 @@ def _update_blocks(B: np.ndarray, s: np.ndarray, y: np.ndarray, tiny: float) -> 
 
     ``B`` is (n_blocks, k, k); ``s`` and ``y`` are the blocks' step and
     gradient-change parts, (n_blocks, k).  A block whose step is below
-    ``tiny``, whose damped curvature is not positive, or whose update would
-    push its eigenvalue ratio below COND_FLOOR keeps its model.
+    ``tiny``, whose gradient change is exactly zero, whose damped curvature
+    is not positive, or whose update would push its eigenvalue ratio below
+    COND_FLOOR keeps its model.  Damping a zero gradient change would shrink
+    the model fivefold along the step at every iteration.
     """
+    curved = y.any(axis=1)
     Bs = np.einsum("bij,bj->bi", B, s)
     sBs = np.einsum("bi,bi->b", s, Bs)
     sy = np.einsum("bi,bi->b", s, y)
@@ -169,7 +195,7 @@ def _update_blocks(B: np.ndarray, s: np.ndarray, y: np.ndarray, tiny: float) -> 
     theta = np.where(damp, (1.0 - DAMPING) * sBs / np.where(damp, sBs - sy, 1.0), 1.0)[:, np.newaxis]
     y = theta * y + (1.0 - theta) * Bs
     sy = np.einsum("bi,bi->b", s, y)
-    take = np.flatnonzero((np.abs(s).max(axis=1) > tiny) & (sBs > 0) & (sy > 1e-12 * sBs))
+    take = np.flatnonzero(curved & (np.abs(s).max(axis=1) > tiny) & (sBs > 0) & (sy > 1e-12 * sBs))
     Bs, y = Bs[take], y[take]
     trial = (
         B[take]
@@ -182,6 +208,24 @@ def _update_blocks(B: np.ndarray, s: np.ndarray, y: np.ndarray, tiny: float) -> 
     B = B.copy()
     B[take[keep]] = trial[keep]
     return B
+
+
+def _block_groups(blocks: Sequence[np.ndarray], n: int) -> List[np.ndarray]:
+    """The Hessian blocks as (n_blocks, k) index arrays, one per block size
+    in order of first appearance; raises unless they cover 0..n-1 once.
+
+    A 2-D array is one group as it stands: its memory order fixes the
+    order in which the updates sum."""
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
+        groups = [blocks.astype(np.intp, copy=False)]
+    else:
+        flat = [np.asarray(b, dtype=np.intp).reshape(-1) for b in blocks]
+        sizes = dict.fromkeys(b.size for b in flat if b.size)
+        groups = [np.stack([b for b in flat if b.size == k]) for k in sizes]
+    every = np.concatenate([g.reshape(-1) for g in groups]) if groups else np.zeros(0, dtype=np.intp)
+    if not np.array_equal(np.sort(every), np.arange(n)):
+        raise ValueError("hessian_blocks must cover every variable exactly once")
+    return groups
 
 
 def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConfig] = None) -> SqpResult:
@@ -211,14 +255,11 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
     nl_eq = problem.nonlinear_eq(ceq.size)
     nl_in = problem.nonlinear_ineq(cin.size)
 
-    blocks = np.asarray(problem.hessian_blocks(), dtype=np.intp)
-    if blocks.ndim != 2 or not np.array_equal(np.sort(blocks, axis=None), np.arange(n)):
-        raise ValueError("hessian_blocks must cover every variable exactly once")
-    B_blocks = np.tile(np.eye(blocks.shape[1]), (blocks.shape[0], 1, 1))
-    rows_ix, cols_ix = blocks[:, :, np.newaxis], blocks[:, np.newaxis, :]
+    groups = _block_groups(problem.hessian_blocks(), n)
+    B_groups = [np.tile(np.eye(g.shape[1]), (g.shape[0], 1, 1)) for g in groups]
     B = np.zeros((n, n))
     penalty = PENALTY_INIT
-    warm: Optional[Tuple] = None
+    warm = problem.active_guess(x)
     trace: List[Dict] = []
     status = "max-iterations"
     converged = False
@@ -234,7 +275,8 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
 
     for k in range(1, cfg.max_iterations + 1):
         iterations = k
-        B[rows_ix, cols_ix] = B_blocks
+        for g, B_g in zip(groups, B_groups):
+            B[g[:, :, np.newaxis], g[:, np.newaxis, :]] = B_g
         try:
             qp = qp_subproblem(
                 B, grad,
@@ -260,7 +302,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
         if cin.size:
             stat += J_in.T @ mu
         stat += qp.upper_multipliers - qp.lower_multipliers
-        scale = max(1.0, float(np.abs(grad).max(initial=0.0)))
+        scale = problem.stationarity_scale(grad)
         viol = _violation_inf(ceq, cin)
         kkt = float(np.abs(stat[free]).max(initial=0.0)) / scale
         step_size = float(np.abs(d).max(initial=0.0))
@@ -288,7 +330,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
         alpha = 1.0
         accepted = False
         while alpha >= ALPHA_MIN:
-            x_try = np.clip(x + alpha * d, lo, hi)
+            x_try = problem.settle(np.clip(x + alpha * d, lo, hi))
             f_try = f_of(x_try)
             ceq_try = problem.eq_constraints(x_try)
             cin_try = problem.ineq_constraints(x_try)
@@ -317,7 +359,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
             dL_new += J_in_try[nl_in].T @ mu[nl_in]
         y = dL_new - dL_old
         tiny = 1e-14 * (1.0 + float(np.abs(x).max(initial=0.0)))
-        B_blocks = _update_blocks(B_blocks, s[blocks], y[blocks], tiny)
+        B_groups = [_update_blocks(B_g, s[g], y[g], tiny) for g, B_g in zip(groups, B_groups)]
 
         x, f, ceq, cin = x_try, f_try, ceq_try, cin_try
         grad, J_eq, J_in = grad_try, J_eq_try, J_in_try

@@ -253,8 +253,12 @@ def sweep(
         s = s[:, np.newaxis]
     if s.shape[1] == 1:
         # Numpy hands a one-row product to gemv, which rounds differently
-        # from gemm; solving a copy alongside keeps a lone column bitwise
-        # equal to the same column inside a batch.
+        # from gemm, so a lone column is solved alongside a copy of itself.
+        # That keeps it bitwise equal to the same column inside any batch
+        # that stops at the same iteration.  A batch iterates every column
+        # until its slowest converges, so inside a batch that runs longer a
+        # converged column moves on by rounding-level amounts (up to 2e-12
+        # pu in a 58-plan GA batch of the benchmark case).
         pair = sweep(net, np.repeat(s, 2, axis=1), max_iterations, workspace)
         return SweepResult(*(field[..., :1] for field in pair))
     ws = Workspace() if workspace is None else workspace

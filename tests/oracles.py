@@ -17,7 +17,8 @@ and horizon power flow.  So are the tuple-tagged network rows of the SQP
 subproblem, the interpreter the row layout replaced, the scattered
 ``np.subtract.at`` form of the dispatch problem's bus injections, and the
 dense voltage derivatives of the subproblem, which the package now takes at
-the carried voltage rows only.  The ``offset_*`` plan-vector forms index the
+the carried voltage rows and kink cells only, and its objective with the
+kink cells' epigraph variables summed one load-bus-hour at a time.  The ``offset_*`` plan-vector forms index the
 signed and split vectors by block offsets, as the package did before it read
 plans through ``DispatchProblem.blocks``, and the ``unit_loop_*`` forms read
 each unit's limits from its record in a loop over the units, as the package
@@ -371,6 +372,35 @@ def random_qp(
         if rng.random() < 0.35:
             upper[i] = x_feas[i] + rng.uniform(0.05, 2.0)
     return H, g, A, b, G, h, lower, upper
+
+
+def random_epigraph_qp(
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A dispatch-sized QP step plus an l1 term as an epigraph.
+
+    ``random_dispatch_qp`` over x, and 60 variables e_i with unit curvature,
+    a price of 1 and no bounds, each held above a_i'x - u_i and l_i - a_i'x
+    by the rows (a_i'x - u_i) - e_i <= 0 and (l_i - a_i'x) - e_i <= 0, a_i
+    sparse and l_i < a_i'x < u_i at the start, where e = 0.  Returns (H, g,
+    A, b, G, h, lower, upper).
+    """
+    H, g, A, b, G, h, lower, upper = random_dispatch_qp(rng)
+    n, ne = g.size, 60
+    rows = rng.normal(size=(ne, n)) * (rng.random((ne, n)) < 0.05)
+    eq_rows = np.vstack([A, np.eye(n)[lower == upper]])
+    x0, *_ = np.linalg.lstsq(eq_rows, np.concatenate([b, lower[lower == upper]]), rcond=None)
+    at = rows @ x0
+    eye = np.eye(ne)
+    H_all = np.zeros((n + ne, n + ne))
+    H_all[:n, :n] = H
+    H_all[n:, n:] = eye
+    G_all = np.block([[G, np.zeros((G.shape[0], ne))], [rows, -eye], [-rows, -eye]])
+    h_all = np.concatenate([h, at + rng.uniform(1e-3, 0.05, ne), -at + rng.uniform(1e-3, 0.05, ne)])
+    return (
+        H_all, np.concatenate([g, np.ones(ne)]), np.hstack([A, np.zeros((A.shape[0], ne))]), b, G_all, h_all,
+        np.concatenate([lower, np.full(ne, -np.inf)]), np.concatenate([upper, np.full(ne, np.inf)]),
+    )
 
 
 def bounds_as_rows(
@@ -1454,6 +1484,24 @@ def truncated_case(case: MicrogridCase, horizon: int) -> MicrogridCase:
             load_points=tuple(replace(lp, profile_kw=lp.profile_kw[:horizon]) for lp in case.load_points),
         )
     )
+
+
+def epigraph_objective(nlp, z: np.ndarray) -> float:
+    """The split subproblem's objective at z = [xs | e], rebuilt one
+    load-bus-hour at a time: a kink cell adds its e, any other cell its
+    |1 - V|.  With every e at |1 - V| it is the plan's own score."""
+    p = nlp.problem
+    xs, e = z[: nlp.n_split], z[nlp.n_split :]
+    m = p.split_eval(xs[np.newaxis, :])
+    kinks = [int(b) * p.T + int(t) for b, t in zip(nlp._kink_bus, nlp._kink_hour)]
+    vdev = 0.0
+    for b in p.load_idx:
+        for t in range(p.T):
+            cell = int(b) * p.T + t
+            vdev += e[kinks.index(cell)] if cell in kinks else abs(1.0 - m.vmag[b, 0, t])
+    values = {key: float(v[0]) for key, v in m.values.items()}
+    values["vdev"] = vdev
+    return nlp.spec.scalar(values)
 
 
 def dense_vmag_differences(nlp, xs: np.ndarray) -> np.ndarray:

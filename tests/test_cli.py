@@ -126,6 +126,23 @@ def test_optimize_writes_replayable_run_dir(run_dir):
 
     trace = (run_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,merit,kkt,step,alpha,penalty,elastic"
+    # The SQP fields describe the solve trace.csv logs.
+    assert isinstance(doc["sqp_status"], str)
+    assert doc["sqp_iterations"] == len(trace) - 1
+    assert float(trace[-1].split(",")[2]) == doc["sqp_kkt"]
+
+
+def test_optimize_warns_when_the_solve_stops_short(tmp_path, capsys):
+    # One SQP iteration cannot reach the cost run's first-order point.
+    out = tmp_path / "short"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "1", "--out", str(out),
+                 "--ga-population", "8", "--ga-generations", "3", "--sqp-iterations", "1",
+                 "--polish-sweeps", "1", "--refine-rounds", "1"])
+    assert code == EXIT_OK
+    doc = json.loads((out / "objectives.json").read_text())
+    assert doc["sqp_status"] == "max-iterations" and doc["sqp_iterations"] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and "'max-iterations' after 1 iterations" in err
 
 
 def test_objectives_json_shows_an_early_stop(tmp_path):

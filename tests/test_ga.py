@@ -170,3 +170,35 @@ def test_progress_is_relative_to_the_best():
     assert ga.PATIENCE + 1 < full.generations < cfg.generations
     assert scaled.generations == full.generations
     assert np.array_equal(scaled.x, full.x)
+
+
+def test_an_improving_infeasible_best_never_escalates():
+    # The best stays infeasible but its objective falls every generation, so
+    # the penalty's stall counter never reaches STALL_GENERATIONS.
+    lo = np.full(2, -1.0)
+    hi = np.full(2, 1.0)
+    calls = []
+
+    def improving_and_infeasible(pop):
+        pop = np.atleast_2d(pop)
+        calls.append(None)
+        return np.full(pop.shape[0], -float(len(calls))), np.ones(pop.shape[0])
+
+    result = ga_seed(improving_and_infeasible, _identity_repair, lo, hi,
+                     np.random.default_rng(6), GaConfig(population=10, generations=60))
+    assert result.violation == 1.0
+    assert {row["penalty"] for row in result.history} == {ga.PENALTY_INIT}
+
+
+def test_penalty_never_exceeds_its_cap():
+    lo = np.full(2, -1.0)
+    hi = np.full(2, 1.0)
+
+    def flat_and_infeasible(pop):
+        pop = np.atleast_2d(pop)
+        return np.ones(pop.shape[0]), np.ones(pop.shape[0])
+
+    result = ga_seed(flat_and_infeasible, _identity_repair, lo, hi,
+                     np.random.default_rng(6), GaConfig(population=10, generations=400))
+    penalties = [row["penalty"] for row in result.history]
+    assert max(penalties) == ga.PENALTY_CAP

@@ -7,13 +7,14 @@ import pytest
 
 from mgopt.devices import DispatchSchedule, soc_trajectory
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
-from mgopt.optimizer.problem import _SplitDispatchNlp
+from mgopt.optimizer.problem import KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
 from mgopt.powerflow import compile_network, sweep
 
 from oracles import (
     battery_feasibility,
     dense_vmag_differences,
+    epigraph_objective,
     evaluate_objectives,
     grid_feasibility,
     offset_eq_jacobian,
@@ -713,3 +714,96 @@ def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * m.vmag.nbytes
+
+
+def _kink_nlp(problem, spec):
+    """The price-driven seed's subproblem with its screened rows and kinks."""
+    x = problem.seed_points()[2]
+    vmag = problem.metrics(x).vmag[:, 0, :]
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    xs = np.clip(problem.split_from_signed(x), lower, upper)
+    kinks = problem.load_cells(np.abs(1.0 - vmag) < KINK_MARGIN)
+    assert kinks.size >= 20
+    return _SplitDispatchNlp(problem, spec, lower, upper, problem.screen_rows(vmag), kinks), xs
+
+
+def _vdev_specs():
+    bounds = {"cost": (2.0e4, 3.5e4), "loss": (20.0, 40.0), "ens": (250.0, 400.0), "vdev": (2.3, 3.5)}
+    weights = {"cost": 0.4, "loss": 0.2, "ens": 0.1, "vdev": 0.3}
+    return [ObjectiveSpec("vdev"), ObjectiveSpec("weighted", weights=weights, bounds=bounds)]
+
+
+@pytest.mark.parametrize("dr", [False, True])
+def test_epigraph_objective_at_the_envelope_is_the_plans_score(benchmark_case, dr):
+    problem = DispatchProblem(benchmark_case, dr=dr)
+    for spec in _vdev_specs():
+        nlp, xs = _kink_nlp(problem, spec)
+        z = nlp.settle(xs)
+        score = spec.score(problem.split_eval(xs[np.newaxis, :]))
+        assert nlp.objective(z) == pytest.approx(score, rel=1e-13, abs=0)
+        assert epigraph_objective(nlp, z) == pytest.approx(score, rel=1e-13, abs=0)
+        # Off the envelope the objective reads e, not |1 - V|.
+        lifted = z + np.concatenate([np.zeros(xs.size), np.linspace(0.0, 1e-3, z.size - xs.size)])
+        assert nlp.objective(lifted) == pytest.approx(epigraph_objective(nlp, lifted), rel=1e-13, abs=0)
+        assert nlp.objective(lifted) > nlp.objective(z)
+
+
+@pytest.mark.parametrize("dr", [False, True])
+def test_epigraph_rows_jacobian_matches_dense_differences(benchmark_case, dr):
+    problem = DispatchProblem(benchmark_case, dr=dr)
+    nlp, xs = _kink_nlp(problem, ObjectiveSpec("vdev"))
+    z = nlp.settle(xs)
+    ns, ne, m = xs.size, z.size - xs.size, nlp.rows.size
+    _, J_eq, J_in = nlp.derivatives(z)
+    assert J_in.shape == (m + 2 * ne, z.size) and J_eq.shape == (int(dr), z.size)
+
+    # The (1 - V) - e rows, then the (V - 1) - e rows, over the split plan:
+    # the kink cells of the dense voltage differences, bit for bit.
+    cells = problem.net.n_bus * problem.T
+    d_kink = dense_vmag_differences(nlp, xs).reshape(cells, ns)[nlp._kink_bus * problem.T + nlp._kink_hour]
+    assert J_in[m : m + ne, :ns].tobytes() == (-d_kink).tobytes()
+    assert J_in[m + ne :, :ns].tobytes() == d_kink.tobytes()
+    assert np.array_equal(J_in[m:, ns:], -np.vstack([np.eye(ne), np.eye(ne)]))
+    assert not J_in[:m, ns:].any()
+
+    # Every row against plain central differences of the rows themselves.
+    from mgopt.optimizer.derivatives import jacobian
+
+    naive = jacobian(nlp.ineq_constraints, z, m=m + 2 * ne)
+    free = np.concatenate([~pinned_mask(nlp.lower[:ns], nlp.upper[:ns]), np.ones(ne, dtype=bool)])
+    assert np.abs((J_in - naive)[:, free]).max() < 1e-4 * max(1.0, np.abs(naive).max())
+
+
+def test_epigraph_gradient_matches_naive_fd(problem):
+    nlp, xs = _kink_nlp(problem, ObjectiveSpec("vdev"))
+    z = nlp.settle(xs)
+    grad = nlp.derivatives(z)[0]
+    assert np.array_equal(grad[xs.size :], np.ones(z.size - xs.size))
+    # The kinks sit in e, and every other load-bus-hour is at least
+    # KINK_MARGIN from 1.0 pu, so the objective is smooth around z.
+    from mgopt.optimizer.derivatives import gradient
+
+    naive = gradient(nlp.objective, z)
+    free = ~pinned_mask(nlp.lower, nlp.upper)
+    assert np.abs((grad - naive)[free]).max() < 1e-4 * max(1.0, np.abs(naive[free]).max())
+
+
+def test_hessian_blocks_give_each_epigraph_variable_its_own(problem):
+    nlp, xs = _kink_nlp(problem, ObjectiveSpec("vdev"))
+    blocks = nlp.hessian_blocks()
+    hours = [b for b in blocks if len(b) > 1]
+    singles = [int(b[0]) for b in blocks if len(b) == 1]
+    assert len(hours) == problem.T and all(len(b) == problem.n_units + 2 for b in hours)
+    assert singles == list(range(xs.size, nlp.n))
+
+
+def test_vdev_subproblem_measures_stationarity_against_its_plan_gradient(problem):
+    # The vdev gradient is about 1e-3 pu per kW: against the default floor
+    # of 1 a KKT tolerance would read as an absolute one.
+    nlp, xs = _kink_nlp(problem, ObjectiveSpec("vdev"))
+    grad = nlp.derivatives(nlp.settle(xs))[0]
+    plan = float(np.abs(grad[: xs.size]).max())
+    assert 0.0 < plan < 1e-2
+    assert nlp.stationarity_scale(grad) == plan
+    weighted = _kink_nlp(problem, _vdev_specs()[1])[0]
+    assert weighted.stationarity_scale(grad) == 1.0

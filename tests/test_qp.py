@@ -5,7 +5,7 @@ import pytest
 
 from mgopt.optimizer import QpError, QpInfeasibleError, qp_subproblem
 
-from oracles import bounds_as_rows, dense_qp, qp_enumerate, random_dispatch_qp, random_qp
+from oracles import bounds_as_rows, dense_qp, qp_enumerate, random_dispatch_qp, random_epigraph_qp, random_qp
 
 
 def test_unconstrained_matches_linear_solve():
@@ -201,6 +201,31 @@ def test_reduced_matches_dense_at_dispatch_size():
         warm = _both(H, g_next, warm_start=dense.active_set, **kwargs)
         assert warm[1].pivots < dense.pivots
         _assert_same_solve(*warm)
+
+
+def test_epigraph_variables_leave_the_kkt_system_with_their_row(monkeypatch):
+    """Each unbounded, uncoupled e_i in one working row is eliminated with
+    it; the solve still matches the dense solver pivot for pivot."""
+    import mgopt.optimizer.qp as qp_module
+
+    eliminated = []
+    pairs = qp_module._separable_pairs
+
+    def recording(*args):
+        found = pairs(*args)
+        eliminated.append(found[0].size)
+        return found
+
+    monkeypatch.setattr(qp_module, "_separable_pairs", recording)
+    rng = np.random.default_rng(5)
+    H, g, A, b, G, h, lower, upper = random_epigraph_qp(rng)
+    kwargs = dict(A=A, b=b, G=G, h=h, lower=lower, upper=upper)
+    reduced, dense = _both(H, g, **kwargs)
+    assert not dense.elastic
+    _assert_same_solve(reduced, dense)
+    warm = _both(H, g + rng.normal(size=g.size) * 0.05, warm_start=dense.active_set, **kwargs)
+    _assert_same_solve(*warm)
+    assert max(eliminated) >= 30
 
 
 def test_reduced_matches_dense_in_elastic_mode():

@@ -18,6 +18,7 @@ from mgopt.optimizer import (
     run_suite,
     scenario_key,
 )
+from mgopt.optimizer.sqp import CONVERGED
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,16 @@ def test_each_optimised_scenario_reports_its_ga_generations(fast_suite):
     assert fast_suite.results["baseline"].ga_generations is None
     for key in OBJECTIVE_KEYS + ("weighted", "dr"):
         assert 1 <= fast_suite.results[key].ga_generations <= 12, key
+
+
+def test_every_optimised_row_of_the_default_suite_converges(suite):
+    # The shared suite fixture: default config, seed 0, DR included.  The vdev
+    # solve's |1 - V| kink no longer stalls it short of a first-order point.
+    assert suite.results["baseline"].sqp_status is None
+    for key in OBJECTIVE_KEYS + ("weighted", "dr"):
+        result = suite.results[key]
+        assert result.sqp_status in CONVERGED, (key, result.sqp_status, result.sqp_iterations, result.sqp_kkt)
+        assert result.sqp_iterations == len(result.trace) >= 1
 
 
 def test_baseline_anchors_normalisation(fast_suite):
@@ -270,7 +281,7 @@ def test_cross_polish_never_repeats_a_refine():
         def refine(self, x, spec, config=None, max_rounds=3):
             calls.append((spec.key, float(x[0])))
             row = answers[spec.key, float(x[0])]
-            return SimpleNamespace(x=row.x, metrics=row.metrics, value=spec.score(row.metrics))
+            return SimpleNamespace(x=row.x, metrics=row.metrics, value=spec.score(row.metrics), sqp=None)
 
     rows = {"baseline": baseline, "cost": cost_row, "loss": loss_row}
     targets = [(key, ObjectiveSpec(key)) for key in ("cost", "loss")]

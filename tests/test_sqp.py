@@ -232,3 +232,64 @@ def test_hessian_blocks_must_cover_every_variable_once():
     problem = Overlapping(lambda x: float(x @ x), *_box(3))
     with pytest.raises(ValueError, match="exactly once"):
         sqp_solve(problem, np.ones(3))
+
+
+def test_block_update_keeps_a_block_whose_gradient_does_not_change():
+    # Damping a zero gradient change would shrink the block to 0.2.
+    B = np.ones((2, 1, 1))
+    out = sqp._update_blocks(B, np.array([[1.0], [1.0]]), np.array([[0.0], [0.5]]), tiny=1e-14)
+    assert out[0, 0, 0] == 1.0
+    assert out[1, 0, 0] == 0.5
+
+
+def test_epigraph_blocks_of_their_own_stay_at_the_identity(monkeypatch):
+    # min sum_i |x_i - 1| + 2 (x_i - c_i)^2 as an epigraph: x in two 2-blocks,
+    # each e_i a block of its own.  |c_i - 1| <= 1/4 puts x_i on the kink.
+    c = np.array([1.5, 3.0, 0.8, 1.0])
+    expected = np.where(np.abs(c - 1.0) <= 0.25, 1.0, c - np.sign(c - 1.0) / 4.0)
+    I, Z = np.eye(4), np.zeros((4, 4))
+
+    class Epigraph(NlpProblem):
+        def derivatives(self, z):
+            grad = np.concatenate([4.0 * (z[:4] - c), np.ones(4)])
+            return grad, np.zeros((0, 8)), np.block([[I, -I], [-I, -I]])
+
+        def settle(self, z):
+            return np.concatenate([z[:4], np.abs(z[:4] - 1.0)])
+
+        def active_guess(self, z):
+            return tuple(("in", int(i) + (0 if z[i] >= 1.0 else 4)) for i in range(4))
+
+        def hessian_blocks(self):
+            return [np.array([0, 1]), np.array([2, 3])] + [np.array([j]) for j in range(4, 8)]
+
+    problem = Epigraph(
+        lambda z: float(z[4:].sum() + 2.0 * ((z[:4] - c) ** 2).sum()),
+        np.concatenate([np.full(4, -10.0), np.full(4, -np.inf)]),
+        np.full(8, np.inf),
+        ineq=lambda z: np.concatenate([(z[:4] - 1.0) - z[4:], (1.0 - z[:4]) - z[4:]]),
+    )
+    models = []
+    update = sqp._update_blocks
+
+    def recording(*args):
+        models.append(update(*args))
+        return models[-1]
+
+    monkeypatch.setattr(sqp, "_update_blocks", recording)
+    warm_starts = []
+    solve_qp = sqp.qp_subproblem
+
+    def first_warm_start(*args, **kwargs):
+        warm_starts.append(kwargs["warm_start"])
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(sqp, "qp_subproblem", first_warm_start)
+    start = problem.settle(np.zeros(8))
+    result = sqp_solve(problem, start, SqpConfig(tol_kkt=1e-8))
+    assert result.status in sqp.CONVERGED
+    assert warm_starts[0] == problem.active_guess(start)
+    assert np.abs(result.x[:4] - expected).max() < 1e-8
+    assert np.abs(result.x[4:] - np.abs(expected - 1.0)).max() < 1e-8
+    assert {B.shape for B in models} == {(2, 2, 2), (4, 1, 1)}
+    assert all((B == 1.0).all() for B in models if B.shape == (4, 1, 1))
