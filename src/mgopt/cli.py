@@ -33,6 +33,7 @@ from .devices import DispatchSchedule, soc_trajectory, zero_schedule
 from .netmodel import CaseError, MicrogridCase, load_case
 from .objectives import OBJECTIVE_KEYS, OBJECTIVE_LABELS, normalize_objective
 from .optimizer import OptimizerConfig, ScenarioResult, SuiteResult, run_suite, scenario_key
+from .optimizer.ga import ELITES
 from .optimizer.qp import QpError
 from .optimizer.sqp import CONVERGED
 from .powerflow import PowerFlowError, solve_horizon
@@ -272,6 +273,13 @@ def _parse_weights(args: argparse.Namespace) -> Optional[List[float]]:
 
 
 def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
+    floors = {"seed": 0, "ga_population": ELITES, "ga_generations": 0, "sqp_iterations": 0,
+              "refine_rounds": 0, "polish_sweeps": 0}
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value is not None and value < floor:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(EXIT_VALIDATION, f"{flag} must be at least {floor}, got {value}")
     config = OptimizerConfig(seed=args.seed)
     if args.ga_population is not None:
         config.ga.population = args.ga_population
@@ -331,14 +339,36 @@ def _mark_failed(out: Path, code: int, message: str) -> None:
         (out / "FAILED").write_text(_error_line(code, message) + "\n", encoding="utf-8")
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
-    for run in args.runs:
-        path = Path(run) / "objectives.json"
-        if not path.exists():
-            raise CliError(EXIT_VALIDATION, f"{run} has no objectives.json")
+def _read_objectives(run: str) -> Dict:
+    """A run directory's objectives.json, checked for what ``compare`` reads."""
+    path = Path(run) / "objectives.json"
+    if not path.exists():
+        raise CliError(EXIT_VALIDATION, f"{run} has no objectives.json")
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows.append(json.load(fh))
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"{run}: objectives.json is not JSON: {exc}") from exc
+
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    values = doc.get("objectives") if isinstance(doc, dict) else None
+    if not (
+        isinstance(values, dict)
+        and isinstance(doc.get("label"), str)
+        and all(number(values.get(k)) for k in OBJECTIVE_KEYS)
+        and number(doc.get("weighted_total"))
+    ):
+        raise CliError(
+            EXIT_VALIDATION,
+            f"{run}: objectives.json must map label, objectives ({', '.join(OBJECTIVE_KEYS)}) and weighted_total",
+        )
+    return doc
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    rows = [_read_objectives(run) for run in args.runs]
     headers = ["Scenario"] + [OBJECTIVE_LABELS[k] for k in OBJECTIVE_KEYS] + ["Weighted total"]
     table = [headers]
     for doc in rows:

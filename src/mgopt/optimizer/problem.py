@@ -677,11 +677,11 @@ class _SplitDispatchNlp(NlpProblem):
     carried layout rows, then the (1 - V) - e rows, then the (V - 1) - e
     rows.  The rows' Jacobians come from the voltage differences of the
     carried cells, so the kinks add no sweep columns.  Each e enters the
-    Lagrangian linearly and has a Hessian block of its own, which the SQP
-    leaves at the identity; the QP solves each e out together with its
-    envelope row.  ``settle`` puts every e back on its envelope after each
-    trial step, so the envelope row is exactly active at every iterate and
-    ``active_guess`` can warm-start the first QP with it.
+    Lagrangian linearly and is in no Hessian block, so the SQP keeps a unit
+    diagonal for it; the QP solves each e out together with its envelope
+    row.  ``settle`` puts every e back on its envelope after each trial
+    step, so the envelope row is exactly 0 at every iterate and the SQP
+    warm-starts the first QP with it.
     """
 
     def __init__(
@@ -765,23 +765,6 @@ class _SplitDispatchNlp(NlpProblem):
         xs = z[: self.n_split]
         return np.concatenate([xs, np.abs(self._kink_dev(xs))])
 
-    def active_guess(self, z: np.ndarray) -> Optional[Tuple[Tuple[str, int], ...]]:
-        """The epigraph row each settled e sits on and the bounds z sits on.
-
-        Without kinks the first QP starts cold, as it did before epigraph
-        variables existed, so the solves that do not weigh vdev keep their
-        path.  With them a cold start costs a pivot per e at least.
-        """
-        if not self._kink_bus.size:
-            return None
-        m, ne = self.rows.size, self._kink_bus.size
-        envelope = m + np.arange(ne) + np.where(self._kink_dev(z) >= 0.0, 0, ne)
-        return (
-            tuple(("in", int(i)) for i in envelope)
-            + tuple(("hi", int(j)) for j in np.flatnonzero(z >= self.upper))
-            + tuple(("lo", int(j)) for j in np.flatnonzero(z <= self.lower))
-        )
-
     def stationarity_scale(self, grad: np.ndarray) -> float:
         """The vdev objective is in pu and its plan derivatives are about
         1e-3 pu per kW, so an absolute test would stop it short; it is
@@ -819,23 +802,14 @@ class _SplitDispatchNlp(NlpProblem):
         dev, e = self._kink_dev(z), z[self.n_split :]
         return np.concatenate([np.concatenate(layout)[self.rows], dev - e, -dev - e])
 
-    def nonlinear_eq(self, n_eq: int) -> np.ndarray:
-        return np.zeros(n_eq, dtype=bool)
-
-    def nonlinear_ineq(self, n_in: int) -> np.ndarray:
-        return np.concatenate([self.rows >= 2 * self.problem.T, np.ones(2 * self._kink_bus.size, dtype=bool)])
-
-    def hessian_blocks(self) -> Sequence[np.ndarray]:
+    def hessian_blocks(self) -> np.ndarray:
         """One block per hour: row t holds hour t's unit, charge, discharge
         and shift variables.  Hour t of every network quantity depends only
         on hour t of the plan, the SOC and shift-balance rows are affine and
         the outage cost is piecewise linear in the SOC, so the Lagrangian's
-        curvature is block diagonal by hour.  Each e, linear in the
-        Lagrangian, is a block of its own."""
-        hours = self.problem.blocks(np.arange(self.n_split))[0].T
-        if self.n == self.n_split:
-            return hours
-        return [*hours, *np.arange(self.n_split, self.n)[:, np.newaxis]]
+        curvature is block diagonal by hour.  Each e enters the Lagrangian
+        linearly and is in no block."""
+        return self.problem.blocks(np.arange(self.n_split))[0].T
 
     def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
         """Objective gradients (of vdev's smooth term), d(slack_kw) (T, ns)

@@ -3,22 +3,24 @@
 Each iteration linearises the constraints, builds a convex QP from the
 current Hessian model and solves it with the active-set solver; a
 backtracking line search on the l1 exact-penalty merit function accepts the
-step.
+step.  The first QP starts from the inequality rows exactly at 0 and the
+free bounds the start sits on, every later one from the last active set.
 
-The Hessian model is block diagonal over a partition of the variables that
-the problem declares (``NlpProblem.hessian_blocks``): one small quasi-Newton
+The Hessian model is block diagonal over the blocks of variables that the
+problem declares (``NlpProblem.hessian_blocks``): one small quasi-Newton
 model per block, each updated from its own part of every step's ``(s, y)``
 pair (partitioned updates, Griewank & Toint 1982; Nocedal & Wright §7.4).
 A problem whose Lagrangian curvature is block diagonal, such as the
 dispatch problem's hours, learns every block from every step instead of one
-direction of one dense model.  Blocks may differ in size; blocks of one size
-are updated together.  The default partition is one block holding every
-variable, the plain dense model.  Each block starts from the identity and is
-kept positive definite by Powell's damping rule.  An update that would leave
-a block's smallest eigenvalue below COND_FLOOR times its largest is skipped,
-and so is the update of a block whose gradient change is exactly zero (the
-Lagrangian is linear along the step, as it is in an epigraph variable), so
-every QP subproblem is well posed and well conditioned.
+direction of one dense model.  The default is one block holding every
+variable, the plain dense model; a variable in no block keeps a unit
+diagonal.  Each block starts from the identity and is kept positive definite
+by Powell's damping rule.  An update that would leave a block's smallest
+eigenvalue below COND_FLOOR times its largest is skipped, and so is the
+update of a block whose gradient change is exactly zero (the Lagrangian is
+linear along the step), so every QP subproblem is well posed and well
+conditioned.  Every row enters the Lagrangian gradient; an affine one adds
+the same term at both ends of a step.
 
 Problems are posed as  min f(x)  s.t.  c_eq(x) = 0, c_in(x) <= 0,
 lo <= x <= hi.  Derivatives default to central finite differences; callers
@@ -62,10 +64,10 @@ class SqpConfig:
 class NlpProblem:
     """Smooth constrained problem with finite-difference derivatives.
 
-    Subclasses may override ``derivatives`` to supply exact or batched rows;
-    ``nonlinear_ineq`` / ``nonlinear_eq`` mark the rows whose curvature should
-    enter the Lagrangian the BFGS model tracks (affine rows contribute none);
-    ``hessian_blocks`` declares the partition the model is kept in.
+    Subclasses may override ``derivatives`` to supply exact or batched rows,
+    ``hessian_blocks`` to declare the blocks the model is kept in, and
+    ``settle`` and ``stationarity_scale`` where the problem knows better
+    than the defaults.
     """
 
     def __init__(
@@ -117,28 +119,18 @@ class NlpProblem:
     def settle(self, x: np.ndarray) -> np.ndarray:
         """A point whose merit is no higher than x's, for every penalty at
         least as large as the objective's slope in the moved variables; the
-        line search takes it in place of each trial point.  The default is x
+        line search takes it in place of each trial point, and a row it
+        puts exactly on 0 warm-starts the first QP.  The default is x
         itself."""
         return x
 
-    def active_guess(self, x: np.ndarray) -> Optional[Tuple[Tuple[str, int], ...]]:
-        """Constraints expected active at the first QP's solution, as QP
-        tags (``qp_subproblem``'s ``warm_start``); None starts it cold."""
-        return None
+    def hessian_blocks(self) -> np.ndarray:
+        """Variable indices per Hessian block, an (n_blocks, k) array.
 
-    def nonlinear_eq(self, n_eq: int) -> np.ndarray:
-        return np.ones(n_eq, dtype=bool)
-
-    def nonlinear_ineq(self, n_in: int) -> np.ndarray:
-        return np.ones(n_in, dtype=bool)
-
-    def hessian_blocks(self) -> Sequence[np.ndarray]:
-        """Variable indices per Hessian block: a sequence of index arrays,
-        a 2-D array (n_blocks, k) when every block has k variables.
-
-        The blocks must cover every variable exactly once, and the
-        Lagrangian's curvature should vanish between blocks.  The default is
-        one block holding every variable.
+        No variable may sit in two blocks, and the Lagrangian's curvature
+        should vanish between blocks and in a variable left out of every
+        block, whose model stays a unit diagonal.  The default is one block
+        holding every variable.
         """
         return np.arange(self.n)[np.newaxis, :]
 
@@ -210,22 +202,20 @@ def _update_blocks(B: np.ndarray, s: np.ndarray, y: np.ndarray, tiny: float) -> 
     return B
 
 
-def _block_groups(blocks: Sequence[np.ndarray], n: int) -> List[np.ndarray]:
-    """The Hessian blocks as (n_blocks, k) index arrays, one per block size
-    in order of first appearance; raises unless they cover 0..n-1 once.
+def _checked_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The Hessian blocks as an (n_blocks, k) index array; raises unless
+    every index is a variable and none repeats."""
+    blocks = np.asarray(blocks, dtype=np.intp)
+    every = np.sort(blocks, axis=None)
+    if blocks.ndim != 2 or (every.size and (every[0] < 0 or every[-1] >= n)) or (every[1:] == every[:-1]).any():
+        raise ValueError("hessian_blocks must be an (n_blocks, k) array holding each variable at most once")
+    return blocks
 
-    A 2-D array is one group as it stands: its memory order fixes the
-    order in which the updates sum."""
-    if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-        groups = [blocks.astype(np.intp, copy=False)]
-    else:
-        flat = [np.asarray(b, dtype=np.intp).reshape(-1) for b in blocks]
-        sizes = dict.fromkeys(b.size for b in flat if b.size)
-        groups = [np.stack([b for b in flat if b.size == k]) for k in sizes]
-    every = np.concatenate([g.reshape(-1) for g in groups]) if groups else np.zeros(0, dtype=np.intp)
-    if not np.array_equal(np.sort(every), np.arange(n)):
-        raise ValueError("hessian_blocks must cover every variable exactly once")
-    return groups
+
+def _lagrangian_gradient(grad: np.ndarray, J_eq: np.ndarray, J_in: np.ndarray,
+                         lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """grad + J_eq'lam + J_in'mu, over every row."""
+    return grad + J_eq.T @ lam + J_in.T @ mu
 
 
 def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConfig] = None) -> SqpResult:
@@ -252,14 +242,15 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
     ceq = problem.eq_constraints(x)
     cin = problem.ineq_constraints(x)
     grad, J_eq, J_in = problem.derivatives(x)
-    nl_eq = problem.nonlinear_eq(ceq.size)
-    nl_in = problem.nonlinear_ineq(cin.size)
 
-    groups = _block_groups(problem.hessian_blocks(), n)
-    B_groups = [np.tile(np.eye(g.shape[1]), (g.shape[0], 1, 1)) for g in groups]
-    B = np.zeros((n, n))
+    blocks = _checked_blocks(problem.hessian_blocks(), n)
+    B_blocks = np.tile(np.eye(blocks.shape[1]), (blocks.shape[0], 1, 1))
+    B = np.eye(n)
     penalty = PENALTY_INIT
-    warm = problem.active_guess(x)
+    # The first QP starts from the rows exactly at 0 and the free bounds x sits on.
+    warm = [("in", i) for i in np.flatnonzero(cin == 0.0).tolist()]
+    warm += [("hi", j) for j in np.flatnonzero(free & (x >= hi)).tolist()]
+    warm += [("lo", j) for j in np.flatnonzero(free & (x <= lo)).tolist()]
     trace: List[Dict] = []
     status = "max-iterations"
     converged = False
@@ -275,8 +266,7 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
 
     for k in range(1, cfg.max_iterations + 1):
         iterations = k
-        for g, B_g in zip(groups, B_groups):
-            B[g[:, :, np.newaxis], g[:, np.newaxis, :]] = B_g
+        B[blocks[:, :, np.newaxis], blocks[:, np.newaxis, :]] = B_blocks
         try:
             qp = qp_subproblem(
                 B, grad,
@@ -296,12 +286,8 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
         d = qp.d
         lam, mu = qp.eq_multipliers, qp.ineq_multipliers
 
-        stat = grad.copy()
-        if ceq.size:
-            stat += J_eq.T @ lam
-        if cin.size:
-            stat += J_in.T @ mu
-        stat += qp.upper_multipliers - qp.lower_multipliers
+        dL = _lagrangian_gradient(grad, J_eq, J_in, lam, mu)
+        stat = dL + (qp.upper_multipliers - qp.lower_multipliers)
         scale = problem.stationarity_scale(grad)
         viol = _violation_inf(ceq, cin)
         kkt = float(np.abs(stat[free]).max(initial=0.0)) / scale
@@ -344,25 +330,14 @@ def sqp_solve(problem: NlpProblem, x0: Sequence[float], config: Optional[SqpConf
             record(merit0, step_size, 0.0)
             break
 
-        grad_try, J_eq_try, J_in_try = problem.derivatives(x_try)
-
-        # Powell-damped BFGS on the Lagrangian, block by block; affine rows
-        # carry no curvature.
+        # Powell-damped BFGS on the Lagrangian, block by block.
+        grad, J_eq, J_in = problem.derivatives(x_try)
         s = x_try - x
-        dL_old = grad.copy()
-        dL_new = grad_try.copy()
-        if ceq.size and nl_eq.any():
-            dL_old += J_eq[nl_eq].T @ lam[nl_eq]
-            dL_new += J_eq_try[nl_eq].T @ lam[nl_eq]
-        if cin.size and nl_in.any():
-            dL_old += J_in[nl_in].T @ mu[nl_in]
-            dL_new += J_in_try[nl_in].T @ mu[nl_in]
-        y = dL_new - dL_old
+        y = _lagrangian_gradient(grad, J_eq, J_in, lam, mu) - dL
         tiny = 1e-14 * (1.0 + float(np.abs(x).max(initial=0.0)))
-        B_groups = [_update_blocks(B_g, s[g], y[g], tiny) for g, B_g in zip(groups, B_groups)]
+        B_blocks = _update_blocks(B_blocks, s[blocks], y[blocks], tiny)
 
         x, f, ceq, cin = x_try, f_try, ceq_try, cin_try
-        grad, J_eq, J_in = grad_try, J_eq_try, J_in_try
         record(f + penalty * _violation(ceq, cin), float(np.abs(alpha * d).max(initial=0.0)), alpha)
 
     return SqpResult(

@@ -18,7 +18,10 @@ subproblem, the interpreter the row layout replaced, the scattered
 ``np.subtract.at`` form of the dispatch problem's bus injections, and the
 dense voltage derivatives of the subproblem, which the package now takes at
 the carried voltage rows and kink cells only, and its objective with the
-kink cells' epigraph variables summed one load-bus-hour at a time.  The ``offset_*`` plan-vector forms index the
+kink cells' epigraph variables summed one load-bus-hour at a time.
+``active_guess`` is the first QP's warm start as the subproblem declared it
+before the SQP worked it out from the rows exactly at 0 and the bounds.
+The ``offset_*`` plan-vector forms index the
 signed and split vectors by block offsets, as the package did before it read
 plans through ``DispatchProblem.blocks``, and the ``unit_loop_*`` forms read
 each unit's limits from its record in a loop over the units, as the package
@@ -1640,6 +1643,18 @@ def tuple_row_jacobian(problem, rows: Sequence[Tuple], d_slack: np.ndarray, d_vm
     return J_in
 
 
-def tuple_nonlinear_rows(rows: Sequence[Tuple]) -> np.ndarray:
-    """Rows whose curvature enters the Lagrangian: all but the affine SOC rows."""
-    return np.array([row[0] not in ("soc_lo", "soc_hi") for row in rows], dtype=bool)
+def active_guess(nlp, z: np.ndarray) -> Optional[Tuple[Tuple[str, int], ...]]:
+    """The epigraph row each settled e sits on and the bounds z sits on, as
+    QP tags: the warm start ``_SplitDispatchNlp`` once declared itself.
+
+    Without kinks the first QP starts cold (None).
+    """
+    if not nlp._kink_bus.size:
+        return None
+    m, ne = nlp.rows.size, nlp._kink_bus.size
+    envelope = m + np.arange(ne) + np.where(nlp._kink_dev(z) >= 0.0, 0, ne)
+    return (
+        tuple(("in", int(i)) for i in envelope)
+        + tuple(("hi", int(j)) for j in np.flatnonzero(z >= nlp.upper))
+        + tuple(("lo", int(j)) for j in np.flatnonzero(z <= nlp.lower))
+    )

@@ -258,6 +258,44 @@ def test_compare_rejects_non_run_dir(tmp_path, capsys):
     assert "no objectives.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"label": "x"}', "[1, 2]", "not json", "{}"])
+def test_compare_rejects_malformed_objectives(tmp_path, capsys, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "objectives.json").write_text(text, encoding="utf-8")
+    assert main(["compare", str(run)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and len(err.splitlines()) == 1
+    assert str(run) in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ga-population", "1"),
+    ("--ga-population", "0"),
+    ("--ga-generations", "-1"),
+    ("--sqp-iterations", "-2"),
+    ("--refine-rounds", "-1"),
+    ("--polish-sweeps", "-1"),
+    ("--seed", "-1"),
+])
+def test_optimize_rejects_out_of_range_settings(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "1", "--out", str(out), flag, value])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and flag in err
+    assert not out.exists()
+
+
+def test_optimize_runs_with_the_smallest_population(tmp_path):
+    out = tmp_path / "run"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "1", "--out", str(out),
+                 "--ga-population", "2", "--ga-generations", "1", "--sqp-iterations", "2",
+                 "--refine-rounds", "1", "--polish-sweeps", "0"])
+    assert code == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["ga"]["population"] == 2
+
+
 def test_report_expands_run_dir(run_dir, capsys):
     assert main(["report", str(run_dir)]) == EXIT_OK
     for name in ("dispatch.csv", "soc.csv", "grid.csv", "losses.csv"):

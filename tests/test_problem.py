@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from mgopt.devices import DispatchSchedule, soc_trajectory
-from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig
+import mgopt.optimizer.sqp as sqp
+from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
 from mgopt.optimizer.problem import KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
 from mgopt.powerflow import compile_network, sweep
 
 from oracles import (
+    active_guess,
     battery_feasibility,
     dense_vmag_differences,
     epigraph_objective,
@@ -33,7 +35,6 @@ from oracles import (
     sectioned_case,
     subtract_at_consumption,
     threshold_commitment,
-    tuple_nonlinear_rows,
     tuple_row_index,
     tuple_row_jacobian,
     tuple_row_values,
@@ -552,7 +553,6 @@ def test_row_layout_matches_tuple_rows(benchmark_case, variant):
     J_in = nlp.derivatives(xs)[2]
     d_vmag = dense_vmag_differences(nlp, xs)
     assert J_in.tobytes() == tuple_row_jacobian(problem, tuple_rows, d_slack, d_vmag, xs.size).tobytes()
-    assert np.array_equal(nlp.nonlinear_ineq(len(tuple_rows)), tuple_nonlinear_rows(tuple_rows))
 
 
 @pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned"])
@@ -716,9 +716,10 @@ def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
     assert peak < 1.5 * m.vmag.nbytes
 
 
-def _kink_nlp(problem, spec):
-    """The price-driven seed's subproblem with its screened rows and kinks."""
-    x = problem.seed_points()[2]
+def _kink_nlp(problem, spec, plan=2):
+    """A seed plan's subproblem with its screened rows and kinks; plan 2 is
+    the price-driven seed."""
+    x = problem.seed_points()[plan]
     vmag = problem.metrics(x).vmag[:, 0, :]
     lower, upper = problem.split_bounds(problem.commitment_mask(x))
     xs = np.clip(problem.split_from_signed(x), lower, upper)
@@ -788,13 +789,63 @@ def test_epigraph_gradient_matches_naive_fd(problem):
     assert np.abs((grad - naive)[free]).max() < 1e-4 * max(1.0, np.abs(naive[free]).max())
 
 
-def test_hessian_blocks_give_each_epigraph_variable_its_own(problem):
+def _recorded_qps(monkeypatch):
+    """The Hessian (a copy) and keyword arguments of every QP the SQP poses."""
+    calls = []
+    solve_qp = sqp.qp_subproblem
+
+    def recording(H, g, **kwargs):
+        calls.append({"H": H.copy(), **kwargs})
+        return solve_qp(H, g, **kwargs)
+
+    monkeypatch.setattr(sqp, "qp_subproblem", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dr", [False, True])
+def test_first_qp_warm_start_holds_the_envelope_rows(benchmark_case, dr, monkeypatch):
+    # The SQP derives the warm start the subproblem once declared itself
+    # (oracles.active_guess); any tag beyond it is a row exactly at 0.
+    problem = DispatchProblem(benchmark_case, dr=dr)
+    calls = _recorded_qps(monkeypatch)
+    for plan in range(len(problem.seed_points())):
+        nlp, xs = _kink_nlp(problem, ObjectiveSpec("vdev"), plan)
+        z = nlp.settle(xs)
+        calls.clear()
+        sqp_solve(nlp, z, SqpConfig(max_iterations=1))
+        warm = set(calls[0]["warm_start"])
+        # The QP fixes a pinned variable and gives its bounds no tag.
+        pinned = pinned_mask(nlp.lower, nlp.upper)
+        guess = {tag for tag in active_guess(nlp, z) if tag[0] == "in" or not pinned[tag[1]]}
+        assert guess <= warm
+        cin = nlp.ineq_constraints(z)
+        assert all(tag[0] == "in" and cin[tag[1]] == 0.0 for tag in warm - guess)
+
+
+def test_first_qp_without_kinks_starts_from_the_free_bounds_it_sits_on(problem, monkeypatch):
+    x = problem.seed_points()[2]
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    xs = np.clip(problem.split_from_signed(x), lower, upper)
+    nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, [])
+    calls = _recorded_qps(monkeypatch)
+    sqp_solve(nlp, xs, SqpConfig(max_iterations=1))
+    free = ~pinned_mask(lower, upper)
+    on_bounds = [("hi", j) for j in np.flatnonzero(free & (xs >= upper))]
+    on_bounds += [("lo", j) for j in np.flatnonzero(free & (xs <= lower))]
+    assert on_bounds and sorted(calls[0]["warm_start"]) == sorted(on_bounds)
+
+
+def test_epigraph_variables_keep_a_unit_diagonal(problem, monkeypatch):
     nlp, xs = _kink_nlp(problem, ObjectiveSpec("vdev"))
     blocks = nlp.hessian_blocks()
-    hours = [b for b in blocks if len(b) > 1]
-    singles = [int(b[0]) for b in blocks if len(b) == 1]
-    assert len(hours) == problem.T and all(len(b) == problem.n_units + 2 for b in hours)
-    assert singles == list(range(xs.size, nlp.n))
+    assert blocks.shape == (problem.T, problem.n_units + 2)
+    assert np.array_equal(np.sort(blocks, axis=None), np.arange(xs.size))
+    calls = _recorded_qps(monkeypatch)
+    sqp_solve(nlp, nlp.settle(xs), SqpConfig(max_iterations=10))
+    e = np.arange(xs.size, nlp.n)
+    assert len(calls) == 10 and e.size
+    for call in calls:
+        assert np.array_equal(call["H"][e], np.eye(nlp.n)[e])
 
 
 def test_vdev_subproblem_measures_stationarity_against_its_plan_gradient(problem):

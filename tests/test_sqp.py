@@ -224,14 +224,23 @@ def test_conditioning_floor_keeps_a_vdev_solve_off_qp_failure(benchmark_case, mo
     assert statuses and "qp-failure" not in statuses
 
 
-def test_hessian_blocks_must_cover_every_variable_once():
-    class Overlapping(NlpProblem):
+def _declaring(blocks):
+    class Declared(NlpProblem):
         def hessian_blocks(self):
-            return np.array([[0, 1], [1, 2]])
+            return np.array(blocks)
 
-    problem = Overlapping(lambda x: float(x @ x), *_box(3))
-    with pytest.raises(ValueError, match="exactly once"):
-        sqp_solve(problem, np.ones(3))
+    return Declared(lambda x: float(x @ x), *_box(3))
+
+
+def test_hessian_blocks_must_hold_each_variable_at_most_once():
+    with pytest.raises(ValueError, match="at most once"):
+        sqp_solve(_declaring([[0, 1], [1, 2]]), np.ones(3))
+
+
+@pytest.mark.parametrize("blocks", [[[0, 3]], [[-1, 0]], [0, 1, 2]])
+def test_hessian_blocks_must_be_a_2d_array_of_variable_indices(blocks):
+    with pytest.raises(ValueError, match=r"\(n_blocks, k\) array"):
+        sqp_solve(_declaring(blocks), np.ones(3))
 
 
 def test_block_update_keeps_a_block_whose_gradient_does_not_change():
@@ -242,12 +251,12 @@ def test_block_update_keeps_a_block_whose_gradient_does_not_change():
     assert out[1, 0, 0] == 0.5
 
 
-def test_epigraph_blocks_of_their_own_stay_at_the_identity(monkeypatch):
+def test_epigraph_variables_outside_every_block_keep_a_unit_diagonal(monkeypatch):
     # min sum_i |x_i - 1| + 2 (x_i - c_i)^2 as an epigraph: x in two 2-blocks,
-    # each e_i a block of its own.  |c_i - 1| <= 1/4 puts x_i on the kink.
+    # each e_i in none.  |c_i - 1| <= 1/4 puts x_i on the kink.
     c = np.array([1.5, 3.0, 0.8, 1.0])
     expected = np.where(np.abs(c - 1.0) <= 0.25, 1.0, c - np.sign(c - 1.0) / 4.0)
-    I, Z = np.eye(4), np.zeros((4, 4))
+    I = np.eye(4)
 
     class Epigraph(NlpProblem):
         def derivatives(self, z):
@@ -257,11 +266,8 @@ def test_epigraph_blocks_of_their_own_stay_at_the_identity(monkeypatch):
         def settle(self, z):
             return np.concatenate([z[:4], np.abs(z[:4] - 1.0)])
 
-        def active_guess(self, z):
-            return tuple(("in", int(i) + (0 if z[i] >= 1.0 else 4)) for i in range(4))
-
         def hessian_blocks(self):
-            return [np.array([0, 1]), np.array([2, 3])] + [np.array([j]) for j in range(4, 8)]
+            return np.array([[0, 1], [2, 3]])
 
     problem = Epigraph(
         lambda z: float(z[4:].sum() + 2.0 * ((z[:4] - c) ** 2).sum()),
@@ -277,19 +283,20 @@ def test_epigraph_blocks_of_their_own_stay_at_the_identity(monkeypatch):
         return models[-1]
 
     monkeypatch.setattr(sqp, "_update_blocks", recording)
-    warm_starts = []
+    qps = []
     solve_qp = sqp.qp_subproblem
 
-    def first_warm_start(*args, **kwargs):
-        warm_starts.append(kwargs["warm_start"])
-        return solve_qp(*args, **kwargs)
+    def recording_qp(H, g, **kwargs):
+        qps.append((H.copy(), kwargs["warm_start"]))
+        return solve_qp(H, g, **kwargs)
 
-    monkeypatch.setattr(sqp, "qp_subproblem", first_warm_start)
+    monkeypatch.setattr(sqp, "qp_subproblem", recording_qp)
+    # Settled at x = 0 < 1, each e sits on its (1 - x) - e row and no bound is active.
     start = problem.settle(np.zeros(8))
     result = sqp_solve(problem, start, SqpConfig(tol_kkt=1e-8))
     assert result.status in sqp.CONVERGED
-    assert warm_starts[0] == problem.active_guess(start)
+    assert sorted(qps[0][1]) == [("in", i) for i in range(4, 8)]
     assert np.abs(result.x[:4] - expected).max() < 1e-8
     assert np.abs(result.x[4:] - np.abs(expected - 1.0)).max() < 1e-8
-    assert {B.shape for B in models} == {(2, 2, 2), (4, 1, 1)}
-    assert all((B == 1.0).all() for B in models if B.shape == (4, 1, 1))
+    assert models and {B.shape for B in models} == {(2, 2, 2)}
+    assert all(np.array_equal(H[4:], np.eye(8)[4:]) for H, _ in qps)
