@@ -8,7 +8,14 @@ split-battery problem the SQP refiner works on.
 Evaluation is vectorised end to end: a population of plans becomes one
 column batch for the network sweep (population times hours columns), the
 state of charge is an affine map of the charge and discharge series, and
-the expected outage cost reuses the per-contingency precomputation.
+the expected outage cost reuses the per-contingency precomputation.  The
+network terms come from the injection buses the sweep iterates over: the
+loss is ``I^H Re(DLF) I`` over their currents, vdev reads the load buses
+among them, and the empty buses enter the violation only where a bound
+cannot clear them.  The GA reads values, violation and ok alone, so its
+evaluation forms no magnitudes at every bus; ``metrics`` runs the same rule
+and adds them.  Repair projects the shift onto zero net energy by an exact
+breakpoint search and clips the battery in stored energy, hour by hour.
 
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
 ``[unit 0 | ... | unit n_units-1 | battery | shift]`` and its split-battery
@@ -39,6 +46,7 @@ from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket, normalize
 from ..powerflow import (
     CompiledNetwork,
+    SweepResult,
     compile_network,
     load_consumption_pu,
     shift_distribution_pu,
@@ -131,7 +139,7 @@ class BatchMetrics:
     ok: np.ndarray
     slack_kw: np.ndarray
     soc_kwh: np.ndarray
-    vmag: np.ndarray
+    vmag: Optional[np.ndarray]
     hourly_cost: np.ndarray
     hourly_loss_kw: np.ndarray
     hourly_vdev: np.ndarray
@@ -278,28 +286,11 @@ class DispatchProblem:
             cons += np.multiply(self.shift_factors[:, np.newaxis, :], shift[np.newaxis, :, :], out=spread)
         return cons
 
-    def _network_eval(
-        self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sweep one population: (vmag [n_bus,B,T], slack_kw, loss_kw, ok).
-
-        The sweep and its by-products stay in the network workspace; every
-        returned array is fresh.
-        """
-        B = p_net.shape[0]
-        n_bus, T = self.net.n_bus, self.T
-        ws = self.net.workspace
+    def _network_eval(self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]) -> SweepResult:
+        """Sweep one population, one column per plan-hour; the result's
+        arrays live in the network workspace until the next sweep."""
         cons = self._consumption(p_units, p_net, shift)
-        res = sweep(self.net, cons.reshape(n_bus, B * T), workspace=ws)
-        with np.errstate(invalid="ignore"):
-            vmag = np.abs(res.voltage).reshape(n_bus, B, T)
-        slack_s = res.voltage[self.net.slack] * np.conj(res.slack_current)
-        slack_kw = slack_s.real.reshape(B, T) * self.s_base
-        terms = np.abs(res.branch_current, out=ws.take("real", res.branch_current.shape))
-        np.multiply(np.square(terms, out=terms), self.net.z_pu.real[:, np.newaxis], out=terms)
-        loss_kw = terms.sum(axis=0).reshape(B, T) * self.s_base
-        ok = res.converged.reshape(B, T).all(axis=1)
-        return vmag, slack_kw, loss_kw, ok
+        return sweep(self.net, cons.reshape(self.net.n_bus, -1), workspace=self.net.workspace)
 
     def _hourly_cost(
         self,
@@ -309,9 +300,13 @@ class DispatchProblem:
         shift: Optional[np.ndarray],
     ) -> np.ndarray:
         """Operation cost per plan and hour, ct."""
-        running = np.where(p_units > COMMIT_EPS, self.slopes * p_units + self.fixed, 0.0)
+        running = self.slopes * p_units
+        running += self.fixed
+        running[~(p_units > COMMIT_EPS)] = 0.0
         # Added in unit order; numpy's own sum pairs eight or more units on a one-hour horizon.
-        rate = sum(running.swapaxes(0, 1), np.zeros_like(slack_kw))
+        rate = np.zeros_like(slack_kw)
+        for unit in running.swapaxes(0, 1):
+            rate += unit
         rate += self.prices[np.newaxis, :] * slack_kw
         if self.case.battery is not None:
             rate += self.case.battery.usage_cost_ct_per_kwh * throughput_kw
@@ -319,17 +314,32 @@ class DispatchProblem:
             rate += self.case.dr.incentive_ct_per_kwh * np.maximum(shift, 0.0)
         return rate * self.dt
 
-    def _violation(self, vmag: np.ndarray, slack_kw: np.ndarray) -> np.ndarray:
-        """Network violation per plan, per-unit so voltage and power compare."""
-        terms = self.net.workspace.take("real", vmag.shape)
-        v_low = np.maximum(0.0, np.subtract(self.vmin, vmag, out=terms), out=terms).sum(axis=(0, 2))
-        v_high = np.maximum(0.0, np.subtract(vmag, self.vmax, out=terms), out=terms).sum(axis=(0, 2))
+    def _violation(self, res: SweepResult, slack_kw: np.ndarray) -> np.ndarray:
+        """Network violation per plan, per-unit so voltage and power compare.
+
+        The voltage terms are exact at the injection buses.  The empty buses
+        add theirs as a sum of its own, taken only in the converged columns
+        whose anchored bound (``SweepResult.beyond``) cannot place them
+        inside the limits; elsewhere they are 0.
+        """
+        B, T = slack_kw.shape
+        mag = res.injection_magnitude
+        terms = self.net.workspace.take("real", mag.shape)
+        v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(mag.shape[0], B, T).sum(axis=(0, 2))
+        v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(mag.shape[0], B, T).sum(axis=(0, 2))
         g_in = np.maximum(0.0, slack_kw - self.import_limit).sum(axis=1) / self.s_base
         if np.isfinite(self.export_limit):
             g_out = np.maximum(0.0, -slack_kw - self.export_limit).sum(axis=1) / self.s_base
         else:
             g_out = 0.0
-        return v_low + v_high + g_in + g_out
+        total = v_low + v_high + g_in + g_out
+        columns = res.beyond(self.vmin, self.vmax)
+        columns = columns[res.converged[columns]]
+        if columns.size:
+            rest = res.rest_magnitude(columns)
+            excess = (np.maximum(0.0, self.vmin - rest) + np.maximum(0.0, rest - self.vmax)).sum(axis=0)
+            total = total + np.bincount(columns // T, weights=excess, minlength=B)
+        return total
 
     def _evaluate(
         self,
@@ -337,42 +347,57 @@ class DispatchProblem:
         chg: np.ndarray,
         dis: np.ndarray,
         shift: Optional[np.ndarray],
+        vmag: bool = True,
     ) -> BatchMetrics:
         """Objectives, network violation and hourly series for split parts.
 
         Plans whose sweep failed score LARGE_OBJECTIVE on every network
-        objective and on the violation.
+        objective and on the violation; the choice drops whatever
+        non-finite values their rows hold.  The vdev terms read the load
+        buses' magnitudes, which are injection buses' unless a load is zero
+        in every column.  ``vmag=False`` leaves out the magnitudes at every
+        bus, the one buses-by-columns array nothing but the refiner and the
+        reports read.
         """
-        vmag, slack_kw, loss_kw, ok = self._network_eval(p_units, chg - dis, shift)
+        B, T = chg.shape
+        res = self._network_eval(p_units, chg - dis, shift)
+        ok = res.converged.reshape(B, T).all(axis=1)
+        # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
+        slack_kw = res.slack_current.real.reshape(B, T) * self.s_base
+        loss_kw = res.loss_pu.reshape(B, T) * self.s_base
+        dev = res.magnitude_at(self.load_idx)
+        hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0).reshape(B, T)
         soc = self.soc_split(chg, dis)
         hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)
-        dev = self.net.workspace.gather("real", vmag, self.load_idx, 0)
-        hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0)
-        ens = self.evaluator.cost_batch(soc)
         with np.errstate(invalid="ignore"):
             values = {
-                "cost": np.where(ok, np.nan_to_num(hourly_cost, nan=LARGE_OBJECTIVE).sum(axis=1), LARGE_OBJECTIVE),
-                "loss": np.where(ok, np.nan_to_num(loss_kw, nan=LARGE_OBJECTIVE).sum(axis=1) * self.dt, LARGE_OBJECTIVE),
-                "ens": ens,
-                "vdev": np.where(ok, np.nan_to_num(hourly_vdev, nan=LARGE_OBJECTIVE).sum(axis=1), LARGE_OBJECTIVE),
+                "cost": np.where(ok, hourly_cost.sum(axis=1), LARGE_OBJECTIVE),
+                "loss": np.where(ok, loss_kw.sum(axis=1) * self.dt, LARGE_OBJECTIVE),
+                "ens": self.evaluator.cost_batch(soc),
+                "vdev": np.where(ok, hourly_vdev.sum(axis=1), LARGE_OBJECTIVE),
             }
-            violation = np.where(ok, np.nan_to_num(self._violation(vmag, slack_kw), nan=LARGE_OBJECTIVE), LARGE_OBJECTIVE)
+            violation = np.where(ok, self._violation(res, slack_kw), LARGE_OBJECTIVE)
+            magnitude = np.abs(res.voltage).reshape(self.net.n_bus, B, T) if vmag else None
         return BatchMetrics(
             values=values,
             violation=violation,
             ok=ok,
             slack_kw=slack_kw,
             soc_kwh=soc,
-            vmag=vmag,
+            vmag=magnitude,
             hourly_cost=hourly_cost,
             hourly_loss_kw=loss_kw,
             hourly_vdev=hourly_vdev,
         )
 
+    def _signed(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Split parts of signed plans: the battery splits by its sign."""
+        p_units, p_batt, shift = self.unpack(X)
+        return p_units, np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), shift
+
     def metrics(self, X: np.ndarray) -> BatchMetrics:
         """Objectives and network violation for a population of plans."""
-        p_units, p_batt, shift = self.unpack(X)
-        return self._evaluate(p_units, np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), shift)
+        return self._evaluate(*self._signed(X))
 
     # ------------------------------------------------------------------
     # repair
@@ -397,44 +422,60 @@ class DispatchProblem:
         return X
 
     def _repair_battery(self, p: np.ndarray) -> np.ndarray:
-        """Row-parallel version of the sequential smallest-change SOC clip."""
+        """Row-parallel version of the sequential smallest-change SOC clip.
+
+        It works in stored energy: each hour's energy is clipped to what
+        keeps the state of charge in its window, then to the energy of
+        +-p_max, and the state moves by it.  Powers follow once, after the
+        loop.
+        """
         b = self.case.battery
         gain = b.eta_charge * self.dt
         drain = self.dt / b.eta_discharge
         p = np.clip(p, -b.p_max_kw, b.p_max_kw)
+        # Hour-major, so that each hour's energies are one contiguous row.
+        energy = (gain * np.maximum(p, 0.0) + drain * np.minimum(p, 0.0)).T.copy()
+        e_low, e_high = -drain * b.p_max_kw, gain * b.p_max_kw
         state = np.full(p.shape[0], b.soc_initial_kwh)
-        out = np.empty_like(p)
-        for t in range(p.shape[1]):
-            e_min = b.soc_min_kwh - state * self._keep
-            e_max = b.soc_max_kwh - state * self._keep
-            e = gain * np.maximum(p[:, t], 0.0) + drain * np.minimum(p[:, t], 0.0)
-            e = np.clip(e, e_min, e_max)
-            power = np.where(e >= 0, e / gain, e * b.eta_discharge / self.dt)
-            power = np.clip(power, -b.p_max_kw, b.p_max_kw)
-            e = gain * np.maximum(power, 0.0) + drain * np.minimum(power, 0.0)
-            state = state * self._keep + e
-            out[:, t] = power
-        return out
+        low, high = np.empty_like(state), np.empty_like(state)
+        for e in energy:
+            np.multiply(state, self._keep, out=state)
+            np.maximum(e, np.subtract(b.soc_min_kwh, state, out=low), out=e)
+            np.minimum(e, np.subtract(b.soc_max_kwh, state, out=high), out=e)
+            np.maximum(e, e_low, out=e)
+            np.minimum(e, e_high, out=e)
+            np.add(state, e, out=state)
+        power = np.where(energy >= 0, energy / gain, energy * b.eta_discharge / self.dt)
+        return np.clip(power, -b.p_max_kw, b.p_max_kw, out=power).T
 
     def _project_shift(self, s: np.ndarray) -> np.ndarray:
         """Project shift rows onto zero net energy inside the hourly box.
 
-        Solves sum(clip(s - mu, lo, hi)) = 0 for mu by bisection; the sum is
-        monotone in mu and the bracket endpoints clip every hour to one
-        bound, so the residual after 80 halvings is at roundoff.
+        The projection is clip(s - mu, lo, hi) at the root mu of g(mu) =
+        sum_t clip(s_t - mu, lo_t, hi_t), a continuous quadratic knapsack
+        (Kiwiel, Math. Prog. 112, 2008).  g is piecewise linear and
+        nonincreasing.  Past the knot s_t - hi_t hour t leaves its upper
+        bound and moves with mu; past s_t - lo_t it rests on its lower one.
+        One sort of the knots and a running sum give g at every knot; the
+        root lies past the last knot where g > 0, at g's value there over
+        the count of free hours, which is the slope's magnitude.
         """
-        lo = -self.shift_bound[np.newaxis, :]
-        hi = self.shift_bound[np.newaxis, :]
+        hi = self.shift_bound
+        lo = -hi
         s = np.clip(s, lo, hi)
-        mu_lo = (s - hi).min(axis=1)
-        mu_hi = (s - lo).max(axis=1)
-        for _ in range(80):
-            mu = 0.5 * (mu_lo + mu_hi)
-            total = np.clip(s - mu[:, np.newaxis], lo, hi).sum(axis=1)
-            mu_lo = np.where(total > 0, mu, mu_lo)
-            mu_hi = np.where(total > 0, mu_hi, mu)
-        mu = 0.5 * (mu_lo + mu_hi)
-        return np.clip(s - mu[:, np.newaxis], lo, hi)
+        knots = np.concatenate([s - hi, s - lo], axis=1)
+        order = np.argsort(knots, axis=1, kind="stable")
+        knots = np.take_along_axis(knots, order, axis=1)
+        free = np.cumsum(np.where(order < s.shape[1], 1, -1), axis=1)
+        # Every hour is on its upper bound up to the first knot.
+        fall = np.cumsum(free[:, :-1] * np.diff(knots, axis=1), axis=1)
+        g = hi.sum() - np.concatenate([np.zeros((s.shape[0], 1)), fall], axis=1)
+        last = np.maximum((g > 0).sum(axis=1, keepdims=True) - 1, 0)
+        mu = np.take_along_axis(knots, last, axis=1)
+        # g at that knot once more, exactly, then the linear step to its root.
+        at_knot = np.clip(s - mu, lo, hi).sum(axis=1, keepdims=True)
+        mu += at_knot / np.maximum(np.take_along_axis(free, last, axis=1), 1)
+        return np.clip(s - mu, lo, hi)
 
     # ------------------------------------------------------------------
     # starting points
@@ -477,7 +518,8 @@ class DispatchProblem:
         """(evaluate, repair) pair in the shape the genetic seeder expects."""
 
         def evaluate(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            m = self.metrics(X)
+            # The same kernel as ``metrics``, less the magnitudes at every bus.
+            m = self._evaluate(*self._signed(X), vmag=False)
             obj = spec.scalar_array(m.values)
             obj = np.where(m.ok, obj, LARGE_OBJECTIVE)
             return obj, m.violation

@@ -12,10 +12,15 @@ direct approach for distribution system load flow solutions", IEEE Trans.
 Power Delivery 18(3), 2003).
 
 Buses with no injection in any column of a batch draw no current, so they
-leave the iteration; their voltages are recovered from the last iteration's
-currents afterwards.  Convergence is still judged over every bus: a column
+leave the iteration.  Convergence is still judged over every bus: a column
 converges when its largest voltage change at any bus is below the
-tolerance.
+tolerance.  At the empty buses a bound through the path impedances settles
+that test, and the collapse floor, for most columns; only the columns it
+cannot settle take the exact product (``InjectionSet``).  What the sweep
+yields is the injection buses' voltages and currents.  The slack current is
+the currents' sum and the series loss ``sum_b r_b |I_b|^2`` equals
+``I^H Re(DLF) I`` over them; the voltage at every bus and the branch
+currents are derived from them only when read.
 
 Loads are constant power at their power factor, generators are negative
 constant-power loads at unity power factor, the battery is a signed
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +46,12 @@ from .netmodel import MicrogridCase, validate_radial
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100
 COLLAPSE_FLOOR_PU = 0.5
+# A bound stands in for the exact value it bounds only when it clears its
+# test by this much (relative to the tolerance, absolute in pu for voltage
+# magnitudes near 1.0), which covers the rounding of both.
+BOUND_MARGIN = 1e-9
+# Injection sets whose matrices a network keeps, the oldest dropped first.
+INJECTION_SETS_KEPT = 8
 
 
 class PowerFlowError(RuntimeError):
@@ -108,6 +119,21 @@ class CompiledNetwork:
     def workspace(self) -> "Workspace":
         """Scratch memory shared by the batched evaluations on this network."""
         return Workspace()
+
+    @cached_property
+    def _injection_sets(self) -> Dict[bytes, "InjectionSet"]:
+        return {}
+
+    def injections(self, has_injection: np.ndarray) -> "InjectionSet":
+        """The matrices for the buses flagged in ``has_injection``, built on
+        first use and kept for the next batch with the same buses."""
+        key = has_injection.tobytes()
+        sets = self._injection_sets
+        if key not in sets:
+            if len(sets) >= INJECTION_SETS_KEPT:
+                del sets[next(iter(sets))]
+            sets[key] = InjectionSet(self, has_injection)
+        return sets[key]
 
 
 def compile_network(case: MicrogridCase) -> CompiledNetwork:
@@ -187,9 +213,11 @@ class Workspace:
     depends on its dynamic mmap threshold, so without reuse the wall time
     would also depend on what the process happened to free earlier.
 
-    ``sweep`` may write any slot.  Between sweeps a caller may use any slot
-    too, knowing that the last sweep's voltages live in "bus" and its branch
-    currents in "wide".  A workspace is not for concurrent use.
+    ``sweep`` may write any slot.  Its result keeps its arrays in the slots
+    "s_inj", "acc", "prev", "v", "v_new" and "magnitude", and reading its
+    all-bus or branch values writes "bus", "rest", "branch", "loss" and
+    "at"; a caller may use any other slot between sweeps.  A workspace is
+    not for concurrent use.
     """
 
     def __init__(self) -> None:
@@ -213,13 +241,165 @@ class Workspace:
         return np.take(a, index, axis=axis, out=self.take(slot, shape, a.dtype), mode="clip")
 
 
-class SweepResult(NamedTuple):
-    voltage: np.ndarray
-    branch_current: np.ndarray
-    slack_current: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    collapsed: np.ndarray
+class InjectionSet:
+    """Product and bound matrices for one set of injection buses of a network.
+
+    ``inj`` are the buses with an injection in some column of a batch and
+    ``rest`` the others, the slack aside: its voltage is fixed at 1.0 pu.
+    With I the injection currents, every bus voltage is ``1 - DLF[:, inj] I``.
+
+    The bounds let a batch skip the products over the empty buses wherever
+    they cannot change an answer.  At an empty bus j, |dV_j| <= sum_k
+    |DLF[j, k]| |dI_k| bounds a voltage change.  Each empty bus also has an
+    anchor, the injection bus a(j) whose ``DLF`` row is nearest its own, and
+    ``V_j = V_a - sum_k (DLF[j, k] - DLF[a, k]) I_k`` puts |V_j| within
+    ``radius[a] @ |I|`` of |V_a|, ``radius[a]`` being the largest
+    |DLF[j, k] - DLF[a, k]| over the buses anchored at a.
+    """
+
+    def __init__(self, net: "CompiledNetwork", has_injection: np.ndarray):
+        inj = np.flatnonzero(has_injection)
+        empty = ~has_injection
+        empty[net.slack] = False
+        rest = np.flatnonzero(empty)
+        self.inj, self.rest = inj, rest
+        self.drop = net.dlf[:, inj]
+        self.drop_inj, self.drop_rest = self.drop[inj], self.drop[rest]
+        # |V_j| >= 1 - sum_k |DLF[j, k]| |I_k| at every bus j.
+        self.reach = np.abs(self.drop).max(axis=0, initial=0.0)
+        self.reach_rest = np.abs(self.drop_rest).max(axis=0, initial=0.0)
+        # Branch b carries BIBC[b, inj] I, and Re(DLF) = BIBC^T diag(r) BIBC.
+        self.bibc = net.bibc[:, inj]
+        self.resistance = np.ascontiguousarray(self.drop_inj.real)
+        if inj.size and rest.size:
+            # One (rest, inj) slice per candidate anchor keeps the memory to
+            # one DLF block, not a cube.
+            distance = np.stack([np.abs(self.drop_rest - row).sum(axis=1) for row in self.drop_inj], axis=1)
+            anchor = distance.argmin(axis=1)
+        else:
+            anchor = np.zeros(0, dtype=np.intp)
+        is_anchor = np.zeros(inj.size, dtype=bool)
+        is_anchor[anchor] = True
+        self.anchors = np.flatnonzero(is_anchor)
+        self.radius = np.zeros((self.anchors.size, inj.size))
+        for row, a in enumerate(self.anchors):
+            self.radius[row] = np.abs(self.drop_rest[anchor == a] - self.drop_inj[a]).max(axis=0)
+
+
+class SweepResult:
+    """A batch of sweeps, one column per injection pattern.
+
+    ``iterations``, ``converged`` and ``collapsed`` describe each column.
+    The iteration runs over the injection buses ``injection`` alone, so what
+    it yields is their last iterate ``injection_voltage`` (magnitudes in
+    ``injection_magnitude``) and the currents they draw at it,
+    ``injection_current``; everything else follows from these.  The slack
+    current is their sum and the loss ``loss_pu`` is ``I^H Re(DLF) I`` over
+    them.  The voltage at every bus and the branch currents are products of
+    a bus or branch count times the batch, formed on first read.
+
+    With a shared workspace every array here is a view that stays valid
+    until the next sweep on it, and reading a derived value must come
+    before that sweep too.
+    """
+
+    def __init__(
+        self,
+        net: "CompiledNetwork",
+        injections: InjectionSet,
+        workspace: Workspace,
+        width: int,
+        voltage: np.ndarray,
+        magnitude: np.ndarray,
+        iterate: np.ndarray,
+        current: np.ndarray,
+        iterations: np.ndarray,
+        converged: np.ndarray,
+        collapsed: np.ndarray,
+    ):
+        self._net, self._set, self._ws, self._width = net, injections, workspace, width
+        # Full-width arrays: a lone column is solved as a pair (see sweep).
+        self._voltage, self._magnitude, self._iterate, self._current = voltage, magnitude, iterate, current
+        self._lowest, self._highest = _anchor_bounds(injections, magnitude, iterate, workspace)
+        self.injection = injections.inj
+        self.injection_voltage = voltage[:, :width]
+        self.injection_magnitude = magnitude[:, :width]
+        self.injection_current = current[:, :width]
+        self.iterations = iterations[:width]
+        self.converged = converged[:width]
+        self.collapsed = collapsed[:width]
+
+    @cached_property
+    def slack_current(self) -> np.ndarray:
+        return self._current.sum(axis=0)[: self._width]
+
+    @cached_property
+    def loss_pu(self) -> np.ndarray:
+        """Series loss per column, ``sum_b r_b |I_b|^2 = I^H Re(DLF[inj, inj]) I``.
+
+        One real product over the float view of the injection currents: the
+        row of ``f.T @ R`` for a real or imaginary part f holds ``R f``, and
+        each column's two rows sit side by side.  The product runs row-wise,
+        so a column's loss does not depend on its batch.
+        """
+        f = self._current.view(float)
+        terms = np.matmul(f.T, self._set.resistance, out=self._ws.take("loss", f.shape[::-1]))
+        np.multiply(terms, f.T, out=terms)
+        n, m = self._current.shape
+        return terms.reshape(m, 2 * n).sum(axis=1)[: self._width]
+
+    @cached_property
+    def voltage(self) -> np.ndarray:
+        """Complex voltage at every bus, (n_bus, columns)."""
+        net, m = self._net, self._voltage.shape[1]
+        # Over every bus, not the empty ones alone: a product one bus wide
+        # would go to gemv and round with the batch.
+        product = _by_row(self._set.drop, self._iterate, self._ws.take("rest", (m, net.n_bus), complex))
+        with np.errstate(invalid="ignore"):
+            v = np.subtract(1.0, product, out=self._ws.take("bus", (net.n_bus, m), complex))
+        v[self._set.inj] = self._voltage
+        v[net.slack] = 1.0
+        return v[:, : self._width]
+
+    @cached_property
+    def branch_current(self) -> np.ndarray:
+        """Complex current in every branch, (n_branch, columns).
+
+        BIBC is 0/1, so its product is plain sums and rounds the same for any
+        batch in either orientation.
+        """
+        shape = (self._net.n_branch, self._current.shape[1])
+        return np.matmul(self._set.bibc, self._current, out=self._ws.take("branch", shape, complex))[:, : self._width]
+
+    def magnitude_at(self, buses: np.ndarray) -> np.ndarray:
+        """Voltage magnitudes at ``buses``, (len(buses), columns), in the
+        workspace's "at" slot: gathered at injection buses, and by the exact
+        product at any bus that has none in this batch."""
+        inj = self._set.inj
+        at = self._ws.take("at", (buses.size, self._magnitude.shape[1]))
+        pos = np.minimum(np.searchsorted(inj, buses), max(inj.size - 1, 0))
+        hit = inj[pos] == buses if inj.size else np.zeros(buses.size, dtype=bool)
+        if hit.all():
+            np.take(self._magnitude, pos, axis=0, out=at, mode="clip")
+        else:
+            at[hit] = self._magnitude[pos[hit]]
+            drop = self._net.dlf[np.ix_(buses[~hit], inj)]
+            with np.errstate(invalid="ignore"):
+                at[~hit] = np.abs(1.0 - _by_row(drop, self._iterate, np.empty((at.shape[1], drop.shape[0]), complex)))
+        return at[:, : self._width]
+
+    def beyond(self, low: float, high: float) -> np.ndarray:
+        """The columns whose empty-bus magnitudes the anchored bound cannot
+        place inside [low, high]; NaN fails the test."""
+        inside = (self._lowest >= low + BOUND_MARGIN) & (self._highest <= high - BOUND_MARGIN)
+        return np.flatnonzero(~inside[: self._width])
+
+    def rest_magnitude(self, columns: np.ndarray) -> np.ndarray:
+        """Exact voltage magnitudes at the empty buses, (rest, len(columns))."""
+        drop = self._set.drop_rest
+        with np.errstate(all="ignore"):
+            product = _by_row(drop, np.take(self._iterate, columns, axis=1), np.empty((columns.size, drop.shape[0]), complex))
+            return np.abs(np.subtract(1.0, product, out=product))
 
 
 def sweep(
@@ -232,9 +412,10 @@ def sweep(
 
     consumption_pu has shape (n_bus, m); positive real part consumes.
     Voltages start flat at 1.0 pu.  A column converges when its largest
-    voltage change over all buses drops below DEFAULT_TOLERANCE; columns whose
-    magnitude dips under 0.5 pu at any bus are reported collapsed rather
-    than merely unconverged.
+    voltage change over all buses drops below DEFAULT_TOLERANCE.  A column
+    whose final magnitude is under 0.5 pu at any bus, or that ends
+    unconverged after dipping under it on the way, is reported collapsed
+    rather than merely unconverged.
 
     The iteration runs over the buses with an injection in some column; the
     other buses draw no current and their voltages follow from the last
@@ -242,16 +423,16 @@ def sweep(
     final voltages, so each bus absorbs exactly its specified power and the
     slack picks up losses; the loss identity then closes to roundoff.
 
-    The arrays that grow with the batch times the buses live in
-    ``workspace``.  With a shared one, the result's voltage and branch
-    current are views that stay valid until the next call that uses the same
-    workspace, and consumption passed in from one of its slots is
-    overwritten.  Without one, the result owns its arrays.
+    The arrays that grow with the batch live in ``workspace``.  With a
+    shared one, the result's arrays are views that stay valid until the next
+    call that uses the same workspace, and consumption passed in from one of
+    its slots is overwritten.  Without one, the result owns its arrays.
     """
     s = np.asarray(consumption_pu, dtype=complex)
     if s.ndim == 1:
         s = s[:, np.newaxis]
-    if s.shape[1] == 1:
+    width = s.shape[1]
+    if width == 1:
         # Numpy hands a one-row product to gemv, which rounds differently
         # from gemm, so a lone column is solved alongside a copy of itself.
         # That keeps it bitwise equal to the same column inside any batch
@@ -259,20 +440,43 @@ def sweep(
         # until its slowest converges, so inside a batch that runs longer a
         # converged column moves on by rounding-level amounts (up to 2e-12
         # pu in a 58-plan GA batch of the benchmark case).
-        pair = sweep(net, np.repeat(s, 2, axis=1), max_iterations, workspace)
-        return SweepResult(*(field[..., :1] for field in pair))
+        s = np.repeat(s, 2, axis=1)
     ws = Workspace() if workspace is None else workspace
+    injections = net.injections(s.any(axis=1))
+    s_inj = ws.gather("s_inj", s, injections.inj, 0)
+    v, iterate, spare, iterations, converged, _ = _iterate(injections, s_inj, max_iterations, ws)
 
-    m = s.shape[1]
-    has_injection = s.any(axis=1)
-    inj = np.flatnonzero(has_injection)
-    shape = (len(inj), m)
-    s_inj = ws.gather("s_inj", s, inj, 0)
-    drop = net.dlf[:, inj]
-    drop_inj, drop_rest = drop[inj], drop[~has_injection]
-    # |V_j| >= 1 - sum_k |DLF[j, k]| |I_k| at every bus j, so a column whose
-    # bound clears the floor cannot have dipped; the margin covers rounding.
-    reach = np.abs(drop).max(axis=0, initial=0.0)
+    with np.errstate(all="ignore"):
+        current = np.conjugate(np.divide(s_inj, v, out=spare), out=spare)
+        current[~np.isfinite(current)] = 0.0
+        magnitude = np.abs(v, out=ws.take("magnitude", v.shape))
+        collapsed = _below_floor(magnitude)
+        result = SweepResult(net, injections, ws, width, v, magnitude, iterate, current, iterations, converged, collapsed)
+        doubtful = result.beyond(COLLAPSE_FLOOR_PU, np.inf)
+        if doubtful.size:
+            collapsed[doubtful] |= _below_floor(result.rest_magnitude(doubtful))
+    unsettled = np.flatnonzero(~converged)
+    if unsettled.size:
+        # A dip on the way counts only against a column that ends
+        # unconverged, so the loop above does not watch for one; such
+        # columns run again, watched.  Their iterates are independent of
+        # their batch (``_by_row``), so the flags are those of a watched run.
+        collapsed[unsettled] |= _dips(injections, s_inj[:, unsettled], max_iterations)
+    converged &= ~collapsed
+    iterations[~converged] = max_iterations
+    return result
+
+
+def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, ws: Workspace, watch: bool = False):
+    """The fixed-point loop over the injection buses.
+
+    Returns the last voltage iterate, the currents it was drawn from, a
+    spare buffer of the same shape, the iterations and convergence flags,
+    and, when ``watch`` is set, which columns dipped under the collapse
+    floor at any bus on the way.
+    """
+    shape = s_inj.shape
+    m = shape[1]
     acc, prev = ws.take("acc", shape, complex), ws.take("prev", shape, complex)
     v, v_new = ws.take("v", shape, complex), ws.take("v_new", shape, complex)
     acc.fill(0.0)
@@ -287,44 +491,74 @@ def sweep(
         for k in range(1, max_iterations + 1):
             acc, prev = prev, acc
             np.conjugate(np.divide(s_inj, v, out=acc), out=acc)
-            np.subtract(1.0, _by_row(drop_inj, acc, by_row), out=v_new)
+            np.subtract(1.0, _by_row(injections.drop_inj, acc, by_row), out=v_new)
             # A non-finite change propagates through the maximum and fails
             # the tolerance test, like an infinite one.
             dv = np.abs(np.subtract(v_new, v, out=v), out=size).max(axis=0, initial=0.0)
-            risky = np.flatnonzero(~(1.0 - reach @ np.abs(acc, out=size) > COLLAPSE_FLOOR_PU + 1e-9))
-            if risky.size:
-                # The "wide" and "bus" slots are free until the loop ends.
-                at_risk = ws.gather("wide", acc, risky, 1)
-                v_risky = np.matmul(drop, at_risk, out=ws.take("bus", (net.n_bus, risky.size), complex))
-                dipped[risky] |= _below_floor(np.subtract(1.0, v_risky, out=v_risky), ws)
+            if watch:
+                dipped |= _dipped(injections, acc)
             # A column that passes on the injection buses is confirmed on the
             # rest, since a bus without load can move the most.
             screened = np.flatnonzero(~converged & (dv < DEFAULT_TOLERANCE))
             if screened.size:
-                change = ws.gather("wide", acc, screened, 1)
-                np.subtract(change, ws.gather("bus", prev, screened, 1), out=change)
-                step = np.matmul(drop_rest, change, out=ws.take("bus", (len(drop_rest), screened.size), complex))
-                step_size = np.abs(step, out=ws.take("real", step.shape)).max(axis=0, initial=0.0)
-                newly = screened[step_size < DEFAULT_TOLERANCE]
+                newly = screened[_settled_at_rest(injections, acc, prev, screened, ws)]
                 iterations[newly] = k
                 converged[newly] = True
             v, v_new = v_new, v
             if converged.all():
                 break
+    return v, acc, prev, iterations, converged, dipped
 
-        product = _by_row(drop, acc, ws.take("wide", (m, net.n_bus), complex))
-        v = np.subtract(1.0, product, out=ws.take("bus", (net.n_bus, m), complex))
-        v[net.slack] = 1.0
-        collapsed = _below_floor(v, ws) | (dipped & ~converged)
-        converged &= ~collapsed
-        iterations[~converged] = max_iterations
-        acc = ws.gather("acc", v, inj, 0)
-        np.conjugate(np.divide(s_inj, acc, out=acc), out=acc)
-    acc[~np.isfinite(acc)] = 0.0
-    # BIBC is 0/1, so its product is plain sums and rounds the same for any
-    # batch in either orientation.
-    current = np.matmul(net.bibc[:, inj], acc, out=ws.take("wide", (net.n_branch, m), complex))
-    return SweepResult(v, current, acc.sum(axis=0), iterations, converged, collapsed)
+
+def _settled_at_rest(injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Whether each screened column's voltage change at the empty buses is
+    under the tolerance: by the reach bound where it clears the tolerance,
+    exactly elsewhere."""
+    change = ws.gather("change", acc, screened, 1)
+    np.subtract(change, ws.gather("change_prev", prev, screened, 1), out=change)
+    bound = injections.reach_rest @ np.abs(change, out=ws.take("change_size", change.shape))
+    settled = bound < DEFAULT_TOLERANCE * (1.0 - BOUND_MARGIN)
+    unsure = np.flatnonzero(~settled)
+    if unsure.size:
+        step = _by_row(injections.drop_rest, change[:, unsure], np.empty((unsure.size, injections.rest.size), complex))
+        settled[unsure] = np.abs(step).max(axis=0, initial=0.0) < DEFAULT_TOLERANCE
+    return settled
+
+
+def _dipped(injections: InjectionSet, acc: np.ndarray) -> np.ndarray:
+    """Columns whose voltages from the currents ``acc`` fall under the
+    collapse floor at some bus; the reach bound clears most of them."""
+    flags = np.zeros(acc.shape[1], dtype=bool)
+    risky = np.flatnonzero(~(1.0 - injections.reach @ np.abs(acc) > COLLAPSE_FLOOR_PU + BOUND_MARGIN))
+    if risky.size:
+        drop = _by_row(injections.drop, acc[:, risky], np.empty((risky.size, injections.drop.shape[0]), complex))
+        flags[risky] = _below_floor(np.abs(np.subtract(1.0, drop, out=drop)))
+    return flags
+
+
+def _dips(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int) -> np.ndarray:
+    """Which columns dip under the collapse floor in a watched run of their own."""
+    lone = s_inj.shape[1] == 1
+    s = np.repeat(s_inj, 2, axis=1) if lone else np.ascontiguousarray(s_inj)
+    dipped = _iterate(injections, s, max_iterations, Workspace(), watch=True)[-1]
+    return dipped[:1] if lone else dipped
+
+
+def _anchor_bounds(injections: InjectionSet, magnitude: np.ndarray, iterate: np.ndarray, ws: Workspace):
+    """Per column, a floor under the lowest and a ceiling over the highest
+    voltage magnitude at the empty buses, from their anchors
+    (``InjectionSet``).  With no empty bus, or none that an injection
+    reaches, the floor is +inf and the ceiling -inf."""
+    m = magnitude.shape[1]
+    if not injections.anchors.size:
+        return np.full(m, np.inf), np.full(m, -np.inf)
+    with np.errstate(invalid="ignore"):
+        size = np.abs(iterate, out=ws.take("real", iterate.shape))
+        radius = np.matmul(injections.radius, size, out=ws.take("radius", (injections.anchors.size, m)))
+        at = ws.gather("anchor", magnitude, injections.anchors, 0)
+        lowest = np.subtract(at, radius, out=size[: at.shape[0]]).min(axis=0)
+        highest = np.add(at, radius, out=at).max(axis=0)
+    return lowest, highest
 
 
 def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -338,13 +572,11 @@ def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(b.T, a.T, out=out).T
 
 
-def _below_floor(v: np.ndarray, workspace: Workspace) -> np.ndarray:
-    """Columns with a non-finite voltage or a magnitude under the collapse floor.
+def _below_floor(magnitude: np.ndarray) -> np.ndarray:
+    """Columns with a non-finite magnitude or one under the collapse floor.
 
-    NaN propagates through both reductions and fails both comparisons.  The
-    magnitudes go to the workspace's "real" slot.
+    NaN propagates through both reductions and fails both comparisons.
     """
-    magnitude = np.abs(v, out=workspace.take("real", v.shape))
     low = ~(magnitude.min(axis=0, initial=np.inf) >= COLLAPSE_FLOOR_PU)
     return low | ~np.isfinite(magnitude.max(axis=0, initial=0.0))
 
@@ -380,15 +612,14 @@ class PowerFlowSolution:
 
 
 def package_solution(net: CompiledNetwork, result: SweepResult) -> PowerFlowSolution:
-    """Assemble the public record from raw sweep arrays."""
-    s_slack = result.voltage[net.slack] * np.conj(result.slack_current) * net.s_base_kw
-    loss = (np.abs(result.branch_current) ** 2 * net.z_pu.real[:, np.newaxis]).sum(axis=0) * net.s_base_kw
+    """Assemble the public record from raw sweep arrays; the slack bus sits at 1.0 pu."""
+    s_slack = np.conj(result.slack_current) * net.s_base_kw
     return PowerFlowSolution(
         bus_ids=net.bus_ids,
         branch_ids=net.branch_ids,
         voltage=result.voltage.T.copy(),
         branch_current=result.branch_current.T.copy(),
-        loss_kw=loss.real.copy(),
+        loss_kw=result.loss_pu * net.s_base_kw,
         slack_kw=s_slack.real.copy(),
         slack_kvar=s_slack.imag.copy(),
         iterations=result.iterations.copy(),

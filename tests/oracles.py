@@ -4,9 +4,9 @@ Everything here is deliberately written in the most literal way possible:
 admittance-matrix fixed-point iteration and a per-branch loop sweep for
 power flow, exhaustive active-set enumeration for QPs, plain python loops
 for battery and outage arithmetic.  None of it shares code with the
-package; the loop sweep borrows only the package's result type and
-thresholds, and the dense QP solver only its result and error types, since
-matching them is what they check.
+package; the loop sweep borrows only the package's thresholds, and the
+dense QP solver only its result and error types, since matching them is
+what they check.
 
 The scalar device checks, the per-contingency restoration breakdown, the
 scalar objective evaluators and the single-hour power flow at the end were
@@ -19,6 +19,9 @@ subproblem, the interpreter the row layout replaced, the scattered
 dense voltage derivatives of the subproblem, which the package now takes at
 the carried voltage rows and kink cells only, and its objective with the
 kink cells' epigraph variables summed one load-bus-hour at a time.
+``all_bus_kernel`` is the dispatch kernel as it read every bus and every
+branch current, and ``bisect_shift_projection`` the shift projection as it
+bisected for its multiplier.
 ``active_guess`` is the first QP's warm start as the subproblem declared it
 before the SQP worked it out from the rows exactly at 0 and the bounds.
 The ``offset_*`` plan-vector forms index the
@@ -52,7 +55,6 @@ from mgopt.powerflow import (
     DEFAULT_TOLERANCE,
     CompiledNetwork,
     PowerFlowSolution,
-    SweepResult,
     compile_network,
     consumption_from_schedule,
     package_solution,
@@ -64,6 +66,17 @@ from mgopt.reliability import ContingencyEvaluator, _island_headroom_kw, island_
 
 # ---------------------------------------------------------------------------
 # power flow
+
+
+class LoopSweep(NamedTuple):
+    """The loop sweep's result: every bus voltage and branch current."""
+
+    voltage: np.ndarray
+    branch_current: np.ndarray
+    slack_current: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    collapsed: np.ndarray
 
 
 def gauss_seidel_voltages(
@@ -156,7 +169,7 @@ def loop_sweep(
     consumption_pu: np.ndarray,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> SweepResult:
+) -> LoopSweep:
     """The backward-forward sweep as literal per-branch loops.
 
     consumption_pu has shape (n_bus, m); positive real part consumes.
@@ -217,7 +230,7 @@ def loop_sweep(
     for b in range(net.n_branch):
         i_branch[b] = acc[child[b]]
         acc[parent[b]] += i_branch[b]
-    return SweepResult(v, i_branch, acc[net.slack].copy(), iterations, converged, collapsed)
+    return LoopSweep(v, i_branch, acc[net.slack].copy(), iterations, converged, collapsed)
 
 
 def random_radial_network(
@@ -1207,6 +1220,63 @@ def evaluate_objectives(
 
 # ---------------------------------------------------------------------------
 # Dispatch problem
+
+
+def all_bus_kernel(problem, X: np.ndarray, large: float = 1e9) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """(values, violation, ok, vmag) of signed plans as the package's kernel
+    had them before it read the injection buses alone: magnitudes at every
+    bus, the loss summed over the branch currents, the voltage violation
+    summed over every bus, and ``nan_to_num`` ahead of the choice that drops
+    failed plans.  ``large`` is the stand-in score of a failed plan."""
+    p_units, p_batt, shift = problem.unpack(X)
+    chg, dis = np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0)
+    B, T, net = p_batt.shape[0], problem.T, problem.net
+    cons = subtract_at_consumption(problem, p_units, chg - dis, shift)
+    res = sweep(net, cons.reshape(net.n_bus, B * T))
+    with np.errstate(invalid="ignore"):
+        vmag = np.abs(res.voltage).reshape(net.n_bus, B, T)
+    slack_s = res.voltage[net.slack] * np.conj(res.slack_current)
+    slack_kw = slack_s.real.reshape(B, T) * problem.s_base
+    loss_kw = (np.abs(res.branch_current) ** 2 * net.z_pu.real[:, np.newaxis]).sum(axis=0).reshape(B, T) * problem.s_base
+    ok = res.converged.reshape(B, T).all(axis=1)
+    soc = problem.soc_split(chg, dis)
+    hourly_cost = problem._hourly_cost(p_units, slack_kw, chg + dis, shift)
+    hourly_vdev = np.abs(1.0 - vmag[problem.load_idx]).sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        values = {
+            "cost": np.where(ok, np.nan_to_num(hourly_cost, nan=large).sum(axis=1), large),
+            "loss": np.where(ok, np.nan_to_num(loss_kw, nan=large).sum(axis=1) * problem.dt, large),
+            "ens": problem.evaluator.cost_batch(soc),
+            "vdev": np.where(ok, np.nan_to_num(hourly_vdev, nan=large).sum(axis=1), large),
+        }
+        v_low = np.maximum(0.0, problem.vmin - vmag).sum(axis=(0, 2))
+        v_high = np.maximum(0.0, vmag - problem.vmax).sum(axis=(0, 2))
+        g_in = np.maximum(0.0, slack_kw - problem.import_limit).sum(axis=1) / problem.s_base
+        g_out = np.maximum(0.0, -slack_kw - problem.export_limit).sum(axis=1) / problem.s_base
+        violation = np.where(ok, np.nan_to_num(v_low + v_high + g_in + g_out, nan=large), large)
+    return values, violation, ok, vmag
+
+
+def bisect_shift_projection(shift_bound: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Shift rows projected onto zero net energy inside the hourly box
+    [-shift_bound, shift_bound], by bisection on the multiplier.
+
+    Solves sum(clip(s - mu, lo, hi)) = 0 for mu; the sum is monotone in mu
+    and the bracket endpoints clip every hour to one bound, so the residual
+    after 80 halvings is at roundoff.
+    """
+    lo = -shift_bound[np.newaxis, :]
+    hi = shift_bound[np.newaxis, :]
+    s = np.clip(s, lo, hi)
+    mu_lo = (s - hi).min(axis=1)
+    mu_hi = (s - lo).max(axis=1)
+    for _ in range(80):
+        mu = 0.5 * (mu_lo + mu_hi)
+        total = np.clip(s - mu[:, np.newaxis], lo, hi).sum(axis=1)
+        mu_lo = np.where(total > 0, mu, mu_lo)
+        mu_hi = np.where(total > 0, mu_hi, mu)
+    mu = 0.5 * (mu_lo + mu_hi)
+    return np.clip(s - mu[:, np.newaxis], lo, hi)
 
 
 def subtract_at_consumption(problem, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]) -> np.ndarray:

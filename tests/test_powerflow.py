@@ -13,7 +13,6 @@ from mgopt.powerflow import (
     load_consumption_pu,
     package_solution,
     shift_distribution_pu,
-    SweepResult,
     Workspace,
     solve_horizon,
     sweep,
@@ -303,6 +302,36 @@ def test_empty_bus_with_the_largest_change_holds_convergence_back():
     assert result.converged.all()
 
 
+def test_collapse_at_an_empty_bus_above_every_injection_bus():
+    # A series capacitor behind an empty bus: a reactive load pulls the empty
+    # bus under the floor while the load's own bus stays near 1.0 pu.
+    net = _compiled(3, [(0, 1, 0.01 + 0.5j), (1, 2, 0.01 - 0.5j)])
+    s = np.zeros((3, 11), dtype=complex)
+    s[2] = 0.1 + 1j * np.linspace(0.0, 2.0, 11)
+    result = _assert_matches_loop_sweep(net, s)
+    np.testing.assert_array_equal(result.injection, [2])
+    magnitude = np.abs(result.voltage)
+    assert (magnitude[2] > 0.99).all()
+    below = magnitude[1] < 0.5
+    assert below.any() and not below.all()
+    np.testing.assert_array_equal(result.collapsed, below)
+
+
+def test_mixed_batch_flags_dips_only_where_columns_end_unconverged(benchmark_case):
+    # Every third hour at twelve times its load: within the cap the light
+    # columns and some heavy ones converge, while others dip under the floor
+    # on the way and end unconverged above it.  Only the last are collapsed
+    # for the dip, exactly as the loop sweep, which watches every column at
+    # every iteration, flags them.
+    case = sectioned_case(benchmark_case, 4)
+    net = compile_network(case)
+    s = load_consumption_pu(case, net)[:, :12] * np.where(np.arange(12) % 3 == 0, 12.0, 1.0)
+    result = _assert_matches_loop_sweep(net, s, max_iterations=25)
+    low = np.abs(result.voltage).min(axis=0) < 0.5
+    assert result.converged.sum() >= 9
+    assert (result.collapsed & ~result.converged & ~low).any()
+
+
 def test_lone_column_matches_its_batch_bitwise(benchmark_case):
     # Capped below the fewest iterations any hour needs, no column converges,
     # so every column runs the same iterations whatever it is batched with.
@@ -327,8 +356,12 @@ def test_sweep_matches_loop_sweep_on_collapse():
 # the shared workspace
 
 
+SWEEP_FIELDS = ("voltage", "branch_current", "slack_current", "injection_voltage", "injection_current",
+                "injection_magnitude", "loss_pu", "iterations", "converged", "collapsed")
+
+
 def _assert_same_bits(got, want):
-    for field in SweepResult._fields:
+    for field in SWEEP_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 

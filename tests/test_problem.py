@@ -10,11 +10,14 @@ import mgopt.optimizer.sqp as sqp
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
 from mgopt.optimizer.problem import KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
-from mgopt.powerflow import compile_network, sweep
+from mgopt.objectives import OBJECTIVE_KEYS
+from mgopt.powerflow import SweepResult, compile_network, sweep
 
 from oracles import (
     active_guess,
+    all_bus_kernel,
     battery_feasibility,
+    bisect_shift_projection,
     dense_vmag_differences,
     epigraph_objective,
     evaluate_objectives,
@@ -122,21 +125,32 @@ def test_repair_yields_device_feasible_plans(problem, benchmark_case):
         assert not battery_feasibility(benchmark_case.battery, schedule.battery_power)
 
 
-def test_repair_matches_sequential_references(problem, benchmark_case):
-    # Plans drawn past the box so every clip and the SOC window engage.
-    rng = np.random.default_rng(12)
-    plans = _random_plans(problem, rng, 8) * 1.5 - 0.25 * (problem.upper - problem.lower)
-    repaired = problem.repair(plans)
-    T = problem.T
-    for raw, row in zip(plans, repaired):
-        battery = slice(problem.n_units * T, (problem.n_units + 1) * T)
-        expected = repair_battery_powers(benchmark_case.battery, raw[battery])
-        assert np.abs(row[battery] - expected).max() < 1e-9
-        for i, unit in enumerate(benchmark_case.units):
-            if unit.committable:
-                block = slice(i * T, (i + 1) * T)
-                expected = [threshold_commitment(unit, p) for p in raw[block]]
-                assert np.abs(row[block] - expected).max() < 1e-12, unit.name
+def test_repair_matches_sequential_references(benchmark_case):
+    # Plans drawn past the box so every clip and the SOC window engage, on
+    # the benchmark, on half-hour periods, and with a battery that starts
+    # empty and self-discharges: holding it at its floor takes a charge the
+    # plan did not ask for.
+    battery = benchmark_case.battery
+    trickle = replace(benchmark_case, battery=replace(battery, self_discharge_per_h=0.02,
+                                                      soc_initial_kwh=battery.soc_min_kwh))
+    for name, case in (("benchmark", benchmark_case), ("half-hour", replace(benchmark_case, period_hours=0.5)),
+                       ("trickle", trickle)):
+        problem = DispatchProblem(case)
+        rng = np.random.default_rng(12)
+        plans = _random_plans(problem, rng, 8) * 1.5 - 0.25 * (problem.upper - problem.lower)
+        repaired = problem.repair(plans)
+        T = problem.T
+        block = slice(problem.n_units * T, (problem.n_units + 1) * T)
+        if name == "trickle":
+            assert (repaired[:, block][plans[:, block] <= 0.0] > 0.0).any()
+        for raw, row in zip(plans, repaired):
+            expected = repair_battery_powers(case.battery, raw[block], case.period_hours)
+            assert np.abs(row[block] - expected).max() < 1e-9, name
+            for i, unit in enumerate(case.units):
+                if unit.committable:
+                    unit_block = slice(i * T, (i + 1) * T)
+                    expected = [threshold_commitment(unit, p) for p in raw[unit_block]]
+                    assert np.abs(row[unit_block] - expected).max() < 1e-12, unit.name
 
 
 def test_repair_is_idempotent(problem):
@@ -153,6 +167,32 @@ def test_repair_projects_shift_to_zero_sum(dr_problem):
     assert np.abs(shift.sum(axis=1)).max() < 1e-6
     assert (shift >= -dr_problem.shift_bound - 1e-9).all()
     assert (shift <= dr_problem.shift_bound + 1e-9).all()
+
+
+def test_shift_projection_matches_bisection(benchmark_case):
+    # No participating demand in the first four hours makes them zero-width.
+    participating = benchmark_case.dr.participating
+    case = replace(benchmark_case, load_points=tuple(
+        replace(lp, profile_kw=(0.0,) * 4 + lp.profile_kw[4:]) if lp.category in participating else lp
+        for lp in benchmark_case.load_points))
+    dr_problem = DispatchProblem(case, dr=True)
+    bound = dr_problem.shift_bound
+    assert (bound[:4] == 0.0).all() and (bound[4:] > 0.0).all()
+    rng = np.random.default_rng(13)
+    # Half the box each way, so moving the sum out in proportion to the box stays inside it.
+    balanced = rng.uniform(-0.5, 0.5, (4, dr_problem.T)) * bound
+    balanced -= balanced.sum(axis=1, keepdims=True) * bound / bound.sum()
+    rows = {
+        "random": rng.uniform(-1.5, 1.5, (40, dr_problem.T)) * bound,
+        "at one bound": np.vstack([bound, -bound, 3.0 * bound]),
+        "zero-width hours only": np.where(bound == 0.0, 0.0, 2.0 * bound)[np.newaxis, :] * [[1.0], [-1.0]],
+        "no move": np.vstack([balanced, np.zeros(dr_problem.T)]),
+    }
+    for name, s in rows.items():
+        got = dr_problem._project_shift(s)
+        np.testing.assert_allclose(got, bisect_shift_projection(bound, s), rtol=0, atol=1e-12, err_msg=name)
+        assert np.abs(got.sum(axis=1)).max() < 1e-12, name
+    np.testing.assert_allclose(dr_problem._project_shift(balanced), balanced, rtol=0, atol=1e-12)
 
 
 def test_soc_signed_matches_sequential(problem, benchmark_case):
@@ -679,13 +719,15 @@ def test_results_keep_their_bytes_through_later_calls(benchmark_case):
     kept = _metrics_bytes(first)
     s = prob._consumption(*prob.unpack(prob.repair(_random_plans(prob, rng, 3)))).reshape(prob.net.n_bus, -1)
     owned = sweep(prob.net, s)
-    owned_bytes = [a.tobytes() for a in owned]
+    fields_read = ("voltage", "branch_current", "slack_current", "injection_voltage", "injection_current",
+                   "injection_magnitude", "loss_pu", "iterations", "converged", "collapsed")
+    owned_bytes = [getattr(owned, name).tobytes() for name in fields_read]
     prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
     prob.split_eval(np.vstack([prob.split_from_signed(x) for x in prob.repair(_random_plans(prob, rng, 14))]))
     sweep(prob.net, 2.0 * s)
     sweep(prob.net, 3.0 * s, workspace=prob.net.workspace)
     assert _metrics_bytes(first) == kept
-    assert [a.tobytes() for a in owned] == owned_bytes
+    assert [getattr(owned, name).tobytes() for name in fields_read] == owned_bytes
 
 
 def test_problems_sharing_a_workspace_match_fresh_problems(benchmark_case):
@@ -714,6 +756,71 @@ def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * m.vmag.nbytes
+
+
+def test_warm_ga_evaluation_allocates_well_under_one_vmag(benchmark_case):
+    # The GA reads values, violation and ok only, so its evaluation forms no
+    # magnitudes at every bus; what it allocates is (plan, hour) series and
+    # numpy's own ufunc buffers.
+    prob = DispatchProblem(sectioned_case(benchmark_case, 4))
+    evaluate, _ = prob.ga_functions(ObjectiveSpec("cost"))
+    plans = prob.repair(_random_plans(prob, np.random.default_rng(33), 58))
+    evaluate(plans)
+    tracemalloc.start()
+    try:
+        evaluate(plans)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vmag_nbytes = prob.net.n_bus * plans.shape[0] * prob.T * 8
+    assert peak < 0.75 * vmag_nbytes
+
+
+def _kernel_problem(benchmark_case, variant):
+    case = benchmark_case
+    if variant.startswith("sectioned"):
+        case = sectioned_case(case, 4)
+    if variant == "sectioned-tight":
+        case = replace(case, voltage_limits=(0.975, 1.02))
+    if variant == "zero-load":
+        # f1-4 carries a load and nothing else.
+        case = replace(case, load_points=tuple(
+            replace(lp, profile_kw=(0.0,) * case.horizon) if lp.bus == "f1-4" else lp for lp in case.load_points))
+    return DispatchProblem(case, dr=variant == "dr")
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned", "sectioned-tight", "zero-load"])
+def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypatch):
+    prob = _kernel_problem(benchmark_case, variant)
+    exact = []
+    rest_magnitude = SweepResult.rest_magnitude
+    monkeypatch.setattr(SweepResult, "rest_magnitude",
+                        lambda self, columns: exact.append(columns.size) or rest_magnitude(self, columns))
+    plans = prob.repair(_random_plans(prob, np.random.default_rng(41), 58))
+    m = prob.metrics(plans)
+    lean = prob._evaluate(*prob._signed(plans), vmag=False)
+    values, violation, ok, vmag = all_bus_kernel(prob, plans)
+    for key in OBJECTIVE_KEYS:
+        np.testing.assert_allclose(m.values[key], values[key], rtol=1e-12, atol=0, err_msg=key)
+    np.testing.assert_allclose(m.violation, violation, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(m.ok, ok)
+    np.testing.assert_allclose(m.vmag, vmag, rtol=0, atol=1e-12)
+    # The GA path runs the same rule, less the magnitudes at every bus.
+    assert lean.vmag is None
+    for key in OBJECTIVE_KEYS:
+        assert lean.values[key].tobytes() == m.values[key].tobytes(), key
+    assert lean.violation.tobytes() == m.violation.tobytes() and lean.ok.tobytes() == m.ok.tobytes()
+
+    section = np.array(["." in bus for bus in prob.net.bus_ids])
+    if variant == "sectioned":
+        assert not exact, "the anchored bound clears every column inside the default limits"
+    if variant == "sectioned-tight":
+        outside = (vmag[section] < 0.975) | (vmag[section] > 1.02)
+        assert outside.any() and sum(exact) > 0
+    if variant == "zero-load":
+        p_units, chg, dis, shift = prob._signed(plans)
+        cons = prob._consumption(p_units, chg - dis, shift)
+        assert not cons[prob.net.bus_index["f1-4"]].any()
 
 
 def _kink_nlp(problem, spec, plan=2):
