@@ -286,12 +286,6 @@ class DispatchProblem:
             cons += np.multiply(self.shift_factors[:, np.newaxis, :], shift[np.newaxis, :, :], out=spread)
         return cons
 
-    def _network_eval(self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]) -> SweepResult:
-        """Sweep one population, one column per plan-hour; the result's
-        arrays live in the network workspace until the next sweep."""
-        cons = self._consumption(p_units, p_net, shift)
-        return sweep(self.net, cons.reshape(self.net.n_bus, -1), workspace=self.net.workspace)
-
     def _hourly_cost(
         self,
         p_units: np.ndarray,
@@ -360,7 +354,9 @@ class DispatchProblem:
         reports read.
         """
         B, T = chg.shape
-        res = self._network_eval(p_units, chg - dis, shift)
+        # One column per plan-hour; the result lives in the workspace until the next sweep.
+        cons = self._consumption(p_units, chg - dis, shift)
+        res = sweep(self.net, cons.reshape(self.net.n_bus, -1), workspace=self.net.workspace)
         ok = res.converged.reshape(B, T).all(axis=1)
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, T) * self.s_base

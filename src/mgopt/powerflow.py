@@ -213,11 +213,13 @@ class Workspace:
     depends on its dynamic mmap threshold, so without reuse the wall time
     would also depend on what the process happened to free earlier.
 
-    ``sweep`` may write any slot.  Its result keeps its arrays in the slots
-    "s_inj", "acc", "prev", "v", "v_new" and "magnitude", and reading its
-    all-bus or branch values writes "bus", "rest", "branch", "loss" and
-    "at"; a caller may use any other slot between sweeps.  A workspace is
-    not for concurrent use.
+    A slot holds bytes, so one slot serves any dtype in turn.  ``sweep`` may
+    write any slot.  Its result keeps its arrays in "s_inj", "acc", "prev",
+    "v", "v_new" and "magnitude".  Reading its derived values writes "wide"
+    (the loss and the product behind the voltages), "bus" (the voltages),
+    "branch" (the branch currents) and "real" (``magnitude_at``); a caller
+    may use any slot between sweeps, knowing what reads write where.  A
+    workspace is not for concurrent use.
     """
 
     def __init__(self) -> None:
@@ -225,11 +227,12 @@ class Workspace:
 
     def take(self, slot: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
         """A ``shape`` view of the slot's buffer; its contents are unspecified."""
-        size = math.prod(shape)
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
         buffer = self._slots.get(slot)
-        if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            buffer = self._slots[slot] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self._slots[slot] = np.empty(nbytes, np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
 
     def gather(self, slot: str, a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
         """``a`` indexed along ``axis``, written into the slot.
@@ -343,7 +346,7 @@ class SweepResult:
         so a column's loss does not depend on its batch.
         """
         f = self._current.view(float)
-        terms = np.matmul(f.T, self._set.resistance, out=self._ws.take("loss", f.shape[::-1]))
+        terms = np.matmul(f.T, self._set.resistance, out=self._ws.take("wide", f.shape[::-1]))
         np.multiply(terms, f.T, out=terms)
         n, m = self._current.shape
         return terms.reshape(m, 2 * n).sum(axis=1)[: self._width]
@@ -354,7 +357,7 @@ class SweepResult:
         net, m = self._net, self._voltage.shape[1]
         # Over every bus, not the empty ones alone: a product one bus wide
         # would go to gemv and round with the batch.
-        product = _by_row(self._set.drop, self._iterate, self._ws.take("rest", (m, net.n_bus), complex))
+        product = _by_row(self._set.drop, self._iterate, self._ws.take("wide", (m, net.n_bus), complex))
         with np.errstate(invalid="ignore"):
             v = np.subtract(1.0, product, out=self._ws.take("bus", (net.n_bus, m), complex))
         v[self._set.inj] = self._voltage
@@ -373,10 +376,10 @@ class SweepResult:
 
     def magnitude_at(self, buses: np.ndarray) -> np.ndarray:
         """Voltage magnitudes at ``buses``, (len(buses), columns), in the
-        workspace's "at" slot: gathered at injection buses, and by the exact
-        product at any bus that has none in this batch."""
+        workspace's "real" slot: gathered at injection buses, and by the
+        exact product at any bus that has none in this batch."""
         inj = self._set.inj
-        at = self._ws.take("at", (buses.size, self._magnitude.shape[1]))
+        at = self._ws.take("real", (buses.size, self._magnitude.shape[1]))
         pos = np.minimum(np.searchsorted(inj, buses), max(inj.size - 1, 0))
         hit = inj[pos] == buses if inj.size else np.zeros(buses.size, dtype=bool)
         if hit.all():
@@ -513,10 +516,10 @@ def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, w
 def _settled_at_rest(injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, ws: Workspace) -> np.ndarray:
     """Whether each screened column's voltage change at the empty buses is
     under the tolerance: by the reach bound where it clears the tolerance,
-    exactly elsewhere."""
-    change = ws.gather("change", acc, screened, 1)
-    np.subtract(change, ws.gather("change_prev", prev, screened, 1), out=change)
-    bound = injections.reach_rest @ np.abs(change, out=ws.take("change_size", change.shape))
+    exactly elsewhere.  The loop leaves "wide", "bus" and "real" free."""
+    change = ws.gather("wide", acc, screened, 1)
+    np.subtract(change, ws.gather("bus", prev, screened, 1), out=change)
+    bound = injections.reach_rest @ np.abs(change, out=ws.take("real", change.shape))
     settled = bound < DEFAULT_TOLERANCE * (1.0 - BOUND_MARGIN)
     unsure = np.flatnonzero(~settled)
     if unsure.size:
@@ -554,8 +557,8 @@ def _anchor_bounds(injections: InjectionSet, magnitude: np.ndarray, iterate: np.
         return np.full(m, np.inf), np.full(m, -np.inf)
     with np.errstate(invalid="ignore"):
         size = np.abs(iterate, out=ws.take("real", iterate.shape))
-        radius = np.matmul(injections.radius, size, out=ws.take("radius", (injections.anchors.size, m)))
-        at = ws.gather("anchor", magnitude, injections.anchors, 0)
+        radius = np.matmul(injections.radius, size, out=ws.take("wide", (injections.anchors.size, m)))
+        at = ws.gather("bus", magnitude, injections.anchors, 0)
         lowest = np.subtract(at, radius, out=size[: at.shape[0]]).min(axis=0)
         highest = np.add(at, radius, out=at).max(axis=0)
     return lowest, highest
