@@ -319,8 +319,9 @@ class DispatchProblem:
         B, T = slack_kw.shape
         mag = res.injection_magnitude
         terms = self.net.workspace.take("real", mag.shape)
-        v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(mag.shape[0], B, T).sum(axis=(0, 2))
-        v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(mag.shape[0], B, T).sum(axis=(0, 2))
+        cells = (mag.shape[0], B, T)
+        v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
+        v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
         g_in = np.maximum(0.0, slack_kw - self.import_limit).sum(axis=1) / self.s_base
         if np.isfinite(self.export_limit):
             g_out = np.maximum(0.0, -slack_kw - self.export_limit).sum(axis=1) / self.s_base

@@ -294,12 +294,12 @@ class SweepResult:
 
     ``iterations``, ``converged`` and ``collapsed`` describe each column.
     The iteration runs over the injection buses ``injection`` alone, so what
-    it yields is their last iterate ``injection_voltage`` (magnitudes in
-    ``injection_magnitude``) and the currents they draw at it,
-    ``injection_current``; everything else follows from these.  The slack
-    current is their sum and the loss ``loss_pu`` is ``I^H Re(DLF) I`` over
-    them.  The voltage at every bus and the branch currents are products of
-    a bus or branch count times the batch, formed on first read.
+    it yields is their last voltage iterate (magnitudes in
+    ``injection_magnitude``) and the currents they draw at it; everything
+    else follows from these.  The slack current is the currents' sum and the
+    loss ``loss_pu`` is ``I^H Re(DLF) I`` over them.  The voltage at every
+    bus and the branch currents are products of a bus or branch count times
+    the batch, formed on first read.
 
     With a shared workspace every array here is a view that stays valid
     until the next sweep on it, and reading a derived value must come
@@ -325,9 +325,7 @@ class SweepResult:
         self._voltage, self._magnitude, self._iterate, self._current = voltage, magnitude, iterate, current
         self._lowest, self._highest = _anchor_bounds(injections, magnitude, iterate, workspace)
         self.injection = injections.inj
-        self.injection_voltage = voltage[:, :width]
         self.injection_magnitude = magnitude[:, :width]
-        self.injection_current = current[:, :width]
         self.iterations = iterations[:width]
         self.converged = converged[:width]
         self.collapsed = collapsed[:width]
@@ -401,7 +399,8 @@ class SweepResult:
         """Exact voltage magnitudes at the empty buses, (rest, len(columns))."""
         drop = self._set.drop_rest
         with np.errstate(all="ignore"):
-            product = _by_row(drop, np.take(self._iterate, columns, axis=1), np.empty((columns.size, drop.shape[0]), complex))
+            iterate = np.take(self._iterate, columns, axis=1)
+            product = _by_row(drop, iterate, np.empty((columns.size, drop.shape[0]), complex))
             return np.abs(np.subtract(1.0, product, out=product))
 
 
@@ -454,7 +453,8 @@ def sweep(
         current[~np.isfinite(current)] = 0.0
         magnitude = np.abs(v, out=ws.take("magnitude", v.shape))
         collapsed = _below_floor(magnitude)
-        result = SweepResult(net, injections, ws, width, v, magnitude, iterate, current, iterations, converged, collapsed)
+        result = SweepResult(net, injections, ws, width, v, magnitude, iterate, current,
+                             iterations, converged, collapsed)
         doubtful = result.beyond(COLLAPSE_FLOOR_PU, np.inf)
         if doubtful.size:
             collapsed[doubtful] |= _below_floor(result.rest_magnitude(doubtful))
@@ -513,7 +513,9 @@ def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, w
     return v, acc, prev, iterations, converged, dipped
 
 
-def _settled_at_rest(injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, ws: Workspace) -> np.ndarray:
+def _settled_at_rest(
+    injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, ws: Workspace
+) -> np.ndarray:
     """Whether each screened column's voltage change at the empty buses is
     under the tolerance: by the reach bound where it clears the tolerance,
     exactly elsewhere.  The loop leaves "wide", "bus" and "real" free."""

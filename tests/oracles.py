@@ -1222,7 +1222,9 @@ def evaluate_objectives(
 # Dispatch problem
 
 
-def all_bus_kernel(problem, X: np.ndarray, large: float = 1e9) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+def all_bus_kernel(
+    problem, X: np.ndarray, large: float = 1e9
+) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """(values, violation, ok, vmag) of signed plans as the package's kernel
     had them before it read the injection buses alone: magnitudes at every
     bus, the loss summed over the branch currents, the voltage violation
@@ -1237,7 +1239,8 @@ def all_bus_kernel(problem, X: np.ndarray, large: float = 1e9) -> Tuple[Dict[str
         vmag = np.abs(res.voltage).reshape(net.n_bus, B, T)
     slack_s = res.voltage[net.slack] * np.conj(res.slack_current)
     slack_kw = slack_s.real.reshape(B, T) * problem.s_base
-    loss_kw = (np.abs(res.branch_current) ** 2 * net.z_pu.real[:, np.newaxis]).sum(axis=0).reshape(B, T) * problem.s_base
+    loss_pu = (np.abs(res.branch_current) ** 2 * net.z_pu.real[:, np.newaxis]).sum(axis=0)
+    loss_kw = loss_pu.reshape(B, T) * problem.s_base
     ok = res.converged.reshape(B, T).all(axis=1)
     soc = problem.soc_split(chg, dis)
     hourly_cost = problem._hourly_cost(p_units, slack_kw, chg + dis, shift)

@@ -356,8 +356,8 @@ def test_sweep_matches_loop_sweep_on_collapse():
 # the shared workspace
 
 
-SWEEP_FIELDS = ("voltage", "branch_current", "slack_current", "injection_voltage", "injection_current",
-                "injection_magnitude", "loss_pu", "iterations", "converged", "collapsed")
+SWEEP_FIELDS = ("voltage", "branch_current", "slack_current", "injection_magnitude", "loss_pu",
+                "iterations", "converged", "collapsed")
 
 
 def _assert_same_bits(got, want):

@@ -719,8 +719,8 @@ def test_results_keep_their_bytes_through_later_calls(benchmark_case):
     kept = _metrics_bytes(first)
     s = prob._consumption(*prob.unpack(prob.repair(_random_plans(prob, rng, 3)))).reshape(prob.net.n_bus, -1)
     owned = sweep(prob.net, s)
-    fields_read = ("voltage", "branch_current", "slack_current", "injection_voltage", "injection_current",
-                   "injection_magnitude", "loss_pu", "iterations", "converged", "collapsed")
+    fields_read = ("voltage", "branch_current", "slack_current", "injection_magnitude", "loss_pu",
+                   "iterations", "converged", "collapsed")
     owned_bytes = [getattr(owned, name).tobytes() for name in fields_read]
     prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
     prob.split_eval(np.vstack([prob.split_from_signed(x) for x in prob.repair(_random_plans(prob, rng, 14))]))
