@@ -9,12 +9,15 @@ Evaluation is vectorised end to end: a population of plans becomes one
 column batch for the network sweep (population times hours columns), the
 state of charge is an affine map of the charge and discharge series, and
 the expected outage cost reuses the per-contingency precomputation.  The
-network terms come from the injection buses the sweep iterates over: the
-loss is ``I^H Re(DLF) I`` over their currents, vdev reads the load buses
-among them, and the empty buses enter the violation only where a bound
-cannot clear them.  The GA reads values, violation and ok alone, so its
-evaluation forms no magnitudes at every bus; ``metrics`` runs the same rule
-and adds them.  Repair projects the shift onto zero net energy by an exact
+problem knows where a plan can put power, at the load points', the units'
+and the battery's buses, so it builds that injection set once: consumption
+is formed over its rows alone and the sweep iterates over them.  The
+network terms come from those buses: the loss is ``I^H Re(DLF) I`` over
+their currents, vdev reads the load buses among them, and the empty buses
+enter the violation only where a bound cannot clear them.  The GA reads
+values, violation and ok alone, so its evaluation forms no array of buses
+times columns; ``metrics`` runs the same rule and adds the magnitudes at
+every bus.  Repair projects the shift onto zero net energy by an exact
 breakpoint search and clips the battery in stored energy, hour by hour.
 
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
@@ -46,6 +49,7 @@ from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket, normalize
 from ..powerflow import (
     CompiledNetwork,
+    InjectionSet,
     SweepResult,
     compile_network,
     load_consumption_pu,
@@ -173,8 +177,16 @@ class DispatchProblem:
         self.load_idx = np.array(
             sorted({self.net.bus_index[lp.bus] for lp in case.load_points}), dtype=int
         )
-        self.base_load = load_consumption_pu(case, self.net)
-        self.shift_factors = shift_distribution_pu(case, self.net) if dr else None
+        # Every bus a plan can put power at; the shift moves load among load buses.
+        placed = np.zeros(self.net.n_bus, dtype=bool)
+        placed[self.load_idx] = placed[self.unit_bus] = True
+        if self.batt_bus is not None:
+            placed[self.batt_bus] = True
+        self.injections = InjectionSet(self.net, placed)
+        # A placed bus's row in the set, which orders every consumption array.
+        self._row = np.cumsum(placed) - 1
+        self.base_load = load_consumption_pu(case, self.net)[placed]
+        self.shift_factors = shift_distribution_pu(case, self.net)[placed] if dr else None
 
         self.caps = np.empty((self.n_units, T))
         for i, u in enumerate(units):
@@ -268,21 +280,22 @@ class DispatchProblem:
     def _consumption(
         self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Net bus consumption (n_bus, B, T) in pu for one population, in the
-        network workspace's "bus" slot.
+        """Net consumption (injection bus, B, T) in pu for one population,
+        over the rows of ``injections``, in the network workspace's
+        "consumption" slot; the shift's spread passes through "terms".
 
         Units subtract one at a time in their order, so units sharing a bus
         accumulate exactly as ``np.subtract.at`` would, without its cost.
         """
         ws = self.net.workspace
-        cons = ws.take("bus", (self.net.n_bus, p_net.shape[0], self.T), complex)
+        cons = ws.take("consumption", (self.injections.inj.size, p_net.shape[0], self.T), complex)
         cons[...] = self.base_load[:, np.newaxis, :]
         for i, bus in enumerate(self.unit_bus):
-            cons[bus] -= p_units[:, i] / self.s_base
+            cons[self._row[bus]] -= p_units[:, i] / self.s_base
         if self.batt_bus is not None:
-            cons[self.batt_bus] += p_net / self.s_base
+            cons[self._row[self.batt_bus]] += p_net / self.s_base
         if shift is not None:
-            spread = ws.take("wide", cons.shape, complex)
+            spread = ws.take("terms", cons.shape, complex)
             cons += np.multiply(self.shift_factors[:, np.newaxis, :], shift[np.newaxis, :, :], out=spread)
         return cons
 
@@ -318,7 +331,7 @@ class DispatchProblem:
         """
         B, T = slack_kw.shape
         mag = res.injection_magnitude
-        terms = self.net.workspace.take("real", mag.shape)
+        terms = self.net.workspace.take("terms", mag.shape)
         cells = (mag.shape[0], B, T)
         v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
         v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
@@ -348,21 +361,23 @@ class DispatchProblem:
 
         Plans whose sweep failed score LARGE_OBJECTIVE on every network
         objective and on the violation; the choice drops whatever
-        non-finite values their rows hold.  The vdev terms read the load
-        buses' magnitudes, which are injection buses' unless a load is zero
-        in every column.  ``vmag=False`` leaves out the magnitudes at every
-        bus, the one buses-by-columns array nothing but the refiner and the
-        reports read.
+        non-finite values their rows hold.  The sweep runs over the
+        problem's injection set, so the vdev terms gather the load buses'
+        rows of its magnitudes.  ``vmag=False`` leaves out the magnitudes
+        at every bus, the one buses-by-columns array nothing but the
+        refiner and the reports read.  The scratch slot "terms" holds the
+        shift's spread, then the deviations, then the violation terms, each
+        spent before the next is written.
         """
         B, T = chg.shape
         # One column per plan-hour; the result lives in the workspace until the next sweep.
         cons = self._consumption(p_units, chg - dis, shift)
-        res = sweep(self.net, cons.reshape(self.net.n_bus, -1), workspace=self.net.workspace)
+        res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections)
         ok = res.converged.reshape(B, T).all(axis=1)
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, T) * self.s_base
         loss_kw = res.loss_pu.reshape(B, T) * self.s_base
-        dev = res.magnitude_at(self.load_idx)
+        dev = self.net.workspace.gather("terms", res.injection_magnitude, self._row[self.load_idx], 0)
         hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0).reshape(B, T)
         soc = self.soc_split(chg, dis)
         hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)

@@ -11,13 +11,16 @@ drops, so one iteration is ``V = 1 - DLF conj(S / V)`` (J.-H. Teng, "A
 direct approach for distribution system load flow solutions", IEEE Trans.
 Power Delivery 18(3), 2003).
 
-Buses with no injection in any column of a batch draw no current, so they
-leave the iteration.  Convergence is still judged over every bus: a column
-converges when its largest voltage change at any bus is below the
+The iteration runs over a set of injection buses (``InjectionSet``), and
+the other buses, which draw no current, leave it.  A caller that knows
+where its power can go builds the set once and passes consumption over its
+rows alone; given consumption at every bus, ``sweep`` takes the buses with
+an injection in some column.  Convergence is still judged over every bus: a
+column converges when its largest voltage change at any bus is below the
 tolerance.  At the empty buses a bound through the path impedances settles
 that test, and the collapse floor, for most columns; only the columns it
-cannot settle take the exact product (``InjectionSet``).  What the sweep
-yields is the injection buses' voltages and currents.  The slack current is
+cannot settle take the exact product.  What the sweep yields is the
+injection buses' voltages and currents.  The slack current is
 the currents' sum and the series loss ``sum_b r_b |I_b|^2`` equals
 ``I^H Re(DLF) I`` over them; the voltage at every bus and the branch
 currents are derived from them only when read.
@@ -50,8 +53,6 @@ COLLAPSE_FLOOR_PU = 0.5
 # test by this much (relative to the tolerance, absolute in pu for voltage
 # magnitudes near 1.0), which covers the rounding of both.
 BOUND_MARGIN = 1e-9
-# Injection sets whose matrices a network keeps, the oldest dropped first.
-INJECTION_SETS_KEPT = 8
 
 
 class PowerFlowError(RuntimeError):
@@ -119,21 +120,6 @@ class CompiledNetwork:
     def workspace(self) -> "Workspace":
         """Scratch memory shared by the batched evaluations on this network."""
         return Workspace()
-
-    @cached_property
-    def _injection_sets(self) -> Dict[bytes, "InjectionSet"]:
-        return {}
-
-    def injections(self, has_injection: np.ndarray) -> "InjectionSet":
-        """The matrices for the buses flagged in ``has_injection``, built on
-        first use and kept for the next batch with the same buses."""
-        key = has_injection.tobytes()
-        sets = self._injection_sets
-        if key not in sets:
-            if len(sets) >= INJECTION_SETS_KEPT:
-                del sets[next(iter(sets))]
-            sets[key] = InjectionSet(self, has_injection)
-        return sets[key]
 
 
 def compile_network(case: MicrogridCase) -> CompiledNetwork:
@@ -213,13 +199,13 @@ class Workspace:
     depends on its dynamic mmap threshold, so without reuse the wall time
     would also depend on what the process happened to free earlier.
 
-    A slot holds bytes, so one slot serves any dtype in turn.  ``sweep`` may
-    write any slot.  Its result keeps its arrays in "s_inj", "acc", "prev",
-    "v", "v_new" and "magnitude".  Reading its derived values writes "wide"
-    (the loss and the product behind the voltages), "bus" (the voltages),
-    "branch" (the branch currents) and "real" (``magnitude_at``); a caller
-    may use any slot between sweeps, knowing what reads write where.  A
-    workspace is not for concurrent use.
+    A slot holds bytes, so one slot serves any dtype in turn.  The sweep
+    owns the slots "acc", "prev", "v", "v_new" and "magnitude" (its
+    result's arrays), "real", "wide" and "bus" (its scratch, the loss and
+    the voltages) and "branch" (the branch currents), and writes them on
+    every sweep and on the first read of a derived value.  Callers keep
+    their own arrays under other names.  A workspace is not for concurrent
+    use.
     """
 
     def __init__(self) -> None:
@@ -247,8 +233,10 @@ class Workspace:
 class InjectionSet:
     """Product and bound matrices for one set of injection buses of a network.
 
-    ``inj`` are the buses with an injection in some column of a batch and
+    ``inj`` are the buses flagged in ``has_injection``, in bus order, and
     ``rest`` the others, the slack aside: its voltage is fixed at 1.0 pu.
+    A set may hold a bus that draws nothing in some batch; its current is
+    then zero.
     With I the injection currents, every bus voltage is ``1 - DLF[:, inj] I``.
 
     The bounds let a batch skip the products over the empty buses wherever
@@ -301,9 +289,9 @@ class SweepResult:
     bus and the branch currents are products of a bus or branch count times
     the batch, formed on first read.
 
-    With a shared workspace every array here is a view that stays valid
-    until the next sweep on it, and reading a derived value must come
-    before that sweep too.
+    When the sweep ran on a prebuilt set, every array here is a view into
+    the network's workspace that stays valid until its next sweep, and
+    reading a derived value must come before that sweep too.
     """
 
     def __init__(
@@ -372,23 +360,6 @@ class SweepResult:
         shape = (self._net.n_branch, self._current.shape[1])
         return np.matmul(self._set.bibc, self._current, out=self._ws.take("branch", shape, complex))[:, : self._width]
 
-    def magnitude_at(self, buses: np.ndarray) -> np.ndarray:
-        """Voltage magnitudes at ``buses``, (len(buses), columns), in the
-        workspace's "real" slot: gathered at injection buses, and by the
-        exact product at any bus that has none in this batch."""
-        inj = self._set.inj
-        at = self._ws.take("real", (buses.size, self._magnitude.shape[1]))
-        pos = np.minimum(np.searchsorted(inj, buses), max(inj.size - 1, 0))
-        hit = inj[pos] == buses if inj.size else np.zeros(buses.size, dtype=bool)
-        if hit.all():
-            np.take(self._magnitude, pos, axis=0, out=at, mode="clip")
-        else:
-            at[hit] = self._magnitude[pos[hit]]
-            drop = self._net.dlf[np.ix_(buses[~hit], inj)]
-            with np.errstate(invalid="ignore"):
-                at[~hit] = np.abs(1.0 - _by_row(drop, self._iterate, np.empty((at.shape[1], drop.shape[0]), complex)))
-        return at[:, : self._width]
-
     def beyond(self, low: float, high: float) -> np.ndarray:
         """The columns whose empty-bus magnitudes the anchored bound cannot
         place inside [low, high]; NaN fails the test."""
@@ -408,27 +379,30 @@ def sweep(
     net: CompiledNetwork,
     consumption_pu: np.ndarray,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    workspace: Optional[Workspace] = None,
+    injections: Optional[InjectionSet] = None,
 ) -> SweepResult:
     """Run the backward-forward sweep on a column batch of injections.
 
-    consumption_pu has shape (n_bus, m); positive real part consumes.
+    consumption_pu has shape (n_bus, m), or (len(injections.inj), m) over
+    the rows of a prebuilt ``injections`` set; positive real part consumes.
     Voltages start flat at 1.0 pu.  A column converges when its largest
     voltage change over all buses drops below DEFAULT_TOLERANCE.  A column
     whose final magnitude is under 0.5 pu at any bus, or that ends
     unconverged after dipping under it on the way, is reported collapsed
     rather than merely unconverged.
 
-    The iteration runs over the buses with an injection in some column; the
-    other buses draw no current and their voltages follow from the last
-    iteration's currents.  The returned currents are recomputed from the
-    final voltages, so each bus absorbs exactly its specified power and the
-    slack picks up losses; the loss identity then closes to roundoff.
+    The iteration runs over the set's buses, by default those with an
+    injection in some column; the other buses draw no current and their
+    voltages follow from the last iteration's currents.  The returned
+    currents are recomputed from the final voltages, so each bus absorbs
+    exactly its specified power and the slack picks up losses; the loss
+    identity then closes to roundoff.
 
-    The arrays that grow with the batch live in ``workspace``.  With a
-    shared one, the result's arrays are views that stay valid until the next
-    call that uses the same workspace, and consumption passed in from one of
-    its slots is overwritten.  Without one, the result owns its arrays.
+    With a prebuilt set, the arrays that grow with the batch live in the
+    network's workspace, and the result's arrays are views that stay valid
+    until its next sweep.  Without one, the set is built for this call and
+    the result owns its arrays.  Either way a column's result is the same
+    for the same set.
     """
     s = np.asarray(consumption_pu, dtype=complex)
     if s.ndim == 1:
@@ -443,9 +417,11 @@ def sweep(
         # converged column moves on by rounding-level amounts (up to 2e-12
         # pu in a 58-plan GA batch of the benchmark case).
         s = np.repeat(s, 2, axis=1)
-    ws = Workspace() if workspace is None else workspace
-    injections = net.injections(s.any(axis=1))
-    s_inj = ws.gather("s_inj", s, injections.inj, 0)
+    if injections is None:
+        injections = InjectionSet(net, s.any(axis=1))
+        s_inj, ws = s[injections.inj], Workspace()
+    else:
+        s_inj, ws = s, net.workspace
     v, iterate, spare, iterations, converged, _ = _iterate(injections, s_inj, max_iterations, ws)
 
     with np.errstate(all="ignore"):

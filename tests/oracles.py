@@ -57,7 +57,9 @@ from mgopt.powerflow import (
     PowerFlowSolution,
     compile_network,
     consumption_from_schedule,
+    load_consumption_pu,
     package_solution,
+    shift_distribution_pu,
     solve_horizon,
     sweep,
 )
@@ -1283,14 +1285,15 @@ def bisect_shift_projection(shift_bound: np.ndarray, s: np.ndarray) -> np.ndarra
 
 
 def subtract_at_consumption(problem, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]) -> np.ndarray:
-    """Net bus consumption (n_bus, B, T) in pu, the unit injections scattered
-    with ``np.subtract.at`` as the package once did."""
-    cons = np.repeat(problem.base_load[:, np.newaxis, :], p_net.shape[0], axis=1)
+    """Net bus consumption (n_bus, B, T) in pu at every bus, the unit
+    injections scattered with ``np.subtract.at`` as the package once did."""
+    case, net = problem.case, problem.net
+    cons = np.repeat(load_consumption_pu(case, net)[:, np.newaxis, :], p_net.shape[0], axis=1)
     np.subtract.at(cons, problem.unit_bus, p_units.transpose(1, 0, 2) / problem.s_base)
     if problem.batt_bus is not None:
         cons[problem.batt_bus] += p_net / problem.s_base
     if shift is not None:
-        cons += problem.shift_factors[:, np.newaxis, :] * shift[np.newaxis, :, :]
+        cons += shift_distribution_pu(case, net)[:, np.newaxis, :] * shift[np.newaxis, :, :]
     return cons
 
 

@@ -7,13 +7,13 @@ from mgopt.devices import DispatchSchedule, zero_schedule
 from mgopt.powerflow import (
     CompiledNetwork,
     ConvergenceError,
+    InjectionSet,
     VoltageCollapseError,
     compile_network,
     consumption_from_schedule,
     load_consumption_pu,
     package_solution,
     shift_distribution_pu,
-    Workspace,
     solve_horizon,
     sweep,
 )
@@ -353,7 +353,7 @@ def test_sweep_matches_loop_sweep_on_collapse():
 
 
 # ---------------------------------------------------------------------------
-# the shared workspace
+# a prebuilt injection set and the network's workspace
 
 
 SWEEP_FIELDS = ("voltage", "branch_current", "slack_current", "injection_magnitude", "loss_pu",
@@ -367,25 +367,28 @@ def _assert_same_bits(got, want):
 
 
 def test_workspace_sweep_is_bitwise_equal_on_feeders_with_empty_buses():
-    # One workspace serves feeders of every size, converging and collapsing.
-    workspace = Workspace()
+    # A sweep over a prebuilt set's rows, in the network's workspace, is the
+    # all-bus sweep, converging and collapsing.
     rng = np.random.default_rng(505)
     for _ in range(20):
         n, branches, s = random_feeder_with_empty_buses(rng)
         net = _compiled(n, branches)
+        injections = InjectionSet(net, s.any(axis=1))
         for scale, cap in ((1.0, 100), (12.0, 3)):
-            _assert_same_bits(sweep(net, scale * s, cap, workspace), sweep(net, scale * s, cap))
+            rows = scale * s[injections.inj]
+            _assert_same_bits(sweep(net, rows, cap, injections), sweep(net, scale * s, cap))
 
 
 def test_workspace_sweep_is_bitwise_equal_as_the_batch_grows_and_shrinks(benchmark_case):
     case = sectioned_case(benchmark_case, 4)
     net = compile_network(case)
     base = load_consumption_pu(case, net)
+    injections = InjectionSet(net, base.any(axis=1))
     rng = np.random.default_rng(606)
     for width in (1440, 48, 1392):
         s = base[:, rng.integers(0, case.horizon, width)] * rng.uniform(0.0, 2.0, width)
         s[:, 1] = 12.0 * base[:, base.real.sum(axis=0).argmax()]
         s[:, 2] = 0.0
-        shared = sweep(net, s.copy(), workspace=net.workspace)
+        shared = sweep(net, s[injections.inj], injections=injections)
         assert shared.collapsed[1] and shared.converged[2]
         _assert_same_bits(shared, sweep(net, s))

@@ -309,7 +309,10 @@ def test_consumption_matches_subtract_at(benchmark_case):
         prob = DispatchProblem(case, dr=dr)
         p_units, p_batt, shift = prob.unpack(prob.repair(_random_plans(prob, rng, 58)))
         got = prob._consumption(p_units, p_batt, shift)
-        assert got.tobytes() == subtract_at_consumption(prob, p_units, p_batt, shift).tobytes()
+        every_bus = subtract_at_consumption(prob, p_units, p_batt, shift)
+        # The problem's rows are its injection buses; every other bus draws nothing.
+        assert got.tobytes() == every_bus[prob.injections.inj].tobytes()
+        assert not np.delete(every_bus, prob.injections.inj, axis=0).any()
     assert len(set(DispatchProblem(stacked).unit_bus.tolist())) == len(stacked.units) - 2
 
 
@@ -712,20 +715,26 @@ def _metrics_bytes(m):
 
 def test_results_keep_their_bytes_through_later_calls(benchmark_case):
     # Batch intermediates live in the network's workspace only while a call
-    # runs; what a call hands out owns its memory.
+    # runs; what a call hands out owns its memory.  A sweep over the
+    # problem's injection rows is the all-bus sweep, bit for bit.
     prob = DispatchProblem(benchmark_case)
     rng = np.random.default_rng(31)
     first = prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
     kept = _metrics_bytes(first)
-    s = prob._consumption(*prob.unpack(prob.repair(_random_plans(prob, rng, 3)))).reshape(prob.net.n_bus, -1)
+    cons = prob._consumption(*prob.unpack(prob.repair(_random_plans(prob, rng, 3))))
+    rows = cons.reshape(cons.shape[0], -1).copy()
+    s = np.zeros((prob.net.n_bus, rows.shape[1]), dtype=complex)
+    s[prob.injections.inj] = rows
     owned = sweep(prob.net, s)
     fields_read = ("voltage", "branch_current", "slack_current", "injection_magnitude", "loss_pu",
                    "iterations", "converged", "collapsed")
     owned_bytes = [getattr(owned, name).tobytes() for name in fields_read]
+    shared = sweep(prob.net, rows, injections=prob.injections)
+    assert [getattr(shared, name).tobytes() for name in fields_read] == owned_bytes
     prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
     prob.split_eval(np.vstack([prob.split_from_signed(x) for x in prob.repair(_random_plans(prob, rng, 14))]))
     sweep(prob.net, 2.0 * s)
-    sweep(prob.net, 3.0 * s, workspace=prob.net.workspace)
+    sweep(prob.net, 3.0 * rows, injections=prob.injections)
     assert _metrics_bytes(first) == kept
     assert [getattr(owned, name).tobytes() for name in fields_read] == owned_bytes
 
@@ -776,6 +785,19 @@ def test_warm_ga_evaluation_allocates_well_under_one_vmag(benchmark_case):
     assert peak < 0.75 * vmag_nbytes
 
 
+@pytest.mark.parametrize("dr", [False, True])
+def test_a_ga_evaluation_keeps_no_buses_by_columns_array(benchmark_case, dr):
+    # Consumption, iterates and terms are all over the injection buses, 12 of
+    # the long feeder's 53; the empty buses enter by bound.
+    prob = DispatchProblem(sectioned_case(benchmark_case, 4), dr=dr)
+    evaluate, _ = prob.ga_functions(ObjectiveSpec("cost"))
+    plans = prob.repair(_random_plans(prob, np.random.default_rng(34), 58))
+    evaluate(plans)
+    columns = plans.shape[0] * prob.T
+    assert 4 * prob.injections.inj.size < prob.net.n_bus
+    assert max(buffer.nbytes for buffer in prob.net.workspace._slots.values()) <= prob.injections.inj.size * columns * 16
+
+
 def _kernel_problem(benchmark_case, variant):
     case = benchmark_case
     if variant.startswith("sectioned"):
@@ -786,10 +808,17 @@ def _kernel_problem(benchmark_case, variant):
         # f1-4 carries a load and nothing else.
         case = replace(case, load_points=tuple(
             replace(lp, profile_kw=(0.0,) * case.horizon) if lp.bus == "f1-4" else lp for lp in case.load_points))
+    if variant == "unit-only-bus":
+        # f2-1 carries no load; MT moves there and the plans keep it off.
+        case = replace(case, units=tuple(replace(u, bus="f2-1") if u.name == "MT" else u for u in case.units))
     return DispatchProblem(case, dr=variant == "dr")
 
 
-@pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned", "sectioned-tight", "zero-load"])
+# The bus of each variant that is in the problem's injection set but draws nothing.
+IDLE_BUS = {"zero-load": "f1-4", "unit-only-bus": "f2-1"}
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned", "sectioned-tight", "zero-load", "unit-only-bus"])
 def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypatch):
     prob = _kernel_problem(benchmark_case, variant)
     exact = []
@@ -797,6 +826,8 @@ def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypat
     monkeypatch.setattr(SweepResult, "rest_magnitude",
                         lambda self, columns: exact.append(columns.size) or rest_magnitude(self, columns))
     plans = prob.repair(_random_plans(prob, np.random.default_rng(41), 58))
+    if variant == "unit-only-bus":
+        prob.blocks(plans)[:, [u.name for u in prob.case.units].index("MT")] = 0.0
     m = prob.metrics(plans)
     lean = prob._evaluate(*prob._signed(plans), vmag=False)
     values, violation, ok, vmag = all_bus_kernel(prob, plans)
@@ -817,10 +848,11 @@ def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypat
     if variant == "sectioned-tight":
         outside = (vmag[section] < 0.975) | (vmag[section] > 1.02)
         assert outside.any() and sum(exact) > 0
-    if variant == "zero-load":
+    if variant in IDLE_BUS:
         p_units, chg, dis, shift = prob._signed(plans)
         cons = prob._consumption(p_units, chg - dis, shift)
-        assert not cons[prob.net.bus_index["f1-4"]].any()
+        row = prob.injections.inj.tolist().index(prob.net.bus_index[IDLE_BUS[variant]])
+        assert not cons[row].any()
 
 
 def _kink_nlp(problem, spec, plan=2):

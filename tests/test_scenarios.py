@@ -91,6 +91,17 @@ def test_every_optimised_row_of_the_default_suite_converges(suite):
         assert result.sqp_iterations == len(result.trace) >= 1
 
 
+def test_dr_lowers_cost_and_loss_but_not_ens_at_seed_0(suite):
+    # README's statement of the paper's DR claim, at the shared suite's seed:
+    # against the weighted row, the DR row pays less and loses less, and its
+    # expected outage cost is higher.  vdev moves either way across seeds.
+    weighted = suite.results["weighted"].objectives.as_dict()
+    dr = suite.results["dr"].objectives.as_dict()
+    assert dr["cost"] < weighted["cost"]
+    assert dr["loss"] < weighted["loss"]
+    assert dr["ens"] > weighted["ens"]
+
+
 def test_baseline_anchors_normalisation(fast_suite):
     # The initial state sits at the top of every normalisation bracket, so
     # its weighted total is the weight sum.
