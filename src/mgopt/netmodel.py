@@ -65,7 +65,7 @@ class DgUnit:
 
     name: str
     bus: str
-    p_min_kw: float
+    p_min_kw: float = field(metadata={"default": 0.0})
     p_max_kw: float
     cost_slope_ct_per_kwh: float
     cost_fixed_ct_per_h: float = 0.0
@@ -162,30 +162,36 @@ class DrProgram:
     incentive_ct_per_kwh: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MicrogridCase:
-    """Complete input for one day-ahead dispatch study."""
+    """Complete input for one day-ahead dispatch study.
 
-    name: str
-    buses: Tuple[Bus, ...]
-    branches: Tuple[Branch, ...]
-    load_points: Tuple[LoadPoint, ...]
-    units: Tuple[DgUnit, ...]
-    battery: Optional[Battery]
-    grid_limit_kw: float
-    prices_ct_per_kwh: Tuple[float, ...]
-    availability_kw: Dict[str, Tuple[float, ...]]
-    contingencies: Tuple[Contingency, ...]
-    outage_costs: OutageCostTable
-    voltage_limits: Tuple[float, float] = (0.95, 1.05)
-    export_limit_kw: Optional[float] = None
+    The fields are the case document's keys, in its order (see ``_record``);
+    a document that leaves a key out gets the field default.
+    """
+
+    name: str = "unnamed"
+    base_voltage_kv: float = field(default=0.4, metadata={"key": "base.voltage_kv"})
+    base_power_kva: float = field(default=100.0, metadata={"key": "base.power_kva"})
     horizon: int = 24
     period_hours: float = 1.0
-    base_voltage_kv: float = 0.4
-    base_power_kva: float = 100.0
+    voltage_limits: Tuple[float, float] = field(
+        default=(0.95, 1.05), metadata={"key": ("voltage_limits.min", "voltage_limits.max")}
+    )
+    grid_limit_kw: float = field(metadata={"key": "grid.import_limit_kw"})
+    prices_ct_per_kwh: Tuple[float, ...] = field(metadata={"key": "grid.price_ct_per_kwh"})
+    export_limit_kw: Optional[float] = field(default=None, metadata={"key": "grid.export_limit_kw"})
+    buses: Tuple[Bus, ...]
+    branches: Tuple[Branch, ...]
+    load_points: Tuple[LoadPoint, ...] = field(metadata={"key": "loads"})
+    units: Tuple[DgUnit, ...] = ()
+    availability_kw: Dict[str, Tuple[float, ...]] = field(default_factory=dict, metadata={"key": "availability"})
+    contingencies: Tuple[Contingency, ...] = ()
+    outage_costs: OutageCostTable = field(default_factory=lambda: OutageCostTable({}))
+    battery: Optional[Battery] = None
     weights: Optional[Tuple[float, float, float, float]] = None
     judgment_matrix: Optional[Tuple[Tuple[float, ...], ...]] = None
-    dr: Optional[DrProgram] = None
+    dr: Optional[DrProgram] = field(default=None, metadata={"key": "demand_response"})
 
     @property
     def z_base_ohm(self) -> float:
@@ -401,7 +407,9 @@ def _number(kind, value, path: str):
 def _coerce(kind, value, path: str):
     """Convert the parsed YAML value at ``path`` to an annotated type: a
     record or scalar type, ``Optional[X]``, ``Tuple[X, ...]`` or
-    ``Dict[K, V]``."""
+    ``Dict[K, V]``.  The outage cost table reads its own mapping form."""
+    if kind is OutageCostTable:
+        return OutageCostTable.from_mapping(value)
     if isinstance(kind, type):
         if is_dataclass(kind):
             return _record(kind, value, path)
@@ -414,34 +422,70 @@ def _coerce(kind, value, path: str):
     return {args[0](k): _coerce(args[1], v, f"{path}.{k}") for k, v in value.items()}
 
 
-def _record(cls, raw, path: str, **defaults):
-    """Build a record from its YAML mapping: the key is the field name (or
-    its ``key`` metadata), the type is the field annotation, and a missing
-    key takes the reader's ``defaults``, then the field default.  A key that
-    names no field is rejected, so a misspelt optional cannot pass as its
-    default."""
+def _keys(f) -> Tuple[str, ...]:
+    """A field's keys in its mapping: its ``key`` metadata, else its name; a
+    tuple of keys holds the items of a tuple field."""
+    key = f.metadata.get("key", f.name)
+    return key if isinstance(key, tuple) else (key,)
+
+
+def _record(cls, raw, path: str):
+    """Build a record from its YAML mapping at ``path``.
+
+    A field's key (``_keys``) is dotted where it sits in a section of the
+    mapping, as ``grid.import_limit_kw`` does.  The type is the field
+    annotation, and a field whose keys are all missing takes its
+    ``default`` metadata, then the field default.  A key that names no
+    field is rejected, so a misspelt optional cannot pass as its default.
+    The case document is the record at path ''; its errors name the dotted
+    key.
+    """
     if not isinstance(raw, dict):
         raise CaseError(f"{cls.__name__} record must be a mapping, got {raw!r}")
-    raw, values, keys = {**defaults, **raw}, {}, set()
+    what = f"{cls.__name__} record" if path else "case document"
+    lacks = f"{what} lacks required key" if path else "missing required field"
+    keys = {f.name: _keys(f) for f in fields(cls)}
+    known = {key for ks in keys.values() for key in ks}
+    sections = {key.split(".")[0] for key in known if "." in key}
+    flat = {}
+    for key, value in raw.items():
+        flat.update({f"{key}.{k}": v for k, v in value.items()} if key in sections else {key: value})
+    for key in flat:
+        if key not in known:
+            raise CaseError(f"{what} has unknown key {key!r}")
+    values = {}
     for f in fields(cls):
-        key = f.metadata.get("key", f.name)
-        keys.add(key)
-        if key in raw:
-            values[f.name] = _coerce(_hints(cls)[f.name], raw[key], f"{path}.{key}")
-        elif f.default is MISSING:
-            raise CaseError(f"{cls.__name__} record lacks required key {key!r}")
-    for key in raw:
-        if key not in keys:
-            raise CaseError(f"{cls.__name__} record has unknown key {key!r}")
+        ks, hint = keys[f.name], _hints(cls)[f.name]
+        absent = [key for key in ks if key not in flat]
+        if len(absent) == len(ks):
+            if "default" in f.metadata:
+                values[f.name] = f.metadata["default"]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise CaseError(f"{lacks} {ks[0]!r}")
+            continue
+        if absent:
+            raise CaseError(f"{lacks} {absent[0]!r}")
+        kinds = get_args(hint) if len(ks) > 1 else (hint,)
+        items = tuple(_coerce(kind, flat[key], f"{path}.{key}" if path else key) for kind, key in zip(kinds, ks))
+        values[f.name] = items if len(ks) > 1 else items[0]
     return cls(**values)
 
 
 def _plain(value):
     """YAML form of a value: a record becomes a mapping of its fields under
-    their keys, a mapping drops its ``None`` entries (unset optionals), and a
-    tuple becomes a list."""
-    if is_dataclass(value):
-        value = {f.metadata.get("key", f.name): getattr(value, f.name) for f in fields(value)}
+    their keys (``_record``), the outage cost table its own mapping, a
+    mapping drops its ``None`` entries (unset optionals), and a tuple
+    becomes a list."""
+    if isinstance(value, OutageCostTable):
+        value = value.to_mapping()
+    elif is_dataclass(value):
+        doc: Dict[str, object] = {}
+        for f in fields(value):
+            ks, item = _keys(f), getattr(value, f.name)
+            for key, part in zip(ks, item if len(ks) > 1 else (item,)):
+                section, _, name = key.rpartition(".")
+                (doc.setdefault(section, {}) if section else doc)[name] = part
+        value = doc
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items() if v is not None}
     if isinstance(value, tuple):
@@ -456,44 +500,8 @@ def case_from_dict(doc: Dict) -> MicrogridCase:
     version = doc.get("format_version")
     if version != CASE_FORMAT_VERSION:
         raise CaseError(f"unsupported case format_version {version!r}, expected {CASE_FORMAT_VERSION}")
-
-    def need(key: str) -> object:
-        if key not in doc:
-            raise CaseError(f"missing required field {key!r}")
-        return doc[key]
-
-    def typed(name: str, value: object, path: str) -> object:
-        return _coerce(_hints(MicrogridCase)[name], value, path)
-
     try:
-        grid = need("grid")
-        base = doc.get("base", {})
-        limits = doc.get("voltage_limits", {"min": 0.95, "max": 1.05})
-        case = MicrogridCase(
-            name=str(doc.get("name", "unnamed")),
-            buses=typed("buses", need("buses"), "buses"),
-            branches=typed("branches", need("branches"), "branches"),
-            load_points=typed("load_points", need("loads"), "loads"),
-            units=tuple(_record(DgUnit, u, f"units[{i}]", p_min_kw=0.0) for i, u in enumerate(doc.get("units", []))),
-            battery=typed("battery", doc.get("battery"), "battery"),
-            grid_limit_kw=typed("grid_limit_kw", grid["import_limit_kw"], "grid.import_limit_kw"),  # type: ignore[index]
-            export_limit_kw=typed("export_limit_kw", grid.get("export_limit_kw"), "grid.export_limit_kw"),  # type: ignore[union-attr]
-            prices_ct_per_kwh=typed("prices_ct_per_kwh", grid["price_ct_per_kwh"], "grid.price_ct_per_kwh"),  # type: ignore[index]
-            availability_kw=typed("availability_kw", doc.get("availability", {}), "availability"),
-            contingencies=typed("contingencies", doc.get("contingencies", []), "contingencies"),
-            outage_costs=OutageCostTable.from_mapping(doc.get("outage_costs", {})),
-            voltage_limits=(
-                _number(float, limits["min"], "voltage_limits.min"),
-                _number(float, limits["max"], "voltage_limits.max"),
-            ),
-            horizon=_number(int, doc.get("horizon", 24), "horizon"),
-            period_hours=_number(float, doc.get("period_hours", 1.0), "period_hours"),
-            base_voltage_kv=_number(float, base.get("voltage_kv", 0.4), "base.voltage_kv"),
-            base_power_kva=_number(float, base.get("power_kva", 100.0), "base.power_kva"),
-            weights=typed("weights", doc.get("weights"), "weights"),
-            judgment_matrix=typed("judgment_matrix", doc.get("judgment_matrix"), "judgment_matrix"),
-            dr=typed("dr", doc.get("demand_response"), "demand_response"),
-        )
+        case = _record(MicrogridCase, {k: v for k, v in doc.items() if k != "format_version"}, "")
     except CaseError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -503,39 +511,19 @@ def case_from_dict(doc: Dict) -> MicrogridCase:
 
 def case_to_dict(case: MicrogridCase) -> Dict:
     """Inverse of case_from_dict; round-trips through YAML without loss."""
-    return _plain(
-        {
-            "format_version": CASE_FORMAT_VERSION,
-            "name": case.name,
-            "base": {"voltage_kv": case.base_voltage_kv, "power_kva": case.base_power_kva},
-            "horizon": case.horizon,
-            "period_hours": case.period_hours,
-            "voltage_limits": {"min": case.voltage_limits[0], "max": case.voltage_limits[1]},
-            "grid": {
-                "import_limit_kw": case.grid_limit_kw,
-                "price_ct_per_kwh": case.prices_ct_per_kwh,
-                "export_limit_kw": case.export_limit_kw,
-            },
-            "buses": case.buses,
-            "branches": case.branches,
-            "loads": case.load_points,
-            "units": case.units,
-            "availability": case.availability_kw,
-            "contingencies": case.contingencies,
-            "outage_costs": case.outage_costs.to_mapping(),
-            "battery": case.battery,
-            "weights": case.weights,
-            "judgment_matrix": case.judgment_matrix,
-            "demand_response": case.dr,
-        }
-    )
+    return {"format_version": CASE_FORMAT_VERSION, **_plain(case)}
+
+
+# libyaml's parser where PyYAML was built with it: the same document, parsed
+# several times faster than by the pure-Python SafeLoader.
+_CASE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_case(path) -> MicrogridCase:
     """Read and validate a case file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_CASE_LOADER)
         except yaml.YAMLError as exc:
             raise CaseError(f"cannot parse case file: {exc}") from exc
     return case_from_dict(doc)

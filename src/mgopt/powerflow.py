@@ -548,8 +548,13 @@ def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     The product runs as ``b.T @ a.T`` into row-major storage: gemm rounds
     each row of its result the same wherever the row sits in the batch (it
     does not for columns), so a column's result does not depend on what it
-    is batched with.
+    is batched with.  Numpy hands a one-row product to gemv, which rounds
+    differently, so a lone column is multiplied as a pair, as ``sweep``
+    solves a lone column.
     """
+    if b.shape[1] == 1:
+        out[...] = np.matmul(np.repeat(b, 2, axis=1).T, a.T)[:1]
+        return out.T
     return np.matmul(b.T, a.T, out=out).T
 
 

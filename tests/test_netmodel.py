@@ -1,7 +1,8 @@
 import copy
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from mgopt.netmodel import (
     DgUnit,
     DrProgram,
     LoadPoint,
+    MicrogridCase,
     OutageCostTable,
+    _keys,
+    _record,
     benchmark_case_path,
     case_from_dict,
     case_to_dict,
@@ -251,28 +255,85 @@ def test_record_that_is_not_a_mapping_is_named(kind, section, index):
         case_from_dict(doc)
 
 
-_MISSPELT_KEYS = [("LoadPoint", "loads", "power_factr", 0.5), ("DgUnit", "units", "renewabel", True)]
+# The case document's own keys, dotted inside its sections (grid, base and
+# voltage_limits), as MicrogridCase declares them.
+_DOC_KEYS = [key for f in fields(MicrogridCase) for key in _keys(f)]
+
+
+def _misspelt(key):
+    """``key`` with the letter before its last one dropped."""
+    section, dot, name = key.rpartition(".")
+    return section + dot + name[:-2] + name[-1]
+
+
+_MISSPELT_KEYS = [("LoadPoint", "loads", "power_factr", 0.5), ("DgUnit", "units", "renewabel", True)] + [
+    ("case document", *_misspelt(key).rpartition(".")[::2], 1.0) for key in _DOC_KEYS
+]
+
+
+def _with_unknown_key(kind, section, key, value):
+    """The packaged document with ``key`` added to ``section`` (to its first
+    record where the section is a list), and the message that must name it."""
+    doc = _packaged_doc()
+    target = doc[section] if section else doc
+    (target[0] if isinstance(target, list) else target)[key] = value
+    if kind == "case document":
+        return doc, f"case document has unknown key '{section + '.' if section else ''}{key}'"
+    return doc, f"{kind} record has unknown key '{key}'"
 
 
 @pytest.mark.parametrize("kind, section, key, value", _MISSPELT_KEYS)
 def test_unknown_record_key_is_rejected(kind, section, key, value):
     # Before, a misspelt optional key was dropped and its field took the default.
-    doc = _minimal_doc()
-    doc[section][0][key] = value
-    with pytest.raises(CaseError, match=f"{kind} record has unknown key '{key}'"):
+    doc, message = _with_unknown_key(kind, section, key, value)
+    with pytest.raises(CaseError, match=re.escape(message)):
         case_from_dict(doc)
 
 
 @pytest.mark.parametrize("kind, section, key, value", _MISSPELT_KEYS)
 def test_validate_rejects_unknown_record_key(kind, section, key, value, tmp_path, capsys):
-    doc = _minimal_doc()
-    doc[section][0][key] = value
+    doc, message = _with_unknown_key(kind, section, key, value)
     path = tmp_path / "misspelt.case"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{kind} record has unknown key '{key}'" in captured.err
+    assert message in captured.err
+
+
+def _top_level_table():
+    """The rows of the top-level table in docs/case-format.md: key, whether
+    it is required, and its default (``None`` for an optional key that is
+    absent unless set)."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "case-format.md").read_text(encoding="utf-8")
+    table = text.split("## Top level", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            key, required, default = (cell.strip() for cell in line.strip("|").split("|")[:3])
+            rows.append((key.strip("`"), required == "yes", yaml.safe_load(default.strip("`")) if "`" in default else None))
+    return rows
+
+
+_TOP_LEVEL = _top_level_table()
+
+
+def test_the_top_level_table_lists_every_key_the_reader_knows():
+    assert {key for key, _, _ in _TOP_LEVEL} == {"format_version"} | {key.split(".")[0] for key in _DOC_KEYS}
+
+
+@pytest.mark.parametrize("key, required, default", _TOP_LEVEL[1:], ids=[key for key, _, _ in _TOP_LEVEL[1:]])
+def test_an_omitted_top_level_key_reads_as_documented(key, required, default):
+    doc = _packaged_doc()
+    del doc["format_version"]
+    doc.pop(key, None)
+    if required:
+        with pytest.raises(CaseError, match=re.escape(f"missing required field '{key}")):
+            _record(MicrogridCase, doc, "")
+    elif default is None:
+        assert key not in case_to_dict(_record(MicrogridCase, doc, ""))
+    else:
+        assert _record(MicrogridCase, doc, "") == _record(MicrogridCase, {**doc, key: default}, "")
 
 
 def _every_option_set(case):
@@ -397,6 +458,24 @@ def test_packaged_and_sectioned_cases_load_unchanged(benchmark_case):
     assert case_from_dict(_packaged_doc()) == benchmark_case
     sectioned = sectioned_case(benchmark_case, 4)
     assert case_from_dict(case_to_dict(sectioned)) == sectioned
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_read_the_same_document(tmp_path, benchmark_case):
+    path = tmp_path / "sectioned.case"
+    save_case(sectioned_case(benchmark_case, 4), path)
+    for case_file in (benchmark_case_path(), path):
+        text = Path(case_file).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_validate_rejects_unparsable_yaml(tmp_path, capsys):
+    path = tmp_path / "broken.case"
+    path.write_text("format_version: 1\ngrid: {import_limit_kw: [300.0\n", encoding="utf-8")
+    with pytest.raises(CaseError, match="cannot parse case file"):
+        load_case(path)
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert "cannot parse case file" in capsys.readouterr().err
 
 
 def test_deep_chain_walks_without_recursion():

@@ -392,3 +392,19 @@ def test_workspace_sweep_is_bitwise_equal_as_the_batch_grows_and_shrinks(benchma
         shared = sweep(net, s[injections.inj], injections=injections)
         assert shared.collapsed[1] and shared.converged[2]
         _assert_same_bits(shared, sweep(net, s))
+
+
+def test_rest_magnitudes_of_a_column_do_not_depend_on_the_columns_read_with_it(benchmark_case):
+    # numpy hands a one-column product to gemv, which rounds differently from
+    # a row of gemm; a lone column must read the same bits as among others.
+    case = sectioned_case(benchmark_case, 4)
+    net = compile_network(case)
+    base = load_consumption_pu(case, net)
+    rng = np.random.default_rng(707)
+    width = 60
+    result = sweep(net, base[:, rng.integers(0, case.horizon, width)] * rng.uniform(0.5, 2.0, width))
+    for column in range(width):
+        others = rng.choice(np.delete(np.arange(width), column), 2, replace=False)
+        alone = result.rest_magnitude(np.array([column]))
+        among = result.rest_magnitude(np.array([column, *others]))
+        assert alone[:, 0].tobytes() == among[:, 0].tobytes(), column
