@@ -404,12 +404,20 @@ def _number(kind, value, path: str):
     return kind(value)
 
 
+def _shaped(value, kind, noun: str, path: str):
+    """The parsed YAML value at ``path`` if it is a ``kind``, the
+    container the document needs there; else an error naming the key."""
+    if not isinstance(value, kind):
+        raise CaseError(f"malformed case document: {path!r} must be a {noun}, got {value!r}")
+    return value
+
+
 def _coerce(kind, value, path: str):
     """Convert the parsed YAML value at ``path`` to an annotated type: a
     record or scalar type, ``Optional[X]``, ``Tuple[X, ...]`` or
     ``Dict[K, V]``.  The outage cost table reads its own mapping form."""
     if kind is OutageCostTable:
-        return OutageCostTable.from_mapping(value)
+        return OutageCostTable.from_mapping(_shaped(value, dict, "mapping", path))
     if isinstance(kind, type):
         if is_dataclass(kind):
             return _record(kind, value, path)
@@ -418,8 +426,9 @@ def _coerce(kind, value, path: str):
     if origin is Union:
         return None if value is None else _coerce(args[0], value, path)
     if origin is tuple:
-        return tuple(_coerce(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    return {args[0](k): _coerce(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        items = _shaped(value, (list, tuple), "list", path)
+        return tuple(_coerce(args[0], v, f"{path}[{i}]") for i, v in enumerate(items))
+    return {args[0](k): _coerce(args[1], v, f"{path}.{k}") for k, v in _shaped(value, dict, "mapping", path).items()}
 
 
 def _keys(f) -> Tuple[str, ...]:
@@ -441,7 +450,7 @@ def _record(cls, raw, path: str):
     key.
     """
     if not isinstance(raw, dict):
-        raise CaseError(f"{cls.__name__} record must be a mapping, got {raw!r}")
+        raise CaseError(f"malformed case document: {path!r}: {cls.__name__} record must be a mapping, got {raw!r}")
     what = f"{cls.__name__} record" if path else "case document"
     lacks = f"{what} lacks required key" if path else "missing required field"
     keys = {f.name: _keys(f) for f in fields(cls)}
@@ -449,7 +458,11 @@ def _record(cls, raw, path: str):
     sections = {key.split(".")[0] for key in known if "." in key}
     flat = {}
     for key, value in raw.items():
-        flat.update({f"{key}.{k}": v for k, v in value.items()} if key in sections else {key: value})
+        if key in sections:
+            section = _shaped(value, dict, "mapping", f"{path}.{key}" if path else key)
+            flat.update({f"{key}.{k}": v for k, v in section.items()})
+        else:
+            flat[key] = value
     for key in flat:
         if key not in known:
             raise CaseError(f"{what} has unknown key {key!r}")

@@ -16,8 +16,9 @@ network terms come from those buses: the loss is ``I^H Re(DLF) I`` over
 their currents, vdev reads the load buses among them, and the empty buses
 enter the violation only where a bound cannot clear them.  The GA reads
 values, violation and ok alone, so its evaluation forms no array of buses
-times columns; ``metrics`` runs the same rule and adds the magnitudes at
-every bus.  Repair projects the shift onto zero net energy by an exact
+times columns and sweeps only to ``GA_TOLERANCE``; ``metrics`` runs the
+same rule to the sweep's default tolerance and adds the magnitudes at every
+bus.  Repair projects the shift onto zero net energy by an exact
 breakpoint search and clips the battery in stored energy, hour by hour.
 
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
@@ -48,6 +49,7 @@ from ..dr import shift_bounds_kw
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket, normalize
 from ..powerflow import (
+    DEFAULT_TOLERANCE,
     CompiledNetwork,
     InjectionSet,
     SweepResult,
@@ -72,6 +74,14 @@ SCREEN_MARGIN = 0.02
 # A seed's load-bus voltage within this many pu of 1.0 carries its |1 - V|
 # term as an epigraph variable in the vdev subproblem.
 KINK_MARGIN = 0.004
+
+# The sweep tolerance of GA batches (pu), where every other evaluation uses
+# powerflow.DEFAULT_TOLERANCE.  The GA ranks fitness only to ga.PROGRESS =
+# 1e-3 relative and reports nothing; on the benchmark case the values it
+# sees are within 1.5e-5 relative of the exact ones, 1.5 % of PROGRESS, and
+# its ok flags and zero-violation decisions are those of the exact sweep
+# (near voltage collapse by powerflow.SETTLE_RATIO).
+GA_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -356,6 +366,7 @@ class DispatchProblem:
         dis: np.ndarray,
         shift: Optional[np.ndarray],
         vmag: bool = True,
+        tolerance: float = DEFAULT_TOLERANCE,
     ) -> BatchMetrics:
         """Objectives, network violation and hourly series for split parts.
 
@@ -365,14 +376,14 @@ class DispatchProblem:
         problem's injection set, so the vdev terms gather the load buses'
         rows of its magnitudes.  ``vmag=False`` leaves out the magnitudes
         at every bus, the one buses-by-columns array nothing but the
-        refiner and the reports read.  The scratch slot "terms" holds the
-        shift's spread, then the deviations, then the violation terms, each
-        spent before the next is written.
+        refiner and the reports read; ``tolerance`` is the sweep's.  The
+        scratch slot "terms" holds the shift's spread, then the deviations,
+        then the violation terms, each spent before the next is written.
         """
         B, T = chg.shape
         # One column per plan-hour; the result lives in the workspace until the next sweep.
         cons = self._consumption(p_units, chg - dis, shift)
-        res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections)
+        res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections, tolerance=tolerance)
         ok = res.converged.reshape(B, T).all(axis=1)
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, T) * self.s_base
@@ -530,8 +541,9 @@ class DispatchProblem:
         """(evaluate, repair) pair in the shape the genetic seeder expects."""
 
         def evaluate(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            # The same kernel as ``metrics``, less the magnitudes at every bus.
-            m = self._evaluate(*self._signed(X), vmag=False)
+            # The same kernel as ``metrics``, less the magnitudes at every
+            # bus, converged only as far as the GA ranks (GA_TOLERANCE).
+            m = self._evaluate(*self._signed(X), vmag=False, tolerance=GA_TOLERANCE)
             obj = spec.scalar_array(m.values)
             obj = np.where(m.ok, obj, LARGE_OBJECTIVE)
             return obj, m.violation

@@ -49,6 +49,13 @@ from .netmodel import MicrogridCase, validate_radial
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100
 COLLAPSE_FLOOR_PU = 0.5
+# A column stops at a tolerance looser than DEFAULT_TOLERANCE only on an
+# iteration that shrank its change by this factor or more.  One that
+# converges more slowly, as near voltage collapse, runs on to
+# DEFAULT_TOLERANCE, so whether it converges within the iteration cap is
+# decided as at the default.  While the change shrinks this fast, what
+# remains to the fixed point is about a ninth of the last change or less.
+SETTLE_RATIO = 0.1
 # A bound stands in for the exact value it bounds only when it clears its
 # test by this much (relative to the tolerance, absolute in pu for voltage
 # magnitudes near 1.0), which covers the rounding of both.
@@ -380,16 +387,18 @@ def sweep(
     consumption_pu: np.ndarray,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     injections: Optional[InjectionSet] = None,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> SweepResult:
     """Run the backward-forward sweep on a column batch of injections.
 
     consumption_pu has shape (n_bus, m), or (len(injections.inj), m) over
     the rows of a prebuilt ``injections`` set; positive real part consumes.
     Voltages start flat at 1.0 pu.  A column converges when its largest
-    voltage change over all buses drops below DEFAULT_TOLERANCE.  A column
-    whose final magnitude is under 0.5 pu at any bus, or that ends
-    unconverged after dipping under it on the way, is reported collapsed
-    rather than merely unconverged.
+    voltage change over all buses drops below ``tolerance``, or below
+    DEFAULT_TOLERANCE where that is tighter and the column converges slowly
+    (SETTLE_RATIO).  A column whose final magnitude is under 0.5 pu at any
+    bus, or that ends unconverged after dipping under it on the way, is
+    reported collapsed rather than merely unconverged.
 
     The iteration runs over the set's buses, by default those with an
     injection in some column; the other buses draw no current and their
@@ -422,7 +431,7 @@ def sweep(
         s_inj, ws = s[injections.inj], Workspace()
     else:
         s_inj, ws = s, net.workspace
-    v, iterate, spare, iterations, converged, _ = _iterate(injections, s_inj, max_iterations, ws)
+    v, iterate, spare, iterations, converged, _ = _iterate(injections, s_inj, max_iterations, tolerance, ws)
 
     with np.errstate(all="ignore"):
         current = np.conjugate(np.divide(s_inj, v, out=spare), out=spare)
@@ -440,14 +449,18 @@ def sweep(
         # unconverged, so the loop above does not watch for one; such
         # columns run again, watched.  Their iterates are independent of
         # their batch (``_by_row``), so the flags are those of a watched run.
-        collapsed[unsettled] |= _dips(injections, s_inj[:, unsettled], max_iterations)
+        collapsed[unsettled] |= _dips(injections, s_inj[:, unsettled], max_iterations, tolerance)
     converged &= ~collapsed
     iterations[~converged] = max_iterations
     return result
 
 
-def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, ws: Workspace, watch: bool = False):
-    """The fixed-point loop over the injection buses.
+def _iterate(
+    injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tolerance: float, ws: Workspace,
+    watch: bool = False,
+):
+    """The fixed-point loop over the injection buses, each column to
+    ``tolerance`` or, where it converges slowly, to DEFAULT_TOLERANCE.
 
     Returns the last voltage iterate, the currents it was drawn from, a
     spare buffer of the same shape, the iterations and convergence flags,
@@ -465,6 +478,8 @@ def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, w
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     dipped = np.zeros(m, dtype=bool)
+    last = np.full(m, np.inf)
+    strict = min(tolerance, DEFAULT_TOLERANCE)
 
     with np.errstate(all="ignore"):
         for k in range(1, max_iterations + 1):
@@ -476,11 +491,14 @@ def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, w
             dv = np.abs(np.subtract(v_new, v, out=v), out=size).max(axis=0, initial=0.0)
             if watch:
                 dipped |= _dipped(injections, acc)
+            # Each column's tolerance this iteration (SETTLE_RATIO).
+            limit = np.where(dv <= SETTLE_RATIO * last, tolerance, strict)
+            last = dv
             # A column that passes on the injection buses is confirmed on the
             # rest, since a bus without load can move the most.
-            screened = np.flatnonzero(~converged & (dv < DEFAULT_TOLERANCE))
+            screened = np.flatnonzero(~converged & (dv < limit))
             if screened.size:
-                newly = screened[_settled_at_rest(injections, acc, prev, screened, ws)]
+                newly = screened[_settled_at_rest(injections, acc, prev, screened, limit[screened], ws)]
                 iterations[newly] = k
                 converged[newly] = True
             v, v_new = v_new, v
@@ -490,19 +508,20 @@ def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, w
 
 
 def _settled_at_rest(
-    injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, ws: Workspace
+    injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, tolerance: np.ndarray,
+    ws: Workspace,
 ) -> np.ndarray:
     """Whether each screened column's voltage change at the empty buses is
-    under the tolerance: by the reach bound where it clears the tolerance,
+    under its tolerance: by the reach bound where it clears the tolerance,
     exactly elsewhere.  The loop leaves "wide", "bus" and "real" free."""
     change = ws.gather("wide", acc, screened, 1)
     np.subtract(change, ws.gather("bus", prev, screened, 1), out=change)
     bound = injections.reach_rest @ np.abs(change, out=ws.take("real", change.shape))
-    settled = bound < DEFAULT_TOLERANCE * (1.0 - BOUND_MARGIN)
+    settled = bound < tolerance * (1.0 - BOUND_MARGIN)
     unsure = np.flatnonzero(~settled)
     if unsure.size:
         step = _by_row(injections.drop_rest, change[:, unsure], np.empty((unsure.size, injections.rest.size), complex))
-        settled[unsure] = np.abs(step).max(axis=0, initial=0.0) < DEFAULT_TOLERANCE
+        settled[unsure] = np.abs(step).max(axis=0, initial=0.0) < tolerance[unsure]
     return settled
 
 
@@ -517,11 +536,11 @@ def _dipped(injections: InjectionSet, acc: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _dips(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int) -> np.ndarray:
+def _dips(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tolerance: float) -> np.ndarray:
     """Which columns dip under the collapse floor in a watched run of their own."""
     lone = s_inj.shape[1] == 1
     s = np.repeat(s_inj, 2, axis=1) if lone else np.ascontiguousarray(s_inj)
-    dipped = _iterate(injections, s, max_iterations, Workspace(), watch=True)[-1]
+    dipped = _iterate(injections, s, max_iterations, tolerance, Workspace(), watch=True)[-1]
     return dipped[:1] if lone else dipped
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mgopt.cli import (
     EXIT_CONVERGENCE,
@@ -57,6 +58,17 @@ def test_validate_broken_case(tmp_path, capsys):
     bad.write_text("name: broken\nbuses: []\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == EXIT_VALIDATION
     assert "error: validation:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value", [("grid", 5), ("availability", None)])
+def test_validate_names_a_section_of_the_wrong_shape(tmp_path, capsys, section, value):
+    doc = yaml.safe_load(Path(benchmark_case_path()).read_text(encoding="utf-8"))
+    doc[section] = value
+    bad = tmp_path / "shape.case"
+    bad.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(bad)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{section}' must be a mapping" in err and "attribute" not in err
 
 
 def test_powerflow_prints_hourly_table(capsys):

@@ -513,3 +513,31 @@ def test_section_of_the_wrong_shape_is_a_case_error():
     doc["availability"] = None
     with pytest.raises(CaseError, match="malformed case document"):
         case_from_dict(doc)
+
+
+def _dotted(path):
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
+
+
+_WRONG_SHAPES = [
+    (("grid",), 5),
+    (("availability",), None),
+    (("outage_costs",), 5),
+    (("loads",), 5),
+    (("demand_response", "participating"), "domestic"),
+    (("loads", 0, "profile_kw"), None),
+    (("battery",), 5),
+    (("loads", 0), 5),
+]
+
+
+@pytest.mark.parametrize("path, value", _WRONG_SHAPES, ids=[_dotted(path) for path, _ in _WRONG_SHAPES])
+def test_a_section_or_list_of_the_wrong_shape_is_named(path, value):
+    doc = _minimal_doc()
+    doc["availability"] = {"MT": [1.0] * 24}
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    with pytest.raises(CaseError, match=f"^malformed case document: {re.escape(repr(_dotted(path)))}:? "):
+        case_from_dict(doc)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import mgopt.powerflow as powerflow
 from mgopt.devices import DispatchSchedule, zero_schedule
+from mgopt.optimizer.problem import GA_TOLERANCE
 from mgopt.powerflow import (
     CompiledNetwork,
     ConvergenceError,
@@ -350,6 +352,36 @@ def test_sweep_matches_loop_sweep_on_collapse():
     result = _assert_matches_loop_sweep(net, np.array([[0.0, 0.0], [30.0, 0.1]], dtype=complex))
     np.testing.assert_array_equal(result.collapsed, [True, False])
     np.testing.assert_array_equal(result.converged, [False, True])
+
+
+def _flag_changes_at_the_ga_tolerance(seed):
+    """Columns whose converged or collapsed flag, or whose inside-the-limits
+    decision, differs between the GA tolerance and the default on heavily
+    loaded random feeders; also the columns that end unconverged without
+    collapsing at the default, the ones the looser tolerance could pass."""
+    rng = np.random.default_rng(seed)
+    changed = stalled = 0
+    for _ in range(40):
+        n, branches, s = random_feeder_with_empty_buses(rng, columns=40)
+        net = _compiled(n, branches)
+        s = s * np.geomspace(1.0, 20.0, s.shape[1])
+        exact, loose = sweep(net, s), sweep(net, s, tolerance=GA_TOLERANCE)
+        changed += (exact.converged != loose.converged).sum() + (exact.collapsed != loose.collapsed).sum()
+        both = exact.converged & loose.converged
+        inside = [((abs(r.voltage[:, both]) >= 0.95) & (abs(r.voltage[:, both]) <= 1.05)).all(axis=0) for r in (exact, loose)]
+        changed += (inside[0] != inside[1]).sum()
+        stalled += (~exact.converged & ~exact.collapsed).sum()
+    return changed, stalled
+
+
+def test_ga_tolerance_keeps_the_flags_near_collapse(monkeypatch):
+    # Near the nose of the power-flow curve a column converges slowly: the
+    # GA tolerance alone would pass it within the cap where the default
+    # does not.  Such a column runs on to the default (SETTLE_RATIO).
+    changed, stalled = _flag_changes_at_the_ga_tolerance(1)
+    assert changed == 0 and stalled > 0
+    monkeypatch.setattr(powerflow, "SETTLE_RATIO", np.inf)
+    assert _flag_changes_at_the_ga_tolerance(1)[0] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from mgopt.devices import DispatchSchedule, soc_trajectory
+import mgopt.optimizer.problem as problem_mod
 import mgopt.optimizer.sqp as sqp
 from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
-from mgopt.optimizer.problem import KINK_MARGIN, _SplitDispatchNlp
+from mgopt.optimizer.problem import GA_TOLERANCE, KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
 from mgopt.objectives import OBJECTIVE_KEYS
 from mgopt.powerflow import SweepResult, compile_network, sweep
@@ -853,6 +854,55 @@ def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypat
         cons = prob._consumption(p_units, chg - dis, shift)
         row = prob.injections.inj.tolist().index(prob.net.bus_index[IDLE_BUS[variant]])
         assert not cons[row].any()
+
+
+def _at_median_limits(prob, plans):
+    """The problem with its lower voltage limit at the median of the plans'
+    lowest voltages and its import limit at the median of their peak
+    imports, so that about half of them violate each."""
+    m = prob.metrics(plans)
+    low = float(np.median(m.vmag.min(axis=(0, 2))))
+    case = replace(prob.case, voltage_limits=(low, prob.case.voltage_limits[1]),
+                   grid_limit_kw=float(np.median(m.slack_kw.max(axis=1))))
+    return DispatchProblem(case, dr=prob.dr)
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned", "sectioned-tight", "zero-load", "unit-only-bus"])
+def test_ga_tolerance_keeps_the_exact_decisions(benchmark_case, variant):
+    # The GA sweeps to GA_TOLERANCE and the reported numbers to the default
+    # 1e-10: the two must agree on which plans the sweep solves and which
+    # violate nothing, and their values differ far below ga.PROGRESS (1e-3).
+    prob = _kernel_problem(benchmark_case, variant)
+    plans = np.vstack([prob.repair(_random_plans(prob, np.random.default_rng(42), 58)), prob.seed_points()])
+    split = 0
+    for p in (prob, _at_median_limits(prob, plans)):
+        exact = p._evaluate(*p._signed(plans), vmag=False)
+        loose = p._evaluate(*p._signed(plans), vmag=False, tolerance=GA_TOLERANCE)
+        np.testing.assert_array_equal(loose.ok, exact.ok)
+        np.testing.assert_array_equal(loose.violation == 0, exact.violation == 0)
+        for key in OBJECTIVE_KEYS:
+            np.testing.assert_allclose(loose.values[key], exact.values[key], rtol=1e-4, atol=0, err_msg=key)
+        split += 0 < (exact.violation == 0).sum() < plans.shape[0]
+    assert split, "the median limits leave some plans feasible and others not"
+
+
+def test_ga_batches_sweep_to_the_ga_tolerance(benchmark_case, monkeypatch):
+    # The GA's evaluate is the one caller of the looser tolerance; metrics
+    # sweeps the same plans to the default.
+    prob = DispatchProblem(benchmark_case)
+    iterations, original = [], problem_mod.sweep
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        iterations.append(int(result.iterations.max()))
+        return result
+
+    monkeypatch.setattr(problem_mod, "sweep", recorded)
+    evaluate, _ = prob.ga_functions(ObjectiveSpec("cost"))
+    plans = prob.repair(_random_plans(prob, np.random.default_rng(43), 58))
+    evaluate(plans)
+    prob.metrics(plans)
+    assert iterations[0] <= 3 and iterations[1] == 7
 
 
 def _kink_nlp(problem, spec, plan=2):
