@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .ahp import derive_weights
 from .devices import DispatchSchedule, soc_trajectory, zero_schedule
+from .dr import check_shift
 from .netmodel import CaseError, MicrogridCase, load_case
 from .objectives import OBJECTIVE_KEYS, OBJECTIVE_LABELS, normalize_objective
 from .optimizer import OptimizerConfig, ScenarioResult, SuiteResult, run_suite, scenario_key
@@ -130,6 +131,11 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
         battery[t] = values[n]
         if has_shift:
             shift[t] = values[n + 1]
+    if has_shift:
+        try:
+            check_shift(case, shift)
+        except ValueError as exc:
+            raise CliError(EXIT_VALIDATION, f"{path}: {exc}") from None
     return DispatchSchedule(dg, battery, shift)
 
 
@@ -143,9 +149,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload: Dict) -> None:
+    # A non-finite number raises ValueError: RFC 8259 has no Infinity or NaN.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_trace_csv(path: Path, trace: List[Dict]) -> None:
@@ -315,6 +322,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     except (PowerFlowError, QpError) as exc:
         _mark_failed(out, EXIT_CONVERGENCE, str(exc))
         raise CliError(EXIT_CONVERGENCE, str(exc)) from exc
+    except ValueError as exc:
+        _mark_failed(out, EXIT_VALIDATION, str(exc))
+        raise
 
     if not result.feasible:
         message = f"result violates constraints by {result.violation:.3e}"
@@ -324,9 +334,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if marker.exists():
         marker.unlink()
     if result.sqp_status is not None and result.sqp_status not in CONVERGED:
+        kkt = "not measured" if result.sqp_kkt is None else f"{result.sqp_kkt:.2e}"
         print(
             f"warning: the SQP solve of this plan ended '{result.sqp_status}' after "
-            f"{result.sqp_iterations} iterations (KKT residual {result.sqp_kkt:.2e}), "
+            f"{result.sqp_iterations} iterations (KKT residual {kkt}), "
             "not at a first-order point",
             file=sys.stderr,
         )

@@ -38,12 +38,11 @@ def shift_bounds_kw(case: MicrogridCase) -> np.ndarray:
     return case.dr.shiftable_fraction * participating_demand_kw(case)
 
 
-def apply_shift(case: MicrogridCase, shift: Sequence[float]) -> MicrogridCase:
-    """A copy of the case with the shift folded into the load profiles.
-
-    The shift must be energy neutral, must not remove more than the
-    shiftable fraction of any hour's participating demand, and cannot add
-    load in an hour where no participating demand exists to distribute it.
+def check_shift(case: MicrogridCase, shift: Sequence[float]) -> np.ndarray:
+    """The shift as a float array, or ValueError naming what it breaks: one
+    finite entry per hour, energy neutral, removing no more than the
+    shiftable fraction of any hour's participating demand, adding no load in
+    an hour without such demand to distribute it, and leaving it non-negative.
     """
     if case.dr is None:
         raise ValueError("case has no demand response program")
@@ -59,19 +58,23 @@ def apply_shift(case: MicrogridCase, shift: Sequence[float]) -> MicrogridCase:
         raise ValueError(f"shift is not energy neutral, residual {residual:.3e} kW")
     bound = case.dr.shiftable_fraction * total
     slack = 1e-9 * np.maximum(1.0, total)
-    low = np.nonzero(arr < -bound - slack)[0]
+    low = np.flatnonzero(arr < -bound - slack)
     if low.size:
         t = int(low[0])
-        raise ValueError(
-            f"shift removes {-arr[t]:.6g} kW at hour {t}, cap is {bound[t]:.6g} kW"
-        )
-    empty = np.nonzero((arr > NEUTRALITY_TOL) & (total <= 0.0))[0]
+        raise ValueError(f"shift removes {-arr[t]:.6g} kW at hour {t}, cap is {bound[t]:.6g} kW")
+    empty = np.flatnonzero((arr > NEUTRALITY_TOL) & (total <= 0.0))
     if empty.size:
-        t = int(empty[0])
-        raise ValueError(f"shift adds load at hour {t} where no participating demand exists")
-    if np.any(total + arr < -slack):
-        raise ValueError("shift drives participating demand negative")
+        raise ValueError(f"shift adds load at hour {int(empty[0])} where no participating demand exists")
+    negative = np.flatnonzero(total + arr < -slack)
+    if negative.size:
+        raise ValueError(f"shift drives participating demand negative at hour {int(negative[0])}")
+    return arr
 
+
+def apply_shift(case: MicrogridCase, shift: Sequence[float]) -> MicrogridCase:
+    """A copy of the case with a shift ``check_shift`` accepts folded into the load profiles."""
+    arr = check_shift(case, shift)
+    total = participating_demand_kw(case)
     safe = np.where(total > 0, total, 1.0)
     points = []
     for lp in case.load_points:

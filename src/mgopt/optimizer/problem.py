@@ -14,7 +14,9 @@ and the battery's buses, so it builds that injection set once: consumption
 is formed over its rows alone and the sweep iterates over them.  The
 network terms come from those buses: the loss is ``I^H Re(DLF) I`` over
 their currents, vdev reads the load buses among them, and the empty buses
-enter the violation only where a bound cannot clear them.  The GA reads
+enter the violation only where the set's transfer gain (0.375 on the
+benchmark case, 1.0 on its sectioned long feeder) cannot place them
+inside the limits from the injection buses' voltages.  The GA reads
 values, violation and ok alone, so its evaluation forms no array of buses
 times columns and sweeps only to ``GA_TOLERANCE``; ``metrics`` runs the
 same rule to the sweep's default tolerance and adds the magnitudes at every
@@ -336,8 +338,9 @@ class DispatchProblem:
 
         The voltage terms are exact at the injection buses.  The empty buses
         add theirs as a sum of its own, taken only in the converged columns
-        whose anchored bound (``SweepResult.beyond``) cannot place them
-        inside the limits; elsewhere they are 0.
+        where the gain bound (``SweepResult.beyond``: no empty bus lies
+        further from 1.0 pu than the gain times the farthest injection bus)
+        cannot place them inside the limits; elsewhere they are 0.
         """
         B, T = slack_kw.shape
         mag = res.injection_magnitude
@@ -388,7 +391,9 @@ class DispatchProblem:
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, T) * self.s_base
         loss_kw = res.loss_pu.reshape(B, T) * self.s_base
-        dev = self.net.workspace.gather("terms", res.injection_magnitude, self._row[self.load_idx], 0)
+        mag, rows = res.injection_magnitude, self._row[self.load_idx]
+        # mode="clip" takes straight into the slot, "raise" through a fresh array.
+        dev = np.take(mag, rows, axis=0, out=self.net.workspace.take("terms", (rows.size, mag.shape[1])), mode="clip")
         hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0).reshape(B, T)
         soc = self.soc_split(chg, dis)
         hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..ahp import derive_weights
 from ..devices import COMMIT_EPS, DispatchSchedule, zero_schedule
+from ..dr import check_shift
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weights_from_sequence
 from ..powerflow import PowerFlowError, compile_network, solve_horizon
@@ -78,7 +79,7 @@ class ScenarioResult:
     ga_generations: Optional[int] = None
     # The last SQP solve of the refine that produced the plan (``trace`` is
     # its iteration log): its status, iterations and KKT residual.  None
-    # where no solve ran.
+    # where no solve ran, and the residual None where no iteration measured it.
     sqp_status: Optional[str] = None
     sqp_iterations: Optional[int] = None
     sqp_kkt: Optional[float] = None
@@ -250,13 +251,16 @@ def evaluate_objectives(
 ) -> ObjectiveValues:
     """All four objectives for one schedule, from the batched kernel.
 
-    Raises ValueError for a unit setpoint outside [0, p_max] and
-    PowerFlowError when the schedule's power flow fails.
+    Raises ValueError for a unit setpoint outside [0, p_max] or a shift
+    that ``dr.check_shift`` refuses, and PowerFlowError when the schedule's
+    power flow fails.
     """
     for unit, p in zip(case.units, schedule.dg_setpoints):
         bad = (p < -COMMIT_EPS) | (p > unit.p_max_kw + max(1e-9, 1e-9 * unit.p_max_kw))
         if bad.any():
             raise ValueError(f"setpoint {p[bad][0]} outside [0, {unit.p_max_kw}] for unit {unit.name}")
+    if schedule.dr_shift is not None:
+        check_shift(case, schedule.dr_shift)
     problem = DispatchProblem(case, dr=schedule.dr_shift is not None, evaluator=evaluator)
     x = problem.pack(schedule)
     m = problem.metrics(x)
@@ -280,7 +284,7 @@ def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioRes
         ga_generations=row.ga_generations,
         sqp_status=sqp.status if sqp else None,
         sqp_iterations=sqp.iterations if sqp else None,
-        sqp_kkt=float(sqp.kkt_residual) if sqp else None,
+        sqp_kkt=float(sqp.kkt_residual) if sqp and np.isfinite(sqp.kkt_residual) else None,
         trace=list(sqp.trace) if sqp else [],
         elapsed_s=row.elapsed_s,
     )

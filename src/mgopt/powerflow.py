@@ -17,13 +17,14 @@ where its power can go builds the set once and passes consumption over its
 rows alone; given consumption at every bus, ``sweep`` takes the buses with
 an injection in some column.  Convergence is still judged over every bus: a
 column converges when its largest voltage change at any bus is below the
-tolerance.  At the empty buses a bound through the path impedances settles
-that test, and the collapse floor, for most columns; only the columns it
-cannot settle take the exact product.  What the sweep yields is the
-injection buses' voltages and currents.  The slack current is
-the currents' sum and the series loss ``sum_b r_b |I_b|^2`` equals
-``I^H Re(DLF) I`` over them; the voltage at every bus and the branch
-currents are derived from them only when read.
+tolerance.  At the empty buses one transfer gain per set (``InjectionSet``)
+bounds the voltage changes and magnitudes by the injection buses' and
+settles that test, and the collapse floor, for most columns; only a column
+it cannot settle takes the exact product.  What the sweep yields is the
+injection buses' voltages and currents.  The slack current is the
+currents' sum and the series loss ``sum_b r_b |I_b|^2`` equals ``I^H
+Re(DLF) I`` over them; the voltage at every bus and the branch currents are
+derived from them only when read.
 
 Loads are constant power at their power factor, generators are negative
 constant-power loads at unity power factor, the battery is a signed
@@ -58,8 +59,11 @@ COLLAPSE_FLOOR_PU = 0.5
 SETTLE_RATIO = 0.1
 # A bound stands in for the exact value it bounds only when it clears its
 # test by this much (relative to the tolerance, absolute in pu for voltage
-# magnitudes near 1.0), which covers the rounding of both.
+# magnitudes near 1.0), which covers the rounding of the gain and the value.
 BOUND_MARGIN = 1e-9
+# The rounding (pu) of an injection-bus voltage change, a difference of two
+# iterates near 1.0 pu, before the gain scales it to the empty buses.
+ROUNDING = 8 * np.finfo(float).eps
 
 
 class PowerFlowError(RuntimeError):
@@ -208,9 +212,10 @@ class Workspace:
 
     A slot holds bytes, so one slot serves any dtype in turn.  The sweep
     owns the slots "acc", "prev", "v", "v_new" and "magnitude" (its
-    result's arrays), "real", "wide" and "bus" (its scratch, the loss and
-    the voltages) and "branch" (the branch currents), and writes them on
-    every sweep and on the first read of a derived value.  Callers keep
+    result's arrays), "real" and "wide" (its scratch, the loss and the
+    injection buses' deviation from 1.0 pu), "bus" (the voltages) and
+    "branch" (the branch currents), and writes them on every sweep and on
+    the first read of a derived value.  Callers keep
     their own arrays under other names.  A workspace is not for concurrent
     use.
     """
@@ -227,18 +232,9 @@ class Workspace:
             buffer = self._slots[slot] = np.empty(nbytes, np.uint8)
         return buffer[:nbytes].view(dtype).reshape(shape)
 
-    def gather(self, slot: str, a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
-        """``a`` indexed along ``axis``, written into the slot.
-
-        np.take's default mode="raise" gathers into a fresh array and copies
-        it over; the indices are in range, so "clip" gives the same values.
-        """
-        shape = a.shape[:axis] + (index.size,) + a.shape[axis + 1 :]
-        return np.take(a, index, axis=axis, out=self.take(slot, shape, a.dtype), mode="clip")
-
 
 class InjectionSet:
-    """Product and bound matrices for one set of injection buses of a network.
+    """Product matrices and the empty-bus gain for one set of injection buses.
 
     ``inj`` are the buses flagged in ``has_injection``, in bus order, and
     ``rest`` the others, the slack aside: its voltage is fixed at 1.0 pu.
@@ -246,13 +242,13 @@ class InjectionSet:
     then zero.
     With I the injection currents, every bus voltage is ``1 - DLF[:, inj] I``.
 
-    The bounds let a batch skip the products over the empty buses wherever
-    they cannot change an answer.  At an empty bus j, |dV_j| <= sum_k
-    |DLF[j, k]| |dI_k| bounds a voltage change.  Each empty bus also has an
-    anchor, the injection bus a(j) whose ``DLF`` row is nearest its own, and
-    ``V_j = V_a - sum_k (DLF[j, k] - DLF[a, k]) I_k`` puts |V_j| within
-    ``radius[a] @ |I|`` of |V_a|, ``radius[a]`` being the largest
-    |DLF[j, k] - DLF[a, k]| over the buses anchored at a.
+    The empty buses draw nothing, so ``V_rest - 1 = T (V_inj - 1)`` with
+    ``T = DLF[rest, inj] DLF[inj, inj]^-1`` (nonsingular, as no impedance is
+    zero or negative).  ``gain``, the largest absolute row sum of T, bounds
+    every empty bus's voltage change and deviation from 1.0 pu by that times
+    the largest at an injection bus, which skips the products over the empty
+    buses wherever they cannot change an answer.  It is 0.375 on the
+    benchmark case (one empty bus) and 1.0 on the long feeder (40).
     """
 
     def __init__(self, net: "CompiledNetwork", has_injection: np.ndarray):
@@ -263,25 +259,11 @@ class InjectionSet:
         self.inj, self.rest = inj, rest
         self.drop = net.dlf[:, inj]
         self.drop_inj, self.drop_rest = self.drop[inj], self.drop[rest]
-        # |V_j| >= 1 - sum_k |DLF[j, k]| |I_k| at every bus j.
-        self.reach = np.abs(self.drop).max(axis=0, initial=0.0)
-        self.reach_rest = np.abs(self.drop_rest).max(axis=0, initial=0.0)
+        # DLF is symmetric, so T^T = DLF[inj, inj]^-1 DLF[inj, rest].
+        self.gain = float(np.abs(np.linalg.solve(self.drop_inj, self.drop_rest.T)).sum(axis=0).max(initial=0.0))
         # Branch b carries BIBC[b, inj] I, and Re(DLF) = BIBC^T diag(r) BIBC.
         self.bibc = net.bibc[:, inj]
         self.resistance = np.ascontiguousarray(self.drop_inj.real)
-        if inj.size and rest.size:
-            # One (rest, inj) slice per candidate anchor keeps the memory to
-            # one DLF block, not a cube.
-            distance = np.stack([np.abs(self.drop_rest - row).sum(axis=1) for row in self.drop_inj], axis=1)
-            anchor = distance.argmin(axis=1)
-        else:
-            anchor = np.zeros(0, dtype=np.intp)
-        is_anchor = np.zeros(inj.size, dtype=bool)
-        is_anchor[anchor] = True
-        self.anchors = np.flatnonzero(is_anchor)
-        self.radius = np.zeros((self.anchors.size, inj.size))
-        for row, a in enumerate(self.anchors):
-            self.radius[row] = np.abs(self.drop_rest[anchor == a] - self.drop_inj[a]).max(axis=0)
 
 
 class SweepResult:
@@ -317,8 +299,7 @@ class SweepResult:
     ):
         self._net, self._set, self._ws, self._width = net, injections, workspace, width
         # Full-width arrays: a lone column is solved as a pair (see sweep).
-        self._voltage, self._magnitude, self._iterate, self._current = voltage, magnitude, iterate, current
-        self._lowest, self._highest = _anchor_bounds(injections, magnitude, iterate, workspace)
+        self._voltage, self._iterate, self._current = voltage, iterate, current
         self.injection = injections.inj
         self.injection_magnitude = magnitude[:, :width]
         self.iterations = iterations[:width]
@@ -367,11 +348,20 @@ class SweepResult:
         shape = (self._net.n_branch, self._current.shape[1])
         return np.matmul(self._set.bibc, self._current, out=self._ws.take("branch", shape, complex))[:, : self._width]
 
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """Per column, the gain times the injection buses' largest |1 - V|:
+        no empty bus's magnitude lies further than this from 1.0 pu.  First
+        read in ``sweep``, under its errstate."""
+        deviation = np.subtract(1.0, self._voltage, out=self._ws.take("wide", self._voltage.shape, complex))
+        size = np.abs(deviation, out=self._ws.take("real", deviation.shape))
+        return self._set.gain * size.max(axis=0, initial=0.0)
+
     def beyond(self, low: float, high: float) -> np.ndarray:
-        """The columns whose empty-bus magnitudes the anchored bound cannot
+        """The columns whose empty-bus magnitudes the gain bound cannot
         place inside [low, high]; NaN fails the test."""
-        inside = (self._lowest >= low + BOUND_MARGIN) & (self._highest <= high - BOUND_MARGIN)
-        return np.flatnonzero(~inside[: self._width])
+        reach = self._reach[: self._width]
+        return np.flatnonzero(~((1.0 - reach >= low + BOUND_MARGIN) & (1.0 + reach <= high - BOUND_MARGIN)))
 
     def rest_magnitude(self, columns: np.ndarray) -> np.ndarray:
         """Exact voltage magnitudes at the empty buses, (rest, len(columns))."""
@@ -490,7 +480,7 @@ def _iterate(
             # the tolerance test, like an infinite one.
             dv = np.abs(np.subtract(v_new, v, out=v), out=size).max(axis=0, initial=0.0)
             if watch:
-                dipped |= _dipped(injections, acc)
+                dipped |= _dipped(injections, acc, v_new)
             # Each column's tolerance this iteration (SETTLE_RATIO).
             limit = np.where(dv <= SETTLE_RATIO * last, tolerance, strict)
             last = dv
@@ -498,7 +488,7 @@ def _iterate(
             # rest, since a bus without load can move the most.
             screened = np.flatnonzero(~converged & (dv < limit))
             if screened.size:
-                newly = screened[_settled_at_rest(injections, acc, prev, screened, limit[screened], ws)]
+                newly = screened[_settled_at_rest(injections, acc, prev, screened, dv[screened], limit[screened])]
                 iterations[newly] = k
                 converged[newly] = True
             v, v_new = v_new, v
@@ -508,28 +498,30 @@ def _iterate(
 
 
 def _settled_at_rest(
-    injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, tolerance: np.ndarray,
-    ws: Workspace,
+    injections: InjectionSet, acc: np.ndarray, prev: np.ndarray, screened: np.ndarray, dv: np.ndarray,
+    tolerance: np.ndarray,
 ) -> np.ndarray:
     """Whether each screened column's voltage change at the empty buses is
-    under its tolerance: by the reach bound where it clears the tolerance,
-    exactly elsewhere.  The loop leaves "wide", "bus" and "real" free."""
-    change = ws.gather("wide", acc, screened, 1)
-    np.subtract(change, ws.gather("bus", prev, screened, 1), out=change)
-    bound = injections.reach_rest @ np.abs(change, out=ws.take("real", change.shape))
-    settled = bound < tolerance * (1.0 - BOUND_MARGIN)
+    under its tolerance: by the gain times its change ``dv`` at the
+    injection buses where that clears the tolerance, exactly elsewhere."""
+    settled = injections.gain * (dv + ROUNDING) < tolerance * (1.0 - BOUND_MARGIN)
     unsure = np.flatnonzero(~settled)
     if unsure.size:
-        step = _by_row(injections.drop_rest, change[:, unsure], np.empty((unsure.size, injections.rest.size), complex))
+        columns = screened[unsure]
+        change = acc[:, columns] - prev[:, columns]
+        step = _by_row(injections.drop_rest, change, np.empty((unsure.size, injections.rest.size), complex))
         settled[unsure] = np.abs(step).max(axis=0, initial=0.0) < tolerance[unsure]
     return settled
 
 
-def _dipped(injections: InjectionSet, acc: np.ndarray) -> np.ndarray:
-    """Columns whose voltages from the currents ``acc`` fall under the
-    collapse floor at some bus; the reach bound clears most of them."""
+def _dipped(injections: InjectionSet, acc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Columns whose voltages from the currents ``acc``, ``v`` at the
+    injection buses, fall under the collapse floor at some bus.  Every bus
+    lies within max(gain, 1) times the largest |1 - v| of 1.0 pu, which
+    clears most of them."""
     flags = np.zeros(acc.shape[1], dtype=bool)
-    risky = np.flatnonzero(~(1.0 - injections.reach @ np.abs(acc) > COLLAPSE_FLOOR_PU + BOUND_MARGIN))
+    reach = max(injections.gain, 1.0) * np.abs(1.0 - v).max(axis=0, initial=0.0)
+    risky = np.flatnonzero(~(1.0 - reach > COLLAPSE_FLOOR_PU + BOUND_MARGIN))
     if risky.size:
         drop = _by_row(injections.drop, acc[:, risky], np.empty((risky.size, injections.drop.shape[0]), complex))
         flags[risky] = _below_floor(np.abs(np.subtract(1.0, drop, out=drop)))
@@ -542,23 +534,6 @@ def _dips(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tole
     s = np.repeat(s_inj, 2, axis=1) if lone else np.ascontiguousarray(s_inj)
     dipped = _iterate(injections, s, max_iterations, tolerance, Workspace(), watch=True)[-1]
     return dipped[:1] if lone else dipped
-
-
-def _anchor_bounds(injections: InjectionSet, magnitude: np.ndarray, iterate: np.ndarray, ws: Workspace):
-    """Per column, a floor under the lowest and a ceiling over the highest
-    voltage magnitude at the empty buses, from their anchors
-    (``InjectionSet``).  With no empty bus, or none that an injection
-    reaches, the floor is +inf and the ceiling -inf."""
-    m = magnitude.shape[1]
-    if not injections.anchors.size:
-        return np.full(m, np.inf), np.full(m, -np.inf)
-    with np.errstate(invalid="ignore"):
-        size = np.abs(iterate, out=ws.take("real", iterate.shape))
-        radius = np.matmul(injections.radius, size, out=ws.take("wide", (injections.anchors.size, m)))
-        at = ws.gather("bus", magnitude, injections.anchors, 0)
-        lowest = np.subtract(at, radius, out=size[: at.shape[0]]).min(axis=0)
-        highest = np.add(at, radius, out=at).max(axis=0)
-    return lowest, highest
 
 
 def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,12 +12,16 @@ from mgopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
+    _write_json,
     main,
     read_schedule_csv,
     write_schedule_csv,
 )
 from mgopt.devices import DispatchSchedule
-from mgopt.netmodel import benchmark_case_path, load_benchmark_case, save_case
+from mgopt.netmodel import benchmark_case_path, load_benchmark_case, load_case, save_case
+from mgopt.optimizer import evaluate_objectives
+
+from test_dr import refused_shifts
 
 FAST = [
     "--ga-population", "12",
@@ -155,6 +160,61 @@ def test_optimize_warns_when_the_solve_stops_short(tmp_path, capsys):
     assert doc["sqp_status"] == "max-iterations" and doc["sqp_iterations"] == 1
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and "'max-iterations' after 1 iterations" in err
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def test_optimize_without_sqp_iterations_writes_strict_json(tmp_path, capsys):
+    # No iteration measures a KKT residual; it was written as Infinity.
+    out = tmp_path / "run"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "1", "--out", str(out),
+                 "--ga-population", "8", "--ga-generations", "3", "--sqp-iterations", "0", "--refine-rounds", "1"])
+    assert code == EXIT_OK
+    json.loads((out / "config.json").read_text(), parse_constant=_refuse_constant)
+    doc = json.loads((out / "objectives.json").read_text(), parse_constant=_refuse_constant)
+    assert doc["sqp_iterations"] == 0 and doc["sqp_kkt"] is None
+    assert "KKT residual not measured" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"value": value})
+    assert not (tmp_path / "x.json").exists()
+
+
+def _tiled(node):
+    """A case document with every 24-entry series repeated to 48 entries."""
+    if isinstance(node, dict):
+        return {key: _tiled(value) for key, value in node.items()}
+    if isinstance(node, list):
+        if len(node) == 24 and all(isinstance(v, (int, float)) for v in node):
+            return node * 2
+        return [_tiled(value) for value in node]
+    return node
+
+
+@pytest.mark.parametrize("dr", [False, True])
+@pytest.mark.parametrize("shape", ["half-hour", "48-hour"])
+def test_optimize_on_other_horizons_replays_its_objectives(tmp_path, shape, dr):
+    doc = yaml.safe_load(Path(benchmark_case_path()).read_text(encoding="utf-8"))
+    doc = dict(doc, period_hours=0.5) if shape == "half-hour" else dict(_tiled(doc), horizon=48)
+    path = tmp_path / "variant.case"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["optimize", str(path), "--scenario", "5", *(["--dr"] if dr else []), "--out", str(out),
+                 "--ga-population", "12", "--ga-generations", "5", "--sqp-iterations", "8", "--refine-rounds", "1"])
+    assert code in (EXIT_OK, EXIT_CONVERGENCE, EXIT_INFEASIBLE)
+    if code != EXIT_OK:
+        assert (out / "FAILED").exists() or not out.exists()
+        return
+    case = load_case(path)
+    schedule = read_schedule_csv(out / "schedule.csv", case)
+    assert schedule.horizon == case.horizon and (schedule.dr_shift is not None) == dr
+    written = json.loads((out / "objectives.json").read_text())["objectives"]
+    assert written == evaluate_objectives(case, schedule).as_dict()
 
 
 def test_objectives_json_shows_an_early_stop(tmp_path):
@@ -330,10 +390,12 @@ def test_report_rejects_plain_directory(tmp_path, capsys):
 def test_schedule_csv_round_trip(tmp_path):
     case = load_benchmark_case()
     rng = np.random.default_rng(0)
+    # The reader refuses a shift that is not energy neutral (dr.check_shift).
+    shift = rng.random(24) - 0.5
     schedule = DispatchSchedule(
         rng.random((len(case.units), 24)) * 7.0,
         rng.random(24) * 10.0 - 5.0,
-        rng.random(24) - 0.5,
+        shift - shift.mean(),
     )
     path = tmp_path / "schedule.csv"
     write_schedule_csv(path, case, schedule)
@@ -427,6 +489,25 @@ def test_powerflow_rejects_unparseable_cell(tmp_path, capsys, column, cell, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: validation:") and str(path) in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_powerflow_and_report_refuse_a_shift_dr_refuses(tmp_path, capsys, index):
+    case = load_benchmark_case()
+    shift, message = refused_shifts(case)[index]
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copyfile(benchmark_case_path(), run / "case.yaml")
+    units = np.zeros((len(case.units), case.horizon))
+    write_schedule_csv(run / "schedule.csv", case, DispatchSchedule(units, np.zeros(case.horizon), shift))
+    assert main(["powerflow", benchmark_case_path(), "--schedule", str(run / "schedule.csv")]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation:") and "schedule.csv: shift" in captured.err
+    assert message in captured.err
+    assert main(["report", str(run)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in run.iterdir()) == ["case.yaml", "schedule.csv"]
 
 
 def test_version_flag(capsys):

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mgopt.devices import DispatchSchedule
 from mgopt.dr import apply_shift, participating_demand_kw, shift_bounds_kw
 from mgopt.netmodel import DrProgram
-from mgopt.optimizer import run_scenario
+from mgopt.optimizer import evaluate_objectives, run_scenario
 from mgopt.powerflow import solve_horizon
 
 
@@ -152,3 +153,23 @@ def test_zero_fraction_degenerates_to_weighted(benchmark_case, fast_config):
     assert np.array_equal(schedule.battery_power, plain.schedule.battery_power)
     for key in ("cost", "loss", "ens", "vdev"):
         assert objectives[key] == pytest.approx(plain.objectives[key], rel=1e-9)
+
+
+def refused_shifts(case):
+    """(shift, what the refusal says) for a lone 5 kW addition at hour 3 and
+    a neutral shift that removes ten times hour 3's cap."""
+    lone = np.zeros(case.horizon)
+    lone[3] = 5.0
+    over = np.zeros(case.horizon)
+    cap = shift_bounds_kw(case)[3]
+    over[3], over[4] = -10.0 * cap, 10.0 * cap
+    return [(lone, "not energy neutral"), (over, "at hour 3, cap is")]
+
+
+def test_evaluate_objectives_refuses_what_apply_shift_refuses(benchmark_case):
+    units = np.zeros((len(benchmark_case.units), benchmark_case.horizon))
+    for shift, message in refused_shifts(benchmark_case):
+        with pytest.raises(ValueError, match=message):
+            apply_shift(benchmark_case, shift)
+        with pytest.raises(ValueError, match=message):
+            evaluate_objectives(benchmark_case, DispatchSchedule(units, np.zeros(benchmark_case.horizon), shift))

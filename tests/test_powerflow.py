@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -440,3 +441,84 @@ def test_rest_magnitudes_of_a_column_do_not_depend_on_the_columns_read_with_it(b
         alone = result.rest_magnitude(np.array([column]))
         among = result.rest_magnitude(np.array([column, *others]))
         assert alone[:, 0].tobytes() == among[:, 0].tobytes(), column
+
+
+# ---------------------------------------------------------------------------
+# the transfer gain that bounds the empty buses
+
+
+def _gain_networks(benchmark_case):
+    """(network, consumption at every bus) for the benchmark case, its
+    sectioned variant and random feeders with empty buses."""
+    networks = []
+    for case in (benchmark_case, sectioned_case(benchmark_case, 4)):
+        net = compile_network(case)
+        networks.append((net, load_consumption_pu(case, net)))
+    rng = np.random.default_rng(808)
+    for _ in range(12):
+        n, branches, s = random_feeder_with_empty_buses(rng, columns=12)
+        networks.append((_compiled(n, branches), s))
+    return networks
+
+
+def test_transfer_reproduces_the_empty_buses_rows(benchmark_case):
+    # V_rest - 1 = T (V_inj - 1) rests on DLF[rest, inj] = T DLF[inj, inj].
+    for net, s in _gain_networks(benchmark_case):
+        injections = InjectionSet(net, s.any(axis=1))
+        assert injections.rest.size
+        transfer = np.linalg.solve(injections.drop_inj, injections.drop_rest.T).T
+        scale = np.abs(net.dlf).max()
+        np.testing.assert_allclose(transfer @ injections.drop_inj, injections.drop_rest, rtol=0, atol=1e-13 * scale)
+        assert injections.gain == pytest.approx(np.abs(transfer).sum(axis=1).max(), rel=1e-12)
+
+
+def test_problem_sets_have_the_documented_gains(benchmark_case):
+    # The benchmark case's problem set leaves one bus empty; on the long
+    # feeder every section bus lies between two buses of the set or beyond one.
+    from mgopt.optimizer.problem import DispatchProblem
+
+    assert DispatchProblem(benchmark_case).injections.gain == pytest.approx(0.375, abs=5e-4)
+    assert DispatchProblem(sectioned_case(benchmark_case, 4)).injections.gain == pytest.approx(1.0, rel=1e-12)
+
+
+def _sweep_bits(net, rows, cap, injections, tolerance):
+    """Every bit a caller can read from a workspace sweep, copied before the
+    workspace is reused, and for a few voltage bands the columns with an
+    empty bus outside the band (NaN counts as outside)."""
+    result = sweep(net, rows, cap, injections, tolerance)
+    bits = {field: getattr(result, field).tobytes() for field in SWEEP_FIELDS}
+    for low, high in ((0.95, 1.05), (0.975, 1.02), (powerflow.COLLAPSE_FLOOR_PU, np.inf)):
+        columns = result.beyond(low, high)
+        rest = result.rest_magnitude(columns)
+        bits[low, high] = columns[~((rest >= low) & (rest <= high)).all(axis=0)].tobytes()
+    return bits, result.converged.copy(), result.collapsed.copy()
+
+
+@pytest.mark.parametrize("tolerance", [powerflow.DEFAULT_TOLERANCE, GA_TOLERANCE])
+def test_gain_bound_decides_as_the_exact_products(benchmark_case, tolerance):
+    # With the gain at inf every empty-bus decision takes the exact product;
+    # the finite gain must reach the same bits, from light loads to past
+    # voltage collapse, and capped short of convergence (the watched rerun).
+    kinds = np.zeros(3, dtype=int)
+    for net, s in _gain_networks(benchmark_case):
+        injections = InjectionSet(net, s.any(axis=1))
+        exact = copy.copy(injections)
+        exact.gain = np.inf
+        heavy = np.concatenate([scale * s[injections.inj] for scale in (1.0, 3.0, 6.0, 10.0, 16.0, 24.0)], axis=1)
+        for cap in (100, 4):
+            got, converged, collapsed = _sweep_bits(net, heavy, cap, injections, tolerance)
+            want = _sweep_bits(net, heavy, cap, exact, tolerance)[0]
+            assert got == want
+            kinds += [converged.sum(), collapsed.sum(), (~converged & ~collapsed).sum()]
+    assert (kinds > 0).all(), kinds
+
+
+def test_converged_empty_buses_lie_within_the_gain(benchmark_case):
+    for net, s in _gain_networks(benchmark_case):
+        injections = InjectionSet(net, s.any(axis=1))
+        for scale in (1.0, 6.0, 16.0):
+            result = sweep(net, scale * s)
+            v = result.voltage[:, result.converged]
+            deviation = np.abs(1.0 - v[injections.inj]).max(axis=0, initial=0.0)
+            reach = np.abs(1.0 - v[injections.rest]).max(axis=0, initial=0.0)
+            assert (reach <= injections.gain * deviation + powerflow.BOUND_MARGIN).all()
