@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .ahp import derive_weights
 from .devices import DispatchSchedule, soc_trajectory, zero_schedule
-from .dr import check_shift
+from .dr import check_schedule
 from .netmodel import CaseError, MicrogridCase, load_case
 from .objectives import OBJECTIVE_KEYS, OBJECTIVE_LABELS, normalize_objective
 from .optimizer import OptimizerConfig, ScenarioResult, SuiteResult, run_suite, scenario_key
@@ -55,6 +55,11 @@ class CliError(Exception):
 
 def _error_line(code: int, message: str) -> str:
     return f"error: {_KIND_FOR_CODE.get(code, 'internal')}: {message}"
+
+
+def _unreadable(what: str, exc: OSError) -> CliError:
+    """The validation error for a file the OS would not open or read."""
+    return CliError(EXIT_VALIDATION, f"cannot read {what}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +89,14 @@ def write_schedule_csv(path: Path, case: MicrogridCase, schedule: DispatchSchedu
 
 
 def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(EXIT_VALIDATION, f"{path} is empty") from None
-        rows = [r for r in reader if r]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))
+    except OSError as exc:
+        raise _unreadable(f"schedule {path}", exc) from exc
+    if not lines:
+        raise CliError(EXIT_VALIDATION, f"{path} is empty")
+    header, rows = lines[0], [r for r in lines[1:] if r]
     expected = ["hour"] + [u.name for u in case.units] + ["battery_kw"]
     has_shift = header == expected + ["shift_kw"]
     if not has_shift and header != expected:
@@ -131,12 +137,12 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
         battery[t] = values[n]
         if has_shift:
             shift[t] = values[n + 1]
-    if has_shift:
-        try:
-            check_shift(case, shift)
-        except ValueError as exc:
-            raise CliError(EXIT_VALIDATION, f"{path}: {exc}") from None
-    return DispatchSchedule(dg, battery, shift)
+    schedule = DispatchSchedule(dg, battery, shift)
+    try:
+        check_schedule(case, schedule)
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"{path}: {exc}") from None
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +277,7 @@ def _parse_weights(args: argparse.Namespace) -> Optional[List[float]]:
         try:
             matrix = np.loadtxt(args.ahp)
         except OSError as exc:
-            raise CliError(EXIT_VALIDATION, f"cannot read --ahp file: {exc}") from exc
+            raise _unreadable(f"--ahp file {args.ahp}", exc) from exc
         if matrix.shape != (4, 4):
             raise CliError(EXIT_VALIDATION, f"--ahp matrix must be 4x4, got {matrix.shape}")
         vector, _ = derive_weights(matrix)
@@ -314,6 +320,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     stem = case_path.name.rsplit(".", 1)[0]
     out = Path(args.out) if args.out else Path(f"{stem}-scenario{scenario_id}" + ("-dr" if args.dr else ""))
+    # The run directory, or the nearest of its parents that exists, must be a directory.
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise CliError(EXIT_VALIDATION, f"--out {out}: {existing} exists and is not a directory")
 
     try:
         suite = run_suite(case, config=config, weights=weights, include_dr=args.dr)
@@ -358,6 +368,8 @@ def _read_objectives(run: str) -> Dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise _unreadable(str(path), exc) from exc
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"{run}: objectives.json is not JSON: {exc}") from exc
 
@@ -438,8 +450,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _load(path) -> MicrogridCase:
     try:
         return load_case(path)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_VALIDATION, f"case file not found: {path}") from exc
+    except OSError as exc:
+        raise _unreadable(f"case file {path}", exc) from exc
     except CaseError as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
 

@@ -1,6 +1,5 @@
 """Dispatch optimisation: GA seeding, SQP refinement, scenario suite."""
 
-from .derivatives import gradient, jacobian
 from .ga import GaConfig, GaResult, ga_seed
 from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec, RefineResult
 from .qp import QpError, QpInfeasibleError, QpResult, qp_subproblem
@@ -39,9 +38,7 @@ __all__ = [
     "SuiteResult",
     "evaluate_objectives",
     "ga_seed",
-    "gradient",
     "grid_only_schedule",
-    "jacobian",
     "qp_subproblem",
     "resolve_weights",
     "run_scenario",

@@ -61,7 +61,6 @@ from ..powerflow import (
     sweep,
 )
 from ..reliability import ContingencyEvaluator
-from .derivatives import DEFAULT_REL_STEP
 from .qp import pinned_mask
 from .sqp import NlpProblem, SqpConfig, SqpResult, sqp_solve
 
@@ -84,6 +83,10 @@ KINK_MARGIN = 0.004
 # its ok flags and zero-violation decisions are those of the exact sweep
 # (near voltage collapse by powerflow.SETTLE_RATIO).
 GA_TOLERANCE = 1e-4
+
+# The SQP subproblem's central differences step coordinate i by
+# DEFAULT_REL_STEP * max(1, |x_i|).
+DEFAULT_REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -766,7 +769,6 @@ class _SplitDispatchNlp(NlpProblem):
     ):
         kinks = np.asarray(kinks, dtype=np.intp)
         super().__init__(
-            lambda z: 0.0,
             np.concatenate([lower, np.full(kinks.size, -np.inf)]),
             np.concatenate([upper, np.full(kinks.size, np.inf)]),
         )

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ahp import derive_weights
-from ..devices import COMMIT_EPS, DispatchSchedule, zero_schedule
-from ..dr import check_shift
+from ..devices import DispatchSchedule, zero_schedule
+from ..dr import check_schedule
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weights_from_sequence
 from ..powerflow import PowerFlowError, compile_network, solve_horizon
@@ -251,16 +251,10 @@ def evaluate_objectives(
 ) -> ObjectiveValues:
     """All four objectives for one schedule, from the batched kernel.
 
-    Raises ValueError for a unit setpoint outside [0, p_max] or a shift
-    that ``dr.check_shift`` refuses, and PowerFlowError when the schedule's
-    power flow fails.
+    Raises ValueError for a schedule that ``dr.check_schedule`` refuses,
+    and PowerFlowError when the schedule's power flow fails.
     """
-    for unit, p in zip(case.units, schedule.dg_setpoints):
-        bad = (p < -COMMIT_EPS) | (p > unit.p_max_kw + max(1e-9, 1e-9 * unit.p_max_kw))
-        if bad.any():
-            raise ValueError(f"setpoint {p[bad][0]} outside [0, {unit.p_max_kw}] for unit {unit.name}")
-    if schedule.dr_shift is not None:
-        check_shift(case, schedule.dr_shift)
+    check_schedule(case, schedule)
     problem = DispatchProblem(case, dr=schedule.dr_shift is not None, evaluator=evaluator)
     x = problem.pack(schedule)
     m = problem.metrics(x)

@@ -23,9 +23,10 @@ conditioned.  Every row enters the Lagrangian gradient; an affine one adds
 the same term at both ends of a step.
 
 Problems are posed as  min f(x)  s.t.  c_eq(x) = 0, c_in(x) <= 0,
-lo <= x <= hi.  Derivatives default to central finite differences; callers
-with structure (exact rows for affine constraints, batched evaluations)
-override ``derivatives``.
+lo <= x <= hi.  ``NlpProblem`` is the contract a problem meets: it states
+its bounds and supplies the objective and its derivatives (the gradient and
+the constraint Jacobians, exact or differenced as the problem sees fit), and
+its constraint rows where it has any.
 
 ``SqpConfig`` holds the KKT tolerance and the iteration cap; the feasibility
 and step tolerances, the line search, the merit penalty and the damping
@@ -34,12 +35,12 @@ threshold are the module constants below.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .derivatives import gradient, jacobian
 from .qp import QpError, QpInfeasibleError, QpResult, pinned_mask, qp_subproblem
 
 # Smallest eigenvalue ratio (smallest over largest) a Hessian block may reach
@@ -61,26 +62,19 @@ class SqpConfig:
     max_iterations: int = 200
 
 
-class NlpProblem:
-    """Smooth constrained problem with finite-difference derivatives.
+class NlpProblem(abc.ABC):
+    """The SQP's contract: a smooth constrained problem on the box
+    ``lower <= x <= upper``.
 
-    Subclasses may override ``derivatives`` to supply exact or batched rows,
-    ``hessian_blocks`` to declare the blocks the model is kept in, and
-    ``settle`` and ``stationarity_scale`` where the problem knows better
-    than the defaults.
+    A subclass supplies ``objective`` and ``derivatives``, the gradient and
+    the constraint Jacobians at x; one that leaves either out cannot be
+    constructed.  ``eq_constraints`` and ``ineq_constraints`` default to no
+    rows.  ``hessian_blocks`` declares the blocks the model is kept in, and
+    ``settle`` and ``stationarity_scale`` may be overridden where the
+    problem knows better than the defaults.
     """
 
-    def __init__(
-        self,
-        objective: Callable[[np.ndarray], float],
-        lower: Sequence[float],
-        upper: Sequence[float],
-        eq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        ineq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ):
-        self._objective = objective
-        self._eq = eq
-        self._ineq = ineq
+    def __init__(self, lower: Sequence[float], upper: Sequence[float]):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
 
@@ -88,27 +82,22 @@ class NlpProblem:
     def n(self) -> int:
         return self.lower.size
 
+    @abc.abstractmethod
     def objective(self, x: np.ndarray) -> float:
-        return float(self._objective(x))
+        """f(x)."""
 
     def eq_constraints(self, x: np.ndarray) -> np.ndarray:
-        if self._eq is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self._eq(x), dtype=float))
+        """c_eq(x), whose rows are held at 0."""
+        return np.zeros(0)
 
     def ineq_constraints(self, x: np.ndarray) -> np.ndarray:
-        if self._ineq is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self._ineq(x), dtype=float))
+        """c_in(x), whose rows are held at or below 0."""
+        return np.zeros(0)
 
+    @abc.abstractmethod
     def derivatives(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gradient, eq Jacobian, ineq Jacobian) at x."""
-        grad = gradient(self.objective, x)
-        n_eq = self.eq_constraints(x).size
-        n_in = self.ineq_constraints(x).size
-        J_eq = jacobian(self.eq_constraints, x, m=n_eq) if n_eq else np.zeros((0, x.size))
-        J_in = jacobian(self.ineq_constraints, x, m=n_in) if n_in else np.zeros((0, x.size))
-        return grad, J_eq, J_in
+        """(gradient, eq Jacobian, ineq Jacobian) at x; a Jacobian has one
+        row per constraint row and one column per variable."""
 
     def stationarity_scale(self, grad: np.ndarray) -> float:
         """What the KKT residual is measured against: the larger of 1 and

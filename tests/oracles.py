@@ -4,9 +4,13 @@ Everything here is deliberately written in the most literal way possible:
 admittance-matrix fixed-point iteration and a per-branch loop sweep for
 power flow, exhaustive active-set enumeration for QPs, plain python loops
 for battery and outage arithmetic.  None of it shares code with the
-package; the loop sweep borrows only the package's thresholds, and the
+package; the loop sweep borrows only the package's thresholds, the
 dense QP solver only its result and error types, since matching them is
-what they check.
+what they check, and ``FunctionNlp`` only the SQP's problem contract and
+the package's difference step.  ``FunctionNlp`` poses callables as an SQP
+problem and differentiates them one coordinate at a time by ``gradient``
+and ``jacobian``, the generic central differences the SQP once defaulted
+to; the package's one problem differences its plan in batches instead.
 
 The scalar device checks, the per-contingency restoration breakdown, the
 scalar objective evaluators and the single-hour power flow at the end were
@@ -40,15 +44,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
 from mgopt.objectives import ObjectiveValues
-from mgopt.optimizer.derivatives import DEFAULT_REL_STEP
+from mgopt.optimizer.problem import DEFAULT_REL_STEP
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
+from mgopt.optimizer.sqp import NlpProblem
 from mgopt.powerflow import (
     COLLAPSE_FLOOR_PU,
     DEFAULT_MAX_ITERATIONS,
@@ -797,6 +802,77 @@ def _dense_package(n, m_general, n_eq, d, lam, mu, tags, working, pivots, elasti
         elastic=elastic,
         max_slack=max_slack,
     )
+
+
+# ---------------------------------------------------------------------------
+# nonlinear programs
+
+
+def gradient(objective: Callable[[np.ndarray], float], x: Sequence[float]) -> np.ndarray:
+    """Central-difference gradient of a scalar function."""
+    return jacobian(lambda z: [objective(z)], x, m=1)[0]
+
+
+def jacobian(
+    function: Callable[[np.ndarray], np.ndarray],
+    x: Sequence[float],
+    m: Optional[int] = None,
+) -> np.ndarray:
+    """Central-difference Jacobian of a vector function; coordinate i steps
+    by DEFAULT_REL_STEP * max(1, |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(x))
+    if m is None:
+        m = np.asarray(function(x), dtype=float).size
+    J = np.empty((m, x.size))
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        fp = np.asarray(function(xp), dtype=float)
+        fm = np.asarray(function(xm), dtype=float)
+        J[:, i] = (fp - fm) / (2.0 * h[i])
+    return J
+
+
+class FunctionNlp(NlpProblem):
+    """An ``NlpProblem`` from callables: the objective, the bounds and the
+    optional equality and inequality rows, differentiated one coordinate at
+    a time by ``gradient`` and ``jacobian``."""
+
+    def __init__(
+        self,
+        objective: Callable[[np.ndarray], float],
+        lower: Sequence[float],
+        upper: Sequence[float],
+        eq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        ineq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ):
+        super().__init__(lower, upper)
+        self._objective = objective
+        self._eq = eq
+        self._ineq = ineq
+
+    def objective(self, x: np.ndarray) -> float:
+        return float(self._objective(x))
+
+    def eq_constraints(self, x: np.ndarray) -> np.ndarray:
+        if self._eq is None:
+            return np.zeros(0)
+        return np.atleast_1d(np.asarray(self._eq(x), dtype=float))
+
+    def ineq_constraints(self, x: np.ndarray) -> np.ndarray:
+        if self._ineq is None:
+            return np.zeros(0)
+        return np.atleast_1d(np.asarray(self._ineq(x), dtype=float))
+
+    def derivatives(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grad = gradient(self.objective, x)
+        n_eq = self.eq_constraints(x).size
+        n_in = self.ineq_constraints(x).size
+        J_eq = jacobian(self.eq_constraints, x, m=n_eq) if n_eq else np.zeros((0, x.size))
+        J_in = jacobian(self.ineq_constraints, x, m=n_in) if n_in else np.zeros((0, x.size))
+        return grad, J_eq, J_in
 
 
 # ---------------------------------------------------------------------------

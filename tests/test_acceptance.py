@@ -16,10 +16,11 @@ from mgopt.cli import EXIT_OK, main as cli_main
 from mgopt.devices import soc_trajectory
 from mgopt.netmodel import Battery, benchmark_case_path
 from mgopt.objectives import OBJECTIVE_KEYS
-from mgopt.optimizer import NlpProblem, SqpConfig, qp_subproblem, sqp_solve
+from mgopt.optimizer import SqpConfig, qp_subproblem, sqp_solve
 from mgopt.powerflow import CompiledNetwork, compile_network, consumption_from_schedule, sweep
 
 from oracles import (
+    FunctionNlp,
     bounds_as_rows,
     branch_loss_pu,
     consistent_matrix,
@@ -158,7 +159,7 @@ def test_criterion_05_nonlinear_solver_reference_problems():
     in at most 30 iterations; the strictly convex quadratic, whose first
     step is an exact Newton step, needs at most two."""
     box = np.full(2, -10.0), np.full(2, 10.0)
-    circle = NlpProblem(
+    circle = FunctionNlp(
         lambda x: float(x[0] + x[1]), *box,
         eq=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
     )
@@ -168,7 +169,7 @@ def test_criterion_05_nonlinear_solver_reference_problems():
     assert np.abs(result.x - (-np.sqrt(2.0) / 2.0)).max() < 1e-6
 
     b = np.array([0.3, -1.7, 2.5])
-    quadratic = NlpProblem(
+    quadratic = FunctionNlp(
         lambda x: 0.5 * float(x @ x) - float(b @ x), np.full(3, -10.0), np.full(3, 10.0)
     )
     result = sqp_solve(quadratic, np.zeros(3))

@@ -21,7 +21,7 @@ from mgopt.devices import DispatchSchedule
 from mgopt.netmodel import benchmark_case_path, load_benchmark_case, load_case, save_case
 from mgopt.optimizer import evaluate_objectives
 
-from test_dr import refused_shifts
+from test_dr import refused_setpoints, refused_shifts
 
 FAST = [
     "--ga-population", "12",
@@ -390,11 +390,12 @@ def test_report_rejects_plain_directory(tmp_path, capsys):
 def test_schedule_csv_round_trip(tmp_path):
     case = load_benchmark_case()
     rng = np.random.default_rng(0)
-    # The reader refuses a shift that is not energy neutral (dr.check_shift).
+    # The reader refuses a shift that is not energy neutral and a battery
+    # plan that leaves the SOC window (dr.check_schedule).
     shift = rng.random(24) - 0.5
     schedule = DispatchSchedule(
         rng.random((len(case.units), 24)) * 7.0,
-        rng.random(24) * 10.0 - 5.0,
+        rng.random(24) * 4.0 - 2.0,
         shift - shift.mean(),
     )
     path = tmp_path / "schedule.csv"
@@ -508,6 +509,77 @@ def test_powerflow_and_report_refuse_a_shift_dr_refuses(tmp_path, capsys, index)
     assert main(["report", str(run)]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in run.iterdir()) == ["case.yaml", "schedule.csv"]
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_powerflow_and_report_refuse_setpoints_out_of_limits(tmp_path, capsys, index):
+    # 900 kW of charge at hour 4 once exited 0, and report wrote a SOC of
+    # 857.9 kWh against the 8-48 kWh window.  (The reader refuses the nan
+    # setpoint, index 2, as it parses its cell.)
+    case = load_benchmark_case()
+    schedule, message = refused_setpoints(case)[index]
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copyfile(benchmark_case_path(), run / "case.yaml")
+    write_schedule_csv(run / "schedule.csv", case, schedule)
+    assert main(["powerflow", benchmark_case_path(), "--schedule", str(run / "schedule.csv")]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation:") and f"schedule.csv: {message}" in captured.err
+    assert main(["report", str(run)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in run.iterdir()) == ["case.yaml", "schedule.csv"]
+
+
+def _refused_as_unreadable(capsys, argv, what):
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: validation: cannot read {what}")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_validate_refuses_a_directory(tmp_path, capsys):
+    _refused_as_unreadable(capsys, ["validate", str(tmp_path)], f"case file {tmp_path}: Is a directory")
+
+
+@pytest.mark.parametrize("name, reason", [("missing.csv", "No such file or directory"), ("", "Is a directory")])
+def test_powerflow_refuses_a_schedule_the_os_refuses(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    _refused_as_unreadable(capsys, ["powerflow", benchmark_case_path(), "--schedule", str(path)],
+                           f"schedule {path}: {reason}")
+
+
+def test_optimize_refuses_an_ahp_file_the_os_refuses(tmp_path, capsys):
+    argv = ["optimize", benchmark_case_path(), "--scenario", "5", "--ahp", str(tmp_path), "--out", str(tmp_path / "run")]
+    _refused_as_unreadable(capsys, argv, f"--ahp file {tmp_path}: Is a directory")
+
+
+def test_report_and_compare_refuse_files_the_os_refuses(tmp_path, capsys):
+    run = tmp_path / "run"
+    (run / "case.yaml").mkdir(parents=True)
+    (run / "schedule.csv").mkdir()
+    (run / "objectives.json").mkdir()
+    _refused_as_unreadable(capsys, ["report", str(run)], f"case file {run / 'case.yaml'}: Is a directory")
+    _refused_as_unreadable(capsys, ["compare", str(run)], f"{run / 'objectives.json'}: Is a directory")
+
+
+@pytest.mark.parametrize("below", ["", "run"])
+def test_optimize_refuses_an_out_at_or_below_a_file_before_solving(tmp_path, capsys, monkeypatch, below):
+    # Both once ran the whole suite and then ended in a traceback.
+    import mgopt.cli as cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    out = taken / below if below else taken
+    assert main(["optimize", benchmark_case_path(), "--scenario", "1", "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: validation: --out {out}: {taken} exists and is not a directory\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_version_flag(capsys):

@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mgopt.devices import DispatchSchedule
-from mgopt.dr import apply_shift, participating_demand_kw, shift_bounds_kw
+from mgopt.devices import DispatchSchedule, soc_trajectory
+from mgopt.dr import apply_shift, check_schedule, participating_demand_kw, shift_bounds_kw
 from mgopt.netmodel import DrProgram
 from mgopt.optimizer import evaluate_objectives, run_scenario
 from mgopt.powerflow import solve_horizon
@@ -173,3 +174,56 @@ def test_evaluate_objectives_refuses_what_apply_shift_refuses(benchmark_case):
             apply_shift(benchmark_case, shift)
         with pytest.raises(ValueError, match=message):
             evaluate_objectives(benchmark_case, DispatchSchedule(units, np.zeros(benchmark_case.horizon), shift))
+
+
+def refused_setpoints(case):
+    """(schedule, what the refusal says) for setpoints no optimiser plan
+    holds: 900 kW of charge at hour 4, a 500 kW MT setpoint at hour 4, a
+    nan unit setpoint at hour 2, and full discharge from hour 0, which
+    empties the battery below its window at hour 0 within the power limit."""
+    def grid_only():
+        return DispatchSchedule(np.zeros((len(case.units), case.horizon)), np.zeros(case.horizon))
+
+    mt = [u.name for u in case.units].index("MT")
+    charge, unit, nan, drain = grid_only(), grid_only(), grid_only(), grid_only()
+    charge.battery_power[4] = 900.0
+    unit.dg_setpoints[mt, 4] = 500.0
+    nan.dg_setpoints[0, 2] = np.nan
+    drain.battery_power[:] = -case.battery.p_max_kw
+    return [
+        (charge, "battery_kw at hour 4: 900 kW outside [-15, 15] kW"),
+        (unit, "MT at hour 4: 500 kW outside [0, 30] kW"),
+        (nan, "PV1 at hour 2: nan kW"),
+        (drain, "battery_kw at hour 0: SOC 3.29333 kWh outside [8, 48] kWh"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_evaluate_objectives_refuses_setpoints_out_of_limits(benchmark_case, index):
+    # 900 kW of charge was priced (36,103 ct on the grid-only plan) and a
+    # nan setpoint surfaced as a voltage collapse.
+    schedule, message = refused_setpoints(benchmark_case)[index]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_objectives(benchmark_case, schedule)
+
+
+def test_check_schedule_accepts_every_limit_exactly(benchmark_case):
+    case, battery = benchmark_case, benchmark_case.battery
+    units = np.array([[u.p_max_kw] * case.horizon for u in case.units])
+    power = np.zeros(case.horizon)
+    power[0], power[1] = battery.p_max_kw, -battery.p_max_kw
+    check_schedule(case, DispatchSchedule(units, power))
+    check_schedule(case, DispatchSchedule(units * (1.0 + 1e-10), power * (1.0 + 1e-10)))
+    # Idle until the last hour, then discharge onto soc_min: self-discharge
+    # would take an earlier landing below it.
+    idle = soc_trajectory(battery, np.zeros(case.horizon))
+    power = np.zeros(case.horizon)
+    power[-1] = -(idle[-2] * (1.0 - battery.self_discharge_per_h) - battery.soc_min_kwh) * battery.eta_discharge
+    check_schedule(case, DispatchSchedule(np.zeros_like(units), power))
+    power[-1] -= 1e-6
+    with pytest.raises(ValueError, match=f"battery_kw at hour {case.horizon - 1}: SOC"):
+        check_schedule(case, DispatchSchedule(np.zeros_like(units), power))
+    no_battery = replace(case, battery=None)
+    check_schedule(no_battery, DispatchSchedule(units, np.zeros(case.horizon)))
+    with pytest.raises(ValueError, match=re.escape("battery_kw at hour 1: 1 kW outside [0, 0] kW")):
+        check_schedule(no_battery, DispatchSchedule(units, np.eye(case.horizon)[1]))

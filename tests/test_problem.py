@@ -22,7 +22,9 @@ from oracles import (
     dense_vmag_differences,
     epigraph_objective,
     evaluate_objectives,
+    gradient,
     grid_feasibility,
+    jacobian,
     offset_eq_jacobian,
     offset_pack,
     offset_repair,
@@ -478,8 +480,6 @@ def test_split_nlp_gradient_matches_naive_fd(problem):
         nlp = _SplitDispatchNlp(problem, spec, lower, upper, rows)
         grad, J_eq, J_in = nlp.derivatives(xs)
 
-        from mgopt.optimizer.derivatives import gradient
-
         naive = gradient(nlp.objective, xs)
         free = (upper - lower) > 1e-12
         scale = max(1.0, np.abs(naive[free]).max())
@@ -496,8 +496,6 @@ def test_split_nlp_constraint_rows_match_fd(problem):
     rows = problem.screen_rows(m.vmag[:, 0, :])
     nlp = _SplitDispatchNlp(problem, spec, lower, upper, rows)
     _, _, J_in = nlp.derivatives(xs)
-
-    from mgopt.optimizer.derivatives import jacobian
 
     naive = jacobian(nlp.ineq_constraints, xs, m=len(rows))
     free = (upper - lower) > 1e-12
@@ -957,8 +955,6 @@ def test_epigraph_rows_jacobian_matches_dense_differences(benchmark_case, dr):
     assert not J_in[:m, ns:].any()
 
     # Every row against plain central differences of the rows themselves.
-    from mgopt.optimizer.derivatives import jacobian
-
     naive = jacobian(nlp.ineq_constraints, z, m=m + 2 * ne)
     free = np.concatenate([~pinned_mask(nlp.lower[:ns], nlp.upper[:ns]), np.ones(ne, dtype=bool)])
     assert np.abs((J_in - naive)[:, free]).max() < 1e-4 * max(1.0, np.abs(naive).max())
@@ -971,8 +967,6 @@ def test_epigraph_gradient_matches_naive_fd(problem):
     assert np.array_equal(grad[xs.size :], np.ones(z.size - xs.size))
     # The kinks sit in e, and every other load-bus-hour is at least
     # KINK_MARGIN from 1.0 pu, so the objective is smooth around z.
-    from mgopt.optimizer.derivatives import gradient
-
     naive = gradient(nlp.objective, z)
     free = ~pinned_mask(nlp.lower, nlp.upper)
     assert np.abs((grad - naive)[free]).max() < 1e-4 * max(1.0, np.abs(naive[free]).max())

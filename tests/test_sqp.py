@@ -4,6 +4,8 @@ import pytest
 import mgopt.optimizer.sqp as sqp
 from mgopt.optimizer import NlpProblem, SqpConfig, sqp_solve
 
+from oracles import FunctionNlp
+
 
 def _box(n, lo=-10.0, hi=10.0):
     return np.full(n, lo), np.full(n, hi)
@@ -13,7 +15,7 @@ def test_quadratic_converges_in_two_iterations():
     """On f = 1/2 x'x - b'x the first QP step is exact; one more confirms it."""
     b = np.array([0.3, -1.7, 2.5])
     lo, hi = _box(3)
-    problem = NlpProblem(lambda x: 0.5 * float(x @ x) - float(b @ x), lo, hi)
+    problem = FunctionNlp(lambda x: 0.5 * float(x @ x) - float(b @ x), lo, hi)
     result = sqp_solve(problem, np.zeros(3))
     assert result.converged
     assert result.iterations == 2
@@ -23,7 +25,7 @@ def test_quadratic_converges_in_two_iterations():
 def test_linear_objective_on_circle():
     """min x1 + x2 on the unit circle has its optimum at (-r2/2, -r2/2)."""
     lo, hi = _box(2)
-    problem = NlpProblem(
+    problem = FunctionNlp(
         lambda x: float(x[0] + x[1]),
         lo,
         hi,
@@ -39,7 +41,7 @@ def test_linear_objective_on_circle():
 
 def test_rosenbrock_unconstrained():
     lo, hi = _box(2)
-    problem = NlpProblem(
+    problem = FunctionNlp(
         lambda x: (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2, lo, hi
     )
     result = sqp_solve(problem, np.array([-1.2, 1.0]), SqpConfig(tol_kkt=1e-6))
@@ -50,7 +52,7 @@ def test_rosenbrock_unconstrained():
 def test_inequality_activates():
     # Unconstrained optimum (2, 2) sits outside x1 + x2 <= 2.
     lo, hi = _box(2)
-    problem = NlpProblem(
+    problem = FunctionNlp(
         lambda x: float((x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2),
         lo,
         hi,
@@ -65,7 +67,7 @@ def test_inequality_activates():
 def test_bounds_clip_iterates_and_solution():
     lo = np.array([0.5, -1.0])
     hi = np.array([2.0, 1.0])
-    problem = NlpProblem(lambda x: float(x @ x), lo, hi)
+    problem = FunctionNlp(lambda x: float(x @ x), lo, hi)
     result = sqp_solve(problem, np.array([5.0, 5.0]))
     assert result.converged
     assert result.x == pytest.approx([0.5, 0.0], abs=1e-8)
@@ -74,7 +76,7 @@ def test_bounds_clip_iterates_and_solution():
 
 def test_start_outside_bounds_is_clipped():
     lo, hi = np.zeros(2), np.ones(2)
-    problem = NlpProblem(lambda x: float((x - 0.5) @ (x - 0.5)), lo, hi)
+    problem = FunctionNlp(lambda x: float((x - 0.5) @ (x - 0.5)), lo, hi)
     result = sqp_solve(problem, np.array([100.0, -100.0]))
     assert result.converged
     assert result.x == pytest.approx([0.5, 0.5], abs=1e-8)
@@ -84,7 +86,7 @@ def test_infeasible_start_recovers():
     # Start violating the equality by a wide margin; the merit function must
     # pull the iterates back onto the constraint set.
     lo, hi = _box(2)
-    problem = NlpProblem(
+    problem = FunctionNlp(
         lambda x: float(x @ x),
         lo,
         hi,
@@ -99,7 +101,7 @@ def test_infeasible_start_recovers():
 def test_contradictory_constraints_flag_elastic():
     # x <= -1 together with x >= 1 admits no point at all.
     lo, hi = _box(1)
-    problem = NlpProblem(
+    problem = FunctionNlp(
         lambda x: float(x[0] ** 2),
         lo,
         hi,
@@ -113,7 +115,7 @@ def test_contradictory_constraints_flag_elastic():
 
 def test_trace_records_iterations():
     lo, hi = _box(2)
-    problem = NlpProblem(lambda x: float(x @ x), lo, hi)
+    problem = FunctionNlp(lambda x: float(x @ x), lo, hi)
     result = sqp_solve(problem, np.array([3.0, -4.0]))
     assert result.trace
     assert [row["iteration"] for row in result.trace] == list(range(1, len(result.trace) + 1))
@@ -122,16 +124,34 @@ def test_trace_records_iterations():
     assert result.objective_evaluations > 0
 
 
+_SQUARE = {
+    "objective": lambda self, x: float(x @ x),
+    "derivatives": lambda self, x: (2.0 * x, np.zeros((0, x.size)), np.zeros((0, x.size))),
+}
+
+
+@pytest.mark.parametrize("missing", sorted(_SQUARE))
+def test_a_problem_must_supply_its_objective_and_derivatives(missing):
+    # The contract has no default for either: a subclass without one fails
+    # at construction, not at the first call.
+    partial = type("Partial", (NlpProblem,), {k: v for k, v in _SQUARE.items() if k != missing})
+    with pytest.raises(TypeError, match=missing):
+        partial(*_box(2))
+    result = sqp_solve(type("Square", (NlpProblem,), _SQUARE)(*_box(2)), np.array([3.0, -4.0]))
+    assert result.converged
+    assert np.abs(result.x).max() < 1e-8
+
+
 def test_exact_derivative_override_matches_fd():
     lo, hi = _box(2)
 
-    class Exact(NlpProblem):
+    class Exact(FunctionNlp):
         def derivatives(self, x):
             grad = np.array([2.0 * x[0] - 1.0, 2.0 * x[1] + 3.0])
             return grad, np.zeros((0, 2)), np.zeros((0, 2))
 
     objective = lambda x: float(x[0] ** 2 - x[0] + x[1] ** 2 + 3.0 * x[1])
-    fd = sqp_solve(NlpProblem(objective, lo, hi), np.zeros(2))
+    fd = sqp_solve(FunctionNlp(objective, lo, hi), np.zeros(2))
     exact = sqp_solve(Exact(objective, lo, hi), np.zeros(2))
     assert np.abs(fd.x - exact.x).max() < 1e-6
     assert exact.x == pytest.approx([0.5, -1.5], abs=1e-8)
@@ -153,7 +173,7 @@ def _separable_problem(partitioned):
         z = x[blocks]
         return float(0.5 * np.einsum("ti,tij,tj->", z, A, z) - (b * z).sum() + 0.05 * (x ** 4).sum())
 
-    class Separable(NlpProblem):
+    class Separable(FunctionNlp):
         def derivatives(self, x):
             grad = np.empty_like(x)
             grad[blocks] = np.einsum("tij,tj->ti", A, x[blocks]) - b
@@ -225,7 +245,7 @@ def test_conditioning_floor_keeps_a_vdev_solve_off_qp_failure(benchmark_case, mo
 
 
 def _declaring(blocks):
-    class Declared(NlpProblem):
+    class Declared(FunctionNlp):
         def hessian_blocks(self):
             return np.array(blocks)
 
@@ -258,7 +278,7 @@ def test_epigraph_variables_outside_every_block_keep_a_unit_diagonal(monkeypatch
     expected = np.where(np.abs(c - 1.0) <= 0.25, 1.0, c - np.sign(c - 1.0) / 4.0)
     I = np.eye(4)
 
-    class Epigraph(NlpProblem):
+    class Epigraph(FunctionNlp):
         def derivatives(self, z):
             grad = np.concatenate([4.0 * (z[:4] - c), np.ones(4)])
             return grad, np.zeros((0, 8)), np.block([[I, -I], [-I, -I]])
