@@ -30,10 +30,9 @@ import numpy as np
 from . import __version__
 from .ahp import derive_weights
 from .devices import DispatchSchedule, soc_trajectory, zero_schedule
-from .dr import check_schedule
 from .netmodel import CaseError, MicrogridCase, load_case
 from .objectives import OBJECTIVE_KEYS, OBJECTIVE_LABELS, normalize_objective
-from .optimizer import OptimizerConfig, ScenarioResult, SuiteResult, run_suite, scenario_key
+from .optimizer import DispatchProblem, OptimizerConfig, ScenarioResult, SuiteResult, run_suite, scenario_key
 from .optimizer.ga import ELITES
 from .optimizer.qp import QpError
 from .optimizer.sqp import CONVERGED
@@ -139,7 +138,7 @@ def read_schedule_csv(path: Path, case: MicrogridCase) -> DispatchSchedule:
             shift[t] = values[n + 1]
     schedule = DispatchSchedule(dg, battery, shift)
     try:
-        check_schedule(case, schedule)
+        DispatchProblem(case, dr=has_shift).check(schedule)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"{path}: {exc}") from None
     return schedule

@@ -6,10 +6,6 @@ sum to zero.  Removal is capped per hour at the programme's shiftable
 fraction of the participating demand.  Shifted energy spreads over the
 participating load points in proportion to their demand that hour, so each
 point keeps its power factor and its share of the feeder.
-
-``check_schedule`` states, beside the shift rules, the setpoint rules a
-schedule read from outside must keep: those of every plan the optimizer
-can produce.
 """
 
 from __future__ import annotations
@@ -19,11 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from .netmodel import MicrogridCase
 
 NEUTRALITY_TOL = 1e-9
-SOC_TOL = 1e-9  # kWh a schedule's SOC may pass its window by
 
 
 def participating_demand_kw(case: MicrogridCase) -> np.ndarray:
@@ -75,40 +69,6 @@ def check_shift(case: MicrogridCase, shift: Sequence[float]) -> np.ndarray:
     if negative.size:
         raise ValueError(f"shift drives participating demand negative at hour {int(negative[0])}")
     return arr
-
-
-def check_schedule(case: MicrogridCase, schedule: DispatchSchedule) -> None:
-    """ValueError, naming the column and the hour, unless every value of
-    the schedule is finite, each unit's setpoint lies in [0, p_max], the
-    battery's power within +-p_max (0 without a battery) and its SOC inside
-    [soc_min, soc_max] to SOC_TOL, and a shift passes ``check_shift``.
-    A setpoint may pass its upper limit, and the battery its lower one, by
-    1e-9 relative (1e-9 kW at least); a unit may dip COMMIT_EPS below 0."""
-    units = schedule.dg_setpoints
-    if units.shape != (len(case.units), case.horizon):
-        raise ValueError(f"unit setpoints must have shape {(len(case.units), case.horizon)}, got {units.shape}")
-    battery = case.battery
-    limits = (-battery.p_max_kw, battery.p_max_kw) if battery is not None else (0.0, 0.0)
-    columns = [(u.name, p, 0.0, u.p_max_kw) for u, p in zip(case.units, units)]
-    columns.append(("battery_kw", schedule.battery_power, *limits))
-    for name, p, low, high in columns:
-        slack = max(1e-9, 1e-9 * high)
-        floor = low - slack if low else -COMMIT_EPS
-        bad = np.flatnonzero(~np.isfinite(p) | (p < floor) | (p > high + slack))
-        if bad.size:
-            t = int(bad[0])
-            raise ValueError(f"{name} at hour {t}: {p[t]:.6g} kW outside [{low:g}, {high:g}] kW")
-    if battery is not None:
-        soc = soc_trajectory(battery, schedule.battery_power, case.period_hours)
-        bad = np.flatnonzero((soc < battery.soc_min_kwh - SOC_TOL) | (soc > battery.soc_max_kwh + SOC_TOL))
-        if bad.size:
-            t = int(bad[0])
-            raise ValueError(
-                f"battery_kw at hour {t}: SOC {soc[t]:.6g} kWh outside "
-                f"[{battery.soc_min_kwh:g}, {battery.soc_max_kwh:g}] kWh"
-            )
-    if schedule.dr_shift is not None:
-        check_shift(case, schedule.dr_shift)
 
 
 def apply_shift(case: MicrogridCase, shift: Sequence[float]) -> MicrogridCase:

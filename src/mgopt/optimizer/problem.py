@@ -47,7 +47,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices import COMMIT_EPS, DispatchSchedule
-from ..dr import shift_bounds_kw
+from ..dr import check_shift, shift_bounds_kw
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, degenerate_bracket, normalize
 from ..powerflow import (
@@ -151,11 +151,14 @@ class ObjectiveSpec:
 
 @dataclass
 class BatchMetrics:
-    """Evaluation of a population of plans, one row per plan."""
+    """Evaluation of a population of plans, one row per plan; ``converged``
+    and ``collapsed`` are the sweep's flags per plan and hour."""
 
     values: Dict[str, np.ndarray]
     violation: np.ndarray
     ok: np.ndarray
+    converged: np.ndarray
+    collapsed: np.ndarray
     slack_kw: np.ndarray
     soc_kwh: np.ndarray
     vmag: Optional[np.ndarray]
@@ -283,6 +286,37 @@ class DispatchProblem:
             shift[0].copy() if shift is not None else None,
         )
 
+    def check(self, schedule: DispatchSchedule) -> np.ndarray:
+        """The packed plan of a schedule read from outside, or ValueError
+        naming the column and hour of the first value no repaired plan holds:
+        a unit or the battery outside ``lower``/``upper`` (the hourly caps,
+        +-p_max), a committable unit neither 0 nor inside [p_min, cap] (so
+        running where its cap is below p_min), an SOC from ``soc_split``
+        outside its window or a shift that ``dr.check_shift`` refuses.  A
+        power may pass a limit by 1e-9 of it (1e-9 kW at least), an idle unit
+        sit within COMMIT_EPS of 0 and the SOC pass its window by 1e-9 kWh.
+        """
+        shape = (self.n_units, self.T)
+        if schedule.dg_setpoints.shape != shape:
+            raise ValueError(f"unit setpoints must have shape {shape}, got {schedule.dg_setpoints.shape}")
+        x = self.pack(schedule)
+        B, lower, upper = self.blocks(x)[0], self.blocks(self.lower)[0], self.blocks(self.upper)[0]
+        for i, name in enumerate([u.name for u in self.case.units] + ["battery_kw"]):
+            p, low, high = B[i], lower[i], upper[i]
+            _refuse(name, p, (p >= low - _slack(low)) & (p <= high + _slack(high)), low, high)
+            if i < self.n_units and self.committable[i, 0]:
+                p_min = np.full(self.T, self.p_min[i, 0])
+                running = (p >= p_min - _slack(p_min)) & (high >= p_min)
+                _refuse(name, p, running | (p <= COMMIT_EPS), p_min, high, idle="0 or ")
+        b = self.case.battery
+        if b is not None:
+            soc = self.soc_split(*self._signed(x)[1:3])[0]
+            low, high = np.full(self.T, b.soc_min_kwh), np.full(self.T, b.soc_max_kwh)
+            _refuse("battery_kw", soc, (soc >= low - 1e-9) & (soc <= high + 1e-9), low, high, "SOC ", "kWh")
+        if schedule.dr_shift is not None:
+            check_shift(self.case, schedule.dr_shift)
+        return x
+
     # ------------------------------------------------------------------
     # evaluation
 
@@ -390,7 +424,8 @@ class DispatchProblem:
         # One column per plan-hour; the result lives in the workspace until the next sweep.
         cons = self._consumption(p_units, chg - dis, shift)
         res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections, tolerance=tolerance)
-        ok = res.converged.reshape(B, T).all(axis=1)
+        converged = res.converged.reshape(B, T)
+        ok = converged.all(axis=1)
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, T) * self.s_base
         loss_kw = res.loss_pu.reshape(B, T) * self.s_base
@@ -413,6 +448,8 @@ class DispatchProblem:
             values=values,
             violation=violation,
             ok=ok,
+            converged=converged,
+            collapsed=res.collapsed.reshape(B, T),
             slack_kw=slack_kw,
             soc_kwh=soc,
             vmag=magnitude,
@@ -711,6 +748,22 @@ class DispatchProblem:
             rounds=rounds,
             sqp=sqp_result,
         )
+
+
+def _slack(limit: np.ndarray) -> np.ndarray:
+    """How far a schedule's value may pass a limit: 1e-9 of it, 1e-9 at least."""
+    return np.maximum(1e-9, 1e-9 * np.abs(limit))
+
+
+def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: np.ndarray,
+            what: str = "", unit: str = "kW", idle: str = "") -> None:
+    """ValueError naming the first hour where ``held`` fails, its value and the limits."""
+    bad = np.flatnonzero(~held)
+    if bad.size:
+        t = int(bad[0])
+        # + 0.0 prints the -0.0 lower bound of a case without a battery as 0.
+        limits = f"{idle}[{low[t] + 0.0:g}, {high[t]:g}]"
+        raise ValueError(f"{name} at hour {t}: {what}{p[t]:.6g} {unit} outside {limits} {unit}")
 
 
 def _feasible(m: BatchMetrics) -> bool:

@@ -26,10 +26,9 @@ import numpy as np
 
 from ..ahp import derive_weights
 from ..devices import DispatchSchedule, zero_schedule
-from ..dr import check_schedule
 from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weights_from_sequence
-from ..powerflow import PowerFlowError, compile_network, solve_horizon
+from ..powerflow import _raise_if_failed, compile_network
 from ..reliability import ContingencyEvaluator
 from .ga import GaConfig, ga_seed
 from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec
@@ -228,18 +227,6 @@ def _cross_polish(
             rows[key].sqp = rows[best].sqp
 
 
-def _require_power_flow(problem: DispatchProblem, x: np.ndarray, m: BatchMetrics) -> None:
-    """Raise the typed PowerFlowError for a plan whose sweep failed.
-
-    The kernel only flags such a plan; re-solving it on its own names the
-    failure and the first hour it hits.
-    """
-    if m.ok[0]:
-        return
-    solve_horizon(problem.case, problem.schedule(x), net=problem.net)
-    raise PowerFlowError("power flow failed for the plan")
-
-
 def _objective_values(m: BatchMetrics) -> ObjectiveValues:
     return ObjectiveValues(**{key: float(m.values[key][0]) for key in OBJECTIVE_KEYS})
 
@@ -251,20 +238,18 @@ def evaluate_objectives(
 ) -> ObjectiveValues:
     """All four objectives for one schedule, from the batched kernel.
 
-    Raises ValueError for a schedule that ``dr.check_schedule`` refuses,
+    Raises ValueError for a schedule that ``DispatchProblem.check`` refuses,
     and PowerFlowError when the schedule's power flow fails.
     """
-    check_schedule(case, schedule)
     problem = DispatchProblem(case, dr=schedule.dr_shift is not None, evaluator=evaluator)
-    x = problem.pack(schedule)
-    m = problem.metrics(x)
-    _require_power_flow(problem, x, m)
+    m = problem.metrics(problem.check(schedule))
+    _raise_if_failed(m.converged[0], m.collapsed[0])
     return _objective_values(m)
 
 
 def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioResult:
     m, sqp = row.metrics, row.sqp
-    _require_power_flow(problem, row.x, m)
+    _raise_if_failed(m.converged[0], m.collapsed[0])
     return ScenarioResult(
         key=key,
         label=SCENARIO_LABELS.get(key, key),
@@ -305,7 +290,7 @@ def run_suite(
 
     baseline = problem.pack(grid_only_schedule(case))
     rows: Dict[str, _Row] = {"baseline": _Row(baseline, problem.metrics(baseline))}
-    _require_power_flow(problem, baseline, rows["baseline"].metrics)
+    _raise_if_failed(rows["baseline"].metrics.converged[0], rows["baseline"].metrics.collapsed[0])
     for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
         rows[key] = _optimize(problem, ObjectiveSpec(key), config, idx)
 

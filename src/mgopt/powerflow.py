@@ -608,11 +608,14 @@ def package_solution(net: CompiledNetwork, result: SweepResult) -> PowerFlowSolu
     )
 
 
-def _raise_if_failed(result: SweepResult, max_iterations: int) -> None:
-    if result.converged.all():
+def _raise_if_failed(
+    converged: np.ndarray, collapsed: np.ndarray, max_iterations: int = DEFAULT_MAX_ITERATIONS
+) -> None:
+    """The typed PowerFlowError at the first hour whose flags say its sweep failed."""
+    if converged.all():
         return
-    hour = int(np.flatnonzero(~result.converged)[0])
-    if result.collapsed[hour]:
+    hour = int(np.flatnonzero(~converged)[0])
+    if collapsed[hour]:
         raise VoltageCollapseError(f"voltage collapse below {COLLAPSE_FLOOR_PU} pu at hour {hour}", hour)
     raise ConvergenceError(f"no convergence within {max_iterations} iterations at hour {hour}", hour)
 
@@ -629,5 +632,5 @@ def solve_horizon(
     s = consumption_from_schedule(case, schedule, net)
     result = sweep(net, s, max_iterations)
     if raise_on_failure:
-        _raise_if_failed(result, max_iterations)
+        _raise_if_failed(result.converged, result.collapsed, max_iterations)
     return package_solution(net, result)

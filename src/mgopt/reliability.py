@@ -18,7 +18,7 @@ trajectories per call; the optimizer's evaluation kernel is its only caller.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -101,18 +101,16 @@ class ContingencyEvaluator:
                 }
             )
 
-    def cost_batch(self, soc_kwh: Optional[np.ndarray]) -> np.ndarray:
+    def cost_batch(self, soc_kwh: np.ndarray) -> np.ndarray:
         """Vectorised cost for a (batch, horizon) block of SOC trajectories."""
         case = self.case
         battery = case.battery
-        batch = 1 if soc_kwh is None else soc_kwh.shape[0]
-        total = np.zeros(batch)
+        total = np.zeros(soc_kwh.shape[0])
         for term in self.terms:
             cont: Contingency = term["contingency"]
             remainder = term["remainder"][np.newaxis, :]
             if term["battery_in"] and battery is not None:
-                level = battery.soc_initial_kwh if soc_kwh is None else soc_kwh
-                sustain = np.maximum(0.0, level - battery.soc_min_kwh) / cont.repair_hours
+                sustain = np.maximum(0.0, soc_kwh - battery.soc_min_kwh) / cont.repair_hours
                 s_rst = np.minimum(np.minimum(remainder, battery.p_max_kw), sustain)
             else:
                 s_rst = np.zeros_like(remainder)

@@ -1214,8 +1214,12 @@ def dg_cost(unit: DgUnit, p_kw: float, committed: Optional[bool] = None) -> floa
 
 
 def contingency_cost(evaluator: ContingencyEvaluator, soc_kwh: Optional[np.ndarray]) -> float:
-    """Expected unsupplied-energy cost of one SOC trajectory over the horizon, ct."""
-    return float(evaluator.cost_batch(None if soc_kwh is None else np.atleast_2d(soc_kwh))[0])
+    """Expected unsupplied-energy cost of one SOC trajectory over the horizon,
+    ct; None holds the battery at its initial SOC (zeros without a battery)."""
+    if soc_kwh is None:
+        battery = evaluator.case.battery
+        soc_kwh = np.full(evaluator.case.horizon, 0.0 if battery is None else battery.soc_initial_kwh)
+    return float(evaluator.cost_batch(np.atleast_2d(soc_kwh))[0])
 
 
 def unsupplied_energy_cost(

@@ -19,9 +19,10 @@ from mgopt.cli import (
 )
 from mgopt.devices import DispatchSchedule
 from mgopt.netmodel import benchmark_case_path, load_benchmark_case, load_case, save_case
-from mgopt.optimizer import evaluate_objectives
+from mgopt.optimizer import DispatchProblem, evaluate_objectives
 
-from test_dr import refused_setpoints, refused_shifts
+from test_dr import committable_pv_case, refused_setpoints, refused_shifts
+from test_scenarios import collapsing_case
 
 FAST = [
     "--ga-population", "12",
@@ -309,6 +310,18 @@ def test_optimize_infeasible_case_exits_4(tmp_path, capsys):
     assert marker.read_text().startswith("error: infeasible:")
 
 
+def test_optimize_on_a_collapsing_feeder_exits_3(tmp_path, capsys):
+    path = tmp_path / "heavy.yaml"
+    save_case(collapsing_case(load_benchmark_case()), path)
+    out = tmp_path / "run"
+    out.mkdir()
+    code = main(["optimize", str(path), "--scenario", "1", "--out", str(out), *FAST])
+    assert code == EXIT_CONVERGENCE
+    line = "error: convergence: voltage collapse below 0.5 pu at hour 9"
+    assert capsys.readouterr().err.startswith(line)
+    assert (out / "FAILED").read_text().startswith(line)
+
+
 def test_powerflow_accepts_run_schedule(run_dir, capsys):
     code = main(["powerflow", str(run_dir / "case.yaml"),
                  "--schedule", str(run_dir / "schedule.csv")])
@@ -390,14 +403,17 @@ def test_report_rejects_plain_directory(tmp_path, capsys):
 def test_schedule_csv_round_trip(tmp_path):
     case = load_benchmark_case()
     rng = np.random.default_rng(0)
-    # The reader refuses a shift that is not energy neutral and a battery
-    # plan that leaves the SOC window (dr.check_schedule).
+    # The reader refuses any plan DispatchProblem.check refuses, so the draw
+    # goes through repair: it runs PV above availability and MT and FC under
+    # their p_min.
     shift = rng.random(24) - 0.5
-    schedule = DispatchSchedule(
+    problem = DispatchProblem(case, dr=True)
+    draw = DispatchSchedule(
         rng.random((len(case.units), 24)) * 7.0,
         rng.random(24) * 4.0 - 2.0,
         shift - shift.mean(),
     )
+    schedule = problem.schedule(problem.repair(problem.pack(draw))[0])
     path = tmp_path / "schedule.csv"
     write_schedule_csv(path, case, schedule)
     back = read_schedule_csv(path, case)
@@ -511,18 +527,24 @@ def test_powerflow_and_report_refuse_a_shift_dr_refuses(tmp_path, capsys, index)
     assert sorted(p.name for p in run.iterdir()) == ["case.yaml", "schedule.csv"]
 
 
-@pytest.mark.parametrize("index", [0, 1, 3])
+@pytest.mark.parametrize("index", [0, 1, 3, 4, 5, "committable PV"])
 def test_powerflow_and_report_refuse_setpoints_out_of_limits(tmp_path, capsys, index):
     # 900 kW of charge at hour 4 once exited 0, and report wrote a SOC of
-    # 857.9 kWh against the 8-48 kWh window.  (The reader refuses the nan
-    # setpoint, index 2, as it parses its cell.)
+    # 857.9 kWh against the 8-48 kWh window; PV1 in the dark, MT under its
+    # minimum and a unit running where its cap is under its minimum exited
+    # 0 too.  (The reader refuses the nan setpoint, index 2, as it parses its
+    # cell.)
     case = load_benchmark_case()
-    schedule, message = refused_setpoints(case)[index]
     run = tmp_path / "run"
     run.mkdir()
-    shutil.copyfile(benchmark_case_path(), run / "case.yaml")
+    if index == "committable PV":
+        case, schedule, message = committable_pv_case(case)
+        save_case(case, run / "case.yaml")
+    else:
+        schedule, message = refused_setpoints(case)[index]
+        shutil.copyfile(benchmark_case_path(), run / "case.yaml")
     write_schedule_csv(run / "schedule.csv", case, schedule)
-    assert main(["powerflow", benchmark_case_path(), "--schedule", str(run / "schedule.csv")]) == EXIT_VALIDATION
+    assert main(["powerflow", str(run / "case.yaml"), "--schedule", str(run / "schedule.csv")]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: validation:") and f"schedule.csv: {message}" in captured.err

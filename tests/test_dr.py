@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgopt.devices import DispatchSchedule, soc_trajectory
-from mgopt.dr import apply_shift, check_schedule, participating_demand_kw, shift_bounds_kw
+from mgopt.devices import DispatchSchedule
+from mgopt.dr import apply_shift, participating_demand_kw, shift_bounds_kw
 from mgopt.netmodel import DrProgram
 from mgopt.optimizer import evaluate_objectives, run_scenario
 from mgopt.powerflow import solve_horizon
@@ -176,54 +176,57 @@ def test_evaluate_objectives_refuses_what_apply_shift_refuses(benchmark_case):
             evaluate_objectives(benchmark_case, DispatchSchedule(units, np.zeros(benchmark_case.horizon), shift))
 
 
+def grid_only(case):
+    return DispatchSchedule(np.zeros((len(case.units), case.horizon)), np.zeros(case.horizon))
+
+
 def refused_setpoints(case):
     """(schedule, what the refusal says) for setpoints no optimiser plan
     holds: 900 kW of charge at hour 4, a 500 kW MT setpoint at hour 4, a
-    nan unit setpoint at hour 2, and full discharge from hour 0, which
-    empties the battery below its window at hour 0 within the power limit."""
-    def grid_only():
-        return DispatchSchedule(np.zeros((len(case.units), case.horizon)), np.zeros(case.horizon))
-
+    nan unit setpoint at hour 2, full discharge from hour 0, which empties
+    the battery below its window at hour 0 within the power limit, 25 kW of
+    PV1 at hour 0, where none is available, and 3 kW of MT at hour 0,
+    under its 6 kW minimum."""
     mt = [u.name for u in case.units].index("MT")
-    charge, unit, nan, drain = grid_only(), grid_only(), grid_only(), grid_only()
+    charge, unit, nan, drain, dark, low = (grid_only(case) for _ in range(6))
     charge.battery_power[4] = 900.0
     unit.dg_setpoints[mt, 4] = 500.0
     nan.dg_setpoints[0, 2] = np.nan
     drain.battery_power[:] = -case.battery.p_max_kw
+    dark.dg_setpoints[0, 0] = 25.0
+    low.dg_setpoints[mt, 0] = 3.0
     return [
         (charge, "battery_kw at hour 4: 900 kW outside [-15, 15] kW"),
         (unit, "MT at hour 4: 500 kW outside [0, 30] kW"),
         (nan, "PV1 at hour 2: nan kW"),
         (drain, "battery_kw at hour 0: SOC 3.29333 kWh outside [8, 48] kWh"),
+        (dark, "PV1 at hour 0: 25 kW outside [0, 0] kW"),
+        (low, "MT at hour 0: 3 kW outside 0 or [6, 30] kW"),
     ]
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", [*range(6), "committable PV"])
 def test_evaluate_objectives_refuses_setpoints_out_of_limits(benchmark_case, index):
-    # 900 kW of charge was priced (36,103 ct on the grid-only plan) and a
-    # nan setpoint surfaced as a voltage collapse.
-    schedule, message = refused_setpoints(benchmark_case)[index]
+    # 900 kW of charge was priced (36,103 ct on the grid-only plan), a nan
+    # setpoint surfaced as a voltage collapse, and 25 kW of PV1 in the dark,
+    # 3 kW of MT and a unit running where its cap is under its minimum were
+    # priced as given.
+    if index == "committable PV":
+        case, schedule, message = committable_pv_case(benchmark_case)
+    else:
+        case, (schedule, message) = benchmark_case, refused_setpoints(benchmark_case)[index]
     with pytest.raises(ValueError, match=re.escape(message)):
-        evaluate_objectives(benchmark_case, schedule)
+        evaluate_objectives(case, schedule)
 
 
-def test_check_schedule_accepts_every_limit_exactly(benchmark_case):
-    case, battery = benchmark_case, benchmark_case.battery
-    units = np.array([[u.p_max_kw] * case.horizon for u in case.units])
-    power = np.zeros(case.horizon)
-    power[0], power[1] = battery.p_max_kw, -battery.p_max_kw
-    check_schedule(case, DispatchSchedule(units, power))
-    check_schedule(case, DispatchSchedule(units * (1.0 + 1e-10), power * (1.0 + 1e-10)))
-    # Idle until the last hour, then discharge onto soc_min: self-discharge
-    # would take an earlier landing below it.
-    idle = soc_trajectory(battery, np.zeros(case.horizon))
-    power = np.zeros(case.horizon)
-    power[-1] = -(idle[-2] * (1.0 - battery.self_discharge_per_h) - battery.soc_min_kwh) * battery.eta_discharge
-    check_schedule(case, DispatchSchedule(np.zeros_like(units), power))
-    power[-1] -= 1e-6
-    with pytest.raises(ValueError, match=f"battery_kw at hour {case.horizon - 1}: SOC"):
-        check_schedule(case, DispatchSchedule(np.zeros_like(units), power))
-    no_battery = replace(case, battery=None)
-    check_schedule(no_battery, DispatchSchedule(units, np.zeros(case.horizon)))
-    with pytest.raises(ValueError, match=re.escape("battery_kw at hour 1: 1 kW outside [0, 0] kW")):
-        check_schedule(no_battery, DispatchSchedule(units, np.eye(case.horizon)[1]))
+def committable_pv_case(case):
+    """The case with PV1 committable at a 5 kW minimum, above its 1.25 kW
+    of availability at hour 6; a plan that runs it at 1 kW there; and what
+    the refusal says."""
+    units = tuple(replace(u, p_min_kw=5.0) if u.name == "PV1" else u for u in case.units)
+    variant = replace(case, units=units)
+    schedule = grid_only(variant)
+    schedule.dg_setpoints[0, 6] = 1.0
+    return variant, schedule, "PV1 at hour 6: 1 kW outside 0 or [5, 1.25] kW"
+
+

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from mgopt.optimizer import (
     SCENARIO_KEYS,
     SCENARIO_LABELS,
     OptimizerConfig,
+    evaluate_objectives,
     grid_only_schedule,
     resolve_weights,
     run_scenario,
@@ -19,6 +21,7 @@ from mgopt.optimizer import (
     scenario_key,
 )
 from mgopt.optimizer.sqp import CONVERGED
+from mgopt.powerflow import PowerFlowError, VoltageCollapseError, solve_horizon
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +215,30 @@ def test_suite_without_dr_program():
     assert "dr" not in suite.results
     with pytest.raises(ValueError, match="demand response"):
         run_suite(case, config=config, include_dr=True)
+
+
+def collapsing_case(case):
+    """The case with every load eight times as large: the grid-only plan's
+    voltages collapse at hours 9, 10 and 14 and hold elsewhere."""
+    return replace(case, load_points=tuple(
+        replace(lp, profile_kw=tuple(8.0 * p for p in lp.profile_kw)) for lp in case.load_points
+    ))
+
+
+def test_power_flow_failures_are_typed_from_the_kernel(benchmark_case, fast_config):
+    case = collapsing_case(benchmark_case)
+    flags = solve_horizon(case, raise_on_failure=False)
+    assert 0 < (~flags.converged).sum() < case.horizon
+    with pytest.raises(PowerFlowError) as direct:
+        solve_horizon(case)
+    with pytest.raises(PowerFlowError) as kernel:
+        evaluate_objectives(case, grid_only_schedule(case))
+    with pytest.raises(PowerFlowError) as suite:
+        run_suite(case, config=fast_config)
+    assert type(direct.value) is VoltageCollapseError and direct.value.hour == 9
+    for raised in (kernel, suite):
+        assert type(raised.value) is type(direct.value) and raised.value.hour == direct.value.hour
+        assert str(raised.value) == str(direct.value)
 
 
 def _starved_config():
