@@ -22,6 +22,9 @@ RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24,
 
 CONSISTENCY_LIMIT = 0.1
 
+EIGEN_TOL = 1e-10
+EIGEN_MAX_ITERATIONS = 1000
+
 # Pairwise preferences over (cost, loss, outage cost, voltage deviation)
 # giving roughly (0.16, 0.48, 0.27, 0.09): losses matter most, then supply
 # reliability, then cost, with voltage deviation as a tie-breaker.
@@ -51,9 +54,7 @@ def validate_matrix(matrix: Sequence[Sequence[float]]) -> None:
         raise ValueError("judgment matrix must be reciprocal: a[j,i] == 1/a[i,j]")
 
 
-def principal_eigen(
-    matrix: np.ndarray, tol: float = 1e-10, max_iterations: int = 1000
-) -> Tuple[float, np.ndarray]:
+def principal_eigen(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
     """Dominant eigenvalue and sum-one eigenvector by power iteration.
 
     A positive matrix has a simple dominant eigenvalue with a positive
@@ -62,11 +63,11 @@ def principal_eigen(
     n = matrix.shape[0]
     v = np.full(n, 1.0 / n)
     lam = 0.0
-    for _ in range(max_iterations):
+    for _ in range(EIGEN_MAX_ITERATIONS):
         w = matrix @ v
         lam_new = float(w.sum())
         w /= lam_new
-        done = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and np.abs(w - v).max() <= tol
+        done = abs(lam_new - lam) <= EIGEN_TOL * max(1.0, abs(lam_new)) and np.abs(w - v).max() <= EIGEN_TOL
         v, lam = w, lam_new
         if done:
             break

@@ -223,9 +223,9 @@ class DispatchProblem:
         self.upper = np.zeros(self.n)
         lower, upper = self.blocks(self.lower)[0], self.blocks(self.upper)[0]
         upper[: self.n_units] = self.caps
-        p_batt = 0.0 if case.battery is None else case.battery.p_max_kw
-        lower[self.n_units] = -p_batt
-        upper[self.n_units] = p_batt
+        if case.battery is not None:
+            lower[self.n_units] = -case.battery.p_max_kw
+            upper[self.n_units] = case.battery.p_max_kw
         if dr:
             lower[-1] = -self.shift_bound
             upper[-1] = self.shift_bound
@@ -761,8 +761,7 @@ def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: n
     bad = np.flatnonzero(~held)
     if bad.size:
         t = int(bad[0])
-        # + 0.0 prints the -0.0 lower bound of a case without a battery as 0.
-        limits = f"{idle}[{low[t] + 0.0:g}, {high[t]:g}]"
+        limits = f"{idle}[{low[t]:g}, {high[t]:g}]"
         raise ValueError(f"{name} at hour {t}: {what}{p[t]:.6g} {unit} outside {limits} {unit}")
 
 

@@ -151,9 +151,8 @@ def compile_network(case: MicrogridCase) -> CompiledNetwork:
     )
 
 
-def load_consumption_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = None) -> np.ndarray:
+def load_consumption_pu(case: MicrogridCase, net: CompiledNetwork) -> np.ndarray:
     """Complex constant-power demand per bus and hour, per-unit."""
-    net = net or compile_network(case)
     s = np.zeros((net.n_bus, case.horizon), dtype=complex)
     for lp in case.load_points:
         tan_phi = math.tan(math.acos(lp.power_factor))
@@ -162,7 +161,7 @@ def load_consumption_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = No
     return s
 
 
-def shift_distribution_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = None) -> np.ndarray:
+def shift_distribution_pu(case: MicrogridCase, net: CompiledNetwork) -> np.ndarray:
     """Per-bus complex factor that one kW of DR shift adds at each hour.
 
     Shifted load spreads over participating load points in proportion to
@@ -171,7 +170,6 @@ def shift_distribution_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = 
     there.
     """
     base = participating_demand_kw(case)
-    net = net or compile_network(case)
     factors = np.zeros((net.n_bus, case.horizon), dtype=complex)
     safe = np.where(base > 0, base, 1.0)
     for lp in case.load_points:
@@ -184,10 +182,9 @@ def shift_distribution_pu(case: MicrogridCase, net: Optional[CompiledNetwork] = 
 
 
 def consumption_from_schedule(
-    case: MicrogridCase, schedule: Optional[DispatchSchedule], net: Optional[CompiledNetwork] = None
+    case: MicrogridCase, schedule: Optional[DispatchSchedule], net: CompiledNetwork
 ) -> np.ndarray:
     """Net complex consumption per bus and hour under a schedule, per-unit."""
-    net = net or compile_network(case)
     s = load_consumption_pu(case, net)
     if schedule is None:
         return s
@@ -530,10 +527,7 @@ def _dipped(injections: InjectionSet, acc: np.ndarray, v: np.ndarray) -> np.ndar
 
 def _dips(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tolerance: float) -> np.ndarray:
     """Which columns dip under the collapse floor in a watched run of their own."""
-    lone = s_inj.shape[1] == 1
-    s = np.repeat(s_inj, 2, axis=1) if lone else np.ascontiguousarray(s_inj)
-    dipped = _iterate(injections, s, max_iterations, tolerance, Workspace(), watch=True)[-1]
-    return dipped[:1] if lone else dipped
+    return _iterate(injections, np.ascontiguousarray(s_inj), max_iterations, tolerance, Workspace(), watch=True)[-1]
 
 
 def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -623,12 +617,11 @@ def _raise_if_failed(
 def solve_horizon(
     case: MicrogridCase,
     schedule: Optional[DispatchSchedule] = None,
-    net: Optional[CompiledNetwork] = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     raise_on_failure: bool = True,
 ) -> PowerFlowSolution:
     """Solve every hour of the horizon for a schedule (grid-only if None)."""
-    net = net or compile_network(case)
+    net = compile_network(case)
     s = consumption_from_schedule(case, schedule, net)
     result = sweep(net, s, max_iterations)
     if raise_on_failure:

@@ -12,8 +12,9 @@ Each horizon step contributes one period of exposure: the expected cost adds
 rate * period * shortfall * repair_duration * outage_cost per contingency and
 hour, with the end-of-period SOC standing in for the battery state at the
 moment of failure.  Everything but the battery term is fixed by the case, so
-``ContingencyEvaluator`` precomputes it once and prices a whole block of SOC
-trajectories per call; the optimizer's evaluation kernel is its only caller.
+``ContingencyEvaluator`` holds it as (contingency, hour) arrays and prices a
+(batch, hour) block of SOC trajectories in one broadcast over (batch,
+contingency, hour); the optimizer's evaluation kernel is its only caller.
 """
 
 from __future__ import annotations
@@ -53,68 +54,55 @@ def _island(net: CompiledNetwork, element: str) -> frozenset:
     return frozenset(net.bus_ids[j] for j in np.flatnonzero(row))
 
 
-def _island_headroom_kw(case: MicrogridCase, islanded: frozenset, hour: int) -> float:
-    """Capacity screening of in-island generation at each unit's dispatch cap."""
-    total = 0.0
-    for unit in case.units:
-        if unit.bus in islanded:
-            total += case.unit_cap_kw(unit, hour)
-    return total
-
-
 class ContingencyEvaluator:
     """Schedule-independent precomputation for fast expected-cost evaluation.
 
-    Everything except the battery term is fixed by the case: islanded demand,
-    in-island headroom and the category-weighted outage price per hour.  The
+    Everything except the battery term is fixed by the case and held as a
+    (contingency, hour) array: the price mix, the remainder that in-island
+    headroom leaves and the battery's cap on what it can sustain of it.  The
     expected cost is then a function of the SOC trajectory alone.
     """
 
     def __init__(self, case: MicrogridCase):
         self.case = case
-        T = case.horizon
+        T, conts, battery = case.horizon, case.contingencies, case.battery
         net = compile_network(case)
-        self.terms = []
-        for cont in case.contingencies:
-            islanded = _island(net, cont.element)
-            s_out = np.zeros(T)
-            by_category: Dict[str, np.ndarray] = {}
-            for lp in case.load_points:
-                if lp.bus in islanded:
-                    p = np.asarray(lp.profile_kw, dtype=float)
-                    s_out += p
-                    by_category[lp.category] = by_category.get(lp.category, 0.0) + p
-            mix = np.zeros(T)
-            positive = s_out > 0
-            for category, p in by_category.items():
-                price = case.outage_costs.cost(category, cont.repair_hours)
-                mix[positive] += price * p[positive] / s_out[positive]
-            headroom = np.array([_island_headroom_kw(case, islanded, t) for t in range(T)])
-            self.terms.append(
-                {
-                    "contingency": cont,
-                    "islanded": islanded,
-                    "s_out": s_out,
-                    "mix": mix,
-                    "remainder": np.maximum(0.0, s_out - headroom),
-                    "battery_in": case.battery is not None and case.battery.bus in islanded,
-                }
-            )
+        islands = [_island(net, cont.element) for cont in conts]
+
+        def inside(bus: str) -> np.ndarray:
+            """A (contingency, 1) column: 1.0 where the contingency islands ``bus``."""
+            return np.array([bus in island for island in islands], dtype=float).reshape(-1, 1)
+
+        demand = np.zeros((len(conts), T))
+        by_category: Dict[str, np.ndarray] = {}
+        for lp in case.load_points:
+            p = inside(lp.bus) * np.asarray(lp.profile_kw, dtype=float)
+            demand += p
+            by_category[lp.category] = by_category.get(lp.category, 0.0) + p
+        self.mix = np.zeros_like(demand)
+        positive = demand > 0
+        for category, p in by_category.items():
+            price = np.array([case.outage_costs.cost(category, cont.repair_hours) for cont in conts]).reshape(-1, 1)
+            self.mix[positive] += (price * p)[positive] / demand[positive]
+        # Capacity screening of in-island generation at each unit's dispatch cap.
+        headroom = np.zeros_like(demand)
+        for unit in case.units:
+            headroom += inside(unit.bus) * [case.unit_cap_kw(unit, t) for t in range(T)]
+        self.remainder = np.maximum(0.0, demand - headroom)
+        self.sustain_cap = np.zeros_like(demand)
+        if battery is not None:
+            self.sustain_cap = np.where(inside(battery.bus) > 0, np.minimum(self.remainder, battery.p_max_kw), 0.0)
+        self.soc_min = 0.0 if battery is None else battery.soc_min_kwh
+        self.repair = np.array([cont.repair_hours for cont in conts]).reshape(-1, 1)
+        self.weight = [cont.rate_per_hour * case.period_hours * cont.repair_hours for cont in conts]
 
     def cost_batch(self, soc_kwh: np.ndarray) -> np.ndarray:
         """Vectorised cost for a (batch, horizon) block of SOC trajectories."""
-        case = self.case
-        battery = case.battery
+        sustain = np.maximum(0.0, soc_kwh - self.soc_min)[:, np.newaxis, :] / self.repair
+        shortfall = np.maximum(0.0, self.remainder - np.minimum(self.sustain_cap, sustain))
+        per = (self.mix * shortfall).sum(axis=2)
+        # Added in case order, not by a dot product, whose order BLAS picks.
         total = np.zeros(soc_kwh.shape[0])
-        for term in self.terms:
-            cont: Contingency = term["contingency"]
-            remainder = term["remainder"][np.newaxis, :]
-            if term["battery_in"] and battery is not None:
-                sustain = np.maximum(0.0, soc_kwh - battery.soc_min_kwh) / cont.repair_hours
-                s_rst = np.minimum(np.minimum(remainder, battery.p_max_kw), sustain)
-            else:
-                s_rst = np.zeros_like(remainder)
-            shortfall = np.maximum(0.0, remainder - s_rst)
-            hourly = term["mix"][np.newaxis, :] * shortfall
-            total += cont.rate_per_hour * case.period_hours * cont.repair_hours * hourly.sum(axis=1)
+        for c, weight in enumerate(self.weight):
+            total += weight * per[:, c]
         return total

@@ -68,7 +68,7 @@ from mgopt.powerflow import (
     solve_horizon,
     sweep,
 )
-from mgopt.reliability import ContingencyEvaluator, _island_headroom_kw, island_partition
+from mgopt.reliability import ContingencyEvaluator, island_partition
 
 
 # ---------------------------------------------------------------------------
@@ -1133,7 +1133,7 @@ def restoration(
     duration.  ``soc_kwh`` overrides the schedule-derived end-of-period SOC.
     """
     s_out = sum(lp.profile_kw[hour] for lp in case.load_points if lp.bus in islanded)
-    s_rdg = min(s_out, _island_headroom_kw(case, islanded, hour))
+    s_rdg = min(s_out, sum(case.unit_cap_kw(unit, hour) for unit in case.units if unit.bus in islanded))
     s_rst = 0.0
     battery = case.battery
     if battery is not None and battery.bus in islanded:
@@ -1413,9 +1413,9 @@ def offset_signed_bounds(problem) -> Tuple[np.ndarray, np.ndarray]:
     p, u_len = problem, _unit_len(problem)
     lower, upper = np.zeros(p.n), np.zeros(p.n)
     upper[:u_len] = p.caps.reshape(-1)
-    p_batt = 0.0 if p.case.battery is None else p.case.battery.p_max_kw
-    lower[u_len : u_len + p.T] = -p_batt
-    upper[u_len : u_len + p.T] = p_batt
+    if p.case.battery is not None:
+        lower[u_len : u_len + p.T] = -p.case.battery.p_max_kw
+        upper[u_len : u_len + p.T] = p.case.battery.p_max_kw
     if p.dr:
         lower[u_len + p.T :] = -p.shift_bound
         upper[u_len + p.T :] = p.shift_bound

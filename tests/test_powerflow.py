@@ -335,6 +335,26 @@ def test_mixed_batch_flags_dips_only_where_columns_end_unconverged(benchmark_cas
     assert (result.collapsed & ~result.converged & ~low).any()
 
 
+def test_lone_unsettled_column_flags_its_dip_as_in_its_batch(benchmark_case):
+    # Paired with a converged column, a column that ends unconverged is the
+    # only one its sweep runs again, watched for a dip.  Capped at 5
+    # iterations some end unconverged without a dip; at 25 the two left
+    # unconverged dipped on the way and end above the floor.
+    case = sectioned_case(benchmark_case, 4)
+    net = compile_network(case)
+    s = load_consumption_pu(case, net)[:, :12] * np.where(np.arange(12) % 3 == 0, 12.0, 1.0)
+    flags = []
+    for cap in (5, 25):
+        batch = sweep(net, s, max_iterations=cap)
+        settled = np.flatnonzero(batch.converged)[0]
+        for column in np.flatnonzero(~batch.converged):
+            part = sweep(net, s[:, [column, settled]], max_iterations=cap)
+            assert part.converged.tolist() == [False, True]
+            assert part.collapsed.tolist() == batch.collapsed[[column, settled]].tolist()
+            flags.append(bool(batch.collapsed[column]) and np.abs(batch.voltage[:, column]).min() >= 0.5)
+    assert any(flags) and not all(flags)
+
+
 def test_lone_column_matches_its_batch_bitwise(benchmark_case):
     # Capped below the fewest iterations any hour needs, no column converges,
     # so every column runs the same iterations whatever it is batched with.

@@ -248,6 +248,9 @@ def test_block_layout_matches_offsets(benchmark_case, name):
     prob = _layout_problem(benchmark_case, name)
     for got, want in zip((prob.lower, prob.upper), offset_signed_bounds(prob)):
         assert _same_bits(got, want)
+    if name == "no-battery":
+        # No -0.0 for the missing battery; the DR shift's lower bounds are negative.
+        assert not np.signbit(prob.blocks(prob.lower)[0][: prob.n_units + 1]).any()
     assert _same_bits(prob.seed_points(), offset_seed_points(prob))
     rng = np.random.default_rng(21)
     raw = _random_plans(prob, rng, 6) * 1.5 - 0.25 * (prob.upper - prob.lower)

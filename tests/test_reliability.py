@@ -14,7 +14,7 @@ from mgopt.netmodel import (
     OutageCostTable,
     validate_case,
 )
-from mgopt.reliability import ContingencyEvaluator, _island_headroom_kw, island_partition
+from mgopt.reliability import ContingencyEvaluator, island_partition
 
 from oracles import (
     contingency_cost,
@@ -55,20 +55,20 @@ def test_island_partition_benchmark(benchmark_case):
     for case in (benchmark_case, sectioned_case(benchmark_case, 4)):
         for element in ["transformer"] + [br.id for br in case.branches]:
             assert island_partition(case, element) == island_of(case, element)
-        for term in ContingencyEvaluator(case).terms:
-            assert term["islanded"] == island_of(case, term["contingency"].element)
 
 
 def test_headroom_uses_the_unit_dispatch_cap(benchmark_case):
     # Validation lets availability exceed the nameplate by 1e-9; the cap
-    # clips it, so the island headroom and the dispatch bound agree.
+    # clips it, so the island headroom and the dispatch bound agree.  At hour
+    # 12 both islands holding PV1 have demand left over its headroom, and with
+    # the battery at its floor each unclipped 5e-10 kW would lower the cost.
     pv = benchmark_case.unit("PV1")
     profile = list(benchmark_case.availability_kw["PV1"])
     profile[12] = pv.p_max_kw + 5e-10
     case = validate_case(replace(benchmark_case, availability_kw={**benchmark_case.availability_kw, "PV1": tuple(profile)}))
     assert case.unit_cap_kw(pv, 12) == pv.p_max_kw
-    islanded = island_partition(case, "transformer")
-    assert _island_headroom_kw(case, islanded, 12) == _island_headroom_kw(benchmark_case, islanded, 12)
+    floor = np.full((1, case.horizon), case.battery.soc_min_kwh)
+    assert ContingencyEvaluator(case).cost_batch(floor) == ContingencyEvaluator(benchmark_case).cost_batch(floor)
 
 
 def test_restoration_battery_energy_limited():
@@ -118,14 +118,49 @@ def test_evaluator_matches_literal_loop(benchmark_case):
     assert contingency_cost(evaluator, None) == pytest.approx(outage_cost_loop(benchmark_case, None), abs=1e-9)
 
 
+def _soc_block(case, rows, seed):
+    """SOC trajectories below, inside and above the battery's window."""
+    battery = case.battery
+    return np.random.default_rng(seed).uniform(battery.soc_min_kwh - 5.0, battery.soc_max_kwh + 5.0, (rows, case.horizon))
+
+
 def test_cost_batch_matches_rows(benchmark_case):
-    evaluator = ContingencyEvaluator(benchmark_case)
-    rng = np.random.default_rng(12)
-    battery = benchmark_case.battery
-    block = rng.uniform(battery.soc_min_kwh, battery.soc_max_kwh, (6, benchmark_case.horizon))
-    batch = evaluator.cost_batch(block)
-    for i in range(6):
-        assert batch[i] == pytest.approx(contingency_cost(evaluator, block[i]), abs=1e-12)
+    # A row's cost does not depend on what it is batched with, to the bit.
+    for case in (benchmark_case, sectioned_case(benchmark_case, 4)):
+        evaluator = ContingencyEvaluator(case)
+        block = _soc_block(case, 7, 12)
+        batch = evaluator.cost_batch(block)
+        for i in range(block.shape[0]):
+            assert batch[i] == evaluator.cost_batch(block[i : i + 1])[0]
+
+
+def test_cost_does_not_depend_on_record_order(benchmark_case):
+    block = _soc_block(benchmark_case, 5, 13)
+    base = ContingencyEvaluator(benchmark_case).cost_batch(block)
+    for field in ("contingencies", "load_points"):
+        case = validate_case(replace(benchmark_case, **{field: getattr(benchmark_case, field)[::-1]}))
+        np.testing.assert_allclose(ContingencyEvaluator(case).cost_batch(block), base, rtol=1e-12, atol=0.0)
+
+
+def test_cost_scales_with_the_outage_costs(benchmark_case):
+    steps = {category: tuple((d, 3.0 * c) for d, c in rows) for category, rows in benchmark_case.outage_costs.steps.items()}
+    tripled = validate_case(replace(benchmark_case, outage_costs=OutageCostTable(steps)))
+    block = _soc_block(benchmark_case, 5, 14)
+    np.testing.assert_allclose(
+        ContingencyEvaluator(tripled).cost_batch(block),
+        3.0 * ContingencyEvaluator(benchmark_case).cost_batch(block),
+        rtol=1e-12,
+        atol=0.0,
+    )
+
+
+def test_contingencies_away_from_the_battery_ignore_its_soc(benchmark_case):
+    away = tuple(c for c in benchmark_case.contingencies if benchmark_case.battery.bus not in island_of(benchmark_case, c.element))
+    assert 0 < len(away) < len(benchmark_case.contingencies)
+    case = validate_case(replace(benchmark_case, contingencies=away))
+    costs = ContingencyEvaluator(case).cost_batch(_soc_block(case, 9, 15))
+    assert costs[0] > 0.0
+    assert (costs == costs[0]).all()
 
 
 def test_cost_monotone_in_soc(benchmark_case):
