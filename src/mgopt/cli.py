@@ -21,14 +21,14 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from . import __version__
-from .ahp import derive_weights
+from .ahp import validate_matrix
 from .devices import DispatchSchedule, soc_trajectory, zero_schedule
 from .netmodel import CaseError, MicrogridCase, load_case
 from .objectives import OBJECTIVE_KEYS, OBJECTIVE_LABELS, normalize_objective
@@ -272,16 +272,23 @@ def _parse_weights(args: argparse.Namespace) -> Optional[List[float]]:
             raise CliError(EXIT_VALIDATION, "--weights must be nonnegative and sum to a positive value")
         total = sum(vector)
         return [w / total for w in vector]
-    if args.ahp:
-        try:
-            matrix = np.loadtxt(args.ahp)
-        except OSError as exc:
-            raise _unreadable(f"--ahp file {args.ahp}", exc) from exc
-        if matrix.shape != (4, 4):
-            raise CliError(EXIT_VALIDATION, f"--ahp matrix must be 4x4, got {matrix.shape}")
-        vector, _ = derive_weights(matrix)
-        return [float(w) for w in vector]
     return None
+
+
+def _ahp_case(args: argparse.Namespace, case: MicrogridCase) -> MicrogridCase:
+    """The case with the ``--ahp`` file's matrix in place of its weights and
+    judgment matrix, so that ``resolve_weights`` derives the weights and the
+    consistency ratio from it as from a case's own matrix."""
+    if not args.ahp:
+        return case
+    try:
+        matrix = np.loadtxt(args.ahp)
+    except OSError as exc:
+        raise _unreadable(f"--ahp file {args.ahp}", exc) from exc
+    if matrix.shape != (4, 4):
+        raise CliError(EXIT_VALIDATION, f"--ahp matrix must be 4x4, got {matrix.shape}")
+    validate_matrix(matrix)
+    return replace(case, weights=None, judgment_matrix=tuple(map(tuple, matrix.tolist())))
 
 
 def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
@@ -315,6 +322,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.dr and case.dr is None:
         raise CliError(EXIT_VALIDATION, "case defines no demand response program")
     weights = _parse_weights(args)
+    case = _ahp_case(args, case)
     config = _optimizer_config(args)
 
     stem = case_path.name.rsplit(".", 1)[0]

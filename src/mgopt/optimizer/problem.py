@@ -84,6 +84,10 @@ KINK_MARGIN = 0.004
 # (near voltage collapse by powerflow.SETTLE_RATIO).
 GA_TOLERANCE = 1e-4
 
+# A plan is feasible when its summed network violation (pu) is at most
+# this; a refine round adds every row the polished plan violates by more.
+_FEASIBILITY_TOL = 1e-7
+
 # The SQP subproblem's central differences step coordinate i by
 # DEFAULT_REL_STEP * max(1, |x_i|).
 DEFAULT_REL_STEP = 1e-5
@@ -386,10 +390,7 @@ class DispatchProblem:
         v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
         v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
         g_in = np.maximum(0.0, slack_kw - self.import_limit).sum(axis=1) / self.s_base
-        if np.isfinite(self.export_limit):
-            g_out = np.maximum(0.0, -slack_kw - self.export_limit).sum(axis=1) / self.s_base
-        else:
-            g_out = 0.0
+        g_out = np.maximum(0.0, -slack_kw - self.export_limit).sum(axis=1) / self.s_base
         total = v_low + v_high + g_in + g_out
         columns = res.beyond(self.vmin, self.vmax)
         columns = columns[res.converged[columns]]
@@ -724,7 +725,8 @@ class DispatchProblem:
             xs = sqp_result.x[: lower.size]
             candidate = self.repair(self.signed_from_split(xs))[0]
             cand_m = self.metrics(candidate)
-            new_rows = _missing(self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=1e-7), rows)
+            violated = self.violated_rows(cand_m.vmag[:, 0, :], cand_m.slack_kw[0], tol=_FEASIBILITY_TOL)
+            new_rows = _missing(violated, rows)
             # A cell whose voltage crossed 1.0 met the kink of its smooth term.
             new_kinks = _missing(self.load_cells(nlp.crossed), kinks) if kinky else kinks[:0]
             value = report.score(cand_m)
@@ -766,7 +768,8 @@ def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: n
 
 
 def _feasible(m: BatchMetrics) -> bool:
-    return bool(m.ok[0]) and float(m.violation[0]) <= 1e-7
+    """The test ``refine`` keeps plans by and the suite publishes as ``feasible``."""
+    return bool(m.ok[0]) and float(m.violation[0]) <= _FEASIBILITY_TOL
 
 
 def _missing(found: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -777,12 +780,15 @@ def _missing(found: np.ndarray, held: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RefineResult:
+    """A refined plan with its metrics, reported value, seed value, rounds
+    and last SQP solve; the defaults hold a plan no refine produced."""
+
     x: np.ndarray
     metrics: BatchMetrics
-    value: float
-    seed_value: float
-    rounds: int
-    sqp: Optional[SqpResult]
+    value: Optional[float] = None
+    seed_value: Optional[float] = None
+    rounds: int = 0
+    sqp: Optional[SqpResult] = None
 
 
 class _SplitDispatchNlp(NlpProblem):
@@ -859,29 +865,23 @@ class _SplitDispatchNlp(NlpProblem):
         dev = np.abs(1.0 - vmag[self.problem.load_idx])
         return np.where(self._smooth, dev, 0.0).sum(axis=0)
 
-    def _eval(self, z: np.ndarray) -> Dict:
-        """Evaluation of z's plan, remembered for the most recent plan only."""
+    def _eval(self, z: np.ndarray) -> BatchMetrics:
+        """The one-row evaluation of z's split plan, remembered for the most
+        recent plan only."""
         xs = z[: self.n_split]
         key = xs.tobytes()
         if key != self._key:
-            data = self.problem.split_eval(xs[np.newaxis, :])
-            below = data.vmag[:, 0, :] < 1.0
+            m = self.problem.split_eval(xs[np.newaxis, :])
+            below = m.vmag[:, 0, :] < 1.0
             if self._below is None:
                 self._below = below
             self.crossed |= below != self._below
-            self._key, self._data = key, {
-                "vmag": data.vmag[:, 0, :],
-                "slack_kw": data.slack_kw[0],
-                "soc": data.soc_kwh[0],
-                "values": {k: float(v[0]) for k, v in data.values.items()},
-                "smooth_vdev": float(self._hourly_vdev(data.vmag).sum(axis=1)[0]),
-                "ok": bool(data.ok[0]),
-            }
-        return self._data
+            self._key, self._m = key, m
+        return self._m
 
     def _kink_dev(self, z: np.ndarray) -> np.ndarray:
         """1 - V at the kink cells."""
-        return 1.0 - self._eval(z)["vmag"][self._kink_bus, self._kink_hour]
+        return 1.0 - self._eval(z).vmag[self._kink_bus, 0, self._kink_hour]
 
     def settle(self, z: np.ndarray) -> np.ndarray:
         """The point ``[xs | e]`` for z's split plan xs (or xs itself), with
@@ -900,13 +900,14 @@ class _SplitDispatchNlp(NlpProblem):
 
     def _values(self, z: np.ndarray) -> Dict[str, float]:
         """The objective values at z, with the kink cells' |1 - V| read as their e."""
-        data = self._eval(z)
-        if not (data["ok"] and self._kink_bus.size):
-            return data["values"]
-        return {**data["values"], "vdev": data["smooth_vdev"] + float(z[self.n_split :].sum())}
+        m = self._eval(z)
+        values = {key: float(v[0]) for key, v in m.values.items()}
+        if m.ok[0] and self._kink_bus.size:
+            values["vdev"] = float(self._hourly_vdev(m.vmag).sum(axis=1)[0]) + float(z[self.n_split :].sum())
+        return values
 
     def objective(self, z: np.ndarray) -> float:
-        if not self._eval(z)["ok"]:
+        if not self._eval(z).ok[0]:
             return LARGE_OBJECTIVE
         return self.spec.scalar(self._values(z))
 
@@ -917,8 +918,8 @@ class _SplitDispatchNlp(NlpProblem):
         return np.array([shift.sum() / self.problem.s_base])
 
     def ineq_constraints(self, z: np.ndarray) -> np.ndarray:
-        data, p = self._eval(z), self.problem
-        soc, slack_kw, vmag = data["soc"], data["slack_kw"], data["vmag"]
+        m, p = self._eval(z), self.problem
+        soc, slack_kw, vmag = m.soc_kwh[0], m.slack_kw[0], m.vmag[:, 0, :]
         layout = [
             (self._soc_min - soc) / self._soc_scale, (soc - self._soc_max) / self._soc_scale,
             (slack_kw - p.import_limit) / p.s_base, (-slack_kw - p.export_limit) / p.s_base,
@@ -986,7 +987,7 @@ class _SplitDispatchNlp(NlpProblem):
             d_cells[r, c] = (data.vmag[bus[r], hi, hour[r]] - data.vmag[bus[r], lo_, hour[r]]) / (2.0 * h[c])
 
         if p.case.battery is not None:
-            soc = self._eval(xs)["soc"]
+            soc = self._eval(xs).soc_kwh[0]
             hs = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(soc))
             probe = np.repeat(soc[np.newaxis, :], 2 * T, axis=0)
             probe[2 * np.arange(T), np.arange(T)] += hs

@@ -19,7 +19,7 @@ cached kernel metrics, the same numbers those comparisons use.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +31,8 @@ from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weigh
 from ..powerflow import _raise_if_failed, compile_network
 from ..reliability import ContingencyEvaluator
 from .ga import GaConfig, ga_seed
-from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec
-from .sqp import SqpConfig, SqpResult
+from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec, RefineResult, _feasible
+from .sqp import SqpConfig
 
 SCENARIO_KEYS: Tuple[str, ...] = ("baseline",) + OBJECTIVE_KEYS + ("weighted",)
 
@@ -135,14 +135,18 @@ def _rng_for(seed: int, scenario_id: int, dr: bool) -> np.random.Generator:
 
 @dataclass
 class _Row:
-    """One scenario's plan while the suite runs, evaluated once per plan."""
+    """One scenario's plan while the suite runs.
 
-    x: np.ndarray
-    metrics: BatchMetrics
-    value: Optional[float] = None
+    ``plan`` is the refine that produced it, or a plan no refine produced
+    (the baseline's, a degenerate DR row's) with no SQP result; its metrics,
+    evaluated once, are what every comparison reads.  A polish re-refine or
+    an adopted rival plan replaces it.  The GA facts of the scenario's own
+    run stay: ``ga_value`` is the first refine's ``seed_value``.
+    """
+
+    plan: RefineResult
     ga_value: Optional[float] = None
     ga_generations: Optional[int] = None
-    sqp: Optional[SqpResult] = None
     elapsed_s: float = 0.0
 
 
@@ -162,15 +166,7 @@ def _optimize(
         seeds = np.vstack([np.atleast_2d(extra_seeds), seeds])
     ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, config.ga, seeds)
     refined = problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
-    return _Row(
-        x=refined.x,
-        metrics=refined.metrics,
-        value=refined.value,
-        ga_value=refined.seed_value,
-        ga_generations=ga.generations,
-        sqp=refined.sqp,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _Row(refined, ga_value=refined.seed_value, ga_generations=ga.generations, elapsed_s=time.perf_counter() - t0)
 
 
 def _beats(rival: float, own: float) -> bool:
@@ -201,65 +197,59 @@ def _cross_polish(
     for _ in range(config.polish_sweeps):
         changed = False
         for key, spec in targets:
-            own = reports[key].score(rows[key].metrics)
+            own = reports[key].score(rows[key].plan.metrics)
             for other in rivals:
-                if other == key or not _beats(reports[key].score(rows[other].metrics), own):
+                if other == key or not _beats(reports[key].score(rows[other].plan.metrics), own):
                     continue
-                start = rows[other].x.tobytes()
+                start = rows[other].plan.x.tobytes()
                 if (key, start) in tried:
                     continue
                 tried.add((key, start))
-                refined = problem.refine(rows[other].x, spec, config.sqp, max_rounds=config.refine_rounds)
+                refined = problem.refine(rows[other].plan.x, spec, config.sqp, max_rounds=config.refine_rounds)
                 if refined.value < own:
-                    rows[key].x = refined.x
-                    rows[key].metrics = refined.metrics
-                    rows[key].value = own = refined.value
-                    rows[key].sqp = refined.sqp
+                    rows[key].plan, own = refined, refined.value
                     changed = True
         if not changed:
             break
     for key, _ in targets:
-        best = min((other for other in rivals if other != key), key=lambda o: reports[key].score(rows[o].metrics))
-        if _beats(reports[key].score(rows[best].metrics), reports[key].score(rows[key].metrics)):
-            rows[key].x = rows[best].x.copy()
-            rows[key].metrics = rows[best].metrics
-            rows[key].value = reports[key].score(rows[best].metrics)
-            rows[key].sqp = rows[best].sqp
+        report = reports[key]
+        best = min((other for other in rivals if other != key), key=lambda o: report.score(rows[o].plan.metrics))
+        value = report.score(rows[best].plan.metrics)
+        if _beats(value, report.score(rows[key].plan.metrics)):
+            rival = rows[best].plan
+            rows[key].plan = replace(rival, x=rival.x.copy(), value=value)
 
 
 def _objective_values(m: BatchMetrics) -> ObjectiveValues:
     return ObjectiveValues(**{key: float(m.values[key][0]) for key in OBJECTIVE_KEYS})
 
 
-def evaluate_objectives(
-    case: MicrogridCase,
-    schedule: DispatchSchedule,
-    evaluator: Optional[ContingencyEvaluator] = None,
-) -> ObjectiveValues:
+def evaluate_objectives(case: MicrogridCase, schedule: DispatchSchedule) -> ObjectiveValues:
     """All four objectives for one schedule, from the batched kernel.
 
     Raises ValueError for a schedule that ``DispatchProblem.check`` refuses,
     and PowerFlowError when the schedule's power flow fails.
     """
-    problem = DispatchProblem(case, dr=schedule.dr_shift is not None, evaluator=evaluator)
+    problem = DispatchProblem(case, dr=schedule.dr_shift is not None)
     m = problem.metrics(problem.check(schedule))
     _raise_if_failed(m.converged[0], m.collapsed[0])
     return _objective_values(m)
 
 
 def _finish_result(problem: DispatchProblem, key: str, row: _Row) -> ScenarioResult:
-    m, sqp = row.metrics, row.sqp
+    """The published row; ``feasible`` is the refiner's own test (``_feasible``)."""
+    plan, m, sqp = row.plan, row.plan.metrics, row.plan.sqp
     _raise_if_failed(m.converged[0], m.collapsed[0])
     return ScenarioResult(
         key=key,
         label=SCENARIO_LABELS.get(key, key),
-        schedule=problem.schedule(row.x),
+        schedule=problem.schedule(plan.x),
         objectives=_objective_values(m),
-        value=row.value,
-        feasible=float(m.violation[0]) <= 1e-6,
+        value=plan.value,
+        feasible=_feasible(m),
         violation=float(m.violation[0]),
         ga_value=row.ga_value,
-        improved=row.ga_value is not None and row.value is not None and row.value < row.ga_value,
+        improved=row.ga_value is not None and plan.value is not None and plan.value < row.ga_value,
         ga_generations=row.ga_generations,
         sqp_status=sqp.status if sqp else None,
         sqp_iterations=sqp.iterations if sqp else None,
@@ -289,8 +279,8 @@ def run_suite(
     weight_map, ratio = resolve_weights(case, weights)
 
     baseline = problem.pack(grid_only_schedule(case))
-    rows: Dict[str, _Row] = {"baseline": _Row(baseline, problem.metrics(baseline))}
-    _raise_if_failed(rows["baseline"].metrics.converged[0], rows["baseline"].metrics.collapsed[0])
+    rows: Dict[str, _Row] = {"baseline": _Row(RefineResult(baseline, problem.metrics(baseline)))}
+    _raise_if_failed(rows["baseline"].plan.metrics.converged[0], rows["baseline"].plan.metrics.collapsed[0])
     for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
         rows[key] = _optimize(problem, ObjectiveSpec(key), config, idx)
 
@@ -300,12 +290,12 @@ def run_suite(
     # Normalisation brackets: scenario-k optimum to initial-state value.
     bounds: ObjectiveBounds = {}
     for key in OBJECTIVE_KEYS:
-        low = float(rows[key].metrics.values[key][0])
-        high = float(rows["baseline"].metrics.values[key][0])
+        low = float(rows[key].plan.metrics.values[key][0])
+        high = float(rows["baseline"].plan.metrics.values[key][0])
         bounds[key] = (min(low, high), high)
 
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
-    prior = np.vstack([rows[k].x for k in ("baseline",) + OBJECTIVE_KEYS])
+    prior = np.vstack([rows[k].plan.x for k in ("baseline",) + OBJECTIVE_KEYS])
     rows["weighted"] = _optimize(problem, spec5, config, 5, extra_seeds=prior)
 
     # The weighted run must win the weighted total, and the single-objective
@@ -313,7 +303,7 @@ def run_suite(
     _cross_polish(problem, rows, singles + [("weighted", spec5)], SCENARIO_KEYS, config)
 
     results = {key: _finish_result(problem, key, rows[key]) for key in SCENARIO_KEYS}
-    totals = {key: spec5.reported.score(rows[key].metrics) for key in SCENARIO_KEYS}
+    totals = {key: spec5.reported.score(rows[key].plan.metrics) for key in SCENARIO_KEYS}
 
     if include_dr:
         t0 = time.perf_counter()
@@ -321,14 +311,14 @@ def run_suite(
         if float(problem_dr.shift_bound.max(initial=0.0)) <= 0.0:
             # Degenerate program: nothing may move, so the answer is the
             # weighted run with a zero shift.
-            x_dr = problem_dr.pack(problem.schedule(rows["weighted"].x))
-            row_dr = _Row(x_dr, problem_dr.metrics(x_dr), value=totals["weighted"])
+            x_dr = problem_dr.pack(problem.schedule(rows["weighted"].plan.x))
+            row_dr = _Row(RefineResult(x_dr, problem_dr.metrics(x_dr), totals["weighted"]))
         else:
-            prior_dr = np.vstack([problem_dr.pack(problem.schedule(rows[k].x)) for k in SCENARIO_KEYS])
+            prior_dr = np.vstack([problem_dr.pack(problem.schedule(rows[k].plan.x)) for k in SCENARIO_KEYS])
             row_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
         row_dr.elapsed_s = time.perf_counter() - t0
         results["dr"] = _finish_result(problem_dr, "dr", row_dr)
-        totals["dr"] = row_dr.value
+        totals["dr"] = row_dr.plan.value
 
     return SuiteResult(
         case=case,

@@ -273,7 +273,7 @@ class SweepResult:
     else follows from these.  The slack current is the currents' sum and the
     loss ``loss_pu`` is ``I^H Re(DLF) I`` over them.  The voltage at every
     bus and the branch currents are products of a bus or branch count times
-    the batch, formed on first read.
+    the batch, formed on first read.  Each has one column per batch column.
 
     When the sweep ran on a prebuilt set, every array here is a view into
     the network's workspace that stays valid until its next sweep, and
@@ -285,7 +285,6 @@ class SweepResult:
         net: "CompiledNetwork",
         injections: InjectionSet,
         workspace: Workspace,
-        width: int,
         voltage: np.ndarray,
         magnitude: np.ndarray,
         iterate: np.ndarray,
@@ -294,18 +293,22 @@ class SweepResult:
         converged: np.ndarray,
         collapsed: np.ndarray,
     ):
-        self._net, self._set, self._ws, self._width = net, injections, workspace, width
-        # Full-width arrays: a lone column is solved as a pair (see sweep).
+        self._net, self._set, self._ws = net, injections, workspace
         self._voltage, self._iterate, self._current = voltage, iterate, current
         self.injection = injections.inj
-        self.injection_magnitude = magnitude[:, :width]
-        self.iterations = iterations[:width]
-        self.converged = converged[:width]
-        self.collapsed = collapsed[:width]
+        self.injection_magnitude = magnitude
+        self.iterations = iterations
+        self.converged = converged
+        self.collapsed = collapsed
 
     @cached_property
     def slack_current(self) -> np.ndarray:
-        return self._current.sum(axis=0)[: self._width]
+        """The injection currents' sum per column, added bus by bus in bus
+        order: numpy sums a lone column's contiguous array pairwise."""
+        total = np.zeros(self._current.shape[1], complex)
+        for row in self._current:
+            total += row
+        return total
 
     @cached_property
     def loss_pu(self) -> np.ndarray:
@@ -320,7 +323,7 @@ class SweepResult:
         terms = np.matmul(f.T, self._set.resistance, out=self._ws.take("wide", f.shape[::-1]))
         np.multiply(terms, f.T, out=terms)
         n, m = self._current.shape
-        return terms.reshape(m, 2 * n).sum(axis=1)[: self._width]
+        return terms.reshape(m, 2 * n).sum(axis=1)
 
     @cached_property
     def voltage(self) -> np.ndarray:
@@ -333,17 +336,13 @@ class SweepResult:
             v = np.subtract(1.0, product, out=self._ws.take("bus", (net.n_bus, m), complex))
         v[self._set.inj] = self._voltage
         v[net.slack] = 1.0
-        return v[:, : self._width]
+        return v
 
     @cached_property
     def branch_current(self) -> np.ndarray:
-        """Complex current in every branch, (n_branch, columns).
-
-        BIBC is 0/1, so its product is plain sums and rounds the same for any
-        batch in either orientation.
-        """
-        shape = (self._net.n_branch, self._current.shape[1])
-        return np.matmul(self._set.bibc, self._current, out=self._ws.take("branch", shape, complex))[:, : self._width]
+        """Complex current in every branch, (n_branch, columns)."""
+        shape = (self._current.shape[1], self._net.n_branch)
+        return _by_row(self._set.bibc, self._current, self._ws.take("branch", shape, complex))
 
     @cached_property
     def _reach(self) -> np.ndarray:
@@ -357,7 +356,7 @@ class SweepResult:
     def beyond(self, low: float, high: float) -> np.ndarray:
         """The columns whose empty-bus magnitudes the gain bound cannot
         place inside [low, high]; NaN fails the test."""
-        reach = self._reach[: self._width]
+        reach = self._reach
         return np.flatnonzero(~((1.0 - reach >= low + BOUND_MARGIN) & (1.0 + reach <= high - BOUND_MARGIN)))
 
     def rest_magnitude(self, columns: np.ndarray) -> np.ndarray:
@@ -399,20 +398,15 @@ def sweep(
     until its next sweep.  Without one, the set is built for this call and
     the result owns its arrays.  Either way a column's result is the same
     for the same set.
+
+    A column's result equals the same column's in any batch that stops at
+    the same iteration, a lone column's too (``_by_row``); in a batch that
+    runs longer a converged column moves on by rounding-level amounts (up
+    to 2e-12 pu in a 58-plan GA batch of the benchmark case).
     """
     s = np.asarray(consumption_pu, dtype=complex)
     if s.ndim == 1:
         s = s[:, np.newaxis]
-    width = s.shape[1]
-    if width == 1:
-        # Numpy hands a one-row product to gemv, which rounds differently
-        # from gemm, so a lone column is solved alongside a copy of itself.
-        # That keeps it bitwise equal to the same column inside any batch
-        # that stops at the same iteration.  A batch iterates every column
-        # until its slowest converges, so inside a batch that runs longer a
-        # converged column moves on by rounding-level amounts (up to 2e-12
-        # pu in a 58-plan GA batch of the benchmark case).
-        s = np.repeat(s, 2, axis=1)
     if injections is None:
         injections = InjectionSet(net, s.any(axis=1))
         s_inj, ws = s[injections.inj], Workspace()
@@ -425,8 +419,7 @@ def sweep(
         current[~np.isfinite(current)] = 0.0
         magnitude = np.abs(v, out=ws.take("magnitude", v.shape))
         collapsed = _below_floor(magnitude)
-        result = SweepResult(net, injections, ws, width, v, magnitude, iterate, current,
-                             iterations, converged, collapsed)
+        result = SweepResult(net, injections, ws, v, magnitude, iterate, current, iterations, converged, collapsed)
         doubtful = result.beyond(COLLAPSE_FLOOR_PU, np.inf)
         if doubtful.size:
             collapsed[doubtful] |= _below_floor(result.rest_magnitude(doubtful))
@@ -537,8 +530,9 @@ def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     each row of its result the same wherever the row sits in the batch (it
     does not for columns), so a column's result does not depend on what it
     is batched with.  Numpy hands a one-row product to gemv, which rounds
-    differently, so a lone column is multiplied as a pair, as ``sweep``
-    solves a lone column.
+    differently, so a lone column is multiplied as a pair.  This is the one
+    place a lone column is paired: the sweep's other product, the loss's,
+    already has two rows per column.
     """
     if b.shape[1] == 1:
         out[...] = np.matmul(np.repeat(b, 2, axis=1).T, a.T)[:1]

@@ -1632,15 +1632,16 @@ def unit_loop_hourly_cost(
     return rate * problem.dt
 
 
-def truncated_case(case: MicrogridCase, horizon: int) -> MicrogridCase:
-    """The case over its first ``horizon`` hours."""
+def truncated_case(case: MicrogridCase, horizon: int, start: int = 0) -> MicrogridCase:
+    """The case over ``horizon`` hours from hour ``start``, its first by default."""
+    hours = slice(start, start + horizon)
     return validate_case(
         replace(
             case,
             horizon=horizon,
-            prices_ct_per_kwh=case.prices_ct_per_kwh[:horizon],
-            availability_kw={name: series[:horizon] for name, series in case.availability_kw.items()},
-            load_points=tuple(replace(lp, profile_kw=lp.profile_kw[:horizon]) for lp in case.load_points),
+            prices_ct_per_kwh=case.prices_ct_per_kwh[hours],
+            availability_kw={name: series[hours] for name, series in case.availability_kw.items()},
+            load_points=tuple(replace(lp, profile_kw=lp.profile_kw[hours]) for lp in case.load_points),
         )
     )
 

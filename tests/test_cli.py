@@ -22,7 +22,7 @@ from mgopt.netmodel import benchmark_case_path, load_benchmark_case, load_case, 
 from mgopt.optimizer import DispatchProblem, evaluate_objectives
 
 from test_dr import committable_pv_case, refused_setpoints, refused_shifts
-from test_scenarios import collapsing_case
+from test_scenarios import collapsing_case, import_squeezed_case
 
 FAST = [
     "--ga-population", "12",
@@ -308,6 +308,48 @@ def test_optimize_infeasible_case_exits_4(tmp_path, capsys):
     marker = out / "FAILED"
     assert marker.exists()
     assert marker.read_text().startswith("error: infeasible:")
+
+
+def test_optimize_publishes_feasibility_by_the_refiners_test(tmp_path, capsys):
+    # The baseline violates the import limit by 5e-7 pu, the optimised plans
+    # not at all; a plan counts as feasible up to 1e-7.
+    path = tmp_path / "squeezed.yaml"
+    save_case(import_squeezed_case(load_benchmark_case()), path)
+    code = main(["optimize", str(path), "--scenario", "0", "--out", str(tmp_path / "s0"), *FAST])
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("error: infeasible: result violates constraints by 5.000e-07")
+    assert main(["optimize", str(path), "--scenario", "5", "--out", str(tmp_path / "s5"), *FAST]) == EXIT_OK
+
+
+def _weighted_run(tmp_path, name, *flags):
+    out = tmp_path / name
+    assert main(["optimize", benchmark_case_path(), "--scenario", "5", "--out", str(out), *flags, *FAST]) == EXIT_OK
+    return json.loads((out / "config.json").read_text())
+
+
+def test_optimize_records_the_weights_it_ran_with(tmp_path):
+    config = _weighted_run(tmp_path, "direct", "--weights", "2,1,1,0")
+    assert config["weights"] == {"cost": 0.5, "loss": 0.25, "ens": 0.25, "vdev": 0.0}
+    assert config["consistency_ratio"] == 0.0
+
+
+def test_optimize_records_the_ahp_matrix_consistency_ratio(tmp_path):
+    # The packaged case's own matrix, given as a file, runs as the case does.
+    path = tmp_path / "judgments.txt"
+    np.savetxt(path, np.array(load_benchmark_case().judgment_matrix), fmt="%.17g")
+    plain, ahp = _weighted_run(tmp_path, "plain"), _weighted_run(tmp_path, "ahp", "--ahp", str(path))
+    assert ahp["consistency_ratio"] == plain["consistency_ratio"] > 0.0
+    assert ahp["weights"] == plain["weights"]
+
+
+def test_optimize_refuses_an_ahp_matrix_of_the_wrong_size(tmp_path, capsys):
+    path = tmp_path / "judgments.txt"
+    np.savetxt(path, np.ones((3, 3)))
+    out = tmp_path / "run"
+    code = main(["optimize", benchmark_case_path(), "--scenario", "5", "--ahp", str(path), "--out", str(out), *FAST])
+    assert code == EXIT_VALIDATION
+    assert "--ahp matrix must be 4x4, got (3, 3)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_on_a_collapsing_feeder_exits_3(tmp_path, capsys):

@@ -362,10 +362,17 @@ def test_lone_column_matches_its_batch_bitwise(benchmark_case):
     s = 4.0 * load_consumption_pu(benchmark_case, net)
     batch = sweep(net, s, max_iterations=7)
     assert not batch.converged.any() and not batch.collapsed.any()
+    fields = ("voltage", "branch_current", "slack_current", "loss_pu", "injection_magnitude",
+              "iterations", "converged", "collapsed")
+    bands = ((0.95, 1.05), (0.97, 1.03), (powerflow.COLLAPSE_FLOOR_PU, np.inf))
+    beyond = [np.isin(np.arange(s.shape[1]), batch.beyond(*band)) for band in bands]
+    assert all(flags.any() and not flags.all() for flags in beyond[:2])
     for cols in ([0], [9], [23], [1, 2], [2, 3, 4], [0, 4, 5, 6, 1], list(range(5, 18))):
         part = sweep(net, s[:, cols], max_iterations=7)
-        for field in ("voltage", "branch_current", "slack_current"):
-            np.testing.assert_array_equal(getattr(part, field), getattr(batch, field)[..., cols], err_msg=field)
+        for field in fields:
+            assert getattr(part, field).tobytes() == getattr(batch, field)[..., cols].tobytes(), field
+        for band, flags in zip(bands, beyond):
+            np.testing.assert_array_equal(part.beyond(*band), np.flatnonzero(flags[cols]), err_msg=str(band))
 
 
 def test_sweep_matches_loop_sweep_on_collapse():

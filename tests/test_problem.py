@@ -10,7 +10,7 @@ from mgopt.devices import DispatchSchedule, soc_trajectory
 from mgopt.dr import check_shift
 import mgopt.optimizer.problem as problem_mod
 import mgopt.optimizer.sqp as sqp
-from mgopt.optimizer import DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
+from mgopt.optimizer import BatchMetrics, DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
 from mgopt.optimizer.problem import GA_TOLERANCE, KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
 from mgopt.objectives import OBJECTIVE_KEYS
@@ -305,6 +305,23 @@ def test_metrics_equal_split_eval_on_split_rows(problem, dr_problem):
         for field in ("violation", "ok", "slack_kw", "soc_kwh", "vmag",
                       "hourly_cost", "hourly_loss_kw", "hourly_vdev"):
             assert np.array_equal(getattr(signed, field), getattr(split, field)), field
+
+
+def test_lone_plan_metrics_match_its_batch_row(benchmark_case):
+    # On a one-hour case one plan is one sweep column, solved alone; in a
+    # batch whose columns all converge at the same iteration (7 here) every
+    # field of its metrics must be its row's, bit for bit.
+    prob = DispatchProblem(truncated_case(benchmark_case, 1, start=12))
+    plans = prob.repair(np.vstack([prob.seed_points(), _random_plans(prob, np.random.default_rng(5), 8)]))
+    batch = prob.metrics(plans)
+    for i, x in enumerate(plans):
+        lone = prob.metrics(x)
+        for key in OBJECTIVE_KEYS:
+            assert lone.values[key].tobytes() == batch.values[key][i : i + 1].tobytes(), (i, key)
+        assert lone.vmag.tobytes() == batch.vmag[:, i : i + 1].tobytes(), i
+        for f in fields(BatchMetrics):
+            if f.name not in ("values", "vmag"):
+                assert getattr(lone, f.name).tobytes() == getattr(batch, f.name)[i : i + 1].tobytes(), (i, f.name)
 
 
 def test_consumption_matches_subtract_at(benchmark_case):
@@ -658,8 +675,8 @@ def test_row_layout_matches_tuple_rows(benchmark_case, variant):
     lower, upper = problem.split_bounds(problem.commitment_mask(x))
     xs = np.clip(problem.split_from_signed(x), lower, upper)
     nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, rows)
-    data = nlp._eval(xs)
-    reference = tuple_row_values(problem, tuple_rows, data["soc"], data["slack_kw"], data["vmag"])
+    m = nlp._eval(xs)
+    reference = tuple_row_values(problem, tuple_rows, m.soc_kwh[0], m.slack_kw[0], m.vmag[:, 0, :])
     assert nlp.ineq_constraints(xs).tobytes() == reference.tobytes()
     d_slack = nlp._differences(xs)[1]
     J_in = nlp.derivatives(xs)[2]

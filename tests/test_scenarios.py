@@ -241,6 +241,24 @@ def test_power_flow_failures_are_typed_from_the_kernel(benchmark_case, fast_conf
         assert str(raised.value) == str(direct.value)
 
 
+def import_squeezed_case(case):
+    """The case with its import limit 5e-5 kW under the grid-only plan's
+    peak import: the baseline violates it by 5e-7 pu, which is above the
+    1e-7 that ``refine`` keeps plans by, while the optimised plans meet it."""
+    peak = float(solve_horizon(case).slack_kw.max())
+    return replace(case, grid_limit_kw=peak - 5e-5)
+
+
+def test_published_feasibility_is_the_refiners_test(benchmark_case, fast_config):
+    suite = run_suite(import_squeezed_case(benchmark_case), config=fast_config, include_dr=False)
+    baseline = suite.results["baseline"]
+    assert baseline.violation == pytest.approx(5e-7, rel=1e-6)
+    assert not baseline.feasible
+    for key, result in suite.results.items():
+        assert result.feasible == (result.violation <= 1e-7), key
+    assert suite.results["cost"].feasible and suite.results["weighted"].feasible
+
+
 def _starved_config():
     from mgopt.optimizer import GaConfig, SqpConfig
 
@@ -304,25 +322,24 @@ def test_cross_polish_never_repeats_a_refine():
     # second sweep must not run either re-refine again.
     from types import SimpleNamespace
 
-    from mgopt.optimizer import ObjectiveSpec
+    from mgopt.optimizer import ObjectiveSpec, RefineResult
     from mgopt.optimizer.scenarios import _cross_polish, _Row
 
     def plan(name, cost, loss):
         values = {"cost": np.array([cost]), "loss": np.array([loss])}
-        return _Row(np.array([float(name)]), SimpleNamespace(values=values))
+        return RefineResult(np.array([float(name)]), SimpleNamespace(values=values))
 
-    baseline, cost_row, loss_row, refined_loss = plan(0, 5.0, 5.0), plan(1, 10.0, 30.0), plan(2, 30.0, 10.0), plan(3, 30.0, 6.0)
-    answers = {("cost", 0.0): plan(4, 11.0, 30.0), ("loss", 0.0): refined_loss}
+    answers = {("cost", 0.0): plan(4, 11.0, 30.0), ("loss", 0.0): plan(3, 30.0, 6.0)}
     calls = []
 
     class Stub:
         def refine(self, x, spec, config=None, max_rounds=3):
             calls.append((spec.key, float(x[0])))
-            row = answers[spec.key, float(x[0])]
-            return SimpleNamespace(x=row.x, metrics=row.metrics, value=spec.score(row.metrics), sqp=None)
+            answer = answers[spec.key, float(x[0])]
+            return replace(answer, value=spec.score(answer.metrics))
 
-    rows = {"baseline": baseline, "cost": cost_row, "loss": loss_row}
+    rows = {"baseline": _Row(plan(0, 5.0, 5.0)), "cost": _Row(plan(1, 10.0, 30.0)), "loss": _Row(plan(2, 30.0, 10.0))}
     targets = [(key, ObjectiveSpec(key)) for key in ("cost", "loss")]
     _cross_polish(Stub(), rows, targets, ("baseline", "cost", "loss"), OptimizerConfig())
     assert calls == [("cost", 0.0), ("loss", 0.0)]
-    assert rows["cost"].x[0] == 0.0 and rows["loss"].x[0] == 0.0
+    assert rows["cost"].plan.x[0] == 0.0 and rows["loss"].plan.x[0] == 0.0
