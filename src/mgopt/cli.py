@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ahp", help="file with a 4x4 pairwise judgment matrix")
     p.add_argument("--out", help="output directory (default: <case>-scenario<k>)")
     p.add_argument("--ga-population", type=int, help="GA population size")
-    p.add_argument("--ga-generations", type=int, help="GA generation count")
+    p.add_argument("--ga-generations", type=int,
+                   help="GA generation cap of the fallback search, run where the DP over the state of charge finds no plan")
     p.add_argument("--sqp-iterations", type=int, help="SQP iteration cap")
     p.add_argument("--refine-rounds", type=int, help="constraint-screening rounds per refinement")
     p.add_argument("--polish-sweeps", type=int, help="cross-scenario polish sweeps")

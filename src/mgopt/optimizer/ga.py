@@ -1,5 +1,11 @@
 """Real-coded genetic algorithm used to seed the SQP refinement.
 
+The suite's rows start from a dynamic programme over the state of charge
+(``problem.DispatchProblem.dp_seed``).  Where it finds a plan the GA is
+called with no generation, and only scores its starting population, the
+DP plan first among its seeds, to keep the best; where it finds none the
+GA searches with its configured budget.
+
 Individuals are dispatch vectors in physical units.  Selection is by
 tournament on an exterior-penalty fitness, recombination is blend crossover,
 and mutation perturbs single genes with Gaussian noise.  Every new individual

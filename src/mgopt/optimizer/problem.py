@@ -1,8 +1,9 @@
-"""Dispatch problem encoding shared by the GA seeder and the SQP refiner.
+"""Dispatch problem encoding shared by the seeders and the SQP refiner.
 
 This module owns the mapping between plan vectors and schedules, batched
 evaluation of the four objectives over whole populations, the repair
-operators that keep device constraints satisfied exactly, and the smooth
+operators that keep device constraints satisfied exactly, the dynamic
+programme over the state of charge that seeds every row, and the smooth
 split-battery problem the SQP refiner works on.
 
 Evaluation is vectorised end to end: a population of plans becomes one
@@ -23,6 +24,17 @@ same rule to the sweep's default tolerance and adds the magnitudes at every
 bus.  Repair projects the shift onto zero net energy by an exact
 breakpoint search and clips the battery in stored energy, hour by hour.
 
+The day decomposes by hour except for the battery: every network term and
+the cost belong to one hour, the outage cost is a sum over hours of a
+function of that hour's SOC, and the model has no ramp, start-up or
+up/down-time coupling.  So a dynamic programme over the SOC finds the
+commitment and the battery path globally on a grid (R. Bellman, *Dynamic
+Programming*, 1957; for unit commitment W. L. Snyder, H. D. Powell and
+J. C. Rayburn, IEEE Trans. Power Systems 2(2), 1987).  ``stage_minima``
+scores a unit grid at every battery level through the GA's lean kernel and
+keeps, per spec, level and hour, only the best value and setpoints;
+``dp_seed`` runs the programme on them and repairs its plan.
+
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
 ``[unit 0 | ... | unit n_units-1 | battery | shift]`` and its split-battery
 relaxation ``[unit 0 | ... | unit n_units-1 | charge | discharge | shift]``,
@@ -42,7 +54,7 @@ subproblem appends the epigraph rows of its kink cells after them
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +104,31 @@ _FEASIBILITY_TOL = 1e-7
 # DEFAULT_REL_STEP * max(1, |x_i|).
 DEFAULT_REL_STEP = 1e-5
 
+# The stage table's unit grid: a renewable unit at these shares of its
+# hourly cap, every other unit off or at STAGE_UNIT_LEVELS evenly spaced
+# points of [p_min, cap]; the battery from -p_max to p_max in steps of
+# p_max / STAGE_BATTERY_STEPS.
+STAGE_RENEWABLE_SHARES = (1.0, 0.5)
+STAGE_UNIT_LEVELS = 5
+STAGE_BATTERY_STEPS = 10
+
+# Plans (of T columns each) per stage-table batch.  Below the GA's default
+# population of 60, so scoring the table grows no sweep workspace.
+STAGE_BATCH_PLANS = 48
+
+# A stage table over more columns than this (unit combinations x battery
+# levels x hours; 145,152 on the benchmark case) is not built, and the GA
+# seeds every row.  The unit grid grows as 2^renewables x 6^others.
+STAGE_COLUMN_CAP = 1_000_000
+
+# Points of the dynamic programme's SOC grid over [soc_min, soc_max]:
+# 0.25 kWh apart on the benchmark battery.
+SOC_GRID_POINTS = 161
+
+# A next SOC this far (kWh) outside the window counts as inside; repair
+# clips it.
+_SOC_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -139,24 +176,35 @@ class ObjectiveSpec:
     def score(self, m: "BatchMetrics") -> float:
         return float(self.scalar_array(m.values)[0])
 
+    def slopes(self) -> Dict[str, float]:
+        """d(scalar)/d(objective value) per key where the normalisation is
+        linear, leaving out its floor and clamp: 1 for a single objective,
+        w / (high - low) per non-degenerate bracket of a weighted one."""
+        if self.key != "weighted":
+            return {self.key: 1.0}
+        return {
+            key: self.weights[key] / (self.bounds[key][1] - self.bounds[key][0])
+            for key in OBJECTIVE_KEYS
+            if not degenerate_bracket(*self.bounds[key])
+        }
+
     def chain(self, values: Dict[str, float]) -> Dict[str, float]:
         """d(scalar)/d(objective value) at the given point, per key."""
         if self.key != "weighted":
-            return {self.key: 1.0}
+            return self.slopes()
         coeffs: Dict[str, float] = {}
-        for key in OBJECTIVE_KEYS:
+        for key, slope in self.slopes().items():
             z = normalize(values[key], self.bounds[key], self.clamp_upper)
-            if z <= 0.0 or (self.clamp_upper and z >= 1.0):
-                continue
-            low, high = self.bounds[key]
-            coeffs[key] = self.weights[key] / (high - low)
+            if z > 0.0 and not (self.clamp_upper and z >= 1.0):
+                coeffs[key] = slope
         return coeffs
 
 
 @dataclass
 class BatchMetrics:
     """Evaluation of a population of plans, one row per plan; ``converged``
-    and ``collapsed`` are the sweep's flags per plan and hour."""
+    and ``collapsed`` are the sweep's flags per plan and hour, and
+    ``violation`` sums ``hourly_violation`` where every hour converged."""
 
     values: Dict[str, np.ndarray]
     violation: np.ndarray
@@ -169,6 +217,7 @@ class BatchMetrics:
     hourly_cost: np.ndarray
     hourly_loss_kw: np.ndarray
     hourly_vdev: np.ndarray
+    hourly_violation: np.ndarray
 
 
 class DispatchProblem:
@@ -375,29 +424,31 @@ class DispatchProblem:
         return rate * self.dt
 
     def _violation(self, res: SweepResult, slack_kw: np.ndarray) -> np.ndarray:
-        """Network violation per plan, per-unit so voltage and power compare.
+        """Network violation per plan and hour, per-unit so voltage and
+        power compare.
 
         The voltage terms are exact at the injection buses.  The empty buses
         add theirs as a sum of its own, taken only in the converged columns
         where the gain bound (``SweepResult.beyond``: no empty bus lies
         further from 1.0 pu than the gain times the farthest injection bus)
-        cannot place them inside the limits; elsewhere they are 0.
+        cannot place them inside the limits; elsewhere they are 0.  A column
+        that did not converge holds whatever its terms came to.
         """
         B, T = slack_kw.shape
         mag = res.injection_magnitude
         terms = self.net.workspace.take("terms", mag.shape)
         cells = (mag.shape[0], B, T)
-        v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
-        v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(cells).sum(axis=(0, 2))
-        g_in = np.maximum(0.0, slack_kw - self.import_limit).sum(axis=1) / self.s_base
-        g_out = np.maximum(0.0, -slack_kw - self.export_limit).sum(axis=1) / self.s_base
+        v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(cells).sum(axis=0)
+        v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(cells).sum(axis=0)
+        g_in = np.maximum(0.0, slack_kw - self.import_limit) / self.s_base
+        g_out = np.maximum(0.0, -slack_kw - self.export_limit) / self.s_base
         total = v_low + v_high + g_in + g_out
         columns = res.beyond(self.vmin, self.vmax)
         columns = columns[res.converged[columns]]
         if columns.size:
             rest = res.rest_magnitude(columns)
             excess = (np.maximum(0.0, self.vmin - rest) + np.maximum(0.0, rest - self.vmax)).sum(axis=0)
-            total = total + np.bincount(columns // T, weights=excess, minlength=B)
+            total += np.bincount(columns, weights=excess, minlength=B * T).reshape(B, T)
         return total
 
     def _evaluate(
@@ -443,7 +494,8 @@ class DispatchProblem:
                 "ens": self.evaluator.cost_batch(soc),
                 "vdev": np.where(ok, hourly_vdev.sum(axis=1), LARGE_OBJECTIVE),
             }
-            violation = np.where(ok, self._violation(res, slack_kw), LARGE_OBJECTIVE)
+            hourly_violation = self._violation(res, slack_kw)
+            violation = np.where(ok, hourly_violation.sum(axis=1), LARGE_OBJECTIVE)
             magnitude = np.abs(res.voltage).reshape(self.net.n_bus, B, T) if vmag else None
         return BatchMetrics(
             values=values,
@@ -457,6 +509,7 @@ class DispatchProblem:
             hourly_cost=hourly_cost,
             hourly_loss_kw=loss_kw,
             hourly_vdev=hourly_vdev,
+            hourly_violation=hourly_violation,
         )
 
     def _signed(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -595,6 +648,137 @@ class DispatchProblem:
             return obj, m.violation
 
         return evaluate, self.repair
+
+    # ------------------------------------------------------------------
+    # dynamic programme over the state of charge
+
+    def _battery_levels(self) -> np.ndarray:
+        """The stage table's battery powers, kW: 0 alone without a battery."""
+        if self.case.battery is None:
+            return np.zeros(1)
+        steps = np.arange(-STAGE_BATTERY_STEPS, STAGE_BATTERY_STEPS + 1)
+        return self.case.battery.p_max_kw * steps / STAGE_BATTERY_STEPS
+
+    def _unit_grid(self, levels: int) -> Optional[np.ndarray]:
+        """(combination, unit, hour) setpoints of the stage table's unit
+        grid, or None when the table, at ``levels`` battery levels, would
+        pass STAGE_COLUMN_CAP.  A unit whose hourly cap is below its
+        minimum is off at every level."""
+        options = []
+        for i, unit in enumerate(self.case.units):
+            cap, p_min = self.caps[i], self.p_min[i, 0]
+            if unit.renewable:
+                options.append(np.outer(STAGE_RENEWABLE_SHARES, cap))
+            else:
+                share = np.linspace(0.0, 1.0, STAGE_UNIT_LEVELS)[:, np.newaxis]
+                running = np.where(cap >= p_min, p_min + share * (cap - p_min), 0.0)
+                options.append(np.vstack([np.zeros(self.T), running]))
+        sizes = [len(levels) for levels in options]
+        count = int(np.prod(sizes, dtype=float))
+        if count * levels * self.T > STAGE_COLUMN_CAP:
+            return None
+        grid = np.zeros((count, self.n_units, self.T))
+        for i, k in enumerate(np.indices(sizes).reshape(self.n_units, count)):
+            grid[:, i] = options[i][k]
+        return grid
+
+    def stage_minima(self, specs: Sequence[ObjectiveSpec]) -> Optional[List["StageMinima"]]:
+        """Each spec's stage table: per battery level and hour, the least
+        hourly value over the unit grid and the unit setpoints that reach it.
+
+        The hourly value weighs the hour's cost, loss energy and voltage
+        deviation by the spec's ``slopes``; the outage cost, a function of
+        the SOC alone, is left to ``dp_seed``.  A grid point counts in an
+        hour only where its sweep converged with zero violation there; a
+        level and hour with none holds inf.  The grid is scored through the
+        GA's lean kernel (``GA_TOLERANCE``), whole combinations at every
+        level per batch of at most STAGE_BATCH_PLANS plans, and only the
+        running minima are kept; on ties the earlier combination stays.
+        None when the table would pass STAGE_COLUMN_CAP.
+        """
+        levels = self._battery_levels()
+        L, T = levels.size, self.T
+        grid = self._unit_grid(L)
+        if grid is None:
+            return None
+        per_batch = max(1, STAGE_BATCH_PLANS // L)
+        slopes = [spec.slopes() for spec in specs]
+        tables = [StageMinima(levels, np.full((L, T), np.inf), np.zeros((L, self.n_units, T))) for _ in specs]
+        power = np.broadcast_to(levels[:, np.newaxis], (L, T))
+        unit, hour = np.arange(self.n_units)[:, np.newaxis], np.arange(T)
+        for start in range(0, len(grid), per_batch):
+            combos = grid[start : start + per_batch]
+            k = len(combos)
+            # Plan j holds combination j // L at level j % L in every hour.
+            p_batt = np.tile(power, (k, 1))
+            m = self._evaluate(np.repeat(combos, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
+                               None, vmag=False, tolerance=GA_TOLERANCE)
+            feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
+            hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * self.dt, "vdev": m.hourly_vdev}
+            for table, slope in zip(tables, slopes):
+                value = np.zeros((k * L, T))
+                for key, coeff in slope.items():
+                    if key in hourly:
+                        value += coeff * hourly[key]
+                value = np.where(feasible, value.reshape(k, L, T), np.inf)
+                pick = value.argmin(axis=0)
+                low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
+                better = low < table.value
+                table.value[better] = low[better]
+                table.units[:] = np.where(better[:, np.newaxis], combos[pick[:, np.newaxis], unit, hour], table.units)
+        return tables
+
+    def dp_seed(self, spec: ObjectiveSpec, stage: "StageMinima") -> Optional[np.ndarray]:
+        """The repaired plan of a dynamic programme over the SOC on the
+        stage table ``stage`` of ``spec``, or None where it finds none.
+
+        A backward pass takes the least value to go from every point of an
+        SOC grid (SOC_GRID_POINTS over the window), reading the next hour's
+        values by linear interpolation.  A forward pass from
+        ``soc_initial`` then takes each hour's best level at the exact next
+        SOC.  A level counts where its next SOC stays inside the window;
+        the outage cost enters as the spec's ens slope times the next SOC's
+        ``ContingencyEvaluator.hourly`` term.  Without a battery each hour
+        takes its own minimum.  There is no plan when some hour has no
+        feasible grid point, or no level keeps the SOC path feasible.
+        """
+        if not np.isfinite(stage.value).any(axis=0).all():
+            return None
+        x = np.zeros(self.n)
+        plan = self.blocks(x)[0]
+        b = self.case.battery
+        if b is None:
+            plan[: self.n_units] = stage.units[0]
+            return self.repair(x)[0]
+
+        levels = stage.battery_kw
+        energy = np.where(levels > 0, b.eta_charge * self.dt * levels, self.dt / b.eta_discharge * levels)
+        grid = np.linspace(b.soc_min_kwh, b.soc_max_kwh, SOC_GRID_POINTS)
+        step = grid[1] - grid[0]
+        ens = spec.slopes().get("ens", 0.0)
+
+        def to_go(t: int, soc: np.ndarray, future: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            """(state, level) values of hour t from the states ``soc``, and the next SOCs."""
+            nxt = self._keep * soc[:, np.newaxis] + energy
+            inside = (nxt >= b.soc_min_kwh - _SOC_SLACK) & (nxt <= b.soc_max_kwh + _SOC_SLACK)
+            value = stage.value[:, t] + _interpolate(future, (np.clip(nxt, grid[0], grid[-1]) - grid[0]) / step)
+            if ens:
+                value = value + ens * self.evaluator.hourly(nxt.reshape(-1, 1), slice(t, t + 1)).reshape(nxt.shape)
+            return np.where(inside, value, np.inf), nxt
+
+        future = [np.zeros(grid.size)]
+        for t in reversed(range(1, self.T)):
+            future.append(to_go(t, grid, future[-1])[0].min(axis=1))
+        soc = np.array([b.soc_initial_kwh])
+        for t in range(self.T):
+            value, nxt = to_go(t, soc, future[self.T - 1 - t])
+            level = int(np.argmin(value[0]))
+            if not np.isfinite(value[0, level]):
+                return None
+            plan[: self.n_units, t] = stage.units[level, :, t]
+            plan[self.n_units, t] = levels[level]
+            soc = nxt[:, level]
+        return self.repair(x)[0]
 
     # ------------------------------------------------------------------
     # split-battery smooth problem for the SQP refiner
@@ -765,6 +949,30 @@ def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: n
         t = int(bad[0])
         limits = f"{idle}[{low[t]:g}, {high[t]:g}]"
         raise ValueError(f"{name} at hour {t}: {what}{p[t]:.6g} {unit} outside {limits} {unit}")
+
+
+def _interpolate(values: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """``values`` on a uniform grid read at fractional indices ``position``
+    (inside the grid) by linear interpolation; inf wherever a neighbour
+    with a positive weight is inf."""
+    i = np.minimum(position.astype(np.intp), values.size - 2)
+    w = position - i
+    low, high = values[i], values[i + 1]
+    with np.errstate(invalid="ignore"):
+        mixed = (1.0 - w) * low + w * high
+    return np.where(w == 0.0, low, np.where(w == 1.0, high, mixed))
+
+
+@dataclass
+class StageMinima:
+    """One spec's stage table (``DispatchProblem.stage_minima``): per
+    battery level (``battery_kw``) and hour, the least hourly value over the
+    unit grid, inf where no grid point is feasible, and the (level, unit,
+    hour) setpoints that reach it."""
+
+    battery_kw: np.ndarray
+    value: np.ndarray
+    units: np.ndarray
 
 
 def _feasible(m: BatchMetrics) -> bool:

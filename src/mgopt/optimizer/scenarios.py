@@ -6,7 +6,16 @@ four objectives normalised between the scenario-k optimum and the initial
 state.  The demand-response variant re-runs scenario 5 with the shift
 series in the decision vector.
 
-Each optimisation is a GA seed followed by SQP refinement.  After the
+Each optimisation is a seed followed by SQP refinement.  The seed comes
+from a dynamic programme over the state of charge
+(``DispatchProblem.dp_seed``), on a stage table scored in two passes per
+suite: the four single specs together, then the weighted spec once the
+single rows have set its brackets.  The DR row starts from the weighted DP
+plan with a zero shift.  The DP plan goes first among the GA's seeds, and
+the GA then runs no generation: it scores its starting population once and
+keeps the best, so the answer does not depend on the seed.  Where the DP
+finds no plan (an hour with no feasible grid point, or a unit grid past
+``problem.STAGE_COLUMN_CAP``) the GA runs its configured budget.  After the
 individual runs the suite cross-polishes deterministically: whenever some
 scenario's solution scores better on objective k than scenario k's own
 solution, scenario k is re-refined from that point.  The sweeps are capped;
@@ -73,8 +82,9 @@ class ScenarioResult:
     violation: float
     ga_value: Optional[float] = None
     improved: bool = False
-    # GA generations run for this scenario; below the configured budget when
-    # the search stopped early.  None where no GA ran.
+    # GA generations run for this scenario: 0 where it started from a DP
+    # plan, below the configured budget where the search stopped early.
+    # None where no GA ran.
     ga_generations: Optional[int] = None
     # The last SQP solve of the refine that produced the plan (``trace`` is
     # its iteration log): its status, iterations and KKT residual.  None
@@ -150,21 +160,36 @@ class _Row:
     elapsed_s: float = 0.0
 
 
+def _dp_plans(problem: DispatchProblem, specs: Sequence[ObjectiveSpec]) -> List[Optional[np.ndarray]]:
+    """Each spec's DP plan (``DispatchProblem.dp_seed``) from one scoring
+    of the stage table; None for every spec where there is no table."""
+    stages = problem.stage_minima(specs)
+    if stages is None:
+        return [None] * len(specs)
+    return [problem.dp_seed(spec, stage) for spec, stage in zip(specs, stages)]
+
+
 def _optimize(
     problem: DispatchProblem,
     spec: ObjectiveSpec,
     config: OptimizerConfig,
     scenario_id: int,
     extra_seeds: Optional[np.ndarray] = None,
+    dp_plan: Optional[np.ndarray] = None,
 ) -> _Row:
-    """A GA seed refined by SQP, as the scenario's row."""
+    """A seed refined by SQP, as the scenario's row.
+
+    The GA's seeds are the DP plan, then ``extra_seeds``, then the structured
+    starts.  Where there is a DP plan the GA runs no generation: it scores
+    its starting population once and keeps the best.  Otherwise it runs
+    its configured budget."""
     t0 = time.perf_counter()
     rng = _rng_for(config.seed, scenario_id, problem.dr)
     evaluate, repair = problem.ga_functions(spec)
-    seeds = problem.seed_points()
-    if extra_seeds is not None and len(extra_seeds):
-        seeds = np.vstack([np.atleast_2d(extra_seeds), seeds])
-    ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, config.ga, seeds)
+    starts = [s for s in (dp_plan, extra_seeds) if s is not None and len(s)]
+    seeds = np.vstack([np.atleast_2d(s) for s in starts] + [problem.seed_points()])
+    budget = config.ga if dp_plan is None else replace(config.ga, generations=0)
+    ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, budget, seeds)
     refined = problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
     return _Row(refined, ga_value=refined.seed_value, ga_generations=ga.generations, elapsed_s=time.perf_counter() - t0)
 
@@ -281,10 +306,11 @@ def run_suite(
     baseline = problem.pack(grid_only_schedule(case))
     rows: Dict[str, _Row] = {"baseline": _Row(RefineResult(baseline, problem.metrics(baseline)))}
     _raise_if_failed(rows["baseline"].plan.metrics.converged[0], rows["baseline"].plan.metrics.collapsed[0])
-    for idx, key in enumerate(OBJECTIVE_KEYS, start=1):
-        rows[key] = _optimize(problem, ObjectiveSpec(key), config, idx)
-
     singles = [(key, ObjectiveSpec(key)) for key in OBJECTIVE_KEYS]
+    dp_singles = _dp_plans(problem, [spec for _, spec in singles])
+    for idx, ((key, spec), dp_plan) in enumerate(zip(singles, dp_singles), start=1):
+        rows[key] = _optimize(problem, spec, config, idx, dp_plan=dp_plan)
+
     _cross_polish(problem, rows, singles, ("baseline",) + OBJECTIVE_KEYS, config)
 
     # Normalisation brackets: scenario-k optimum to initial-state value.
@@ -296,7 +322,11 @@ def run_suite(
 
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
     prior = np.vstack([rows[k].plan.x for k in ("baseline",) + OBJECTIVE_KEYS])
-    rows["weighted"] = _optimize(problem, spec5, config, 5, extra_seeds=prior)
+    # Feasibility does not depend on the spec, so the DP finds a plan for
+    # every spec or for none, and the second pass runs only after a first
+    # that found them.
+    dp_weighted = _dp_plans(problem, [spec5])[0] if dp_singles[0] is not None else None
+    rows["weighted"] = _optimize(problem, spec5, config, 5, extra_seeds=prior, dp_plan=dp_weighted)
 
     # The weighted run must win the weighted total, and the single-objective
     # runs must still win their own metric now that it is a rival.
@@ -315,7 +345,8 @@ def run_suite(
             row_dr = _Row(RefineResult(x_dr, problem_dr.metrics(x_dr), totals["weighted"]))
         else:
             prior_dr = np.vstack([problem_dr.pack(problem.schedule(rows[k].plan.x)) for k in SCENARIO_KEYS])
-            row_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr)
+            dp_dr = None if dp_weighted is None else problem_dr.pack(problem.schedule(dp_weighted))
+            row_dr = _optimize(problem_dr, spec5, config, 5, extra_seeds=prior_dr, dp_plan=dp_dr)
         row_dr.elapsed_s = time.perf_counter() - t0
         results["dr"] = _finish_result(problem_dr, "dr", row_dr)
         totals["dr"] = row_dr.plan.value

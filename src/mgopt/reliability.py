@@ -14,7 +14,9 @@ hour, with the end-of-period SOC standing in for the battery state at the
 moment of failure.  Everything but the battery term is fixed by the case, so
 ``ContingencyEvaluator`` holds it as (contingency, hour) arrays and prices a
 (batch, hour) block of SOC trajectories in one broadcast over (batch,
-contingency, hour); the optimizer's evaluation kernel is its only caller.
+contingency, hour).  ``hourly`` states the rule per hour and ``cost_batch``
+sums it; the optimizer's evaluation kernel and its dynamic programme over
+the state of charge are the callers.
 """
 
 from __future__ import annotations
@@ -96,13 +98,20 @@ class ContingencyEvaluator:
         self.repair = np.array([cont.repair_hours for cont in conts]).reshape(-1, 1)
         self.weight = [cont.rate_per_hour * case.period_hours * cont.repair_hours for cont in conts]
 
-    def cost_batch(self, soc_kwh: np.ndarray) -> np.ndarray:
-        """Vectorised cost for a (batch, horizon) block of SOC trajectories."""
+    def hourly(self, soc_kwh: np.ndarray, hours: slice = slice(None)) -> np.ndarray:
+        """Expected cost per trajectory and hour, ct, of a (batch, hour)
+        block of SOC over ``hours`` of the horizon (all of it by default).
+        Each hour's cost depends on that hour's SOC alone."""
         sustain = np.maximum(0.0, soc_kwh - self.soc_min)[:, np.newaxis, :] / self.repair
-        shortfall = np.maximum(0.0, self.remainder - np.minimum(self.sustain_cap, sustain))
-        per = (self.mix * shortfall).sum(axis=2)
+        shortfall = np.maximum(0.0, self.remainder[:, hours] - np.minimum(self.sustain_cap[:, hours], sustain))
+        priced = self.mix[:, hours] * shortfall
         # Added in case order, not by a dot product, whose order BLAS picks.
-        total = np.zeros(soc_kwh.shape[0])
+        total = np.zeros((priced.shape[0], priced.shape[2]))
         for c, weight in enumerate(self.weight):
-            total += weight * per[:, c]
+            total += weight * priced[:, c]
         return total
+
+    def cost_batch(self, soc_kwh: np.ndarray) -> np.ndarray:
+        """Vectorised cost for a (batch, horizon) block of SOC trajectories:
+        the sum of ``hourly`` over the hours."""
+        return self.hourly(soc_kwh).sum(axis=1)

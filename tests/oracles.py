@@ -32,7 +32,10 @@ The ``offset_*`` plan-vector forms index the
 signed and split vectors by block offsets, as the package did before it read
 plans through ``DispatchProblem.blocks``, and the ``unit_loop_*`` forms read
 each unit's limits from its record in a loop over the units, as the package
-did before it held them as arrays.  ``sectioned_case`` and
+did before it held them as arrays.
+``grid_minimum`` enumerates every battery path on the grid of the dispatch
+problem's dynamic programme, the independent check of its stage table and
+SOC recursion on one- and two-hour cases.  ``sectioned_case`` and
 ``truncated_case`` are case builders, not references: the first deepens a
 feeder without changing its physics, the second cuts the day short.  The
 recursive tree walk is the form ``validate_radial`` had before it took an
@@ -1340,6 +1343,106 @@ def all_bus_kernel(
         g_out = np.maximum(0.0, -slack_kw - problem.export_limit).sum(axis=1) / problem.s_base
         violation = np.where(ok, np.nan_to_num(v_low + v_high + g_in + g_out, nan=large), large)
     return values, violation, ok, vmag
+
+
+def grid_unit_options(problem) -> List[List[np.ndarray]]:
+    """Per unit, its hourly setpoint series on the DP's grid."""
+    case, T = problem.case, problem.T
+    options = []
+    for unit in case.units:
+        caps = np.array([case.unit_cap_kw(unit, t) for t in range(T)])
+        if unit.renewable:
+            options.append([caps, caps / 2.0])
+        else:
+            levels = [np.zeros(T)]
+            for k in range(5):
+                levels.append(np.array([
+                    unit.p_min_kw + k / 4.0 * (cap - unit.p_min_kw) if cap >= unit.p_min_kw else 0.0 for cap in caps
+                ]))
+            options.append(levels)
+    return options
+
+
+def grid_plan_score(problem, slopes: Dict[str, float], x: np.ndarray) -> float:
+    """A signed plan's score as ``grid_minimum`` prices it: the slopes times
+    the cost, loss and vdev of ``problem.metrics`` and the ens slope times
+    ``outage_cost_loop`` on the plan's SOC from ``soc_loop``."""
+    case, b = problem.case, problem.case.battery
+    m = problem.metrics(x)
+    score = sum(coeff * float(m.values[key][0]) for key, coeff in slopes.items() if key != "ens")
+    if slopes.get("ens"):
+        powers = problem.schedule(x).battery_power
+        soc = None if b is None else np.array(
+            soc_loop(b.soc_initial_kwh, powers, b.eta_charge, b.eta_discharge, b.self_discharge_per_h, case.period_hours))
+        score += slopes["ens"] * outage_cost_loop(case, soc)
+    return score
+
+
+def grid_minimum(problem, slopes: Dict[str, float]) -> Tuple[float, np.ndarray]:
+    """(score, signed plan) of the best plan on the DP's grid of a short
+    case, by enumeration.
+
+    The grid holds each renewable at its hourly cap or half of it, every
+    other unit off or at 5 evenly spaced points of [p_min, cap] (off where
+    the cap is below p_min) and the battery at 21 levels from -p_max to
+    p_max.  Every (combination, level) pair is held through the whole
+    horizon and scored by ``problem.metrics`` at the sweep's default
+    tolerance; it counts in an hour where that hour converged and every
+    bus voltage and the grid exchange lie inside the limits.  Every battery
+    path, one level per hour, whose ``soc_loop`` SOC stays in the window is
+    then priced as in ``grid_plan_score``: each hour's least feasible
+    point, plus the ens slope times ``outage_cost_loop``.
+    """
+    case, T, b = problem.case, problem.T, problem.case.battery
+    combos = list(itertools.product(*grid_unit_options(problem)))
+    levels = [0.0] if b is None else [b.p_max_kw * k / 10.0 for k in range(-10, 11)]
+    pairs = list(itertools.product(range(len(combos)), range(len(levels))))
+    X = np.zeros((len(pairs), problem.n))
+    for row, (c, level) in enumerate(pairs):
+        B = problem.blocks(X[row])[0]
+        for i, series in enumerate(combos[c]):
+            B[i] = series
+        B[problem.n_units] = levels[level]
+    m = problem.metrics(X)
+    vmin, vmax = case.voltage_limits
+    with np.errstate(invalid="ignore"):
+        inside = ((m.vmag >= vmin) & (m.vmag <= vmax)).all(axis=0)
+        inside &= (m.slack_kw <= case.grid_limit_kw) & (-m.slack_kw <= case.effective_export_limit_kw)
+    feasible = m.converged & inside
+    hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * case.period_hours, "vdev": m.hourly_vdev}
+    value = np.zeros((len(pairs), T))
+    for key, coeff in slopes.items():
+        if key != "ens":
+            value += coeff * hourly[key]
+    value = np.where(feasible, value, np.inf).reshape(len(combos), len(levels), T)
+    best_combo = value.argmin(axis=0)
+    best = value.min(axis=0)
+
+    best_score, best_path = np.inf, None
+    for path in itertools.product(range(len(levels)), repeat=T):
+        stage = sum(best[level, t] for t, level in enumerate(path))
+        if not np.isfinite(stage):
+            continue
+        soc = None
+        if b is not None:
+            powers = [levels[level] for level in path]
+            soc = soc_loop(b.soc_initial_kwh, powers, b.eta_charge, b.eta_discharge, b.self_discharge_per_h,
+                           case.period_hours)
+            if min(soc) < b.soc_min_kwh or max(soc) > b.soc_max_kwh:
+                continue
+            soc = np.array(soc)
+        score = stage + slopes.get("ens", 0.0) * outage_cost_loop(case, soc)
+        if score < best_score:
+            best_score, best_path = score, path
+    if best_path is None:
+        return np.inf, None
+    x = np.zeros(problem.n)
+    B = problem.blocks(x)[0]
+    for t, level in enumerate(best_path):
+        for i, series in enumerate(combos[best_combo[level, t]]):
+            B[i, t] = series[t]
+        B[problem.n_units, t] = levels[level]
+    return best_score, x
 
 
 def bisect_shift_projection(shift_bound: np.ndarray, s: np.ndarray) -> np.ndarray:
