@@ -2,9 +2,9 @@
 
 The suite's rows start from a dynamic programme over the state of charge
 (``problem.DispatchProblem.dp_seed``).  Where it finds a plan the GA is
-called with no generation, and only scores its starting population, the
-DP plan first among its seeds, to keep the best; where it finds none the
-GA searches with its configured budget.
+called with no generation and a population of its seeds alone, the DP
+plan first, and only scores them to keep the best; where it finds none
+the GA searches with its configured budget.
 
 Individuals are dispatch vectors in physical units.  Selection is by
 tournament on an exterior-penalty fitness, recombination is blend crossover,

@@ -118,8 +118,12 @@ STAGE_BATCH_PLANS = 48
 
 # A stage table over more columns than this (unit combinations x battery
 # levels x hours; 145,152 on the benchmark case) is not built, and the GA
-# seeds every row.  The unit grid grows as 2^renewables x 6^others.
-STAGE_COLUMN_CAP = 1_000_000
+# seeds every row.  The unit grid grows as 2^renewables x 6^others.  A
+# suite scores the table twice, at 1.5-2 s per million columns a pass
+# (2-core x86_64, one thread): on copies of the benchmark case a default
+# suite took less time from the DP than from the GA at 580,608 columns (two
+# more renewables) and more at 870,912 (one more microturbine).
+STAGE_COLUMN_CAP = 600_000
 
 # Points of the dynamic programme's SOC grid over [soc_min, soc_max]:
 # 0.25 kWh apart on the benchmark battery.

@@ -12,16 +12,17 @@ from a dynamic programme over the state of charge
 suite: the four single specs together, then the weighted spec once the
 single rows have set its brackets.  The DR row starts from the weighted DP
 plan with a zero shift.  The DP plan goes first among the GA's seeds, and
-the GA then runs no generation: it scores its starting population once and
-keeps the best, so the answer does not depend on the seed.  Where the DP
-finds no plan (an hour with no feasible grid point, or a unit grid past
-``problem.STAGE_COLUMN_CAP``) the GA runs its configured budget.  After the
-individual runs the suite cross-polishes deterministically: whenever some
-scenario's solution scores better on objective k than scenario k's own
-solution, scenario k is re-refined from that point.  The sweeps are capped;
-a scenario still beaten after them takes the plan that wins its column.  So
-the final table has every single-objective run dominating its own metric and
-the weighted run dominating the weighted total.  The table reads each plan's
+the GA then runs no generation: it scores those seeds alone, drawing no
+random plan, and keeps the best, so the answer does not depend on the
+seed.  Where the DP finds no plan (an hour with no feasible grid point, or
+a unit grid past ``problem.STAGE_COLUMN_CAP``) the GA runs its configured
+budget.  After the individual runs the suite cross-polishes
+deterministically: whenever some scenario's solution scores better on
+objective k than scenario k's own solution, scenario k is re-refined from
+that point.  The sweeps are capped; a scenario still beaten after them
+takes the plan that wins its column.  So the final table has every
+single-objective run dominating its own metric and the weighted run
+dominating the weighted total.  The table reads each plan's
 cached kernel metrics, the same numbers those comparisons use.
 """
 
@@ -180,15 +181,19 @@ def _optimize(
     """A seed refined by SQP, as the scenario's row.
 
     The GA's seeds are the DP plan, then ``extra_seeds``, then the structured
-    starts.  Where there is a DP plan the GA runs no generation: it scores
-    its starting population once and keeps the best.  Otherwise it runs
-    its configured budget."""
+    starts.  Where there is a DP plan the GA runs no generation: its
+    population is those seeds alone (at most the configured population),
+    scored once, and it keeps the best.  Otherwise it runs its configured
+    budget."""
     t0 = time.perf_counter()
     rng = _rng_for(config.seed, scenario_id, problem.dr)
     evaluate, repair = problem.ga_functions(spec)
     starts = [s for s in (dp_plan, extra_seeds) if s is not None and len(s)]
     seeds = np.vstack([np.atleast_2d(s) for s in starts] + [problem.seed_points()])
-    budget = config.ga if dp_plan is None else replace(config.ga, generations=0)
+    budget = config.ga
+    if dp_plan is not None:
+        # Only the seeds, no random plans: the row does not depend on the rng.
+        budget = replace(config.ga, population=min(len(seeds), config.ga.population), generations=0)
     ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, budget, seeds)
     refined = problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
     return _Row(refined, ga_value=refined.seed_value, ga_generations=ga.generations, elapsed_s=time.perf_counter() - t0)

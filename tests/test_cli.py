@@ -19,7 +19,7 @@ from mgopt.cli import (
 )
 from mgopt.devices import DispatchSchedule
 from mgopt.netmodel import benchmark_case_path, load_benchmark_case, load_case, save_case
-from mgopt.optimizer import DispatchProblem, evaluate_objectives
+from mgopt.optimizer import DispatchProblem, ObjectiveSpec, evaluate_objectives
 
 from test_dr import committable_pv_case, refused_setpoints, refused_shifts
 from test_scenarios import collapsing_case, import_squeezed_case
@@ -231,6 +231,26 @@ def test_objectives_json_shows_an_early_stop(tmp_path):
     budget = json.loads((out / "config.json").read_text())["ga"]["generations"]
     generations = json.loads((out / "objectives.json").read_text())["ga_generations"]
     assert budget == 40 and generations < budget
+
+
+def test_objectives_json_shows_an_early_stop_of_the_fallback_search(tmp_path):
+    # A second microturbine takes the stage table past STAGE_COLUMN_CAP, so
+    # the DP finds no plan and the GA searches.  Its cost run's best settles
+    # early, so with a budget above the stop rule's patience the count
+    # written lies between 1 and the budget config.json records.
+    case = load_benchmark_case()
+    case = replace(case, units=case.units + (replace(case.unit("MT"), name="MT2"),))
+    assert DispatchProblem(case).stage_minima([ObjectiveSpec("cost")]) is None
+    path = tmp_path / "two-mt.case"
+    save_case(case, path)
+    out = tmp_path / "fallback"
+    code = main(["optimize", str(path), "--scenario", "1", "--out", str(out),
+                 "--ga-population", "12", "--ga-generations", "40", "--sqp-iterations", "10",
+                 "--polish-sweeps", "1", "--refine-rounds", "1"])
+    assert code == EXIT_OK
+    budget = json.loads((out / "config.json").read_text())["ga"]["generations"]
+    generations = json.loads((out / "objectives.json").read_text())["ga_generations"]
+    assert budget == 40 and 1 <= generations < budget
 
 
 def test_config_json_records_every_optimizer_option(run_dir):
