@@ -2,9 +2,9 @@
 
 The suite's rows start from a dynamic programme over the state of charge
 (``problem.DispatchProblem.dp_seed``).  Where it finds a plan the GA is
-called with no generation and a population of its seeds alone, the DP
-plan first, and only scores them to keep the best; where it finds none
-the GA searches with its configured budget.
+called with no generation, a population of its seeds alone (the DP plan
+first) and no random number generator, and only scores them to keep the
+best; where it finds none the GA searches with its configured budget.
 
 Individuals are dispatch vectors in physical units.  Selection is by
 tournament on an exterior-penalty fitness, recombination is blend crossover,
@@ -68,7 +68,7 @@ def ga_seed(
     repair: Callable[[np.ndarray], np.ndarray],
     lower: Sequence[float],
     upper: Sequence[float],
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     config: Optional[GaConfig] = None,
     seeds: Optional[np.ndarray] = None,
 ) -> GaResult:
@@ -77,7 +77,9 @@ def ga_seed(
     ``evaluate`` maps a population matrix [pop, n] to (objective, violation)
     vectors; ``repair`` projects a population back onto device-feasible
     points.  Raw objective and violation are kept separately so penalty
-    updates never trigger re-evaluation.
+    updates never trigger re-evaluation.  ``rng`` may be None where the
+    seeds fill the population and no generation runs: then no random plan
+    is drawn.
     """
     cfg = config or GaConfig()
     lo = np.asarray(lower, dtype=float)
@@ -86,11 +88,15 @@ def ga_seed(
     span = hi - lo
     pop_size = cfg.population
 
-    pop = lo + rng.random((pop_size, n)) * span
-    if seeds is not None and seeds.size:
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        count = min(seeds.shape[0], pop_size)
-        pop[:count] = seeds[:count]
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float)) if seeds is not None and seeds.size else np.zeros((0, n))
+    count = min(seeds.shape[0], pop_size)
+    if rng is None:
+        if count < pop_size or cfg.generations > 0:
+            raise ValueError("ga_seed without an rng needs seeds that fill the population and no generation")
+        pop = np.empty((pop_size, n))
+    else:
+        pop = lo + rng.random((pop_size, n)) * span
+    pop[:count] = seeds[:count]
     pop = repair(pop)
 
     obj, vio = evaluate(pop)

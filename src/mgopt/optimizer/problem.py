@@ -30,10 +30,11 @@ function of that hour's SOC, and the model has no ramp, start-up or
 up/down-time coupling.  So a dynamic programme over the SOC finds the
 commitment and the battery path globally on a grid (R. Bellman, *Dynamic
 Programming*, 1957; for unit commitment W. L. Snyder, H. D. Powell and
-J. C. Rayburn, IEEE Trans. Power Systems 2(2), 1987).  ``stage_minima``
-scores a unit grid at every battery level through the GA's lean kernel and
-keeps, per spec, level and hour, only the best value and setpoints;
-``dp_seed`` runs the programme on them and repairs its plan.
+J. C. Rayburn, IEEE Trans. Power Systems 2(2), 1987).  ``stage_table``
+scores a unit grid at every battery level through the GA's lean kernel once
+and keeps every point's hourly terms; ``StageTable.minima`` takes, per spec,
+level and hour, the best value and setpoints, and ``dp_seed`` runs the
+programme on them and repairs its plan.
 
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
 ``[unit 0 | ... | unit n_units-1 | battery | shift]`` and its split-battery
@@ -54,7 +55,7 @@ subproblem appends the epigraph rows of its kink cells after them
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,16 +114,19 @@ STAGE_UNIT_LEVELS = 5
 STAGE_BATTERY_STEPS = 10
 
 # Plans (of T columns each) per stage-table batch.  Below the GA's default
-# population of 60, so scoring the table grows no sweep workspace.
+# population of 60, so scoring the table grows no sweep workspace; the
+# scored table itself is stored whole, 25 bytes a column (StageTable).
 STAGE_BATCH_PLANS = 48
 
 # A stage table over more columns than this (unit combinations x battery
-# levels x hours; 145,152 on the benchmark case) is not built, and the GA
-# seeds every row.  The unit grid grows as 2^renewables x 6^others.  A
-# suite scores the table twice, at 1.5-2 s per million columns a pass
-# (2-core x86_64, one thread): on copies of the benchmark case a default
-# suite took less time from the DP than from the GA at 580,608 columns (two
-# more renewables) and more at 870,912 (one more microturbine).
+# levels x hours; 145,152 on the benchmark case, 3.6 MB stored; 15 MB at
+# the cap) is not built, and the GA seeds every row.  The unit grid grows
+# as 2^renewables x 6^others.  Scoring takes 1.5-2 s per million columns
+# (2-core x86_64, one thread).  The cap was measured when a suite scored
+# the table twice: on copies of the benchmark case a default suite took
+# less time from the DP than from the GA at 580,608 columns (two more
+# renewables) and more at 870,912 (one more microturbine).  A suite now
+# scores it once, so the cap is conservative.
 STAGE_COLUMN_CAP = 600_000
 
 # Points of the dynamic programme's SOC grid over [soc_min, soc_max]:
@@ -686,19 +690,16 @@ class DispatchProblem:
             grid[:, i] = options[i][k]
         return grid
 
-    def stage_minima(self, specs: Sequence[ObjectiveSpec]) -> Optional[List["StageMinima"]]:
-        """Each spec's stage table: per battery level and hour, the least
-        hourly value over the unit grid and the unit setpoints that reach it.
+    def stage_table(self) -> Optional["StageTable"]:
+        """The stage table: the hourly cost, loss energy and voltage
+        deviation of every point of the unit grid at every battery level,
+        and where each counts (``StageTable``).
 
-        The hourly value weighs the hour's cost, loss energy and voltage
-        deviation by the spec's ``slopes``; the outage cost, a function of
-        the SOC alone, is left to ``dp_seed``.  A grid point counts in an
-        hour only where its sweep converged with zero violation there; a
-        level and hour with none holds inf.  The grid is scored through the
-        GA's lean kernel (``GA_TOLERANCE``), whole combinations at every
-        level per batch of at most STAGE_BATCH_PLANS plans, and only the
-        running minima are kept; on ties the earlier combination stays.
-        None when the table would pass STAGE_COLUMN_CAP.
+        A grid point counts in an hour only where its sweep converged with
+        zero violation there.  The grid is scored through the GA's lean
+        kernel (``GA_TOLERANCE``), whole combinations at every level per
+        batch of at most STAGE_BATCH_PLANS plans.  None when the table would
+        pass STAGE_COLUMN_CAP.
         """
         levels = self._battery_levels()
         L, T = levels.size, self.T
@@ -706,35 +707,26 @@ class DispatchProblem:
         if grid is None:
             return None
         per_batch = max(1, STAGE_BATCH_PLANS // L)
-        slopes = [spec.slopes() for spec in specs]
-        tables = [StageMinima(levels, np.full((L, T), np.inf), np.zeros((L, self.n_units, T))) for _ in specs]
+        cells = (len(grid), L, T)
+        hourly = {key: np.empty(cells) for key in ("cost", "loss", "vdev")}
+        feasible = np.empty(cells, dtype=bool)
         power = np.broadcast_to(levels[:, np.newaxis], (L, T))
-        unit, hour = np.arange(self.n_units)[:, np.newaxis], np.arange(T)
         for start in range(0, len(grid), per_batch):
             combos = grid[start : start + per_batch]
-            k = len(combos)
+            k, rows = len(combos), slice(start, start + per_batch)
             # Plan j holds combination j // L at level j % L in every hour.
             p_batt = np.tile(power, (k, 1))
             m = self._evaluate(np.repeat(combos, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
                                None, vmag=False, tolerance=GA_TOLERANCE)
-            feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
-            hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * self.dt, "vdev": m.hourly_vdev}
-            for table, slope in zip(tables, slopes):
-                value = np.zeros((k * L, T))
-                for key, coeff in slope.items():
-                    if key in hourly:
-                        value += coeff * hourly[key]
-                value = np.where(feasible, value.reshape(k, L, T), np.inf)
-                pick = value.argmin(axis=0)
-                low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
-                better = low < table.value
-                table.value[better] = low[better]
-                table.units[:] = np.where(better[:, np.newaxis], combos[pick[:, np.newaxis], unit, hour], table.units)
-        return tables
+            feasible[rows] = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
+            hourly["cost"][rows] = m.hourly_cost.reshape(k, L, T)
+            hourly["loss"][rows] = (m.hourly_loss_kw * self.dt).reshape(k, L, T)
+            hourly["vdev"][rows] = m.hourly_vdev.reshape(k, L, T)
+        return StageTable(levels, grid, hourly, feasible)
 
     def dp_seed(self, spec: ObjectiveSpec, stage: "StageMinima") -> Optional[np.ndarray]:
         """The repaired plan of a dynamic programme over the SOC on the
-        stage table ``stage`` of ``spec``, or None where it finds none.
+        stage-table minima ``stage`` of ``spec``, or None where it finds none.
 
         A backward pass takes the least value to go from every point of an
         SOC grid (SOC_GRID_POINTS over the window), reading the next hour's
@@ -969,14 +961,47 @@ def _interpolate(values: np.ndarray, position: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StageMinima:
-    """One spec's stage table (``DispatchProblem.stage_minima``): per
+    """One spec's minima of the stage table (``StageTable.minima``): per
     battery level (``battery_kw``) and hour, the least hourly value over the
     unit grid, inf where no grid point is feasible, and the (level, unit,
-    hour) setpoints that reach it."""
+    hour) setpoints that reach it, 0 where none does."""
 
     battery_kw: np.ndarray
     value: np.ndarray
     units: np.ndarray
+
+
+@dataclass
+class StageTable:
+    """The stage table (``DispatchProblem.stage_table``): the battery levels
+    (``battery_kw``), the unit grid's (combination, unit, hour) setpoints
+    (``units``), and per (combination, level, hour) the hourly "cost",
+    "loss" (energy) and "vdev" terms (``hourly``) and whether the point
+    counts there (``feasible``)."""
+
+    battery_kw: np.ndarray
+    units: np.ndarray
+    hourly: Dict[str, np.ndarray]
+    feasible: np.ndarray
+
+    def minima(self, spec: ObjectiveSpec) -> StageMinima:
+        """Per battery level and hour, the least hourly value over the unit
+        grid and the unit setpoints that reach it.
+
+        The hourly value weighs the hour's terms by the spec's ``slopes``;
+        the outage cost, a function of the SOC alone, is left to
+        ``DispatchProblem.dp_seed``.  On ties the earlier combination wins.
+        """
+        value = np.zeros(self.feasible.shape)
+        for key, coeff in spec.slopes().items():
+            if key in self.hourly:
+                value += coeff * self.hourly[key]
+        value = np.where(self.feasible, value, np.inf)
+        pick = value.argmin(axis=0)
+        low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
+        n_units, T = self.units.shape[1:]
+        units = self.units[pick[:, np.newaxis, :], np.arange(n_units)[:, np.newaxis], np.arange(T)]
+        return StageMinima(self.battery_kw, low, np.where(np.isfinite(low)[:, np.newaxis], units, 0.0))
 
 
 def _feasible(m: BatchMetrics) -> bool:

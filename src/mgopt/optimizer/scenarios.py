@@ -8,22 +8,23 @@ series in the decision vector.
 
 Each optimisation is a seed followed by SQP refinement.  The seed comes
 from a dynamic programme over the state of charge
-(``DispatchProblem.dp_seed``), on a stage table scored in two passes per
-suite: the four single specs together, then the weighted spec once the
-single rows have set its brackets.  The DR row starts from the weighted DP
-plan with a zero shift.  The DP plan goes first among the GA's seeds, and
-the GA then runs no generation: it scores those seeds alone, drawing no
-random plan, and keeps the best, so the answer does not depend on the
-seed.  Where the DP finds no plan (an hour with no feasible grid point, or
-a unit grid past ``problem.STAGE_COLUMN_CAP``) the GA runs its configured
-budget.  After the individual runs the suite cross-polishes
-deterministically: whenever some scenario's solution scores better on
-objective k than scenario k's own solution, scenario k is re-refined from
-that point.  The sweeps are capped; a scenario still beaten after them
-takes the plan that wins its column.  So the final table has every
-single-objective run dominating its own metric and the weighted run
-dominating the weighted total.  The table reads each plan's
-cached kernel metrics, the same numbers those comparisons use.
+(``DispatchProblem.dp_seed``), on a stage table scored once per suite
+(``DispatchProblem.stage_table``): the four single specs take their minima
+from it first, then the weighted spec once the single rows have set its
+brackets, and the suite then drops it.  The DR row starts from the weighted
+DP plan with a zero shift.  The DP plan goes first among the GA's seeds,
+and the GA then runs no generation: it scores those seeds alone, drawing no
+random plan and making no generator, and keeps the best, so the answer
+does not depend on the seed.  Where the DP finds no plan (an hour with no
+feasible grid point, or a unit grid past ``problem.STAGE_COLUMN_CAP``) the
+GA runs its configured budget.  After the individual runs the suite
+cross-polishes deterministically: whenever some scenario's solution scores
+better on objective k than scenario k's own solution, scenario k is
+re-refined from that point.  The sweeps are capped; a scenario still beaten
+after them takes the plan that wins its column.  So the final table has
+every single-objective run dominating its own metric and the weighted run
+dominating the weighted total.  The table reads each plan's cached kernel
+metrics, the same numbers those comparisons use.
 """
 
 from __future__ import annotations
@@ -161,15 +162,6 @@ class _Row:
     elapsed_s: float = 0.0
 
 
-def _dp_plans(problem: DispatchProblem, specs: Sequence[ObjectiveSpec]) -> List[Optional[np.ndarray]]:
-    """Each spec's DP plan (``DispatchProblem.dp_seed``) from one scoring
-    of the stage table; None for every spec where there is no table."""
-    stages = problem.stage_minima(specs)
-    if stages is None:
-        return [None] * len(specs)
-    return [problem.dp_seed(spec, stage) for spec, stage in zip(specs, stages)]
-
-
 def _optimize(
     problem: DispatchProblem,
     spec: ObjectiveSpec,
@@ -183,17 +175,17 @@ def _optimize(
     The GA's seeds are the DP plan, then ``extra_seeds``, then the structured
     starts.  Where there is a DP plan the GA runs no generation: its
     population is those seeds alone (at most the configured population),
-    scored once, and it keeps the best.  Otherwise it runs its configured
-    budget."""
+    scored once, and it keeps the best; it needs no generator.  Otherwise
+    it runs its configured budget."""
     t0 = time.perf_counter()
-    rng = _rng_for(config.seed, scenario_id, problem.dr)
     evaluate, repair = problem.ga_functions(spec)
     starts = [s for s in (dp_plan, extra_seeds) if s is not None and len(s)]
     seeds = np.vstack([np.atleast_2d(s) for s in starts] + [problem.seed_points()])
-    budget = config.ga
-    if dp_plan is not None:
-        # Only the seeds, no random plans: the row does not depend on the rng.
-        budget = replace(config.ga, population=min(len(seeds), config.ga.population), generations=0)
+    if dp_plan is None:
+        rng, budget = _rng_for(config.seed, scenario_id, problem.dr), config.ga
+    else:
+        # Only the seeds, no random plans: the row does not depend on the seed.
+        rng, budget = None, replace(config.ga, population=min(len(seeds), config.ga.population), generations=0)
     ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, budget, seeds)
     refined = problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
     return _Row(refined, ga_value=refined.seed_value, ga_generations=ga.generations, elapsed_s=time.perf_counter() - t0)
@@ -312,8 +304,9 @@ def run_suite(
     rows: Dict[str, _Row] = {"baseline": _Row(RefineResult(baseline, problem.metrics(baseline)))}
     _raise_if_failed(rows["baseline"].plan.metrics.converged[0], rows["baseline"].plan.metrics.collapsed[0])
     singles = [(key, ObjectiveSpec(key)) for key in OBJECTIVE_KEYS]
-    dp_singles = _dp_plans(problem, [spec for _, spec in singles])
-    for idx, ((key, spec), dp_plan) in enumerate(zip(singles, dp_singles), start=1):
+    table = problem.stage_table()
+    for idx, (key, spec) in enumerate(singles, start=1):
+        dp_plan = None if table is None else problem.dp_seed(spec, table.minima(spec))
         rows[key] = _optimize(problem, spec, config, idx, dp_plan=dp_plan)
 
     _cross_polish(problem, rows, singles, ("baseline",) + OBJECTIVE_KEYS, config)
@@ -327,10 +320,10 @@ def run_suite(
 
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
     prior = np.vstack([rows[k].plan.x for k in ("baseline",) + OBJECTIVE_KEYS])
-    # Feasibility does not depend on the spec, so the DP finds a plan for
-    # every spec or for none, and the second pass runs only after a first
-    # that found them.
-    dp_weighted = _dp_plans(problem, [spec5])[0] if dp_singles[0] is not None else None
+    dp_weighted = None if table is None else problem.dp_seed(spec5, table.minima(spec5))
+    # Free the table (3.6 MB on the benchmark case): nothing after the
+    # weighted DP plan reads it.
+    del table
     rows["weighted"] = _optimize(problem, spec5, config, 5, extra_seeds=prior, dp_plan=dp_weighted)
 
     # The weighted run must win the weighted total, and the single-objective

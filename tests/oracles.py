@@ -35,7 +35,9 @@ each unit's limits from its record in a loop over the units, as the package
 did before it held them as arrays.
 ``grid_minimum`` enumerates every battery path on the grid of the dispatch
 problem's dynamic programme, the independent check of its stage table and
-SOC recursion on one- and two-hour cases.  ``sectioned_case`` and
+SOC recursion on one- and two-hour cases, and ``streamed_stage_minima``
+the stage table's minima as the package took them before it stored the
+table, as running minima over its scoring batches.  ``sectioned_case`` and
 ``truncated_case`` are case builders, not references: the first deepens a
 feeder without changing its physics, the second cuts the day short.  The
 recursive tree walk is the form ``validate_radial`` had before it took an
@@ -54,7 +56,7 @@ import numpy as np
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
 from mgopt.objectives import ObjectiveValues
-from mgopt.optimizer.problem import DEFAULT_REL_STEP
+from mgopt.optimizer.problem import DEFAULT_REL_STEP, GA_TOLERANCE, STAGE_BATCH_PLANS, StageMinima
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
 from mgopt.optimizer.sqp import NlpProblem
 from mgopt.powerflow import (
@@ -1443,6 +1445,44 @@ def grid_minimum(problem, slopes: Dict[str, float]) -> Tuple[float, np.ndarray]:
             B[i, t] = series[t]
         B[problem.n_units, t] = levels[level]
     return best_score, x
+
+
+def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[StageMinima]]:
+    """Each spec's ``StageMinima``, scored as the package did before it
+    stored the stage table: batches of whole combinations at every level,
+    keeping only each spec's running minima over them; on ties the earlier
+    combination stays.  None past the column cap."""
+    levels = problem._battery_levels()
+    L, T = levels.size, problem.T
+    grid = problem._unit_grid(L)
+    if grid is None:
+        return None
+    per_batch = max(1, STAGE_BATCH_PLANS // L)
+    slopes = [spec.slopes() for spec in specs]
+    tables = [StageMinima(levels, np.full((L, T), np.inf), np.zeros((L, problem.n_units, T))) for _ in specs]
+    power = np.broadcast_to(levels[:, np.newaxis], (L, T))
+    unit, hour = np.arange(problem.n_units)[:, np.newaxis], np.arange(T)
+    for start in range(0, len(grid), per_batch):
+        combos = grid[start : start + per_batch]
+        k = len(combos)
+        # Plan j holds combination j // L at level j % L in every hour.
+        p_batt = np.tile(power, (k, 1))
+        m = problem._evaluate(np.repeat(combos, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
+                              None, vmag=False, tolerance=GA_TOLERANCE)
+        feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
+        hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}
+        for table, slope in zip(tables, slopes):
+            value = np.zeros((k * L, T))
+            for key, coeff in slope.items():
+                if key in hourly:
+                    value += coeff * hourly[key]
+            value = np.where(feasible, value.reshape(k, L, T), np.inf)
+            pick = value.argmin(axis=0)
+            low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
+            better = low < table.value
+            table.value[better] = low[better]
+            table.units[:] = np.where(better[:, np.newaxis], combos[pick[:, np.newaxis], unit, hour], table.units)
+    return tables
 
 
 def bisect_shift_projection(shift_bound: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 
 from mgopt.netmodel import DgUnit
-from mgopt.objectives import OBJECTIVE_KEYS
+from mgopt.objectives import OBJECTIVE_KEYS, weights_from_sequence
 from mgopt.optimizer import DispatchProblem, GaConfig, ObjectiveSpec, OptimizerConfig, SqpConfig, run_suite
 from mgopt.optimizer.problem import GA_TOLERANCE, STAGE_BATCH_PLANS
 from mgopt.reliability import ContingencyEvaluator
 
-from oracles import grid_unit_options, all_bus_kernel, grid_minimum, grid_plan_score, outage_cost_loop, truncated_case
+from oracles import (
+    all_bus_kernel,
+    grid_minimum,
+    grid_plan_score,
+    grid_unit_options,
+    outage_cost_loop,
+    sectioned_case,
+    streamed_stage_minima,
+    truncated_case,
+)
 
 WEIGHTS = {"cost": 0.157, "loss": 0.483, "ens": 0.272, "vdev": 0.088}
 
@@ -21,11 +30,11 @@ SMALL = OptimizerConfig(ga=GaConfig(population=12, generations=5), sqp=SqpConfig
                         seed=0, refine_rounds=1)
 
 
-def _specs(problem):
+def _specs(problem, weights=WEIGHTS):
     """The four single specs and a weighted spec bracketed 20 % below the grid-only plan."""
     idle = problem.metrics(np.zeros(problem.n)).values
     bounds = {key: (0.8 * float(idle[key][0]), float(idle[key][0])) for key in OBJECTIVE_KEYS}
-    return [ObjectiveSpec(key) for key in OBJECTIVE_KEYS] + [ObjectiveSpec("weighted", weights=WEIGHTS, bounds=bounds)]
+    return [ObjectiveSpec(key) for key in OBJECTIVE_KEYS] + [ObjectiveSpec("weighted", weights=weights, bounds=bounds)]
 
 
 @pytest.mark.parametrize("horizon, start", [(1, 12), (1, 19), (2, 7), (2, 18)])
@@ -36,8 +45,9 @@ def test_dp_plan_is_the_grid_minimum(benchmark_case, horizon, start):
     # interpolated SOC grid must still find it: scored at 1e-10 both agree
     # to the sweep's last bits.
     problem = DispatchProblem(truncated_case(benchmark_case, horizon, start=start))
-    specs = _specs(problem)
-    for spec, stage in zip(specs, problem.stage_minima(specs)):
+    table = problem.stage_table()
+    for spec in _specs(problem):
+        stage = table.minima(spec)
         slopes = spec.slopes()
         best, _ = grid_minimum(problem, slopes)
         score = grid_plan_score(problem, slopes, problem.dp_seed(spec, stage))
@@ -46,9 +56,9 @@ def test_dp_plan_is_the_grid_minimum(benchmark_case, horizon, start):
 
 def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
     # The whole (combination, level, hour) table in one batch, then its
-    # argmin over combinations; the stream keeps only running minima over
-    # batches of at most STAGE_BATCH_PLANS plans.  The tight voltage band
-    # rules out part of the grid.
+    # argmin over combinations; the stored table is scored in batches of at
+    # most STAGE_BATCH_PLANS plans.  The tight voltage band rules out part
+    # of the grid.
     problem = DispatchProblem(truncated_case(replace(benchmark_case, voltage_limits=(0.97, 1.03)), 2, start=17))
     specs = _specs(problem)
     levels = problem.case.battery.p_max_kw * np.arange(-10, 11) / 10.0
@@ -62,7 +72,9 @@ def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
     feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(len(grid), L, T)
     assert feasible.any() and not feasible.all()
     hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}
-    for spec, stage in zip(specs, problem.stage_minima(specs)):
+    table = problem.stage_table()
+    for spec in specs:
+        stage = table.minima(spec)
         value = np.zeros((len(grid) * L, T))
         for key, coeff in spec.slopes().items():
             if key != "ens":
@@ -73,6 +85,38 @@ def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
         expected = grid[pick[:, np.newaxis, :], np.arange(problem.n_units)[:, np.newaxis], np.arange(T)]
         np.testing.assert_array_equal(stage.units, expected, err_msg=spec.key)
         np.testing.assert_array_equal(stage.battery_kw, levels)
+
+
+@pytest.mark.parametrize("cut", ["two-hour-tight-band", "sectioned", "unplannable-hour"])
+def test_stored_table_minima_equal_the_streamed_minima_bytewise(benchmark_case, cut):
+    # The stored table's whole-array argmin against the running minima over
+    # the scoring batches (oracles.streamed_stage_minima), byte for byte:
+    # the single specs, a weighted spec, and one with a zero weight.  On the
+    # tight band part of the grid is infeasible; the sectioned day's night
+    # hours repeat every renewable column (cap 0 and cap/2), so there the
+    # argmin is decided by ties; an hour with no feasible point holds inf
+    # and no setpoints.
+    if cut == "sectioned":
+        case = sectioned_case(benchmark_case, 4)
+    elif cut == "unplannable-hour":
+        case = _unplannable_hour(benchmark_case)
+    else:
+        case = truncated_case(replace(benchmark_case, voltage_limits=(0.97, 1.03)), 2, start=17)
+    problem = DispatchProblem(case)
+    specs = _specs(problem) + _specs(problem, weights_from_sequence([2, 1, 1, 0]))[-1:]
+    assert specs[-1].weights["vdev"] == 0.0
+    table = problem.stage_table()
+    if cut == "sectioned":
+        value = sum(coeff * table.hourly[key] for key, coeff in specs[-1].slopes().items() if key != "ens")
+        value = np.where(table.feasible, value, np.inf)
+        assert (((value == value.min(axis=0)) & np.isfinite(value)).sum(axis=0) > 1).any()
+    else:
+        assert table.feasible.any() and not table.feasible.all()
+    for spec, streamed in zip(specs, streamed_stage_minima(problem, specs)):
+        stage = table.minima(spec)
+        assert stage.value.tobytes() == streamed.value.tobytes(), spec
+        assert stage.units.tobytes() == streamed.units.tobytes(), spec
+        assert stage.battery_kw.tobytes() == streamed.battery_kw.tobytes()
 
 
 def test_hourly_terms_sum_to_the_per_plan_values(benchmark_case):
@@ -120,19 +164,24 @@ def _check_rows(suite, dp):
 def test_nine_committable_units_exceed_the_column_cap(benchmark_case):
     case = truncated_case(_with_units(benchmark_case, 7), 4, start=10)
     assert sum(u.committable for u in case.units) == 9
-    assert DispatchProblem(case).stage_minima([ObjectiveSpec("cost")]) is None
+    assert DispatchProblem(case).stage_table() is None
     _check_rows(run_suite(case, SMALL), dp=False)
 
 
-def test_an_hour_without_a_feasible_grid_point_leaves_the_row_to_the_ga(benchmark_case):
-    # A 300 kW array at f3-5 whose half output overruns the zero export limit
-    # at hour 1 of the cut, where only curtailing it below half can hold.
+def _unplannable_hour(case):
+    """A three-hour cut with a 300 kW array at f3-5 whose half output
+    overruns the zero export limit at hour 1, where only curtailing it
+    below half can hold."""
     sun = DgUnit(name="PV3", bus="f3-5", p_min_kw=0.0, p_max_kw=300.0, cost_slope_ct_per_kwh=0.0, renewable=True)
-    case = truncated_case(benchmark_case, 3, start=11)
-    case = replace(case, units=case.units + (sun,), export_limit_kw=0.0,
+    case = truncated_case(case, 3, start=11)
+    return replace(case, units=case.units + (sun,), export_limit_kw=0.0,
                    availability_kw=dict(case.availability_kw, PV3=(0.0, 300.0, 0.0)))
+
+
+def test_an_hour_without_a_feasible_grid_point_leaves_the_row_to_the_ga(benchmark_case):
+    case = _unplannable_hour(benchmark_case)
     problem = DispatchProblem(case)
-    stage = problem.stage_minima([ObjectiveSpec("cost")])[0]
+    stage = problem.stage_table().minima(ObjectiveSpec("cost"))
     assert np.isinf(stage.value[:, 1]).all() and np.isfinite(stage.value[:, [0, 2]]).any(axis=0).all()
     assert problem.dp_seed(ObjectiveSpec("cost"), stage) is None
     _check_rows(run_suite(case, SMALL), dp=False)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import mgopt.optimizer.ga as ga
 from mgopt.optimizer import GaConfig, ga_seed
@@ -66,6 +67,25 @@ def test_seeds_join_population():
                      GaConfig(population=12, generations=8), seeds=seeds)
     assert result.objective == 0.0
     assert np.array_equal(result.x, np.zeros(3))
+
+
+def test_seeds_that_fill_the_population_need_no_rng():
+    # With no generation and the seeds filling the population, the random
+    # plans a generator would draw are all overwritten, so leaving the
+    # generator out changes nothing; without either condition it is needed.
+    lo = np.full(3, -5.0)
+    hi = np.full(3, 5.0)
+    seeds = np.random.default_rng(5).uniform(-5.0, 5.0, (7, 3))
+    cfg = GaConfig(population=6, generations=0)
+    a = ga_seed(_sphere, _identity_repair, lo, hi, None, cfg, seeds=seeds)
+    b = ga_seed(_sphere, _identity_repair, lo, hi, np.random.default_rng(4), cfg, seeds=seeds)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.objective, a.violation, a.generations, a.history, a.evaluations) == \
+        (b.objective, b.violation, b.generations, b.history, b.evaluations)
+    assert a.generations == 0 and a.evaluations == 6
+    for short in (GaConfig(population=8, generations=0), GaConfig(population=6, generations=1)):
+        with pytest.raises(ValueError, match="rng"):
+            ga_seed(_sphere, _identity_repair, lo, hi, None, short, seeds=seeds)
 
 
 def test_repair_applies_to_every_individual():

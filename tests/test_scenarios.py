@@ -13,7 +13,9 @@ from mgopt.optimizer import (
     SCENARIO_KEYS,
     SCENARIO_LABELS,
     DispatchProblem,
+    GaConfig,
     OptimizerConfig,
+    SqpConfig,
     evaluate_objectives,
     grid_only_schedule,
     resolve_weights,
@@ -23,6 +25,8 @@ from mgopt.optimizer import (
 )
 from mgopt.optimizer.sqp import CONVERGED
 from mgopt.powerflow import PowerFlowError, VoltageCollapseError, solve_horizon
+
+from oracles import truncated_case
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +90,57 @@ def test_each_optimised_scenario_reports_its_ga_generations(fast_suite, benchmar
     assert fast_suite.results["baseline"].ga_generations is None
     for key in OBJECTIVE_KEYS + ("weighted", "dr"):
         assert fast_suite.results[key].ga_generations == 0, key
-    monkeypatch.setattr(DispatchProblem, "stage_minima", lambda self, specs: None)
+    monkeypatch.setattr(DispatchProblem, "stage_table", lambda self: None)
     fallback = run_suite(benchmark_case, config=fast_config)
     assert fallback.results["baseline"].ga_generations is None
     for key in OBJECTIVE_KEYS + ("weighted", "dr"):
         assert 1 <= fallback.results[key].ga_generations <= 12, key
+
+
+def test_a_suite_scores_the_stage_table_at_most_once(benchmark_case, monkeypatch):
+    # On the DP path the four single rows and the weighted row share one
+    # scoring, and the DR row reads none; past STAGE_COLUMN_CAP the one
+    # call finds no table and the GA seeds every row.
+    calls = []
+    stage_table = DispatchProblem.stage_table
+
+    def counting(self):
+        table = stage_table(self)
+        calls.append(table is not None)
+        return table
+
+    monkeypatch.setattr(DispatchProblem, "stage_table", counting)
+    config = OptimizerConfig(ga=GaConfig(population=12, generations=5), sqp=SqpConfig(max_iterations=8),
+                             refine_rounds=1)
+    suite = run_suite(truncated_case(benchmark_case, 6, start=9), config)
+    assert calls == [True] and "dr" in suite.results
+    assert all(suite.results[key].ga_generations == 0 for key in OBJECTIVE_KEYS + ("weighted", "dr"))
+    calls.clear()
+    mt = benchmark_case.unit("MT")
+    extra = tuple(replace(mt, name=f"MT{k}") for k in range(2, 4))
+    suite = run_suite(truncated_case(replace(benchmark_case, units=benchmark_case.units + extra), 3, start=9), config)
+    assert len(calls) <= 1 and not any(calls)
+    assert all(suite.results[key].ga_generations >= 1 for key in OBJECTIVE_KEYS + ("weighted", "dr"))
+
+
+_NO_RANDOM = """
+import sys
+from mgopt import load_benchmark_case, run_suite
+suite = run_suite(load_benchmark_case())
+assert all(r.ga_generations in (None, 0) for r in suite.results.values())
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_a_default_suite_never_imports_numpy_random():
+    # Every row of the packaged case starts from its DP plan, whose GA draws
+    # no random plan, so no generator is made and numpy.random (about 6 MB
+    # of resident memory) is never imported.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, MGOPT_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _NO_RANDOM], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_every_optimised_row_of_the_default_suite_converges(suite):
@@ -303,7 +353,7 @@ def test_cross_polish_spends_no_refine_in_vain(benchmark_case, monkeypatch):
     # leave the target with that plan's value at the closing adoption instead.
     # The DP finds no plan here, so every row keeps the GA path this test
     # was written for.
-    monkeypatch.setattr(DispatchProblem, "stage_minima", lambda self, specs: None)
+    monkeypatch.setattr(DispatchProblem, "stage_table", lambda self: None)
     calls = []
     refine = DispatchProblem.refine
 
