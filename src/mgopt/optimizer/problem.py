@@ -86,7 +86,8 @@ LARGE_OBJECTIVE = 1e9
 SCREEN_MARGIN = 0.02
 
 # A seed's load-bus voltage within this many pu of 1.0 carries its |1 - V|
-# term as an epigraph variable in the vdev subproblem.
+# term as an epigraph variable in the subproblem of every spec that weighs
+# vdev.
 KINK_MARGIN = 0.004
 
 # The sweep tolerance of GA batches (pu), where every other evaluation uses
@@ -873,14 +874,14 @@ class DispatchProblem:
         the split battery merges back to a signed series and the plan is
         re-repaired (merging can only raise the SOC); any network row the
         polished plan violates joins the subproblem and the solve repeats.
-        The vdev spec, whose optimum puts many load-bus-hours at V = 1
-        where |1 - V| has its kink, carries those within KINK_MARGIN of
-        1.0 pu at the seed as epigraph cells (``_SplitDispatchNlp``), and
-        any other cell whose voltage crossed 1.0 during a solve joins them
-        the same way.  The weighted specs keep the smooth term: their
-        solves reach a first-order point without the epigraph, which would
-        only make each of their QPs larger.  The seed and the
-        polished plans pass one feasibility test.
+        Every spec with a vdev slope (the vdev spec and the weighted ones),
+        whose optimum puts load-bus-hours at V = 1 where |1 - V| has its
+        kink, carries those within KINK_MARGIN of 1.0 pu at the seed as
+        epigraph cells (``_SplitDispatchNlp``), and any other cell whose
+        voltage crossed 1.0 during a solve joins them the same way.  With
+        the smooth term a weighted solve stalls at such a kink once ``kkt``
+        asks for a small step.  The seed and the polished plans pass one
+        feasibility test.
         """
         report = spec.reported
         x = self.repair(x)[0]
@@ -890,7 +891,7 @@ class DispatchProblem:
         lower, upper = self.split_bounds(self.commitment_mask(x))
         xs = np.clip(self.split_from_signed(x), lower, upper)
         rows = self.screen_rows(seed_m.vmag[:, 0, :])
-        kinky = spec.key == "vdev"
+        kinky = "vdev" in spec.slopes()
         kinks = self.load_cells(np.abs(1.0 - seed_m.vmag[:, 0, :]) < KINK_MARGIN) if kinky else np.zeros(0, np.intp)
 
         best_x, best_m = x, seed_m

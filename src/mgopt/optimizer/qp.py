@@ -9,9 +9,11 @@ variables only; the bound multipliers follow from the stationarity residual
 at the fixed variables.  See Nocedal & Wright, *Numerical Optimization*,
 2nd ed., §16.5, and Gill, Murray & Wright, *Practical Optimization*, §5.5.
 A separable variable (no bounds, no equality row, no curvature shared with
-another variable: an epigraph variable) that sits in exactly one working
-row leaves that system together with the row, as a rank-one term on the
-variables the row also holds; epigraph rows then cost the solve no size.
+another variable: an epigraph variable) that sits in one or two working
+rows leaves that system together with one of them, as a rank-one term on
+the variables that row also holds; the other row stays as their
+combination, which no longer holds the variable.  An epigraph's envelope
+rows then cost the solve one row, and none while only one is working.
 
 Constraints are tagged ``("in", i)`` for general row i and ``("hi", j)`` /
 ``("lo", j)`` for the bounds of variable j.  Tag order (general rows, then
@@ -133,29 +135,39 @@ def _equality_step(qp: _Qp, x: np.ndarray, working: np.ndarray):
     y = x + p
     top = -(qp.H @ y + qp.g)
     bottom = np.concatenate([qp.b, qp.h[rows_in]]) - C @ y
-    sep, sep_rows = _separable_pairs(qp, rows_in)
+    sep, pivot, partner = _separable_pairs(qp, rows_in)
     fixed[sep] = True
     free = np.flatnonzero(~fixed)
     kept = np.ones(C.shape[0], dtype=bool)
-    kept[sep_rows] = False
+    kept[pivot] = False
     kept = np.flatnonzero(kept)
-    # Each separable variable j leaves with the one working row r that holds
-    # it: the row gives p_j = (bottom_r - C_r p) / c, its stationarity
-    # gives lam_r = (top_j - H_jj p_j) / c, and substituting both leaves a
-    # rank-one term per pair on the rest of the system.
-    Cs, c, h = C[np.ix_(sep_rows, free)], C[sep_rows, sep], qp.H[sep, sep]
+    # Each separable variable j leaves with its first working row r: the
+    # row gives p_j = (bottom_r - C_r p) / c, and j's stationarity gives
+    # lam_r = (top_j - H_jj p_j - c' lam_r') / c, where r' is the second
+    # working row holding j, if any, with coefficient c' on it.
+    # Substituting both leaves a rank-one term per variable on the rest of
+    # the system and turns r' into r' - (c'/c) r, a row without j.
+    two = partner >= 0
+    rows, rhs = C[:, free], bottom.copy()
+    c, h, c2 = C[pivot, sep], qp.H[sep, sep], C[partner[two], sep[two]]
+    ratio = c2 / c[two]
+    rows[partner[two]] -= ratio[:, np.newaxis] * rows[pivot[two]]
+    rhs[partner[two]] -= ratio * bottom[pivot[two]]
+    Cs = rows[pivot]
     sol = _kkt_solve(
         qp.H[np.ix_(free, free)] + (Cs.T * (h / c**2)) @ Cs,
-        C[np.ix_(kept, free)],
-        top[free] - Cs.T @ (top[sep] / c - h * bottom[sep_rows] / c**2),
-        bottom[kept],
+        rows[kept],
+        top[free] - Cs.T @ (top[sep] / c - h * bottom[pivot] / c**2),
+        rhs[kept],
     )
     if sol is None:
         return None
     lam = np.empty(C.shape[0])
     p[free], lam[kept] = sol
-    p[sep] = (bottom[sep_rows] - Cs @ p[free]) / c
-    lam[sep_rows] = (top[sep] - h * p[sep]) / c
+    p[sep] = (bottom[pivot] - Cs @ p[free]) / c
+    second = np.zeros(sep.size)
+    second[two] = c2 * lam[partner[two]]
+    lam[pivot] = (top[sep] - h * p[sep] - second) / c
     resid = -(qp.H @ (x + p) + qp.g) - C.T @ lam
     n_eq = qp.A.shape[0]
     mu = np.empty(working.size)
@@ -164,20 +176,31 @@ def _equality_step(qp: _Qp, x: np.ndarray, working: np.ndarray):
     return p, lam[:n_eq], mu
 
 
-def _separable_pairs(qp: _Qp, rows_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The separable variables that sit in exactly one working general row,
-    each with that row's position in the working system (equality rows
-    first), at most one variable per row."""
-    sep, m = qp.separable, qp.G.shape[0]
+def _separable_pairs(qp: _Qp, rows_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The separable variables that sit in one or two working general rows
+    and share neither with another such variable, each with the position of
+    its first row in the working system (equality rows first) and of its
+    second, -1 where it has only one."""
+    sep, m, n_eq = qp.separable, qp.G.shape[0], qp.A.shape[0]
     if not sep.size or not rows_in.size:
-        return sep[:0], sep[:0]
+        return sep[:0], sep[:0], sep[:0]
     position = np.full(m, -1)
-    position[rows_in] = np.arange(rows_in.size)
+    position[rows_in] = np.arange(rows_in.size) + n_eq
     working = position[qp.held_row] >= 0
-    count = np.bincount(qp.held_var[working], minlength=sep.size)
-    lone = working & (count[qp.held_var] == 1)
-    rows, first = np.unique(position[qp.held_row[lone]], return_index=True)
-    return sep[qp.held_var[lone][first]], rows + qp.A.shape[0]
+    row, var = position[qp.held_row[working]], qp.held_var[working]
+    count = np.bincount(var, minlength=sep.size)
+    candidate = count[var] <= 2
+    alone = candidate & (np.bincount(row[candidate], minlength=n_eq + rows_in.size)[row] == 1)
+    # A variable goes when every row it sits in holds no other candidate.
+    goes = np.bincount(var[alone], minlength=sep.size) == count
+    entry = np.flatnonzero(alone & goes[var])
+    order = entry[np.lexsort((row[entry], var[entry]))]
+    var, row = var[order], row[order]
+    first = np.ones(var.size, dtype=bool)
+    first[1:] = var[1:] != var[:-1]
+    partner = np.full(np.count_nonzero(first), -1)
+    partner[np.cumsum(first)[~first] - 1] = row[~first]
+    return sep[var[first]], row[first], partner
 
 
 def _worst(working: List[int], mu: np.ndarray) -> Optional[int]:

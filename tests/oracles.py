@@ -431,6 +431,33 @@ def random_epigraph_qp(
     )
 
 
+def random_kinked_epigraph_qp(
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An l1 term at its kink, as the SQP poses it at a settled iterate.
+
+    60 box-bounded variables with a dense strictly convex Hessian, and 30
+    variables e_i with unit curvature, a price of 1 and no bounds, held above
+    |a_i'x| by the rows a_i'x - e_i <= 0 and -a_i'x - e_i <= 0, a_i sparse.
+    At the start x = 0, e = 0 both rows of every pair are exactly 0; a warm
+    start with every general row puts both in the working set.  Returns (H,
+    g, G, h, lower, upper).
+    """
+    n, ne = 60, 30
+    M = rng.normal(size=(n, n)) / np.sqrt(n)
+    H = np.zeros((n + ne, n + ne))
+    H[:n, :n] = M @ M.T + np.diag(rng.uniform(0.2, 2.0, n))
+    H[n:, n:] = np.eye(ne)
+    rows = rng.normal(size=(ne, n)) * (rng.random((ne, n)) < 0.1)
+    eye = np.eye(ne)
+    return (
+        H, np.concatenate([rng.normal(size=n), np.ones(ne)]),
+        np.block([[rows, -eye], [-rows, -eye]]), np.zeros(2 * ne),
+        np.concatenate([-rng.uniform(0.0, 1.0, n), np.full(ne, -np.inf)]),
+        np.concatenate([rng.uniform(0.0, 1.0, n), np.full(ne, np.inf)]),
+    )
+
+
 def bounds_as_rows(
     G: np.ndarray, h: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

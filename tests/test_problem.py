@@ -1129,3 +1129,26 @@ def test_vdev_subproblem_measures_stationarity_against_its_plan_gradient(problem
     assert nlp.stationarity_scale(grad) == plan
     weighted = _kink_nlp(problem, _vdev_specs()[1])[0]
     assert weighted.stationarity_scale(grad) == 1.0
+
+
+def test_refine_carries_the_kinks_of_every_spec_that_weighs_vdev(problem, monkeypatch):
+    # A weighted spec prices vdev, so its subproblem carries the seed's
+    # load-bus-hours within KINK_MARGIN of 1.0 pu as epigraph cells, as the
+    # vdev spec's does; a spec without a vdev slope carries none.
+    carried = []
+    nlp_class = problem_mod._SplitDispatchNlp
+
+    def recording(*args, **kwargs):
+        nlp = nlp_class(*args, **kwargs)
+        carried.append(nlp._kink_bus * problem.T + nlp._kink_hour)
+        return nlp
+
+    monkeypatch.setattr(problem_mod, "_SplitDispatchNlp", recording)
+    x = problem.repair(problem.seed_points()[2])[0]
+    vmag = problem.metrics(x).vmag[:, 0, :]
+    kinks = problem.load_cells(np.abs(1.0 - vmag) < KINK_MARGIN)
+    assert kinks.size >= 20
+    for spec, expected in [*((s, kinks) for s in _vdev_specs()), (ObjectiveSpec("loss"), kinks[:0])]:
+        carried.clear()
+        problem.refine(x, spec, SqpConfig(max_iterations=1), max_rounds=1)
+        assert np.array_equal(carried[0], expected), spec.key

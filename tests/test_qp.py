@@ -5,7 +5,10 @@ import pytest
 
 from mgopt.optimizer import QpError, QpInfeasibleError, qp_subproblem
 
-from oracles import bounds_as_rows, dense_qp, qp_enumerate, random_dispatch_qp, random_epigraph_qp, random_qp
+from oracles import (
+    bounds_as_rows, dense_qp, qp_enumerate, random_dispatch_qp, random_epigraph_qp, random_kinked_epigraph_qp,
+    random_qp,
+)
 
 
 def test_unconstrained_matches_linear_solve():
@@ -226,6 +229,41 @@ def test_epigraph_variables_leave_the_kkt_system_with_their_row(monkeypatch):
     warm = _both(H, g + rng.normal(size=g.size) * 0.05, warm_start=dense.active_set, **kwargs)
     _assert_same_solve(*warm)
     assert max(eliminated) >= 30
+
+
+def test_epigraph_variables_at_their_kink_leave_with_one_of_two_rows(monkeypatch):
+    """Where both envelope rows of an e_i are working, e_i leaves with the
+    first and the second stays as their difference, a row on x alone: each
+    pair then costs the KKT system one row, and the solve still matches the
+    dense solver pivot for pivot."""
+    import mgopt.optimizer.qp as qp_module
+
+    pairs, sizes = [], []
+    separable, kkt_solve = qp_module._separable_pairs, qp_module._kkt_solve
+
+    def recording(*args):
+        found = separable(*args)
+        pairs.append(int((found[2] >= 0).sum()))
+        return found
+
+    def sized(H, rows, *args):
+        sizes.append(H.shape[0] + rows.shape[0])
+        return kkt_solve(H, rows, *args)
+
+    monkeypatch.setattr(qp_module, "_separable_pairs", recording)
+    monkeypatch.setattr(qp_module, "_kkt_solve", sized)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        H, g, G, h, lower, upper = random_kinked_epigraph_qp(rng)
+        warm = [("in", i) for i in range(G.shape[0])]
+        pairs.clear()
+        sizes.clear()
+        reduced, dense = _both(H, g, G=G, h=h, lower=lower, upper=upper, warm_start=warm)
+        assert not dense.elastic
+        _assert_same_solve(reduced, dense)
+        # The first pivot holds all 30 pairs: 60 free x plus one row each.
+        assert pairs[0] == 30 and sizes[0] == 60 + 30
+        assert any(tag[0] == "in" for tag in dense.active_set)
 
 
 def test_reduced_matches_dense_in_elastic_mode():

@@ -320,3 +320,75 @@ def test_epigraph_variables_outside_every_block_keep_a_unit_diagonal(monkeypatch
     assert np.abs(result.x[4:] - np.abs(expected - 1.0)).max() < 1e-8
     assert models and {B.shape for B in models} == {(2, 2, 2)}
     assert all(np.array_equal(H[4:], np.eye(8)[4:]) for H, _ in qps)
+
+
+def _flat_quadratic():
+    """f = 1e-4/2 |x - c|^2 over 72 variables in 24 blocks of 3, c in
+    [20, 150] against an upper bound of 100: the curvature per kW^2 of the
+    dispatch objectives, with a third of the variables ending on the bound."""
+    rng = np.random.default_rng(0)
+    n = 72
+    c = rng.uniform(20.0, 150.0, n)
+
+    class Flat(FunctionNlp):
+        def derivatives(self, x):
+            return 1e-4 * (x - c), np.zeros((0, n)), np.zeros((0, n))
+
+        def hessian_blocks(self):
+            return np.arange(n).reshape(3, 24).T
+
+    return Flat(lambda x: float(0.5e-4 * ((x - c) ** 2).sum()), np.zeros(n), np.full(n, 100.0)), np.minimum(c, 100.0)
+
+
+def test_scaled_first_model_solves_a_flat_quadratic_in_a_few_iterations(monkeypatch):
+    # The first step learns the curvature, 1e-4, so the second QP is exact
+    # and the third confirms it.  From the unscaled identity the first step
+    # is 1e-4 of the distance and the model learns the rest step by step.
+    problem, optimum = _flat_quadratic()
+    result = sqp_solve(problem, np.zeros(problem.n))
+    assert result.status == "kkt" and result.iterations <= 4
+    assert np.abs(result.x - optimum).max() < 1e-6
+    monkeypatch.setattr(sqp, "_first_model", lambda s, y, tiny: np.tile(np.eye(s.shape[1]), (len(s), 1, 1)))
+    identity = sqp_solve(problem, np.zeros(problem.n))
+    assert identity.iterations >= 15
+
+
+def test_first_model_keeps_the_identity_where_the_step_saw_no_curvature():
+    # y'y / s'y = 0.25 on the first block; the others have no step, no
+    # gradient change and negative curvature along the step.
+    s = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+    y = np.array([[0.5, 0.0], [1e-4, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    B = sqp._first_model(s, y, tiny=1e-14)
+    assert np.array_equal(B[0], 0.25 * np.eye(2))
+    assert all(np.array_equal(b, np.eye(2)) for b in B[1:])
+
+
+def test_kkt_needs_a_small_step_as_well_as_a_small_residual(monkeypatch):
+    # x2 has curvature 1e-6 and its optimum 50 away.  After the first step
+    # its block's model is exact, so the second QP's step of 50 leaves a
+    # residual |B d| of 5e-5, under tol_kkt; only the step test goes on to
+    # the optimum.
+    class Trap(FunctionNlp):
+        def derivatives(self, x):
+            return np.array([x[0] - 3.0, 1e-6 * (x[1] - 50.0)]), np.zeros((0, 2)), np.zeros((0, 2))
+
+        def hessian_blocks(self):
+            return np.array([[0], [1]])
+
+    lo, hi = _box(2, -100.0, 100.0)
+    problem = Trap(lambda x: float(0.5 * (x[0] - 3.0) ** 2 + 0.5e-6 * (x[1] - 50.0) ** 2), lo, hi)
+    steps = []
+    solve_qp = sqp.qp_subproblem
+
+    def recording(*args, **kwargs):
+        qp = solve_qp(*args, **kwargs)
+        steps.append(float(np.abs(qp.d).max()))
+        return qp
+
+    monkeypatch.setattr(sqp, "qp_subproblem", recording)
+    tol = SqpConfig().tol_kkt
+    result = sqp_solve(problem, np.zeros(2))
+    assert result.status == "kkt"
+    assert np.abs(result.x - [3.0, 50.0]).max() < 1e-6
+    assert steps[-1] <= tol * (1.0 + np.abs(result.x).max())
+    assert any(row["kkt"] <= tol and row["step"] > tol * (1.0 + 100.0) for row in result.trace[:-1])

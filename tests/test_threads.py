@@ -35,3 +35,27 @@ def test_mgopt_threads_warns_when_numpy_comes_first(preset):
 def test_no_warning_when_pools_already_match():
     done = _import("numpy, mgopt", **{var: "1" for var in POOLS})
     assert done.returncode == 0, done.stderr
+
+
+def test_one_answer_on_one_and_two_threads(tmp_path):
+    # The DP path at the default configuration: every reduced KKT system
+    # the QP solves stays below the size at which the BLAS splits its work
+    # across threads, so the run directory does not depend on the count.
+    from mgopt.netmodel import benchmark_case_path
+
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {k: v for k, v in os.environ.items() if k not in POOLS}
+        env.update(MGOPT_THREADS=threads, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-m", "mgopt.cli", "optimize", benchmark_case_path(), "--scenario", "5", "--dr",
+             "--seed", "0", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(out)
+    files = sorted(p.name for p in runs[0].iterdir())
+    assert files == sorted(p.name for p in runs[1].iterdir()) and "objectives.json" in files
+    for name in files:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
