@@ -11,8 +11,7 @@ tournament on an exterior-penalty fitness, recombination is blend crossover,
 and mutation perturbs single genes with Gaussian noise.  Every new individual
 passes through the problem's repair, so the population stays inside device
 windows throughout; the penalty therefore only prices network-level
-violations (voltage, grid limit), and it doubles whenever the best feasible
-point stalls while violations persist.
+violations (voltage, grid limit), at one fixed weight.
 
 A run stops on evidence: once its best plan is feasible and its best
 penalised fitness has not improved by ``PROGRESS`` (relative) in
@@ -21,7 +20,7 @@ best stays infeasible uses the whole budget.
 
 ``GaConfig`` holds the budget, population and generations (a cap: see
 ``GaResult.generations`` for the count run); the operators' settings, the
-penalty schedule and the stop rule are the module constants below.
+penalty weight and the stop rule are the module constants below.
 """
 
 from __future__ import annotations
@@ -36,10 +35,7 @@ CROSSOVER_RATE = 0.9  # share of children made by crossover; the rest copy a par
 BLEND_ALPHA = 0.5  # blend crossover's widening of the parents' interval, each side
 MUTATION_SCALE = 0.1  # mutation noise, as a share of each gene's span
 ELITES = 2  # best individuals carried over unchanged
-PENALTY_INIT = 1e4  # exterior-penalty weight on the violation at the start
-PENALTY_GROWTH = 2.0  # factor applied to the weight on a stall
-STALL_GENERATIONS = 10  # generations without progress that count as a stall
-PENALTY_CAP = 1e12  # the weight grows no further once it reaches this
+PENALTY = 1e4  # exterior-penalty weight on the violation
 # Relative improvement of the best fitness, against |best|, that counts as
 # progress for the stop rule.  Not against max(1, |best|): weighted totals
 # are about 0.1.
@@ -76,10 +72,10 @@ def ga_seed(
 
     ``evaluate`` maps a population matrix [pop, n] to (objective, violation)
     vectors; ``repair`` projects a population back onto device-feasible
-    points.  Raw objective and violation are kept separately so penalty
-    updates never trigger re-evaluation.  ``rng`` may be None where the
-    seeds fill the population and no generation runs: then no random plan
-    is drawn.
+    points.  The returned plan has the least ``objective + PENALTY *
+    violation`` in the final population, ties going to the lower objective.
+    ``rng`` may be None where the seeds fill the population and no
+    generation runs: then no random plan is drawn.
     """
     cfg = config or GaConfig()
     lo = np.asarray(lower, dtype=float)
@@ -100,27 +96,15 @@ def ga_seed(
     pop = repair(pop)
 
     obj, vio = evaluate(pop)
+    fit = obj + PENALTY * vio
     evaluations = pop_size
-    penalty = PENALTY_INIT
     history: List[Dict] = []
-
-    def fitness() -> np.ndarray:
-        return obj + penalty * vio
-
-    def best_index() -> int:
-        fit = fitness()
-        return int(np.lexsort((obj, fit))[0])
-
-    stall = 0
-    best_key = np.inf
     quiet = 0  # generations since the best fitness last made progress
     progress_key = np.inf
     generations_run = 0
 
     for gen in range(1, cfg.generations + 1):
         generations_run = gen
-        fit = fitness()
-
         order = np.lexsort((vio, fit))
         elite = pop[order[: ELITES]].copy()
         elite_obj = obj[order[: ELITES]].copy()
@@ -152,32 +136,23 @@ def ga_seed(
         pop = np.vstack([elite, children])
         obj = np.concatenate([elite_obj, child_obj])
         vio = np.concatenate([elite_vio, child_vio])
+        fit = obj + PENALTY * vio
 
-        i = best_index()
-        key = obj[i] + penalty * vio[i]
+        i = int(np.lexsort((obj, fit))[0])
         history.append({"generation": gen, "best_objective": float(obj[i]),
-                        "best_violation": float(vio[i]), "penalty": penalty})
+                        "best_violation": float(vio[i])})
 
-        # The first generation after a (re)start is progress by definition;
-        # inf - 1e-9 * inf is nan, and nothing compares below it.
-        if best_key == np.inf or key < best_key - 1e-9 * max(1.0, abs(best_key)):
-            best_key = key
-            stall = 0
-        else:
-            stall += 1
-        if progress_key == np.inf or key < progress_key - PROGRESS * abs(progress_key):
-            progress_key = key
+        # The first generation is progress by definition; inf - PROGRESS *
+        # inf is nan, and nothing compares below it.
+        if progress_key == np.inf or fit[i] < progress_key - PROGRESS * abs(progress_key):
+            progress_key = fit[i]
             quiet = 0
         else:
             quiet += 1
-        if stall >= STALL_GENERATIONS and vio[i] > 0 and penalty < PENALTY_CAP:
-            penalty = min(penalty * PENALTY_GROWTH, PENALTY_CAP)
-            best_key = progress_key = np.inf
-            stall = quiet = 0
-        elif quiet >= PATIENCE and vio[i] == 0:
+        if quiet >= PATIENCE and vio[i] == 0:
             break
 
-    i = best_index()
+    i = int(np.lexsort((obj, fit))[0])
     return GaResult(
         x=pop[i].copy(),
         objective=float(obj[i]),

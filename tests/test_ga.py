@@ -107,24 +107,6 @@ def test_repair_applies_to_every_individual():
     assert result.x[0] == 0.25
 
 
-def test_penalty_grows_when_best_is_infeasible():
-    lo = np.full(2, -1.0)
-    hi = np.full(2, 1.0)
-
-    def never_feasible(pop):
-        pop = np.atleast_2d(pop)
-        return (pop ** 2).sum(axis=1), np.ones(pop.shape[0])
-
-    result = ga_seed(never_feasible, _identity_repair, lo, hi,
-                     np.random.default_rng(6), GaConfig(population=10, generations=60))
-    assert result.violation == 1.0
-    penalties = [row["penalty"] for row in result.history]
-    assert penalties[0] == ga.PENALTY_INIT
-    assert max(penalties) > ga.PENALTY_INIT
-    # Every escalation multiplies the weight by the growth factor.
-    assert {b / a for a, b in zip(penalties, penalties[1:]) if b != a} == {ga.PENALTY_GROWTH}
-
-
 def test_feasible_preferred_over_cheaper_infeasible():
     lo = np.full(1, -1.0)
     hi = np.full(1, 1.0)
@@ -156,8 +138,8 @@ def test_seeded_optimum_stops_after_patience():
 
 
 def test_infeasible_best_never_stops_early():
-    # No plan is feasible and the objective alone cannot improve once the
-    # penalty stops growing at its cap, yet the run keeps its whole budget.
+    # No plan is feasible and the penalised fitness cannot improve, yet the
+    # run keeps its whole budget.
     lo = np.full(2, -1.0)
     hi = np.full(2, 1.0)
 
@@ -168,9 +150,6 @@ def test_infeasible_best_never_stops_early():
     result = ga_seed(flat_and_infeasible, _identity_repair, lo, hi,
                      np.random.default_rng(6), GaConfig(population=10, generations=400))
     assert result.generations == 400
-    penalties = [row["penalty"] for row in result.history]
-    capped = penalties.index(max(penalties))
-    assert max(penalties) >= ga.PENALTY_CAP and len(penalties) - capped > ga.PATIENCE
 
 
 def test_progress_is_relative_to_the_best():
@@ -192,33 +171,25 @@ def test_progress_is_relative_to_the_best():
     assert np.array_equal(scaled.x, full.x)
 
 
-def test_an_improving_infeasible_best_never_escalates():
-    # The best stays infeasible but its objective falls every generation, so
-    # the penalty's stall counter never reaches STALL_GENERATIONS.
+def test_best_has_the_least_penalised_fitness():
+    # Past x0 = 0 the objective falls by 1.5e4 per unit while the violation
+    # grows by 1, so at the fixed weight of 1e4 the best plan is infeasible
+    # (x0 = 1); a weight above 1.5e4 would make x0 = 0 the best.  Elites
+    # carry the best over, so the final population's least penalised
+    # fitness is the least over every evaluated plan.
     lo = np.full(2, -1.0)
     hi = np.full(2, 1.0)
-    calls = []
+    seen = []
 
-    def improving_and_infeasible(pop):
+    def tradeoff(pop):
         pop = np.atleast_2d(pop)
-        calls.append(None)
-        return np.full(pop.shape[0], -float(len(calls))), np.ones(pop.shape[0])
+        obj = -1.5e4 * pop[:, 0] + pop[:, 1] ** 2
+        vio = np.maximum(pop[:, 0], 0.0)
+        seen.append(obj + ga.PENALTY * vio)
+        return obj, vio
 
-    result = ga_seed(improving_and_infeasible, _identity_repair, lo, hi,
-                     np.random.default_rng(6), GaConfig(population=10, generations=60))
-    assert result.violation == 1.0
-    assert {row["penalty"] for row in result.history} == {ga.PENALTY_INIT}
-
-
-def test_penalty_never_exceeds_its_cap():
-    lo = np.full(2, -1.0)
-    hi = np.full(2, 1.0)
-
-    def flat_and_infeasible(pop):
-        pop = np.atleast_2d(pop)
-        return np.ones(pop.shape[0]), np.ones(pop.shape[0])
-
-    result = ga_seed(flat_and_infeasible, _identity_repair, lo, hi,
-                     np.random.default_rng(6), GaConfig(population=10, generations=400))
-    penalties = [row["penalty"] for row in result.history]
-    assert max(penalties) == ga.PENALTY_CAP
+    result = ga_seed(tradeoff, _identity_repair, lo, hi, np.random.default_rng(8),
+                     GaConfig(population=20, generations=50))
+    assert result.violation > 0.9
+    assert result.objective + ga.PENALTY * result.violation == np.concatenate(seen).min()
+    assert all(set(row) == {"generation", "best_objective", "best_violation"} for row in result.history)

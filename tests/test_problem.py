@@ -1131,6 +1131,22 @@ def test_vdev_subproblem_measures_stationarity_against_its_plan_gradient(problem
     assert weighted.stationarity_scale(grad) == 1.0
 
 
+def test_vdev_solve_on_a_stiff_feeder_moves_off_its_seed(benchmark_case):
+    # With every branch's impedance at 3 %, the vdev gradient at the DP plan
+    # is so small that the default floor of 1 reads it as stationary at once:
+    # without its own scale the solve stops `kkt` after one iteration at the
+    # seed's value (0.0690449 pu); with it, it takes 34 to 0.0686868 pu.
+    case = replace(benchmark_case, branches=tuple(
+        replace(br, resistance_ohm=0.03 * br.resistance_ohm, reactance_ohm=0.03 * br.reactance_ohm)
+        for br in benchmark_case.branches))
+    stiff = DispatchProblem(case)
+    spec = ObjectiveSpec("vdev")
+    seed = stiff.dp_seed(spec, stiff.stage_table().minima(spec))
+    result = stiff.refine(seed, spec, SqpConfig())
+    assert result.sqp.iterations > 1
+    assert result.value < result.seed_value
+
+
 def test_refine_carries_the_kinks_of_every_spec_that_weighs_vdev(problem, monkeypatch):
     # A weighted spec prices vdev, so its subproblem carries the seed's
     # load-bus-hours within KINK_MARGIN of 1.0 pu as epigraph cells, as the
