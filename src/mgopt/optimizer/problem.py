@@ -31,8 +31,9 @@ up/down-time coupling.  So a dynamic programme over the SOC finds the
 commitment and the battery path globally on a grid (R. Bellman, *Dynamic
 Programming*, 1957; for unit commitment W. L. Snyder, H. D. Powell and
 J. C. Rayburn, IEEE Trans. Power Systems 2(2), 1987).  ``stage_table``
-scores a unit grid at every battery level through the GA's lean kernel once
-and keeps every point's hourly terms; ``StageTable.minima`` takes, per spec,
+sweeps each distinct hourly column of a unit grid at every battery level
+once, through the GA's lean kernel, and keeps every point's hourly terms;
+``StageTable.minima`` takes, per spec,
 level and hour, the best value and setpoints, and ``dp_seed`` runs the
 programme on them and repairs its plan.
 
@@ -102,9 +103,10 @@ GA_TOLERANCE = 1e-4
 # this; a refine round adds every row the polished plan violates by more.
 _FEASIBILITY_TOL = 1e-7
 
-# The SQP subproblem's central differences step coordinate i by
-# DEFAULT_REL_STEP * max(1, |x_i|).
-DEFAULT_REL_STEP = 1e-5
+# The outage cost is piecewise linear in the SOC; the SQP subproblem takes
+# its slope at each hour's SOC by central differences of step
+# SOC_REL_STEP * max(1, |soc|) kWh, which average the two sides of a kink.
+SOC_REL_STEP = 1e-5
 
 # The stage table's unit grid: a renewable unit at these shares of its
 # hourly cap, every other unit off or at STAGE_UNIT_LEVELS evenly spaced
@@ -122,8 +124,9 @@ STAGE_BATCH_PLANS = 48
 # A stage table over more columns than this (unit combinations x battery
 # levels x hours; 145,152 on the benchmark case, 3.6 MB stored; 15 MB at
 # the cap) is not built, and the GA seeds every row.  The unit grid grows
-# as 2^renewables x 6^others.  Scoring takes 1.5-2 s per million columns
-# (2-core x86_64, one thread).  The cap was measured when a suite scored
+# as 2^renewables x 6^others.  Scoring takes about 1.1 s per million
+# distinct columns swept, 0.11 s for the benchmark's 99,792 (2-core
+# x86_64, one thread).  The cap was measured when a suite scored
 # the table twice: on copies of the benchmark case a default suite took
 # less time from the DP than from the GA at 580,608 columns (two more
 # renewables) and more at 870,912 (one more microturbine).  A suite now
@@ -213,20 +216,27 @@ class ObjectiveSpec:
 class BatchMetrics:
     """Evaluation of a population of plans, one row per plan; ``converged``
     and ``collapsed`` are the sweep's flags per plan and hour, and
-    ``violation`` sums ``hourly_violation`` where every hour converged."""
+    ``violation`` sums ``hourly_violation`` where every hour converged.
+    ``vmag`` holds the magnitudes at every bus, (bus, plan, hour), None
+    where the evaluation left them out; ``injection_voltage`` the complex
+    voltages at the injection buses, (plan, injection bus, hour), which
+    only ``split_eval`` keeps.  The per-plan fields, ``values``,
+    ``violation``, ``ok`` and ``soc_kwh``, are None for a row of
+    stage-table columns (``DispatchProblem._evaluate``)."""
 
-    values: Dict[str, np.ndarray]
-    violation: np.ndarray
-    ok: np.ndarray
     converged: np.ndarray
     collapsed: np.ndarray
     slack_kw: np.ndarray
-    soc_kwh: np.ndarray
     vmag: Optional[np.ndarray]
     hourly_cost: np.ndarray
     hourly_loss_kw: np.ndarray
     hourly_vdev: np.ndarray
     hourly_violation: np.ndarray
+    values: Optional[Dict[str, np.ndarray]] = None
+    violation: Optional[np.ndarray] = None
+    ok: Optional[np.ndarray] = None
+    soc_kwh: Optional[np.ndarray] = None
+    injection_voltage: Optional[np.ndarray] = None
 
 
 class DispatchProblem:
@@ -389,25 +399,38 @@ class DispatchProblem:
         return soc0 * self.soc_decay[np.newaxis, :] + chg @ self.M_c.T - dis @ self.M_d.T
 
     def _consumption(
-        self, p_units: np.ndarray, p_net: np.ndarray, shift: Optional[np.ndarray]
+        self,
+        p_units: np.ndarray,
+        p_net: np.ndarray,
+        shift: Optional[np.ndarray],
+        hours: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Net consumption (injection bus, B, T) in pu for one population,
+        """Net consumption (injection bus, B, H) in pu for one population,
         over the rows of ``injections``, in the network workspace's
         "consumption" slot; the shift's spread passes through "terms".
+        Column (b, h) is at hour h of the horizon, or at ``hours[b, h]``.
 
         Units subtract one at a time in their order, so units sharing a bus
         accumulate exactly as ``np.subtract.at`` would, without its cost.
         """
         ws = self.net.workspace
-        cons = ws.take("consumption", (self.injections.inj.size, p_net.shape[0], self.T), complex)
-        cons[...] = self.base_load[:, np.newaxis, :]
+        cons = ws.take("consumption", (self.injections.inj.size,) + p_net.shape, complex)
+        # mode="clip" takes straight into the slot, as in ``_evaluate``.
+        if hours is None:
+            cons[...] = self.base_load[:, np.newaxis, :]
+        else:
+            np.take(self.base_load, hours, axis=1, out=cons, mode="clip")
         for i, bus in enumerate(self.unit_bus):
             cons[self._row[bus]] -= p_units[:, i] / self.s_base
         if self.batt_bus is not None:
             cons[self._row[self.batt_bus]] += p_net / self.s_base
         if shift is not None:
             spread = ws.take("terms", cons.shape, complex)
-            cons += np.multiply(self.shift_factors[:, np.newaxis, :], shift[np.newaxis, :, :], out=spread)
+            if hours is None:
+                factors = self.shift_factors[:, np.newaxis, :]
+            else:
+                factors = np.take(self.shift_factors, hours, axis=1, out=spread, mode="clip")
+            cons += np.multiply(factors, shift[np.newaxis, :, :], out=spread)
         return cons
 
     def _hourly_cost(
@@ -416,8 +439,9 @@ class DispatchProblem:
         slack_kw: np.ndarray,
         throughput_kw: np.ndarray,
         shift: Optional[np.ndarray],
+        hours: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Operation cost per plan and hour, ct."""
+        """Operation cost per plan and hour, ct, at ``hours`` as in ``_consumption``."""
         running = self.slopes * p_units
         running += self.fixed
         running[~(p_units > COMMIT_EPS)] = 0.0
@@ -425,7 +449,7 @@ class DispatchProblem:
         rate = np.zeros_like(slack_kw)
         for unit in running.swapaxes(0, 1):
             rate += unit
-        rate += self.prices[np.newaxis, :] * slack_kw
+        rate += (self.prices[np.newaxis, :] if hours is None else self.prices[hours]) * slack_kw
         if self.case.battery is not None:
             rate += self.case.battery.usage_cost_ct_per_kwh * throughput_kw
         if shift is not None and self.case.dr is not None:
@@ -468,6 +492,8 @@ class DispatchProblem:
         shift: Optional[np.ndarray],
         vmag: bool = True,
         tolerance: float = DEFAULT_TOLERANCE,
+        hours: Optional[np.ndarray] = None,
+        voltage: bool = False,
     ) -> BatchMetrics:
         """Objectives, network violation and hourly series for split parts.
 
@@ -477,49 +503,55 @@ class DispatchProblem:
         problem's injection set, so the vdev terms gather the load buses'
         rows of its magnitudes.  ``vmag=False`` leaves out the magnitudes
         at every bus, the one buses-by-columns array nothing but the
-        refiner and the reports read; ``tolerance`` is the sweep's.  The
-        scratch slot "terms" holds the shift's spread, then the deviations,
-        then the violation terms, each spent before the next is written.
+        refiner and the reports read; ``voltage`` keeps the injection
+        buses' complex voltages, which the refiner's derivatives read;
+        ``tolerance`` is the sweep's.  With ``hours``, the hour of each
+        (row, column), the parts are columns at those hours of the horizon,
+        not whole plans, and only the hourly series are formed: the
+        per-plan fields, the outage cost among them, stay None.  The scratch slot "terms" holds the shift's
+        spread, then the deviations, then the violation terms, each spent
+        before the next is written.
         """
-        B, T = chg.shape
+        B, H = chg.shape
         # One column per plan-hour; the result lives in the workspace until the next sweep.
-        cons = self._consumption(p_units, chg - dis, shift)
+        cons = self._consumption(p_units, chg - dis, shift, hours)
         res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections, tolerance=tolerance)
-        converged = res.converged.reshape(B, T)
-        ok = converged.all(axis=1)
+        converged = res.converged.reshape(B, H)
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
-        slack_kw = res.slack_current.real.reshape(B, T) * self.s_base
-        loss_kw = res.loss_pu.reshape(B, T) * self.s_base
+        slack_kw = res.slack_current.real.reshape(B, H) * self.s_base
+        loss_kw = res.loss_pu.reshape(B, H) * self.s_base
         mag, rows = res.injection_magnitude, self._row[self.load_idx]
         # mode="clip" takes straight into the slot, "raise" through a fresh array.
         dev = np.take(mag, rows, axis=0, out=self.net.workspace.take("terms", (rows.size, mag.shape[1])), mode="clip")
-        hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0).reshape(B, T)
-        soc = self.soc_split(chg, dis)
-        hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift)
+        hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0).reshape(B, H)
+        hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift, hours)
         with np.errstate(invalid="ignore"):
-            values = {
-                "cost": np.where(ok, hourly_cost.sum(axis=1), LARGE_OBJECTIVE),
-                "loss": np.where(ok, loss_kw.sum(axis=1) * self.dt, LARGE_OBJECTIVE),
-                "ens": self.evaluator.cost_batch(soc),
-                "vdev": np.where(ok, hourly_vdev.sum(axis=1), LARGE_OBJECTIVE),
-            }
-            hourly_violation = self._violation(res, slack_kw)
-            violation = np.where(ok, hourly_violation.sum(axis=1), LARGE_OBJECTIVE)
-            magnitude = np.abs(res.voltage).reshape(self.net.n_bus, B, T) if vmag else None
-        return BatchMetrics(
-            values=values,
-            violation=violation,
-            ok=ok,
-            converged=converged,
-            collapsed=res.collapsed.reshape(B, T),
-            slack_kw=slack_kw,
-            soc_kwh=soc,
-            vmag=magnitude,
-            hourly_cost=hourly_cost,
-            hourly_loss_kw=loss_kw,
-            hourly_vdev=hourly_vdev,
-            hourly_violation=hourly_violation,
-        )
+            m = BatchMetrics(
+                converged=converged,
+                collapsed=res.collapsed.reshape(B, H),
+                slack_kw=slack_kw,
+                vmag=None,
+                hourly_cost=hourly_cost,
+                hourly_loss_kw=loss_kw,
+                hourly_vdev=hourly_vdev,
+                hourly_violation=self._violation(res, slack_kw),
+            )
+            if hours is None:
+                m.ok = converged.all(axis=1)
+                m.soc_kwh = self.soc_split(chg, dis)
+                m.values = {
+                    "cost": np.where(m.ok, hourly_cost.sum(axis=1), LARGE_OBJECTIVE),
+                    "loss": np.where(m.ok, loss_kw.sum(axis=1) * self.dt, LARGE_OBJECTIVE),
+                    "ens": self.evaluator.cost_batch(m.soc_kwh),
+                    "vdev": np.where(m.ok, hourly_vdev.sum(axis=1), LARGE_OBJECTIVE),
+                }
+                m.violation = np.where(m.ok, m.hourly_violation.sum(axis=1), LARGE_OBJECTIVE)
+            # Last, so that no temporary above adds to the largest arrays' peak.
+            if vmag:
+                m.vmag = np.abs(res.voltage).reshape(self.net.n_bus, B, H)
+            if voltage:
+                m.injection_voltage = res.injection_voltage.reshape(-1, B, H).transpose(1, 0, 2).copy()
+        return m
 
     def _signed(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Split parts of signed plans: the battery splits by its sign."""
@@ -697,32 +729,54 @@ class DispatchProblem:
         and where each counts (``StageTable``).
 
         A grid point counts in an hour only where its sweep converged with
-        zero violation there.  The grid is scored through the GA's lean
-        kernel (``GA_TOLERANCE``), whole combinations at every level per
-        batch of at most STAGE_BATCH_PLANS plans.  None when the table would
-        pass STAGE_COLUMN_CAP.
+        zero violation there.  Points of one hour with equal unit setpoints
+        (a renewable with a zero cap sits at 0 at both shares, a unit whose
+        cap is below its minimum is off at every level) share one sweep
+        column, so each distinct (hour, setpoints, battery level) column is
+        scored once, through the GA's lean kernel (``GA_TOLERANCE``) and
+        without the outage cost, which ``dp_seed`` adds from the SOC.  A
+        batch takes whole combinations in order, their distinct columns at
+        every level and hour, up to the columns of STAGE_BATCH_PLANS // L
+        combinations, so the sweep's workspace grows no further than for
+        the whole-day batches the table was once scored in; where no column
+        repeats, those are its batches.  None when the table would pass
+        STAGE_COLUMN_CAP.
         """
         levels = self._battery_levels()
         L, T = levels.size, self.T
         grid = self._unit_grid(L)
         if grid is None:
             return None
-        per_batch = max(1, STAGE_BATCH_PLANS // L)
-        cells = (len(grid), L, T)
+        count = len(grid)
+        # Per hour, the first combination with each combination's setpoints.
+        first = np.stack([_first_equal(grid[:, :, t]) for t in range(T)], axis=1)
+        distinct = first == np.arange(count)[:, np.newaxis]
+        cells = (count, L, T)
         hourly = {key: np.empty(cells) for key in ("cost", "loss", "vdev")}
         feasible = np.empty(cells, dtype=bool)
-        power = np.broadcast_to(levels[:, np.newaxis], (L, T))
-        for start in range(0, len(grid), per_batch):
-            combos = grid[start : start + per_batch]
-            k, rows = len(combos), slice(start, start + per_batch)
-            # Plan j holds combination j // L at level j % L in every hour.
-            p_batt = np.tile(power, (k, 1))
-            m = self._evaluate(np.repeat(combos, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
-                               None, vmag=False, tolerance=GA_TOLERANCE)
-            feasible[rows] = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
-            hourly["cost"][rows] = m.hourly_cost.reshape(k, L, T)
-            hourly["loss"][rows] = (m.hourly_loss_kw * self.dt).reshape(k, L, T)
-            hourly["vdev"][rows] = m.hourly_vdev.reshape(k, L, T)
+        # As wide as a batch of whole combinations at every level and hour.
+        width = max(1, STAGE_BATCH_PLANS // L) * L * T
+        ends = np.cumsum(L * distinct.sum(axis=1))
+        start = 0
+        while start < count:
+            before = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, before + width, side="right")))
+            c, level, t = np.nonzero(np.broadcast_to(distinct[start:stop, np.newaxis, :], (stop - start, L, T)))
+            c += start
+            p_batt = levels[level][np.newaxis, :]
+            m = self._evaluate(grid[c, :, t].T[np.newaxis], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), None,
+                               vmag=False, tolerance=GA_TOLERANCE, hours=t[np.newaxis, :])
+            feasible[c, level, t] = m.converged[0] & (m.hourly_violation[0] == 0.0)
+            hourly["cost"][c, level, t] = m.hourly_cost[0]
+            hourly["loss"][c, level, t] = m.hourly_loss_kw[0] * self.dt
+            hourly["vdev"][c, level, t] = m.hourly_vdev[0]
+            start = stop
+        # A repeated point reads the column of the first combination it
+        # repeats; hour by hour, so that no copy is as large as a table.
+        for t in range(T):
+            repeats = np.flatnonzero(~distinct[:, t])
+            for table in (feasible, *hourly.values()):
+                table[repeats, :, t] = table[first[repeats, t], :, t]
         return StageTable(levels, grid, hourly, feasible)
 
     def dp_seed(self, spec: ObjectiveSpec, stage: "StageMinima") -> Optional[np.ndarray]:
@@ -822,9 +876,10 @@ class DispatchProblem:
 
         Simultaneous charge and discharge is allowed by the relaxation; it
         pays throughput cost on both and loses the round-trip deficit from
-        the SOC, so the optimum keeps them complementary.
+        the SOC, so the optimum keeps them complementary.  The rows keep the
+        injection buses' complex voltages for the refiner's derivatives.
         """
-        return self._evaluate(*self.split_parts(Xs))
+        return self._evaluate(*self.split_parts(Xs), voltage=True)
 
     def _row_mask(self, soc, imp, exp, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
         """Mask over the row layout from a mask or flag per kind; the slack
@@ -948,6 +1003,14 @@ def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: n
         raise ValueError(f"{name} at hour {t}: {what}{p[t]:.6g} {unit} outside {limits} {unit}")
 
 
+def _first_equal(rows: np.ndarray) -> np.ndarray:
+    """For each row of a 2-D array, the index of the first row equal to it."""
+    # With return_index np.unique skips its np.ma check, whose first call
+    # imports numpy.ma (+1.1 MB RSS in numpy 2.4), as np.isin's does.
+    _, index, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return index[inverse.reshape(-1)]
+
+
 def _interpolate(values: np.ndarray, position: np.ndarray) -> np.ndarray:
     """``values`` on a uniform grid read at fractional indices ``position``
     (inside the grid) by linear interpolation; inf wherever a neighbour
@@ -1045,8 +1108,10 @@ class _SplitDispatchNlp(NlpProblem):
 
     The variables are ``[split plan | e]``, and the inequality rows are the
     carried layout rows, then the (1 - V) - e rows, then the (V - 1) - e
-    rows.  The rows' Jacobians come from the voltage differences of the
-    carried cells, so the kinks add no sweep columns.  Each e enters the
+    rows.  The derivatives are exact (``_sensitivities``): they read the
+    sweep of the plan's own evaluation, one row a point, and add no sweep
+    column; the rows' Jacobians take the voltage derivatives at the
+    carried cells and the kink cells alone.  Each e enters the
     Lagrangian linearly and is in no Hessian block, so the SQP keeps a unit
     diagonal for it; the QP solves each e out together with its envelope
     row.  ``settle`` puts every e back on its envelope after each trial
@@ -1097,6 +1162,26 @@ class _SplitDispatchNlp(NlpProblem):
         J = problem.blocks(self._J_soc)
         J[:, problem.n_units] = np.vstack([-problem.M_c, problem.M_c]) / self._soc_scale
         J[:, problem.n_units + 1] = np.vstack([problem.M_d, -problem.M_d]) / self._soc_scale
+        self._free = ~pinned_mask(lower, upper)
+        # Each unit's and battery block's kW, as a change of consumption at
+        # one injection row: a unit takes a kW off its bus's, charge adds
+        # one at the battery's and discharge takes one off (no row, sign 0,
+        # without a battery).  The shift's spreads by shift_factors.
+        pointed = problem.n_units + 2
+        self._kw_row = np.zeros(pointed, dtype=np.intp)
+        self._kw_sign = np.zeros(pointed)
+        self._kw_row[: problem.n_units] = problem._row[problem.unit_bus]
+        self._kw_sign[: problem.n_units] = -1.0
+        if problem.batt_bus is not None:
+            self._kw_row[problem.n_units :] = problem._row[problem.batt_bus]
+            self._kw_sign[problem.n_units :] = (1.0, -1.0)
+        # The carried voltage cells, then the kink cells: bus, hour, the
+        # DLF row over the injection buses, and the split variables of
+        # their hour, one per block.
+        self._cell_bus = np.concatenate([self._volt_bus, self._kink_bus])
+        self._cell_hour = np.concatenate([self._volt_hour, self._kink_hour])
+        self._cell_drop = problem.injections.drop[self._cell_bus]
+        self._cell_columns = np.arange(lower.size // T) * T + self._cell_hour[:, np.newaxis]
 
     def _hourly_vdev(self, vmag: np.ndarray) -> np.ndarray:
         """Smooth vdev per plan and hour from (n_bus, B, T) magnitudes."""
@@ -1105,7 +1190,8 @@ class _SplitDispatchNlp(NlpProblem):
 
     def _eval(self, z: np.ndarray) -> BatchMetrics:
         """The one-row evaluation of z's split plan, remembered for the most
-        recent plan only."""
+        recent plan only; its injection-bus voltages are what
+        ``_sensitivities`` differentiates at."""
         xs = z[: self.n_split]
         key = xs.tobytes()
         if key != self._key:
@@ -1175,58 +1261,96 @@ class _SplitDispatchNlp(NlpProblem):
         linearly and is in no block."""
         return self.problem.blocks(np.arange(self.n_split))[0].T
 
-    def _differences(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    def _sensitivities(self, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
         """Objective gradients (of vdev's smooth term), d(slack_kw) (T, ns)
         and d(vmag) at the carried voltage rows' cells, then at the kink
-        cells (cells, ns), of the split plan ``xs`` by batched central
-        differences.
+        cells (cells, ns), of the split plan ``xs``, exact at its sweep and
+        zero in the pinned variables.
 
-        Perturbing every free hour of one block at once still isolates each
-        partial, because hour t of any network quantity depends only on hour
-        t of the plan; so a voltage cell at hour t has one nonzero column per
-        block.  The outage cost is the exception; it chains through the
-        affine SOC map instead.
+        Hour t of the sweep is the fixed point V = 1 - D I, I = conj(S / V),
+        over the injection buses, D = DLF[inj, inj] and S their consumption.
+        A change dS moves the currents by dI = c + N conj(dI), c = conj(dS /
+        V) and N = diag(conj(S / V^2)) conj(D): linear in dI's real and
+        imaginary parts, so one real 2n_inj system per hour gives dI for
+        every block of the plan at once (the implicit function theorem; A.
+        Christakou et al., IEEE Trans. Smart Grid 4(2), 2013): a kW of a
+        unit, of charge, of discharge or of shift.  Every
+        quantity read is then a linear form in dI: the slack power its sum,
+        the loss 2 Re(I^H R dI) with R = Re(D), and a bus's voltage change
+        -DLF[bus, inj] dI.  Hour t of any network quantity depends only on hour t of
+        the plan, so a voltage cell at hour t has one nonzero column per
+        block.  Where the cost has a kink, a unit at or below COMMIT_EPS and
+        a zero shift under the DR incentive, its slope is the mean of the
+        two sides.  The outage cost chains through the affine SOC map
+        instead, by central differences in the SOC (SOC_REL_STEP).
         """
         p = self.problem
         T, ns = p.T, xs.size
-        free = p.blocks(~pinned_mask(self.lower[:ns], self.upper[:ns]))[0]
-        column = p.blocks(np.arange(ns))[0]
-        h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
-        bus = np.concatenate([self._volt_bus, self._kink_bus])
-        hour = np.concatenate([self._volt_hour, self._kink_hour])
+        m = self._eval(xs)
+        p_units, chg, dis, shift = p.split_parts(xs)
+        # (hour, injection bus); an hour whose sweep failed reads as unloaded.
+        ok = m.converged[0][:, np.newaxis]
+        V = np.where(ok, m.injection_voltage[0].T, 1.0)
+        S = np.where(ok, p._consumption(p_units, chg - dis, shift)[:, 0].T, 0.0)
+        D, n = p.injections.drop_inj, V.shape[1]
+        inv = np.conj(1.0 / V)
+        I = np.conj(S) * inv
+        N = (I * inv)[:, :, np.newaxis] * np.conj(D)
+        system = np.empty((T, 2 * n, 2 * n))
+        system[:, :n, :n] = -N.real
+        system[:, n:, n:] = N.real
+        system[:, :n, n:] = system[:, n:, :n] = -N.imag
+        system[:, np.arange(2 * n), np.arange(2 * n)] += 1.0
+        # c per hour and block: a kW of each block of the plan.
+        c = np.zeros((T, n, ns // T), complex)
+        c[:, self._kw_row, np.arange(self._kw_row.size)] = self._kw_sign * inv[:, self._kw_row] / p.s_base
+        if p.dr:
+            c[:, :, -1] = np.conj(p.shift_factors.T) * inv
+        # Per hour and block, [Re dI; Im dI].
+        dI = np.linalg.solve(system, np.concatenate([c.real, c.imag], axis=1))
 
-        # One perturbation pair per block with a free hour; a case without a
-        # battery pins its charge and discharge blocks, so they have none.
-        moved = [b for b in range(len(free)) if free[b].any()]
-        X = np.empty((2 * len(moved), ns))
-        for k, b in enumerate(moved):
-            mask = np.zeros_like(free)
-            mask[b] = free[b]
-            step = np.where(mask.reshape(-1), h, 0.0)
-            X[2 * k] = xs + step
-            X[2 * k + 1] = xs - step
-        data = p.split_eval(X) if moved else None
-        hourly_vdev = self._hourly_vdev(data.vmag) if moved else None
+        # The slack power, the loss and the smooth vdev as linear forms over
+        # [Re dI; Im dI]; d|V_b| = Re(conj(V_b) dV_b) / |V_b|, and the sign
+        # of 1 - |V| is 0 (the mean of the two sides) where |V| = 1.
+        rows = p._row[p.load_idx]
+        away = np.sign(1.0 - np.abs(V[:, rows])) * self._smooth[:, 0, :].T / np.abs(V[:, rows])
+        vdev = (away * np.conj(V[:, rows])) @ D[rows]
+        RI = I @ p.injections.resistance
+        forms = np.zeros((T, 3, 2 * n))
+        forms[:, 0, :n] = p.s_base
+        forms[:, 1, :n], forms[:, 1, n:] = 2.0 * p.s_base * RI.real, 2.0 * p.s_base * RI.imag
+        forms[:, 2, :n], forms[:, 2, n:] = vdev.real, -vdev.imag
+        # (quantity, variable), the variables block by block.
+        by_variable = (forms @ dI).transpose(1, 2, 0).reshape(3, -1)
+        d_slack_var, d_loss_var, d_vdev_var = by_variable * self._free[:ns]
+        # A cell's magnitude: d|V| = Re(r dI), r = -conj(V) DLF[bus, inj] / |V|.
+        v = 1.0 - np.einsum("cn,cn->c", self._cell_drop, I[self._cell_hour])
+        r = -(np.conj(v) / np.abs(v))[:, np.newaxis] * self._cell_drop
+        d_cell = np.einsum("cm,cmk->ck", np.concatenate([r.real, -r.imag], axis=1), dI[self._cell_hour])
 
-        grads = {key: np.zeros(ns) for key in OBJECTIVE_KEYS}
-        d_cells = np.zeros((bus.size, ns))
+        plan = p.blocks(xs)[0]
+        own = np.zeros_like(plan)
+        own[: p.n_units] = p.slopes * np.where(plan[: p.n_units] > COMMIT_EPS, 1.0, 0.5)
+        if p.case.battery is not None:
+            own[p.n_units : p.n_units + 2] = p.case.battery.usage_cost_ct_per_kwh
+        if p.dr:
+            own[-1] = p.case.dr.incentive_ct_per_kwh * 0.5 * (1.0 + np.sign(plan[-1]))
+        grads = {
+            "cost": p.dt * (self._free[:ns] * own.reshape(-1) + np.tile(p.prices, len(plan)) * d_slack_var),
+            "loss": p.dt * d_loss_var,
+            "ens": np.zeros(ns),
+            "vdev": d_vdev_var,
+        }
+        columns = np.arange(ns)
         d_slack = np.zeros((T, ns))
-        for k, b in enumerate(moved):
-            hours = np.nonzero(free[b])[0]
-            cols = column[b, hours]
-            denom = 2.0 * h[cols]
-            hi, lo_ = 2 * k, 2 * k + 1
-            grads["cost"][cols] = (data.hourly_cost[hi, hours] - data.hourly_cost[lo_, hours]) / denom
-            grads["loss"][cols] = (data.hourly_loss_kw[hi, hours] - data.hourly_loss_kw[lo_, hours]) * p.dt / denom
-            grads["vdev"][cols] = (hourly_vdev[hi, hours] - hourly_vdev[lo_, hours]) / denom
-            d_slack[hours, cols] = (data.slack_kw[hi, hours] - data.slack_kw[lo_, hours]) / denom
-            r = np.flatnonzero(free[b, hour])
-            c = column[b, hour[r]]
-            d_cells[r, c] = (data.vmag[bus[r], hi, hour[r]] - data.vmag[bus[r], lo_, hour[r]]) / (2.0 * h[c])
+        d_slack[columns % T, columns] = d_slack_var
+        d_cells = np.zeros((self._cell_bus.size, ns))
+        at = self._cell_columns
+        d_cells[np.arange(at.shape[0])[:, np.newaxis], at] = self._free[at] * d_cell
 
         if p.case.battery is not None:
-            soc = self._eval(xs).soc_kwh[0]
-            hs = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(soc))
+            soc = m.soc_kwh[0]
+            hs = SOC_REL_STEP * np.maximum(1.0, np.abs(soc))
             probe = np.repeat(soc[np.newaxis, :], 2 * T, axis=0)
             probe[2 * np.arange(T), np.arange(T)] += hs
             probe[2 * np.arange(T) + 1, np.arange(T)] -= hs
@@ -1240,7 +1364,7 @@ class _SplitDispatchNlp(NlpProblem):
     def derivatives(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.problem
         ns, n = self.n_split, self.n
-        grads, d_slack, d_cells = self._differences(z[:ns])
+        grads, d_slack, d_cells = self._sensitivities(z[:ns])
         d_volt, d_kink = np.split(d_cells, [self._volt_bus.size])
         chain = self.spec.chain(self._values(z))
         grad = np.zeros(n)

@@ -268,8 +268,8 @@ class SweepResult:
 
     ``iterations``, ``converged`` and ``collapsed`` describe each column.
     The iteration runs over the injection buses ``injection`` alone, so what
-    it yields is their last voltage iterate (magnitudes in
-    ``injection_magnitude``) and the currents they draw at it; everything
+    it yields is their last voltage iterate (``injection_voltage``, its
+    magnitudes in ``injection_magnitude``) and the currents they draw at it; everything
     else follows from these.  The slack current is the currents' sum and the
     loss ``loss_pu`` is ``I^H Re(DLF) I`` over them.  The voltage at every
     bus and the branch currents are products of a bus or branch count times
@@ -294,8 +294,9 @@ class SweepResult:
         collapsed: np.ndarray,
     ):
         self._net, self._set, self._ws = net, injections, workspace
-        self._voltage, self._iterate, self._current = voltage, iterate, current
+        self._iterate, self._current = iterate, current
         self.injection = injections.inj
+        self.injection_voltage = voltage
         self.injection_magnitude = magnitude
         self.iterations = iterations
         self.converged = converged
@@ -328,13 +329,13 @@ class SweepResult:
     @cached_property
     def voltage(self) -> np.ndarray:
         """Complex voltage at every bus, (n_bus, columns)."""
-        net, m = self._net, self._voltage.shape[1]
+        net, m = self._net, self.injection_voltage.shape[1]
         # Over every bus, not the empty ones alone: a product one bus wide
         # would go to gemv and round with the batch.
         product = _by_row(self._set.drop, self._iterate, self._ws.take("wide", (m, net.n_bus), complex))
         with np.errstate(invalid="ignore"):
             v = np.subtract(1.0, product, out=self._ws.take("bus", (net.n_bus, m), complex))
-        v[self._set.inj] = self._voltage
+        v[self._set.inj] = self.injection_voltage
         v[net.slack] = 1.0
         return v
 
@@ -349,7 +350,8 @@ class SweepResult:
         """Per column, the gain times the injection buses' largest |1 - V|:
         no empty bus's magnitude lies further than this from 1.0 pu.  First
         read in ``sweep``, under its errstate."""
-        deviation = np.subtract(1.0, self._voltage, out=self._ws.take("wide", self._voltage.shape, complex))
+        voltage = self.injection_voltage
+        deviation = np.subtract(1.0, voltage, out=self._ws.take("wide", voltage.shape, complex))
         size = np.abs(deviation, out=self._ws.take("real", deviation.shape))
         return self._set.gain * size.max(axis=0, initial=0.0)
 

@@ -6,11 +6,14 @@ power flow, exhaustive active-set enumeration for QPs, plain python loops
 for battery and outage arithmetic.  None of it shares code with the
 package; the loop sweep borrows only the package's thresholds, the
 dense QP solver only its result and error types, since matching them is
-what they check, and ``FunctionNlp`` only the SQP's problem contract and
-the package's difference step.  ``FunctionNlp`` poses callables as an SQP
-problem and differentiates them one coordinate at a time by ``gradient``
-and ``jacobian``, the generic central differences the SQP once defaulted
-to; the package's one problem differences its plan in batches instead.
+what they check, and ``FunctionNlp`` only the SQP's problem contract.
+``FunctionNlp`` poses callables as an SQP problem and differentiates them
+one coordinate at a time by ``gradient`` and ``jacobian``, the generic
+central differences the SQP once defaulted to.  ``split_differences`` is
+the dispatch subproblem's derivatives as the package took them before they
+were exact, by central differences of its plan in batches, one block at a
+time; it borrows the package's SOC step for the outage cost, whose slope
+the package still differences.
 
 The scalar device checks, the per-contingency restoration breakdown, the
 scalar objective evaluators and the single-hour power flow at the end were
@@ -55,8 +58,8 @@ import numpy as np
 
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
-from mgopt.objectives import ObjectiveValues
-from mgopt.optimizer.problem import DEFAULT_REL_STEP, GA_TOLERANCE, STAGE_BATCH_PLANS, StageMinima
+from mgopt.objectives import OBJECTIVE_KEYS, ObjectiveValues
+from mgopt.optimizer.problem import GA_TOLERANCE, SOC_REL_STEP, STAGE_BATCH_PLANS, StageMinima
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
 from mgopt.optimizer.sqp import NlpProblem
 from mgopt.powerflow import (
@@ -74,6 +77,9 @@ from mgopt.powerflow import (
     sweep,
 )
 from mgopt.reliability import ContingencyEvaluator, island_partition
+
+# Central differences step coordinate i by DEFAULT_REL_STEP * max(1, |x_i|).
+DEFAULT_REL_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +295,30 @@ def random_feeder_with_empty_buses(
     s = p + 1j * q
     s[:, rng.random(columns) < 0.2] = 0.0
     return n, branches, s
+
+
+def random_feeder_case(case: MicrogridCase, rng: np.random.Generator, scale: float = 0.5) -> MicrogridCase:
+    """The case moved onto a tree from ``random_feeder_with_empty_buses``,
+    its per-unit impedances times ``scale`` on the case's base: the load
+    points, then the units, then the battery take the tree's loaded buses in
+    turn, and the other buses stay empty.  Only the transformer's
+    contingencies are kept; the others name branches the tree lacks."""
+    n, edges, s = random_feeder_with_empty_buses(rng)
+    loaded = itertools.cycle(f"r{i}" for i in np.flatnonzero(np.abs(s).any(axis=1)))
+    z_base = case.z_base_ohm
+    branches = tuple(
+        Branch(f"q{k}", f"r{parent}", f"r{child}", scale * z.real * z_base, scale * z.imag * z_base)
+        for k, (parent, child, z) in enumerate(edges)
+    )
+    return validate_case(replace(
+        case,
+        buses=(Bus("r0", "slack"),) + tuple(Bus(f"r{i}") for i in range(1, n)),
+        branches=branches,
+        load_points=tuple(replace(lp, bus=next(loaded)) for lp in case.load_points),
+        units=tuple(replace(u, bus=next(loaded)) for u in case.units),
+        battery=None if case.battery is None else replace(case.battery, bus=next(loaded)),
+        contingencies=tuple(c for c in case.contingencies if c.element == "transformer"),
+    ))
 
 
 def sectioned_case(case: MicrogridCase, sections: int) -> MicrogridCase:
@@ -1832,6 +1862,70 @@ def epigraph_objective(nlp, z: np.ndarray) -> float:
     values = {key: float(v[0]) for key, v in m.values.items()}
     values["vdev"] = vdev
     return nlp.spec.scalar(values)
+
+
+def split_differences(nlp, xs: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """What ``_SplitDispatchNlp._sensitivities`` returns, by batched central
+    differences, as the package once took it: objective gradients (of
+    vdev's smooth term), d(slack_kw) (T, ns) and d(vmag) at the carried
+    voltage rows' cells, then at the kink cells (cells, ns), of the split
+    plan ``xs``, with steps of DEFAULT_REL_STEP.
+
+    Perturbing every free hour of one block at once still isolates each
+    partial, because hour t of any network quantity depends only on hour
+    t of the plan; so a voltage cell at hour t has one nonzero column per
+    block.  The outage cost is the exception; it chains through the
+    affine SOC map instead.
+    """
+    p = nlp.problem
+    T, ns = p.T, xs.size
+    free = p.blocks(~pinned_mask(nlp.lower[:ns], nlp.upper[:ns]))[0]
+    column = p.blocks(np.arange(ns))[0]
+    h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(xs))
+    bus = np.concatenate([nlp._volt_bus, nlp._kink_bus])
+    hour = np.concatenate([nlp._volt_hour, nlp._kink_hour])
+
+    # One perturbation pair per block with a free hour; a case without a
+    # battery pins its charge and discharge blocks, so they have none.
+    moved = [b for b in range(len(free)) if free[b].any()]
+    X = np.empty((2 * len(moved), ns))
+    for k, b in enumerate(moved):
+        mask = np.zeros_like(free)
+        mask[b] = free[b]
+        step = np.where(mask.reshape(-1), h, 0.0)
+        X[2 * k] = xs + step
+        X[2 * k + 1] = xs - step
+    data = p.split_eval(X) if moved else None
+    hourly_vdev = nlp._hourly_vdev(data.vmag) if moved else None
+
+    grads = {key: np.zeros(ns) for key in OBJECTIVE_KEYS}
+    d_cells = np.zeros((bus.size, ns))
+    d_slack = np.zeros((T, ns))
+    for k, b in enumerate(moved):
+        hours = np.nonzero(free[b])[0]
+        cols = column[b, hours]
+        denom = 2.0 * h[cols]
+        hi, lo_ = 2 * k, 2 * k + 1
+        grads["cost"][cols] = (data.hourly_cost[hi, hours] - data.hourly_cost[lo_, hours]) / denom
+        grads["loss"][cols] = (data.hourly_loss_kw[hi, hours] - data.hourly_loss_kw[lo_, hours]) * p.dt / denom
+        grads["vdev"][cols] = (hourly_vdev[hi, hours] - hourly_vdev[lo_, hours]) / denom
+        d_slack[hours, cols] = (data.slack_kw[hi, hours] - data.slack_kw[lo_, hours]) / denom
+        r = np.flatnonzero(free[b, hour])
+        c = column[b, hour[r]]
+        d_cells[r, c] = (data.vmag[bus[r], hi, hour[r]] - data.vmag[bus[r], lo_, hour[r]]) / (2.0 * h[c])
+
+    if p.case.battery is not None:
+        soc = p.split_eval(xs[np.newaxis, :]).soc_kwh[0]
+        hs = SOC_REL_STEP * np.maximum(1.0, np.abs(soc))
+        probe = np.repeat(soc[np.newaxis, :], 2 * T, axis=0)
+        probe[2 * np.arange(T), np.arange(T)] += hs
+        probe[2 * np.arange(T) + 1, np.arange(T)] -= hs
+        costs = p.evaluator.cost_batch(probe)
+        g_soc = (costs[0::2] - costs[1::2]) / (2.0 * hs)
+        ens = p.blocks(grads["ens"])[0]
+        ens[p.n_units] = g_soc @ p.M_c
+        ens[p.n_units + 1] = -(g_soc @ p.M_d)
+    return grads, d_slack, d_cells
 
 
 def dense_vmag_differences(nlp, xs: np.ndarray) -> np.ndarray:

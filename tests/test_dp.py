@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mgopt.optimizer.problem as problem_mod
 from mgopt.netmodel import DgUnit
 from mgopt.objectives import OBJECTIVE_KEYS, weights_from_sequence
 from mgopt.optimizer import DispatchProblem, GaConfig, ObjectiveSpec, OptimizerConfig, SqpConfig, run_suite
 from mgopt.optimizer.problem import GA_TOLERANCE, STAGE_BATCH_PLANS
+from mgopt.powerflow import sweep
 from mgopt.reliability import ContingencyEvaluator
 
 from oracles import (
@@ -117,6 +119,33 @@ def test_stored_table_minima_equal_the_streamed_minima_bytewise(benchmark_case, 
         assert stage.value.tobytes() == streamed.value.tobytes(), spec
         assert stage.units.tobytes() == streamed.units.tobytes(), spec
         assert stage.battery_kw.tobytes() == streamed.battery_kw.tobytes()
+
+
+def test_the_stage_table_sweeps_each_distinct_column_once(benchmark_case, monkeypatch):
+    # The packaged grid is 288 combinations x 21 battery levels x 24 hours,
+    # 145,152 points.  Within an hour, points with equal unit setpoints (a
+    # renewable at a zero cap sits at 0 at both shares) are one column,
+    # which leaves 99,792.  Each is swept once, in batches no wider than
+    # STAGE_BATCH_PLANS // L whole combinations (1,008 columns), and the
+    # table prices no outage cost.
+    problem = DispatchProblem(benchmark_case)
+    swept = []
+
+    def counting(net, consumption, **kwargs):
+        swept.append(consumption.shape[1])
+        return sweep(net, consumption, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("the stage table priced an outage cost")
+
+    monkeypatch.setattr(problem_mod, "sweep", counting)
+    monkeypatch.setattr(ContingencyEvaluator, "cost_batch", refused)
+    table = problem.stage_table()
+    L, T = table.battery_kw.size, problem.T
+    distinct = L * sum(len({tuple(row) for row in table.units[:, :, t]}) for t in range(T))
+    assert table.feasible.size == 145_152
+    assert sum(swept) == distinct == 99_792
+    assert max(swept) == STAGE_BATCH_PLANS // L * L * T == 1_008
 
 
 def test_hourly_terms_sum_to_the_per_plan_values(benchmark_case):

@@ -39,8 +39,10 @@ from oracles import (
     offset_split_from_signed,
     offset_split_parts,
     offset_unpack,
+    random_feeder_case,
     repair_battery_powers,
     sectioned_case,
+    split_differences,
     subtract_at_consumption,
     threshold_commitment,
     tuple_row_index,
@@ -57,6 +59,20 @@ from oracles import (
     unit_loop_split_bounds,
 )
 from test_dr import committable_pv_case
+
+
+# The exact network derivatives (``_SplitDispatchNlp._sensitivities``)
+# against central differences with steps of oracles.DEFAULT_REL_STEP, as a
+# share of each compared quantity's largest entry.  Measured on the cases of
+# ``DERIVATIVE_CASES`` and on the other seed plans, the two differ by at
+# most 7.7e-8 (voltage magnitudes), 6.7e-8 (vdev) and 3e-9 (cost, loss and
+# slack power).  That gap grows as the step shrinks (1.3e-8 at 1e-5 and
+# 7.6e-8 at 2.5e-6 for vdev on the packaged case), so it is the sweep's
+# 1e-10 pu convergence noise divided by the step, and the truncation error
+# lies below it; the tolerance allows 13 times the largest gap.
+DIFFERENCE_TOL = 1e-6
+
+DERIVATIVE_CASES = ["random-0", "random-1", "random-2", "benchmark", "dr", "no-battery", "sectioned"]
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +336,7 @@ def test_lone_plan_metrics_match_its_batch_row(benchmark_case):
             assert lone.values[key].tobytes() == batch.values[key][i : i + 1].tobytes(), (i, key)
         assert lone.vmag.tobytes() == batch.vmag[:, i : i + 1].tobytes(), i
         for f in fields(BatchMetrics):
-            if f.name not in ("values", "vmag"):
+            if f.name not in ("values", "vmag", "injection_voltage"):
                 assert getattr(lone, f.name).tobytes() == getattr(batch, f.name)[i : i + 1].tobytes(), (i, f.name)
 
 
@@ -589,6 +605,87 @@ def test_split_nlp_constraint_rows_match_fd(problem):
     assert np.abs((J_in - naive)[:, free]).max() < 1e-4 * max(1.0, np.abs(naive).max())
 
 
+def _derivative_problem(benchmark_case, variant):
+    """A case of DERIVATIVE_CASES: a random feeder with empty buses, the
+    packaged case, its DR problem with a DR incentive of 2 ct/kWh, its
+    battery-free copy or its sectioned feeder."""
+    if variant.startswith("random"):
+        return DispatchProblem(random_feeder_case(benchmark_case, np.random.default_rng(int(variant[-1]))))
+    case = {
+        "dr": replace(benchmark_case, dr=replace(benchmark_case.dr, incentive_ct_per_kwh=2.0)),
+        "no-battery": replace(benchmark_case, battery=None),
+        "sectioned": sectioned_case(benchmark_case, 4),
+    }.get(variant, benchmark_case)
+    return DispatchProblem(case, dr=variant == "dr")
+
+
+def _kinked_subproblem(problem, spec):
+    """The price-driven seed with the first renewable at 0 in its first
+    hour with a cap, as a subproblem carrying every bus-hour's lower
+    voltage row and the load-bus-hours of the even hours as kink cells;
+    under DR it shifts nothing in every third hour.  Both sit on a kink of
+    the cost: its slope there is the mean of the two sides."""
+    x = problem.seed_points()[2]
+    plan = problem.blocks(x)[0]
+    unit = [u.renewable for u in problem.case.units].index(True)
+    hour = int(np.flatnonzero(problem.caps[unit] > 0)[0])
+    plan[unit, hour] = 0.0
+    if problem.dr:
+        plan[-1, ::3] = 0.0
+    lower, upper = problem.split_bounds(problem.commitment_mask(x))
+    xs = np.clip(problem.split_from_signed(x), lower, upper)
+    assert xs[unit * problem.T + hour] == 0.0 < upper[unit * problem.T + hour]
+    if problem.dr:
+        assert problem.case.dr.incentive_ct_per_kwh > 0
+    T, cells = problem.T, problem.net.n_bus * problem.T
+    kinks = problem.load_cells(np.broadcast_to(np.arange(T) % 2 == 0, (problem.net.n_bus, T)))
+    return _SplitDispatchNlp(problem, spec, lower, upper, 4 * T + np.arange(cells), kinks), xs
+
+
+def _within_difference_error(exact, differenced):
+    return np.abs(exact - differenced).max(initial=0.0) <= DIFFERENCE_TOL * np.abs(differenced).max(initial=0.0)
+
+
+@pytest.mark.parametrize("variant", DERIVATIVE_CASES)
+def test_exact_sensitivities_match_central_differences(benchmark_case, variant):
+    # Each objective's gradient, the slack power's, and the magnitudes' at
+    # every carried voltage cell and kink cell, against the batched central
+    # differences the subproblem once took (oracles.split_differences).
+    problem = _derivative_problem(benchmark_case, variant)
+    nlp, xs = _kinked_subproblem(problem, ObjectiveSpec("cost"))
+    grads, d_slack, d_cells = nlp._sensitivities(xs)
+    ref_grads, ref_slack, ref_cells = split_differences(nlp, xs)
+    for key in OBJECTIVE_KEYS:
+        assert _within_difference_error(grads[key], ref_grads[key]), key
+    assert _within_difference_error(d_slack, ref_slack)
+    volt = nlp._volt_bus.size
+    assert volt == problem.net.n_bus * problem.T and d_cells.shape[0] > volt
+    assert _within_difference_error(d_cells[:volt], ref_cells[:volt])
+    assert _within_difference_error(d_cells[volt:], ref_cells[volt:])
+
+
+@pytest.mark.parametrize("variant", DERIVATIVE_CASES)
+def test_every_specs_gradient_matches_central_differences(benchmark_case, variant):
+    # The single specs and a weighted one bracketed 20 % below the idle
+    # plan: the plan part of the gradient against the spec's chain over the
+    # differenced objective gradients, and each kink cell's e at vdev's.
+    problem = _derivative_problem(benchmark_case, variant)
+    idle = problem.metrics(np.zeros(problem.n)).values
+    bounds = {key: (0.8 * float(idle[key][0]), float(idle[key][0])) for key in OBJECTIVE_KEYS}
+    weights = {"cost": 0.4, "loss": 0.2, "ens": 0.1, "vdev": 0.3}
+    specs = [ObjectiveSpec(key) for key in OBJECTIVE_KEYS] + [ObjectiveSpec("weighted", weights=weights, bounds=bounds)]
+    for spec in specs:
+        nlp, xs = _kinked_subproblem(problem, spec)
+        z = nlp.settle(xs)
+        grad = nlp.derivatives(z)[0]
+        chain = spec.chain(nlp._values(z))
+        assert chain, spec.key
+        differenced = split_differences(nlp, xs)[0]
+        expected = sum(coeff * differenced[key] for key, coeff in chain.items())
+        assert _within_difference_error(grad[: xs.size], expected), spec.key
+        assert np.array_equal(grad[xs.size :], np.full(z.size - xs.size, chain.get("vdev", 0.0))), spec.key
+
+
 def test_ens_gradient_chain_along_directions(problem):
     # Keep the SOC strictly inside its window so the piecewise-linear
     # restoration cost is smooth around the probe point, and keep the probe
@@ -678,16 +775,26 @@ def test_row_layout_matches_tuple_rows(benchmark_case, variant):
     m = nlp._eval(xs)
     reference = tuple_row_values(problem, tuple_rows, m.soc_kwh[0], m.slack_kw[0], m.vmag[:, 0, :])
     assert nlp.ineq_constraints(xs).tobytes() == reference.tobytes()
-    d_slack = nlp._differences(xs)[1]
+    d_slack = nlp._sensitivities(xs)[1]
     J_in = nlp.derivatives(xs)[2]
-    d_vmag = dense_vmag_differences(nlp, xs)
+    d_vmag = _exact_dense_vmag(nlp, xs)
     assert J_in.tobytes() == tuple_row_jacobian(problem, tuple_rows, d_slack, d_vmag, xs.size).tobytes()
+
+
+def _exact_dense_vmag(nlp, xs):
+    """d(vmag)/dx (n_bus, T, ns) at every bus and hour: the exact voltage
+    derivatives of a subproblem that carries every voltage cell."""
+    p, ns = nlp.problem, xs.size
+    every = 4 * p.T + np.arange(p.net.n_bus * p.T)
+    dense = _SplitDispatchNlp(p, nlp.spec, nlp.lower[:ns], nlp.upper[:ns], every)._sensitivities(xs)[2]
+    return dense.reshape(p.net.n_bus, p.T, ns)
 
 
 @pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned"])
 def test_voltage_row_derivatives_match_dense_differences(benchmark_case, variant):
     # Voltage derivatives at the carried rows only must equal, bit for bit,
-    # the same rows gathered from the dense (n_bus, T, ns) differences.
+    # the same rows gathered from the exact (n_bus, T, ns) derivatives at
+    # every cell, and those the dense central differences to their error.
     case = sectioned_case(benchmark_case, 4) if variant == "sectioned" else benchmark_case
     problem = DispatchProblem(case, dr=variant == "dr")
     x = problem.seed_points()[2]
@@ -703,9 +810,11 @@ def test_voltage_row_derivatives_match_dense_differences(benchmark_case, variant
     nlp = _SplitDispatchNlp(problem, ObjectiveSpec("cost"), lower, upper, rows)
     J_in = nlp.derivatives(xs)[2]
     k = rows[volt] - 4 * T
-    d_cells = dense_vmag_differences(nlp, xs).reshape(cells, xs.size)[k % cells]
+    d_cells = _exact_dense_vmag(nlp, xs).reshape(cells, xs.size)[k % cells]
     dense = np.where((k < cells)[:, np.newaxis], -d_cells, d_cells)
     assert J_in[volt].tobytes() == dense.tobytes()
+    differenced = dense_vmag_differences(nlp, xs).reshape(cells, xs.size)[k % cells]
+    assert np.abs(d_cells - differenced).max() <= DIFFERENCE_TOL * np.abs(differenced).max()
 
 
 def _first_hours(case, hours):
@@ -748,7 +857,7 @@ def test_lagrangian_curvature_is_block_diagonal_by_hour(problem):
 
     def first_derivatives(z):
         # The rows are every bus-major voltage cell, so d_volt is all of d(vmag).
-        grads, d_slack, d_volt = nlp._differences(z)
+        grads, d_slack, d_volt = nlp._sensitivities(z)
         return np.vstack([grads["cost"], grads["loss"], grads["vdev"], d_slack, d_volt])
 
     hour = np.arange(xs.size) % T
@@ -795,7 +904,7 @@ def test_dr_requires_program(benchmark_case):
 
 def _metrics_bytes(m):
     arrays = [m.values[key] for key in sorted(m.values)]
-    arrays += [getattr(m, f.name) for f in fields(m) if f.name != "values"]
+    arrays += [getattr(m, f.name) for f in fields(m) if f.name not in ("values", "injection_voltage")]
     return [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
 
 
@@ -1034,11 +1143,15 @@ def test_epigraph_rows_jacobian_matches_dense_differences(benchmark_case, dr):
     assert J_in.shape == (m + 2 * ne, z.size) and J_eq.shape == (int(dr), z.size)
 
     # The (1 - V) - e rows, then the (V - 1) - e rows, over the split plan:
-    # the kink cells of the dense voltage differences, bit for bit.
+    # the kink cells of the exact voltage derivatives at every cell, bit for
+    # bit, and of the dense central differences to their error.
     cells = problem.net.n_bus * problem.T
-    d_kink = dense_vmag_differences(nlp, xs).reshape(cells, ns)[nlp._kink_bus * problem.T + nlp._kink_hour]
+    kinks = nlp._kink_bus * problem.T + nlp._kink_hour
+    d_kink = _exact_dense_vmag(nlp, xs).reshape(cells, ns)[kinks]
     assert J_in[m : m + ne, :ns].tobytes() == (-d_kink).tobytes()
     assert J_in[m + ne :, :ns].tobytes() == d_kink.tobytes()
+    differenced = dense_vmag_differences(nlp, xs).reshape(cells, ns)[kinks]
+    assert np.abs(d_kink - differenced).max() <= DIFFERENCE_TOL * np.abs(differenced).max()
     assert np.array_equal(J_in[m:, ns:], -np.vstack([np.eye(ne), np.eye(ne)]))
     assert not J_in[:m, ns:].any()
 
