@@ -486,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--weights", help="four comma-separated objective weights")
     group.add_argument("--ahp", help="file with a 4x4 pairwise judgment matrix")
     p.add_argument("--out", help="output directory (default: <case>-scenario<k>)")
-    p.add_argument("--ga-population", type=int, help="GA population size")
+    p.add_argument("--ga-population", type=int,
+                   help="GA population of the fallback search; a row the DP seeds scores all its seeds at any size")
     p.add_argument("--ga-generations", type=int,
                    help="GA generation cap of the fallback search, run where the DP over the state of charge finds no plan")
     p.add_argument("--sqp-iterations", type=int, help="SQP iteration cap")

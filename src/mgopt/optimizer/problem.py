@@ -17,12 +17,13 @@ network terms come from those buses: the loss is ``I^H Re(DLF) I`` over
 their currents, vdev reads the load buses among them, and the empty buses
 enter the violation only where the set's transfer gain (0.375 on the
 benchmark case, 1.0 on its sectioned long feeder) cannot place them
-inside the limits from the injection buses' voltages.  The GA reads
-values, violation and ok alone, so its evaluation forms no array of buses
-times columns and sweeps only to ``GA_TOLERANCE``; ``metrics`` runs the
-same rule to the sweep's default tolerance and adds the magnitudes at every
-bus.  Repair projects the shift onto zero net energy by an exact
-breakpoint search and clips the battery in stored energy, hour by hour.
+inside the limits from the injection buses' voltages.  The GA and the
+stage table read values, violations and hourly terms alone, so their lean
+evaluation forms no array of buses times columns and sweeps only to
+``GA_TOLERANCE``; ``metrics`` and ``split_eval`` run the same rule to the
+sweep's default tolerance and add the magnitudes at every bus.  Repair
+projects the shift onto zero net energy by an exact breakpoint search and
+clips the battery in stored energy, hour by hour.
 
 The day decomposes by hour except for the battery: every network term and
 the cost belong to one hour, the outage cost is a sum over hours of a
@@ -91,12 +92,12 @@ SCREEN_MARGIN = 0.02
 # vdev.
 KINK_MARGIN = 0.004
 
-# The sweep tolerance of GA batches (pu), where every other evaluation uses
-# powerflow.DEFAULT_TOLERANCE.  The GA ranks fitness only to ga.PROGRESS =
-# 1e-3 relative and reports nothing; on the benchmark case the values it
-# sees are within 1.5e-5 relative of the exact ones, 1.5 % of PROGRESS, and
-# its ok flags and zero-violation decisions are those of the exact sweep
-# (near voltage collapse by powerflow.SETTLE_RATIO).
+# The sweep tolerance (pu) of the kernel's lean mode, where every other
+# evaluation uses powerflow.DEFAULT_TOLERANCE.  The GA ranks fitness only to
+# ga.PROGRESS = 1e-3 relative and reports nothing; on the benchmark case the
+# values it sees are within 1.5e-5 relative of the exact ones, 1.5 % of
+# PROGRESS, and its ok flags and zero-violation decisions are those of the
+# exact sweep (near voltage collapse by powerflow.SETTLE_RATIO).
 GA_TOLERANCE = 1e-4
 
 # A plan is feasible when its summed network violation (pu) is at most
@@ -217,12 +218,12 @@ class BatchMetrics:
     """Evaluation of a population of plans, one row per plan; ``converged``
     and ``collapsed`` are the sweep's flags per plan and hour, and
     ``violation`` sums ``hourly_violation`` where every hour converged.
-    ``vmag`` holds the magnitudes at every bus, (bus, plan, hour), None
-    where the evaluation left them out; ``injection_voltage`` the complex
-    voltages at the injection buses, (plan, injection bus, hour), which
-    only ``split_eval`` keeps.  The per-plan fields, ``values``,
-    ``violation``, ``ok`` and ``soc_kwh``, are None for a row of
-    stage-table columns (``DispatchProblem._evaluate``)."""
+    ``vmag`` holds the magnitudes at every bus, (bus, plan, hour), and
+    ``injection_voltage`` the complex voltages at the injection buses,
+    (plan, injection bus, hour): the exact mode keeps both, the lean mode
+    neither.  The per-plan fields, ``values``, ``violation``, ``ok`` and
+    ``soc_kwh``, are None for a row of stage-table columns
+    (``DispatchProblem._evaluate``)."""
 
     converged: np.ndarray
     collapsed: np.ndarray
@@ -403,12 +404,12 @@ class DispatchProblem:
         p_units: np.ndarray,
         p_net: np.ndarray,
         shift: Optional[np.ndarray],
-        hours: Optional[np.ndarray] = None,
+        hours: np.ndarray,
     ) -> np.ndarray:
         """Net consumption (injection bus, B, H) in pu for one population,
         over the rows of ``injections``, in the network workspace's
         "consumption" slot; the shift's spread passes through "terms".
-        Column (b, h) is at hour h of the horizon, or at ``hours[b, h]``.
+        Column (b, h) is at hour ``hours[b, h]`` of the horizon.
 
         Units subtract one at a time in their order, so units sharing a bus
         accumulate exactly as ``np.subtract.at`` would, without its cost.
@@ -416,21 +417,14 @@ class DispatchProblem:
         ws = self.net.workspace
         cons = ws.take("consumption", (self.injections.inj.size,) + p_net.shape, complex)
         # mode="clip" takes straight into the slot, as in ``_evaluate``.
-        if hours is None:
-            cons[...] = self.base_load[:, np.newaxis, :]
-        else:
-            np.take(self.base_load, hours, axis=1, out=cons, mode="clip")
+        np.take(self.base_load, hours, axis=1, out=cons, mode="clip")
         for i, bus in enumerate(self.unit_bus):
             cons[self._row[bus]] -= p_units[:, i] / self.s_base
         if self.batt_bus is not None:
             cons[self._row[self.batt_bus]] += p_net / self.s_base
         if shift is not None:
-            spread = ws.take("terms", cons.shape, complex)
-            if hours is None:
-                factors = self.shift_factors[:, np.newaxis, :]
-            else:
-                factors = np.take(self.shift_factors, hours, axis=1, out=spread, mode="clip")
-            cons += np.multiply(factors, shift[np.newaxis, :, :], out=spread)
+            spread = np.take(self.shift_factors, hours, axis=1, out=ws.take("terms", cons.shape, complex), mode="clip")
+            cons += np.multiply(spread, shift[np.newaxis, :, :], out=spread)
         return cons
 
     def _hourly_cost(
@@ -439,7 +433,7 @@ class DispatchProblem:
         slack_kw: np.ndarray,
         throughput_kw: np.ndarray,
         shift: Optional[np.ndarray],
-        hours: Optional[np.ndarray] = None,
+        hours: np.ndarray,
     ) -> np.ndarray:
         """Operation cost per plan and hour, ct, at ``hours`` as in ``_consumption``."""
         running = self.slopes * p_units
@@ -449,7 +443,7 @@ class DispatchProblem:
         rate = np.zeros_like(slack_kw)
         for unit in running.swapaxes(0, 1):
             rate += unit
-        rate += (self.prices[np.newaxis, :] if hours is None else self.prices[hours]) * slack_kw
+        rate += self.prices[hours] * slack_kw
         if self.case.battery is not None:
             rate += self.case.battery.usage_cost_ct_per_kwh * throughput_kw
         if shift is not None and self.case.dr is not None:
@@ -490,10 +484,8 @@ class DispatchProblem:
         chg: np.ndarray,
         dis: np.ndarray,
         shift: Optional[np.ndarray],
-        vmag: bool = True,
-        tolerance: float = DEFAULT_TOLERANCE,
+        lean: bool = False,
         hours: Optional[np.ndarray] = None,
-        voltage: bool = False,
     ) -> BatchMetrics:
         """Objectives, network violation and hourly series for split parts.
 
@@ -501,21 +493,25 @@ class DispatchProblem:
         objective and on the violation; the choice drops whatever
         non-finite values their rows hold.  The sweep runs over the
         problem's injection set, so the vdev terms gather the load buses'
-        rows of its magnitudes.  ``vmag=False`` leaves out the magnitudes
-        at every bus, the one buses-by-columns array nothing but the
-        refiner and the reports read; ``voltage`` keeps the injection
-        buses' complex voltages, which the refiner's derivatives read;
-        ``tolerance`` is the sweep's.  With ``hours``, the hour of each
-        (row, column), the parts are columns at those hours of the horizon,
-        not whole plans, and only the hourly series are formed: the
-        per-plan fields, the outage cost among them, stay None.  The scratch slot "terms" holds the shift's
+        rows of its magnitudes.  The exact mode (``metrics``, ``split_eval``)
+        sweeps to DEFAULT_TOLERANCE and keeps ``vmag`` and
+        ``injection_voltage``; the ``lean`` one (the GA's evaluate,
+        ``stage_table``) sweeps to GA_TOLERANCE and keeps neither, so it
+        forms no array of buses times columns.  ``hours`` gives the hour of
+        each (row, column), None the plain day; with it the parts are
+        columns, not whole plans, and the per-plan fields, the outage cost
+        among them, stay None.  The scratch slot "terms" holds the shift's
         spread, then the deviations, then the violation terms, each spent
         before the next is written.
         """
         B, H = chg.shape
+        day = hours is None
+        if day:
+            hours = np.broadcast_to(np.arange(H), (B, H))
         # One column per plan-hour; the result lives in the workspace until the next sweep.
         cons = self._consumption(p_units, chg - dis, shift, hours)
-        res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections, tolerance=tolerance)
+        res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections,
+                    tolerance=GA_TOLERANCE if lean else DEFAULT_TOLERANCE)
         converged = res.converged.reshape(B, H)
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, H) * self.s_base
@@ -536,7 +532,7 @@ class DispatchProblem:
                 hourly_vdev=hourly_vdev,
                 hourly_violation=self._violation(res, slack_kw),
             )
-            if hours is None:
+            if day:
                 m.ok = converged.all(axis=1)
                 m.soc_kwh = self.soc_split(chg, dis)
                 m.values = {
@@ -547,9 +543,8 @@ class DispatchProblem:
                 }
                 m.violation = np.where(m.ok, m.hourly_violation.sum(axis=1), LARGE_OBJECTIVE)
             # Last, so that no temporary above adds to the largest arrays' peak.
-            if vmag:
+            if not lean:
                 m.vmag = np.abs(res.voltage).reshape(self.net.n_bus, B, H)
-            if voltage:
                 m.injection_voltage = res.injection_voltage.reshape(-1, B, H).transpose(1, 0, 2).copy()
         return m
 
@@ -681,9 +676,8 @@ class DispatchProblem:
         """(evaluate, repair) pair in the shape the genetic seeder expects."""
 
         def evaluate(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            # The same kernel as ``metrics``, less the magnitudes at every
-            # bus, converged only as far as the GA ranks (GA_TOLERANCE).
-            m = self._evaluate(*self._signed(X), vmag=False, tolerance=GA_TOLERANCE)
+            # The kernel's lean mode, converged only as far as the GA ranks.
+            m = self._evaluate(*self._signed(X), lean=True)
             obj = spec.scalar_array(m.values)
             obj = np.where(m.ok, obj, LARGE_OBJECTIVE)
             return obj, m.violation
@@ -765,7 +759,7 @@ class DispatchProblem:
             c += start
             p_batt = levels[level][np.newaxis, :]
             m = self._evaluate(grid[c, :, t].T[np.newaxis], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), None,
-                               vmag=False, tolerance=GA_TOLERANCE, hours=t[np.newaxis, :])
+                               lean=True, hours=t[np.newaxis, :])
             feasible[c, level, t] = m.converged[0] & (m.hourly_violation[0] == 0.0)
             hourly["cost"][c, level, t] = m.hourly_cost[0]
             hourly["loss"][c, level, t] = m.hourly_loss_kw[0] * self.dt
@@ -879,7 +873,7 @@ class DispatchProblem:
         the SOC, so the optimum keeps them complementary.  The rows keep the
         injection buses' complex voltages for the refiner's derivatives.
         """
-        return self._evaluate(*self.split_parts(Xs), voltage=True)
+        return self._evaluate(*self.split_parts(Xs))
 
     def _row_mask(self, soc, imp, exp, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
         """Mask over the row layout from a mask or flag per kind; the slack
@@ -1291,7 +1285,7 @@ class _SplitDispatchNlp(NlpProblem):
         # (hour, injection bus); an hour whose sweep failed reads as unloaded.
         ok = m.converged[0][:, np.newaxis]
         V = np.where(ok, m.injection_voltage[0].T, 1.0)
-        S = np.where(ok, p._consumption(p_units, chg - dis, shift)[:, 0].T, 0.0)
+        S = np.where(ok, p._consumption(p_units, chg - dis, shift, np.arange(T)[np.newaxis])[:, 0].T, 0.0)
         D, n = p.injections.drop_inj, V.shape[1]
         inv = np.conj(1.0 / V)
         I = np.conj(S) * inv

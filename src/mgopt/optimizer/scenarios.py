@@ -6,16 +6,18 @@ four objectives normalised between the scenario-k optimum and the initial
 state.  The demand-response variant re-runs scenario 5 with the shift
 series in the decision vector.
 
-Each optimisation is a seed followed by SQP refinement.  The seed comes
-from a dynamic programme over the state of charge
-(``DispatchProblem.dp_seed``), on a stage table scored once per suite
-(``DispatchProblem.stage_table``): the four single specs take their minima
-from it first, then the weighted spec once the single rows have set its
-brackets, and the suite then drops it.  The DR row starts from the weighted
-DP plan with a zero shift.  The DP plan goes first among the GA's seeds,
-and the GA then runs no generation: it scores those seeds alone, drawing no
-random plan and making no generator, and keeps the best, so the answer
-does not depend on the seed.  Where the DP finds no plan (an hour with no
+Each optimisation is a seed followed by SQP refinement.  A dynamic
+programme over the state of charge (``DispatchProblem.dp_seed``), on a stage
+table scored once per suite (``DispatchProblem.stage_table``), plans each
+row: the four single specs take their minima from it first, then the
+weighted spec once the single rows have set its brackets, and the suite
+then drops it; the DR row takes the weighted plan.  The DP plan goes first
+among the GA's seeds, then the rows published before (for the DR row every
+one, with a zero shift), then the structured starts.  The GA runs no
+generation: it scores every seed, drawing no random plan and making no
+generator, and keeps the best, so the answer depends neither on the seed
+nor on the GA's settings.  At the benchmark's seeds the DR row starts from
+the published weighted row.  Where the DP finds no plan (an hour with no
 feasible grid point, or a unit grid past ``problem.STAGE_COLUMN_CAP``) the
 GA runs its configured budget.  After the individual runs the suite
 cross-polishes deterministically: whenever some scenario's solution scores
@@ -174,9 +176,9 @@ def _optimize(
 
     The GA's seeds are the DP plan, then ``extra_seeds``, then the structured
     starts.  Where there is a DP plan the GA runs no generation: its
-    population is those seeds alone (at most the configured population),
-    scored once, and it keeps the best; it needs no generator.  Otherwise
-    it runs its configured budget."""
+    population is every one of those seeds, whatever the configured
+    population, scored once, and it keeps the best; it needs no generator.
+    Otherwise it runs its configured budget."""
     t0 = time.perf_counter()
     evaluate, repair = problem.ga_functions(spec)
     starts = [s for s in (dp_plan, extra_seeds) if s is not None and len(s)]
@@ -185,7 +187,7 @@ def _optimize(
         rng, budget = _rng_for(config.seed, scenario_id, problem.dr), config.ga
     else:
         # Only the seeds, no random plans: the row does not depend on the seed.
-        rng, budget = None, replace(config.ga, population=min(len(seeds), config.ga.population), generations=0)
+        rng, budget = None, replace(config.ga, population=len(seeds), generations=0)
     ga = ga_seed(evaluate, repair, problem.lower, problem.upper, rng, budget, seeds)
     refined = problem.refine(ga.x, spec, config.sqp, max_rounds=config.refine_rounds)
     return _Row(refined, ga_value=refined.seed_value, ga_generations=ga.generations, elapsed_s=time.perf_counter() - t0)

@@ -59,7 +59,7 @@ import numpy as np
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
 from mgopt.objectives import OBJECTIVE_KEYS, ObjectiveValues
-from mgopt.optimizer.problem import GA_TOLERANCE, SOC_REL_STEP, STAGE_BATCH_PLANS, StageMinima
+from mgopt.optimizer.problem import SOC_REL_STEP, STAGE_BATCH_PLANS, StageMinima
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
 from mgopt.optimizer.sqp import NlpProblem
 from mgopt.powerflow import (
@@ -1387,7 +1387,7 @@ def all_bus_kernel(
     loss_kw = loss_pu.reshape(B, T) * problem.s_base
     ok = res.converged.reshape(B, T).all(axis=1)
     soc = problem.soc_split(chg, dis)
-    hourly_cost = problem._hourly_cost(p_units, slack_kw, chg + dis, shift)
+    hourly_cost = unit_loop_hourly_cost(problem, p_units, slack_kw, chg + dis, shift)
     hourly_vdev = np.abs(1.0 - vmag[problem.load_idx]).sum(axis=0)
     with np.errstate(invalid="ignore"):
         values = {
@@ -1525,7 +1525,7 @@ def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[StageMinima
         # Plan j holds combination j // L at level j % L in every hour.
         p_batt = np.tile(power, (k, 1))
         m = problem._evaluate(np.repeat(combos, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
-                              None, vmag=False, tolerance=GA_TOLERANCE)
+                              None, lean=True)
         feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
         hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}
         for table, slope in zip(tables, slopes):

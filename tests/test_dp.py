@@ -11,7 +11,7 @@ import mgopt.optimizer.problem as problem_mod
 from mgopt.netmodel import DgUnit
 from mgopt.objectives import OBJECTIVE_KEYS, weights_from_sequence
 from mgopt.optimizer import DispatchProblem, GaConfig, ObjectiveSpec, OptimizerConfig, SqpConfig, run_suite
-from mgopt.optimizer.problem import GA_TOLERANCE, STAGE_BATCH_PLANS
+from mgopt.optimizer.problem import STAGE_BATCH_PLANS
 from mgopt.powerflow import sweep
 from mgopt.reliability import ContingencyEvaluator
 
@@ -70,7 +70,7 @@ def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
     assert len(grid) * L > 10 * STAGE_BATCH_PLANS
     p_batt = np.tile(np.repeat(levels[:, np.newaxis], T, axis=1), (len(grid), 1))
     m = problem._evaluate(np.repeat(grid, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), None,
-                          vmag=False, tolerance=GA_TOLERANCE)
+                          lean=True)
     feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(len(grid), L, T)
     assert feasible.any() and not feasible.all()
     hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}

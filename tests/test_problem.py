@@ -11,7 +11,7 @@ from mgopt.dr import check_shift
 import mgopt.optimizer.problem as problem_mod
 import mgopt.optimizer.sqp as sqp
 from mgopt.optimizer import BatchMetrics, DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
-from mgopt.optimizer.problem import GA_TOLERANCE, KINK_MARGIN, _SplitDispatchNlp
+from mgopt.optimizer.problem import KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
 from mgopt.objectives import OBJECTIVE_KEYS
 from mgopt.powerflow import SweepResult, compile_network, sweep
@@ -88,6 +88,11 @@ def dr_problem(benchmark_case):
 def _random_plans(problem, rng, count):
     span = problem.upper - problem.lower
     return problem.lower + rng.random((count, problem.n)) * span
+
+
+def _plain_day(series):
+    """The ``hours`` of whole plans for (plan, hour) series: each row's own day."""
+    return np.broadcast_to(np.arange(series.shape[-1]), series.shape)
 
 
 def _caps(case):
@@ -310,7 +315,8 @@ def test_block_layout_matches_offsets(benchmark_case, name):
 
 def test_metrics_equal_split_eval_on_split_rows(problem, dr_problem):
     # Both front ends share one kernel, so a signed plan and its split form
-    # must evaluate to the same bits.
+    # must evaluate to the same bits, the injection buses' complex voltages
+    # (which the refiner's derivatives read) among them.
     rng = np.random.default_rng(11)
     for prob in (problem, dr_problem):
         plans = prob.repair(_random_plans(prob, rng, 6))
@@ -321,6 +327,7 @@ def test_metrics_equal_split_eval_on_split_rows(problem, dr_problem):
         for field in ("violation", "ok", "slack_kw", "soc_kwh", "vmag",
                       "hourly_cost", "hourly_loss_kw", "hourly_vdev"):
             assert np.array_equal(getattr(signed, field), getattr(split, field)), field
+        assert signed.injection_voltage.tobytes() == split.injection_voltage.tobytes()
 
 
 def test_lone_plan_metrics_match_its_batch_row(benchmark_case):
@@ -336,7 +343,7 @@ def test_lone_plan_metrics_match_its_batch_row(benchmark_case):
             assert lone.values[key].tobytes() == batch.values[key][i : i + 1].tobytes(), (i, key)
         assert lone.vmag.tobytes() == batch.vmag[:, i : i + 1].tobytes(), i
         for f in fields(BatchMetrics):
-            if f.name not in ("values", "vmag", "injection_voltage"):
+            if f.name not in ("values", "vmag"):
                 assert getattr(lone, f.name).tobytes() == getattr(batch, f.name)[i : i + 1].tobytes(), (i, f.name)
 
 
@@ -350,7 +357,7 @@ def test_consumption_matches_subtract_at(benchmark_case):
     for case, dr in ((benchmark_case, False), (stacked, False), (stacked, True)):
         prob = DispatchProblem(case, dr=dr)
         p_units, p_batt, shift = prob.unpack(prob.repair(_random_plans(prob, rng, 58)))
-        got = prob._consumption(p_units, p_batt, shift)
+        got = prob._consumption(p_units, p_batt, shift, _plain_day(p_batt))
         every_bus = subtract_at_consumption(prob, p_units, p_batt, shift)
         # The problem's rows are its injection buses; every other bus draws nothing.
         assert got.tobytes() == every_bus[prob.injections.inj].tobytes()
@@ -402,7 +409,7 @@ def test_unit_arrays_match_unit_loops(benchmark_case, name):
     slack_kw = rng.normal(0.0, 50.0, (200, prob.T))
     shift = rng.normal(0.0, 5.0, (200, prob.T)) if prob.dr else None
     args = (p_units, slack_kw, np.abs(slack_kw), shift)
-    assert _same_bits(prob._hourly_cost(*args), unit_loop_hourly_cost(prob, *args))
+    assert _same_bits(prob._hourly_cost(*args, _plain_day(slack_kw)), unit_loop_hourly_cost(prob, *args))
 
 
 def test_committable_renewable_stays_under_its_hourly_cap(benchmark_case):
@@ -904,7 +911,7 @@ def test_dr_requires_program(benchmark_case):
 
 def _metrics_bytes(m):
     arrays = [m.values[key] for key in sorted(m.values)]
-    arrays += [getattr(m, f.name) for f in fields(m) if f.name not in ("values", "injection_voltage")]
+    arrays += [getattr(m, f.name) for f in fields(m) if f.name != "values"]
     return [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
 
 
@@ -916,7 +923,8 @@ def test_results_keep_their_bytes_through_later_calls(benchmark_case):
     rng = np.random.default_rng(31)
     first = prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
     kept = _metrics_bytes(first)
-    cons = prob._consumption(*prob.unpack(prob.repair(_random_plans(prob, rng, 3))))
+    p_units, p_batt, shift = prob.unpack(prob.repair(_random_plans(prob, rng, 3)))
+    cons = prob._consumption(p_units, p_batt, shift, _plain_day(p_batt))
     rows = cons.reshape(cons.shape[0], -1).copy()
     s = np.zeros((prob.net.n_bus, rows.shape[1]), dtype=complex)
     s[prob.injections.inj] = rows
@@ -948,8 +956,9 @@ def test_problems_sharing_a_workspace_match_fresh_problems(benchmark_case):
 
 def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
     # numpy reports its data buffers to tracemalloc.  Once the workspace has
-    # grown to a GA batch, the only batch-sized array a call allocates is the
-    # vmag it returns; any fresh (bus, column) temporary would double the peak.
+    # grown to a GA batch, the only batch-sized arrays a call allocates are
+    # the vmag and the injection voltages it returns; any fresh (bus, column)
+    # temporary would double the peak.
     prob = DispatchProblem(sectioned_case(benchmark_case, 4))
     plans = prob.repair(_random_plans(prob, np.random.default_rng(33), 58))
     prob.metrics(plans)
@@ -959,7 +968,7 @@ def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * m.vmag.nbytes
+    assert peak < 1.5 * m.vmag.nbytes + m.injection_voltage.nbytes
 
 
 def test_warm_ga_evaluation_allocates_well_under_one_vmag(benchmark_case):
@@ -1024,19 +1033,19 @@ def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypat
     if variant == "unit-only-bus":
         prob.blocks(plans)[:, [u.name for u in prob.case.units].index("MT")] = 0.0
     m = prob.metrics(plans)
-    lean = prob._evaluate(*prob._signed(plans), vmag=False)
+    split = prob.split_eval(np.vstack([prob.split_from_signed(x) for x in plans]))
     values, violation, ok, vmag = all_bus_kernel(prob, plans)
     for key in OBJECTIVE_KEYS:
         np.testing.assert_allclose(m.values[key], values[key], rtol=1e-12, atol=0, err_msg=key)
     np.testing.assert_allclose(m.violation, violation, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(m.ok, ok)
     np.testing.assert_allclose(m.vmag, vmag, rtol=0, atol=1e-12)
-    # The vmag=False kernel at the default tolerance runs the same rule, less
-    # the magnitudes at every bus; the GA's evaluate also sweeps to GA_TOLERANCE.
-    assert lean.vmag is None
+    # split_eval, the kernel's other exact caller, runs the same rule on the
+    # split form of the plans, bit for bit.
     for key in OBJECTIVE_KEYS:
-        assert lean.values[key].tobytes() == m.values[key].tobytes(), key
-    assert lean.violation.tobytes() == m.violation.tobytes() and lean.ok.tobytes() == m.ok.tobytes()
+        assert split.values[key].tobytes() == m.values[key].tobytes(), key
+    assert split.violation.tobytes() == m.violation.tobytes() and split.ok.tobytes() == m.ok.tobytes()
+    assert split.vmag.tobytes() == m.vmag.tobytes()
 
     section = np.array(["." in bus for bus in prob.net.bus_ids])
     if variant == "sectioned":
@@ -1046,7 +1055,7 @@ def test_kernel_matches_the_all_bus_reference(benchmark_case, variant, monkeypat
         assert outside.any() and sum(exact) > 0
     if variant in IDLE_BUS:
         p_units, chg, dis, shift = prob._signed(plans)
-        cons = prob._consumption(p_units, chg - dis, shift)
+        cons = prob._consumption(p_units, chg - dis, shift, _plain_day(chg))
         row = prob.injections.inj.tolist().index(prob.net.bus_index[IDLE_BUS[variant]])
         assert not cons[row].any()
 
@@ -1064,15 +1073,17 @@ def _at_median_limits(prob, plans):
 
 @pytest.mark.parametrize("variant", ["benchmark", "dr", "sectioned", "sectioned-tight", "zero-load", "unit-only-bus"])
 def test_ga_tolerance_keeps_the_exact_decisions(benchmark_case, variant):
-    # The GA sweeps to GA_TOLERANCE and the reported numbers to the default
-    # 1e-10: the two must agree on which plans the sweep solves and which
-    # violate nothing, and their values differ far below ga.PROGRESS (1e-3).
+    # The lean mode (the GA, the stage table) sweeps to GA_TOLERANCE and keeps
+    # no per-bus array; metrics sweeps to the default 1e-10.  The two must
+    # agree on which plans the sweep solves and which violate nothing, and
+    # their values differ far below ga.PROGRESS (1e-3).
     prob = _kernel_problem(benchmark_case, variant)
     plans = np.vstack([prob.repair(_random_plans(prob, np.random.default_rng(42), 58)), prob.seed_points()])
     split = 0
     for p in (prob, _at_median_limits(prob, plans)):
-        exact = p._evaluate(*p._signed(plans), vmag=False)
-        loose = p._evaluate(*p._signed(plans), vmag=False, tolerance=GA_TOLERANCE)
+        exact = p.metrics(plans)
+        loose = p._evaluate(*p._signed(plans), lean=True)
+        assert loose.vmag is None and loose.injection_voltage is None
         np.testing.assert_array_equal(loose.ok, exact.ok)
         np.testing.assert_array_equal(loose.violation == 0, exact.violation == 0)
         for key in OBJECTIVE_KEYS:

@@ -225,6 +225,31 @@ def test_suite_is_deterministic(benchmark_case, fast_config):
     assert a.bounds == b.bounds
 
 
+def _row_bytes(result):
+    s = result.schedule
+    series = (s.dg_setpoints, s.battery_power, s.dr_shift)
+    return [repr((result.objectives.as_dict(), result.value, result.ga_generations))] + [
+        None if a is None else a.tobytes() for a in series]
+
+
+@pytest.mark.parametrize("units", ["packaged", "unit-free"])
+def test_a_dp_row_does_not_depend_on_the_ga_population(benchmark_case, units):
+    # Where the DP finds a plan the GA runs no generation and scores every
+    # seed once: the DP plan, the published rows, the structured starts.  So
+    # GaConfig.population, which sizes the fallback search, moves no row.
+    # A pick cut to the population would drop the seeds' tail: at 8 the
+    # unit-free copy's DR row would lose seed_points()[2], its winning start.
+    case = benchmark_case if units == "packaged" else replace(benchmark_case, units=())
+    suites = [run_suite(case, OptimizerConfig(ga=GaConfig(population, 3), sqp=SqpConfig(max_iterations=5),
+                                              refine_rounds=1))
+              for population in (2, 8, 60)]
+    assert {r.ga_generations for r in suites[0].results.values()} == {None, 0}
+    for suite in suites[1:]:
+        assert suite.totals == suites[0].totals
+        for key, result in suite.results.items():
+            assert _row_bytes(result) == _row_bytes(suites[0].results[key]), key
+
+
 # Two suites at a small budget in one process, one digest of each suite's outputs.
 _BACK_TO_BACK = """
 import hashlib
