@@ -117,9 +117,11 @@ STAGE_RENEWABLE_SHARES = (1.0, 0.5)
 STAGE_UNIT_LEVELS = 5
 STAGE_BATTERY_STEPS = 10
 
-# Plans (of T columns each) per stage-table batch.  Below the GA's default
-# population of 60, so scoring the table grows no sweep workspace; the
-# scored table itself is stored whole, 25 bytes a column (StageTable).
+# Plans (of T columns each) per stage-table batch: 1,008 columns on the
+# benchmark case, which bound each batch's transient arrays.  A column of a
+# batch that runs longer moves by rounding, so the width stays for the
+# stored table to keep its bytes; that table is stored whole, 25 bytes a
+# column (StageTable).
 STAGE_BATCH_PLANS = 48
 
 # A stage table over more columns than this (unit combinations x battery
@@ -407,24 +409,19 @@ class DispatchProblem:
         hours: np.ndarray,
     ) -> np.ndarray:
         """Net consumption (injection bus, B, H) in pu for one population,
-        over the rows of ``injections``, in the network workspace's
-        "consumption" slot; the shift's spread passes through "terms".
-        Column (b, h) is at hour ``hours[b, h]`` of the horizon.
+        over the rows of ``injections``.  Column (b, h) is at hour
+        ``hours[b, h]`` of the horizon.
 
         Units subtract one at a time in their order, so units sharing a bus
         accumulate exactly as ``np.subtract.at`` would, without its cost.
         """
-        ws = self.net.workspace
-        cons = ws.take("consumption", (self.injections.inj.size,) + p_net.shape, complex)
-        # mode="clip" takes straight into the slot, as in ``_evaluate``.
-        np.take(self.base_load, hours, axis=1, out=cons, mode="clip")
+        cons = np.take(self.base_load, hours, axis=1)
         for i, bus in enumerate(self.unit_bus):
             cons[self._row[bus]] -= p_units[:, i] / self.s_base
         if self.batt_bus is not None:
             cons[self._row[self.batt_bus]] += p_net / self.s_base
         if shift is not None:
-            spread = np.take(self.shift_factors, hours, axis=1, out=ws.take("terms", cons.shape, complex), mode="clip")
-            cons += np.multiply(spread, shift[np.newaxis, :, :], out=spread)
+            cons += np.take(self.shift_factors, hours, axis=1) * shift
         return cons
 
     def _hourly_cost(
@@ -463,10 +460,9 @@ class DispatchProblem:
         """
         B, T = slack_kw.shape
         mag = res.injection_magnitude
-        terms = self.net.workspace.take("terms", mag.shape)
         cells = (mag.shape[0], B, T)
-        v_low = np.maximum(0.0, np.subtract(self.vmin, mag, out=terms), out=terms).reshape(cells).sum(axis=0)
-        v_high = np.maximum(0.0, np.subtract(mag, self.vmax, out=terms), out=terms).reshape(cells).sum(axis=0)
+        v_low = np.maximum(0.0, self.vmin - mag).reshape(cells).sum(axis=0)
+        v_high = np.maximum(0.0, mag - self.vmax).reshape(cells).sum(axis=0)
         g_in = np.maximum(0.0, slack_kw - self.import_limit) / self.s_base
         g_out = np.maximum(0.0, -slack_kw - self.export_limit) / self.s_base
         total = v_low + v_high + g_in + g_out
@@ -500,15 +496,13 @@ class DispatchProblem:
         forms no array of buses times columns.  ``hours`` gives the hour of
         each (row, column), None the plain day; with it the parts are
         columns, not whole plans, and the per-plan fields, the outage cost
-        among them, stay None.  The scratch slot "terms" holds the shift's
-        spread, then the deviations, then the violation terms, each spent
-        before the next is written.
+        among them, stay None.
         """
         B, H = chg.shape
         day = hours is None
         if day:
             hours = np.broadcast_to(np.arange(H), (B, H))
-        # One column per plan-hour; the result lives in the workspace until the next sweep.
+        # One column per plan-hour.
         cons = self._consumption(p_units, chg - dis, shift, hours)
         res = sweep(self.net, cons.reshape(cons.shape[0], -1), injections=self.injections,
                     tolerance=GA_TOLERANCE if lean else DEFAULT_TOLERANCE)
@@ -516,10 +510,8 @@ class DispatchProblem:
         # The slack bus holds 1.0 pu, so its power is the conjugate of its current.
         slack_kw = res.slack_current.real.reshape(B, H) * self.s_base
         loss_kw = res.loss_pu.reshape(B, H) * self.s_base
-        mag, rows = res.injection_magnitude, self._row[self.load_idx]
-        # mode="clip" takes straight into the slot, "raise" through a fresh array.
-        dev = np.take(mag, rows, axis=0, out=self.net.workspace.take("terms", (rows.size, mag.shape[1])), mode="clip")
-        hourly_vdev = np.abs(np.subtract(1.0, dev, out=dev), out=dev).sum(axis=0).reshape(B, H)
+        dev = np.abs(1.0 - res.injection_magnitude[self._row[self.load_idx]])
+        hourly_vdev = dev.sum(axis=0).reshape(B, H)
         hourly_cost = self._hourly_cost(p_units, slack_kw, chg + dis, shift, hours)
         with np.errstate(invalid="ignore"):
             m = BatchMetrics(
@@ -731,9 +723,10 @@ class DispatchProblem:
         without the outage cost, which ``dp_seed`` adds from the SOC.  A
         batch takes whole combinations in order, their distinct columns at
         every level and hour, up to the columns of STAGE_BATCH_PLANS // L
-        combinations, so the sweep's workspace grows no further than for
-        the whole-day batches the table was once scored in; where no column
-        repeats, those are its batches.  None when the table would pass
+        combinations (1,008 on the benchmark case).  That width bounds each
+        batch's transient arrays and stays so that the stored table keeps
+        its bytes; where no column repeats, those are the whole-day batches
+        the table was once scored in.  None when the table would pass
         STAGE_COLUMN_CAP.
         """
         levels = self._battery_levels()

@@ -31,7 +31,9 @@ constant-power loads at unity power factor, the battery is a signed
 constant-power injection, and the slack bus absorbs whatever residual the
 balance needs.  The sweep is vectorised over an arbitrary number of
 injection columns, so a whole horizon (or a whole GA population by stacking
-hours) solves in one call.
+hours) solves in one call.  Each call allocates the arrays it works in and
+hands its caller arrays of its own, so sweeps on one network are
+re-entrant.
 """
 
 from __future__ import annotations
@@ -127,11 +129,6 @@ class CompiledNetwork:
         """
         return self.bibc.T @ (self.z_pu[:, np.newaxis] * self.bibc)
 
-    @cached_property
-    def workspace(self) -> "Workspace":
-        """Scratch memory shared by the batched evaluations on this network."""
-        return Workspace()
-
 
 def compile_network(case: MicrogridCase) -> CompiledNetwork:
     """Validate the topology and convert impedances to per-unit arrays."""
@@ -197,39 +194,6 @@ def consumption_from_schedule(
     return s
 
 
-class Workspace:
-    """Grow-only scratch memory for batched sweeps, reused from call to call.
-
-    Each named slot is one flat buffer that grows to the largest request
-    and never shrinks; a request gets a C-contiguous view of its prefix.  At
-    GA batch sizes fresh arrays cost more in page faults than the arithmetic
-    does, and whether the allocator maps them afresh or reuses freed heap
-    depends on its dynamic mmap threshold, so without reuse the wall time
-    would also depend on what the process happened to free earlier.
-
-    A slot holds bytes, so one slot serves any dtype in turn.  The sweep
-    owns the slots "acc", "prev", "v", "v_new" and "magnitude" (its
-    result's arrays), "real" and "wide" (its scratch, the loss and the
-    injection buses' deviation from 1.0 pu), "bus" (the voltages) and
-    "branch" (the branch currents), and writes them on every sweep and on
-    the first read of a derived value.  Callers keep
-    their own arrays under other names.  A workspace is not for concurrent
-    use.
-    """
-
-    def __init__(self) -> None:
-        self._slots: Dict[str, np.ndarray] = {}
-
-    def take(self, slot: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
-        """A ``shape`` view of the slot's buffer; its contents are unspecified."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buffer = self._slots.get(slot)
-        if buffer is None or buffer.size < nbytes:
-            buffer = self._slots[slot] = np.empty(nbytes, np.uint8)
-        return buffer[:nbytes].view(dtype).reshape(shape)
-
-
 class InjectionSet:
     """Product matrices and the empty-bus gain for one set of injection buses.
 
@@ -273,18 +237,14 @@ class SweepResult:
     else follows from these.  The slack current is the currents' sum and the
     loss ``loss_pu`` is ``I^H Re(DLF) I`` over them.  The voltage at every
     bus and the branch currents are products of a bus or branch count times
-    the batch, formed on first read.  Each has one column per batch column.
-
-    When the sweep ran on a prebuilt set, every array here is a view into
-    the network's workspace that stays valid until its next sweep, and
-    reading a derived value must come before that sweep too.
+    the batch, formed on first read.  Each has one column per batch column,
+    and each is the caller's: no later sweep writes it.
     """
 
     def __init__(
         self,
         net: "CompiledNetwork",
         injections: InjectionSet,
-        workspace: Workspace,
         voltage: np.ndarray,
         magnitude: np.ndarray,
         iterate: np.ndarray,
@@ -293,7 +253,7 @@ class SweepResult:
         converged: np.ndarray,
         collapsed: np.ndarray,
     ):
-        self._net, self._set, self._ws = net, injections, workspace
+        self._net, self._set = net, injections
         self._iterate, self._current = iterate, current
         self.injection = injections.inj
         self.injection_voltage = voltage
@@ -321,7 +281,7 @@ class SweepResult:
         so a column's loss does not depend on its batch.
         """
         f = self._current.view(float)
-        terms = np.matmul(f.T, self._set.resistance, out=self._ws.take("wide", f.shape[::-1]))
+        terms = np.matmul(f.T, self._set.resistance)
         np.multiply(terms, f.T, out=terms)
         n, m = self._current.shape
         return terms.reshape(m, 2 * n).sum(axis=1)
@@ -332,9 +292,9 @@ class SweepResult:
         net, m = self._net, self.injection_voltage.shape[1]
         # Over every bus, not the empty ones alone: a product one bus wide
         # would go to gemv and round with the batch.
-        product = _by_row(self._set.drop, self._iterate, self._ws.take("wide", (m, net.n_bus), complex))
+        product = _by_row(self._set.drop, self._iterate, np.empty((m, net.n_bus), complex))
         with np.errstate(invalid="ignore"):
-            v = np.subtract(1.0, product, out=self._ws.take("bus", (net.n_bus, m), complex))
+            v = np.subtract(1.0, product, out=np.empty((net.n_bus, m), complex))
         v[self._set.inj] = self.injection_voltage
         v[net.slack] = 1.0
         return v
@@ -343,16 +303,14 @@ class SweepResult:
     def branch_current(self) -> np.ndarray:
         """Complex current in every branch, (n_branch, columns)."""
         shape = (self._current.shape[1], self._net.n_branch)
-        return _by_row(self._set.bibc, self._current, self._ws.take("branch", shape, complex))
+        return _by_row(self._set.bibc, self._current, np.empty(shape, complex))
 
     @cached_property
     def _reach(self) -> np.ndarray:
         """Per column, the gain times the injection buses' largest |1 - V|:
         no empty bus's magnitude lies further than this from 1.0 pu.  First
         read in ``sweep``, under its errstate."""
-        voltage = self.injection_voltage
-        deviation = np.subtract(1.0, voltage, out=self._ws.take("wide", voltage.shape, complex))
-        size = np.abs(deviation, out=self._ws.take("real", deviation.shape))
+        size = np.abs(1.0 - self.injection_voltage)
         return self._set.gain * size.max(axis=0, initial=0.0)
 
     def beyond(self, low: float, high: float) -> np.ndarray:
@@ -395,10 +353,8 @@ def sweep(
     exactly its specified power and the slack picks up losses; the loss
     identity then closes to roundoff.
 
-    With a prebuilt set, the arrays that grow with the batch live in the
-    network's workspace, and the result's arrays are views that stay valid
-    until its next sweep.  Without one, the set is built for this call and
-    the result owns its arrays.  Either way a column's result is the same
+    Without a prebuilt set, the set is built for this call.  In both forms
+    the caller owns the result's arrays, and a column's result is the same
     for the same set.
 
     A column's result equals the same column's in any batch that stops at
@@ -411,17 +367,15 @@ def sweep(
         s = s[:, np.newaxis]
     if injections is None:
         injections = InjectionSet(net, s.any(axis=1))
-        s_inj, ws = s[injections.inj], Workspace()
-    else:
-        s_inj, ws = s, net.workspace
-    v, iterate, spare, iterations, converged, _ = _iterate(injections, s_inj, max_iterations, tolerance, ws)
+        s = s[injections.inj]
+    v, iterate, spare, iterations, converged, _ = _iterate(injections, s, max_iterations, tolerance)
 
     with np.errstate(all="ignore"):
-        current = np.conjugate(np.divide(s_inj, v, out=spare), out=spare)
+        current = np.conjugate(np.divide(s, v, out=spare), out=spare)
         current[~np.isfinite(current)] = 0.0
-        magnitude = np.abs(v, out=ws.take("magnitude", v.shape))
+        magnitude = np.abs(v)
         collapsed = _below_floor(magnitude)
-        result = SweepResult(net, injections, ws, v, magnitude, iterate, current, iterations, converged, collapsed)
+        result = SweepResult(net, injections, v, magnitude, iterate, current, iterations, converged, collapsed)
         doubtful = result.beyond(COLLAPSE_FLOOR_PU, np.inf)
         if doubtful.size:
             collapsed[doubtful] |= _below_floor(result.rest_magnitude(doubtful))
@@ -431,16 +385,13 @@ def sweep(
         # unconverged, so the loop above does not watch for one; such
         # columns run again, watched.  Their iterates are independent of
         # their batch (``_by_row``), so the flags are those of a watched run.
-        collapsed[unsettled] |= _dips(injections, s_inj[:, unsettled], max_iterations, tolerance)
+        collapsed[unsettled] |= _dips(injections, s[:, unsettled], max_iterations, tolerance)
     converged &= ~collapsed
     iterations[~converged] = max_iterations
     return result
 
 
-def _iterate(
-    injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tolerance: float, ws: Workspace,
-    watch: bool = False,
-):
+def _iterate(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tolerance: float, watch: bool = False):
     """The fixed-point loop over the injection buses, each column to
     ``tolerance`` or, where it converges slowly, to DEFAULT_TOLERANCE.
 
@@ -451,12 +402,10 @@ def _iterate(
     """
     shape = s_inj.shape
     m = shape[1]
-    acc, prev = ws.take("acc", shape, complex), ws.take("prev", shape, complex)
-    v, v_new = ws.take("v", shape, complex), ws.take("v_new", shape, complex)
-    acc.fill(0.0)
-    v.fill(1.0)
-    size = ws.take("real", shape)
-    by_row = ws.take("wide", shape[::-1], complex)
+    acc, prev = np.zeros(shape, complex), np.empty(shape, complex)
+    v, v_new = np.ones(shape, complex), np.empty(shape, complex)
+    size = np.empty(shape)
+    by_row = np.empty(shape[::-1], complex)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     dipped = np.zeros(m, dtype=bool)
@@ -522,7 +471,7 @@ def _dipped(injections: InjectionSet, acc: np.ndarray, v: np.ndarray) -> np.ndar
 
 def _dips(injections: InjectionSet, s_inj: np.ndarray, max_iterations: int, tolerance: float) -> np.ndarray:
     """Which columns dip under the collapse floor in a watched run of their own."""
-    return _iterate(injections, np.ascontiguousarray(s_inj), max_iterations, tolerance, Workspace(), watch=True)[-1]
+    return _iterate(injections, np.ascontiguousarray(s_inj), max_iterations, tolerance, watch=True)[-1]
 
 
 def _by_row(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

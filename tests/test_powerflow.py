@@ -413,7 +413,7 @@ def test_ga_tolerance_keeps_the_flags_near_collapse(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a prebuilt injection set and the network's workspace
+# a prebuilt injection set
 
 
 SWEEP_FIELDS = ("voltage", "branch_current", "slack_current", "injection_magnitude", "loss_pu",
@@ -426,9 +426,9 @@ def _assert_same_bits(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
-def test_workspace_sweep_is_bitwise_equal_on_feeders_with_empty_buses():
-    # A sweep over a prebuilt set's rows, in the network's workspace, is the
-    # all-bus sweep, converging and collapsing.
+def test_prebuilt_set_sweep_is_bitwise_equal_on_feeders_with_empty_buses():
+    # A sweep over a prebuilt set's rows is the all-bus sweep, converging
+    # and collapsing.
     rng = np.random.default_rng(505)
     for _ in range(20):
         n, branches, s = random_feeder_with_empty_buses(rng)
@@ -439,7 +439,7 @@ def test_workspace_sweep_is_bitwise_equal_on_feeders_with_empty_buses():
             _assert_same_bits(sweep(net, rows, cap, injections), sweep(net, scale * s, cap))
 
 
-def test_workspace_sweep_is_bitwise_equal_as_the_batch_grows_and_shrinks(benchmark_case):
+def test_prebuilt_set_sweep_is_bitwise_equal_as_the_batch_grows_and_shrinks(benchmark_case):
     case = sectioned_case(benchmark_case, 4)
     net = compile_network(case)
     base = load_consumption_pu(case, net)
@@ -509,9 +509,9 @@ def test_problem_sets_have_the_documented_gains(benchmark_case):
 
 
 def _sweep_bits(net, rows, cap, injections, tolerance):
-    """Every bit a caller can read from a workspace sweep, copied before the
-    workspace is reused, and for a few voltage bands the columns with an
-    empty bus outside the band (NaN counts as outside)."""
+    """Every bit a caller can read from a sweep over a prebuilt set, and for
+    a few voltage bands the columns with an empty bus outside the band (NaN
+    counts as outside)."""
     result = sweep(net, rows, cap, injections, tolerance)
     bits = {field: getattr(result, field).tobytes() for field in SWEEP_FIELDS}
     for low, high in ((0.95, 1.05), (0.975, 1.02), (powerflow.COLLAPSE_FLOOR_PU, np.inf)):

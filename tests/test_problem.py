@@ -1,6 +1,6 @@
 import math
 import re
-import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +10,7 @@ from mgopt.devices import DispatchSchedule, soc_trajectory
 from mgopt.dr import check_shift
 import mgopt.optimizer.problem as problem_mod
 import mgopt.optimizer.sqp as sqp
+import mgopt.powerflow as powerflow
 from mgopt.optimizer import BatchMetrics, DispatchProblem, ObjectiveSpec, SqpConfig, sqp_solve
 from mgopt.optimizer.problem import KINK_MARGIN, _SplitDispatchNlp
 from mgopt.optimizer.qp import pinned_mask
@@ -906,7 +907,7 @@ def test_dr_requires_program(benchmark_case):
 
 
 # ---------------------------------------------------------------------------
-# the network workspace
+# evaluations that share a compiled network
 
 
 def _metrics_bytes(m):
@@ -916,9 +917,9 @@ def _metrics_bytes(m):
 
 
 def test_results_keep_their_bytes_through_later_calls(benchmark_case):
-    # Batch intermediates live in the network's workspace only while a call
-    # runs; what a call hands out owns its memory.  A sweep over the
-    # problem's injection rows is the all-bus sweep, bit for bit.
+    # What a call hands out owns its memory, and later calls leave it
+    # alone.  A sweep over the problem's injection rows is the all-bus
+    # sweep, bit for bit.
     prob = DispatchProblem(benchmark_case)
     rng = np.random.default_rng(31)
     first = prob.metrics(prob.repair(_random_plans(prob, rng, 58)))
@@ -942,10 +943,9 @@ def test_results_keep_their_bytes_through_later_calls(benchmark_case):
     assert [getattr(owned, name).tobytes() for name in fields_read] == owned_bytes
 
 
-def test_problems_sharing_a_workspace_match_fresh_problems(benchmark_case):
+def test_problems_sharing_a_network_match_fresh_problems(benchmark_case):
     net = compile_network(benchmark_case)
     shared = (DispatchProblem(benchmark_case, net=net), DispatchProblem(benchmark_case, dr=True, net=net))
-    assert shared[0].net.workspace is shared[1].net.workspace
     rng = np.random.default_rng(32)
     calls = [(dr, shared[dr].repair(_random_plans(shared[dr], rng, count)))
              for dr, count in ((0, 58), (1, 14), (0, 1), (1, 58), (0, 4), (1, 2))]
@@ -954,52 +954,47 @@ def test_problems_sharing_a_workspace_match_fresh_problems(benchmark_case):
     assert got == want
 
 
-def test_warm_metrics_allocates_no_batch_sized_temporary(benchmark_case):
-    # numpy reports its data buffers to tracemalloc.  Once the workspace has
-    # grown to a GA batch, the only batch-sized arrays a call allocates are
-    # the vmag and the injection voltages it returns; any fresh (bus, column)
-    # temporary would double the peak.
-    prob = DispatchProblem(sectioned_case(benchmark_case, 4))
-    plans = prob.repair(_random_plans(prob, np.random.default_rng(33), 58))
-    prob.metrics(plans)
-    tracemalloc.start()
-    try:
-        m = prob.metrics(plans)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * m.vmag.nbytes + m.injection_voltage.nbytes
-
-
-def test_warm_ga_evaluation_allocates_well_under_one_vmag(benchmark_case):
-    # The GA reads values, violation and ok only, so its evaluation forms no
-    # magnitudes at every bus; what it allocates is (plan, hour) series and
-    # numpy's own ufunc buffers.
-    prob = DispatchProblem(sectioned_case(benchmark_case, 4))
-    evaluate, _ = prob.ga_functions(ObjectiveSpec("cost"))
-    plans = prob.repair(_random_plans(prob, np.random.default_rng(33), 58))
-    evaluate(plans)
-    tracemalloc.start()
-    try:
-        evaluate(plans)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    vmag_nbytes = prob.net.n_bus * plans.shape[0] * prob.T * 8
-    assert peak < 0.75 * vmag_nbytes
+def test_evaluations_on_one_network_are_reentrant(benchmark_case):
+    # Every sweep and kernel call owns its arrays, so two threads may
+    # evaluate the plain and the DR problem of one network at once.
+    net = compile_network(benchmark_case)
+    shared = (DispatchProblem(benchmark_case, net=net), DispatchProblem(benchmark_case, dr=True, net=net))
+    rng = np.random.default_rng(35)
+    calls = [(k % 2, shared[k % 2].repair(_random_plans(shared[k % 2], rng, 1 + k % 39))) for k in range(40)]
+    want = [_metrics_bytes(shared[dr].metrics(X)) for dr, X in calls]
+    mismatches = 0
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(5):
+            got = pool.map(lambda call: _metrics_bytes(shared[call[0]].metrics(call[1])), calls)
+            mismatches += sum(g != w for g, w in zip(got, want))
+    assert mismatches == 0
 
 
 @pytest.mark.parametrize("dr", [False, True])
-def test_a_ga_evaluation_keeps_no_buses_by_columns_array(benchmark_case, dr):
-    # Consumption, iterates and terms are all over the injection buses, 12 of
-    # the long feeder's 53; the empty buses enter by bound.
+def test_a_ga_evaluation_keeps_no_buses_by_columns_array(benchmark_case, dr, monkeypatch):
+    # The GA reads values, violation and ok only, so its evaluation reads no
+    # voltage at every bus and no branch current.  Consumption, iterates and
+    # terms are all over the injection buses, 12 of the long feeder's 53;
+    # the empty buses enter by bound.
     prob = DispatchProblem(sectioned_case(benchmark_case, 4), dr=dr)
     evaluate, _ = prob.ga_functions(ObjectiveSpec("cost"))
     plans = prob.repair(_random_plans(prob, np.random.default_rng(34), 58))
+
+    def refuse(result):
+        raise AssertionError("a lean evaluation read an array over every bus or branch")
+
+    monkeypatch.setattr(SweepResult, "voltage", property(refuse))
+    monkeypatch.setattr(SweepResult, "branch_current", property(refuse))
+    iterate, rows = powerflow._iterate, []
+
+    def spy(injections, s_inj, *args, **kwargs):
+        rows.append(s_inj.shape[0])
+        return iterate(injections, s_inj, *args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "_iterate", spy)
     evaluate(plans)
-    columns = plans.shape[0] * prob.T
     assert 4 * prob.injections.inj.size < prob.net.n_bus
-    assert max(buffer.nbytes for buffer in prob.net.workspace._slots.values()) <= prob.injections.inj.size * columns * 16
+    assert rows and set(rows) == {prob.injections.inj.size}
 
 
 def _kernel_problem(benchmark_case, variant):
