@@ -1,10 +1,10 @@
 """Real-coded genetic algorithm used to seed the SQP refinement.
 
 The suite's rows start from a dynamic programme over the state of charge
-(``problem.DispatchProblem.dp_seed``).  Where it finds a plan the GA is
-called with no generation, a population of its seeds alone (the DP plan
-first) and no random number generator, and only scores them to keep the
-best; where it finds none the GA searches with its configured budget.
+(``dp.plan``).  Where it finds a plan the GA is called with no generation,
+a population of its seeds alone (the DP plan first) and no random number
+generator, and only scores them to keep the best; where it finds none the
+GA searches with its configured budget.
 
 Individuals are dispatch vectors in physical units.  Selection is by
 tournament on an exterior-penalty fitness, recombination is blend crossover,

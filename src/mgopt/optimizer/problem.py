@@ -2,9 +2,8 @@
 
 This module owns the mapping between plan vectors and schedules, batched
 evaluation of the four objectives over whole populations, the repair
-operators that keep device constraints satisfied exactly, the dynamic
-programme over the state of charge that seeds every row, and the smooth
-split-battery problem the SQP refiner works on.
+operators that keep device constraints satisfied exactly, and the smooth
+split-battery problem the SQP refiner works on; ``dp`` seeds every row.
 
 Evaluation is vectorised end to end: a population of plans becomes one
 column batch for the network sweep (population times hours columns), the
@@ -24,19 +23,6 @@ evaluation forms no array of buses times columns and sweeps only to
 sweep's default tolerance and add the magnitudes at every bus.  Repair
 projects the shift onto zero net energy by an exact breakpoint search and
 clips the battery in stored energy, hour by hour.
-
-The day decomposes by hour except for the battery: every network term and
-the cost belong to one hour, the outage cost is a sum over hours of a
-function of that hour's SOC, and the model has no ramp, start-up or
-up/down-time coupling.  So a dynamic programme over the SOC finds the
-commitment and the battery path globally on a grid (R. Bellman, *Dynamic
-Programming*, 1957; for unit commitment W. L. Snyder, H. D. Powell and
-J. C. Rayburn, IEEE Trans. Power Systems 2(2), 1987).  ``stage_table``
-sweeps each distinct hourly column of a unit grid at every battery level
-once, through the GA's lean kernel, and keeps every point's hourly terms;
-``StageTable.minima`` takes, per spec,
-level and hour, the best value and setpoints, and ``dp_seed`` runs the
-programme on them and repairs its plan.
 
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
 ``[unit 0 | ... | unit n_units-1 | battery | shift]`` and its split-battery
@@ -108,41 +94,6 @@ _FEASIBILITY_TOL = 1e-7
 # its slope at each hour's SOC by central differences of step
 # SOC_REL_STEP * max(1, |soc|) kWh, which average the two sides of a kink.
 SOC_REL_STEP = 1e-5
-
-# The stage table's unit grid: a renewable unit at these shares of its
-# hourly cap, every other unit off or at STAGE_UNIT_LEVELS evenly spaced
-# points of [p_min, cap]; the battery from -p_max to p_max in steps of
-# p_max / STAGE_BATTERY_STEPS.
-STAGE_RENEWABLE_SHARES = (1.0, 0.5)
-STAGE_UNIT_LEVELS = 5
-STAGE_BATTERY_STEPS = 10
-
-# Plans (of T columns each) per stage-table batch: 1,008 columns on the
-# benchmark case, which bound each batch's transient arrays.  A column of a
-# batch that runs longer moves by rounding, so the width stays for the
-# stored table to keep its bytes; that table is stored whole, 25 bytes a
-# column (StageTable).
-STAGE_BATCH_PLANS = 48
-
-# A stage table over more columns than this (unit combinations x battery
-# levels x hours; 145,152 on the benchmark case, 3.6 MB stored; 15 MB at
-# the cap) is not built, and the GA seeds every row.  The unit grid grows
-# as 2^renewables x 6^others.  Scoring takes about 1.1 s per million
-# distinct columns swept, 0.11 s for the benchmark's 99,792 (2-core
-# x86_64, one thread).  The cap was measured when a suite scored
-# the table twice: on copies of the benchmark case a default suite took
-# less time from the DP than from the GA at 580,608 columns (two more
-# renewables) and more at 870,912 (one more microturbine).  A suite now
-# scores it once, so the cap is conservative.
-STAGE_COLUMN_CAP = 600_000
-
-# Points of the dynamic programme's SOC grid over [soc_min, soc_max]:
-# 0.25 kWh apart on the benchmark battery.
-SOC_GRID_POINTS = 161
-
-# A next SOC this far (kWh) outside the window counts as inside; repair
-# clips it.
-_SOC_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -492,7 +443,7 @@ class DispatchProblem:
         rows of its magnitudes.  The exact mode (``metrics``, ``split_eval``)
         sweeps to DEFAULT_TOLERANCE and keeps ``vmag`` and
         ``injection_voltage``; the ``lean`` one (the GA's evaluate,
-        ``stage_table``) sweeps to GA_TOLERANCE and keeps neither, so it
+        the DP's stage table) sweeps to GA_TOLERANCE and keeps neither, so it
         forms no array of buses times columns.  ``hours`` gives the hour of
         each (row, column), None the plain day; with it the parts are
         columns, not whole plans, and the per-plan fields, the outage cost
@@ -677,148 +628,6 @@ class DispatchProblem:
         return evaluate, self.repair
 
     # ------------------------------------------------------------------
-    # dynamic programme over the state of charge
-
-    def _battery_levels(self) -> np.ndarray:
-        """The stage table's battery powers, kW: 0 alone without a battery."""
-        if self.case.battery is None:
-            return np.zeros(1)
-        steps = np.arange(-STAGE_BATTERY_STEPS, STAGE_BATTERY_STEPS + 1)
-        return self.case.battery.p_max_kw * steps / STAGE_BATTERY_STEPS
-
-    def _unit_grid(self, levels: int) -> Optional[np.ndarray]:
-        """(combination, unit, hour) setpoints of the stage table's unit
-        grid, or None when the table, at ``levels`` battery levels, would
-        pass STAGE_COLUMN_CAP.  A unit whose hourly cap is below its
-        minimum is off at every level."""
-        options = []
-        for i, unit in enumerate(self.case.units):
-            cap, p_min = self.caps[i], self.p_min[i, 0]
-            if unit.renewable:
-                options.append(np.outer(STAGE_RENEWABLE_SHARES, cap))
-            else:
-                share = np.linspace(0.0, 1.0, STAGE_UNIT_LEVELS)[:, np.newaxis]
-                running = np.where(cap >= p_min, p_min + share * (cap - p_min), 0.0)
-                options.append(np.vstack([np.zeros(self.T), running]))
-        sizes = [len(levels) for levels in options]
-        count = int(np.prod(sizes, dtype=float))
-        if count * levels * self.T > STAGE_COLUMN_CAP:
-            return None
-        grid = np.zeros((count, self.n_units, self.T))
-        for i, k in enumerate(np.indices(sizes).reshape(self.n_units, count)):
-            grid[:, i] = options[i][k]
-        return grid
-
-    def stage_table(self) -> Optional["StageTable"]:
-        """The stage table: the hourly cost, loss energy and voltage
-        deviation of every point of the unit grid at every battery level,
-        and where each counts (``StageTable``).
-
-        A grid point counts in an hour only where its sweep converged with
-        zero violation there.  Points of one hour with equal unit setpoints
-        (a renewable with a zero cap sits at 0 at both shares, a unit whose
-        cap is below its minimum is off at every level) share one sweep
-        column, so each distinct (hour, setpoints, battery level) column is
-        scored once, through the GA's lean kernel (``GA_TOLERANCE``) and
-        without the outage cost, which ``dp_seed`` adds from the SOC.  A
-        batch takes whole combinations in order, their distinct columns at
-        every level and hour, up to the columns of STAGE_BATCH_PLANS // L
-        combinations (1,008 on the benchmark case).  That width bounds each
-        batch's transient arrays and stays so that the stored table keeps
-        its bytes; where no column repeats, those are the whole-day batches
-        the table was once scored in.  None when the table would pass
-        STAGE_COLUMN_CAP.
-        """
-        levels = self._battery_levels()
-        L, T = levels.size, self.T
-        grid = self._unit_grid(L)
-        if grid is None:
-            return None
-        count = len(grid)
-        # Per hour, the first combination with each combination's setpoints.
-        first = np.stack([_first_equal(grid[:, :, t]) for t in range(T)], axis=1)
-        distinct = first == np.arange(count)[:, np.newaxis]
-        cells = (count, L, T)
-        hourly = {key: np.empty(cells) for key in ("cost", "loss", "vdev")}
-        feasible = np.empty(cells, dtype=bool)
-        # As wide as a batch of whole combinations at every level and hour.
-        width = max(1, STAGE_BATCH_PLANS // L) * L * T
-        ends = np.cumsum(L * distinct.sum(axis=1))
-        start = 0
-        while start < count:
-            before = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, before + width, side="right")))
-            c, level, t = np.nonzero(np.broadcast_to(distinct[start:stop, np.newaxis, :], (stop - start, L, T)))
-            c += start
-            p_batt = levels[level][np.newaxis, :]
-            m = self._evaluate(grid[c, :, t].T[np.newaxis], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), None,
-                               lean=True, hours=t[np.newaxis, :])
-            feasible[c, level, t] = m.converged[0] & (m.hourly_violation[0] == 0.0)
-            hourly["cost"][c, level, t] = m.hourly_cost[0]
-            hourly["loss"][c, level, t] = m.hourly_loss_kw[0] * self.dt
-            hourly["vdev"][c, level, t] = m.hourly_vdev[0]
-            start = stop
-        # A repeated point reads the column of the first combination it
-        # repeats; hour by hour, so that no copy is as large as a table.
-        for t in range(T):
-            repeats = np.flatnonzero(~distinct[:, t])
-            for table in (feasible, *hourly.values()):
-                table[repeats, :, t] = table[first[repeats, t], :, t]
-        return StageTable(levels, grid, hourly, feasible)
-
-    def dp_seed(self, spec: ObjectiveSpec, stage: "StageMinima") -> Optional[np.ndarray]:
-        """The repaired plan of a dynamic programme over the SOC on the
-        stage-table minima ``stage`` of ``spec``, or None where it finds none.
-
-        A backward pass takes the least value to go from every point of an
-        SOC grid (SOC_GRID_POINTS over the window), reading the next hour's
-        values by linear interpolation.  A forward pass from
-        ``soc_initial`` then takes each hour's best level at the exact next
-        SOC.  A level counts where its next SOC stays inside the window;
-        the outage cost enters as the spec's ens slope times the next SOC's
-        ``ContingencyEvaluator.hourly`` term.  Without a battery each hour
-        takes its own minimum.  There is no plan when some hour has no
-        feasible grid point, or no level keeps the SOC path feasible.
-        """
-        if not np.isfinite(stage.value).any(axis=0).all():
-            return None
-        x = np.zeros(self.n)
-        plan = self.blocks(x)[0]
-        b = self.case.battery
-        if b is None:
-            plan[: self.n_units] = stage.units[0]
-            return self.repair(x)[0]
-
-        levels = stage.battery_kw
-        energy = np.where(levels > 0, b.eta_charge * self.dt * levels, self.dt / b.eta_discharge * levels)
-        grid = np.linspace(b.soc_min_kwh, b.soc_max_kwh, SOC_GRID_POINTS)
-        step = grid[1] - grid[0]
-        ens = spec.slopes().get("ens", 0.0)
-
-        def to_go(t: int, soc: np.ndarray, future: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            """(state, level) values of hour t from the states ``soc``, and the next SOCs."""
-            nxt = self._keep * soc[:, np.newaxis] + energy
-            inside = (nxt >= b.soc_min_kwh - _SOC_SLACK) & (nxt <= b.soc_max_kwh + _SOC_SLACK)
-            value = stage.value[:, t] + _interpolate(future, (np.clip(nxt, grid[0], grid[-1]) - grid[0]) / step)
-            if ens:
-                value = value + ens * self.evaluator.hourly(nxt.reshape(-1, 1), slice(t, t + 1)).reshape(nxt.shape)
-            return np.where(inside, value, np.inf), nxt
-
-        future = [np.zeros(grid.size)]
-        for t in reversed(range(1, self.T)):
-            future.append(to_go(t, grid, future[-1])[0].min(axis=1))
-        soc = np.array([b.soc_initial_kwh])
-        for t in range(self.T):
-            value, nxt = to_go(t, soc, future[self.T - 1 - t])
-            level = int(np.argmin(value[0]))
-            if not np.isfinite(value[0, level]):
-                return None
-            plan[: self.n_units, t] = stage.units[level, :, t]
-            plan[self.n_units, t] = levels[level]
-            soc = nxt[:, level]
-        return self.repair(x)[0]
-
-    # ------------------------------------------------------------------
     # split-battery smooth problem for the SQP refiner
 
     def commitment_mask(self, x: np.ndarray) -> np.ndarray:
@@ -989,70 +798,6 @@ def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: n
         limits = f"{idle}[{low[t]:g}, {high[t]:g}]"
         raise ValueError(f"{name} at hour {t}: {what}{p[t]:.6g} {unit} outside {limits} {unit}")
 
-
-def _first_equal(rows: np.ndarray) -> np.ndarray:
-    """For each row of a 2-D array, the index of the first row equal to it."""
-    # With return_index np.unique skips its np.ma check, whose first call
-    # imports numpy.ma (+1.1 MB RSS in numpy 2.4), as np.isin's does.
-    _, index, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return index[inverse.reshape(-1)]
-
-
-def _interpolate(values: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """``values`` on a uniform grid read at fractional indices ``position``
-    (inside the grid) by linear interpolation; inf wherever a neighbour
-    with a positive weight is inf."""
-    i = np.minimum(position.astype(np.intp), values.size - 2)
-    w = position - i
-    low, high = values[i], values[i + 1]
-    with np.errstate(invalid="ignore"):
-        mixed = (1.0 - w) * low + w * high
-    return np.where(w == 0.0, low, np.where(w == 1.0, high, mixed))
-
-
-@dataclass
-class StageMinima:
-    """One spec's minima of the stage table (``StageTable.minima``): per
-    battery level (``battery_kw``) and hour, the least hourly value over the
-    unit grid, inf where no grid point is feasible, and the (level, unit,
-    hour) setpoints that reach it, 0 where none does."""
-
-    battery_kw: np.ndarray
-    value: np.ndarray
-    units: np.ndarray
-
-
-@dataclass
-class StageTable:
-    """The stage table (``DispatchProblem.stage_table``): the battery levels
-    (``battery_kw``), the unit grid's (combination, unit, hour) setpoints
-    (``units``), and per (combination, level, hour) the hourly "cost",
-    "loss" (energy) and "vdev" terms (``hourly``) and whether the point
-    counts there (``feasible``)."""
-
-    battery_kw: np.ndarray
-    units: np.ndarray
-    hourly: Dict[str, np.ndarray]
-    feasible: np.ndarray
-
-    def minima(self, spec: ObjectiveSpec) -> StageMinima:
-        """Per battery level and hour, the least hourly value over the unit
-        grid and the unit setpoints that reach it.
-
-        The hourly value weighs the hour's terms by the spec's ``slopes``;
-        the outage cost, a function of the SOC alone, is left to
-        ``DispatchProblem.dp_seed``.  On ties the earlier combination wins.
-        """
-        value = np.zeros(self.feasible.shape)
-        for key, coeff in spec.slopes().items():
-            if key in self.hourly:
-                value += coeff * self.hourly[key]
-        value = np.where(self.feasible, value, np.inf)
-        pick = value.argmin(axis=0)
-        low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
-        n_units, T = self.units.shape[1:]
-        units = self.units[pick[:, np.newaxis, :], np.arange(n_units)[:, np.newaxis], np.arange(T)]
-        return StageMinima(self.battery_kw, low, np.where(np.isfinite(low)[:, np.newaxis], units, 0.0))
 
 
 def _feasible(m: BatchMetrics) -> bool:

@@ -7,19 +7,19 @@ state.  The demand-response variant re-runs scenario 5 with the shift
 series in the decision vector.
 
 Each optimisation is a seed followed by SQP refinement.  A dynamic
-programme over the state of charge (``DispatchProblem.dp_seed``), on a stage
-table scored once per suite (``DispatchProblem.stage_table``), plans each
-row: the four single specs take their minima from it first, then the
-weighted spec once the single rows have set its brackets, and the suite
-then drops it; the DR row takes the weighted plan.  The DP plan goes first
+programme over the state of charge (``dp.plan``), on a stage table scored
+once per suite (``dp.stage_table``), plans each row: the four single specs
+take their minima from it first, then the weighted spec once the single
+rows have set its brackets, and the suite then drops it; the DR row takes
+the weighted plan.  The DP plan goes first
 among the GA's seeds, then the rows published before (for the DR row every
 one, with a zero shift), then the structured starts.  The GA runs no
 generation: it scores every seed, drawing no random plan and making no
 generator, and keeps the best, so the answer depends neither on the seed
 nor on the GA's settings.  At the benchmark's seeds the DR row starts from
 the published weighted row.  Where the DP finds no plan (an hour with no
-feasible grid point, or a unit grid past ``problem.STAGE_COLUMN_CAP``) the
-GA runs its configured budget.  After the individual runs the suite
+feasible grid point, or a unit grid past ``dp.STAGE_COLUMN_CAP``) the GA
+runs its configured budget.  After the individual runs the suite
 cross-polishes deterministically: whenever some scenario's solution scores
 better on objective k than scenario k's own solution, scenario k is
 re-refined from that point.  The sweeps are capped; a scenario still beaten
@@ -43,6 +43,7 @@ from ..netmodel import MicrogridCase
 from ..objectives import OBJECTIVE_KEYS, ObjectiveBounds, ObjectiveValues, weights_from_sequence
 from ..powerflow import _raise_if_failed, compile_network
 from ..reliability import ContingencyEvaluator
+from . import dp
 from .ga import GaConfig, ga_seed
 from .problem import BatchMetrics, DispatchProblem, ObjectiveSpec, RefineResult, _feasible
 from .sqp import SqpConfig
@@ -306,10 +307,9 @@ def run_suite(
     rows: Dict[str, _Row] = {"baseline": _Row(RefineResult(baseline, problem.metrics(baseline)))}
     _raise_if_failed(rows["baseline"].plan.metrics.converged[0], rows["baseline"].plan.metrics.collapsed[0])
     singles = [(key, ObjectiveSpec(key)) for key in OBJECTIVE_KEYS]
-    table = problem.stage_table()
+    table = dp.stage_table(problem)
     for idx, (key, spec) in enumerate(singles, start=1):
-        dp_plan = None if table is None else problem.dp_seed(spec, table.minima(spec))
-        rows[key] = _optimize(problem, spec, config, idx, dp_plan=dp_plan)
+        rows[key] = _optimize(problem, spec, config, idx, dp_plan=dp.plan(problem, table, spec))
 
     _cross_polish(problem, rows, singles, ("baseline",) + OBJECTIVE_KEYS, config)
 
@@ -322,7 +322,7 @@ def run_suite(
 
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
     prior = np.vstack([rows[k].plan.x for k in ("baseline",) + OBJECTIVE_KEYS])
-    dp_weighted = None if table is None else problem.dp_seed(spec5, table.minima(spec5))
+    dp_weighted = dp.plan(problem, table, spec5)
     # Free the table (3.6 MB on the benchmark case): nothing after the
     # weighted DP plan reads it.
     del table

@@ -59,7 +59,8 @@ import numpy as np
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
 from mgopt.objectives import OBJECTIVE_KEYS, ObjectiveValues
-from mgopt.optimizer.problem import SOC_REL_STEP, STAGE_BATCH_PLANS, StageMinima
+from mgopt.optimizer.dp import STAGE_BATCH_PLANS, _battery_levels, _unit_grid
+from mgopt.optimizer.problem import SOC_REL_STEP
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
 from mgopt.optimizer.sqp import NlpProblem
 from mgopt.powerflow import (
@@ -1504,19 +1505,20 @@ def grid_minimum(problem, slopes: Dict[str, float]) -> Tuple[float, np.ndarray]:
     return best_score, x
 
 
-def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[StageMinima]]:
-    """Each spec's ``StageMinima``, scored as the package did before it
-    stored the stage table: batches of whole combinations at every level,
-    keeping only each spec's running minima over them; on ties the earlier
-    combination stays.  None past the column cap."""
-    levels = problem._battery_levels()
+def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """Each spec's stage minima as ``dp._minima`` gives them, (level, hour)
+    values and (level, unit, hour) setpoints, scored as the package did
+    before it stored the stage table: batches of whole combinations at every
+    level, keeping only each spec's running minima over them; on ties the
+    earlier combination stays.  None past the column cap."""
+    levels = _battery_levels(problem)
     L, T = levels.size, problem.T
-    grid = problem._unit_grid(L)
+    grid = _unit_grid(problem, L)
     if grid is None:
         return None
     per_batch = max(1, STAGE_BATCH_PLANS // L)
     slopes = [spec.slopes() for spec in specs]
-    tables = [StageMinima(levels, np.full((L, T), np.inf), np.zeros((L, problem.n_units, T))) for _ in specs]
+    tables = [(np.full((L, T), np.inf), np.zeros((L, problem.n_units, T))) for _ in specs]
     power = np.broadcast_to(levels[:, np.newaxis], (L, T))
     unit, hour = np.arange(problem.n_units)[:, np.newaxis], np.arange(T)
     for start in range(0, len(grid), per_batch):
@@ -1528,7 +1530,7 @@ def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[StageMinima
                               None, lean=True)
         feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
         hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}
-        for table, slope in zip(tables, slopes):
+        for (least, units), slope in zip(tables, slopes):
             value = np.zeros((k * L, T))
             for key, coeff in slope.items():
                 if key in hourly:
@@ -1536,9 +1538,9 @@ def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[StageMinima
             value = np.where(feasible, value.reshape(k, L, T), np.inf)
             pick = value.argmin(axis=0)
             low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
-            better = low < table.value
-            table.value[better] = low[better]
-            table.units[:] = np.where(better[:, np.newaxis], combos[pick[:, np.newaxis], unit, hour], table.units)
+            better = low < least
+            least[better] = low[better]
+            units[:] = np.where(better[:, np.newaxis], combos[pick[:, np.newaxis], unit, hour], units)
     return tables
 
 

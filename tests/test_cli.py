@@ -20,6 +20,7 @@ from mgopt.cli import (
 from mgopt.devices import DispatchSchedule
 from mgopt.netmodel import benchmark_case_path, load_benchmark_case, load_case, save_case
 from mgopt.optimizer import DispatchProblem, evaluate_objectives
+from mgopt.optimizer.dp import stage_table
 
 from test_dr import committable_pv_case, refused_setpoints, refused_shifts
 from test_scenarios import collapsing_case, import_squeezed_case
@@ -240,7 +241,7 @@ def test_objectives_json_shows_an_early_stop_of_the_fallback_search(tmp_path):
     # written lies between 1 and the budget config.json records.
     case = load_benchmark_case()
     case = replace(case, units=case.units + (replace(case.unit("MT"), name="MT2"),))
-    assert DispatchProblem(case).stage_table() is None
+    assert stage_table(DispatchProblem(case)) is None
     path = tmp_path / "two-mt.case"
     save_case(case, path)
     out = tmp_path / "fallback"

@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mgopt.optimizer.dp as dp_mod
 import mgopt.optimizer.problem as problem_mod
 from mgopt.netmodel import DgUnit
 from mgopt.objectives import OBJECTIVE_KEYS, weights_from_sequence
 from mgopt.optimizer import DispatchProblem, GaConfig, ObjectiveSpec, OptimizerConfig, SqpConfig, run_suite
-from mgopt.optimizer.problem import STAGE_BATCH_PLANS
+from mgopt.optimizer.dp import STAGE_BATCH_PLANS
 from mgopt.powerflow import sweep
 from mgopt.reliability import ContingencyEvaluator
 
@@ -47,12 +48,11 @@ def test_dp_plan_is_the_grid_minimum(benchmark_case, horizon, start):
     # interpolated SOC grid must still find it: scored at 1e-10 both agree
     # to the sweep's last bits.
     problem = DispatchProblem(truncated_case(benchmark_case, horizon, start=start))
-    table = problem.stage_table()
+    table = dp_mod.stage_table(problem)
     for spec in _specs(problem):
-        stage = table.minima(spec)
         slopes = spec.slopes()
         best, _ = grid_minimum(problem, slopes)
-        score = grid_plan_score(problem, slopes, problem.dp_seed(spec, stage))
+        score = grid_plan_score(problem, slopes, dp_mod.plan(problem, table, spec))
         assert abs(score - best) <= 1e-9 * abs(best), (spec.key, score, best)
 
 
@@ -74,19 +74,19 @@ def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
     feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(len(grid), L, T)
     assert feasible.any() and not feasible.all()
     hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}
-    table = problem.stage_table()
+    table = dp_mod.stage_table(problem)
+    np.testing.assert_array_equal(table.battery_kw, levels)
     for spec in specs:
-        stage = table.minima(spec)
+        low, units = dp_mod._minima(table, spec)
         value = np.zeros((len(grid) * L, T))
         for key, coeff in spec.slopes().items():
             if key != "ens":
                 value = value + coeff * hourly[key]
         value = np.where(feasible, value.reshape(len(grid), L, T), np.inf)
         pick = value.argmin(axis=0)
-        np.testing.assert_allclose(stage.value, value.min(axis=0), rtol=1e-12, atol=0, err_msg=spec.key)
+        np.testing.assert_allclose(low, value.min(axis=0), rtol=1e-12, atol=0, err_msg=spec.key)
         expected = grid[pick[:, np.newaxis, :], np.arange(problem.n_units)[:, np.newaxis], np.arange(T)]
-        np.testing.assert_array_equal(stage.units, expected, err_msg=spec.key)
-        np.testing.assert_array_equal(stage.battery_kw, levels)
+        np.testing.assert_array_equal(units, expected, err_msg=spec.key)
 
 
 @pytest.mark.parametrize("cut", ["two-hour-tight-band", "sectioned", "unplannable-hour"])
@@ -95,9 +95,10 @@ def test_stored_table_minima_equal_the_streamed_minima_bytewise(benchmark_case, 
     # the scoring batches (oracles.streamed_stage_minima), byte for byte:
     # the single specs, a weighted spec, and one with a zero weight.  On the
     # tight band part of the grid is infeasible; the sectioned day's night
-    # hours repeat every renewable column (cap 0 and cap/2), so there the
-    # argmin is decided by ties; an hour with no feasible point holds inf
-    # and no setpoints.
+    # hours repeat every renewable column (cap 0 and cap/2), and a repeated
+    # point does not count in the stored table, where the streamed minima
+    # score it and keep its first occurrence on the tie; an hour with no
+    # feasible point holds inf and no setpoints.
     if cut == "sectioned":
         case = sectioned_case(benchmark_case, 4)
     elif cut == "unplannable-hour":
@@ -107,18 +108,24 @@ def test_stored_table_minima_equal_the_streamed_minima_bytewise(benchmark_case, 
     problem = DispatchProblem(case)
     specs = _specs(problem) + _specs(problem, weights_from_sequence([2, 1, 1, 0]))[-1:]
     assert specs[-1].weights["vdev"] == 0.0
-    table = problem.stage_table()
+    table = dp_mod.stage_table(problem)
     if cut == "sectioned":
-        value = sum(coeff * table.hourly[key] for key, coeff in specs[-1].slopes().items() if key != "ens")
-        value = np.where(table.feasible, value, np.inf)
-        assert (((value == value.min(axis=0)) & np.isfinite(value)).sum(axis=0) > 1).any()
+        repeats = counted = 0
+        for t in range(problem.T):
+            first = {}
+            for c, row in enumerate(map(tuple, table.units[:, :, t])):
+                if row in first:
+                    assert not table.feasible[c, :, t].any(), (c, t)
+                    repeats += 1
+                    counted += table.feasible[first[row], :, t].any()
+                first.setdefault(row, c)
+        assert repeats == 2_160 and counted == 2_160
     else:
         assert table.feasible.any() and not table.feasible.all()
-    for spec, streamed in zip(specs, streamed_stage_minima(problem, specs)):
-        stage = table.minima(spec)
-        assert stage.value.tobytes() == streamed.value.tobytes(), spec
-        assert stage.units.tobytes() == streamed.units.tobytes(), spec
-        assert stage.battery_kw.tobytes() == streamed.battery_kw.tobytes()
+    for spec, (value, units) in zip(specs, streamed_stage_minima(problem, specs)):
+        low, picked = dp_mod._minima(table, spec)
+        assert low.tobytes() == value.tobytes(), spec
+        assert picked.tobytes() == units.tobytes(), spec
 
 
 def test_the_stage_table_sweeps_each_distinct_column_once(benchmark_case, monkeypatch):
@@ -140,7 +147,7 @@ def test_the_stage_table_sweeps_each_distinct_column_once(benchmark_case, monkey
 
     monkeypatch.setattr(problem_mod, "sweep", counting)
     monkeypatch.setattr(ContingencyEvaluator, "cost_batch", refused)
-    table = problem.stage_table()
+    table = dp_mod.stage_table(problem)
     L, T = table.battery_kw.size, problem.T
     distinct = L * sum(len({tuple(row) for row in table.units[:, :, t]}) for t in range(T))
     assert table.feasible.size == 145_152
@@ -193,7 +200,7 @@ def _check_rows(suite, dp):
 def test_nine_committable_units_exceed_the_column_cap(benchmark_case):
     case = truncated_case(_with_units(benchmark_case, 7), 4, start=10)
     assert sum(u.committable for u in case.units) == 9
-    assert DispatchProblem(case).stage_table() is None
+    assert dp_mod.stage_table(DispatchProblem(case)) is None
     _check_rows(run_suite(case, SMALL), dp=False)
 
 
@@ -210,9 +217,10 @@ def _unplannable_hour(case):
 def test_an_hour_without_a_feasible_grid_point_leaves_the_row_to_the_ga(benchmark_case):
     case = _unplannable_hour(benchmark_case)
     problem = DispatchProblem(case)
-    stage = problem.stage_table().minima(ObjectiveSpec("cost"))
-    assert np.isinf(stage.value[:, 1]).all() and np.isfinite(stage.value[:, [0, 2]]).any(axis=0).all()
-    assert problem.dp_seed(ObjectiveSpec("cost"), stage) is None
+    table = dp_mod.stage_table(problem)
+    value, _ = dp_mod._minima(table, ObjectiveSpec("cost"))
+    assert np.isinf(value[:, 1]).all() and np.isfinite(value[:, [0, 2]]).any(axis=0).all()
+    assert dp_mod.plan(problem, table, ObjectiveSpec("cost")) is None
     _check_rows(run_suite(case, SMALL), dp=False)
 
 

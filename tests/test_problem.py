@@ -8,6 +8,7 @@ import pytest
 
 from mgopt.devices import DispatchSchedule, soc_trajectory
 from mgopt.dr import check_shift
+import mgopt.optimizer.dp as dp_mod
 import mgopt.optimizer.problem as problem_mod
 import mgopt.optimizer.sqp as sqp
 import mgopt.powerflow as powerflow
@@ -1260,7 +1261,7 @@ def test_vdev_solve_on_a_stiff_feeder_moves_off_its_seed(benchmark_case):
         for br in benchmark_case.branches))
     stiff = DispatchProblem(case)
     spec = ObjectiveSpec("vdev")
-    seed = stiff.dp_seed(spec, stiff.stage_table().minima(spec))
+    seed = dp_mod.plan(stiff, dp_mod.stage_table(stiff), spec)
     result = stiff.refine(seed, spec, SqpConfig())
     assert result.sqp.iterations > 1
     assert result.value < result.seed_value

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import mgopt.optimizer.qp as qp_mod
 from mgopt.optimizer import QpError, QpInfeasibleError, qp_subproblem
 
 from oracles import (
@@ -283,6 +284,29 @@ def test_reduced_matches_dense_in_elastic_mode():
     assert dense.elastic and dense.max_slack > 0.5
     _assert_same_solve(reduced, dense, rtol=1e-7)
     assert reduced.max_slack == pytest.approx(dense.max_slack, rel=1e-7)
+
+
+def test_a_degenerate_working_set_drops_its_latest_row(monkeypatch):
+    # Two identical rows d0 + d1 <= 0, both warm-started: their KKT system
+    # is singular, so the first equality step finds none, the later row
+    # leaves, and the step over the earlier one is zero at the optimum.
+    steps = []
+    equality_step = qp_mod._equality_step
+
+    def recording(qp, x, working):
+        step = equality_step(qp, x, working)
+        steps.append((working.tolist(), step is None))
+        return step
+
+    monkeypatch.setattr(qp_mod, "_equality_step", recording)
+    H, g = np.eye(2), np.array([-1.0, -1.0])
+    kwargs = dict(G=np.array([[1.0, 1.0], [1.0, 1.0]]), h=np.zeros(2), lower=np.full(2, -5.0),
+                  upper=np.full(2, 5.0), warm_start=[("in", 0), ("in", 1)])
+    reduced, dense = _both(H, g, **kwargs)
+    assert steps == [([0, 1], True), ([0], False)]
+    assert np.array_equal(reduced.d, np.zeros(2))
+    assert reduced.active_set == (("in", 0),)
+    _assert_same_solve(reduced, dense)
 
 
 def test_warm_bound_within_tolerance_is_met_exactly():

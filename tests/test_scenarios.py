@@ -9,6 +9,7 @@ import pytest
 
 from mgopt.netmodel import load_benchmark_case
 from mgopt.objectives import OBJECTIVE_KEYS
+import mgopt.optimizer.dp as dp_mod
 from mgopt.optimizer import (
     SCENARIO_KEYS,
     SCENARIO_LABELS,
@@ -90,7 +91,7 @@ def test_each_optimised_scenario_reports_its_ga_generations(fast_suite, benchmar
     assert fast_suite.results["baseline"].ga_generations is None
     for key in OBJECTIVE_KEYS + ("weighted", "dr"):
         assert fast_suite.results[key].ga_generations == 0, key
-    monkeypatch.setattr(DispatchProblem, "stage_table", lambda self: None)
+    monkeypatch.setattr(dp_mod, "stage_table", lambda problem: None)
     fallback = run_suite(benchmark_case, config=fast_config)
     assert fallback.results["baseline"].ga_generations is None
     for key in OBJECTIVE_KEYS + ("weighted", "dr"):
@@ -102,14 +103,14 @@ def test_a_suite_scores_the_stage_table_at_most_once(benchmark_case, monkeypatch
     # scoring, and the DR row reads none; past STAGE_COLUMN_CAP the one
     # call finds no table and the GA seeds every row.
     calls = []
-    stage_table = DispatchProblem.stage_table
+    stage_table = dp_mod.stage_table
 
-    def counting(self):
-        table = stage_table(self)
+    def counting(problem):
+        table = stage_table(problem)
         calls.append(table is not None)
         return table
 
-    monkeypatch.setattr(DispatchProblem, "stage_table", counting)
+    monkeypatch.setattr(dp_mod, "stage_table", counting)
     config = OptimizerConfig(ga=GaConfig(population=12, generations=5), sqp=SqpConfig(max_iterations=8),
                              refine_rounds=1)
     suite = run_suite(truncated_case(benchmark_case, 6, start=9), config)
@@ -381,7 +382,7 @@ def test_cross_polish_spends_no_refine_in_vain(benchmark_case, monkeypatch):
     # leave the target with that plan's value at the closing adoption instead.
     # The DP finds no plan here, so every row keeps the GA path this test
     # was written for.
-    monkeypatch.setattr(DispatchProblem, "stage_table", lambda self: None)
+    monkeypatch.setattr(dp_mod, "stage_table", lambda problem: None)
     calls = []
     refine = DispatchProblem.refine
 

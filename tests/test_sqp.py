@@ -113,6 +113,33 @@ def test_contradictory_constraints_flag_elastic():
     assert result.constraint_violation > 0.5
 
 
+def test_a_vanishing_step_ends_small_step():
+    # With tol_kkt = 0 the "kkt" test needs an exactly zero residual and
+    # step; the iterates reach the optimum of this coupled quadratic to
+    # rounding, where the QP step falls below STEP_TOL relative to |x|.
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    c = np.array([0.3, 0.7])
+    lo, hi = _box(2)
+    problem = FunctionNlp(lambda x: 0.5 * float((x - c) @ A @ (x - c)), lo, hi)
+    result = sqp_solve(problem, np.array([3.0, 2.0]), SqpConfig(tol_kkt=0.0))
+    assert result.status == "small-step"
+    assert result.converged
+    assert np.abs(result.x - c).max() <= 1e-8
+
+
+def test_contradictory_equalities_end_in_qp_failure():
+    # x0 = 1 and x0 = -1: the QP's equality rows admit no point, which no
+    # elastic retry relaxes, so the first iteration ends the solve at the start.
+    lo, hi = _box(2)
+    problem = FunctionNlp(lambda x: float(x @ x), lo, hi, eq=lambda x: np.array([x[0] - 1.0, x[0] + 1.0]))
+    start = np.array([0.5, 2.0])
+    result = sqp_solve(problem, start)
+    assert result.status == "qp-failure"
+    assert result.iterations == 1
+    assert not result.converged
+    assert np.array_equal(result.x, start)
+
+
 def test_trace_records_iterations():
     lo, hi = _box(2)
     problem = FunctionNlp(lambda x: float(x @ x), lo, hi)
