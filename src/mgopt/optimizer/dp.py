@@ -210,14 +210,14 @@ def plan(problem: DispatchProblem, table: Optional[StageTable], spec: ObjectiveS
         return problem.repair(x)[0]
 
     levels = table.battery_kw
-    energy = np.where(levels > 0, b.eta_charge * problem.dt * levels, problem.dt / b.eta_discharge * levels)
+    energy = np.where(levels > 0, problem.gain * levels, problem.drain * levels)
     grid = np.linspace(b.soc_min_kwh, b.soc_max_kwh, SOC_GRID_POINTS)
     step = grid[1] - grid[0]
     ens = spec.slopes().get("ens", 0.0)
 
     def to_go(t: int, soc: np.ndarray, future: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(state, level) values of hour t from the states ``soc``, and the next SOCs."""
-        nxt = problem._keep * soc[:, np.newaxis] + energy
+        nxt = problem.keep * soc[:, np.newaxis] + energy
         inside = (nxt >= b.soc_min_kwh - _SOC_SLACK) & (nxt <= b.soc_max_kwh + _SOC_SLACK)
         value = stage_value[:, t] + _interpolate(future, (np.clip(nxt, grid[0], grid[-1]) - grid[0]) / step)
         if ens:

@@ -263,23 +263,21 @@ class DispatchProblem:
         self.export_limit = case.effective_export_limit_kw
         self.s_base = case.base_power_kva
 
-        # SOC is affine in the split charge/discharge series:
-        # soc = soc0 * decay + chg @ M_c.T - dis @ M_d.T
-        if case.battery is not None:
-            b = case.battery
-            keep = 1.0 - b.self_discharge_per_h * self.dt
-            steps = np.arange(T)
-            ages = np.subtract.outer(steps, steps)
-            K = np.where(ages >= 0, keep ** np.maximum(ages, 0), 0.0)
-            self.soc_decay = keep ** np.arange(1, T + 1)
-            self.M_c = b.eta_charge * self.dt * K
-            self.M_d = (self.dt / b.eta_discharge) * K
-            self._keep = keep
-        else:
-            self.soc_decay = np.zeros(T)
-            self.M_c = np.zeros((T, T))
-            self.M_d = np.zeros((T, T))
-            self._keep = 1.0
+        # The battery's period rule, the one place the optimizer reads it:
+        # soc' = keep * soc + gain * charge - drain * discharge.  So SOC is
+        # affine in the split series: soc = soc0 * decay + chg @ M_c.T - dis @ M_d.T
+        b = case.battery
+        self.keep, self.gain, self.drain = 1.0, 0.0, 0.0
+        if b is not None:
+            self.keep = 1.0 - b.self_discharge_per_h * self.dt
+            self.gain = b.eta_charge * self.dt
+            self.drain = self.dt / b.eta_discharge
+        steps = np.arange(T)
+        ages = np.subtract.outer(steps, steps)
+        K = np.where(ages >= 0, self.keep ** np.maximum(ages, 0), 0.0)
+        self.soc_decay = self.keep ** np.arange(1, T + 1) if b is not None else np.zeros(T)
+        self.M_c = self.gain * K
+        self.M_d = self.drain * K
 
     # ------------------------------------------------------------------
     # vector <-> schedule
@@ -531,8 +529,7 @@ class DispatchProblem:
         loop.
         """
         b = self.case.battery
-        gain = b.eta_charge * self.dt
-        drain = self.dt / b.eta_discharge
+        gain, drain = self.gain, self.drain
         p = np.clip(p, -b.p_max_kw, b.p_max_kw)
         # Hour-major, so that each hour's energies are one contiguous row.
         energy = (gain * np.maximum(p, 0.0) + drain * np.minimum(p, 0.0)).T.copy()
@@ -540,7 +537,7 @@ class DispatchProblem:
         state = np.full(p.shape[0], b.soc_initial_kwh)
         low, high = np.empty_like(state), np.empty_like(state)
         for e in energy:
-            np.multiply(state, self._keep, out=state)
+            np.multiply(state, self.keep, out=state)
             np.maximum(e, np.subtract(b.soc_min_kwh, state, out=low), out=e)
             np.minimum(e, np.subtract(b.soc_max_kwh, state, out=high), out=e)
             np.maximum(e, e_low, out=e)
