@@ -20,9 +20,10 @@ inside the limits from the injection buses' voltages.  The GA and the
 stage table read values, violations and hourly terms alone, so their lean
 evaluation forms no array of buses times columns and sweeps only to
 ``GA_TOLERANCE``; ``metrics`` and ``split_eval`` run the same rule to the
-sweep's default tolerance and add the magnitudes at every bus.  Repair
-projects the shift onto zero net energy by an exact breakpoint search and
-clips the battery in stored energy, hour by hour.
+sweep's default tolerance and add the magnitudes at every bus.  Repair is
+a projection: it projects the shift onto zero net energy by an exact
+breakpoint search and clips the battery hour by hour to the powers that
+keep the state of charge in its window, and a second pass changes no bit.
 
 A plan is a run of ``T``-hour blocks.  The signed plan the GA searches is
 ``[unit 0 | ... | unit n_units-1 | battery | shift]`` and its split-battery
@@ -263,21 +264,18 @@ class DispatchProblem:
         self.export_limit = case.effective_export_limit_kw
         self.s_base = case.base_power_kva
 
-        # The battery's period rule, the one place the optimizer reads it:
-        # soc' = keep * soc + gain * charge - drain * discharge.  So SOC is
-        # affine in the split series: soc = soc0 * decay + chg @ M_c.T - dis @ M_d.T
+        # The battery's period rule, read here alone: soc' = keep * soc + gain *
+        # charge - drain * discharge, so soc = soc0 * decay + chg @ M_c.T - dis @ M_d.T.
         b = case.battery
         self.keep, self.gain, self.drain = 1.0, 0.0, 0.0
         if b is not None:
             self.keep = 1.0 - b.self_discharge_per_h * self.dt
             self.gain = b.eta_charge * self.dt
             self.drain = self.dt / b.eta_discharge
-        steps = np.arange(T)
-        ages = np.subtract.outer(steps, steps)
+        ages = np.subtract.outer(np.arange(T), np.arange(T))
         K = np.where(ages >= 0, self.keep ** np.maximum(ages, 0), 0.0)
-        self.soc_decay = self.keep ** np.arange(1, T + 1) if b is not None else np.zeros(T)
-        self.M_c = self.gain * K
-        self.M_d = self.drain * K
+        self.soc_decay = self.keep ** np.arange(1, T + 1)
+        self.M_c, self.M_d = self.gain * K, self.drain * K
 
     # ------------------------------------------------------------------
     # vector <-> schedule
@@ -509,7 +507,8 @@ class DispatchProblem:
 
     def repair(self, X: np.ndarray) -> np.ndarray:
         """Project plans onto device-feasible points (box, commitment, SOC,
-        shift balance).  Network constraints stay with the penalty."""
+        shift balance); a second repair changes no bit.  Network constraints
+        stay with the penalty."""
         X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), self.lower, self.upper)
         B = self.blocks(X)
         p = B[:, : self.n_units]
@@ -521,33 +520,34 @@ class DispatchProblem:
         return X
 
     def _repair_battery(self, p: np.ndarray) -> np.ndarray:
-        """Row-parallel version of the sequential smallest-change SOC clip.
+        """Row-parallel sequential smallest-change SOC clip, a projection.
 
-        It works in stored energy: each hour's energy is clipped to what
-        keeps the state of charge in its window, then to the energy of
-        +-p_max, and the state moves by it.  Powers follow once, after the
-        loop.
+        Hour by hour, the power is clipped between the powers that take the
+        kept state (keep * state) to soc_min and to soc_max, each room over
+        ``gain`` where it is a charge and over ``drain`` where it is a
+        discharge (a charge to soc_min: self-discharge took the SOC under
+        it), then to +-p_max; the state advances by the period rule at that
+        power.  The states follow from the output alone, so a second pass
+        finds the same bounds and changes no bit.
         """
         b = self.case.battery
-        gain, drain = self.gain, self.drain
-        p = np.clip(p, -b.p_max_kw, b.p_max_kw)
-        # Hour-major, so that each hour's energies are one contiguous row.
-        energy = (gain * np.maximum(p, 0.0) + drain * np.minimum(p, 0.0)).T.copy()
-        e_low, e_high = -drain * b.p_max_kw, gain * b.p_max_kw
-        state = np.full(p.shape[0], b.soc_initial_kwh)
-        low, high = np.empty_like(state), np.empty_like(state)
-        for e in energy:
-            np.multiply(state, self.keep, out=state)
-            np.maximum(e, np.subtract(b.soc_min_kwh, state, out=low), out=e)
-            np.minimum(e, np.subtract(b.soc_max_kwh, state, out=high), out=e)
-            np.maximum(e, e_low, out=e)
-            np.minimum(e, e_high, out=e)
-            np.add(state, e, out=state)
-        power = np.where(energy >= 0, energy / gain, energy * b.eta_discharge / self.dt)
-        return np.clip(power, -b.p_max_kw, b.p_max_kw, out=power).T
+        window = np.array([[b.soc_min_kwh], [b.soc_max_kwh]])
+        # Hour-major, so that each hour's powers are one contiguous row.
+        p = p.T.copy()
+        state = np.full(p.shape[1], b.soc_initial_kwh)
+        for q in p:
+            kept = self.keep * state
+            room = window - kept
+            low, high = room / np.where(room >= 0.0, self.gain, self.drain)
+            np.minimum(np.maximum(q, low, out=q), high, out=q)
+            np.minimum(np.maximum(q, -b.p_max_kw, out=q), b.p_max_kw, out=q)
+            state = kept + q * np.where(q >= 0.0, self.gain, self.drain)
+        return p.T
 
     def _project_shift(self, s: np.ndarray) -> np.ndarray:
-        """Project shift rows onto zero net energy inside the hourly box.
+        """Project shift rows onto zero net energy inside the hourly box; a
+        clipped row with |sum s| <= T eps sum |s|, balanced to its own
+        rounding, comes back unchanged, so the output is a fixed point.
 
         The projection is clip(s - mu, lo, hi) at the root mu of g(mu) =
         sum_t clip(s_t - mu, lo_t, hi_t), a continuous quadratic knapsack
@@ -573,7 +573,8 @@ class DispatchProblem:
         # g at that knot once more, exactly, then the linear step to its root.
         at_knot = np.clip(s - mu, lo, hi).sum(axis=1, keepdims=True)
         mu += at_knot / np.maximum(np.take_along_axis(free, last, axis=1), 1)
-        return np.clip(s - mu, lo, hi)
+        rounding = s.shape[1] * np.finfo(float).eps * np.abs(s).sum(axis=1, keepdims=True)
+        return np.where(np.abs(s.sum(axis=1, keepdims=True)) <= rounding, s, np.clip(s - mu, lo, hi))
 
     # ------------------------------------------------------------------
     # starting points
@@ -794,7 +795,6 @@ def _refuse(name: str, p: np.ndarray, held: np.ndarray, low: np.ndarray, high: n
         t = int(bad[0])
         limits = f"{idle}[{low[t]:g}, {high[t]:g}]"
         raise ValueError(f"{name} at hour {t}: {what}{p[t]:.6g} {unit} outside {limits} {unit}")
-
 
 
 def _feasible(m: BatchMetrics) -> bool:
