@@ -84,8 +84,11 @@ def normalize_objective(value: float, bounds: Tuple[float, float], key: str = ""
 
 
 def weights_from_sequence(weights: Sequence[float]) -> Dict[str, float]:
-    """Pair a 4-vector of weights with the objective keys in canonical order."""
+    """Pair a 4-vector of finite, nonnegative weights with the objective keys
+    in canonical order."""
     arr = np.asarray(weights, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"expected 4 weights, got shape {arr.shape}")
+    if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+        raise ValueError(f"weights must be finite and nonnegative, got {arr.tolist()}")
     return dict(zip(OBJECTIVE_KEYS, arr.tolist()))

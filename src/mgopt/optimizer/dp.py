@@ -8,10 +8,14 @@ commitment and the battery path globally on a grid (R. Bellman, *Dynamic
 Programming*, 1957; for unit commitment W. L. Snyder, H. D. Powell and
 J. C. Rayburn, IEEE Trans. Power Systems 2(2), 1987).  ``stage_table``
 sweeps each distinct hourly column of a unit grid at every battery level
-once, through the GA's lean kernel, and keeps every point's hourly terms;
-``plan`` takes, per spec, level and hour, the best value and setpoints,
-runs the programme on them and repairs its plan.  Both only read the
-``DispatchProblem`` they are given.
+once, hour by hour through the GA's lean kernel, and keeps the hourly
+terms of the points a plan can pick: those that no earlier combination's
+point of the same level and hour weakly dominates on all three terms (the
+label rule of multi-criteria dynamic programming, P. Hansen, "Bicriterion
+path problems", LNEMS 177, 1980).  ``plan`` takes, per spec, level and
+hour, the best value and setpoints over those points, runs the programme on
+them and repairs its plan.  Both only read the ``DispatchProblem`` they are
+given.
 """
 
 from __future__ import annotations
@@ -31,16 +35,17 @@ STAGE_RENEWABLE_SHARES = (1.0, 0.5)
 STAGE_UNIT_LEVELS = 5
 STAGE_BATTERY_STEPS = 10
 
-# Plans (of T columns each) per stage-table batch: 1,008 columns on the
-# benchmark case, which bound each batch's transient arrays.  A column of a
-# batch that runs longer moves by rounding, so the width stays for the
-# stored table to keep its bytes; that table is stored whole, 25 bytes a
-# column (StageTable).
-STAGE_BATCH_PLANS = 48
+# Columns per stage-table batch, all of one hour: 48 combinations at the 21
+# battery levels of the benchmark case.  The width bounds each batch's
+# transient arrays.  A column of a batch that runs longer moves by
+# rounding, so the table's terms depend on how its columns are batched.
+STAGE_BATCH_COLUMNS = 1_008
 
 # A stage table over more columns than this (unit combinations x battery
-# levels x hours; 145,152 on the benchmark case, 3.6 MB stored; 15 MB at
-# the cap) is not built, and the GA seeds every row.  The unit grid grows
+# levels x hours; 145,152 on the benchmark case) is not built, and the GA
+# seeds every row.  The table stores its front, 28 bytes a point, and the
+# unit grid: 28,811 points and 1.0 MiB on the benchmark case, 67,451 and
+# 3.3 MiB on the copy with two more renewables below.  The unit grid grows
 # as 2^renewables x 6^others.  Scoring takes about 1.1 s per million
 # distinct columns swept, 0.11 s for the benchmark's 99,792 (2-core
 # x86_64, one thread).  A default suite (seed 0) takes 1.18 of the GA
@@ -63,16 +68,20 @@ _SOC_SLACK = 1e-9
 class StageTable:
     """The stage table (``stage_table``): the battery levels
     (``battery_kw``), the unit grid's (combination, unit, hour) setpoints
-    (``units``), and per (combination, level, hour) the hourly "cost",
-    "loss" (energy) and "vdev" terms (``hourly``) and whether the point
-    counts there (``feasible``).  A point that repeats an earlier
-    combination's setpoints in an hour does not count in that hour and
-    holds zero terms; its first occurrence counts for it."""
+    (``units``), and its front: the points that count and that no earlier
+    combination's point of their (level, hour) cell weakly dominates, as far
+    as ``stage_table`` tests.  Each has its cell (``cell``, level * T +
+    hour), its combination (``combination``) and its hourly "cost", "loss"
+    (energy) and "vdev" terms (``hourly``).  The points run cell by cell,
+    hour by hour, and in combination order within a cell.  A point that
+    repeats an earlier combination's setpoints in an hour is never stored:
+    its first occurrence holds the same terms."""
 
     battery_kw: np.ndarray
     units: np.ndarray
+    cell: np.ndarray
+    combination: np.ndarray
     hourly: Dict[str, np.ndarray]
-    feasible: np.ndarray
 
 
 def _battery_levels(problem: DispatchProblem) -> np.ndarray:
@@ -109,8 +118,8 @@ def _unit_grid(problem: DispatchProblem, levels: int) -> Optional[np.ndarray]:
 
 def stage_table(problem: DispatchProblem) -> Optional[StageTable]:
     """The stage table: the hourly cost, loss energy and voltage deviation
-    of every point of the unit grid at every battery level, and where each
-    counts (``StageTable``).
+    of the points of the unit grid, at every battery level, that a plan can
+    pick (``StageTable``).
 
     A grid point counts in an hour only where its sweep converged with zero
     violation there.  Points of one hour with equal unit setpoints (a
@@ -119,47 +128,66 @@ def stage_table(problem: DispatchProblem) -> Optional[StageTable]:
     the first of them holds, so each distinct (hour, setpoints, battery
     level) column is scored once, through the GA's lean kernel
     (``GA_TOLERANCE``) and without the outage cost, which ``plan`` adds from
-    the SOC.  A batch takes whole combinations in order, their distinct
-    columns at every level and hour, up to the columns of
-    STAGE_BATCH_PLANS // L combinations (1,008 on the benchmark case).  That
-    width bounds each batch's transient arrays and stays so that the stored
-    table keeps its bytes; where no column repeats, those are the whole-day
-    batches the table was once scored in.  None when the table would pass
-    STAGE_COLUMN_CAP.
+    the SOC.  The table is scored hour by hour, each hour's distinct columns
+    in (combination, level) order in batches of STAGE_BATCH_COLUMNS.  After
+    each hour the points an earlier combination's point weakly dominates are
+    dropped (``_undominated``): for nonnegative slopes such a point is never
+    the earliest least value of its cell, so ``_minima`` picks as it would
+    over every point.  None when the table would pass STAGE_COLUMN_CAP.
     """
     levels = _battery_levels(problem)
     L, T = levels.size, problem.T
     grid = _unit_grid(problem, L)
     if grid is None:
         return None
-    count = len(grid)
-    # Per hour, whether a combination is the first with its setpoints.  With
-    # return_index np.unique skips its np.ma check, whose first call imports
-    # numpy.ma (+1.1 MB RSS in numpy 2.4), as np.isin's does.
-    distinct = np.zeros((count, T), dtype=bool)
+    cell_type, combination_type = np.min_scalar_type(L * T), np.min_scalar_type(len(grid))
+    front = []
     for t in range(T):
-        distinct[np.unique(grid[:, :, t], axis=0, return_index=True)[1], t] = True
-    cells = (count, L, T)
-    hourly = {key: np.zeros(cells) for key in ("cost", "loss", "vdev")}
-    feasible = np.zeros(cells, dtype=bool)
-    # As wide as a batch of whole combinations at every level and hour.
-    width = max(1, STAGE_BATCH_PLANS // L) * L * T
-    ends = np.cumsum(L * distinct.sum(axis=1))
-    start = 0
-    while start < count:
-        before = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, before + width, side="right")))
-        c, level, t = np.nonzero(np.broadcast_to(distinct[start:stop, np.newaxis, :], (stop - start, L, T)))
-        c += start
-        p_batt = levels[level][np.newaxis, :]
-        m = problem._evaluate(grid[c, :, t].T[np.newaxis], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), None,
-                              lean=True, hours=t[np.newaxis, :])
-        feasible[c, level, t] = m.converged[0] & (m.hourly_violation[0] == 0.0)
-        hourly["cost"][c, level, t] = m.hourly_cost[0]
-        hourly["loss"][c, level, t] = m.hourly_loss_kw[0] * problem.dt
-        hourly["vdev"][c, level, t] = m.hourly_vdev[0]
-        start = stop
-    return StageTable(levels, grid, hourly, feasible)
+        # The first combination with each setpoints of hour t.  With
+        # return_index np.unique skips its np.ma check, whose first call
+        # imports numpy.ma (+1.1 MB RSS in numpy 2.4), as np.isin's does.
+        combos = np.sort(np.unique(grid[:, :, t], axis=0, return_index=True)[1])
+        c, level = np.divmod(np.arange(combos.size * L), L)
+        c = combos[c]
+        # (term, column), inf where the point does not count.
+        terms = np.full((3, c.size), np.inf)
+        for start in range(0, c.size, STAGE_BATCH_COLUMNS):
+            cols = slice(start, start + STAGE_BATCH_COLUMNS)
+            p_batt = levels[level[cols]][np.newaxis, :]
+            m = problem._evaluate(grid[c[cols], :, t].T[np.newaxis], np.maximum(p_batt, 0.0),
+                                  np.maximum(-p_batt, 0.0), None, lean=True, hours=np.full(p_batt.shape, t))
+            counts = m.converged[0] & (m.hourly_violation[0] == 0.0)
+            hourly = (m.hourly_cost[0], m.hourly_loss_kw[0] * problem.dt, m.hourly_vdev[0])
+            terms[:, cols] = np.where(counts, hourly, np.inf)
+        terms = terms.reshape(3, combos.size, L)
+        # Cell by cell (level-major), in combination order within a cell.
+        level, kept = np.nonzero(_undominated(terms).T)
+        front.append(((level * T + t).astype(cell_type), combos[kept].astype(combination_type),
+                      terms[:, kept, level]))
+    cell, combination, terms = (np.concatenate(part, axis=-1) for part in zip(*front))
+    return StageTable(levels, grid, cell, combination, dict(zip(("cost", "loss", "vdev"), terms)))
+
+
+def _undominated(terms: np.ndarray) -> np.ndarray:
+    """Which points of one hour's (term, combination, level) values, inf
+    where a point does not count, count and are not weakly dominated (no
+    larger in any term) by the point of the same level whose term k is the
+    earliest least among the earlier combinations, for each term k.
+
+    The test drops only dominated points, not all of them; it keeps 28,811
+    of the benchmark case's 99,792 distinct points."""
+    count, L = terms.shape[1:]
+    rows = np.arange(count)[:, np.newaxis]
+    keep = np.isfinite(terms[0])
+    for term in terms:
+        # The earliest least of the term over combinations 0..c: the last
+        # one to lower its running least (-1, while none counts, only where
+        # c does not count either).  Where that is c itself, no earlier
+        # point is as low in this term.
+        lowers = term < np.vstack([np.full((1, L), np.inf), np.minimum.accumulate(term, axis=0)[:-1]])
+        leader = np.maximum.accumulate(np.where(lowers, rows, -1), axis=0)
+        keep &= ~((leader < rows) & (terms[:, leader, np.arange(L)] <= terms).all(axis=0))
+    return keep
 
 
 def _minima(table: StageTable, spec: ObjectiveSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,18 +197,30 @@ def _minima(table: StageTable, spec: ObjectiveSpec) -> Tuple[np.ndarray, np.ndar
 
     The hourly value weighs the hour's terms by the spec's ``slopes``; the
     outage cost, a function of the SOC alone, is left to ``plan``.  On ties
-    the earlier combination wins.
+    the earlier combination wins: the first of a cell's points at its least
+    value, as the front runs in combination order within a cell.
     """
-    value = np.zeros(table.feasible.shape)
+    value = np.zeros(table.cell.size)
     for key, coeff in spec.slopes().items():
         if key in table.hourly:
             value += coeff * table.hourly[key]
-    value = np.where(table.feasible, value, np.inf)
-    pick = value.argmin(axis=0)
-    low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
-    n_units, T = table.units.shape[1:]
-    units = table.units[pick[:, np.newaxis, :], np.arange(n_units)[:, np.newaxis], np.arange(T)]
-    return low, np.where(np.isfinite(low)[:, np.newaxis], units, 0.0)
+    starts = np.flatnonzero(_run_starts(table.cell))
+    least = np.minimum.reduceat(value, starts)
+    hits = np.flatnonzero(value == np.repeat(least, np.diff(starts, append=value.size)))
+    first = hits[_run_starts(np.searchsorted(starts, hits, side="right"))]
+    level, hour = np.divmod(table.cell[first], table.units.shape[2])
+    low = np.full((table.battery_kw.size, table.units.shape[2]), np.inf)
+    low[level, hour] = value[first]
+    units = np.zeros((table.battery_kw.size,) + table.units.shape[1:])
+    units[level, :, hour] = table.units[table.combination[first], :, hour]
+    return low, units
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``keys`` starts a run of equal entries."""
+    start = np.ones(keys.size, dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    return start
 
 
 def plan(problem: DispatchProblem, table: Optional[StageTable], spec: ObjectiveSpec) -> Optional[np.ndarray]:

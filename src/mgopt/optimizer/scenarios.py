@@ -323,8 +323,8 @@ def run_suite(
     spec5 = ObjectiveSpec("weighted", weights=weight_map, bounds=bounds)
     prior = np.vstack([rows[k].plan.x for k in ("baseline",) + OBJECTIVE_KEYS])
     dp_weighted = dp.plan(problem, table, spec5)
-    # Free the table (3.6 MB on the benchmark case): nothing after the
-    # weighted DP plan reads it.
+    # Free the table (its front, 1.0 MiB on the benchmark case): nothing
+    # after the weighted DP plan reads it.
     del table
     rows["weighted"] = _optimize(problem, spec5, config, 5, extra_seeds=prior, dp_plan=dp_weighted)
 

@@ -38,9 +38,10 @@ each unit's limits from its record in a loop over the units, as the package
 did before it held them as arrays.
 ``grid_minimum`` enumerates every battery path on the grid of the dispatch
 problem's dynamic programme, the independent check of its stage table and
-SOC recursion on one- and two-hour cases, and ``streamed_stage_minima``
-the stage table's minima as the package took them before it stored the
-table, as running minima over its scoring batches.  ``sectioned_case`` and
+SOC recursion on one- and two-hour cases.  ``stage_batches`` scores every
+distinct stage-table column in the table's batches, and
+``streamed_stage_minima`` takes the table's minima from them as running
+minima over every column, with no point dropped.  ``sectioned_case`` and
 ``truncated_case`` are case builders, not references: the first deepens a
 feeder without changing its physics, the second cuts the day short.  The
 recursive tree walk is the form ``validate_radial`` had before it took an
@@ -59,7 +60,7 @@ import numpy as np
 from mgopt.devices import COMMIT_EPS, DispatchSchedule, soc_trajectory
 from mgopt.netmodel import Battery, Branch, Bus, DgUnit, MicrogridCase, validate_case
 from mgopt.objectives import OBJECTIVE_KEYS, ObjectiveValues
-from mgopt.optimizer.dp import STAGE_BATCH_PLANS, _battery_levels, _unit_grid
+from mgopt.optimizer.dp import STAGE_BATCH_COLUMNS, _battery_levels, _unit_grid
 from mgopt.optimizer.problem import SOC_REL_STEP
 from mgopt.optimizer.qp import QpError, QpInfeasibleError, QpResult, pinned_mask
 from mgopt.optimizer.sqp import NlpProblem
@@ -1505,42 +1506,57 @@ def grid_minimum(problem, slopes: Dict[str, float]) -> Tuple[float, np.ndarray]:
     return best_score, x
 
 
-def streamed_stage_minima(problem, specs: Sequence) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+def stage_batches(problem) -> List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, Dict[str, np.ndarray]]]:
+    """The stage table's distinct columns scored as ``dp.stage_table``
+    batches them: hour by hour, the first combination with each unit
+    setpoints of the hour at every battery level, in (combination, level)
+    order, STAGE_BATCH_COLUMNS columns a batch.  Per batch: the hour, each
+    column's combination and level, whether it counts (converged, zero
+    violation) and its hourly "cost", "loss" (energy) and "vdev" terms."""
+    levels = _battery_levels(problem)
+    L = levels.size
+    grid = _unit_grid(problem, L)
+    batches = []
+    for t in range(problem.T):
+        first: Dict[tuple, int] = {}
+        for c, row in enumerate(map(tuple, grid[:, :, t])):
+            first.setdefault(row, c)
+        columns = [(c, level) for c in sorted(first.values()) for level in range(L)]
+        for start in range(0, len(columns), STAGE_BATCH_COLUMNS):
+            combos, level = (np.array(part) for part in zip(*columns[start : start + STAGE_BATCH_COLUMNS]))
+            p_batt = levels[level][np.newaxis, :]
+            m = problem._evaluate(grid[combos, :, t].T[np.newaxis], np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
+                                  None, lean=True, hours=np.full(p_batt.shape, t))
+            counts = m.converged[0] & (m.hourly_violation[0] == 0.0)
+            hourly = {"cost": m.hourly_cost[0], "loss": m.hourly_loss_kw[0] * problem.dt, "vdev": m.hourly_vdev[0]}
+            batches.append((t, combos, level, counts, hourly))
+    return batches
+
+
+def streamed_stage_minima(problem, specs: Sequence, batches) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Each spec's stage minima as ``dp._minima`` gives them, (level, hour)
-    values and (level, unit, hour) setpoints, scored as the package did
-    before it stored the stage table: batches of whole combinations at every
-    level, keeping only each spec's running minima over them; on ties the
-    earlier combination stays.  None past the column cap."""
+    values and (level, unit, hour) setpoints: the running least over every
+    counting column of ``batches`` (``stage_batches``) in scoring order,
+    the earlier combination staying on ties, with nothing dropped."""
     levels = _battery_levels(problem)
     L, T = levels.size, problem.T
     grid = _unit_grid(problem, L)
-    if grid is None:
-        return None
-    per_batch = max(1, STAGE_BATCH_PLANS // L)
-    slopes = [spec.slopes() for spec in specs]
-    tables = [(np.full((L, T), np.inf), np.zeros((L, problem.n_units, T))) for _ in specs]
-    power = np.broadcast_to(levels[:, np.newaxis], (L, T))
-    unit, hour = np.arange(problem.n_units)[:, np.newaxis], np.arange(T)
-    for start in range(0, len(grid), per_batch):
-        combos = grid[start : start + per_batch]
-        k = len(combos)
-        # Plan j holds combination j // L at level j % L in every hour.
-        p_batt = np.tile(power, (k, 1))
-        m = problem._evaluate(np.repeat(combos, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0),
-                              None, lean=True)
-        feasible = (m.converged & (m.hourly_violation == 0.0)).reshape(k, L, T)
-        hourly = {"cost": m.hourly_cost, "loss": m.hourly_loss_kw * problem.dt, "vdev": m.hourly_vdev}
-        for (least, units), slope in zip(tables, slopes):
-            value = np.zeros((k * L, T))
-            for key, coeff in slope.items():
+    tables = []
+    for spec in specs:
+        least = [[math.inf] * T for _ in range(L)]
+        pick: Dict[Tuple[int, int], int] = {}
+        for t, combos, level, counts, hourly in batches:
+            value = np.zeros(combos.size)
+            for key, coeff in spec.slopes().items():
                 if key in hourly:
                     value += coeff * hourly[key]
-            value = np.where(feasible, value.reshape(k, L, T), np.inf)
-            pick = value.argmin(axis=0)
-            low = np.take_along_axis(value, pick[np.newaxis], axis=0)[0]
-            better = low < least
-            least[better] = low[better]
-            units[:] = np.where(better[:, np.newaxis], combos[pick[:, np.newaxis], unit, hour], units)
+            for c, lv, ok, v in zip(combos.tolist(), level.tolist(), counts.tolist(), value.tolist()):
+                if ok and v < least[lv][t]:
+                    least[lv][t], pick[lv, t] = v, c
+        units = np.zeros((L, problem.n_units, T))
+        for (lv, t), c in pick.items():
+            units[lv, :, t] = grid[c, :, t]
+        tables.append((np.array(least), units))
     return tables
 
 

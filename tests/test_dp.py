@@ -12,7 +12,7 @@ import mgopt.optimizer.problem as problem_mod
 from mgopt.netmodel import DgUnit
 from mgopt.objectives import OBJECTIVE_KEYS, weights_from_sequence
 from mgopt.optimizer import DispatchProblem, GaConfig, ObjectiveSpec, OptimizerConfig, SqpConfig, run_suite
-from mgopt.optimizer.dp import STAGE_BATCH_PLANS
+from mgopt.optimizer.dp import STAGE_BATCH_COLUMNS
 from mgopt.powerflow import sweep
 from mgopt.reliability import ContingencyEvaluator
 
@@ -23,6 +23,7 @@ from oracles import (
     grid_unit_options,
     outage_cost_loop,
     sectioned_case,
+    stage_batches,
     streamed_stage_minima,
     truncated_case,
 )
@@ -58,16 +59,16 @@ def test_dp_plan_is_the_grid_minimum(benchmark_case, horizon, start):
 
 def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
     # The whole (combination, level, hour) table in one batch, then its
-    # argmin over combinations; the stored table is scored in batches of at
-    # most STAGE_BATCH_PLANS plans.  The tight voltage band rules out part
-    # of the grid.
+    # argmin over combinations; the stored table is scored hour by hour in
+    # batches of at most STAGE_BATCH_COLUMNS columns, several to an hour
+    # here.  The tight voltage band rules out part of the grid.
     problem = DispatchProblem(truncated_case(replace(benchmark_case, voltage_limits=(0.97, 1.03)), 2, start=17))
     specs = _specs(problem)
     levels = problem.case.battery.p_max_kw * np.arange(-10, 11) / 10.0
     options = grid_unit_options(problem)
     grid = np.array([[options[i][k] for i, k in enumerate(row)] for row in np.ndindex(*map(len, options))])
     L, T = levels.size, problem.T
-    assert len(grid) * L > 10 * STAGE_BATCH_PLANS
+    assert len(grid) * L > 5 * STAGE_BATCH_COLUMNS
     p_batt = np.tile(np.repeat(levels[:, np.newaxis], T, axis=1), (len(grid), 1))
     m = problem._evaluate(np.repeat(grid, L, axis=0), np.maximum(p_batt, 0.0), np.maximum(-p_batt, 0.0), None,
                           lean=True)
@@ -91,14 +92,18 @@ def test_streamed_minima_equal_a_whole_table_argmin(benchmark_case):
 
 @pytest.mark.parametrize("cut", ["two-hour-tight-band", "sectioned", "unplannable-hour"])
 def test_stored_table_minima_equal_the_streamed_minima_bytewise(benchmark_case, cut):
-    # The stored table's whole-array argmin against the running minima over
-    # the scoring batches (oracles.streamed_stage_minima), byte for byte:
-    # the single specs, a weighted spec, and one with a zero weight.  On the
-    # tight band part of the grid is infeasible; the sectioned day's night
-    # hours repeat every renewable column (cap 0 and cap/2), and a repeated
-    # point does not count in the stored table, where the streamed minima
-    # score it and keep its first occurrence on the tie; an hour with no
-    # feasible point holds inf and no setpoints.
+    # The front's minima against the running minima over every distinct
+    # column in the table's scoring batches (oracles.streamed_stage_minima),
+    # byte for byte: the single specs, a weighted spec, one with a zero
+    # weight, and seeded random nonnegative weights, three of them with a
+    # zero entry.  On the tight band part of the grid is infeasible; the
+    # sectioned day's night hours repeat every renewable column (cap 0 and
+    # cap/2), and a repeated point is never stored, where the streamed
+    # minima score it and keep its first occurrence on the tie; an hour with
+    # no feasible point holds inf and no setpoints.  The front holds
+    # counting points alone, with the terms the batches scored, and every
+    # counting distinct point it drops is weakly dominated by an earlier
+    # kept point of its (level, hour) cell.
     if cut == "sectioned":
         case = sectioned_case(benchmark_case, 4)
     elif cut == "unplannable-hour":
@@ -106,23 +111,41 @@ def test_stored_table_minima_equal_the_streamed_minima_bytewise(benchmark_case, 
     else:
         case = truncated_case(replace(benchmark_case, voltage_limits=(0.97, 1.03)), 2, start=17)
     problem = DispatchProblem(case)
-    specs = _specs(problem) + _specs(problem, weights_from_sequence([2, 1, 1, 0]))[-1:]
-    assert specs[-1].weights["vdev"] == 0.0
+    weights = np.random.default_rng(45).random((4, 4))
+    weights[[0, 1, 2], [1, 3, 0]] = 0.0
+    specs = _specs(problem) + [_specs(problem, weights_from_sequence(w))[-1] for w in ([2, 1, 1, 0], *weights)]
+    assert specs[5].weights["vdev"] == 0.0
     table = dp_mod.stage_table(problem)
+    T = problem.T
     if cut == "sectioned":
-        repeats = counted = 0
-        for t in range(problem.T):
+        repeats = 0
+        for t in range(T):
             first = {}
             for c, row in enumerate(map(tuple, table.units[:, :, t])):
-                if row in first:
-                    assert not table.feasible[c, :, t].any(), (c, t)
-                    repeats += 1
-                    counted += table.feasible[first[row], :, t].any()
+                repeats += row in first
                 first.setdefault(row, c)
-        assert repeats == 2_160 and counted == 2_160
-    else:
-        assert table.feasible.any() and not table.feasible.all()
-    for spec, (value, units) in zip(specs, streamed_stage_minima(problem, specs)):
+            stored = table.combination[table.cell % T == t]
+            assert all(first[tuple(table.units[c, :, t])] == c for c in stored), t
+        assert repeats == 2_160
+    batches = stage_batches(problem)
+    terms = np.stack([table.hourly[key] for key in ("cost", "loss", "vdev")])
+    kept = {}
+    for i, (cell, c) in enumerate(zip(table.cell.tolist(), table.combination.tolist())):
+        kept.setdefault(cell, {})[c] = i
+    found = dropped = 0
+    for t, combos, levels, counts, hourly in batches:
+        batch_terms = np.stack([hourly[key] for key in ("cost", "loss", "vdev")])
+        for j, (c, level) in enumerate(zip(combos.tolist(), levels.tolist())):
+            cell = kept.get(level * T + t, {})
+            if c in cell:
+                found += 1
+                assert counts[j] and terms[:, cell[c]].tobytes() == batch_terms[:, j].tobytes(), (c, level, t)
+            elif counts[j]:
+                dropped += 1
+                earlier = [i for other, i in cell.items() if other < c]
+                assert (terms[:, earlier] <= batch_terms[:, j, np.newaxis]).all(axis=0).any(), (c, level, t)
+    assert found == table.cell.size > 0 and dropped > 0
+    for spec, (value, units) in zip(specs, streamed_stage_minima(problem, specs, batches)):
         low, picked = dp_mod._minima(table, spec)
         assert low.tobytes() == value.tobytes(), spec
         assert picked.tobytes() == units.tobytes(), spec
@@ -132,9 +155,9 @@ def test_the_stage_table_sweeps_each_distinct_column_once(benchmark_case, monkey
     # The packaged grid is 288 combinations x 21 battery levels x 24 hours,
     # 145,152 points.  Within an hour, points with equal unit setpoints (a
     # renewable at a zero cap sits at 0 at both shares) are one column,
-    # which leaves 99,792.  Each is swept once, in batches no wider than
-    # STAGE_BATCH_PLANS // L whole combinations (1,008 columns), and the
-    # table prices no outage cost.
+    # which leaves 99,792.  Each is swept once, hour by hour in batches of
+    # at most STAGE_BATCH_COLUMNS (1,008), the table prices no outage cost,
+    # and it stores only the front, every point of it distinct.
     problem = DispatchProblem(benchmark_case)
     swept = []
 
@@ -150,9 +173,10 @@ def test_the_stage_table_sweeps_each_distinct_column_once(benchmark_case, monkey
     table = dp_mod.stage_table(problem)
     L, T = table.battery_kw.size, problem.T
     distinct = L * sum(len({tuple(row) for row in table.units[:, :, t]}) for t in range(T))
-    assert table.feasible.size == 145_152
+    assert len(table.units) * L * T == 145_152
     assert sum(swept) == distinct == 99_792
-    assert max(swept) == STAGE_BATCH_PLANS // L * L * T == 1_008
+    assert max(swept) == STAGE_BATCH_COLUMNS == 1_008
+    assert len(set(zip(table.cell.tolist(), table.combination.tolist()))) == table.cell.size < distinct
 
 
 def test_hourly_terms_sum_to_the_per_plan_values(benchmark_case):

@@ -214,5 +214,8 @@ def test_weighted_total_hand_value():
 def test_weights_from_sequence_validates():
     with pytest.raises(ValueError, match="4 weights"):
         weights_from_sequence([0.5, 0.5])
+    for bad in ([-1, 2, np.nan, 0], [-0.1, 0.4, 0.4, 0.3], [np.inf, 0, 0, 0], [0.25, np.nan, 0.5, 0.25]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            weights_from_sequence(bad)
     mapping = weights_from_sequence([0.1, 0.2, 0.3, 0.4])
     assert list(mapping) == list(OBJECTIVE_KEYS)

@@ -74,6 +74,10 @@ def test_resolve_weights_precedence(benchmark_case):
     from_default, _ = resolve_weights(bare)
     assert from_default["loss"] == pytest.approx(0.483, abs=5e-3)
 
+    # The API refuses what validate_case and the CLI refuse.
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        run_suite(benchmark_case, weights=[-1, 1, 1, 1])
+
 
 def test_suite_covers_all_scenarios(fast_suite):
     assert set(fast_suite.results) == set(SCENARIO_KEYS) | {"dr"}
